@@ -3,10 +3,11 @@
 
 The paper's busy-time metric is computed offline, but its motivation is
 the robust operation of *live* networks.  This example replays a
-simulated capture through :class:`repro.core.OnlineCongestionMonitor`
-frame by frame — exactly what a monitoring daemon sitting on an RFMon
-interface would do — and prints a one-line status per second with the
-congestion class transitions highlighted.
+simulated capture into an incremental
+:class:`repro.pipeline.PipelineExecutor` one second of frames at a
+time — exactly what a monitoring daemon sitting on an RFMon interface
+(or ``repro serve``) does — and prints a one-line status per second as
+it closes, with the congestion class transitions highlighted.
 
 Usage::
 
@@ -15,8 +16,10 @@ Usage::
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import CongestionLevel, PAPER_THRESHOLDS
-from repro.core.online import OnlineCongestionMonitor
+from repro.pipeline import PipelineExecutor, create_consumers
 from repro.sim import LinearRamp, ScenarioConfig, run_scenario
 from repro.sim.traffic import ModulatedRate
 
@@ -38,35 +41,50 @@ def main() -> None:
         downlink=ModulatedRate(ramp, sigma=0.7, seed=6),
     )
     print(f"simulating a {duration:.0f} s ramp ...")
-    result = run_scenario(config)
+    trace = run_scenario(config).trace
 
-    monitor = OnlineCongestionMonitor(thresholds=PAPER_THRESHOLDS)
-    previous: CongestionLevel | None = None
+    # Seconds are counted from the first frame, as the executor does.
+    second_of = (trace.time_us - trace.time_us[0]) // 1_000_000
+    n_seconds = int(second_of[-1]) + 1
+    frames = np.bincount(second_of, minlength=n_seconds)
+    bounds = np.searchsorted(second_of, np.arange(n_seconds + 1))
+
+    executor = PipelineExecutor(create_consumers(["utilization"]))
+    levels: list[CongestionLevel] = []
     bar_scale = 50
 
-    print("\nstreaming capture through the online monitor:\n")
-    for row in result.trace.iter_rows():
-        for observation in monitor.ingest_row(row):
-            bar = "#" * int(
-                min(observation.utilization_percent, 100.0) / 100 * bar_scale
-            )
-            marker = ""
-            if observation.level != previous:
-                marker = f"  <-- {observation.level.label.upper()}"
-                previous = observation.level
-            print(
-                f"t={observation.second_index:3d}s "
-                f"util={observation.utilization_percent:5.1f}% "
-                f"frames={observation.frames:4d} |{bar:<{bar_scale}}|{marker}"
-            )
-    tail = monitor.flush()
-    if tail is not None:
-        print(f"t={tail.second_index:3d}s (partial) util={tail.utilization_percent:5.1f}%")
+    def show(second: int, percent: float) -> None:
+        level = PAPER_THRESHOLDS.classify(percent)
+        bar = "#" * int(min(percent, 100.0) / 100 * bar_scale)
+        marker = ""
+        if not levels or level != levels[-1]:
+            marker = f"  <-- {level.label.upper()}"
+        levels.append(level)
+        print(
+            f"t={second:3d}s util={percent:5.1f}% "
+            f"frames={frames[second]:4d} |{bar:<{bar_scale}}|{marker}"
+        )
 
-    occupancy = monitor.level_occupancy()
+    print("\nstreaming capture through the incremental executor:\n")
+    closed = 0  # seconds printed so far
+    for second in range(n_seconds):
+        segment = trace.slice_rows(bounds[second], bounds[second + 1])
+        if not len(segment):
+            continue  # an idle second closes nothing until a frame arrives
+        executor.feed(segment)
+        if second > closed:
+            # A frame in a later second closes every second before it.
+            percent = executor.snapshot()["utilization"].percent
+            for index in range(closed, second):
+                show(index, percent[index])
+            closed = second
+    tail = executor.close()["utilization"].percent[closed]
+    levels.append(PAPER_THRESHOLDS.classify(tail))
+    print(f"t={closed:3d}s (partial) util={tail:5.1f}%")
+
     print("\nsession congestion occupancy:")
     for level in CongestionLevel:
-        print(f"  {level.label:22s} {occupancy[level]:6.1%}")
+        print(f"  {level.label:22s} {levels.count(level) / len(levels):6.1%}")
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ class ExperimentResult:
         failures: tuple = (),
         elapsed_s: float = 0.0,
     ) -> None:
-        from ..campaign import code_version_salt
+        from ..store import code_version_salt
 
         self._spec = spec
         self.mode = mode

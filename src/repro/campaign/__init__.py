@@ -40,11 +40,12 @@ stalled workers are survived via lease reclaim, bounded retries and a
 loss-free shard merge (:mod:`repro.campaign.merge`).
 """
 
+from ..store import code_version_salt
 from .dispatch import Coordinator, DispatchError, run_distributed_campaign
 from .grid import CampaignCell, ParameterGrid
 from .merge import MergeConflictError, MergeReport, merge_shards, shard_roots
 from .runner import CampaignResult, CellResult, run_campaign
-from .store import CampaignStore, FailedCell, StoreStatus, cell_key, code_version_salt
+from .store import CampaignStore, FailedCell, StoreStatus, cell_key
 from .worker import run_worker
 from .summary import (
     campaign_table,

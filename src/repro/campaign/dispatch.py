@@ -63,6 +63,7 @@ from .. import protocol_registry
 from .._suggest import unknown_name_message
 from ..framing import FrameError, recv_frame, send_frame
 from ..protocol_registry import DISPATCH_OPS
+from ..store import write_atomic
 from .grid import CampaignCell, ParameterGrid
 from .merge import merge_shards, shard_roots
 from .runner import CELL_CHUNK_FRAMES, CampaignResult, CellResult, _expand_cells
@@ -750,8 +751,9 @@ class Coordinator:
         snapshot["updated"] = time.time()  # repro: lint-ok[det-wall-clock] operator-facing staleness stamp, never feeds results
         snapshot["elapsed_s"] = round(time.perf_counter() - self._start, 3)
         try:
-            CampaignStore._atomic_write_json(
-                self.store_dir / STATE_FILENAME, snapshot
+            write_atomic(
+                self.store_dir / STATE_FILENAME,
+                json.dumps(snapshot, indent=1, sort_keys=True).encode(),
             )
         except OSError:
             pass  # status is best-effort; the store itself is the truth

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ..store import BLOB_SUFFIX, RecordStore, write_atomic
 from .store import CampaignStore
 
 __all__ = [
@@ -86,28 +86,6 @@ def _comparable(payload: dict) -> dict:
     return data
 
 
-def _quarantine(path: Path) -> None:
-    try:
-        os.replace(path, path.with_name(path.name + ".corrupt"))
-    except OSError:
-        pass
-
-
-def _copy_atomic(source: Path, target: Path) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(source.read_bytes())
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def merge_shard(target: CampaignStore, shard_root: str | os.PathLike) -> MergeReport:
     """Union one shard directory into ``target``; see module docstring.
 
@@ -116,23 +94,15 @@ def merge_shard(target: CampaignStore, shard_root: str | os.PathLike) -> MergeRe
     :data:`VOLATILE_RESULT_FIELDS`).  Unreadable shard records are
     quarantined in place (``*.corrupt``) and counted, never trusted.
     """
-    shard_root = Path(shard_root)
-    report = MergeReport(shards=[str(shard_root)])
-    for path in sorted(shard_root.glob("*/*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            _quarantine(path)
-            report.quarantined += 1
-            continue
-        kind = payload.get("kind")
+    shard = RecordStore(shard_root, CampaignStore.KINDS)
+    report = MergeReport(shards=[str(shard.root)])
+    for path, payload in shard.walk():
         key = payload.get("key")
-        if kind not in ("result", "failure") or not isinstance(key, str) or not key:
-            _quarantine(path)
-            report.quarantined += 1
+        if not isinstance(key, str) or not key:
+            shard.quarantine(path)
             continue
-        if kind == "result":
-            existing = target._read_record(target.result_path(key))
+        if payload["kind"] == "result":
+            existing = target.result_record(key)
             if existing is None:
                 target.put_record(payload)
                 report.results_merged += 1
@@ -145,21 +115,18 @@ def merge_shard(target: CampaignStore, shard_root: str | os.PathLike) -> MergeRe
                 )
             else:
                 report.results_identical += 1
-            sidecar = shard_root / key[:2] / f"{key}.report.pkl.gz"
-            if sidecar.exists() and not target.report_path(key).exists():
-                _copy_atomic(sidecar, target.report_path(key))
+            blob = shard.path(key, BLOB_SUFFIX)
+            if blob.exists() and not target.report_path(key).exists():
+                write_atomic(target.report_path(key), blob.read_bytes())
                 report.reports_merged += 1
+        elif target.result_path(key).exists() or target.failure_path(key).exists():
+            # A success outranks a failure record; between two failure
+            # records the first one kept is as good as any.
+            report.failures_skipped += 1
         else:
-            if (
-                target.result_path(key).exists()
-                or target.failure_path(key).exists()
-            ):
-                # A success outranks a failure record; between two
-                # failure records the first one kept is as good as any.
-                report.failures_skipped += 1
-            else:
-                target.put_record(payload)
-                report.failures_merged += 1
+            target.put_record(payload)
+            report.failures_merged += 1
+    report.quarantined = shard.quarantined
     return report
 
 

@@ -13,41 +13,42 @@ the missing work.  The :class:`CampaignStore` provides that guarantee:
   safe substitute for re-running; anything that changes the simulation
   — a parameter, a seed, a library default, the simulator source —
   changes the key and transparently invalidates the entry.
-* **Atomic persistence.**  One JSON file per cell, written to a
-  temporary sibling and ``os.replace``-d into place, so a crash can
-  never leave a half-written record that a later resume would trust.
 * **Failure records.**  A cell that raises is persisted as a
   :class:`FailedCell` (exception type, message, traceback) in a
   ``.fail.json`` sidecar; the campaign completes, reports the failure,
-  and a ``--retry-failed`` pass re-runs exactly those cells.
-* **Corruption quarantine.**  A record that no longer parses (disk
-  fault, torn copy) is never silently trusted *or* silently discarded:
-  it is renamed to ``<key>.json.corrupt`` next to where it lay, counted
-  in :attr:`CampaignStore.quarantined`, and the cell recomputes as a
-  plain miss.  Campaign summaries and ``campaign-status`` surface the
-  count so corruption is investigated, not papered over.
+  and a ``--retry-failed`` pass re-runs exactly those cells.  A result
+  always outranks a failure for the same key.
 
-The code-version salt defaults to a hash of every ``.py`` file in the
-installed ``repro`` package, so results never outlive the code that
-produced them.  Set ``salt=`` (or the ``REPRO_CAMPAIGN_SALT``
-environment variable) to pin it across code changes you know are
-behaviour-preserving.
+Layout, atomic writes, corruption quarantine, the report sidecar and
+the code-version salt are the shared :mod:`repro.store` disciplines.  A
+damaged record is renamed ``<key>.json.corrupt``, counted in
+:attr:`CampaignStore.quarantined` and recomputed as a plain miss;
+campaign summaries and ``campaign-status`` surface the count so
+corruption is investigated, not papered over.  Set ``salt=`` (or the
+``REPRO_CAMPAIGN_SALT`` environment variable) to pin the salt across
+code changes you know are behaviour-preserving.
 """
 
 from __future__ import annotations
 
-import gzip
-import hashlib
 import json
 import os
-import pickle
-import tempfile
-from dataclasses import dataclass, fields as dataclass_fields, is_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..store import (
+    BLOB_SUFFIX,
+    FORMAT,
+    RECORD_SUFFIX,
+    RecordStore,
+    canonical,
+    canonical_key,
+    code_version_salt,
+    write_atomic,
+)
 from .grid import CampaignCell
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,113 +59,9 @@ __all__ = [
     "FailedCell",
     "StoreStatus",
     "cell_key",
-    "code_version_salt",
 ]
 
-#: Bump when the on-disk record layout changes incompatibly.
-STORE_FORMAT = 1
-
-#: Environment override for the code-version salt (useful to keep a
-#: store warm across code changes known to be behaviour-preserving).
-_SALT_ENV = "REPRO_CAMPAIGN_SALT"
-
-_code_salt_cache: str | None = None
-
-
-def code_version_salt() -> str:
-    """Hash of the installed ``repro`` package source (cached).
-
-    Any change to any ``src/repro/**.py`` file yields a new salt, so a
-    store never serves results computed by different simulator code.
-    """
-    global _code_salt_cache
-    env = os.environ.get(_SALT_ENV)
-    if env:
-        return env
-    if _code_salt_cache is None:
-        package_dir = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(package_dir.rglob("*.py")):
-            digest.update(str(path.relative_to(package_dir)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-        _code_salt_cache = digest.hexdigest()[:16]
-    return _code_salt_cache
-
-
-# -- canonical hashing -----------------------------------------------------
-
-
-def _canonical(value, seen: set[int] | None = None):
-    """Reduce ``value`` to a deterministic JSON-able structure.
-
-    Handles the things a resolved :class:`ScenarioConfig` contains:
-    primitives, tuples, mappings, dataclasses, numpy scalars/arrays,
-    rate-schedule objects and size-mix closures.  Callables contribute
-    their qualified name plus their closure's canonical contents (so
-    two ``class_mixture`` samplers with different weights hash apart);
-    generic objects contribute their class plus sorted attributes,
-    *skipping* dict/set-valued attributes, which are memo caches by
-    convention (e.g. ``ModulatedRate._cache`` fills in during a run and
-    must not shift the key).
-    """
-    if seen is None:
-        seen = set()
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return value
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return {
-            "__ndarray__": hashlib.sha256(np.ascontiguousarray(value).tobytes())
-            .hexdigest(),
-            "dtype": str(value.dtype),
-            "shape": list(value.shape),
-        }
-    if id(value) in seen:
-        return "__cycle__"
-    seen = seen | {id(value)}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v, seen) for v in value]
-    if isinstance(value, Mapping):
-        return {
-            "__map__": [
-                [str(k), _canonical(v, seen)]
-                for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
-            ]
-        }
-    if is_dataclass(value) and not isinstance(value, type):
-        cls = type(value)
-        return {
-            "__dataclass__": f"{cls.__module__}.{cls.__qualname__}",
-            "fields": {
-                f.name: _canonical(getattr(value, f.name), seen)
-                for f in dataclass_fields(value)
-            },
-        }
-    if callable(value):
-        closure = getattr(value, "__closure__", None) or ()
-        bound_self = getattr(value, "__self__", None)
-        return {
-            "__callable__": f"{getattr(value, '__module__', '?')}."
-            f"{getattr(value, '__qualname__', repr(type(value)))}",
-            "closure": [_canonical(c.cell_contents, seen) for c in closure],
-            "self": _canonical(bound_self, seen) if bound_self is not None else None,
-        }
-    attrs = getattr(value, "__dict__", None)
-    if attrs is not None:
-        cls = type(value)
-        return {
-            "__object__": f"{cls.__module__}.{cls.__qualname__}",
-            "attrs": {
-                k: _canonical(v, seen)
-                for k, v in sorted(attrs.items())
-                if not isinstance(v, (dict, set))
-            },
-        }
-    return {"__repr__": repr(value)}
+_FAILURE_SUFFIX = ".fail.json"
 
 
 def cell_key(cell: CampaignCell, salt: str) -> str:
@@ -178,7 +75,7 @@ def cell_key(cell: CampaignCell, salt: str) -> str:
     """
     payload: dict[str, object] = {
         "scenario": cell.scenario,
-        "params": _canonical(dict(cell.params)),
+        "params": canonical(dict(cell.params)),
         "seed": cell.seed,
         "salt": salt,
     }
@@ -189,11 +86,10 @@ def cell_key(cell: CampaignCell, salt: str) -> str:
     try:
         from ..sim import scenario_config
 
-        payload["config"] = _canonical(scenario_config(cell.scenario, **cell.kwargs))
+        payload["config"] = canonical(scenario_config(cell.scenario, **cell.kwargs))
     except Exception as error:
         payload["config_error"] = f"{type(error).__name__}: {error}"
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return canonical_key(payload)
 
 
 # -- records ---------------------------------------------------------------
@@ -275,26 +171,29 @@ _RESULT_FIELDS = (
 class CampaignStore:
     """On-disk map: content key → finished cell result (or failure).
 
-    Records live two directory levels deep (``ab/<key>.json``) so huge
-    campaigns do not produce million-entry directories.  All writes are
-    atomic (temp file + ``os.replace``); readers either see a complete
-    record or none at all.
+    A :class:`~repro.store.RecordStore` holding ``result`` records at
+    ``ab/<key>.json``, ``failure`` records at ``ab/<key>.fail.json`` and
+    optional report sidecars; readers either see a complete record or
+    none at all.
     """
+
+    #: Record kinds a campaign store (or a worker's shard) holds.
+    KINDS = ("result", "failure")
 
     def __init__(self, root: str | os.PathLike, *, salt: str | None = None) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.salt = salt if salt is not None else code_version_salt()
-        #: Corrupt records renamed to ``*.corrupt`` by this instance.
-        self.quarantined = 0
-        self._write_meta()
-
-    def _write_meta(self) -> None:
+        self._records = RecordStore(self.root, self.KINDS)
         meta_path = self.root / "store-meta.json"
         if not meta_path.exists():
-            self._atomic_write_json(
-                meta_path, {"format": STORE_FORMAT, "salt": self.salt}
-            )
+            meta = {"format": FORMAT, "salt": self.salt}
+            write_atomic(meta_path, json.dumps(meta, indent=1, sort_keys=True).encode())
+
+    @property
+    def quarantined(self) -> int:
+        """Corrupt records renamed to ``*.corrupt`` by this instance."""
+        return self._records.quarantined
 
     # -- paths ------------------------------------------------------------
 
@@ -302,70 +201,13 @@ class CampaignStore:
         return cell_key(cell, self.salt)
 
     def result_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self._records.path(key)
 
     def failure_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.fail.json"
+        return self._records.path(key, _FAILURE_SUFFIX)
 
     def report_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.report.pkl.gz"
-
-    # -- low-level I/O ----------------------------------------------------
-
-    @staticmethod
-    def _atomic_write_json(path: Path, payload: dict) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    @staticmethod
-    def _read_json(path: Path) -> dict | None:
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, OSError):
-            return None
-
-    def _read_record(self, path: Path) -> dict | None:
-        """Read a cell record; quarantine it if it no longer parses.
-
-        A record that exists but cannot be decoded is evidence of a
-        disk/copy fault.  Swallowing it as a plain miss would silently
-        recompute the cell *and destroy the evidence* on the rewrite —
-        so the broken file is renamed to ``<name>.corrupt`` (out of the
-        store's key space, preserved for inspection), counted in
-        :attr:`quarantined`, and only then treated as a miss.
-        """
-        try:
-            with open(path) as handle:
-                return json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            self._quarantine(path)
-            return None
-
-    def _quarantine(self, path: Path) -> None:
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            # Unreadable *and* unrenamable (e.g. permissions): nothing
-            # more can be done here; the cell still recomputes.
-            return
-        self.quarantined += 1
+        return self._records.path(key, BLOB_SUFFIX)
 
     # -- writing ----------------------------------------------------------
 
@@ -379,7 +221,6 @@ class CampaignStore:
         merge a checkable no-op.
         """
         return {
-            "format": STORE_FORMAT,
             "kind": "result",
             "key": key,
             "salt": self.salt,
@@ -391,7 +232,6 @@ class CampaignStore:
     def failure_payload(self, failed: FailedCell, key: str) -> dict:
         """The on-disk JSON record for a failed cell (pure)."""
         return {
-            "format": STORE_FORMAT,
             "kind": "failure",
             "key": key,
             "salt": self.salt,
@@ -407,66 +247,43 @@ class CampaignStore:
     def put_record(self, payload: Mapping) -> Path:
         """Persist a raw record dict (e.g. one received over the wire).
 
-        Routes by ``kind``: a result clears any failure record for its
-        key; a failure never overwrites an existing result (a completed
-        cell outranks any later report of trouble).
+        Every write goes through here, so one rule decides precedence:
+        a result clears any failure record for its key; a failure never
+        overwrites an existing result (a completed cell outranks any
+        later report of trouble).
         """
         kind = payload.get("kind")
         key = payload.get("key")
-        if kind not in ("result", "failure") or not isinstance(key, str) or not key:
+        if kind not in self.KINDS or not isinstance(key, str) or not key:
             raise ValueError(f"not a store record: kind={kind!r} key={key!r}")
         if kind == "result":
-            path = self.result_path(key)
-            self._atomic_write_json(path, dict(payload))
-            try:
-                self.failure_path(key).unlink()
-            except OSError:
-                pass
+            path = self._records.put(key, payload)
+            self._records.discard(key, [_FAILURE_SUFFIX])
             return path
-        path = self.failure_path(key)
         if self.result_path(key).exists():
-            return path
-        self._atomic_write_json(path, dict(payload))
-        return path
+            return self.failure_path(key)
+        return self._records.put(key, payload, _FAILURE_SUFFIX)
 
     def put(self, result: "CellResult", *, key: str | None = None) -> Path:
         """Persist a finished cell atomically; clears any failure record."""
         key = key or self.key_for(result.cell)
-        payload = self.result_payload(result, key)
         if result.report is not None:
-            report_path = self.report_path(key)
-            report_path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=report_path.parent, prefix=report_path.name, suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as raw, gzip.GzipFile(
-                    fileobj=raw, mode="wb", mtime=0
-                ) as zipped:
-                    pickle.dump(result.report, zipped)
-                os.replace(tmp, report_path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        path = self.result_path(key)
-        self._atomic_write_json(path, payload)
-        try:
-            self.failure_path(key).unlink()
-        except OSError:
-            pass
-        return path
+            self._records.put_blob(key, result.report)
+        return self.put_record(self.result_payload(result, key))
 
     def put_failure(self, failed: FailedCell, *, key: str | None = None) -> Path:
         """Persist a failure record (never overwrites a success)."""
         key = key or self.key_for(failed.cell)
-        path = self.failure_path(key)
-        self._atomic_write_json(path, self.failure_payload(failed, key))
-        return path
+        return self.put_record(self.failure_payload(failed, key))
 
     # -- reading ----------------------------------------------------------
+
+    def result_record(self, key: str) -> dict | None:
+        """The raw result record stored under ``key``, or ``None``."""
+        record = self._records.get(key)
+        if record is None or record["kind"] != "result":
+            return None
+        return record
 
     def get(
         self,
@@ -484,8 +301,8 @@ class CampaignStore:
         from .runner import CellResult
 
         key = key or self.key_for(cell)
-        payload = self._read_record(self.result_path(key))
-        if payload is None or payload.get("kind") != "result":
+        payload = self.result_record(key)
+        if payload is None:
             return None
         numbers = payload.get("result", {})
         try:
@@ -499,25 +316,18 @@ class CampaignStore:
             # cell is recomputed with its report this time.
             if not payload.get("has_report"):
                 return None
-            report = self._load_report(key)
+            report = self._records.get_blob(key)
             if report is None:
                 return None
         return CellResult(cell=cell, report=report, **kwargs)
-
-    def _load_report(self, key: str):
-        try:
-            with gzip.open(self.report_path(key), "rb") as handle:
-                return pickle.load(handle)
-        except (OSError, EOFError, pickle.UnpicklingError):
-            return None
 
     def get_failure(
         self, cell: CampaignCell, *, key: str | None = None
     ) -> FailedCell | None:
         """Stored failure record for ``cell``, or ``None``."""
         key = key or self.key_for(cell)
-        payload = self._read_record(self.failure_path(key))
-        if payload is None or payload.get("kind") != "failure":
+        payload = self._records.get(key, _FAILURE_SUFFIX)
+        if payload is None or payload["kind"] != "failure":
             return None
         error = payload.get("error", {})
         return FailedCell(
@@ -533,19 +343,9 @@ class CampaignStore:
 
     def discard(self, cell: CampaignCell) -> bool:
         """Remove any records for ``cell``; True if something was removed."""
-        key = self.key_for(cell)
-        removed = False
-        for path in (
-            self.result_path(key),
-            self.failure_path(key),
-            self.report_path(key),
-        ):
-            try:
-                path.unlink()
-                removed = True
-            except OSError:
-                pass
-        return removed
+        return self._records.discard(
+            self.key_for(cell), [RECORD_SUFFIX, _FAILURE_SUFFIX, BLOB_SUFFIX]
+        )
 
     # -- inventory --------------------------------------------------------
 
@@ -556,13 +356,8 @@ class CampaignStore:
         (renamed ``*.corrupt``, counted in :attr:`quarantined`) rather
         than silently skipped.
         """
-        for path in sorted(self.root.glob("*/*.json")):
-            payload = self._read_record(path)
-            if payload is not None and payload.get("kind") in (
-                "result",
-                "failure",
-            ):
-                yield payload
+        for _, record in self._records.walk():
+            yield record
 
     def __len__(self) -> int:
         return sum(1 for r in self.records() if r["kind"] == "result")
@@ -580,8 +375,7 @@ class CampaignStore:
         failed: list[FailedCell] = []
         for cell in cells:
             key = self.key_for(cell)
-            record = self._read_record(self.result_path(key))
-            if record is not None and record.get("kind") == "result":
+            if self.result_record(key) is not None:
                 done.append(cell)
                 continue
             failure = self.get_failure(cell, key=key)

@@ -24,7 +24,6 @@ from .congestion import (
     CongestionThresholds,
 )
 from .merge import CoverageGain, coverage_gain, merge_captures
-from .online import OnlineCongestionMonitor, SecondObservation
 from .stations import StationStats, jain_fairness_index, station_stats
 from .delay import (
     FIGURE15_CATEGORIES,
@@ -78,12 +77,10 @@ __all__ = [
     "DatasetSummary",
     "DelaySeries",
     "FIGURE15_CATEGORIES",
-    "OnlineCongestionMonitor",
     "PAPER_THRESHOLDS",
     "RateShareSeries",
     "ReceptionSeries",
     "RtsCtsFairness",
-    "SecondObservation",
     "StationStats",
     "RtsCtsSeries",
     "ThroughputSeries",

@@ -1,10 +1,9 @@
 """Content-addressed capture catalog: one JSON record per capture.
 
-The catalog lives under ``<root>/.repro-corpus/captures/`` with the
-same on-disk discipline as :class:`repro.campaign.CampaignStore`: one
-small JSON file per record, keyed by content hash (two-level fan-out
-directories), written atomically (temp file + ``os.replace``), and
-quarantined — never silently deleted — when it no longer parses.
+The catalog lives under ``<root>/.repro-corpus/captures/`` as a
+:class:`repro.store.RecordStore`: one small JSON file per record, keyed
+by content hash, written atomically, and quarantined — never silently
+deleted — when it no longer reads as a capture record.
 
 A record holds everything the query layer needs so that predicates
 ("channel 6, >10k frames, overlapping 13:00–14:00") are answered from
@@ -24,26 +23,22 @@ record carrying ``duplicate_paths``.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..campaign.store import CampaignStore
 from ..pcap.pcapio import TruncatedPcapError, read_trace_batches
+from ..store import RecordStore
 from .formats import detect_format
 from .paths import CorpusError, iter_capture_files
 
 __all__ = [
-    "INDEX_FORMAT",
     "INDEX_DIRNAME",
     "CaptureRecord",
     "RefreshStats",
     "CorpusIndex",
 ]
-
-INDEX_FORMAT = 1
 
 #: Catalog directory name under the corpus root (dot-prefixed so the
 #: capture walk never indexes the index).
@@ -70,22 +65,20 @@ class CaptureRecord:
     status: str  # "ok" | "truncated" | "unreadable"
     error: str | None = None
     duplicate_paths: tuple[str, ...] = ()
-    analyses: tuple[str, ...] = ()  # analysis keys with stored reports
 
     def to_payload(self) -> dict:
         payload = asdict(self)
         payload["channels"] = list(self.channels)
         payload["duplicate_paths"] = list(self.duplicate_paths)
-        payload["analyses"] = list(self.analyses)
-        return {"format": INDEX_FORMAT, "kind": "capture", **payload}
+        return {"kind": "capture", **payload}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "CaptureRecord":
+        """Rebuild a record, dropping keys older layouts carried."""
         names = set(cls.__dataclass_fields__)
         data = {k: v for k, v in payload.items() if k in names}
         data["channels"] = tuple(data.get("channels", ()))
         data["duplicate_paths"] = tuple(data.get("duplicate_paths", ()))
-        data["analyses"] = tuple(data.get("analyses", ()))
         return cls(**data)
 
 
@@ -106,7 +99,8 @@ class RefreshStats:
         return (
             f"{self.scanned} scanned, {self.added} added, "
             f"{self.updated} updated, {self.unchanged} unchanged, "
-            f"{self.removed} removed, {self.failed} failed"
+            f"{self.removed} removed, {self.failed} failed, "
+            f"{self.quarantined} quarantined"
         )
 
 
@@ -185,42 +179,23 @@ class CorpusIndex:
         if not self.root.is_dir():
             raise CorpusError(f"corpus root is not a directory: {self.root}")
         self.index_dir = self.root / INDEX_DIRNAME / "captures"
+        self._store = RecordStore(self.index_dir, kinds=("capture",))
 
     # -- reading -----------------------------------------------------------
-
-    def _record_path(self, content_hash: str) -> Path:
-        return self.index_dir / content_hash[:2] / f"{content_hash}.json"
 
     def records(self) -> dict[str, CaptureRecord]:
         """All records, keyed by content hash.  Never opens captures."""
         out: dict[str, CaptureRecord] = {}
-        for payload in self._iter_payloads(RefreshStats()):
+        for _, payload in self._store.walk():
             record = CaptureRecord.from_payload(payload)
             out[record.content_hash] = record
         return out
 
     def get(self, content_hash: str) -> CaptureRecord | None:
-        payload = CampaignStore._read_json(self._record_path(content_hash))
+        payload = self._store.get(content_hash)
         if payload is None:
             return None
         return CaptureRecord.from_payload(payload)
-
-    def _iter_payloads(self, stats: RefreshStats):
-        if not self.index_dir.is_dir():
-            return
-        for path in sorted(self.index_dir.glob("*/*.json")):
-            payload = CampaignStore._read_json(path)
-            if payload is None or payload.get("kind") != "capture":
-                self._quarantine(path, stats)
-                continue
-            yield payload
-
-    def _quarantine(self, path: Path, stats: RefreshStats) -> None:
-        try:
-            os.replace(path, path.with_name(path.name + ".corrupt"))
-        except OSError:
-            return
-        stats.quarantined += 1
 
     # -- refreshing --------------------------------------------------------
 
@@ -232,10 +207,8 @@ class CorpusIndex:
         edits that preserve both).
         """
         stats = RefreshStats()
-        existing: dict[str, CaptureRecord] = {}
-        for payload in self._iter_payloads(stats):
-            record = CaptureRecord.from_payload(payload)
-            existing[record.content_hash] = record
+        quarantined_before = self._store.quarantined
+        existing = self.records()
         by_path = {
             record.path: record for record in existing.values()
         }
@@ -301,28 +274,10 @@ class CorpusIndex:
                 self._write(record)
 
         for content_hash in set(existing) - set(groups):
-            try:
-                self._record_path(content_hash).unlink()
-            except OSError:
-                continue
-            stats.removed += 1
+            if self._store.discard(content_hash):
+                stats.removed += 1
+        stats.quarantined = self._store.quarantined - quarantined_before
         return stats
 
-    # -- writing -----------------------------------------------------------
-
     def _write(self, record: CaptureRecord) -> None:
-        CampaignStore._atomic_write_json(
-            self._record_path(record.content_hash), record.to_payload()
-        )
-
-    def note_analysis(self, content_hash: str, analysis_key: str) -> None:
-        """Record that ``analysis_key`` has a stored report for a capture."""
-        record = self.get(content_hash)
-        if record is None or analysis_key in record.analyses:
-            return
-        self._write(
-            replace(
-                record,
-                analyses=tuple(sorted({*record.analyses, analysis_key})),
-            )
-        )
+        self._store.put(record.content_hash, record.to_payload())

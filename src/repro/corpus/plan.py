@@ -3,43 +3,35 @@
 The planner turns "analyze everything matching this query" into the
 smallest possible :func:`repro.pipeline.run_batch` call:
 
-* captures whose ``(content hash, consumer set, code salt)`` already
-  has a stored report are **skipped** — their report is served from the
+* captures whose ``(content hash, timing, code salt)`` already has a
+  stored report are **skipped** — their report is served from the
   analysis store, so a warm re-run dispatches zero work (the same
-  content-addressing trick :class:`repro.campaign.CampaignStore` uses
-  for simulation cells, including the code-version salt that
-  invalidates results when the analysis source changes);
+  content addressing and code-version salt every :mod:`repro.store`
+  uses, so results are invalidated when the analysis source changes);
 * the remainder is dispatched **largest file first**, so the process
   pool never ends a run idling on one straggler that happened to sort
   last (classic LPT scheduling; ``run_batch``'s pool preserves
   submission order).
 
 Stored reports live next to the capture catalog under
-``<root>/.repro-corpus/analyses/`` — a JSON record (the commit point)
-plus a gzip-pickled report sidecar per key, both written atomically.
+``<root>/.repro-corpus/analyses/`` — a :class:`repro.store.RecordStore`
+JSON record (the commit point) plus a report blob sidecar per key.
 Failures are deliberately **not** stored: a truncated download fixed
 in place, or a flaky worker, retries on the next run.
 """
 
 from __future__ import annotations
 
-import gzip
-import hashlib
-import json
-import os
-import pickle
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..campaign.store import CampaignStore, _canonical, code_version_salt
 from ..core.report import CongestionReport
 from ..core.timing import DOT11B_TIMING, TimingParameters
+from ..store import RecordStore, canonical, canonical_key, code_version_salt
 from .index import INDEX_DIRNAME, CaptureRecord, CorpusIndex
 from .query import Query, filter_records
 
 __all__ = [
-    "ANALYSIS_FORMAT",
     "analysis_key",
     "AnalysisStore",
     "AnalysisPlan",
@@ -48,19 +40,10 @@ __all__ = [
     "analyze_corpus",
 ]
 
-ANALYSIS_FORMAT = 1
-
-#: The consumer set a full-report corpus run computes.  Corpus analysis
-#: always stores complete :class:`CongestionReport`s (subsets would
-#: fragment the cache); the tuple still participates in the key so a
-#: future subset mode cannot collide with full reports.
-REPORT_CONSUMERS = ("report",)
-
 
 def analysis_key(
     content_hash: str,
     *,
-    consumers: tuple[str, ...] = REPORT_CONSUMERS,
     timing: TimingParameters = DOT11B_TIMING,
     min_count: int = 1,
     salt: str | None = None,
@@ -68,18 +51,20 @@ def analysis_key(
     """Content-addressed key for one capture's stored analysis.
 
     Everything that can change the report participates: the capture's
-    content hash, the consumer set, the timing parameters, the minimum
-    sample count, and the code-version salt.
+    content hash, the timing parameters, the minimum sample count, and
+    the code-version salt.  Corpus analysis always stores complete
+    :class:`CongestionReport`s; the constant ``"consumers"`` entry is
+    part of the hashed layout, so existing stores keep their keys.
     """
-    payload = {
-        "capture": content_hash,
-        "consumers": list(consumers),
-        "timing": _canonical(timing),
-        "min_count": min_count,
-        "salt": salt if salt is not None else code_version_salt(),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_key(
+        {
+            "capture": content_hash,
+            "consumers": ["report"],
+            "timing": canonical(timing),
+            "min_count": min_count,
+            "salt": salt if salt is not None else code_version_salt(),
+        }
+    )
 
 
 class AnalysisStore:
@@ -88,63 +73,31 @@ class AnalysisStore:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.store_dir = self.root / INDEX_DIRNAME / "analyses"
+        self._store = RecordStore(self.store_dir, kinds=("analysis",))
 
-    def _record_path(self, key: str) -> Path:
-        return self.store_dir / key[:2] / f"{key}.json"
-
-    def _report_path(self, key: str) -> Path:
-        return self.store_dir / key[:2] / f"{key}.report.pkl.gz"
+    @property
+    def quarantined(self) -> int:
+        """Corrupt analysis records renamed ``*.corrupt`` by this instance."""
+        return self._store.quarantined
 
     def get(self, key: str) -> CongestionReport | None:
         """The stored report for ``key``, or None (recompute)."""
-        payload = CampaignStore._read_json(self._record_path(key))
-        if payload is None or payload.get("kind") != "analysis":
+        if self._store.get(key) is None:
             return None
-        try:
-            with gzip.open(self._report_path(key), "rb") as fp:
-                report = pickle.load(fp)
-        except (OSError, EOFError, pickle.UnpicklingError):
-            return None
+        report = self._store.get_blob(key)
         return report if isinstance(report, CongestionReport) else None
 
     def put(
         self, key: str, content_hash: str, path: str, report: CongestionReport
     ) -> None:
         """Store ``report``; the JSON record is the commit point."""
-        report_path = self._report_path(key)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=report_path.parent, prefix=report_path.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as raw, gzip.GzipFile(
-                filename="", fileobj=raw, mode="wb", mtime=0
-            ) as zipped:
-                pickle.dump(report, zipped, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, report_path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        CampaignStore._atomic_write_json(
-            self._record_path(key),
-            {
-                "format": ANALYSIS_FORMAT,
-                "kind": "analysis",
-                "key": key,
-                "capture": content_hash,
-                "path": path,
-            },
+        self._store.put_blob(key, report)
+        self._store.put(
+            key, {"kind": "analysis", "key": key, "capture": content_hash, "path": path}
         )
 
     def drop(self, key: str) -> None:
-        for path in (self._record_path(key), self._report_path(key)):
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        self._store.discard(key)
 
 
 @dataclass(frozen=True)
@@ -231,9 +184,8 @@ def analyze_corpus(
     Refreshes the index (unless ``refresh=False``), filters records
     with the query, serves already-stored reports, and dispatches only
     the remainder through :func:`repro.pipeline.run_batch` —
-    largest capture first.  Fresh reports are stored and noted on the
-    capture records, so an immediately repeated call dispatches
-    nothing.
+    largest capture first.  Fresh reports are stored, so an immediately
+    repeated call dispatches nothing.
     """
     from ..pipeline import DEFAULT_CHUNK_FRAMES, FailedAnalysis, run_batch
 
@@ -276,7 +228,6 @@ def analyze_corpus(
                 continue
             reports[path] = result
             store.put(keys[path], hashes[path], path, result)
-            index.note_analysis(hashes[path], keys[path])
 
     where_text = where.text if isinstance(where, Query) else (where or "")
     return CorpusAnalysis(

@@ -15,6 +15,13 @@ pool that is long enough to exhaust the fd table, and on failure paths
 it pins temp files that atomic-write cleanup wants to unlink.  So
 every ``open``/``gzip.open``/``gzip.GzipFile`` (and ``Path.open``)
 there must be governed by a ``with`` statement.
+
+Every store in the package writes through :mod:`repro.store`, the one
+module that knows how a record is made durable (temp sibling, then
+``os.replace``) and how a damaged one is quarantined (renamed
+``*.corrupt``).  A rename anywhere else is a private copy of that
+decision growing back, so ``os.replace``/``os.rename`` are flagged
+outside ``src/repro/store.py``.
 """
 
 from __future__ import annotations
@@ -97,4 +104,26 @@ def check_capture_open_ctx(ctx) -> Iterator[Finding]:
                 "descriptor until GC finalization — wrap the open in "
                 "`with ... as fp:` (parallel workers stream many "
                 "captures; leaked fds accumulate per process)",
+            )
+
+
+@rule(
+    "store-bypass",
+    family="resource-safety",
+    severity="error",
+    summary="`os.replace`/`os.rename` outside `repro/store.py`",
+    scope=lambda path: path.startswith("src/") and path != "src/repro/store.py",
+)
+def check_store_bypass(ctx) -> Iterator[Finding]:
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if dotted_name(node.func) in ("os.replace", "os.rename"):
+            yield make(
+                ctx,
+                "store-bypass",
+                node,
+                "atomic writes and quarantine renames belong to "
+                "`repro.store` — use `write_atomic` or a `RecordStore` "
+                "instead of a private rename",
             )

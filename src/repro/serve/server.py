@@ -40,6 +40,7 @@ from .feeds import DEFAULT_QUEUE_CHUNKS, FeedManager, UnknownFeedError
 from .protocol import FrameBatchError, decode_batch, read_batches
 from .reportjson import report_to_jsonable
 from ..pipeline import DEFAULT_CHUNK_FRAMES
+from ..store import write_atomic
 
 __all__ = ["ServeDaemon", "serve_main"]
 
@@ -94,6 +95,10 @@ class ServeDaemon:
         self.ingest_connections = 0
         self._http_server: asyncio.AbstractServer | None = None
         self._ingest_server: asyncio.AbstractServer | None = None
+        #: Bound ports, recorded once in :meth:`start`: a closed
+        #: server's ``sockets`` is empty, so they cannot be read later.
+        self.http_port: int | None = None
+        self.ingest_port: int | None = None
         self._started_at: float | None = None
         self._shutdown_done = asyncio.Event()
         self._shutdown_task: asyncio.Task | None = None
@@ -107,21 +112,12 @@ class ServeDaemon:
         self._http_server = await asyncio.start_server(
             self._handle_http, self.host, self._want_port
         )
+        self.http_port = self._http_server.sockets[0].getsockname()[1]
         if self._want_ingest is not None:
             self._ingest_server = await asyncio.start_server(
                 self._handle_ingest, self.host, self._want_ingest
             )
-
-    @property
-    def http_port(self) -> int:
-        assert self._http_server is not None, "daemon not started"
-        return self._http_server.sockets[0].getsockname()[1]
-
-    @property
-    def ingest_port(self) -> int | None:
-        if self._ingest_server is None:
-            return None
-        return self._ingest_server.sockets[0].getsockname()[1]
+            self.ingest_port = self._ingest_server.sockets[0].getsockname()[1]
 
     async def serve_until_shutdown(self) -> None:
         """Block until a graceful shutdown completes."""
@@ -480,17 +476,10 @@ async def serve_main(
         payload = json.dumps(
             {"http_port": daemon.http_port, "ingest_port": daemon.ingest_port}
         )
-
-        def _write_port_file() -> None:
-            # Atomic write-then-rename; runs in the default executor so
-            # a slow filesystem never stalls the freshly started loop.
-            tmp = port_file + ".tmp"
-            with open(tmp, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, port_file)
-
+        # In the default executor, so a slow filesystem never stalls the
+        # freshly started loop.
         await asyncio.get_running_loop().run_in_executor(
-            None, _write_port_file
+            None, write_atomic, port_file, payload.encode()
         )
     if ready_message:
         ingest = daemon.ingest_port

@@ -23,6 +23,8 @@ from repro.campaign import (
     run_campaign,
 )
 
+from .test_dispatch import fake_result
+
 #: Small but real: 4 cells, ~1 s of simulation each.
 GRID = ParameterGrid(
     "ramp",
@@ -311,6 +313,14 @@ class TestFailureRecords:
         result = run_campaign([cell], workers=1, store_dir=tmp_path / "s",
                               retry_failed=True)
         assert len(result.cells) == 1
+        assert store.get_failure(cell) is None
+
+    def test_failure_never_overwrites_a_stored_result(self, tmp_path):
+        store = CampaignStore(tmp_path / "s")
+        cell = GRID.cells()[0]
+        store.put(fake_result(cell))
+        store.put_failure(FailedCell(cell, "RuntimeError", "late", "tb", 0.1))
+        assert [r["kind"] for r in store.records()] == ["result"]
         assert store.get_failure(cell) is None
 
     def test_dead_worker_does_not_poison_store(self, tmp_path):

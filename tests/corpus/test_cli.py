@@ -29,6 +29,16 @@ class TestCorpusIndex:
         assert code == 0
         assert "3 unchanged" in out
 
+    def test_damaged_record_is_reported_quarantined(self, corpus_dir, capsys):
+        from repro.corpus import CorpusIndex
+
+        run_cli(capsys, "corpus", "index", str(corpus_dir))
+        victim = next(CorpusIndex(corpus_dir).index_dir.glob("*/*.json"))
+        victim.write_bytes(b'{"kind": "\xff"}')  # not UTF-8
+        code, out, _ = run_cli(capsys, "corpus", "index", str(corpus_dir))
+        assert code == 0
+        assert "1 added" in out and "1 quarantined" in out
+
     def test_missing_root_is_clean_error(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys, "corpus", "index", str(tmp_path / "nope")

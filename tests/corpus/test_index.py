@@ -132,15 +132,6 @@ def test_corrupt_record_quarantined(corpus_dir):
     assert len(index.records()) == 3
 
 
-def test_note_analysis_round_trips(corpus_dir):
-    index = CorpusIndex(corpus_dir)
-    index.refresh()
-    content_hash = next(iter(index.records()))
-    index.note_analysis(content_hash, "abc123")
-    index.note_analysis(content_hash, "abc123")  # idempotent
-    assert index.get(content_hash).analyses == ("abc123",)
-
-
 def test_index_dir_not_walked_as_captures(corpus_dir):
     index = CorpusIndex(corpus_dir)
     index.refresh()

@@ -36,7 +36,6 @@ class TestAnalysisKey:
         assert analysis_key("other", salt=SALT) != base
         assert analysis_key("hash", salt="other") != base
         assert analysis_key("hash", min_count=9, salt=SALT) != base
-        assert analysis_key("hash", consumers=("x",), salt=SALT) != base
 
     def test_key_is_a_full_sha256(self):
         key = analysis_key("hash", salt=SALT)
@@ -113,14 +112,6 @@ class TestColdAndWarmRuns:
         assert run.skipped == {"cut.pcap": "truncated"}
         assert run.matched == 4
         assert run.dispatched == 3
-
-    def test_analyses_noted_on_capture_records(self, analyzed):
-        corpus_dir, _ = analyzed
-        index = CorpusIndex(corpus_dir)
-        for record in index.records().values():
-            assert record.analyses == (
-                analysis_key(record.content_hash, salt=SALT),
-            )
 
 
 class TestPlanOrdering:

@@ -119,18 +119,3 @@ def test_pcap_round_trip_preserves_analysis_fields(trace):
             utilization_series(trace).percent,
         )
 
-
-@given(traces)
-@settings(max_examples=40, deadline=None)
-def test_online_monitor_matches_offline(trace):
-    from repro.core.online import OnlineCongestionMonitor
-
-    if len(trace) == 0:
-        return
-    monitor = OnlineCongestionMonitor()
-    monitor.ingest_trace(trace)
-    monitor.flush()
-    online = monitor.utilization_array()
-    offline = utilization_series(trace).percent
-    n = min(len(online), len(offline))
-    assert np.allclose(online[:n], offline[:n])

@@ -385,7 +385,8 @@ class TestServeCli:
                 info = json.load(
                     urllib.request.urlopen(base + "/feeds/sim", timeout=10)
                 )
-                return info if info["state"] != "running" else None
+                # "draining" is transitional: wait for a terminal state.
+                return info if info["state"] in ("closed", "failed") else None
 
             info = wait_until(
                 _feed_settled, timeout_s=60, message="scenario never finished"

@@ -283,6 +283,25 @@ class TestResourceRules:
         )
         assert lint_tree.rules_found() == []
 
+    def test_private_rename_flagged_anywhere_in_src(self, lint_tree):
+        lint_tree.write(
+            "src/repro/campaign/foo.py",
+            """\
+            import os
+
+            def commit(tmp, path):
+                os.replace(tmp, path)
+                os.rename(path, path + ".corrupt")
+            """,
+        )
+        assert lint_tree.rules_found() == ["store-bypass", "store-bypass"]
+
+    def test_renames_allowed_in_the_store_module_and_outside_src(self, lint_tree):
+        source = "import os\n\ndef commit(tmp, path):\n    os.replace(tmp, path)\n"
+        lint_tree.write("src/repro/store.py", source)
+        lint_tree.write("benchmarks/foo.py", source)
+        assert lint_tree.rules_found() == []
+
 
 class TestEngineMeta:
     def test_syntax_error_becomes_parse_error_finding(self, lint_tree):

@@ -347,6 +347,9 @@ def test_shutdown_endpoint_drains_and_exits():
         feed = daemon.manager.get("f")
         assert feed.state == "closed"      # queued frames were drained
         assert feed.frames_in == sum(len(s) for s in segments)
+        # The bound ports stay readable after the listeners close: the
+        # banner may be printed after a fast POST /shutdown.
+        assert daemon.http_port > 0 and daemon.ingest_port > 0
 
     asyncio.run(main())
 
