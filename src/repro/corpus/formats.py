@@ -18,7 +18,7 @@ import gzip
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..pcap.pcapio import _GZIP_MAGIC, _MAGIC
+from ..pcap.pcapio import _GZIP_ERRORS, _GZIP_MAGIC, _MAGIC
 
 __all__ = [
     "CaptureFormat",
@@ -96,7 +96,7 @@ def detect_format(path: str | Path) -> tuple[str, bool]:
         try:
             with gzip.open(path, "rb") as zp:
                 inner = zp.read(8)
-        except (EOFError, OSError) as error:
+        except _GZIP_ERRORS as error:
             raise ValueError(
                 f"{path}: corrupt gzip stream "
                 f"({type(error).__name__}: {error})"

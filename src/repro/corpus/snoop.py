@@ -3,9 +3,8 @@
 The second capture container the corpus understands (Solaris ``snoop``,
 the other format wireless captures of the paper's era shipped in).
 Produces and consumes the exact same :class:`repro.frames.Trace` schema
-as :mod:`repro.pcap.pcapio` by sharing its packet codecs — a trace
-written as snoop and read back is field-identical to the pcap round
-trip.
+as :mod:`repro.pcap.pcapio` — a trace written as snoop and read back is
+field-identical to the pcap round trip.
 
 Layout (all integers big-endian, RFC 1761 §2):
 
@@ -20,9 +19,15 @@ register the project extension ``IEEE_802_11_RADIOTAP = 127``,
 mirroring the pcap linktype number, so the two containers agree on
 what the payload is.
 
+This module only describes that layout (:data:`_LAYOUT`): writing and
+reading run through the columnar codec :mod:`repro.pcap.pcapio` shares
+between both containers — block encoder, slab reader, vectorized
+decoder and scalar fallback.  A record the decoder does not recognise
+falls back to the per-record codecs exactly as a pcap record does.
+
 A ``.gz`` suffix on write — and the gzip magic on read — selects
-transparent, deterministic (mtime pinned to 0) gzip streaming, same as
-the pcap side.  Truncation/corruption surfaces as
+transparent, deterministic (level 9, mtime pinned to 0) gzip
+streaming, same as the pcap side.  Truncation/corruption surfaces as
 :class:`TruncatedSnoopError`, a subclass of
 :class:`repro.pcap.TruncatedPcapError`, after the clean prefix has
 been yielded.
@@ -31,24 +36,19 @@ been yielded.
 from __future__ import annotations
 
 import enum
-import gzip
 import struct
 from pathlib import Path
-from typing import BinaryIO
 
-import numpy as np
-
-from ..frames import TRACE_COLUMNS, Trace
-from ..pcap.pcapio import (
-    _CHUNK_BYTES,
+from ..frames import Trace
+from ..pcap.pcapio import (  # noqa: F401 - _CHUNK_BYTES is re-exported
+    _CHUNK_BYTES,  # the shared reader's slab size, set on repro.pcap.pcapio
     _GZIP_MAGIC,
-    CODEC_ERRORS,
     PAPER_SNAPLEN,
     TruncatedPcapError,
-    _decode_packet_parts,
-    _encode_packet,
-    _row_from_packet,
-    _RowBuffer,
+    _collect,
+    _read_batches,
+    _RecordLayout,
+    _write_capture,
 )
 
 __all__ = [
@@ -91,7 +91,6 @@ class SnoopDatalinkType(enum.IntEnum):
 
 
 _FILE_HEADER = struct.Struct(">8sLL")
-_RECORD_HEADER = struct.Struct(">LLLLLL")
 
 
 class TruncatedSnoopError(TruncatedPcapError):
@@ -103,34 +102,40 @@ class TruncatedSnoopError(TruncatedPcapError):
     """
 
 
-def _write_snoop_stream(
-    fp: BinaryIO, trace: Trace, snaplen: int, duration_fill: bool
-) -> int:
-    fp.write(
-        _FILE_HEADER.pack(
-            SNOOP_IDENT,
-            SNOOP_VERSION,
-            int(SnoopDatalinkType.IEEE_802_11_RADIOTAP),
-        )
+def _file_header(snaplen: int) -> bytes:
+    # RFC 1761 has no snap length field: each record carries its own
+    # original and included lengths.
+    return _FILE_HEADER.pack(
+        SNOOP_IDENT, SNOOP_VERSION, int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)
     )
-    for row in trace.iter_rows():
-        packet = _encode_packet(row, duration_fill)
-        incl = packet[:snaplen]
-        pad = -len(incl) % 4
-        ts_sec, ts_usec = divmod(row.time_us, 1_000_000)
-        fp.write(
-            _RECORD_HEADER.pack(
-                len(packet),
-                len(incl),
-                _RECORD_HEADER.size + len(incl) + pad,
-                0,
-                ts_sec,
-                ts_usec,
-            )
+
+
+def _check_file_header(path: Path, header: bytes) -> None:
+    if len(header) < _FILE_HEADER.size:
+        raise ValueError(f"{path}: not a snoop file (too short)")
+    ident, version, datalink = _FILE_HEADER.unpack(header)
+    if ident != SNOOP_IDENT:
+        raise ValueError(f"{path}: bad snoop ident {ident!r}")
+    if version != SNOOP_VERSION:
+        raise ValueError(
+            f"{path}: snoop version {version}, expected {SNOOP_VERSION}"
         )
-        fp.write(incl)
-        fp.write(b"\0" * pad)
-    return len(trace)
+    if datalink != SnoopDatalinkType.IEEE_802_11_RADIOTAP:
+        raise ValueError(
+            f"{path}: snoop datalink {datalink}, expected radiotap "
+            f"({int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)})"
+        )
+
+
+#: The RFC 1761 record framing, for the shared codec.
+_LAYOUT = _RecordLayout(
+    words=("orig_len", "incl_len", "rec_len", "drops", "ts_sec", "ts_usec"),
+    byte_order=">",
+    pad=4,
+    error=TruncatedSnoopError,
+    file_header=_file_header,
+    check_file_header=_check_file_header,
+)
 
 
 def write_snoop(
@@ -141,20 +146,14 @@ def write_snoop(
 ) -> int:
     """Write ``trace`` to ``path`` as RFC 1761 snoop; returns frame count.
 
-    A ``.gz`` suffix gzip-compresses (byte-deterministic, mtime 0).
-    ``snaplen``/``duration_fill`` behave as in
-    :func:`repro.pcap.write_trace`.
+    A ``.gz`` suffix gzip-compresses (byte-deterministic: level 9,
+    mtime 0).  Validation, ``snaplen`` and ``duration_fill`` behave as
+    in :func:`repro.pcap.write_trace`: a trace the container cannot
+    hold raises ``ValueError`` before the file is opened, and records
+    are encoded in columnar blocks byte-identical to the per-record
+    encoders.  Every record's ``drops`` word is 0.
     """
-    path = Path(path)
-    if path.name.lower().endswith(".gz"):
-        # Deterministic member header (no path, no clock) — see
-        # the matching write in repro.pcap.write_trace.
-        with path.open("wb") as raw, gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb", mtime=0
-        ) as fp:
-            return _write_snoop_stream(fp, trace, snaplen, duration_fill)
-    with path.open("wb") as fp:
-        return _write_snoop_stream(fp, trace, snaplen, duration_fill)
+    return _write_capture(trace, path, snaplen, duration_fill, _LAYOUT)
 
 
 def read_snoop_batches(
@@ -162,9 +161,12 @@ def read_snoop_batches(
 ):
     """Incrementally read a snoop capture as bounded-size Traces.
 
-    Mirrors :func:`repro.pcap.read_trace_batches`: slab reads keep
-    memory bounded, gzip input is detected by magic and streamed, and
-    damage raises :class:`TruncatedSnoopError` only after the clean
+    Runs the slab loop and vectorized decoder of
+    :func:`repro.pcap.read_trace_batches` on the snoop record layout:
+    memory stays bounded, gzip input is detected by magic and
+    streamed, and damage — a cut record, an undecodable one, a record
+    length shorter than its header plus included bytes, a corrupt gzip
+    stream — raises :class:`TruncatedSnoopError` only after the clean
     prefix has been yielded.  Offsets in errors are into the
     decompressed stream for ``.gz`` input.
     """
@@ -173,136 +175,9 @@ def read_snoop_batches(
     path = Path(path)
     with path.open("rb") as fp:
         compressed = fp.read(2) == _GZIP_MAGIC
-    with (gzip.open(path, "rb") if compressed else path.open("rb")) as fp:
-        try:
-            header = fp.read(_FILE_HEADER.size)
-        except (EOFError, OSError) as error:
-            raise TruncatedSnoopError(
-                f"{path}: corrupt gzip stream "
-                f"({type(error).__name__}: {error})",
-                byte_offset=0,
-                frames_read=0,
-                compressed=True,
-            ) from error
-        if len(header) < _FILE_HEADER.size:
-            raise ValueError(f"{path}: not a snoop file (too short)")
-        ident, version, datalink = _FILE_HEADER.unpack(header)
-        if ident != SNOOP_IDENT:
-            raise ValueError(f"{path}: bad snoop ident {ident!r}")
-        if version != SNOOP_VERSION:
-            raise ValueError(
-                f"{path}: snoop version {version}, "
-                f"expected {SNOOP_VERSION}"
-            )
-        if datalink != SnoopDatalinkType.IEEE_802_11_RADIOTAP:
-            raise ValueError(
-                f"{path}: snoop datalink {datalink}, expected radiotap "
-                f"({int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)})"
-            )
-
-        rows = _RowBuffer()
-        base = _FILE_HEADER.size  # absolute (decompressed) offset of buf[0]
-        buf = b""
-        frames_read = 0
-        eof = False
-        while not eof:
-            try:
-                data = fp.read(_CHUNK_BYTES)
-            except (EOFError, OSError) as error:
-                if not compressed:
-                    raise
-                if len(rows):
-                    yield rows.flush()
-                raise TruncatedSnoopError(
-                    f"{path}: corrupt gzip stream "
-                    f"({type(error).__name__}: {error})",
-                    byte_offset=base + len(buf),
-                    frames_read=frames_read,
-                    compressed=True,
-                ) from error
-            if not data:
-                eof = True
-            else:
-                buf = buf + data if buf else data
-            pos = 0
-            limit = len(buf)
-            while pos + _RECORD_HEADER.size <= limit:
-                orig_len, incl_len, rec_len, _drops, ts_sec, ts_usec = (
-                    _RECORD_HEADER.unpack_from(buf, pos)
-                )
-                if rec_len < _RECORD_HEADER.size + incl_len:
-                    if len(rows):
-                        yield rows.flush()
-                    raise TruncatedSnoopError(
-                        f"{path}: invalid record length {rec_len} "
-                        f"(included length {incl_len})",
-                        byte_offset=base + pos,
-                        frames_read=frames_read,
-                        compressed=compressed,
-                    )
-                if pos + rec_len > limit:
-                    break  # record longer than the slab: read more / EOF
-                start = pos + _RECORD_HEADER.size
-                packet = buf[start : start + incl_len]
-                try:
-                    radiotap, rt_len, frame = _decode_packet_parts(packet)
-                except CODEC_ERRORS as error:
-                    if len(rows):
-                        yield rows.flush()
-                    raise TruncatedSnoopError(
-                        f"{path}: undecodable record "
-                        f"({type(error).__name__}: {error})",
-                        byte_offset=base + pos,
-                        frames_read=frames_read,
-                        compressed=compressed,
-                    ) from error
-                rows.append_row(
-                    _row_from_packet(
-                        radiotap,
-                        rt_len,
-                        frame,
-                        orig_len,
-                        ts_sec * 1_000_000 + ts_usec,
-                    )
-                )
-                frames_read += 1
-                if len(rows) >= batch_frames:
-                    yield rows.take(batch_frames)
-                pos += rec_len
-            buf = buf[pos:]
-            base += pos
-        if buf:
-            # Damage found: flush the clean prefix first so streaming
-            # callers keep every frame read so far.
-            if len(rows):
-                yield rows.flush()
-            if len(buf) < _RECORD_HEADER.size:
-                raise TruncatedSnoopError(
-                    f"{path}: truncated record header",
-                    byte_offset=base,
-                    frames_read=frames_read,
-                    compressed=compressed,
-                )
-            raise TruncatedSnoopError(
-                f"{path}: truncated record body",
-                byte_offset=base + _RECORD_HEADER.size,
-                frames_read=frames_read,
-                compressed=compressed,
-            )
-        if len(rows):
-            yield rows.flush()
+    yield from _read_batches(path, batch_frames, compressed, _LAYOUT)
 
 
 def read_snoop(path: str | Path) -> Trace:
     """Read a snoop capture (optionally gzipped) into a Trace."""
-    batches = list(read_snoop_batches(path))
-    if not batches:
-        return Trace.empty()
-    if len(batches) == 1:
-        return batches[0]
-    return Trace(
-        {
-            name: np.concatenate([b.column(name) for b in batches])
-            for name in TRACE_COLUMNS
-        }
-    )
+    return _collect(read_snoop_batches(path))

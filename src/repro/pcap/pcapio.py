@@ -19,19 +19,30 @@ captures (:mod:`repro.corpus.snoop`) in addition to plain pcap;
 :func:`write_trace` routes on the path suffix (``.pcap`` /
 ``.pcap.gz`` / ``.snoop`` / ``.snoop.gz``).  For compressed captures
 every reported byte offset is into the *decompressed* stream.
+
+Both containers run through one columnar codec.  A
+:class:`_RecordLayout` describes what differs between them — the
+record header's fields, byte order and padding, the file header and
+the error class — and everything else is shared: the block encoder,
+the slab reader, the vectorized decoder with its eligibility mask, and
+the per-record scalar fallback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
+import operator
 import struct
+import zlib
 from pathlib import Path
-from typing import BinaryIO
+from typing import Callable
 
 import numpy as np
 
 from ..frames import (
     BROADCAST,
+    DOT11_RATES_MBPS,
     NO_NODE,
     TRACE_COLUMNS,
     TRACE_SCHEMA,
@@ -40,8 +51,8 @@ from ..frames import (
     rate_to_code,
 )
 from ..frames.dot11 import RATE_CODES, frame_type_from_dot11
-from .dot11_codec import decode_frame, encode_frame
-from .radiotap import CHANNEL_FREQ_MHZ, RadiotapHeader
+from .dot11_codec import _frame_control, decode_frame, encode_frame
+from .radiotap import _CHAN_FLAGS_B, CHANNEL_FREQ_MHZ, RadiotapHeader
 from .radiotap import _PRESENT as _RT_PRESENT
 
 __all__ = [
@@ -73,19 +84,27 @@ class TruncatedPcapError(ValueError):
         frames_read: int,
         compressed: bool = False,
     ) -> None:
-        where = "decompressed byte offset" if compressed else "byte offset"
         super().__init__(
-            f"{message} ({where} {byte_offset}, "
+            f"{message} ({_where(compressed)} {byte_offset}, "
             f"{frames_read} frames read cleanly)"
         )
         self.byte_offset = byte_offset
         self.frames_read = frames_read
         self.compressed = compressed
 
+
+def _where(compressed: bool) -> str:
+    return "decompressed byte offset" if compressed else "byte offset"
+
+
 _MAGIC = 0xA1B2C3D4
 LINKTYPE_RADIOTAP = 127
 
 _GZIP_MAGIC = b"\x1f\x8b"
+#: What a damaged gzip stream raises mid-read: truncation (EOFError), a
+#: bad header or CRC (gzip.BadGzipFile, an OSError) and corrupt deflate
+#: data (zlib.error).
+_GZIP_ERRORS = (EOFError, OSError, zlib.error)
 #: RFC 1761 file ident (duplicated privately here so the pcap layer
 #: never imports :mod:`repro.corpus` at module load).
 _SNOOP_IDENT = b"snoop\x00\x00\x00"
@@ -94,16 +113,173 @@ _SNOOP_IDENT = b"snoop\x00\x00\x00"
 PAPER_SNAPLEN = 250
 
 _NOISE_FLOOR_DBM = -96
+#: Duration field with ``duration_fill``: SIFS + an ACK at 1 Mbps.
+_DURATION_FILL_US = 10 + 304
+
+#: File-read granularity for the batched reader, and the output size of
+#: one encoded block for the writer.
+_CHUNK_BYTES = 4 << 20
+
+_U32_MAX = 0xFFFFFFFF
 
 
-def _write_global_header(fp: BinaryIO, snaplen: int) -> None:
-    fp.write(
-        struct.pack("<IHHiIII", _MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_RADIOTAP)
+# --- record layouts ---------------------------------------------------------
+
+
+class _RecordLayout:
+    """Where one capture container keeps a record's framing.
+
+    ``words`` names the record header's 32-bit fields in file order
+    (``byte_order`` ``"<"`` or ``">"``); every container has
+    ``ts_sec``, ``ts_usec``, ``incl_len`` and ``orig_len``.  A container
+    either stores the record length (a ``rec_len`` word: snoop) or
+    implies it as header plus included bytes (pcap).  Payloads are
+    zero-padded to a multiple of ``pad`` bytes.  ``error`` is the
+    container's damage error; ``file_header(snaplen)`` builds the
+    (fixed-size) file header and ``check_file_header(path, header)``
+    raises ``ValueError`` for a foreign one.
+    """
+
+    def __init__(
+        self,
+        *,
+        words: tuple[str, ...],
+        byte_order: str,
+        pad: int,
+        error: type[TruncatedPcapError],
+        file_header: Callable[[int], bytes],
+        check_file_header: Callable[[Path, bytes], None],
+    ) -> None:
+        self.words = words
+        self.record = struct.Struct(byte_order + "L" * len(words))
+        self.size = self.record.size
+        header_fields = [(word, byte_order + "u4") for word in words]
+        self.header_dtype = np.dtype(header_fields)
+        #: One encoder scratch row: record header, then the packet prefix.
+        self.prefix_dtype = np.dtype(header_fields + _PACKET_PREFIX)
+        self.stores_length = "rec_len" in words
+        length_word = "rec_len" if self.stores_length else "incl_len"
+        self.length_at = 4 * words.index(length_word)
+        self.length_bias = 0 if self.stores_length else self.size
+        self.endian = "little" if byte_order == "<" else "big"
+        self.pad = pad
+        self.error = error
+        self.file_header_size = len(file_header(0))
+        self.file_header = file_header
+        self.check_file_header = check_file_header
+
+    def unpack(self, buf: bytes, pos: int) -> dict[str, int]:
+        """The record header at ``pos`` as a word -> value dict."""
+        return dict(zip(self.words, self.record.unpack_from(buf, pos)))
+
+    def max_packet(self, snaplen: int) -> int:
+        """The longest packet whose record header fields fit 32 bits."""
+        if self.stores_length:
+            room = (_U32_MAX - self.size) // self.pad * self.pad
+            if snaplen > room:
+                return room  # a longer packet would overflow rec_len
+        return _U32_MAX
+
+
+#: The packet prefix the encoder builds per record: the 24-byte radiotap
+#: header ``RadiotapHeader.encode`` emits, then the longest 802.11
+#: header ``encode_frame`` emits (a DATA/MGMT/BEACON header; control
+#: frames use its first 10 or 16 bytes).  Every later packet byte is a
+#: zero body byte.
+_PACKET_PREFIX = [
+    ("rt_head", "u1", (8,)),  # version, pad, length, present word
+    ("tsft", "<u8"),
+    ("flags", "u1"),
+    ("rate", "u1"),
+    ("freq", "<u2"),
+    ("chan_flags", "<u2"),
+    ("signal", "i1"),
+    ("noise", "i1"),
+    ("fc", "<u2"),
+    ("duration", "<u2"),
+    ("addr1", "u1", (6,)),
+    ("addr2", "u1", (6,)),
+    ("addr3", "u1", (6,)),
+    ("seq_ctrl", "<u2"),
+]
+
+_RT_FIXED_LEN = 24  # radiotap header write_trace emits: 8 + QBBHHbb body
+_RT_HEAD = np.frombuffer(
+    struct.pack("<BBHI", 0, 0, _RT_FIXED_LEN, _RT_PRESENT), dtype=np.uint8
+)
+
+
+_PCAP_FILE_HEADER = struct.Struct("<IHHiIII")
+
+
+def _pcap_file_header(snaplen: int) -> bytes:
+    return _PCAP_FILE_HEADER.pack(
+        _MAGIC, 2, 4, 0, 0, snaplen, LINKTYPE_RADIOTAP
     )
 
 
+def _check_pcap_file_header(path: Path, header: bytes) -> None:
+    if len(header) < _PCAP_FILE_HEADER.size:
+        raise ValueError(f"{path}: not a pcap file (too short)")
+    magic, _vmaj, _vmin, _tz, _sig, _snaplen, linktype = (
+        _PCAP_FILE_HEADER.unpack(header)
+    )
+    if magic != _MAGIC:
+        raise ValueError(f"{path}: bad pcap magic {magic:#x}")
+    if linktype != LINKTYPE_RADIOTAP:
+        raise ValueError(
+            f"{path}: linktype {linktype}, expected radiotap "
+            f"({LINKTYPE_RADIOTAP})"
+        )
+
+
+_PCAP = _RecordLayout(
+    words=("ts_sec", "ts_usec", "incl_len", "orig_len"),
+    byte_order="<",
+    pad=1,
+    error=TruncatedPcapError,
+    file_header=_pcap_file_header,
+    check_file_header=_check_pcap_file_header,
+)
+
+
+# --- per-frame-type tables (indexed by any uint8, so unchecked input is
+# --- safe to look up) -------------------------------------------------------
+
+_DATA_CLASS = np.zeros(256, dtype=bool)
+_DATA_CLASS[[FrameType.DATA, FrameType.MGMT, FrameType.BEACON]] = True
+#: Frame types whose 802.11 header carries the transmitter address.
+_WRITES_SRC = _DATA_CLASS.copy()
+_WRITES_SRC[FrameType.RTS] = True
+#: Radiotap + 802.11 header bytes of each frame type (a packet with no
+#: body), measured on the scalar codec.
+_PACKET_HEAD = np.zeros(256, dtype=np.int64)
+#: 802.11 Frame Control word of each frame type, retry bit clear.
+_FC = np.zeros(256, dtype=np.uint16)
+for _ft in FrameType:
+    _PACKET_HEAD[_ft] = _RT_FIXED_LEN + len(encode_frame(_ft, src=0, dst=0))
+    _FC[_ft] = _frame_control(_ft, False)
+_RETRY_BIT = 1 << 11
+
+#: radiotap rate byte (0.5 Mbps units) of each rate code.
+_RATE_UNITS = np.array(
+    [int(round(rate * 2)) for rate in DOT11_RATES_MBPS], dtype=np.uint8
+)
+#: Centre frequency of each channel number, 0 = not an 802.11b channel.
+_CHANNEL_FREQ = np.zeros(256, dtype=np.uint16)
+for _ch, _freq in CHANNEL_FREQ_MHZ.items():
+    _CHANNEL_FREQ[_ch] = _freq
+
+#: First time_us whose seconds overflow a 32-bit record header field.
+_TS_LIMIT = (_U32_MAX + 1) * 1_000_000
+
+
+# --- writing ----------------------------------------------------------------
+
+
 def _encode_packet(row, duration_fill: bool) -> bytes:
-    """One trace row as radiotap + 802.11 bytes (shared with snoop)."""
+    """One trace row as radiotap + 802.11 bytes: the per-record oracle
+    the block encoder is tested against."""
     radiotap = RadiotapHeader(
         tsft_us=row.time_us,
         rate_mbps=row.rate_mbps,
@@ -114,7 +290,7 @@ def _encode_packet(row, duration_fill: bool) -> bytes:
     body_size = 0
     if row.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
         body_size = max(0, row.size - 24)
-    duration = 10 + 304 if duration_fill else 0
+    duration = _DURATION_FILL_US if duration_fill else 0
     dot11 = encode_frame(
         ftype=row.ftype,
         src=row.src,
@@ -127,18 +303,200 @@ def _encode_packet(row, duration_fill: bool) -> bytes:
     return radiotap + dot11
 
 
-def _write_pcap_stream(
-    fp: BinaryIO, trace: Trace, snaplen: int, duration_fill: bool
+def _first_fault(cols: dict[str, np.ndarray], max_size: int):
+    """``(row, column, reason)`` of the first row in ``cols`` that a
+    container cannot hold, or None.  The checks follow the per-record
+    encoder's order, so a row with two faults names the one it meets
+    first."""
+    ftype = cols["ftype"]
+    time_us = cols["time_us"]
+    checks = (
+        ("ftype", ftype >= len(FrameType), "is not a frame type"),
+        (
+            "rate_code",
+            cols["rate_code"] >= len(DOT11_RATES_MBPS),
+            "is not an 802.11b rate code",
+        ),
+        ("snr_db", ~np.isfinite(cols["snr_db"]), "is not finite"),
+        ("time_us", time_us < 0, "is negative"),
+        (
+            "channel",
+            _CHANNEL_FREQ[cols["channel"]] == 0,
+            "is not an 802.11b channel",
+        ),
+        ("dst", cols["dst"] == NO_NODE, "has no MAC address"),
+        (
+            "src",
+            _WRITES_SRC[ftype] & (cols["src"] == NO_NODE),
+            "has no MAC address",
+        ),
+        (
+            "time_us",
+            time_us >= _TS_LIMIT,
+            "overflows the 32-bit seconds field",
+        ),
+        (
+            "size",
+            _DATA_CLASS[ftype] & (cols["size"] > max_size),
+            "overflows a 32-bit length field",
+        ),
+    )
+    first = None
+    for column, bad, reason in checks:
+        if bad.any():
+            row = int(bad.argmax())
+            if first is None or row < first[0]:
+                first = (row, column, reason)
+    return first
+
+
+def _check_writable(
+    trace: Trace, path: Path, snaplen: int, layout: _RecordLayout
+) -> None:
+    """Raise ``ValueError`` naming the first row ``layout`` cannot hold.
+
+    Runs before the file is opened, so a rejected trace leaves nothing
+    on disk, and no value reaches a fixed-width cast unchecked.  Rows
+    are checked in blocks, so the masks stay small however long the
+    trace.
+    """
+    # A DATA/MGMT/BEACON packet is 24 + max(size, 24) bytes.
+    max_size = layout.max_packet(snaplen) - 24
+    step = 1 << 16
+    for start in range(0, len(trace), step):
+        cols = {
+            name: trace.column(name)[start : start + step]
+            for name in TRACE_COLUMNS
+        }
+        fault = _first_fault(cols, max_size)
+        if fault is not None:
+            row, column, reason = fault
+            raise ValueError(
+                f"cannot write {path}: column {column!r} row {start + row}: "
+                f"{cols[column][row].item()!r} {reason}"
+            )
+
+
+def _macs(node: np.ndarray) -> np.ndarray:
+    """``node_to_mac`` over a column: one 6-byte address per row."""
+    mac = np.zeros((len(node), 6), dtype=np.uint8)
+    mac[:, 0] = 0x02
+    mac[:, 4] = node >> 8
+    mac[:, 5] = node & 0xFF
+    mac[node == BROADCAST] = 0xFF
+    return mac
+
+
+def _encode_block(
+    cols: dict[str, np.ndarray],
+    snaplen: int,
+    duration: int,
+    layout: _RecordLayout,
+) -> tuple[np.ndarray, int]:
+    """Encode the leading rows of ``cols`` that fit ``_CHUNK_BYTES``.
+
+    Returns the records' bytes and how many rows they hold (at least
+    one, whatever its size).  Each record's header and packet prefix
+    are built as one structured row, then scattered into a zeroed
+    buffer; body and padding bytes are the zeros left around them.
+    """
+    ftype = cols["ftype"]
+    body = np.maximum(cols["size"].astype(np.int64) - 24, 0)
+    orig = _PACKET_HEAD[ftype] + np.where(_DATA_CLASS[ftype], body, 0)
+    incl = np.minimum(orig, snaplen)
+    rec_len = layout.size + incl + (-incl % layout.pad)
+    ends = np.cumsum(rec_len)
+    n = max(1, int(np.searchsorted(ends, _CHUNK_BYTES, side="right")))
+    cols = {name: col[:n] for name, col in cols.items()}
+    ftype, orig, incl, rec_len = ftype[:n], orig[:n], incl[:n], rec_len[:n]
+    starts = ends[:n] - rec_len
+    total = int(ends[n - 1])
+
+    rec = np.zeros(n, dtype=layout.prefix_dtype)
+    time_us = cols["time_us"]
+    ts_sec, ts_usec = np.divmod(time_us, 1_000_000)
+    header = {
+        "ts_sec": ts_sec,
+        "ts_usec": ts_usec,
+        "incl_len": incl,
+        "orig_len": orig,
+        "rec_len": rec_len,
+    }
+    for word in layout.words:
+        if word in header:
+            rec[word] = header[word]
+    rec["rt_head"] = _RT_HEAD
+    rec["tsft"] = time_us
+    rec["rate"] = _RATE_UNITS[cols["rate_code"]]
+    rec["freq"] = _CHANNEL_FREQ[cols["channel"]]
+    rec["chan_flags"] = _CHAN_FLAGS_B
+    # Python's round() and np.rint both round half to even.
+    rec["signal"] = np.clip(
+        np.rint(cols["snr_db"].astype(np.float64) + _NOISE_FLOOR_DBM),
+        -128,
+        127,
+    )
+    rec["noise"] = _NOISE_FLOOR_DBM
+    rec["fc"] = _FC[ftype] | np.where(cols["retry"], _RETRY_BIT, 0)
+    rec["duration"] = duration
+    rec["addr1"] = _macs(cols["dst"])
+    src = _macs(cols["src"])
+    rec["addr2"] = src  # transmitter
+    rec["addr3"] = src  # BSSID
+    rec["seq_ctrl"] = (cols["seq"] & 0x0FFF) << 4
+
+    prefix = rec.view(np.uint8).reshape(n, -1)
+    at = np.arange(prefix.shape[1])
+    # Write only the header and the captured part of the prefix; every
+    # other slot lands on one spare byte past the block's end.
+    written = layout.size + np.minimum(incl, prefix.shape[1] - layout.size)
+    dest = np.where(at < written[:, None], starts[:, None] + at, total)
+    out = np.zeros(total + 1, dtype=np.uint8)
+    out[dest] = prefix
+    return out[:total], n
+
+
+def _write_capture(
+    trace: Trace,
+    path: str | Path,
+    snaplen: int,
+    duration_fill: bool,
+    layout: _RecordLayout,
 ) -> int:
-    _write_global_header(fp, snaplen)
-    for row in trace.iter_rows():
-        packet = _encode_packet(row, duration_fill)
-        incl = packet[:snaplen]
-        ts_sec, ts_usec = divmod(row.time_us, 1_000_000)
-        fp.write(
-            struct.pack("<IIII", ts_sec, ts_usec, len(incl), len(packet))
+    """Validate ``trace``, then write it in ``layout``'s container."""
+    path = Path(path)
+    snaplen = operator.index(snaplen)
+    if not 0 <= snaplen <= _U32_MAX:
+        raise ValueError(f"snaplen {snaplen} outside [0, 2**32)")
+    _check_writable(trace, path, snaplen, layout)
+    duration = _DURATION_FILL_US if duration_fill else 0
+    # Row cap per block: the encoder's index and scratch arrays take
+    # about this many bytes per row, so they stay near _CHUNK_BYTES too.
+    max_rows = max(1, _CHUNK_BYTES // 1024)
+    cols = {name: trace.column(name) for name in TRACE_COLUMNS}
+    # filename="" and mtime=0 keep the gzip member header free of the
+    # output path and clock: identical traces compress to identical
+    # bytes, so the corpus content hash is write-order independent.
+    # The level is part of those bytes too.
+    with path.open("wb") as raw, (
+        gzip.GzipFile(
+            filename="", fileobj=raw, mode="wb", compresslevel=9, mtime=0
         )
-        fp.write(incl)
+        if path.name.lower().endswith(".gz")
+        else contextlib.nullcontext(raw)
+    ) as fp:
+        fp.write(layout.file_header(snaplen))
+        start = 0
+        while start < len(trace):
+            stop = start + max_rows
+            block, rows = _encode_block(
+                {name: col[start:stop] for name, col in cols.items()},
+                snaplen,
+                duration,
+                layout,
+            )
+            fp.write(block)
+            start += rows
     return len(trace)
 
 
@@ -152,31 +510,33 @@ def write_trace(
 
     The container is chosen by suffix: ``.snoop``/``.snoop.gz`` write
     RFC 1761 snoop (:func:`repro.corpus.snoop.write_snoop`), a ``.gz``
-    suffix gzip-compresses, anything else is a plain radiotap pcap.
-    Compressed output is byte-deterministic (gzip mtime pinned to 0).
+    suffix gzip-compresses (level 9, mtime pinned to 0, so output is
+    byte-deterministic), anything else is a plain radiotap pcap.
+
+    The whole trace is validated first: a row the container cannot
+    hold (unknown channel, frame type or rate code, a ``NO_NODE``
+    address that would be written, negative or 32-bit-overflowing time,
+    non-finite SNR, a length overflowing its 32-bit field) raises one
+    ``ValueError`` naming its column and row before the file is opened,
+    as does a ``snaplen`` outside [0, 2**32).  Records are then encoded
+    in columnar blocks of about ``_CHUNK_BYTES``, byte-identical to the
+    per-record encoders (``RadiotapHeader.encode``, ``encode_frame``).
 
     ``duration_fill`` populates the 802.11 Duration field with each
     frame's NAV-style remaining-exchange estimate (SIFS + ACK) so real
     tools display something sensible; it is not read back.
     """
     path = Path(path)
-    name = path.name.lower()
-    if name.endswith((".snoop", ".snoop.gz")):
+    if path.name.lower().endswith((".snoop", ".snoop.gz")):
         from ..corpus.snoop import write_snoop
 
         return write_snoop(
             trace, path, snaplen=snaplen, duration_fill=duration_fill
         )
-    if name.endswith(".gz"):
-        # filename="" and mtime=0 keep the member header free of the
-        # output path and clock: identical traces compress to identical
-        # bytes, so the corpus content hash is write-order independent.
-        with path.open("wb") as raw, gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb", mtime=0
-        ) as fp:
-            return _write_pcap_stream(fp, trace, snaplen, duration_fill)
-    with path.open("wb") as fp:
-        return _write_pcap_stream(fp, trace, snaplen, duration_fill)
+    return _write_capture(trace, path, snaplen, duration_fill, _PCAP)
+
+
+# --- reading ----------------------------------------------------------------
 
 
 class _RowBuffer:
@@ -261,8 +621,6 @@ class _RowBuffer:
 # scalar codec path, which reproduces the legacy per-record behaviour —
 # including which exception surfaces and with what offsets — exactly.
 
-_RT_FIXED_LEN = 24  # radiotap header write_trace emits: 8 + QBBHHbb body
-
 #: (dot11_type << 4 | subtype) -> FrameType value, 255 = undecodable.
 _FT_TABLE = np.full(64, 255, dtype=np.uint8)
 for _t in range(4):
@@ -292,39 +650,70 @@ _CTRL_SIZE[int(FrameType.ACK)] = 14
 _CTRL_SIZE[int(FrameType.CTS)] = 14
 _CTRL_SIZE[int(FrameType.RTS)] = 20
 
-#: File-read granularity for the batched reader.
-_CHUNK_BYTES = 4 << 20
 
+def _scan_records(buf: bytes, layout: _RecordLayout) -> tuple[list[int], int]:
+    """Offsets of complete records in ``buf`` and the bytes consumed.
 
-def _scan_records(buf: bytes) -> tuple[list[int], int]:
-    """Offsets of complete pcap records in ``buf`` and the bytes consumed."""
+    Stored lengths are not checked here, only kept from stalling the
+    walk (a zero length stops it); :func:`_first_bad_length` finds the
+    first one too short for its record.
+    """
     offs: list[int] = []
     pos = 0
     limit = len(buf)
+    size = layout.size
+    lo, bias, endian = layout.length_at, layout.length_bias, layout.endian
+    hi = lo + 4
     from_bytes = int.from_bytes
-    while pos + 16 <= limit:
-        end = pos + 16 + from_bytes(buf[pos + 8 : pos + 12], "little")
-        if end > limit:
+    while pos + size <= limit:
+        end = pos + bias + from_bytes(buf[pos + lo : pos + hi], endian)
+        if not pos < end <= limit:
             break
         offs.append(pos)
         pos = end
     return offs, pos
 
 
-def _decode_block(u8: np.ndarray, offs: np.ndarray) -> tuple[dict, np.ndarray]:
+def _headers(u8: np.ndarray, offs, layout: _RecordLayout) -> np.ndarray:
+    """The record headers at ``offs`` as a structured array of words."""
+    at = np.asarray(offs, dtype=np.int64)[:, None] + np.arange(layout.size)
+    return u8[at].view(layout.header_dtype)[:, 0]
+
+
+def _first_bad_length(
+    buf: bytes, offs: list[int], consumed: int, layout: _RecordLayout
+) -> int | None:
+    """Index of the first record whose stored length cannot hold its
+    header plus included bytes, among ``offs`` and the record the scan
+    stopped at (index ``len(offs)``); None when all are sound, as
+    implied lengths always are."""
+    if not layout.stores_length:
+        return None
+    heads = offs + [consumed] if consumed + layout.size <= len(buf) else offs
+    if not heads:
+        return None
+    hdr = _headers(np.frombuffer(buf, dtype=np.uint8), heads, layout)
+    bad = hdr["rec_len"] < layout.size + hdr["incl_len"].astype(np.int64)
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _decode_block(
+    u8: np.ndarray, offs: np.ndarray, layout: _RecordLayout
+) -> tuple[dict, np.ndarray]:
     """Vector-decode the records at ``offs``; returns (columns, ok mask).
 
     Columns are full-length; positions where ``ok`` is False hold
     garbage and must be re-decoded by the scalar path.
     """
     last = len(u8) - 1
-    hdr = u8[offs[:, None] + np.arange(16)].view("<u4")
-    ts_sec = hdr[:, 0].astype(np.int64)
-    ts_usec = hdr[:, 1].astype(np.int64)
-    incl = hdr[:, 2].astype(np.int64)
-    orig = hdr[:, 3].astype(np.int64)
+    hdr = _headers(u8, offs, layout)
+    ts_sec = hdr["ts_sec"].astype(np.int64)
+    ts_usec = hdr["ts_usec"].astype(np.int64)
+    incl = hdr["incl_len"].astype(np.int64)
+    orig = hdr["orig_len"].astype(np.int64)
 
-    rt = u8[np.minimum(offs[:, None] + 16 + np.arange(24), last)]
+    packet = offs[:, None] + layout.size
+    rt = u8[np.minimum(packet + np.arange(24), last)]
     rt_len = rt[:, 2].astype(np.uint16) | (rt[:, 3].astype(np.uint16) << 8)
     present = (
         rt[:, 4].astype(np.uint32)
@@ -351,17 +740,13 @@ def _decode_block(u8: np.ndarray, offs: np.ndarray) -> tuple[dict, np.ndarray]:
         - rt[:, 23].astype(np.int8).astype(np.int16)
     ).astype(np.float32)
 
-    d11 = u8[np.minimum(offs[:, None] + 40 + np.arange(24), last)]
+    d11 = u8[np.minimum(packet + _RT_FIXED_LEN + np.arange(24), last)]
     fc = d11[:, 0].astype(np.uint16) | (d11[:, 1].astype(np.uint16) << 8)
     ftype = _FT_TABLE[((fc >> 2) & 0b11) * 16 + ((fc >> 4) & 0b1111)]
     ok &= ftype != 255
-    retry = (fc & (1 << 11)) != 0
+    retry = (fc & _RETRY_BIT) != 0
 
-    is_data_cls = (
-        (ftype == int(FrameType.DATA))
-        | (ftype == int(FrameType.MGMT))
-        | (ftype == int(FrameType.BEACON))
-    )
+    is_data_cls = _DATA_CLASS[ftype]
     is_rts = ftype == int(FrameType.RTS)
     need = np.where(is_data_cls, 48, np.where(is_rts, 40, 34))
     ok &= incl >= need
@@ -412,48 +797,8 @@ def _decode_block(u8: np.ndarray, offs: np.ndarray) -> tuple[dict, np.ndarray]:
     return cols, ok
 
 
-#: Exceptions the radiotap/802.11 codecs raise on damaged bytes.  The
-#: snoop reader reuses this tuple so both containers wrap codec
-#: failures identically.
-CODEC_ERRORS = (struct.error, ValueError, KeyError, IndexError)
-
-
-def _decode_packet_parts(packet: bytes):
-    """Decode a radiotap + 802.11 packet; codec exceptions propagate.
-
-    Returns ``(radiotap, rt_len, frame)``.  Callers own the wrapping of
-    :data:`CODEC_ERRORS` into their container's truncation error.
-    """
-    radiotap, rt_len = RadiotapHeader.decode(packet)
-    frame = decode_frame(packet[rt_len:])
-    return radiotap, rt_len, frame
-
-
-def _row_from_packet(radiotap, rt_len, frame, orig_len, time_us) -> dict:
-    """One decoded packet as a trace-row dict (shared with snoop).
-
-    ``rate_to_code``'s bare ``ValueError`` for a well-formed record
-    bearing a non-802.11b rate escapes deliberately — that is not
-    truncation, it is an out-of-scope capture.
-    """
-    if frame.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
-        size = max(0, orig_len - rt_len - 24) + 24
-    else:
-        size = {FrameType.ACK: 14, FrameType.CTS: 14, FrameType.RTS: 20}[
-            frame.ftype
-        ]
-    return {
-        "time_us": time_us,
-        "ftype": int(frame.ftype),
-        "rate_code": rate_to_code(radiotap.rate_mbps),
-        "size": size,
-        "src": frame.src,
-        "dst": frame.dst,
-        "retry": frame.retry,
-        "channel": radiotap.channel,
-        "snr_db": radiotap.snr_db,
-        "seq": frame.seq,
-    }
+#: Exceptions the radiotap/802.11 codecs raise on damaged bytes.
+_CODEC_ERRORS = (struct.error, ValueError, KeyError, IndexError)
 
 
 def _decode_record_scalar(
@@ -462,30 +807,55 @@ def _decode_record_scalar(
     abs_offset: int,
     frames_read: int,
     path: Path,
-    compressed: bool = False,
+    compressed: bool,
+    layout: _RecordLayout,
 ) -> dict:
-    """Legacy per-record decode — the behavioural reference.
+    """Per-record decode — the behavioural reference and the fallback.
 
-    Raises exactly what the historical loop raised: a
-    :class:`TruncatedPcapError` (with the record's absolute byte offset)
-    when the codecs reject the bytes, and ``rate_to_code``'s bare
-    ``ValueError`` for a well-formed record bearing a non-802.11b rate.
+    Raises the container's damage error (``layout.error``, with the
+    record's absolute byte offset) when the codecs reject the bytes,
+    and a plain ``ValueError`` naming the path and offset for a
+    well-formed record bearing a non-802.11b rate — that is not
+    truncation, it is an out-of-scope capture.
     """
-    ts_sec, ts_usec, incl_len, orig_len = struct.unpack_from("<IIII", buf, pos)
-    packet = buf[pos + 16 : pos + 16 + incl_len]
+    header = layout.unpack(buf, pos)
+    start = pos + layout.size
+    packet = buf[start : start + header["incl_len"]]
     try:
-        radiotap, rt_len, frame = _decode_packet_parts(packet)
-    except CODEC_ERRORS as error:
-        raise TruncatedPcapError(
+        radiotap, rt_len = RadiotapHeader.decode(packet)
+        frame = decode_frame(packet[rt_len:])
+    except _CODEC_ERRORS as error:
+        raise layout.error(
             f"{path}: undecodable record "
             f"({type(error).__name__}: {error})",
             byte_offset=abs_offset,
             frames_read=frames_read,
             compressed=compressed,
         ) from error
-    return _row_from_packet(
-        radiotap, rt_len, frame, orig_len, ts_sec * 1_000_000 + ts_usec
-    )
+    try:
+        rate_code = rate_to_code(radiotap.rate_mbps)
+    except ValueError as error:
+        raise ValueError(
+            f"{path}: {error} ({_where(compressed)} {abs_offset})"
+        ) from error
+    if frame.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
+        size = max(0, header["orig_len"] - rt_len - 24) + 24
+    else:
+        size = {FrameType.ACK: 14, FrameType.CTS: 14, FrameType.RTS: 20}[
+            frame.ftype
+        ]
+    return {
+        "time_us": header["ts_sec"] * 1_000_000 + header["ts_usec"],
+        "ftype": int(frame.ftype),
+        "rate_code": rate_code,
+        "size": size,
+        "src": frame.src,
+        "dst": frame.dst,
+        "retry": frame.retry,
+        "channel": radiotap.channel,
+        "snr_db": radiotap.snr_db,
+        "seq": frame.seq,
+    }
 
 
 def read_trace_batches(
@@ -505,10 +875,10 @@ def read_trace_batches(
     pipeline's pcap source.  Records in the shape :func:`write_trace`
     emits are decoded in bulk via numpy gathers over the raw byte
     stream; anything else falls back, record by record, to the scalar
-    codecs, which also own the error behaviour (damaged tails raise
-    :class:`TruncatedPcapError` *after* the clean prefix is flushed).
-    Frames are yielded in file order; captures written by
-    :func:`write_trace` are time-ordered.
+    codecs, which also own the error behaviour (damaged tails, and
+    corrupt gzip streams, raise :class:`TruncatedPcapError` *after*
+    the clean prefix is flushed).  Frames are yielded in file order;
+    captures written by :func:`write_trace` are time-ordered.
     """
     if batch_frames <= 0:
         raise ValueError("batch_frames must be positive")
@@ -520,7 +890,7 @@ def read_trace_batches(
         try:
             with gzip.open(path, "rb") as zp:
                 head = zp.read(8)
-        except (EOFError, OSError) as error:
+        except _GZIP_ERRORS as error:
             raise TruncatedPcapError(
                 f"{path}: corrupt gzip stream "
                 f"({type(error).__name__}: {error})",
@@ -533,44 +903,40 @@ def read_trace_batches(
 
         yield from read_snoop_batches(path, batch_frames)
         return
-    yield from _read_pcap_batches(path, batch_frames, compressed)
+    yield from _read_batches(path, batch_frames, compressed, _PCAP)
 
 
-def _read_pcap_batches(path: Path, batch_frames: int, compressed: bool):
-    """The pcap body of :func:`read_trace_batches` (format pre-sniffed)."""
+def _read_batches(
+    path: Path, batch_frames: int, compressed: bool, layout: _RecordLayout
+):
+    """The slab loop both containers share (format pre-sniffed)."""
+
+    def corrupt_gzip(error, byte_offset, frames_read):
+        return layout.error(
+            f"{path}: corrupt gzip stream "
+            f"({type(error).__name__}: {error})",
+            byte_offset=byte_offset,
+            frames_read=frames_read,
+            compressed=True,
+        )
+
     with (gzip.open(path, "rb") if compressed else path.open("rb")) as fp:
         try:
-            header = fp.read(24)
-        except (EOFError, OSError) as error:
-            raise TruncatedPcapError(
-                f"{path}: corrupt gzip stream "
-                f"({type(error).__name__}: {error})",
-                byte_offset=0,
-                frames_read=0,
-                compressed=True,
-            ) from error
-        if len(header) < 24:
-            raise ValueError(f"{path}: not a pcap file (too short)")
-        magic, _vmaj, _vmin, _tz, _sig, _snaplen, linktype = struct.unpack(
-            "<IHHiIII", header
-        )
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad pcap magic {magic:#x}")
-        if linktype != LINKTYPE_RADIOTAP:
-            raise ValueError(
-                f"{path}: linktype {linktype}, expected radiotap "
-                f"({LINKTYPE_RADIOTAP})"
-            )
+            header = fp.read(layout.file_header_size)
+        except _GZIP_ERRORS as error:
+            raise corrupt_gzip(error, 0, 0) from error
+        layout.check_file_header(path, header)
 
         rows = _RowBuffer()
-        base = 24  # absolute (decompressed) offset of buf[0]
+        # absolute (decompressed) offset of buf[0]
+        base = layout.file_header_size
         buf = b""
         frames_read = 0
         eof = False
         while not eof:
             try:
                 data = fp.read(_CHUNK_BYTES)
-            except (EOFError, OSError) as error:
+            except _GZIP_ERRORS as error:
                 if not compressed:
                     raise
                 # The gzip stream itself died (truncated or corrupt
@@ -578,24 +944,24 @@ def _read_pcap_batches(path: Path, batch_frames: int, compressed: bool):
                 # clean prefix, exactly like an on-disk truncation.
                 if len(rows):
                     yield rows.flush()
-                raise TruncatedPcapError(
-                    f"{path}: corrupt gzip stream "
-                    f"({type(error).__name__}: {error})",
-                    byte_offset=base + len(buf),
-                    frames_read=frames_read,
-                    compressed=True,
+                raise corrupt_gzip(
+                    error, base + len(buf), frames_read
                 ) from error
             if not data:
                 eof = True
             else:
                 buf = buf + data if buf else data
-            rel_offs, consumed = _scan_records(buf)
-            if not eof and not rel_offs:
+            rel_offs, consumed = _scan_records(buf, layout)
+            bad = _first_bad_length(buf, rel_offs, consumed, layout)
+            if bad is not None:
+                bad_at = (rel_offs + [consumed])[bad]
+                rel_offs = rel_offs[:bad]
+            elif not eof and not rel_offs:
                 continue  # record longer than the slab: keep reading
             if rel_offs:
                 offs = np.asarray(rel_offs, dtype=np.int64)
                 u8 = np.frombuffer(buf, dtype=np.uint8)
-                cols, ok = _decode_block(u8, offs)
+                cols, ok = _decode_block(u8, offs, layout)
                 run_start = 0
                 n_rec = len(offs)
                 while run_start < n_rec:
@@ -623,6 +989,7 @@ def _read_pcap_batches(path: Path, batch_frames: int, compressed: bool):
                                     frames_read,
                                     path,
                                     compressed,
+                                    layout,
                                 )
                             except TruncatedPcapError:
                                 if len(rows):
@@ -633,25 +1000,34 @@ def _read_pcap_batches(path: Path, batch_frames: int, compressed: bool):
                             if len(rows) >= batch_frames:
                                 yield rows.take(batch_frames)
                     run_start = run_end
+            if bad is not None:
+                header = layout.unpack(buf, bad_at)
+                if len(rows):
+                    yield rows.flush()
+                raise layout.error(
+                    f"{path}: invalid record length {header['rec_len']} "
+                    f"(included length {header['incl_len']})",
+                    byte_offset=base + bad_at,
+                    frames_read=frames_read,
+                    compressed=compressed,
+                )
             buf = buf[consumed:]
             base += consumed
         if buf:
             # Damage found: flush the clean prefix first so streaming
             # callers keep every frame read so far.
-            if len(buf) < 16:
-                if len(rows):
-                    yield rows.flush()
-                raise TruncatedPcapError(
+            if len(rows):
+                yield rows.flush()
+            if len(buf) < layout.size:
+                raise layout.error(
                     f"{path}: truncated record header",
                     byte_offset=base,
                     frames_read=frames_read,
                     compressed=compressed,
                 )
-            if len(rows):
-                yield rows.flush()
-            raise TruncatedPcapError(
+            raise layout.error(
                 f"{path}: truncated record body",
-                byte_offset=base + 16,
+                byte_offset=base + layout.size,
                 frames_read=frames_read,
                 compressed=compressed,
             )
@@ -659,9 +1035,9 @@ def _read_pcap_batches(path: Path, batch_frames: int, compressed: bool):
             yield rows.flush()
 
 
-def read_trace(path: str | Path) -> Trace:
-    """Read a capture (pcap/snoop, optionally gzipped) into a Trace."""
-    batches = list(read_trace_batches(path))
+def _collect(batches) -> Trace:
+    """Concatenate a batch reader's Traces into one."""
+    batches = list(batches)
     if not batches:
         return Trace.empty()
     if len(batches) == 1:
@@ -672,3 +1048,8 @@ def read_trace(path: str | Path) -> Trace:
             for name in TRACE_COLUMNS
         }
     )
+
+
+def read_trace(path: str | Path) -> Trace:
+    """Read a capture (pcap/snoop, optionally gzipped) into a Trace."""
+    return _collect(read_trace_batches(path))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gzip
+import zlib
+
 import pytest
 
 from repro.frames import Trace
@@ -32,6 +35,30 @@ def write_capture(path, channel=1, t0_us=HOUR_US, n_pairs=10):
     path.parent.mkdir(parents=True, exist_ok=True)
     write_trace(burst_trace(channel, t0_us, n_pairs), path)
     return path
+
+
+def corrupt_deflate(path):
+    """Rewrite a gzipped capture so its deflate stream turns invalid
+    midway: the first half of the capture compresses cleanly, then
+    comes a block of the reserved type 3, which zlib rejects with
+    ``zlib.error``."""
+    plain = gzip.decompress(path.read_bytes())
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS)
+    body = deflate.compress(plain[: len(plain) // 2])
+    body += deflate.flush(zlib.Z_FULL_FLUSH)  # next block byte-aligned
+    gzip_header = b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x02\xff"
+    path.write_bytes(gzip_header + body + b"\x06" + bytes(16))
+    return path
+
+
+@pytest.fixture
+def corrupt_gzip_dir(tmp_path):
+    """A good capture beside a zlib-corrupt ``.pcap.gz`` and ``.snoop.gz``."""
+    root = tmp_path / "corpus"
+    write_capture(root / "good.pcap", channel=6)
+    corrupt_deflate(write_capture(root / "bad.pcap.gz", n_pairs=200))
+    corrupt_deflate(write_capture(root / "bad.snoop.gz", n_pairs=200))
+    return root
 
 
 @pytest.fixture

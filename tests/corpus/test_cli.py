@@ -39,6 +39,17 @@ class TestCorpusIndex:
         assert code == 0
         assert "1 added" in out and "1 quarantined" in out
 
+    def test_zlib_corrupt_gzip_captures_are_counted_failed(
+        self, corrupt_gzip_dir, capsys
+    ):
+        code, out, err = run_cli(
+            capsys, "corpus", "index", str(corrupt_gzip_dir)
+        )
+        assert code == 0
+        assert "3 capture(s) catalogued" in out
+        assert "2 failed" in out
+        assert "Traceback" not in out + err
+
     def test_missing_root_is_clean_error(self, tmp_path, capsys):
         code, out, err = run_cli(
             capsys, "corpus", "index", str(tmp_path / "nope")

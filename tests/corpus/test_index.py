@@ -106,6 +106,24 @@ def test_damaged_capture_is_catalogued_not_fatal(corpus_dir):
     assert record.n_frames == 19  # partial stats from the clean prefix
 
 
+def test_zlib_corrupt_gzip_is_catalogued_not_fatal(corrupt_gzip_dir):
+    """Corrupt deflate data (zlib.error, not EOFError/OSError) is damage
+    like any other: typed, catalogued, and the refresh carries on."""
+    index = CorpusIndex(corrupt_gzip_dir)
+    stats = index.refresh()
+    assert stats.failed == 2
+    status = {r.path: r.status for r in index.records().values()}
+    assert status == {
+        "good.pcap": "ok",
+        "bad.pcap.gz": "truncated",
+        "bad.snoop.gz": "truncated",
+    }
+    for record in index.records().values():
+        if record.status != "ok":
+            assert "corrupt gzip stream" in record.error
+            assert "decompressed byte offset" in record.error
+
+
 def test_queries_answered_after_captures_deleted(corpus_dir):
     """Records are self-contained: the catalog outlives the captures."""
     index = CorpusIndex(corpus_dir)

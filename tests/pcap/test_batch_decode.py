@@ -1,33 +1,34 @@
-"""Vectorized pcap decode parity: byte-identical to the scalar codecs.
+"""Vectorized capture decode parity: identical to the scalar codecs.
 
 :func:`repro.pcap.pcapio.read_trace_batches` bulk-decodes records with
 numpy gathers and falls back to the per-record scalar codecs for
-anything unusual.  The scalar path (:func:`_decode_record_scalar`) *is*
-the behavioural reference — this suite re-decodes every capture through
-a pure scalar loop and asserts the vectorized reader produces identical
-columns, identical batch boundaries, and identical errors (type,
-message, byte offset, clean-frame count) for every corruption mode that
-drops a record off the fast path.
+anything unusual, for pcap and snoop alike.  The scalar path
+(:func:`_decode_record_scalar`) *is* the behavioural reference — this
+suite re-decodes every capture through a pure scalar loop and asserts
+the vectorized reader produces identical columns, identical batch
+boundaries, and identical errors (type, message, byte offset,
+clean-frame count) for every corruption mode that drops a record off
+the fast path.  Each class runs on pcap; its ``Snoop`` subclass runs
+the same cases on snoop.
 """
+
+import struct
 
 import numpy as np
 import pytest
 
 from repro.frames import TRACE_COLUMNS
 from repro.pcap import TruncatedPcapError, write_trace
-from repro.pcap.pcapio import (
-    _RowBuffer,
-    _decode_record_scalar,
-    _scan_records,
-    read_trace_batches,
-)
+from repro.pcap.pcapio import _scan_records, read_trace_batches
 from repro.sim import build_scenario
+
+from .capture_oracle import CONTAINERS, scalar_read
 
 
 @pytest.fixture(scope="module")
-def capture(tmp_path_factory):
+def captures(tmp_path_factory):
     """A realistic simulated capture (data/ACK/RTS/CTS/beacons/retries)
-    plus its per-record absolute offsets."""
+    in each plain container, plus its per-record absolute offsets."""
     built = build_scenario(
         "uniform",
         n_stations=4,
@@ -36,53 +37,22 @@ def capture(tmp_path_factory):
         rtscts_fraction=0.5,
     )
     trace = built.run().ground_truth
-    path = tmp_path_factory.mktemp("parity") / "capture.pcap"
-    write_trace(trace, path)
-    raw = path.read_bytes()
-    rel_offs, consumed = _scan_records(raw[24:])
-    assert consumed == len(raw) - 24
-    return path, raw, [24 + off for off in rel_offs]
+    folder = tmp_path_factory.mktemp("parity")
+    out = {}
+    for container, (_, _, layout) in CONTAINERS.items():
+        path = folder / f"capture.{container}"
+        write_trace(trace, path)
+        raw = path.read_bytes()
+        head = layout.file_header_size
+        rel_offs, consumed = _scan_records(raw[head:], layout)
+        assert consumed == len(raw) - head
+        out[container] = (path, raw, [head + off for off in rel_offs], layout)
+    return out
 
 
-def scalar_reference(path, batch_frames):
-    """Decode ``path`` record-by-record through the scalar codecs.
-
-    Mirrors the generator contract exactly: complete batches are
-    "yielded" as they fill, the clean remainder is flushed only before
-    a :class:`TruncatedPcapError` (any other error loses it — the
-    legacy behaviour), and the error itself is returned for comparison.
-    """
-    raw = path.read_bytes()[24:]
-    rel_offs, consumed = _scan_records(raw)
-    rows = _RowBuffer()
-    yielded = []
-    frames_read = 0
-    error = None
-    for off in rel_offs:
-        try:
-            rows.append_row(
-                _decode_record_scalar(raw, off, 24 + off, frames_read, path)
-            )
-        except Exception as exc:  # noqa: BLE001 - parity on any error
-            error = exc
-            break
-        frames_read += 1
-        if len(rows) >= batch_frames:
-            yielded.append(rows.take(batch_frames))
-    if error is None and consumed < len(raw):
-        leftover = len(raw) - consumed
-        kind = "header" if leftover < 16 else "body"
-        base = 24 + consumed + (0 if leftover < 16 else 16)
-        error = TruncatedPcapError(
-            f"{path}: truncated record {kind}",
-            byte_offset=base,
-            frames_read=frames_read,
-        )
-    if len(rows) and (
-        error is None or isinstance(error, TruncatedPcapError)
-    ):
-        yielded.append(rows.flush())
-    return yielded, error
+@pytest.fixture
+def capture(request, captures):
+    return captures[request.cls.container]
 
 
 def vectorized(path, batch_frames):
@@ -97,7 +67,7 @@ def vectorized(path, batch_frames):
 
 
 def assert_parity(path, batch_frames=500):
-    reference, ref_error = scalar_reference(path, batch_frames)
+    reference, ref_error = scalar_read(path, batch_frames)
     batches, vec_error = vectorized(path, batch_frames)
     assert (ref_error is None) == (vec_error is None)
     if ref_error is not None:
@@ -120,74 +90,121 @@ def assert_parity(path, batch_frames=500):
 
 
 class TestCleanCapture:
+    container = "pcap"
+
     @pytest.mark.parametrize("batch_frames", [100_000, 1_000, 7])
     def test_columns_byte_identical(self, capture, batch_frames):
-        path, _, _ = capture
+        path, _, _, _ = capture
         batches, error = assert_parity(path, batch_frames)
         assert error is None
         assert sum(len(b) for b in batches) > 0
+
+    def test_small_slabs_byte_identical(self, capture, monkeypatch):
+        """Slabs shorter than one record: every record crosses a seam."""
+        import repro.pcap.pcapio as pcapio_mod
+
+        monkeypatch.setattr(pcapio_mod, "_CHUNK_BYTES", 100)
+        path, _, _, _ = capture
+        _, error = assert_parity(path, 1_000)
+        assert error is None
+
+
+class TestCleanSnoopCapture(TestCleanCapture):
+    container = "snoop"
 
 
 class TestCorruptionFallsBackIdentically:
     """Each mutation kicks records onto the scalar path (or stops the
     scan); the observable behaviour must not change."""
 
+    container = "pcap"
+
     def _mutated(self, tmp_path, raw, mutate):
         data = bytearray(raw)
         mutate(data)
-        path = tmp_path / "mutated.pcap"
+        path = tmp_path / f"mutated.{self.container}"
         path.write_bytes(bytes(data))
         return path
 
     def test_truncated_record_header(self, capture, tmp_path):
-        path, raw, offsets = capture
-        cut = tmp_path / "cut.pcap"
+        path, raw, offsets, _ = capture
+        cut = tmp_path / f"cut.{self.container}"
         cut.write_bytes(raw[: offsets[50] + 5])
         _, error = assert_parity(cut)
         assert isinstance(error, TruncatedPcapError)
         assert "truncated record header" in str(error)
 
     def test_truncated_record_body(self, capture, tmp_path):
-        path, raw, offsets = capture
-        cut = tmp_path / "cut.pcap"
-        cut.write_bytes(raw[: offsets[50] + 20])
+        path, raw, offsets, layout = capture
+        cut = tmp_path / f"cut.{self.container}"
+        cut.write_bytes(raw[: offsets[50] + layout.size + 4])
         _, error = assert_parity(cut)
         assert isinstance(error, TruncatedPcapError)
         assert "truncated record body" in str(error)
 
     def test_bad_radiotap_version(self, capture, tmp_path):
-        path, raw, offsets = capture
+        path, raw, offsets, layout = capture
 
         def mutate(data):
-            data[offsets[30] + 16] = 9  # radiotap version byte
+            data[offsets[30] + layout.size] = 9  # radiotap version byte
 
         _, error = assert_parity(self._mutated(tmp_path, raw, mutate))
         assert isinstance(error, TruncatedPcapError)
         assert "undecodable record" in str(error)
 
     def test_foreign_mac_prefix(self, capture, tmp_path):
-        path, raw, offsets = capture
+        path, raw, offsets, layout = capture
 
         def mutate(data):
-            data[offsets[40] + 16 + 24 + 4] = 0x55  # addr1 first byte
+            data[offsets[40] + layout.size + 24 + 4] = 0x55  # addr1 byte 0
 
         _, error = assert_parity(self._mutated(tmp_path, raw, mutate))
         assert isinstance(error, TruncatedPcapError)
 
     def test_non_dot11b_rate_raises_bare_valueerror(self, capture, tmp_path):
-        path, raw, offsets = capture
+        path, raw, offsets, layout = capture
 
         def mutate(data):
-            data[offsets[35] + 16 + 17] = 12  # 6 Mbps: not an 11b rate
+            data[offsets[35] + layout.size + 17] = 12  # 6 Mbps: not 11b
 
-        _, error = assert_parity(self._mutated(tmp_path, raw, mutate))
+        mutated = self._mutated(tmp_path, raw, mutate)
+        _, error = assert_parity(mutated)
         assert type(error) is ValueError
+        # Not damage, but still located: the path and record offset.
+        assert str(error).startswith(f"{mutated}: 6.0 is not an 802.11b rate")
+        assert str(error).endswith(f"(byte offset {offsets[35]})")
 
     def test_unknown_frame_type(self, capture, tmp_path):
-        path, raw, offsets = capture
+        path, raw, offsets, layout = capture
 
         def mutate(data):
-            data[offsets[45] + 16 + 24] = (1 << 2) | (0 << 4)  # ctrl/0
+            data[offsets[45] + layout.size + 24] = (1 << 2) | (0 << 4)  # ctrl/0
 
         _, error = assert_parity(self._mutated(tmp_path, raw, mutate))
         assert isinstance(error, TruncatedPcapError)
+
+
+class TestSnoopCorruptionFallsBackIdentically(
+    TestCorruptionFallsBackIdentically
+):
+    container = "snoop"
+
+    @pytest.mark.parametrize(
+        "rec_len, incl_len",
+        [(0, None), (4, None), (30, None), (2**31, 2**31)],
+    )
+    def test_invalid_record_length(self, capture, tmp_path, rec_len, incl_len):
+        """A stored record length shorter than header + included bytes.
+        The scan stops on a zero length and on one reaching past the
+        file, and walks past any other; each is caught at its record."""
+        path, raw, offsets, _ = capture
+
+        def mutate(data):
+            struct.pack_into(">L", data, offsets[60] + 8, rec_len)
+            if incl_len is not None:
+                struct.pack_into(">L", data, offsets[60] + 4, incl_len)
+
+        _, error = assert_parity(self._mutated(tmp_path, raw, mutate), 7)
+        assert "invalid record length" in str(error)
+        assert error.byte_offset == offsets[60]
+        assert error.frames_read == 60
