@@ -1,11 +1,13 @@
 """Spec execution: route one validated spec to the right subsystem.
 
-This is deliberately a *thin* router: analysis specs call
-:func:`repro.pipeline.run_batch`/:func:`~repro.pipeline.run_consumers`,
-campaign specs call :func:`repro.campaign.run_campaign` on the grid the
-spec describes, and single-scenario specs stream one built scenario
-through :func:`repro.pipeline.run_all` — the same calls a hand-written
-script would make, with the same defaults, so spec-driven results are
+This is deliberately a *thin* router: analysis specs run
+:func:`repro.pipeline.run_batch`'s jobs (or a
+:func:`~repro.pipeline.run_consumers` subset per capture) on
+:func:`repro.jobs.run_jobs`; campaign specs call
+:func:`repro.campaign.run_campaign` on the grid the spec describes;
+and single-scenario specs stream one built scenario through
+:func:`repro.pipeline.run_all` — the same calls a hand-written script
+would make, with the same defaults, so spec-driven results are
 numerically identical to direct use of the underlying layers
 (equivalence-tested in ``tests/api/``).
 """
@@ -65,12 +67,12 @@ def _named_sources(spec: ExperimentSpec) -> list[tuple[str, str]]:
     return sources
 
 
-def _subset_item(job):
-    """Module-level subset worker (picklable for process pools)."""
-    name, path, names, chunk = job
+def _subset_job(job) -> dict[str, object]:
+    """One capture's analysis subset (module-level, so pools can pickle it)."""
     from ..pipeline import run_consumers
 
-    return name, run_consumers(path, names, name=name, chunk_frames=chunk)
+    name, path, names, chunk = job
+    return run_consumers(path, names, name=name, chunk_frames=chunk)
 
 
 def _execute_corpus(spec: ExperimentSpec) -> ExperimentResult:
@@ -105,53 +107,38 @@ def _execute_corpus(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _execute_analysis(spec: ExperimentSpec) -> ExperimentResult:
-    from concurrent.futures import ProcessPoolExecutor
-
-    from ..pipeline import (
-        DEFAULT_CHUNK_FRAMES,
-        resolve_consumer_names,
-        run_batch,
-    )
+    from ..jobs import JobError, run_jobs
+    from ..pipeline import DEFAULT_CHUNK_FRAMES, FailedAnalysis
+    from ..pipeline import resolve_consumer_names
+    from ..pipeline.executor import report_job
 
     if spec.corpus is not None:
         return _execute_corpus(spec)
     sources = _named_sources(spec)
     chunk = spec.chunk_frames or DEFAULT_CHUNK_FRAMES
     start = time.perf_counter()
-    if spec.analyses and tuple(spec.analyses) != ("all",):
+    subset = bool(spec.analyses) and tuple(spec.analyses) != ("all",)
+    if subset:
         names = resolve_consumer_names(spec.analyses)
         jobs = [(name, path, names, chunk) for name, path in sources]
-        # Same worker semantics as the full-report run_batch path:
-        # one process per capture, each streaming its pcap from disk.
-        if len(jobs) <= 1 or spec.workers == 1:
-            metrics = dict(map(_subset_item, jobs))
-        else:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                metrics = dict(pool.map(_subset_item, jobs))
-        return ExperimentResult(
-            spec,
-            "analysis",
-            metrics=metrics,
-            sources=tuple(sources),
-            elapsed_s=time.perf_counter() - start,
-        )
-    from ..pipeline import FailedAnalysis
-
-    results = run_batch(sources, max_workers=spec.workers, chunk_frames=chunk)
-    reports = {
-        name: value
-        for name, value in results.items()
-        if not isinstance(value, FailedAnalysis)
-    }
-    failures = tuple(
-        value for value in results.values() if isinstance(value, FailedAnalysis)
+    else:  # full reports: exactly run_batch's jobs over these paths
+        jobs = [(name, path, {"chunk_frames": chunk}) for name, path in sources]
+    outcomes = run_jobs(
+        _subset_job if subset else report_job, jobs, workers=spec.workers
     )
+    done, failures = {}, []
+    for (name, path), outcome in zip(sources, outcomes):
+        if isinstance(outcome, JobError):
+            failures.append(FailedAnalysis.from_error(name, path, outcome))
+        else:
+            done[name] = outcome
     return ExperimentResult(
         spec,
         "analysis",
-        reports=reports,
+        reports={} if subset else done,
+        metrics=done if subset else {},
         sources=tuple(sources),
-        failures=failures,
+        failures=tuple(failures),
         elapsed_s=time.perf_counter() - start,
     )
 

@@ -163,6 +163,10 @@ class ExperimentResult:
             lines = [title or spec.name or "Experiment (analysis subset)"]
             for name, results in self.metrics.items():
                 lines.append(f"  [{name}] computed: {', '.join(results)}")
+            lines += [
+                f"  [{f.name}] analysis failed [{f.error_type}: {f.error}]"
+                for f in self.failures
+            ]
             return "\n".join(lines) + "\n"
         from ..core.render import render_report
 

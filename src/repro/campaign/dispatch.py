@@ -66,7 +66,7 @@ from ..protocol_registry import DISPATCH_OPS
 from ..store import write_atomic
 from .grid import CampaignCell, ParameterGrid
 from .merge import merge_shards, shard_roots
-from .runner import CELL_CHUNK_FRAMES, CampaignResult, CellResult, _expand_cells
+from .runner import CELL_CHUNK_FRAMES, CampaignResult, _expand_cells
 from .store import CampaignStore, FailedCell
 
 __all__ = [
@@ -243,36 +243,25 @@ class CoordinatorState:
         self.options = dict(options or {})
         self._clock = clock
 
-        self.keys = [store.key_for(cell) for cell in self.cells]
         self.done: dict[int, str] = {}  # index -> content key
         self.failed: dict[int, FailedCell] = {}
+        self.ready = list(range(len(self.cells)))  # FIFO of dispatchable indices
+        if resume:  # the local runner's rule: CampaignStore.partition
+            status = store.partition(self.cells, retry_failed=retry_failed)
+            self.keys, self.ready = status.keys, status.pending
+            self.done = {index: self.keys[index] for index in status.done}
+            self.failed = dict(status.failed)
+        else:
+            self.keys = [store.key_for(cell) for cell in self.cells]
         self.attempts = [0] * len(self.cells)
-        self.ready: list[int] = []  # FIFO of dispatchable indices
         self.delayed: list[tuple[float, int]] = []  # backoff heap
         self.leases: dict[str, Lease] = {}
         self.dispatched: set[int] = set()
         self.workers: dict[str, WorkerStats] = {}
-        self.store_hits = 0
+        self.store_hits = len(self.done)
         self.reclaims = 0
         self.retries = 0
         self._lease_ids = itertools.count(1)
-
-        # Resume semantics mirror the local runner: stored results are
-        # answered without dispatch; recorded failures stay failed
-        # unless retry_failed; everything else is ready work.
-        for index, cell in enumerate(self.cells):
-            key = self.keys[index]
-            if resume:
-                if store.get(cell, key=key) is not None:
-                    self.done[index] = key
-                    self.store_hits += 1
-                    continue
-                if not retry_failed:
-                    failure = store.get_failure(cell, key=key)
-                    if failure is not None:
-                        self.failed[index] = failure
-                        continue
-            self.ready.append(index)
 
     # -- inspection --------------------------------------------------------
 
@@ -777,29 +766,21 @@ class Coordinator:
             return self._result
         with self._lock:
             merge_shards(self.store, shard_roots(self.store_dir))
-            results: list[CellResult] = []
-            failures: list[FailedCell] = []
-            for index, cell in enumerate(self.state.cells):
-                key = self.state.keys[index]
-                hit = self.store.get(cell, key=key)
-                if hit is not None:
-                    results.append(hit)
-                    continue
-                failure = self.store.get_failure(cell, key=key)
-                if failure is None:
-                    failure = self.state.failed.get(index) or FailedCell(
-                        cell=cell,
-                        error_type="MissingRecord",
-                        error="cell resolved but its store record is gone",
-                        traceback="",
-                        elapsed_s=0.0,
-                    )
-                failures.append(failure)
+            status = self.store.partition(self.state.cells)
+            failures = dict(status.failed)
+            for index in status.pending:
+                failures[index] = self.state.failed.get(index) or FailedCell(
+                    cell=self.state.cells[index],
+                    error_type="MissingRecord",
+                    error="cell resolved but its store record is gone",
+                    traceback="",
+                    elapsed_s=0.0,
+                )
             self._result = CampaignResult(
-                cells=results,
+                cells=list(status.done.values()),
                 workers=max(len(self.state.workers), 1),
                 elapsed_s=time.perf_counter() - self._start,
-                failed=failures,
+                failed=[failures[i] for i in sorted(failures)],
                 store_hits=self.state.store_hits,
                 dispatched=len(self.state.dispatched),
                 store_dir=os.fspath(self.store_dir),

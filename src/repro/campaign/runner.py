@@ -1,4 +1,4 @@
-"""Parallel campaign execution: grid cells → process pool → reports.
+"""Campaign execution: grid cells → :mod:`repro.jobs` → reports.
 
 Each cell builds its scenario from the library, *streams* the live
 sniffer capture straight into the single-pass analysis pipeline
@@ -9,7 +9,7 @@ one trace per cell, and wall-clock scales with the worker count
 
 Campaigns are **crash-safe and resumable** when given a ``store_dir``:
 results stream into a content-addressed
-:class:`~repro.campaign.store.CampaignStore` *as futures resolve*, a
+:class:`~repro.campaign.store.CampaignStore` *as jobs resolve*, a
 cell that raises becomes a :class:`~repro.campaign.store.FailedCell`
 record instead of sinking the whole run, and a re-invocation consults
 the store first and dispatches only the cells it is missing.
@@ -25,20 +25,17 @@ the store first and dispatches only the cells it is missing.
 from __future__ import annotations
 
 import os
-import signal
-import threading
 import time
-import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
+from ..jobs import JobError, run_jobs
 from .grid import CampaignCell, ParameterGrid
 from .store import CampaignStore, FailedCell
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.report import CongestionReport
+    from ..frames import Trace
 
 __all__ = ["CellResult", "CampaignResult", "Timeout", "run_campaign"]
 
@@ -63,37 +60,15 @@ class Timeout(Exception):
     """
 
 
-@contextmanager
-def _cell_deadline(timeout_s: float | None):
-    """Abort the enclosed cell with :class:`Timeout` after ``timeout_s``.
-
-    Uses ``SIGALRM``/``setitimer``, which interrupts arbitrary Python —
-    including a simulation stuck in a pathological event loop — so a
-    hung cell becomes a captured ``FailedCell(type="Timeout")`` instead
-    of stalling its pool slot (or a distributed worker) forever.  Only
-    armable from a process's main thread (a POSIX signal constraint);
-    elsewhere the cell runs unbounded, which matches the pre-timeout
-    behaviour.  Pool workers and campaign workers run cells on their
-    main thread, so the guard holds exactly where it matters.
-    """
-    if (
-        not timeout_s
-        or not hasattr(signal, "SIGALRM")
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-
-    def _expired(signum, frame):
-        raise Timeout(f"cell exceeded timeout_s={timeout_s:g}")
-
-    previous = signal.signal(signal.SIGALRM, _expired)
-    signal.setitimer(signal.ITIMER_REAL, timeout_s)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+def _within_deadline(
+    chunks: Iterator["Trace"], start: float, timeout_s: float
+) -> Iterator["Trace"]:
+    """Pass ``chunks`` through; raise :class:`Timeout` at the first one
+    past the deadline — a known point between chunks, on any thread."""
+    for chunk in chunks:
+        if time.perf_counter() - start > timeout_s:
+            raise Timeout(f"cell exceeded timeout_s={timeout_s:g}")
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -205,48 +180,24 @@ class CampaignResult:
         return list(seen)
 
 
-def _run_cell(job) -> tuple[str, object]:
-    """Module-level cell worker (picklable for process pools).
+def _simulate_cell(job: tuple[CampaignCell, dict]) -> CellResult:
+    """One ``(cell, options)`` job (module-level, so pools can pickle it).
 
-    Returns ``("ok", CellResult)`` or ``("fail", FailedCell)`` — a
-    raising cell must never sink its siblings (or, pre-store, the
-    already-completed results), so the exception is captured *inside*
-    the worker where its traceback is still attached.
-    """
-    cell, options = job
-    start = time.perf_counter()
-    try:
-        with _cell_deadline(options.get("timeout_s")):
-            return ("ok", _simulate_cell(cell, options, start))
-    except Exception as error:
-        return (
-            "fail",
-            FailedCell(
-                cell=cell,
-                error_type=type(error).__name__,
-                error=str(error),
-                traceback=traceback_module.format_exc(),
-                elapsed_s=time.perf_counter() - start,
-            ),
-        )
-
-
-def _simulate_cell(cell: CampaignCell, options: dict, start: float) -> CellResult:
+    The ``timeout_s`` clock starts before the scenario build."""
     from ..pipeline import run_all
     from ..sim import build_scenario
 
+    cell, options = job
+    start = time.perf_counter()
     built = build_scenario(
         cell.scenario, fidelity=cell.fidelity or "default", **cell.kwargs
     )
-    roster = built.roster
-    report = run_all(
-        built.stream(
-            chunk_frames=options["chunk_frames"],
-            window_s=options["window_s"],
-        ),
-        roster=roster,
-        name=cell.name,
+    chunks = built.stream(
+        chunk_frames=options["chunk_frames"], window_s=options["window_s"]
     )
+    if options.get("timeout_s"):
+        chunks = _within_deadline(chunks, start, options["timeout_s"])
+    report = run_all(chunks, roster=built.roster, name=cell.name)
     elapsed = time.perf_counter() - start
     if report.summary.n_frames:
         headline = report.headline()
@@ -274,6 +225,10 @@ def _simulate_cell(cell: CampaignCell, options: dict, start: float) -> CellResul
         events_processed=built.sim.events_processed,
         events_cancelled=built.sim.events_cancelled,
     )
+
+
+def _failed_cell(cell: CampaignCell, e: JobError) -> FailedCell:
+    return FailedCell(cell, e.error_type, e.error, e.traceback, e.elapsed_s)
 
 
 def _expand_cells(
@@ -305,13 +260,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every cell of ``grid`` and collect per-cell findings.
 
-    ``workers`` > 1 fans cells across a process pool (simulation is
-    GIL-bound Python, so processes give true parallelism); ``None``
-    uses the pool default, 1 runs serially in-process.  Results are
-    deterministic and identical for any worker count — cells carry
-    their own seeds.  ``keep_reports=True`` attaches each cell's full
-    :class:`~repro.core.report.CongestionReport` (heavier pickles;
-    leave off for wide sweeps).
+    ``workers`` > 1 fans cells across :func:`repro.jobs.run_jobs`'s
+    process pool (simulation is GIL-bound Python, so processes give
+    true parallelism); ``None`` uses the pool default, 1 runs serially
+    in-process.  Results are deterministic and identical for any
+    worker count — cells carry their own seeds.  ``keep_reports=True``
+    attaches each cell's full :class:`~repro.core.report.CongestionReport`
+    (heavier pickles; leave off for wide sweeps).
 
     With ``store_dir`` every finished cell is persisted immediately
     (atomic write) to a content-addressed
@@ -324,11 +279,13 @@ def run_campaign(
 
     A cell that raises never aborts the campaign: it is captured as a
     :class:`FailedCell` (config + traceback) in ``result.failed`` and —
-    when a store is attached — persisted alongside the results.
+    when a store is attached — persisted alongside the results.  A dead
+    pool worker's ``FailedCell(type="BrokenProcessPool")`` is not
+    persisted: a broken pool also fails cells that never started.
 
-    ``timeout_s`` bounds each cell's wall-clock: a cell still running
-    at the deadline is aborted and captured as a
-    ``FailedCell(type="Timeout")`` instead of stalling its pool slot.
+    ``timeout_s`` bounds each cell's wall-clock: the first stream chunk
+    that arrives past the deadline aborts the cell, which is captured as
+    a ``FailedCell(type="Timeout")`` instead of stalling its pool slot.
 
     ``dispatch="distributed"`` routes the same grid through the
     fault-tolerant coordinator/worker protocol
@@ -368,94 +325,41 @@ def run_campaign(
     }
 
     start = time.perf_counter()
-    results: dict[int, CellResult] = {}
-    failures: dict[int, FailedCell] = {}
-    keys: dict[int, str] = {}
-    to_run: list[tuple[int, CampaignCell]] = []
-    store_hits = 0
-    if store is not None:
-        for index, cell in enumerate(cells):
-            key = store.key_for(cell)
-            keys[index] = key
-            if resume:
-                hit = store.get(cell, key=key, with_report=keep_reports)
-                if hit is not None:
-                    results[index] = hit
-                    store_hits += 1
-                    continue
-                if not retry_failed:
-                    failure = store.get_failure(cell, key=key)
-                    if failure is not None:
-                        failures[index] = failure
-                        continue
-            to_run.append((index, cell))
+    # `store is not None`, never `if store:` — CampaignStore has __len__.
+    if store is not None and resume:
+        status = store.partition(
+            cells, retry_failed=retry_failed, with_report=keep_reports
+        )
+        results, failures = dict(status.done), dict(status.failed)
+        to_run, keys = status.pending, status.keys
     else:
-        to_run = list(enumerate(cells))
+        results, failures = {}, {}
+        to_run, keys = list(range(len(cells))), [None] * len(cells)
+    store_hits = len(results)
 
-    def record(
-        index: int, outcome: tuple[str, object], persist: bool = True
-    ) -> None:
-        status, payload = outcome
-        if status == "ok":
-            results[index] = payload  # type: ignore[assignment]
-            if store is not None:
-                store.put(payload, key=keys.get(index))  # type: ignore[arg-type]
+    def record(slot: int, outcome: CellResult | JobError) -> None:
+        index = to_run[slot]
+        key = keys[index]
+        if isinstance(outcome, JobError):
+            failures[index] = _failed_cell(cells[index], outcome)
+            # A dead worker's failure is not the cell's: never persisted.
+            if store is not None and outcome.ran:
+                store.put_failure(failures[index], key=key)
         else:
-            failures[index] = payload  # type: ignore[assignment]
-            if store is not None and persist:
-                store.put_failure(payload, key=keys.get(index))  # type: ignore[arg-type]
+            results[index] = outcome
+            if store is not None:
+                store.put(outcome, key=key)
 
-    if len(to_run) <= 1 or workers == 1:
-        pool_size = 1
-        for index, cell in to_run:
-            record(index, _run_cell((cell, options)))
-    else:
-        pool_size = workers if workers is not None else (os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            pending = {
-                pool.submit(_run_cell, (cell, options)): (index, cell)
-                for index, cell in to_run
-            }
-            # Streaming collection: each result is recorded (and stored)
-            # the moment its future resolves, so a crash loses only the
-            # cells still in flight — never the finished ones.
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    index, cell = pending.pop(future)
-                    try:
-                        outcome = future.result()
-                    except Exception as error:
-                        # The worker process died (e.g. OOM-kill,
-                        # BrokenProcessPool): synthesize a failure so
-                        # the campaign still completes — but do NOT
-                        # persist it.  A broken pool fails every queued
-                        # future, including cells that never started;
-                        # storing those records would make a plain
-                        # resume report them as failed instead of
-                        # re-running them.  (Cell code that raises is
-                        # captured *inside* the worker and does
-                        # persist.)
-                        record(
-                            index,
-                            (
-                                "fail",
-                                FailedCell(
-                                    cell=cell,
-                                    error_type=type(error).__name__,
-                                    error=str(error),
-                                    traceback="",
-                                    elapsed_s=0.0,
-                                ),
-                            ),
-                            persist=False,
-                        )
-                        continue
-                    record(index, outcome)
-
+    run_jobs(
+        _simulate_cell,
+        [(cells[index], options) for index in to_run],
+        record,
+        workers=workers,
+    )
+    serial = len(to_run) <= 1 or workers == 1
     return CampaignResult(
         cells=[results[i] for i in sorted(results)],
-        workers=pool_size,
+        workers=1 if serial else workers or os.cpu_count() or 1,
         elapsed_s=time.perf_counter() - start,
         failed=[failures[i] for i in sorted(failures)],
         store_hits=store_hits,

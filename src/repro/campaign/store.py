@@ -112,11 +112,12 @@ class FailedCell:
 
 @dataclass(frozen=True)
 class StoreStatus:
-    """Cells of a grid partitioned by what the store holds for them."""
+    """Cells of a grid partitioned by what the store holds, by index."""
 
-    done: list[CampaignCell]
-    pending: list[CampaignCell]
-    failed: list[FailedCell]
+    keys: list[str]  # every cell's content key
+    done: dict[int, "CellResult"]  # stored results
+    failed: dict[int, FailedCell]  # recorded failures a resume keeps
+    pending: list[int]  # still to run
 
     @property
     def counts(self) -> dict[str, int]:
@@ -362,25 +363,32 @@ class CampaignStore:
     def __len__(self) -> int:
         return sum(1 for r in self.records() if r["kind"] == "result")
 
-    def status(self, cells: Sequence[CampaignCell]) -> StoreStatus:
-        """Partition ``cells`` into done / pending / failed for this store.
+    def partition(
+        self,
+        cells: Sequence[CampaignCell],
+        *,
+        retry_failed: bool = False,
+        with_report: bool = False,
+    ) -> StoreStatus:
+        """The one resume rule: which of ``cells`` the store answers.
 
-        A "done" cell must actually *parse*, not merely exist: a corrupt
-        record is quarantined here and its cell reported pending, so the
-        status a coordinator plans against never counts unreadable work
-        as finished.
+        A stored result is done, a recorded failure stays failed unless
+        ``retry_failed``, and the rest is pending.  "Done" means the
+        record parses (and has its report, ``with_report``): a corrupt
+        record is quarantined and its cell is pending.
         """
-        done: list[CampaignCell] = []
-        pending: list[CampaignCell] = []
-        failed: list[FailedCell] = []
-        for cell in cells:
-            key = self.key_for(cell)
-            if self.result_record(key) is not None:
-                done.append(cell)
+        keys = [self.key_for(cell) for cell in cells]
+        done: dict[int, "CellResult"] = {}
+        failed: dict[int, FailedCell] = {}
+        pending: list[int] = []
+        for index, (cell, key) in enumerate(zip(cells, keys)):
+            result = self.get(cell, key=key, with_report=with_report)
+            if result is not None:
+                done[index] = result
                 continue
-            failure = self.get_failure(cell, key=key)
+            failure = None if retry_failed else self.get_failure(cell, key=key)
             if failure is not None:
-                failed.append(failure)
+                failed[index] = failure
             else:
-                pending.append(cell)
-        return StoreStatus(done=done, pending=pending, failed=failed)
+                pending.append(index)
+        return StoreStatus(keys=keys, done=done, failed=failed, pending=pending)

@@ -3,9 +3,9 @@
 The worker side of :mod:`repro.campaign.dispatch`.  A worker process
 connects to a coordinator, introduces itself (``hello`` → ``welcome``
 carrying the store salt, simulation options and a private shard
-directory), then loops: lease a batch, simulate each cell on the main
-thread (so ``timeout_s`` cell deadlines can use ``SIGALRM``), write the
-finished record into its *own shard* first, and only then report the
+directory), then loops: lease a batch, simulate each cell (the local
+runner's cell job and failure capture, ``timeout_s`` included), write
+the finished record into its *own shard* first, and only then report the
 completion.  That ordering is the durability story: if the coordinator
 dies between the shard write and the report, the record is recovered
 from the shard on restart; if the *worker* dies, the coordinator's
@@ -29,8 +29,9 @@ import time
 from pathlib import Path
 from typing import Mapping
 
+from ..jobs import JobError, capture
 from .dispatch import DispatchError, cell_from_wire, recv_message, send_message
-from .runner import _run_cell
+from .runner import _failed_cell, _simulate_cell
 from .store import CampaignStore, FailedCell
 
 __all__ = ["WorkerChannel", "run_worker"]
@@ -198,20 +199,21 @@ def _serve(
                 continue
 
             with _Heartbeat(channel, name, lease, lease_s) as beat:
-                status, payload = _run_cell((cell, options))
-            if status == "ok":
-                shard.put(payload, key=key)
-                record = shard.result_payload(payload, key)
-                message = {
-                    "op": "complete", "worker": name, "lease": lease,
-                    "index": entry["index"], "key": key, "record": record,
-                }
-            else:
-                shard.put_failure(payload, key=key)
+                outcome = capture(_simulate_cell, (cell, options))
+            if isinstance(outcome, JobError):
+                failure = _failed_cell(cell, outcome)
+                shard.put_failure(failure, key=key)
                 message = {
                     "op": "fail", "worker": name, "lease": lease,
                     "index": entry["index"], "key": key,
-                    "record": shard.failure_payload(payload, key),
+                    "record": shard.failure_payload(failure, key),
+                }
+            else:
+                shard.put(outcome, key=key)
+                record = shard.result_payload(outcome, key)
+                message = {
+                    "op": "complete", "worker": name, "lease": lease,
+                    "index": entry["index"], "key": key, "record": record,
                 }
             ack = channel.request(message)
             completed += 1

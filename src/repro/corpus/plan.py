@@ -1,7 +1,7 @@
 """Query-planned batch analysis over an indexed corpus.
 
 The planner turns "analyze everything matching this query" into the
-smallest possible :func:`repro.pipeline.run_batch` call:
+smallest possible batch of jobs for :func:`repro.jobs.run_jobs`:
 
 * captures whose ``(content hash, timing, code salt)`` already has a
   stored report are **skipped** — their report is served from the
@@ -10,10 +10,9 @@ smallest possible :func:`repro.pipeline.run_batch` call:
   uses, so results are invalidated when the analysis source changes);
 * the remainder is dispatched **largest file first**, so the process
   pool never ends a run idling on one straggler that happened to sort
-  last (classic LPT scheduling; ``run_batch``'s pool preserves
-  submission order).
+  last (classic LPT scheduling; ``run_jobs`` submits in input order).
 
-Stored reports live next to the capture catalog under
+Each fresh report is stored the moment its job resolves, under
 ``<root>/.repro-corpus/analyses/`` — a :class:`repro.store.RecordStore`
 JSON record (the commit point) plus a report blob sidecar per key.
 Failures are deliberately **not** stored: a truncated download fixed
@@ -177,57 +176,44 @@ def analyze_corpus(
     refresh: bool = True,
     verify: bool = False,
     salt: str | None = None,
-    on_error: str = "capture",
 ) -> CorpusAnalysis:
     """Analyze every catalogued capture matching ``where``.
 
     Refreshes the index (unless ``refresh=False``), filters records
     with the query, serves already-stored reports, and dispatches only
-    the remainder through :func:`repro.pipeline.run_batch` —
-    largest capture first.  Fresh reports are stored, so an immediately
-    repeated call dispatches nothing.
+    the remainder through :func:`repro.jobs.run_jobs` — largest capture
+    first.  Each fresh report is stored as its job resolves, so a
+    repeated (or interrupted and re-run) call dispatches only the rest.
     """
-    from ..pipeline import DEFAULT_CHUNK_FRAMES, FailedAnalysis, run_batch
+    from ..jobs import JobError, run_jobs
+    from ..pipeline import DEFAULT_CHUNK_FRAMES, FailedAnalysis
+    from ..pipeline.executor import report_job
 
     index = CorpusIndex(root)
     if refresh:
         index.refresh(verify=verify)
     records = filter_records(index.records().values(), where)
     store = AnalysisStore(index.root)
-    resolved_salt = salt if salt is not None else code_version_salt()
     plan = plan_analysis(
-        store,
-        records,
-        timing=timing,
-        min_count=min_count,
-        salt=resolved_salt,
+        store, records, timing=timing, min_count=min_count, salt=salt
     )
 
+    def persist(slot: int, outcome) -> None:
+        record, key = plan.to_run[slot]
+        if not isinstance(outcome, JobError):
+            store.put(key, record.content_hash, record.path, outcome)
+
+    chunk = chunk_frames if chunk_frames is not None else DEFAULT_CHUNK_FRAMES
+    kwargs = dict(timing=timing, min_count=min_count, chunk_frames=chunk)
+    jobs = [(r.path, index.root / r.path, kwargs) for r, _ in plan.to_run]
+    outcomes = run_jobs(report_job, jobs, persist, workers=workers)
     reports = {record.path: report for record, _, report in plan.cached}
     failures: dict = {}
-    if plan.to_run:
-        keys = {record.path: key for record, key in plan.to_run}
-        hashes = {record.path: record.content_hash for record, _ in plan.to_run}
-        sources = {
-            record.path: index.root / record.path for record, _ in plan.to_run
-        }
-        results = run_batch(
-            sources,
-            max_workers=workers,
-            timing=timing,
-            min_count=min_count,
-            chunk_frames=(
-                chunk_frames if chunk_frames is not None
-                else DEFAULT_CHUNK_FRAMES
-            ),
-            on_error=on_error,
-        )
-        for path, result in results.items():
-            if isinstance(result, FailedAnalysis):
-                failures[path] = result
-                continue
-            reports[path] = result
-            store.put(keys[path], hashes[path], path, result)
+    for (path, source, _), outcome in zip(jobs, outcomes):
+        if isinstance(outcome, JobError):
+            failures[path] = FailedAnalysis.from_error(path, source, outcome)
+        else:
+            reports[path] = outcome
 
     where_text = where.text if isinstance(where, Query) else (where or "")
     return CorpusAnalysis(

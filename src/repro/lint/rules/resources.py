@@ -22,6 +22,10 @@ module that knows how a record is made durable (temp sibling, then
 ``*.corrupt``).  A rename anywhere else is a private copy of that
 decision growing back, so ``os.replace``/``os.rename`` are flagged
 outside ``src/repro/store.py``.
+
+Likewise :mod:`repro.jobs` is the one job runner, so a worker pool
+built anywhere else in ``src/`` is flagged; and timeouts are checked at
+known points, so nothing in ``src/`` arms a ``SIGALRM`` timer.
 """
 
 from __future__ import annotations
@@ -126,4 +130,52 @@ def check_store_bypass(ctx) -> Iterator[Finding]:
                 "atomic writes and quarantine renames belong to "
                 "`repro.store` — use `write_atomic` or a `RecordStore` "
                 "instead of a private rename",
+            )
+
+
+@rule(
+    "pool-bypass",
+    family="resource-safety",
+    severity="error",
+    summary="a `concurrent.futures` pool outside `repro/jobs.py`",
+    scope=lambda path: path.startswith("src/") and path != "src/repro/jobs.py",
+)
+def check_pool_bypass(ctx) -> Iterator[Finding]:
+    # Any reference, not just a call: `cls = A if x else B; cls()`
+    # builds a pool as surely as `A()` does.
+    for node in ast.walk(ctx.tree):
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        if name in ("ProcessPoolExecutor", "ThreadPoolExecutor"):
+            yield make(
+                ctx,
+                "pool-bypass",
+                node,
+                f"`{name}` outside `repro.jobs` is a private job runner — "
+                "use `run_jobs` (failures captured, dead workers reported)",
+            )
+
+
+@rule(
+    "signal-timer",
+    family="resource-safety",
+    severity="error",
+    summary="a `SIGALRM` timer or handler in `src/`",
+    scope=in_dirs("src/"),
+)
+def check_signal_timer(ctx) -> Iterator[Finding]:
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = dotted_name(node.func)
+        if name in ("signal.setitimer", "signal.alarm") or (
+            name == "signal.signal"
+            and node.args
+            and dotted_name(node.args[0]) == "signal.SIGALRM"
+        ):
+            yield make(
+                ctx,
+                "signal-timer",
+                node,
+                "a signal timer raises inside whatever code it interrupts "
+                "— check a monotonic deadline at a known point instead",
             )

@@ -31,6 +31,7 @@ the per-record scalar fallback.
 from __future__ import annotations
 
 import contextlib
+import functools
 import gzip
 import operator
 import struct
@@ -91,6 +92,17 @@ class TruncatedPcapError(ValueError):
         self.byte_offset = byte_offset
         self.frames_read = frames_read
         self.compressed = compressed
+        self._message = message
+
+    def __reduce__(self):
+        # The default reduction, ``cls(*args)``, drops keyword-only args.
+        rebuild = functools.partial(
+            type(self),
+            byte_offset=self.byte_offset,
+            frames_read=self.frames_read,
+            compressed=self.compressed,
+        )
+        return rebuild, (self._message,)
 
 
 def _where(compressed: bool) -> str:

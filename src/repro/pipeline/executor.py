@@ -31,8 +31,6 @@ day/plenary splits) run in parallel via :func:`run_batch`.
 from __future__ import annotations
 
 import copy
-import traceback as _traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -45,6 +43,7 @@ from ..core.busytime import trace_cbt_us
 from ..core.timing import DOT11B_TIMING, TimingParameters
 from ..core.utilization import UtilizationSeries
 from ..frames import NodeRoster, Trace
+from ..jobs import JobError, run_jobs
 from .accumulate import SecondAccumulator
 from .consumers import Consumer  # noqa: F401  (registers default consumers)
 from .registry import DEFAULT_CONSUMERS, ROSTER_CONSUMERS, create_consumers
@@ -416,36 +415,30 @@ class FailedAnalysis:
     error: str
     traceback: str
 
+    @classmethod
+    def from_error(cls, name: str, source, e: JobError) -> "FailedAnalysis":
+        """The record for capture ``name``, whose job ended in ``e``."""
+        path = isinstance(source, (str, Path))
+        source = str(source) if path else type(source).__name__
+        return cls(name, source, e.error_type, e.error, e.traceback)
 
-def _run_batch_item(item) -> tuple[str, object]:
-    """Module-level batch worker (picklable for process pools)."""
-    trace_name, source, capture_errors, kwargs = item
-    try:
-        return trace_name, run_all(source, name=trace_name, **kwargs)
-    except Exception as error:
-        if not capture_errors:
-            raise
-        return trace_name, FailedAnalysis(
-            name=trace_name,
-            source=str(source) if isinstance(source, (str, Path)) else type(source).__name__,
-            error_type=type(error).__name__,
-            error=str(error),
-            traceback=_traceback.format_exc(),
-        )
+
+def report_job(job) -> CongestionReport:
+    """``(name, source, run_all kwargs)`` → report: the job of
+    :func:`run_batch` and corpus analysis (module-level, so pools can
+    pickle it)."""
+    name, source, kwargs = job
+    return run_all(source, name=name, **kwargs)
 
 
 def run_batch(
-    traces=None,
+    traces,
     roster: NodeRoster | None = None,
     *,
-    corpus: str | Path | None = None,
-    where: str | None = None,
     max_workers: int | None = None,
-    mode: str | None = None,
     timing: TimingParameters = DOT11B_TIMING,
     min_count: int = 1,
     chunk_frames: int = DEFAULT_CHUNK_FRAMES,
-    on_error: str = "capture",
 ) -> dict[str, CongestionReport | FailedAnalysis]:
     """Analyze many captures in parallel, one single-pass run each.
 
@@ -454,47 +447,15 @@ def run_batch(
     ``trace-0`` .. ``trace-N``).  Sources are anything :func:`run_all`
     accepts.  Results preserve input order.
 
-    Alternatively pass ``corpus=`` (an indexed capture directory,
-    optionally filtered with ``where=``): the batch is then *planned*
-    by :func:`repro.corpus.analyze_corpus` — captures with stored
-    reports are skipped, the rest dispatch largest-first — and results
-    are keyed by corpus-relative path.
+    One capture raising (a truncated pcap, an unsortable feed), or
+    whose pool worker dies, does **not** abort the batch: its entry
+    becomes a :class:`FailedAnalysis` record and every other capture
+    still returns its report.
 
-    One capture raising (a truncated pcap, an unsortable feed) does
-    **not** abort the batch: its entry becomes a :class:`FailedAnalysis`
-    record and every other capture still returns its report.  Pass
-    ``on_error="raise"`` for the historical all-or-nothing behaviour.
-
-    ``mode`` picks the worker pool: ``"process"`` (true parallelism —
-    pcap decode is GIL-bound Python) or ``"thread"`` (no pickling of
-    in-memory traces).  Default: processes when every source is a
-    path, threads otherwise.
+    Captures run on :func:`repro.jobs.run_jobs`: on processes when every
+    source is a path (pcap decode is GIL-bound Python), on threads when
+    any is an in-memory trace (nothing to pickle).
     """
-    if on_error not in ("capture", "raise"):
-        raise ValueError(
-            f"on_error must be 'capture' or 'raise', got {on_error!r}"
-        )
-    if corpus is not None:
-        if traces is not None or roster is not None:
-            raise ValueError(
-                "corpus= replaces traces/roster: pass one or the other"
-            )
-        from ..corpus import analyze_corpus
-
-        analysis = analyze_corpus(
-            corpus,
-            where,
-            workers=max_workers,
-            chunk_frames=chunk_frames,
-            timing=timing,
-            min_count=min_count,
-            on_error=on_error,
-        )
-        return analysis.results
-    if traces is None:
-        raise TypeError("run_batch() needs traces (or corpus=)")
-    if where is not None:
-        raise ValueError("where= only applies with corpus=")
     if isinstance(traces, Mapping):
         items = list(traces.items())
     else:
@@ -516,16 +477,17 @@ def run_batch(
         min_count=min_count,
         chunk_frames=chunk_frames,
     )
-    capture_errors = on_error == "capture"
-    jobs = [(name, source, capture_errors, kwargs) for name, source in items]
-
-    if mode is not None and mode not in ("process", "thread"):
-        raise ValueError(f"mode must be 'process' or 'thread', got {mode!r}")
-    if len(jobs) <= 1 or max_workers == 1:
-        return dict(map(_run_batch_item, jobs))
-    if mode is None:
-        all_paths = all(isinstance(s, (str, Path)) for _, s in items)
-        mode = "process" if all_paths else "thread"
-    pool_cls = ProcessPoolExecutor if mode == "process" else ThreadPoolExecutor
-    with pool_cls(max_workers=max_workers) as pool:
-        return dict(pool.map(_run_batch_item, jobs))
+    outcomes = run_jobs(
+        report_job,
+        [(name, source, kwargs) for name, source in items],
+        workers=max_workers,
+        threads=not all(isinstance(s, (str, Path)) for _, s in items),
+    )
+    return {
+        name: (
+            FailedAnalysis.from_error(name, source, outcome)
+            if isinstance(outcome, JobError)
+            else outcome
+        )
+        for (name, source), outcome in zip(items, outcomes)
+    }

@@ -989,16 +989,17 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
         except (ValueError, TypeError) as error:
             print(f"campaign error: {error}", file=sys.stderr)
             return 2
-        status = store.status(grid.cells())
+        cells = grid.cells()
+        status = store.partition(cells)
         counts = status.counts
         print(
             f"{args.store}: {counts['done']} done, {counts['pending']} "
             f"pending, {counts['failed']} failed of {len(grid)} cells"
         )
-        for label, cells in (("done", status.done), ("pending", status.pending)):
-            for cell in cells:
-                print(f"  {label:8s} {cell.name}")
-        for failure in status.failed:
+        for label, indices in (("done", status.done), ("pending", status.pending)):
+            for index in indices:
+                print(f"  {label:8s} {cells[index].name}")
+        for failure in status.failed.values():
             message = failure.error.splitlines()[0] if failure.error else ""
             print(f"  {'failed':8s} {failure.name}  [{failure.error_type}: {message}]")
         if store.quarantined:

@@ -284,3 +284,33 @@ class TestAnalysisFailures:
     def test_all_good_runs_have_no_failures(self, tiny_pcap):
         result = Experiment.pcaps(tiny_pcap).run(workers=1)
         assert result.failures == ()
+
+    @pytest.fixture
+    def capture_dir(self, tiny_pcap, broken_pcap, tmp_path):
+        """A directory of two good captures and one truncated one."""
+        import shutil
+
+        folder = tmp_path / "caps"
+        folder.mkdir()
+        shutil.copy(tiny_pcap, folder / "a.pcap")
+        shutil.copy(tiny_pcap, folder / "b.pcap")
+        shutil.copy(broken_pcap, folder / "c.pcap")
+        return folder
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_subset_failure_keeps_the_good_metrics(self, capture_dir, workers):
+        result = (
+            Experiment.pcaps(str(capture_dir))
+            .analyses("utilization")
+            .run(workers=workers)
+        )
+        assert list(result.metrics) == [
+            str(capture_dir / "a.pcap"),
+            str(capture_dir / "b.pcap"),
+        ]
+        (failure,) = result.failures
+        assert failure.name == str(capture_dir / "c.pcap")
+        assert failure.error_type == "TruncatedPcapError"
+        text = result.render()
+        assert "computed: utilization" in text
+        assert "c.pcap] analysis failed [TruncatedPcapError" in text

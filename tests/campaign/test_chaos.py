@@ -315,8 +315,8 @@ class TestCellTimeout:
             timeout_s=0.15,
         ) as coordinator:
             host, port = coordinator.address
-            # In-process worker on the test's main thread: SIGALRM-able,
-            # and the whole protocol round-trip stays deterministic.
+            # In-process worker: the whole protocol round-trip stays
+            # deterministic.
             completed = run_worker(host, port, worker_id="inline")
             assert completed == 1
             assert coordinator.wait(timeout=10.0)
@@ -324,6 +324,24 @@ class TestCellTimeout:
         assert not result.cells
         assert len(result.failed) == 1
         assert result.failed[0].error_type == "Timeout"
+
+    def test_timeout_holds_off_the_main_thread(self):
+        """The deadline is checked between stream chunks, not armed as a
+        signal, so it bounds a cell run from any thread."""
+        import threading
+
+        outcome = {}
+        thread = threading.Thread(
+            target=lambda: outcome.update(
+                result=run_campaign([HUNG_CELL], workers=1, timeout_s=0.15)
+            ),
+            daemon=True,
+        )
+        thread.start()
+        thread.join(timeout=20.0)
+        assert not thread.is_alive(), "hung cell ignored its timeout"
+        (failure,) = outcome["result"].failed
+        assert failure.error_type == "Timeout"
 
     def test_fast_cells_unaffected_by_generous_timeout(self):
         cell = CampaignCell("ramp", params=(("duration_s", 1.0),), seed=0)

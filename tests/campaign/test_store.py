@@ -172,9 +172,9 @@ class TestStoreRoundtrip:
         subset = GRID.cells()[:2]
         run_campaign(subset, workers=1, store_dir=store_dir)
         store = CampaignStore(store_dir)
-        status = store.status(GRID.cells())
+        status = store.partition(GRID.cells())
         assert status.counts == {"done": 2, "pending": 2, "failed": 0}
-        assert [c.name for c in status.done] == [c.name for c in subset]
+        assert [r.name for r in status.done.values()] == [c.name for c in subset]
 
 
 class TestResume:
@@ -218,6 +218,22 @@ class TestResume:
         fresh = run_campaign(GRID, workers=1, store_dir=store_dir, resume=False)
         assert fresh.dispatched == len(GRID)
         assert fresh.store_hits == 0
+
+    def test_resume_false_into_an_empty_store_persists_every_cell(
+        self, tmp_path
+    ):
+        """``resume=False`` (what ``campaign --store`` passes) still
+        stores every cell, although an empty store is falsy: it has
+        ``__len__``."""
+        store_dir = tmp_path / "s"
+        store_dir.mkdir()
+        result = run_campaign(
+            GRID, workers=1, store_dir=store_dir, resume=False
+        )
+        assert result.dispatched == len(GRID)
+        store = CampaignStore(store_dir)
+        assert len(store) == len(GRID)
+        assert all(cell in store for cell in GRID.cells())
 
     def test_deleted_cell_file_recomputed_alone(self, tmp_path):
         store_dir = tmp_path / "s"
@@ -441,6 +457,6 @@ class TestQuarantine:
         run_campaign(cells, workers=1, store_dir=store_dir)
         store = CampaignStore(store_dir)
         store.result_path(store.key_for(cells[0])).write_text("junk")
-        status = store.status(cells)
+        status = store.partition(cells)
         assert status.counts == {"done": 1, "pending": 1, "failed": 0}
         assert store.quarantined == 1

@@ -128,30 +128,35 @@ class TestPlanOrdering:
         assert plan.to_run[0][0].path == "big.pcap"
 
 
+class TestInterruptedRun:
+    def test_interrupt_keeps_every_finished_report(
+        self, corpus_dir, monkeypatch
+    ):
+        """Reports are stored as each capture resolves: a Ctrl-C in the
+        4th of 4 captures keeps 3, and the rerun dispatches only 1."""
+        import repro.pipeline.executor as executor
+
+        write_capture(corpus_dir / "extra.pcap", channel=3)
+        real_run_all = executor.run_all
+        calls = []
+
+        def interrupted(source, **kwargs):
+            calls.append(source)
+            if len(calls) == 4:
+                raise KeyboardInterrupt
+            return real_run_all(source, **kwargs)
+
+        monkeypatch.setattr(executor, "run_all", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            analyze_corpus(corpus_dir, workers=1, salt=SALT)
+        monkeypatch.undo()
+        store = AnalysisStore(corpus_dir)
+        assert len(list(store.store_dir.glob("*/*.json"))) == 3
+        rerun = analyze_corpus(corpus_dir, workers=1, salt=SALT)
+        assert (rerun.matched, rerun.cached, rerun.dispatched) == (4, 3, 1)
+
+
 class TestRunBatchWiring:
-    def test_run_batch_corpus_kwarg(self, corpus_dir):
-        from repro.pipeline import run_batch
-
-        results = run_batch(
-            corpus=corpus_dir, where="channel=6", max_workers=1
-        )
-        assert sorted(results) == ["day1/morning.pcap"]
-        assert isinstance(
-            results["day1/morning.pcap"], CongestionReport
-        )
-
-    def test_corpus_excludes_traces(self, corpus_dir):
-        from repro.pipeline import run_batch
-
-        with pytest.raises(ValueError, match="one or the other"):
-            run_batch({"a": None}, corpus=corpus_dir)
-
-    def test_where_requires_corpus(self):
-        from repro.pipeline import run_batch
-
-        with pytest.raises(ValueError, match="corpus"):
-            run_batch({}, where="channel=6")
-
     def test_traces_still_required_without_corpus(self):
         from repro.pipeline import run_batch
 

@@ -264,6 +264,35 @@ class TestRunCli:
         assert rc == 0
         assert "n_stations=3" in out_path.read_text()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_subset_spec_over_a_truncated_capture_exits_1(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        """One truncated capture in a subset spec's directory is a
+        failure record, not a lost batch or a traceback."""
+        from repro.frames import Trace
+        from repro.pcap import write_trace
+
+        from ..conftest import ack, data
+
+        caps = tmp_path / "caps"
+        caps.mkdir()
+        rows = [data(1_000, src=10, dst=1, seq=0), ack(2_400, src=1, dst=10)]
+        for name in ("a.pcap", "b.pcap"):
+            write_trace(Trace.from_rows(rows), caps / name)
+        raw = (caps / "a.pcap").read_bytes()
+        (caps / "c.pcap").write_bytes(raw[: len(raw) - 7])
+        spec = tmp_path / "subset.toml"
+        spec.write_text('pcaps = ["caps"]\nanalyses = ["utilization"]\n')
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", str(spec), "--workers", workers])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "Traceback" not in captured.err
+        assert "caps/c.pcap: analysis failed [TruncatedPcapError" in captured.err
+        assert "[caps/a.pcap] computed: utilization" in captured.out
+        assert "[caps/b.pcap] computed: utilization" in captured.out
+
 
 class TestTypoSuggestions:
     """Silent-typo fix: unknown keys fail fast with suggestions."""

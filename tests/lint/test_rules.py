@@ -302,6 +302,57 @@ class TestResourceRules:
         lint_tree.write("benchmarks/foo.py", source)
         assert lint_tree.rules_found() == []
 
+    def test_private_pool_flagged_anywhere_in_src(self, lint_tree):
+        lint_tree.write(
+            "src/repro/pipeline/foo.py",
+            """\
+            import concurrent.futures
+            from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+            def run(jobs, threads):
+                pool_cls = ThreadPoolExecutor if threads else ProcessPoolExecutor
+                with concurrent.futures.ProcessPoolExecutor() as pool:
+                    return pool_cls, pool
+            """,
+        )
+        assert lint_tree.rules_found() == ["pool-bypass"] * 3
+
+    def test_pools_allowed_in_the_job_runner_and_outside_src(self, lint_tree):
+        source = (
+            "from concurrent.futures import ProcessPoolExecutor\n\n"
+            "def pool():\n    return ProcessPoolExecutor(2)\n"
+        )
+        lint_tree.write("src/repro/jobs.py", source)
+        lint_tree.write("benchmarks/foo.py", source)
+        assert lint_tree.rules_found() == []
+
+    def test_signal_timer_flagged_anywhere_in_src(self, lint_tree):
+        lint_tree.write(
+            "src/repro/campaign/foo.py",
+            """\
+            import signal
+
+            def arm(handler, seconds):
+                signal.signal(signal.SIGALRM, handler)
+                signal.setitimer(signal.ITIMER_REAL, seconds)
+                signal.alarm(1)
+            """,
+        )
+        assert lint_tree.rules_found() == ["signal-timer"] * 3
+
+    def test_other_signal_handlers_and_non_src_timers_allowed(self, lint_tree):
+        lint_tree.write(
+            "src/repro/serve/foo.py",
+            """\
+            import signal
+
+            def install(handler):
+                signal.signal(signal.SIGTERM, handler)
+            """,
+        )
+        lint_tree.write("benchmarks/foo.py", "import signal\n\nsignal.alarm(1)\n")
+        assert lint_tree.rules_found() == []
+
 
 class TestEngineMeta:
     def test_syntax_error_becomes_parse_error_finding(self, lint_tree):

@@ -8,10 +8,12 @@ byte offset of the damage and how many frames decoded cleanly, and
 so the serve daemon can finalize a partial report.
 """
 
+import pickle
 import struct
 
 import pytest
 
+from repro.corpus import TruncatedSnoopError
 from repro.frames import Trace
 from repro.pcap import TruncatedPcapError, read_trace, write_trace
 from repro.pipeline import pcap_chunks
@@ -142,3 +144,15 @@ def test_clean_file_reads_without_error(capture):
     path, raw, offsets = capture
     trace = read_trace(path)
     assert len(trace) == N_FRAMES
+
+
+@pytest.mark.parametrize("cls", [TruncatedPcapError, TruncatedSnoopError])
+def test_pickle_round_trip(cls):
+    """Truncation errors cross process boundaries (pools) intact."""
+    error = cls(
+        "truncated record body", byte_offset=5, frames_read=2, compressed=True
+    )
+    clone = pickle.loads(pickle.dumps(error))
+    assert type(clone) is cls
+    assert str(clone) == str(error)
+    assert (clone.byte_offset, clone.frames_read, clone.compressed) == (5, 2, True)

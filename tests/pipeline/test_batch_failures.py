@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import CongestionReport
 from repro.frames import Trace
-from repro.pcap import TruncatedPcapError, write_trace
+from repro.pcap import write_trace
 from repro.pipeline import FailedAnalysis, run_batch
 
 from ..conftest import ack, data
@@ -52,24 +52,10 @@ def test_failure_records_preserve_order(pcap_pair):
     assert list(results) == ["bad", "good"]
 
 
-def test_on_error_raise_restores_old_behaviour(pcap_pair):
-    good, bad = pcap_pair
-    with pytest.raises(TruncatedPcapError):
-        run_batch({"good": good, "bad": bad}, max_workers=1, on_error="raise")
-
-
-def test_on_error_validated(pcap_pair):
-    good, _ = pcap_pair
-    with pytest.raises(ValueError, match="on_error"):
-        run_batch({"good": good}, on_error="ignore")
-
-
 def test_capture_in_parallel_pool(pcap_pair):
     """FailedAnalysis records pickle across the process pool."""
     good, bad = pcap_pair
-    results = run_batch(
-        {"good": good, "bad": bad}, max_workers=2, mode="process"
-    )
+    results = run_batch({"good": good, "bad": bad}, max_workers=2)
     assert isinstance(results["good"], CongestionReport)
     assert isinstance(results["bad"], FailedAnalysis)
     assert results["bad"].error_type == "TruncatedPcapError"
@@ -88,3 +74,34 @@ def test_failed_analysis_source_is_recorded(pcap_pair):
     _, bad = pcap_pair
     results = run_batch({"bad": bad}, max_workers=1)
     assert results["bad"].source == str(bad)
+
+
+@pytest.mark.skipif(
+    __import__("multiprocessing").get_start_method() != "fork",
+    reason="the patched run_all reaches pool workers via fork",
+)
+def test_killed_pool_worker_fails_its_capture_only(pcap_pair, monkeypatch):
+    """A SIGKILLed worker breaks the pool: every name still comes back,
+    and the killed capture is a BrokenProcessPool failure record."""
+    import os
+    import signal
+
+    import repro.pipeline.executor as executor
+
+    good, _ = pcap_pair
+    real_run_all = executor.run_all
+
+    def run_all(source, *, name, **kwargs):
+        if name == "victim":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_run_all(source, name=name, **kwargs)
+
+    monkeypatch.setattr(executor, "run_all", run_all)
+    results = run_batch({"a": good, "victim": good, "b": good}, max_workers=2)
+    assert list(results) == ["a", "victim", "b"]
+    assert isinstance(results["victim"], FailedAnalysis)
+    assert results["victim"].error_type == "BrokenProcessPool"
+    assert all(
+        isinstance(r, (CongestionReport, FailedAnalysis))
+        for r in results.values()
+    )

@@ -251,15 +251,13 @@ class TestRunBatch:
             p = tmp_path / f"{name}.pcap"
             write_trace(part, p)
             paths[name] = str(p)
-        reports = run_batch(paths, max_workers=2)  # mode auto: process
+        reports = run_batch(paths, max_workers=2)  # paths: process pool
         assert list(reports) == ["first", "second"]
         assert (
             reports["first"].summary.n_frames
             + reports["second"].summary.n_frames
             == len(trace)
         )
-        with pytest.raises(ValueError, match="mode"):
-            run_batch(paths, mode="fiber")
 
     def test_batch_matches_individual_runs(self, small_scenario):
         trace = small_scenario.trace
