@@ -6,8 +6,9 @@ job does:
 1. run a ~40-cell grid serially (no store) — the ground truth;
 2. boot a :class:`repro.campaign.Coordinator` on an ephemeral loopback
    port and spawn two real ``repro campaign-worker`` subprocesses;
-3. once the victim worker has completed at least one cell — and the
-   campaign is still mid-run — SIGKILL it;
+3. once the victim worker has completed at least one cell and holds a
+   fresh lease (both cells unfinished) — checked, and the signal sent,
+   under the coordinator's lock — SIGKILL it;
 4. assert the survivor drains the grid: every cell resolved, zero
    failures, zero lost work;
 5. assert the merged store equals the serial run cell for cell
@@ -110,6 +111,16 @@ def completed_by(coordinator: Coordinator, prefix: str) -> int:
     )
 
 
+def owns_full_lease(coordinator: Coordinator, prefix: str) -> bool:
+    """Whether a worker whose id starts with ``prefix`` holds a lease
+    with all ``BATCH`` cells unfinished.  Caller holds the coordinator's
+    lock, so no completion can land between this check and the kill."""
+    return any(
+        lease.worker.startswith(prefix) and len(lease.indices) == BATCH
+        for lease in coordinator.state.leases.values()
+    )
+
+
 def run(workdir: Path) -> None:
     n_cells = len(GRID)
     print(f"== serial ground truth ({n_cells} cells)")
@@ -130,18 +141,25 @@ def run(workdir: Path) -> None:
             victim, survivor = procs
 
             # Wait for the victim to finish at least one cell, then
-            # strike while the campaign is still mid-run.
+            # strike while it holds a lease with every cell unfinished.
+            # Killing between leases would leave nothing to reclaim.  The
+            # worker waits for each completion's ack before starting its
+            # next cell, so at most one completion is in flight at the
+            # kill and the lease survives it: exactly one reclaim.
             deadline = time.monotonic() + KILL_DEADLINE_S
             while True:
                 if coordinator.finished:
                     fail("campaign drained before the worker could be killed")
-                if completed_by(coordinator, "smoke-0") >= 1:
-                    break
+                with coordinator._lock:
+                    if completed_by(
+                        coordinator, "smoke-0"
+                    ) >= 1 and owns_full_lease(coordinator, "smoke-0"):
+                        victim.send_signal(signal.SIGKILL)
+                        before_kill = completed_by(coordinator, "smoke-0")
+                        break
                 if time.monotonic() > deadline:
-                    fail("victim worker never completed a cell")
-                time.sleep(0.05)
-            before_kill = completed_by(coordinator, "smoke-0")
-            victim.send_signal(signal.SIGKILL)
+                    fail("victim worker never held a fresh lease after a cell")
+                time.sleep(0.01)
             victim.wait(timeout=30)
             print(
                 f"SIGKILLed worker smoke-0 after {before_kill} completed "

@@ -23,9 +23,21 @@ Usage (``repro`` and ``python -m repro`` are the same program)::
     repro serve --port 8433
     repro lint --baseline
 
-``run`` executes a declarative experiment spec (TOML/JSON — see
-:mod:`repro.api.spec`); the other subcommands are thin adapters over
-the same :mod:`repro.api` layer.  ``simulate`` runs a scenario and
+Every experiment subcommand is a spec builder over :mod:`repro.api`:
+``run`` loads a declarative spec file (TOML/JSON — see
+:mod:`repro.api.spec`), and ``simulate``, ``analyze``, ``corpus
+analyze``, ``campaign``, ``campaign-status`` and
+``campaign-coordinator`` build one from their arguments.  The flags that set
+:class:`~repro.api.ExperimentSpec` fields are declared once
+(``_SPEC_FLAGS``, each ``dest`` a field name — the grid flags
+``--scenario --vary --fix --seeds --fidelity`` and the run flags
+``--workers --chunk-frames --store --resume --retry-failed --timeout-s
+--dispatch --out``); ``_spec_from_args`` folds whichever a subcommand
+takes into its spec, and ``ExperimentSpec.validate()`` checks the
+result, so a flag means the same on every subcommand and in a spec
+file.
+
+``simulate`` runs a scenario and
 writes the sniffer capture as a real radiotap pcap; ``analyze`` streams
 one or more pcaps through the single-pass :mod:`repro.pipeline` and
 prints the rendered congestion report(s) — multiple captures are
@@ -56,8 +68,9 @@ import os
 import pstats
 import sys
 
-from .api import Experiment, SpecError
-from .campaign import CampaignStore, ParameterGrid
+from .api import Experiment, ExperimentResult, ExperimentSpec, SpecError
+from .api.execute import execute, grid_for
+from .campaign import CampaignStore
 from .core import dataset_summary
 from .core.render import render_report
 from .lint.cli import add_lint_arguments
@@ -69,6 +82,115 @@ from .viz import table
 
 __all__ = ["main", "build_parser"]
 
+#: Every flag that sets an :class:`ExperimentSpec` field, declared once:
+#: ``dest`` → (option strings, argparse options).  Each ``dest`` is the
+#: field name, except ``out`` (the file the rendered result goes to).
+_SPEC_FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "scenario": (
+        ("--scenario",),
+        {"help": "library scenario name (see campaign --list)"},
+    ),
+    "vary": (
+        ("--vary",),
+        {
+            "action": "append",
+            "metavar": "KEY=V1,V2,...",
+            "help": "sweep axis (repeatable), e.g. --vary n_stations=10,20,40",
+        },
+    ),
+    "params": (
+        ("--fix", "--set"),
+        {
+            "action": "append",
+            "metavar": "KEY=VALUE",
+            "help": "scenario parameter for every run/cell (repeatable; "
+            "overrides a spec file's [params] entry)",
+        },
+    ),
+    "seeds": (("--seeds",), {"type": int, "help": "seeds per grid point"}),
+    "fidelity": (
+        ("--fidelity",),
+        {
+            "metavar": "MODE",
+            "help": "simulation engine (see repro.sim.FIDELITY_MODES; "
+            "store keys include it)",
+        },
+    ),
+    "workers": (
+        ("--workers",),
+        {"type": int, "help": "worker processes (default: pool size; 1 = serial)"},
+    ),
+    "chunk_frames": (
+        ("--chunk-frames",),
+        {"type": int, "help": "frames per streamed chunk"},
+    ),
+    "store": (
+        ("--store",),
+        {
+            "metavar": "DIR",
+            "help": "content-addressed cell store: results persist as they "
+            "complete (crash-safe), and --resume reuses them",
+        },
+    ),
+    "resume": (
+        ("--resume",),
+        {
+            "action": argparse.BooleanOptionalAction,
+            "help": "answer cells already in --store without re-simulating",
+        },
+    ),
+    "retry_failed": (
+        ("--retry-failed",),
+        {
+            "action": argparse.BooleanOptionalAction,
+            "help": "with --resume, re-run cells that previously failed",
+        },
+    ),
+    "timeout_s": (
+        ("--timeout-s",),
+        {
+            "type": float,
+            "metavar": "SECONDS",
+            "help": "per-cell wall-clock budget: a cell still running at the "
+            "deadline fails as type=Timeout instead of stalling its worker",
+        },
+    ),
+    "dispatch": (
+        ("--dispatch",),
+        {
+            "metavar": "MODE",
+            "help": "'local' = one process pool; 'distributed' = "
+            "fault-tolerant coordinator + worker subprocesses",
+        },
+    ),
+    "out": (("--out",), {"help": "also write the rendered result here"}),
+}
+
+_GRID_FLAGS = ("scenario", "vary", "params", "seeds", "fidelity")
+_RUN_FLAGS = (
+    "workers",
+    "chunk_frames",
+    "store",
+    "resume",
+    "retry_failed",
+    "timeout_s",
+    "dispatch",
+    "out",
+)
+
+
+def _spec_flags(*dests: str, required: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """A parent parser holding the ``_SPEC_FLAGS`` entries named by ``dests``.
+
+    Built fresh per subcommand, so ``set_defaults`` on one subcommand
+    never leaks into another through a shared argparse action.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    for dest in dests:
+        flags, options = _SPEC_FLAGS[dest]
+        parent.add_argument(*flags, dest=dest, required=dest in required, **options)
+    return parent
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -79,44 +201,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="execute a declarative experiment spec file (.toml/.json)",
+        parents=[_spec_flags(*_GRID_FLAGS, *_RUN_FLAGS)],
+        help="execute a declarative experiment spec file (.toml/.json); "
+        "flags override the spec",
     )
     run.add_argument("spec", help="spec file path (see repro.api.spec)")
-    run.add_argument(
-        "--workers", type=int, default=None, help="override [run] workers"
-    )
-    run.add_argument(
-        "--store", default=None, metavar="DIR", help="override [run] store"
-    )
-    run.add_argument(
-        "--resume",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="override [run] resume",
-    )
-    run.add_argument(
-        "--retry-failed",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="override [run] retry_failed",
-    )
-    run.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override/add a [params] entry (repeatable)",
-    )
-    run.add_argument(
-        "--fidelity",
-        default=None,
-        metavar="MODE",
-        help="override the spec's simulation engine "
-        "(see repro.sim.FIDELITY_MODES)",
-    )
-    run.add_argument(
-        "--out", default=None, help="also write the rendered result here"
-    )
     run.add_argument(
         "--json",
         action="store_true",
@@ -129,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = sub.add_parser(
-        "simulate", help="run a scenario and write the capture as pcap"
+        "simulate",
+        parents=[_spec_flags("fidelity")],
+        help="run a scenario and write the capture as pcap",
     )
     simulate.add_argument("output", help="output .pcap path")
     simulate.add_argument("--stations", type=int, default=10)
@@ -144,12 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--rtscts-fraction", type=float, default=0.0)
     simulate.add_argument("--obstructed-fraction", type=float, default=0.25)
     simulate.add_argument(
-        "--fidelity",
-        default="default",
-        metavar="MODE",
-        help="simulation engine (see repro.sim.FIDELITY_MODES)",
-    )
-    simulate.add_argument(
         "--profile",
         action="store_true",
         help="print a cProfile top-20 cumulative table after the run",
@@ -157,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
+        parents=[_spec_flags("workers", "chunk_frames")],
         help="full congestion report from one or more captures (single-pass pipeline)",
     )
     analyze.add_argument(
@@ -167,18 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument(
         "--name", default=None, help="report title (single capture only)"
-    )
-    analyze.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel analyses for multi-capture batches (default: pool size)",
-    )
-    analyze.add_argument(
-        "--chunk-frames",
-        type=int,
-        default=DEFAULT_CHUNK_FRAMES,
-        help="frames per streaming chunk",
     )
 
     corpus = sub.add_parser(
@@ -219,24 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus_analyze = corpus_sub.add_parser(
         "analyze",
+        parents=[_spec_flags("workers", "chunk_frames")],
         help="query-planned batch analysis: stored reports are served, "
         "the rest dispatch largest-first",
     )
     corpus_analyze.add_argument("root", help="corpus directory")
     corpus_analyze.add_argument(
         "--where", default=None, metavar="QUERY", help="catalog predicate"
-    )
-    corpus_analyze.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel analyses (default: pool size)",
-    )
-    corpus_analyze.add_argument(
-        "--chunk-frames",
-        type=int,
-        default=DEFAULT_CHUNK_FRAMES,
-        help="frames per streaming chunk",
     )
     corpus_analyze.add_argument(
         "--no-refresh",
@@ -251,68 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
+        parents=[_spec_flags(*_GRID_FLAGS, *_RUN_FLAGS)],
         help="sweep a parameter grid over a library scenario in parallel",
     )
-    campaign.add_argument(
-        "--scenario",
-        default="ramp",
-        help="library scenario name (see --list)",
-    )
-    campaign.add_argument(
-        "--vary",
-        action="append",
-        default=[],
-        metavar="KEY=V1,V2,...",
-        help="sweep axis (repeatable), e.g. --vary n_stations=10,20,40",
-    )
-    campaign.add_argument(
-        "--fix",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="parameter applied to every cell (repeatable)",
-    )
-    campaign.add_argument(
-        "--seeds", type=int, default=1, help="seeds per grid point"
-    )
-    campaign.add_argument(
-        "--fidelity",
-        default=None,
-        metavar="MODE",
-        help="simulation engine for every cell "
-        "(see repro.sim.FIDELITY_MODES; affects store keys)",
-    )
-    campaign.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: pool size; 1 = serial)",
-    )
-    campaign.add_argument(
-        "--chunk-frames",
-        type=int,
-        default=DEFAULT_CHUNK_FRAMES,
-        help="frames per streamed chunk inside each cell",
-    )
-    campaign.add_argument(
-        "--out", default=None, help="also write the summary to this path"
-    )
-    campaign.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="content-addressed cell store: results persist as they "
-        "complete (crash-safe), and --resume reuses them",
-    )
-    campaign.add_argument(
-        "--resume",
-        action="store_true",
-        help="answer cells already in --store without re-simulating",
-    )
-    campaign.add_argument(
-        "--retry-failed",
-        action="store_true",
-        help="with --resume, re-run cells that previously failed",
+    campaign.set_defaults(
+        scenario="ramp", seeds=1, chunk_frames=DEFAULT_CHUNK_FRAMES, resume=False
     )
     campaign.add_argument(
         "--list",
@@ -325,65 +331,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="print a cProfile top-20 cumulative table after the sweep "
         "(forces --workers 1 so cell work is visible to the profiler)",
     )
-    campaign.add_argument(
-        "--timeout-s",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock budget: a cell still running at the "
-        "deadline fails as type=Timeout instead of stalling its worker",
-    )
-    campaign.add_argument(
-        "--dispatch",
-        choices=("local", "distributed"),
-        default="local",
-        help="'local' = one process pool; 'distributed' = fault-tolerant "
-        "coordinator + worker subprocesses (lease/heartbeat/retry; "
-        "survives killed workers)",
-    )
 
     status = sub.add_parser(
         "campaign-status",
-        help="list done/pending/failed cells of a stored campaign grid",
+        parents=[_spec_flags(*_GRID_FLAGS, "store", required=("store",))],
+        help="list done/pending/failed cells of a stored campaign grid "
+        "(omit --scenario to list store contents)",
     )
-    status.add_argument(
-        "--store", required=True, metavar="DIR", help="campaign store directory"
-    )
-    status.add_argument(
-        "--scenario",
-        default=None,
-        help="grid scenario; with --vary/--fix/--seeds, pending cells "
-        "are computed against this grid (omit to list store contents)",
-    )
-    status.add_argument(
-        "--vary", action="append", default=[], metavar="KEY=V1,V2,..."
-    )
-    status.add_argument("--fix", action="append", default=[], metavar="KEY=VALUE")
-    status.add_argument("--seeds", type=int, default=1)
-    status.add_argument(
-        "--fidelity",
-        default=None,
-        metavar="MODE",
-        help="fidelity the campaign ran with (store keys include it)",
-    )
+    status.set_defaults(seeds=1)
 
     coordinator = sub.add_parser(
         "campaign-coordinator",
+        parents=[
+            _spec_flags(
+                *_GRID_FLAGS,
+                "store",
+                "chunk_frames",
+                "resume",
+                "retry_failed",
+                "timeout_s",
+                "out",
+                required=("store",),
+            )
+        ],
         help="serve a campaign grid to campaign-worker processes "
         "(lease-based fault-tolerant dispatch)",
     )
-    coordinator.add_argument(
-        "--store", required=True, metavar="DIR", help="campaign store directory"
+    coordinator.set_defaults(
+        scenario="ramp", seeds=1, chunk_frames=DEFAULT_CHUNK_FRAMES
     )
-    coordinator.add_argument("--scenario", default="ramp")
-    coordinator.add_argument(
-        "--vary", action="append", default=[], metavar="KEY=V1,V2,..."
-    )
-    coordinator.add_argument(
-        "--fix", action="append", default=[], metavar="KEY=VALUE"
-    )
-    coordinator.add_argument("--seeds", type=int, default=1)
-    coordinator.add_argument("--fidelity", default=None, metavar="MODE")
     coordinator.add_argument(
         "--host", default="127.0.0.1", help="bind address (default loopback)"
     )
@@ -404,29 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="tries per cell before it is recorded as a permanent failure",
-    )
-    coordinator.add_argument(
-        "--timeout-s",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock budget enforced on the workers",
-    )
-    coordinator.add_argument(
-        "--chunk-frames", type=int, default=DEFAULT_CHUNK_FRAMES
-    )
-    coordinator.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="ignore (and overwrite) results already in the store",
-    )
-    coordinator.add_argument(
-        "--retry-failed",
-        action="store_true",
-        help="re-dispatch cells whose store record is a failure",
-    )
-    coordinator.add_argument(
-        "--out", default=None, help="also write the summary to this path"
     )
 
     worker = sub.add_parser(
@@ -533,14 +486,90 @@ def _parse_assignments(
         key, sep, rest = entry.partition("=")
         key = key.strip()
         if not sep or not key or not rest:
-            raise ValueError(f"expected KEY=VALUE, got {entry!r}")
+            raise SpecError(f"expected KEY=VALUE, got {entry!r}")
         if key in out:
-            raise ValueError(f"duplicate parameter {key!r}")
+            raise SpecError(f"duplicate parameter {key!r}")
         if multi:
             out[key] = [_parse_value(v) for v in rest.split(",") if v != ""]
         else:
             out[key] = _parse_value(rest)
     return out
+
+
+def _spec_from_args(
+    args: argparse.Namespace, base: ExperimentSpec = ExperimentSpec()
+) -> ExperimentSpec:
+    """Fold the ``_SPEC_FLAGS`` given on ``args`` into ``base``, validated.
+
+    A flag left unset keeps ``base``'s value; ``--fix``/``--vary``
+    entries merge into its params and axes like ``Experiment.fix`` and
+    ``Experiment.vary``.  Raises :class:`SpecError`.
+    """
+    given = {
+        dest: getattr(args, dest)
+        for dest in _SPEC_FLAGS
+        if dest != "out" and getattr(args, dest, None) is not None
+    }
+    # Checked ahead of validate() so that the message names the flag.
+    for dest in ("workers", "chunk_frames"):
+        if given.get(dest, 1) < 1:
+            raise SpecError(f"--{dest.replace('_', '-')} must be >= 1")
+    if (given.get("resume") or given.get("retry_failed")) and not (
+        given.get("store") or base.store
+    ):
+        raise SpecError("--resume/--retry-failed require --store DIR")
+    params = _parse_assignments(given.pop("params", []), multi=False)
+    axes = _parse_assignments(given.pop("vary", []), multi=True)
+    experiment = Experiment(base.with_options(**given)).fix(**params).vary(**axes)
+    return experiment.spec().validate()
+
+
+def _execute(spec: ExperimentSpec, keep_trace: bool = False) -> ExperimentResult:
+    """Run a validated spec; a configuration error raised mid-run is a
+    :class:`SpecError` too (exit 2), never a traceback."""
+    try:
+        return execute(spec, keep_trace=keep_trace)
+    except (ValueError, TypeError, OSError) as error:
+        raise SpecError(str(error)) from error
+
+
+def _failure_line(where: str, failure) -> str:
+    return f"{where}: analysis failed [{failure.error_type}: {failure.error}]"
+
+
+def _report_failures(result: ExperimentResult) -> int:
+    """Print failed cells, empty captures and failed analyses on stderr.
+
+    Returns the exit code: 1 if anything failed or came back empty.
+    """
+    lines = []
+    if result.campaign is not None and result.campaign.failed:
+        store = result.spec().store
+        lines.append(
+            f"{len(result.campaign.failed)} cell(s) failed"
+            + (f"; retry with --store {store} --resume --retry-failed" if store else "")
+        )
+    paths = dict(result.sources)
+    lines += [
+        f"{paths.get(name, name)}: empty capture"
+        for name, report in result.reports.items()
+        if report.summary.n_frames == 0
+    ]
+    lines += [_failure_line(f.source, f) for f in result.failures]
+    for line in lines:
+        print(line, file=sys.stderr)
+    return 1 if lines else 0
+
+
+def _finish(result: ExperimentResult, out: str | None, as_json: bool = False) -> int:
+    """Print the rendered result (and write it to ``out``); the exit code."""
+    text = result.to_json() + "\n" if as_json else result.render()
+    print(text, end="" if text.endswith("\n") else "\n")
+    if out:
+        with open(out, "w") as handle:
+            handle.write(text)
+        print(f"result written to {out}", file=sys.stderr)
+    return _report_failures(result)
 
 
 def _profiled(enabled: bool, fidelity: str | None = None):
@@ -577,72 +606,28 @@ def _profiled(enabled: bool, fidelity: str | None = None):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        experiment = Experiment.from_spec(args.spec)
-        overrides = _parse_assignments(args.set, multi=False)
-        if overrides:
-            experiment = experiment.fix(**overrides)
-        if args.fidelity is not None:
-            experiment = experiment.fidelity(args.fidelity)
-        experiment = experiment.validate()
-    except (SpecError, ValueError, TypeError, KeyError) as error:
-        print(f"spec error: {_error_text(error)}", file=sys.stderr)
-        return 2
-    spec = experiment.spec()
+    spec = _spec_from_args(args, ExperimentSpec.from_file(args.spec))
     if args.validate_only:
         if spec.mode == "campaign":
-            detail = f"{len(experiment.cells())} cells"
-        elif spec.mode == "analysis":
-            detail = f"{len(spec.pcaps)} capture(s)"
+            detail = f"{len(grid_for(spec))} cells"
+        elif spec.corpus is not None:
+            # Name the corpus instead of counting it: validating must
+            # not scan (or index) the capture library.
+            where = f" where {spec.corpus_where!r}" if spec.corpus_where else ""
+            detail = f"corpus {spec.corpus}{where}"
+        elif spec.pcaps:
+            from .corpus import expand_captures
+
+            detail = f"{len(expand_captures(spec.pcaps))} capture(s)"
         else:
             detail = "1 run"
         print(f"{args.spec}: OK ({spec.mode}, {detail})")
         return 0
-    try:
-        result = experiment.run(
-            workers=args.workers,
-            store_dir=args.store,
-            resume=args.resume,
-            retry_failed=args.retry_failed,
-        )
-    except (SpecError, ValueError, TypeError, OSError) as error:
-        print(f"spec error: {_error_text(error)}", file=sys.stderr)
-        return 2
-    text = result.to_json() + "\n" if args.json else result.render()
-    print(text, end="" if text.endswith("\n") else "\n")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"result written to {args.out}", file=sys.stderr)
-    rc = 0
-    if result.campaign is not None and result.campaign.failed:
-        print(
-            f"{len(result.campaign.failed)} cell(s) failed", file=sys.stderr
-        )
-        rc = 1
-    for name, report in result.reports.items():
-        if report.summary.n_frames == 0:
-            print(f"{name}: empty capture", file=sys.stderr)
-            rc = 1
-    for failure in result.failures:
-        print(
-            f"{failure.source}: analysis failed "
-            f"[{failure.error_type}: {failure.error}]",
-            file=sys.stderr,
-        )
-        rc = 1
-    return rc
-
-
-def _error_text(error: BaseException) -> str:
-    """KeyError reprs its arg (quotes the whole message); unwrap it."""
-    if isinstance(error, KeyError) and error.args:
-        return str(error.args[0])
-    return str(error)
+    return _finish(_execute(spec), args.out, as_json=args.json)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    experiment = Experiment.scenario(
+    base = Experiment.scenario(
         "uniform",
         n_stations=args.stations,
         n_aps=args.aps,
@@ -654,10 +639,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rtscts_fraction=args.rtscts_fraction,
         obstructed_fraction=args.obstructed_fraction,
     ).analyses("summary")  # buffered run; only the cheap summary consumer
-    if args.fidelity != "default":
-        experiment = experiment.fidelity(args.fidelity)
-    with _profiled(args.profile, args.fidelity):
-        result = experiment.run(keep_trace=True).scenario_result
+    spec = _spec_from_args(args, base.spec())
+    with _profiled(args.profile, spec.fidelity):
+        result = _execute(spec, keep_trace=True).scenario_result
     n = write_trace(result.trace, args.output)
     print(
         f"wrote {n} frames to {args.output} "
@@ -668,50 +652,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.chunk_frames < 1:
-        print("--chunk-frames must be >= 1", file=sys.stderr)
-        return 2
     # Hand paths (not traces) to the api layer: each worker streams its
     # capture from disk in bounded chunks, so decode parallelises with
     # --workers and memory stays flat however many captures are named.
     # Directories and glob patterns expand (sorted) inside the spec
     # layer; the name is applied only when exactly one capture results.
-    experiment = Experiment.pcaps(*args.captures)
-    if args.name:
-        experiment = experiment.named(args.name)
-    try:
-        result = experiment.run(
-            workers=args.workers, chunk_frames=args.chunk_frames
-        )
-    except SpecError as error:
-        print(str(error), file=sys.stderr)
-        return 2
-    printed = 0
-    empty: list[str] = []
-    failed = {f.name: f for f in result.failures}
-    for name, path in result.sources:
-        if name in failed:
-            continue
-        report = result.reports[name]
-        if report.summary.n_frames == 0:
-            empty.append(path)
-            continue
-        if printed:
-            print()
-        print(render_report(report))
-        printed += 1
-    for path in empty:
-        print(f"{path}: empty capture", file=sys.stderr)
-    for failure in result.failures:
-        print(
-            f"{failure.source}: analysis failed "
-            f"[{failure.error_type}: {failure.error}]",
-            file=sys.stderr,
-        )
-    return 1 if empty or result.failures else 0
+    spec = _spec_from_args(
+        args, ExperimentSpec(pcaps=tuple(args.captures), name=args.name)
+    )
+    result = _execute(spec)
+    failed = {f.name for f in result.failures}
+    reports = [result.reports[name] for name, _ in result.sources if name not in failed]
+    rendered = [render_report(report) for report in reports if report.summary.n_frames]
+    if rendered:
+        print("\n\n".join(rendered))
+    return _report_failures(result)
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -742,22 +697,18 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             print(f"{len(matched)} matched")
             return 0
         # corpus analyze
-        if args.workers is not None and args.workers < 1:
-            print("--workers must be >= 1", file=sys.stderr)
-            return 2
-        if args.chunk_frames < 1:
-            print("--chunk-frames must be >= 1", file=sys.stderr)
-            return 2
+        spec = _spec_from_args(
+            args, ExperimentSpec(corpus=args.root, corpus_where=args.where)
+        )
         analysis = analyze_corpus(
-            args.root,
-            args.where,
-            workers=args.workers,
-            chunk_frames=args.chunk_frames,
+            spec.corpus,
+            spec.corpus_where,
+            workers=spec.workers,
+            chunk_frames=spec.chunk_frames,
             refresh=not args.no_refresh,
         )
     except CorpusError as error:
-        print(f"corpus error: {error}", file=sys.stderr)
-        return 2
+        raise SpecError(str(error)) from None
     print(
         f"{analysis.matched} matched, {analysis.cached} cached, "
         f"{analysis.dispatched} dispatched, {len(analysis.failures)} failed"
@@ -765,12 +716,7 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
     for path, status in sorted(analysis.skipped.items()):
         print(f"{path}: skipped ({status})", file=sys.stderr)
     for path in sorted(analysis.failures):
-        failure = analysis.failures[path]
-        print(
-            f"{path}: analysis failed "
-            f"[{failure.error_type}: {failure.error}]",
-            file=sys.stderr,
-        )
+        print(_failure_line(path, analysis.failures[path]), file=sys.stderr)
     if args.report:
         for path in sorted(analysis.reports):
             print()
@@ -782,98 +728,41 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.list:
         print("\n".join(available_scenarios()))
         return 0
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("--workers must be >= 1", file=sys.stderr)
-        return 2
-    if args.chunk_frames < 1:
-        print("--chunk-frames must be >= 1", file=sys.stderr)
-        return 2
-    if (args.resume or args.retry_failed) and not args.store:
-        print("--resume/--retry-failed require --store DIR", file=sys.stderr)
-        return 2
-    workers = args.workers
-    if args.profile and workers != 1:
+    spec = _spec_from_args(args)
+    if args.profile and spec.dispatch == "distributed":
+        raise SpecError(
+            "--profile cannot be combined with --dispatch distributed: "
+            "every cell runs in a worker subprocess the profiler cannot see"
+        )
+    if args.profile and spec.workers != 1:
         print(
             "--profile forces --workers 1 (a process pool would hide "
             "cell work from the profiler)",
             file=sys.stderr,
         )
-        workers = 1
-    try:
-        axes = _parse_assignments(args.vary, multi=True)
-        fixed = _parse_assignments(args.fix, multi=False)
-        experiment = (
-            Experiment.scenario(args.scenario)
-            .fix(**fixed)
-            .vary(**axes)
-            .seeds(args.seeds)
-        )
-        if args.fidelity is not None:
-            experiment = experiment.fidelity(args.fidelity)
-        with _profiled(args.profile, args.fidelity):
-            result = experiment.run(
-                workers=workers,
-                chunk_frames=args.chunk_frames,
-                store_dir=args.store,
-                resume=args.resume,
-                retry_failed=args.retry_failed,
-                timeout_s=args.timeout_s,
-                dispatch=args.dispatch,
-            )
-    except (ValueError, TypeError) as error:
-        print(f"campaign error: {_error_text(error)}", file=sys.stderr)
-        return 2
-    text = result.render(title=f"Campaign [{args.scenario}]")
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"summary written to {args.out}", file=sys.stderr)
-    if result.campaign.failed:
-        print(
-            f"{len(result.campaign.failed)} cell(s) failed"
-            + (
-                f"; retry with --store {args.store} --resume --retry-failed"
-                if args.store
-                else ""
-            ),
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        spec = spec.with_options(workers=1)
+    with _profiled(args.profile, spec.fidelity):
+        result = _execute(spec)
+    return _finish(result, args.out)
 
 
 def _cmd_campaign_coordinator(args: argparse.Namespace) -> int:
-    from .campaign import ParameterGrid, render_campaign
     from .campaign.dispatch import Coordinator
 
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
+    spec = _spec_from_args(args)
     try:
-        grid = ParameterGrid(
-            args.scenario,
-            axes=_parse_assignments(args.vary, multi=True),
-            seeds=args.seeds,
-            fixed=_parse_assignments(args.fix, multi=False),
-            fidelity=args.fidelity,
-        )
-        grid.validate()
         with Coordinator(
-            grid,
-            args.store,
+            grid_for(spec),
+            spec.store,
             host=args.host,
             port=args.port,
             lease_s=args.lease_s,
             batch=args.batch,
             max_attempts=args.max_attempts,
-            resume=not args.no_resume,
-            retry_failed=args.retry_failed,
-            chunk_frames=args.chunk_frames,
-            timeout_s=args.timeout_s,
+            resume=spec.resume,
+            retry_failed=spec.retry_failed,
+            chunk_frames=spec.chunk_frames,
+            timeout_s=spec.timeout_s,
         ) as coordinator:
             host, port = coordinator.address
             print(
@@ -895,15 +784,8 @@ def _cmd_campaign_coordinator(args: argparse.Namespace) -> int:
                 return 130
             result = coordinator.result()
     except (ValueError, TypeError, OSError) as error:
-        print(f"campaign error: {_error_text(error)}", file=sys.stderr)
-        return 2
-    text = render_campaign(result, title=f"Campaign [{args.scenario}]")
-    print(text, end="")
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-        print(f"summary written to {args.out}", file=sys.stderr)
-    return 1 if result.failed else 0
+        raise SpecError(str(error)) from error
+    return _finish(ExperimentResult(spec, "campaign", campaign=result), args.out)
 
 
 def _cmd_campaign_worker(args: argparse.Namespace) -> int:
@@ -972,29 +854,17 @@ def _render_cluster_state(store_dir: str) -> bool:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    # Without --scenario there is no grid: inventory the store instead.
+    spec = _spec_from_args(args) if args.scenario is not None else None
     store = CampaignStore(args.store)
     _render_cluster_state(args.store)
-    if args.scenario is not None:
-        if args.scenario not in available_scenarios():
-            print(f"unknown scenario {args.scenario!r}", file=sys.stderr)
-            return 2
-        try:
-            grid = ParameterGrid(
-                args.scenario,
-                axes=_parse_assignments(args.vary, multi=True),
-                seeds=args.seeds,
-                fixed=_parse_assignments(args.fix, multi=False),
-                fidelity=args.fidelity,
-            )
-        except (ValueError, TypeError) as error:
-            print(f"campaign error: {error}", file=sys.stderr)
-            return 2
-        cells = grid.cells()
+    if spec is not None:
+        cells = grid_for(spec).cells()
         status = store.partition(cells)
         counts = status.counts
         print(
             f"{args.store}: {counts['done']} done, {counts['pending']} "
-            f"pending, {counts['failed']} failed of {len(grid)} cells"
+            f"pending, {counts['failed']} failed of {len(cells)} cells"
         )
         for label, indices in (("done", status.done), ("pending", status.pending)):
             for index in indices:
@@ -1008,7 +878,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
                 "(*.corrupt — inspect before re-running)"
             )
         return 0
-    # No grid given: inventory whatever the store holds.
     n_done = n_failed = 0
     for record in store.records():
         name = record.get("cell", {}).get("name", record.get("key", "?"))
@@ -1083,6 +952,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except SpecError as error:
+        print(f"{args.command} error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream closed early (e.g. `... | head`): not an error,
         # but Python would print a traceback at interpreter shutdown

@@ -178,6 +178,33 @@ class TestProfileFlag:
         assert "cProfile [fidelity=default]: top 20 by cumulative time" in captured.out
         assert "forces --workers 1" in captured.err
 
+    def test_campaign_profile_refuses_distributed_dispatch(
+        self, monkeypatch, capsys
+    ):
+        """Distributed cells run in worker subprocesses the profiler
+        cannot see, so the combination is a usage error, not a profile
+        of the coordinator's wait loop."""
+        from repro.campaign import dispatch
+
+        def never(*args, **kwargs):
+            raise AssertionError("a distributed campaign was started")
+
+        monkeypatch.setattr(dispatch, "run_distributed_campaign", never)
+        rc = main(
+            [
+                "campaign",
+                "--vary", "n_stations=3",
+                "--fix", "duration_s=1.0",
+                "--dispatch", "distributed",
+                "--profile",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "--profile" in captured.err
+        assert "--dispatch distributed" in captured.err
+        assert "cProfile" not in captured.out
+
 
 SPEC_TOML = """\
 name = "cli-spec"
@@ -292,6 +319,126 @@ class TestRunCli:
         assert "caps/c.pcap: analysis failed [TruncatedPcapError" in captured.err
         assert "[caps/a.pcap] computed: utilization" in captured.out
         assert "[caps/b.pcap] computed: utilization" in captured.out
+
+    @staticmethod
+    def _capture_dir(root, n):
+        from repro.frames import Trace
+        from repro.pcap import write_trace
+
+        from ..conftest import ack, data
+
+        root.mkdir()
+        rows = [data(1_000, src=10, dst=1, seq=0), ack(2_400, src=1, dst=10)]
+        for i in range(n):
+            write_trace(Trace.from_rows(rows), root / f"{i}.pcap")
+
+    def test_validate_only_counts_the_expanded_captures(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self._capture_dir(tmp_path / "caps", 3)
+        spec = tmp_path / "caps.toml"
+        spec.write_text('pcaps = ["caps"]\n')
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", str(spec), "--validate-only"])
+        assert rc == 0
+        assert "OK (analysis, 3 capture(s))" in capsys.readouterr().out
+
+    def test_validate_only_names_a_corpus_without_scanning_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        self._capture_dir(tmp_path / "caps", 3)
+        spec = tmp_path / "corpus.toml"
+        spec.write_text('pcaps = {corpus = "caps", where = "channel=1"}\n')
+        monkeypatch.chdir(tmp_path)
+        rc = main(["run", str(spec), "--validate-only"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "OK (analysis, corpus caps where 'channel=1')" in out
+        assert "capture(s)" not in out
+        # No catalog was built: validating never indexes the corpus.
+        assert sorted(p.name for p in (tmp_path / "caps").iterdir()) == [
+            "0.pcap", "1.pcap", "2.pcap"
+        ]
+
+
+@pytest.fixture
+def refuse_coordinator(monkeypatch):
+    """Fail the test if ``campaign-coordinator`` gets as far as serving."""
+    from repro.campaign import dispatch
+
+    class Refused:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the coordinator opened a socket")
+
+    monkeypatch.setattr(dispatch, "Coordinator", Refused)
+
+
+class TestGridSubcommandsValidateAlike:
+    """campaign-status and campaign-coordinator reject what campaign
+    rejects, before touching the store or opening a socket."""
+
+    def test_status_vary_typo_suggests(self, tmp_path, capsys):
+        rc = main(
+            [
+                "campaign-status", "--store", str(tmp_path / "s"),
+                "--scenario", "ramp", "--vary", "n_statoins=3,4",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "did you mean 'n_stations'" in captured.err
+        assert "pending" not in captured.out
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--timeout-s", "-1", "'timeout_s' must be > 0"),
+            ("--chunk-frames", "0", "--chunk-frames must be >= 1"),
+        ],
+    )
+    def test_coordinator_rejects_bad_run_options(
+        self, tmp_path, capsys, refuse_coordinator, flag, value, message
+    ):
+        rc = main(
+            [
+                "campaign-coordinator", "--store", str(tmp_path / "s"),
+                "--vary", "n_stations=3,4", flag, value,
+            ]
+        )
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
+class TestCliParity:
+    """campaign, campaign-status, campaign-coordinator and a spec file
+    fold into one spec: the same cells under the same store keys."""
+
+    GRID = ["--scenario", "ramp", "--vary", "n_stations=3,4", "--fix", "duration_s=1.0"]
+
+    def test_one_store_answers_every_path(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        rc = main(["campaign", *self.GRID, "--workers", "1", "--store", store])
+        assert rc == 0
+        assert "(0 from store, 2 run, 0 failed)" in capsys.readouterr().out
+
+        assert main(["campaign-status", "--store", store, *self.GRID]) == 0
+        out = capsys.readouterr().out
+        assert "2 done, 0 pending, 0 failed of 2 cells" in out
+        assert out.count("  done     ramp/") == 2
+
+        # Every cell is stored, so the coordinator finishes without a
+        # worker ever connecting.
+        assert main(["campaign-coordinator", "--store", store, *self.GRID]) == 0
+        assert "(2 from store, 0 run, 0 failed)" in capsys.readouterr().out
+
+        spec = tmp_path / "study.toml"
+        spec.write_text(
+            'scenario = "ramp"\n[params]\nduration_s = 1.0\n'
+            "[vary]\nn_stations = [3, 4]\n"
+        )
+        rc = main(["run", str(spec), "--workers", "1", "--store", store])
+        assert rc == 0
+        assert "(2 from store, 0 run, 0 failed)" in capsys.readouterr().out
 
 
 class TestTypoSuggestions:
