@@ -15,6 +15,7 @@ numerically identical to direct use of the underlying layers
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from .result import ExperimentResult
 from .spec import ExperimentSpec
@@ -108,7 +109,7 @@ def _execute_corpus(spec: ExperimentSpec) -> ExperimentResult:
 
 def _execute_analysis(spec: ExperimentSpec) -> ExperimentResult:
     from ..jobs import JobError, run_jobs
-    from ..pipeline import DEFAULT_CHUNK_FRAMES, FailedAnalysis
+    from ..pipeline import DEFAULT_CHUNK_FRAMES
     from ..pipeline import resolve_consumer_names
     from ..pipeline.executor import report_job
 
@@ -129,7 +130,7 @@ def _execute_analysis(spec: ExperimentSpec) -> ExperimentResult:
     done, failures = {}, []
     for (name, path), outcome in zip(sources, outcomes):
         if isinstance(outcome, JobError):
-            failures.append(FailedAnalysis.from_error(name, path, outcome))
+            failures.append(replace(outcome, name=name, source=str(path)))
         else:
             done[name] = outcome
     return ExperimentResult(

@@ -193,7 +193,7 @@ class Experiment:
 
     def timeout(self, timeout_s: float) -> "Experiment":
         """Per-cell wall-clock budget: a cell still running at the
-        deadline is captured as ``FailedCell(type="Timeout")`` instead
+        deadline is captured as ``JobError(error_type="Timeout")`` instead
         of stalling its worker."""
         return self._replace(timeout_s=timeout_s)
 

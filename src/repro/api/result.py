@@ -62,7 +62,7 @@ class ExperimentResult:
         self._spec = spec
         self.mode = mode
         self.reports = dict(reports or {})
-        #: per-capture :class:`~repro.pipeline.FailedAnalysis` records
+        #: per-capture :class:`~repro.jobs.JobError` failure records
         #: (analysis mode) — captures that raised instead of reporting.
         self.failures = tuple(failures)
         self.metrics = {k: dict(v) for k, v in (metrics or {}).items()}

@@ -16,9 +16,8 @@ finished cell is persisted immediately to a content-addressed
 resolved config, seed, code-version salt).  Re-invoking the same
 campaign performs zero simulation work; extending the grid
 (:meth:`~repro.campaign.grid.ParameterGrid.extend`) recomputes only the
-new cells; per-cell exceptions become
-:class:`~repro.campaign.store.FailedCell` records instead of sinking
-the run.
+new cells; per-cell exceptions become :class:`~repro.jobs.JobError`
+failure records instead of sinking the run.
 
     from repro.campaign import ParameterGrid, run_campaign, render_campaign
 
@@ -41,11 +40,11 @@ loss-free shard merge (:mod:`repro.campaign.merge`).
 """
 
 from ..store import code_version_salt
-from .dispatch import Coordinator, DispatchError, run_distributed_campaign
+from .dispatch import Coordinator, DispatchError
 from .grid import CampaignCell, ParameterGrid
 from .merge import MergeConflictError, MergeReport, merge_shards, shard_roots
 from .runner import CampaignResult, CellResult, run_campaign
-from .store import CampaignStore, FailedCell, StoreStatus, cell_key
+from .store import CampaignStore, StoreStatus, cell_key
 from .worker import run_worker
 from .summary import (
     campaign_table,
@@ -63,7 +62,6 @@ __all__ = [
     "CellResult",
     "Coordinator",
     "DispatchError",
-    "FailedCell",
     "MergeConflictError",
     "MergeReport",
     "ParameterGrid",
@@ -77,7 +75,6 @@ __all__ = [
     "merge_shards",
     "render_campaign",
     "run_campaign",
-    "run_distributed_campaign",
     "run_worker",
     "shard_roots",
     "utilization_knee",

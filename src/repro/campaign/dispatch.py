@@ -17,28 +17,30 @@ comes from the state machine, not the transport:
   report each cell *individually* the moment it finishes.
 * **Retry budgets with backoff.**  A cell whose simulation raises — or
   that keeps killing its workers — is retried up to ``max_attempts``
-  times with exponential backoff, then recorded as a permanent
-  :class:`~repro.campaign.store.FailedCell` instead of wedging the
+  times with exponential backoff, then resolved as a permanent
+  :class:`~repro.jobs.JobError` failure record instead of wedging the
   campaign.
 * **Durability at two points.**  A worker writes each finished cell
   into its own store shard *and* ships the identical record to the
-  coordinator, which writes it into the main store immediately.  Either
-  copy alone is enough to survive a crash: a restarted coordinator
-  first merges the shards (:mod:`repro.campaign.merge`), then consults
-  the store, and dispatches only what is genuinely missing.
-* **Idempotent completion.**  Completions are keyed by cell index and
-  content key, so a worker finishing a cell *after* its lease was
-  reclaimed (or a second worker finishing the same re-leased cell) is
-  absorbed: first record wins, duplicates are acknowledged and
-  discarded, and the store never flaps.
+  coordinator, which checks it against the leased key and writes it
+  into the main store immediately.  Either copy alone is enough to
+  survive a crash: a restarted coordinator first merges the shards
+  (:mod:`repro.campaign.merge`), then consults the store, and
+  dispatches only what is genuinely missing.
+* **Idempotent completion.**  Each job resolves once, so a worker
+  finishing a cell *after* its lease was reclaimed (or a second worker
+  finishing the same re-leased cell) is absorbed: the first report
+  wins, duplicates are acknowledged and discarded, and the store never
+  flaps.  A malformed report gets an ``error`` reply and changes
+  nothing.
 
-The state machine lives in :class:`CoordinatorState` with an injectable
-clock so every timing behaviour — expiry, stalled heartbeats, backoff —
-is tested deterministically, without sleeping
-(``tests/campaign/test_dispatch.py`` / ``test_chaos.py``).
-:class:`Coordinator` wraps it in a threaded socket server;
-:func:`run_distributed_campaign` is the one-call form behind
-``run_campaign(dispatch="distributed")``.
+Store, resume rule, failure records and result are the local runner's
+campaign body; :class:`CoordinatorState` is the lease state machine
+over its pending jobs, resolving each through ``on_done`` as
+:func:`repro.jobs.run_jobs` does (``tests/campaign/test_dispatch.py`` /
+``test_chaos.py`` drive it on a fake clock).  :class:`Coordinator`
+wraps it in a threaded socket server, which
+``run_campaign(dispatch="distributed")`` drives with local workers.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ import os
 import socket
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,11 +64,12 @@ from .. import protocol_registry
 from .._suggest import unknown_name_message
 from ..framing import FrameError, recv_frame, send_frame
 from ..protocol_registry import DISPATCH_OPS
+from ..jobs import JobError
 from ..store import write_atomic
 from .grid import CampaignCell, ParameterGrid
 from .merge import merge_shards, shard_roots
-from .runner import CELL_CHUNK_FRAMES, CampaignResult, _expand_cells
-from .store import CampaignStore, FailedCell
+from .runner import CELL_CHUNK_FRAMES, CampaignResult, _CellRun
+from .store import cell_result
 
 __all__ = [
     "DISPATCH_MAGIC",
@@ -77,7 +79,6 @@ __all__ = [
     "cell_from_wire",
     "cell_to_wire",
     "recv_message",
-    "run_distributed_campaign",
     "send_message",
 ]
 
@@ -190,7 +191,7 @@ def cell_from_wire(data: Mapping) -> CampaignCell:
 
 @dataclass
 class Lease:
-    """One granted batch: which cells, whose, and until when."""
+    """One granted batch: which jobs, whose, and until when."""
 
     lease_id: str
     worker: str
@@ -206,26 +207,25 @@ class WorkerStats:
 
 
 class CoordinatorState:
-    """The pure dispatch state machine (no sockets, injectable clock).
+    """The pure lease state machine (no sockets, no store, injectable clock).
 
-    Every method takes/uses ``self._clock()`` for "now", so tests drive
-    lease expiry, stalled heartbeats and retry backoff by advancing a
-    fake clock — deterministically, with zero sleeping.  Thread safety
+    ``jobs`` are one campaign's pending jobs, each a content key and a
+    wire form; a grant's ``index`` is the job's slot, and ``on_done(slot,
+    outcome)`` resolves each job once.  Every method uses ``self._clock()``
+    for "now", so tests drive lease expiry, stalled heartbeats and retry
+    backoff by advancing a fake clock — with zero sleeping.  Thread safety
     is the caller's job (:class:`Coordinator` holds one lock).
     """
 
     def __init__(
         self,
-        cells: Sequence[CampaignCell],
-        store: CampaignStore,
+        jobs: Sequence[tuple[str, Mapping]],
+        on_done: Callable[[int, Any], None],
         *,
         lease_s: float = DEFAULT_LEASE_S,
         batch: int = DEFAULT_BATCH,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_s: float = DEFAULT_BACKOFF_S,
-        resume: bool = True,
-        retry_failed: bool = False,
-        options: Mapping | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if lease_s <= 0:
@@ -234,31 +234,22 @@ class CoordinatorState:
             raise ValueError("batch must be >= 1")
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        self.cells = list(cells)
-        self.store = store
+        self.keys = [key for key, _ in jobs]
+        self.wires = [wire for _, wire in jobs]
+        self.on_done = on_done
         self.lease_s = lease_s
         self.batch = batch
         self.max_attempts = max_attempts
         self.backoff_s = backoff_s
-        self.options = dict(options or {})
         self._clock = clock
 
-        self.done: dict[int, str] = {}  # index -> content key
-        self.failed: dict[int, FailedCell] = {}
-        self.ready = list(range(len(self.cells)))  # FIFO of dispatchable indices
-        if resume:  # the local runner's rule: CampaignStore.partition
-            status = store.partition(self.cells, retry_failed=retry_failed)
-            self.keys, self.ready = status.keys, status.pending
-            self.done = {index: self.keys[index] for index in status.done}
-            self.failed = dict(status.failed)
-        else:
-            self.keys = [store.key_for(cell) for cell in self.cells]
-        self.attempts = [0] * len(self.cells)
+        self.open = set(range(len(self.keys)))  # unresolved jobs
+        self.ready = list(range(len(self.keys)))  # FIFO of dispatchable jobs
+        self.attempts = [0] * len(self.keys)
         self.delayed: list[tuple[float, int]] = []  # backoff heap
         self.leases: dict[str, Lease] = {}
         self.dispatched: set[int] = set()
         self.workers: dict[str, WorkerStats] = {}
-        self.store_hits = len(self.done)
         self.reclaims = 0
         self.retries = 0
         self._lease_ids = itertools.count(1)
@@ -266,23 +257,20 @@ class CoordinatorState:
     # -- inspection --------------------------------------------------------
 
     @property
-    def n_cells(self) -> int:
-        return len(self.cells)
-
-    @property
     def is_done(self) -> bool:
-        return len(self.done) + len(self.failed) == len(self.cells)
+        return not self.open
 
     @property
     def outstanding(self) -> int:
-        """Cells not yet resolved (ready, delayed or leased)."""
-        return len(self.cells) - len(self.done) - len(self.failed)
+        """Jobs not yet resolved (ready, delayed or leased)."""
+        return len(self.open)
 
     # -- internals ---------------------------------------------------------
 
-    def _touch(self, worker: str, now: float) -> None:
+    def _touch(self, worker: str) -> float:
         stats = self.workers.setdefault(worker, WorkerStats())
-        stats.last_seen = now
+        stats.last_seen = self._clock()
+        return stats.last_seen
 
     def _promote_delayed(self, now: float) -> None:
         while self.delayed and self.delayed[0][0] <= now:
@@ -290,7 +278,7 @@ class CoordinatorState:
             self.ready.append(index)
 
     def _detach(self, index: int) -> None:
-        """Remove a resolved index from every lease, dropping empties."""
+        """Remove a job from every lease, dropping empties."""
         for lease_id in [
             lid for lid, lease in self.leases.items() if index in lease.indices
         ]:
@@ -299,41 +287,31 @@ class CoordinatorState:
             if not lease.indices:
                 del self.leases[lease_id]
 
-    def _expire_lease(self, lease: Lease, reason: str) -> None:
-        """Return a forfeited lease's cells to the pool (budget-counted).
+    def _resolve(self, index: int, outcome: Any) -> None:
+        self.open.discard(index)
+        self._detach(index)
+        self.on_done(index, outcome)
 
-        The expiry consumes one attempt per unfinished cell: a cell
+    def _expire_lease(self, lease: Lease, reason: str) -> None:
+        """Return a forfeited lease's jobs to the pool (budget-counted).
+
+        The expiry consumes one attempt per unfinished job: a cell
         whose simulation reliably kills its worker must exhaust the
         retry budget and become a recorded failure, not starve the
         campaign by killing workers forever.
         """
         del self.leases[lease.lease_id]
         self.reclaims += 1
-        for index in sorted(lease.indices):
-            if index in self.done or index in self.failed:
-                continue
+        for index in sorted(lease.indices & self.open):
             self.attempts[index] += 1
-            if self.attempts[index] >= self.max_attempts:
-                self._record_failure(
-                    index,
-                    FailedCell(
-                        cell=self.cells[index],
-                        error_type="LeaseExpired",
-                        error=(
-                            f"lease {lease.lease_id} ({reason}) on worker "
-                            f"{lease.worker!r}; retry budget "
-                            f"({self.max_attempts}) exhausted"
-                        ),
-                        traceback="",
-                        elapsed_s=0.0,
-                    ),
-                )
-            else:
+            if self.attempts[index] < self.max_attempts:
                 self.ready.append(index)
-
-    def _record_failure(self, index: int, failure: FailedCell) -> None:
-        self.failed[index] = failure
-        self.store.put_failure(failure, key=self.keys[index])
+                continue
+            message = (
+                f"lease {lease.lease_id} ({reason}) on worker {lease.worker!r}; "
+                f"retry budget ({self.max_attempts}) exhausted"
+            )
+            self._resolve(index, JobError("LeaseExpired", message, "", 0.0))
 
     def reclaim(self, now: float | None = None) -> int:
         """Expire overdue leases; returns how many were reclaimed."""
@@ -348,7 +326,7 @@ class CoordinatorState:
         """A worker's connection died: forfeit its leases immediately.
 
         Faster than waiting out the deadline — a SIGKILLed worker frees
-        its cells the instant the socket closes.
+        its jobs the instant the socket closes.
         """
         owned = [l for l in self.leases.values() if l.worker == worker]
         for lease in owned:
@@ -363,27 +341,49 @@ class CoordinatorState:
             return 0.1
         return min(max(min(horizons), 0.05), 2.0)
 
+    def _decode(self, index: int, key: str, record: object, kind: str) -> Any:
+        """Job ``index``'s outcome from a ``kind`` record checked against
+        its leased key, or the ``error`` reply to a report that is not."""
+        if not 0 <= index < len(self.keys) or key != self.keys[index]:
+            fault = f"unknown job index={index} key={key}"
+        elif not isinstance(record, Mapping) or record.get("kind") != kind:
+            fault = f"not a {kind} record: {type(record).__name__}"
+        elif record.get("key") != key:
+            fault = f"record carries key {record.get('key')!r}, leased under {key}"
+        elif kind == "result":
+            result = cell_result(cell_from_wire(self.wires[index]), record)
+            if result is not None:
+                return result
+            fault = "a result field is not a number"
+        elif not isinstance(error := record.get("error"), Mapping):
+            fault = f"no error object: {error!r}"
+        elif not isinstance(elapsed := record.get("elapsed_s") or 0.0, (int, float)):
+            fault = f"non-numeric elapsed_s: {elapsed!r}"
+        else:
+            return JobError(
+                error_type=str(error.get("type", "Exception")),
+                error=str(error.get("message", "")),
+                traceback=str(error.get("traceback", "")),
+                elapsed_s=float(elapsed),
+            )
+        return {"op": "error", "error": f"{kind} report refused: {fault}"}
+
     # -- protocol operations ----------------------------------------------
 
     def lease(self, worker: str) -> dict:
-        """Grant a batch of ready cells (or say wait / done)."""
-        now = self._clock()
-        self._touch(worker, now)
+        """Grant a batch of ready jobs (or say wait / done)."""
+        now = self._touch(worker)
         self.reclaim(now)
         if self.is_done:
             return {"op": "done"}
-        if not self.ready:
-            return {"op": "wait", "seconds": self._wait_hint(now)}
         grant = []
         while self.ready and len(grant) < self.batch:
             index = self.ready.pop(0)
-            # A stale-lease completion can resolve a cell that was
+            # A stale-lease completion can resolve a job that was
             # already reclaimed back into the queue: skip, don't regrant.
-            if index not in self.done and index not in self.failed:
+            if index in self.open:
                 grant.append(index)
         if not grant:
-            if self.is_done:
-                return {"op": "done"}
             return {"op": "wait", "seconds": self._wait_hint(now)}
         lease_id = f"L{next(self._lease_ids)}"
         self.leases[lease_id] = Lease(
@@ -401,7 +401,7 @@ class CoordinatorState:
                 {
                     "index": index,
                     "key": self.keys[index],
-                    "cell": cell_to_wire(self.cells[index]),
+                    "cell": self.wires[index],
                     "attempt": self.attempts[index] + 1,
                 }
                 for index in grant
@@ -410,8 +410,7 @@ class CoordinatorState:
 
     def heartbeat(self, worker: str, lease_id: str) -> dict:
         """Extend a live lease; ``gone`` if it was already reclaimed."""
-        now = self._clock()
-        self._touch(worker, now)
+        now = self._touch(worker)
         self.reclaim(now)
         lease = self.leases.get(lease_id)
         if lease is None:
@@ -420,102 +419,48 @@ class CoordinatorState:
         return {"op": "ok", "lease_s": self.lease_s}
 
     def complete(
-        self, worker: str, lease_id: str, index: int, key: str, record: Mapping
+        self, worker: str, lease_id: str, index: int, key: str, record: object
     ) -> dict:
-        """Absorb one finished cell (idempotent; stale leases accepted).
+        """Resolve one finished job (idempotent; stale leases accepted).
 
         The work is content-addressed, so a result arriving after its
-        lease expired — or for a cell someone else finished meanwhile —
-        is still valid; the first stored record wins and duplicates are
-        acknowledged without a second write.
+        lease expired — or for a job someone else finished meanwhile —
+        is still valid; the first report resolves the job and duplicates
+        are acknowledged without a second resolution.
         """
-        now = self._clock()
-        self._touch(worker, now)
-        if not 0 <= index < len(self.cells) or key != self.keys[index]:
-            return {
-                "op": "error",
-                "error": f"completion for unknown cell index={index} key={key}",
-            }
+        now = self._touch(worker)
+        result = self._decode(index, key, record, "result")
+        if isinstance(result, dict):
+            return result
         lease_valid = lease_id in self.leases
-        if index in self.done:
+        if index not in self.open:
             self._detach(index)
             return {"op": "ok", "duplicate": True, "lease_valid": lease_valid}
-        self.store.put_record(record)
-        self.done[index] = key
-        self.failed.pop(index, None)  # retry_failed path: success clears
-        self._detach(index)
+        self._resolve(index, result)
         self.workers.setdefault(worker, WorkerStats()).completed += 1
         self.reclaim(now)
         return {"op": "ok", "lease_valid": lease_id in self.leases or lease_valid}
 
     def fail(
-        self, worker: str, lease_id: str, index: int, key: str, record: Mapping
+        self, worker: str, lease_id: str, index: int, key: str, record: object
     ) -> dict:
-        """Count a failed attempt; back off and retry, or record finally."""
-        now = self._clock()
-        self._touch(worker, now)
-        if not 0 <= index < len(self.cells) or key != self.keys[index]:
-            return {
-                "op": "error",
-                "error": f"failure report for unknown cell index={index}",
-            }
-        if index in self.done:
+        """Count a failed attempt; back off and retry, or resolve finally."""
+        now = self._touch(worker)
+        failure = self._decode(index, key, record, "failure")
+        if isinstance(failure, dict):
+            return failure
+        if index not in self.open:
             return {"op": "ok", "duplicate": True}
         self._detach(index)
         self.workers.setdefault(worker, WorkerStats()).failed += 1
         self.attempts[index] += 1
-        error = record.get("error", {}) if isinstance(record, Mapping) else {}
-        failure = FailedCell(
-            cell=self.cells[index],
-            error_type=str(error.get("type", "Exception")),
-            error=str(error.get("message", "")),
-            traceback=str(error.get("traceback", "")),
-            elapsed_s=float(record.get("elapsed_s", 0.0) or 0.0),
-        )
         if self.attempts[index] >= self.max_attempts:
-            self._record_failure(index, failure)
+            self._resolve(index, failure)
             return {"op": "ok", "final": True}
         retry_in = self.backoff_s * 2 ** (self.attempts[index] - 1)
         heapq.heappush(self.delayed, (now + retry_in, index))
         self.retries += 1
         return {"op": "ok", "final": False, "retry_in_s": retry_in}
-
-    # -- status ------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-able progress view (the ``coordinator-state.json`` body)."""
-        now = self._clock()
-        return {
-            "phase": "done" if self.is_done else "running",
-            "cells": len(self.cells),
-            "done": len(self.done),
-            "failed": len(self.failed),
-            "ready": len(self.ready),
-            "delayed": len(self.delayed),
-            "leased": sum(len(l.indices) for l in self.leases.values()),
-            "store_hits": self.store_hits,
-            "dispatched": len(self.dispatched),
-            "reclaims": self.reclaims,
-            "retries": self.retries,
-            "quarantined": self.store.quarantined,
-            "leases": [
-                {
-                    "lease": lease.lease_id,
-                    "worker": lease.worker,
-                    "cells": sorted(lease.indices),
-                    "expires_in_s": round(lease.deadline - now, 3),
-                }
-                for lease in self.leases.values()
-            ],
-            "workers": {
-                name: {
-                    "completed": stats.completed,
-                    "failed": stats.failed,
-                    "idle_s": round(now - stats.last_seen, 3),
-                }
-                for name, stats in sorted(self.workers.items())
-            },
-        }
 
 
 # -- the socket server -----------------------------------------------------
@@ -529,12 +474,12 @@ class Coordinator:
     connections, one handler thread serves each worker, and a ticker
     thread reclaims overdue leases and keeps the cluster-status file
     fresh.  ``wait()`` blocks until every cell is resolved;
-    ``result()`` then merges the shards and assembles the
-    :class:`~repro.campaign.runner.CampaignResult`.
+    ``result()`` then merges the shards and returns the result.
 
-    On construction the coordinator *recovers first*: existing worker
-    shards are merged into the main store, so restarting over an
-    interrupted campaign re-dispatches only genuinely unfinished cells.
+    On construction the coordinator *recovers first*: its cell run
+    (:attr:`run`) merges existing worker shards into the main store
+    before partitioning it, so restarting over an interrupted campaign
+    re-dispatches only genuinely unfinished cells.
     """
 
     def __init__(
@@ -555,31 +500,29 @@ class Coordinator:
         timeout_s: float | None = None,
         salt: str | None = None,
     ) -> None:
-        cells = _expand_cells(grid)
         self.store_dir = Path(store_dir)
-        self.store = CampaignStore(self.store_dir, salt=salt)
-        self.recovery = merge_shards(self.store, shard_roots(self.store_dir))
-        options = {
-            "chunk_frames": chunk_frames or CELL_CHUNK_FRAMES,
-            "window_s": window_s,
-            "keep_reports": False,
-            "timeout_s": timeout_s,
-        }
+        self.run = run = _CellRun(
+            grid,
+            self.store_dir,
+            salt=salt,
+            chunk_frames=CELL_CHUNK_FRAMES if chunk_frames is None else chunk_frames,
+            window_s=window_s,
+            timeout_s=timeout_s,
+            resume=resume,
+            retry_failed=retry_failed,
+        )
+        self.store, self.recovery = run.store, run.recovery
         self.state = CoordinatorState(
-            cells,
-            self.store,
+            [(run.keys[i], cell_to_wire(run.cells[i])) for i in run.pending],
+            run.record,
             lease_s=lease_s,
             batch=batch,
             max_attempts=max_attempts,
             backoff_s=backoff_s,
-            resume=resume,
-            retry_failed=retry_failed,
-            options=options,
         )
         self._lock = threading.Lock()
         self._finished = threading.Event()
         self._stop = threading.Event()
-        self._start = time.perf_counter()
         self._conn_ids = itertools.count(1)
         self._result: CampaignResult | None = None
 
@@ -587,13 +530,9 @@ class Coordinator:
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         if self.state.is_done:
             self._finished.set()
-        self._write_state_file()
-        self._threads = [
-            threading.Thread(target=self._accept_loop, daemon=True),
-            threading.Thread(target=self._tick_loop, daemon=True),
-        ]
-        for thread in self._threads:
-            thread.start()
+        self._write_state_file()  # no other thread runs yet
+        for loop in (self._accept_loop, self._tick_loop):
+            threading.Thread(target=loop, daemon=True).start()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -633,38 +572,24 @@ class Coordinator:
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """One worker's session: framed JSON request → response, until
-        EOF.  A dropped connection forfeits the worker's leases
-        immediately (no need to wait out the deadline)."""
+        EOF or ``bye``.  A worker that leaves forfeits the leases it
+        still holds immediately (no need to wait out the deadline)."""
         worker = f"conn-{next(self._conn_ids)}"
-        clean = False
         try:
-            while True:
-                message = recv_message(conn)
-                if message is None:
-                    clean = not self._worker_owns_leases(worker)
-                    return
-                if message.get("op") == "bye":
-                    clean = True
-                    return
+            while (message := recv_message(conn)) and message.get("op") != "bye":
                 if message.get("op") == "hello":
                     worker = self._register(message, worker)
-                reply = self._handle(worker, message)
-                send_message(conn, reply)
+                send_message(conn, self._handle(worker, message))
         except (ConnectionError, FrameError, OSError, ValueError):
             pass
         finally:
-            if not clean:
-                with self._lock:
-                    self.state.drop_worker(worker)
-                    self._after_mutation()
+            with self._lock:
+                self.state.drop_worker(worker)
+                self._after_mutation()
             try:
                 conn.close()
             except OSError:
                 pass
-
-    def _worker_owns_leases(self, worker: str) -> bool:
-        with self._lock:
-            return any(l.worker == worker for l in self.state.leases.values())
 
     def _register(self, message: Mapping, fallback: str) -> str:
         name = str(message.get("worker") or fallback)
@@ -682,31 +607,23 @@ class Coordinator:
                     "worker": worker,
                     "salt": self.store.salt,
                     "lease_s": self.state.lease_s,
-                    "options": self.state.options,
+                    "options": self.run.options,
                     "shard": str(message.get("shard") or shard),
                 }
             elif op == "lease":
                 reply = self.state.lease(worker)
             elif op == "heartbeat":
                 reply = self.state.heartbeat(worker, str(message.get("lease")))
-            elif op == "complete":
-                reply = self.state.complete(
+            elif op in ("complete", "fail"):
+                reply = getattr(self.state, op)(
                     worker,
                     str(message.get("lease")),
                     int(message.get("index", -1)),
                     str(message.get("key", "")),
-                    message.get("record") or {},
-                )
-            elif op == "fail":
-                reply = self.state.fail(
-                    worker,
-                    str(message.get("lease")),
-                    int(message.get("index", -1)),
-                    str(message.get("key", "")),
-                    message.get("record") or {},
+                    message.get("record"),
                 )
             elif op == "status":
-                reply = {"op": "status", "state": self.state.snapshot()}
+                reply = {"op": "status", "state": self._snapshot()}
             else:
                 reply = {"op": "error", "error": f"unknown op {op!r}"}
             self._after_mutation()
@@ -716,7 +633,7 @@ class Coordinator:
         """Caller holds the lock."""
         if self.state.is_done and not self._finished.is_set():
             self._finished.set()
-            self._write_state_file_locked()
+            self._write_state_file()
 
     def _tick_loop(self) -> None:
         interval = max(0.05, min(1.0, self.state.lease_s / 4.0))
@@ -724,21 +641,55 @@ class Coordinator:
             with self._lock:
                 self.state.reclaim()
                 self._after_mutation()
-                self._write_state_file_locked()
+                self._write_state_file()
             if self._finished.is_set():
                 return
 
     # -- status file -------------------------------------------------------
 
-    def _write_state_file(self) -> None:
-        with self._lock:
-            self._write_state_file_locked()
+    def _snapshot(self) -> dict:
+        """JSON-able progress view (the ``coordinator-state.json`` body);
+        caller holds the lock."""
+        run, state = self.run, self.state
+        now = state._clock()
+        return {
+            "phase": "done" if state.is_done else "running",
+            "cells": len(run.cells),
+            "done": len(run.results),
+            "failed": len(run.failures),
+            "ready": len(state.ready),
+            "delayed": len(state.delayed),
+            "leased": sum(len(l.indices) for l in state.leases.values()),
+            "store_hits": run.store_hits,
+            "dispatched": len(state.dispatched),
+            "reclaims": state.reclaims,
+            "retries": state.retries,
+            "quarantined": self.store.quarantined,
+            "leases": [
+                {
+                    "lease": lease.lease_id,
+                    "worker": lease.worker,
+                    "cells": sorted(run.pending[slot] for slot in lease.indices),
+                    "expires_in_s": round(lease.deadline - now, 3),
+                }
+                for lease in state.leases.values()
+            ],
+            "workers": {
+                name: {
+                    "completed": stats.completed,
+                    "failed": stats.failed,
+                    "idle_s": round(now - stats.last_seen, 3),
+                }
+                for name, stats in sorted(state.workers.items())
+            },
+        }
 
-    def _write_state_file_locked(self) -> None:
-        snapshot = self.state.snapshot()
+    def _write_state_file(self) -> None:
+        """Caller holds the lock."""
+        snapshot = self._snapshot()
         snapshot["address"] = list(self.address)
         snapshot["updated"] = time.time()  # repro: lint-ok[det-wall-clock] operator-facing staleness stamp, never feeds results
-        snapshot["elapsed_s"] = round(time.perf_counter() - self._start, 3)
+        snapshot["elapsed_s"] = round(time.perf_counter() - self.run.start, 3)
         try:
             write_atomic(
                 self.store_dir / STATE_FILENAME,
@@ -750,7 +701,7 @@ class Coordinator:
     # -- result ------------------------------------------------------------
 
     def result(self) -> CampaignResult:
-        """Assemble the final result (campaign must be finished).
+        """The campaign's result (it must be finished).
 
         Merges every shard into the main store first — the merge is
         also the *verification* pass: a shard record disagreeing with
@@ -762,35 +713,15 @@ class Coordinator:
             raise DispatchError(
                 f"campaign not finished: {self.state.outstanding} cells open"
             )
-        if self._result is not None:
-            return self._result
         with self._lock:
-            merge_shards(self.store, shard_roots(self.store_dir))
-            status = self.store.partition(self.state.cells)
-            failures = dict(status.failed)
-            for index in status.pending:
-                failures[index] = self.state.failed.get(index) or FailedCell(
-                    cell=self.state.cells[index],
-                    error_type="MissingRecord",
-                    error="cell resolved but its store record is gone",
-                    traceback="",
-                    elapsed_s=0.0,
-                )
-            self._result = CampaignResult(
-                cells=list(status.done.values()),
-                workers=max(len(self.state.workers), 1),
-                elapsed_s=time.perf_counter() - self._start,
-                failed=[failures[i] for i in sorted(failures)],
-                store_hits=self.state.store_hits,
-                dispatched=len(self.state.dispatched),
-                store_dir=os.fspath(self.store_dir),
-                quarantined=self.store.quarantined + self.recovery.quarantined,
-            )
-            self._write_state_file_locked()
+            if self._result is None:
+                merge_shards(self.store, shard_roots(self.store_dir))
+                self._result = self.run.result(max(len(self.state.workers), 1))
+                self._write_state_file()
         return self._result
 
 
-# -- one-call local cluster ------------------------------------------------
+# -- local worker subprocesses ---------------------------------------------
 
 
 def _worker_env() -> dict[str, str]:
@@ -804,115 +735,59 @@ def _worker_env() -> dict[str, str]:
     return env
 
 
-def run_distributed_campaign(
-    grid: ParameterGrid | Sequence[CampaignCell],
-    *,
-    workers: int | None = None,
-    chunk_frames: int | None = None,
-    window_s: float = 1.0,
-    keep_reports: bool = False,
-    store_dir: str | os.PathLike | None = None,
-    resume: bool = True,
-    retry_failed: bool = False,
-    timeout_s: float | None = None,
-    lease_s: float = DEFAULT_LEASE_S,
-    batch: int = DEFAULT_BATCH,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_s: float = DEFAULT_BACKOFF_S,
-    respawn_budget: int | None = None,
-) -> CampaignResult:
-    """Run a grid on a coordinator + N local worker *subprocesses*.
+def _drive_local_workers(coordinator: Coordinator, n_workers: int) -> CampaignResult:
+    """Keep ``n_workers`` local ``repro campaign-worker`` subprocesses on
+    ``coordinator`` until it finishes; return its result.
 
-    The one-call form behind ``run_campaign(dispatch="distributed")``:
-    boots a :class:`Coordinator` on an ephemeral loopback port, spawns
-    ``workers`` ``repro campaign-worker`` processes against it, and
-    survives them dying — a killed worker's leases are reclaimed and,
-    while unfinished work remains, a replacement is spawned (up to
-    ``respawn_budget``, default ``workers``).  Results are identical to
-    a serial ``run_campaign`` modulo per-cell wall-clock.
-
-    ``store_dir=None`` uses a private temporary store (the robustness
-    machinery needs one); pass a real directory to keep the records.
+    A killed worker's leases are reclaimed by the coordinator and, while
+    unfinished work remains, a replacement is spawned (``n_workers``
+    replacements in all).  A coordinator the store already answers
+    spawns nothing.
     """
-    if keep_reports:
-        raise ValueError(
-            "distributed dispatch does not support keep_reports=True — "
-            "full reports do not travel the wire; use the store's "
-            "summary records or local dispatch"
+    if coordinator.finished:
+        return coordinator.result()
+    host, port = coordinator.address
+    env = _worker_env()
+
+    def spawn(index: int) -> subprocess.Popen:
+        return subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "campaign-worker",
+                "--connect",
+                f"{host}:{port}",
+                "--id",
+                f"local-{index}",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
-    n_workers = workers if workers is not None else (os.cpu_count() or 1)
-    if n_workers < 1:
-        raise ValueError("workers must be >= 1")
-    budget = respawn_budget if respawn_budget is not None else n_workers
 
-    temp: tempfile.TemporaryDirectory | None = None
-    if store_dir is None:
-        temp = tempfile.TemporaryDirectory(prefix="repro-campaign-")
-        store_dir = temp.name
+    procs = [spawn(i) for i in range(n_workers)]
+    spawned = n_workers
     try:
-        with Coordinator(
-            grid,
-            store_dir,
-            lease_s=lease_s,
-            batch=batch,
-            max_attempts=max_attempts,
-            backoff_s=backoff_s,
-            resume=resume,
-            retry_failed=retry_failed,
-            chunk_frames=chunk_frames,
-            window_s=window_s,
-            timeout_s=timeout_s,
-        ) as coordinator:
-            if coordinator.finished:  # everything answered from the store
-                return coordinator.result()
-            host, port = coordinator.address
-            env = _worker_env()
-
-            def spawn(index: int) -> subprocess.Popen:
-                return subprocess.Popen(
-                    [
-                        sys.executable,
-                        "-m",
-                        "repro",
-                        "campaign-worker",
-                        "--connect",
-                        f"{host}:{port}",
-                        "--id",
-                        f"local-{index}",
-                    ],
-                    env=env,
-                    stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
+        while not coordinator.wait(timeout=0.2):
+            procs = [p for p in procs if p.poll() is None]
+            while len(procs) < n_workers and spawned < 2 * n_workers:
+                procs.append(spawn(spawned))
+                spawned += 1
+            if not procs:
+                raise DispatchError(
+                    "every campaign worker exited with "
+                    f"{coordinator.state.outstanding} cells "
+                    "unresolved and the respawn budget spent"
                 )
-
-            procs = [spawn(i) for i in range(n_workers)]
-            spawned = n_workers
-            try:
-                while not coordinator.wait(timeout=0.2):
-                    procs = [p for p in procs if p.poll() is None]
-                    missing = n_workers - len(procs)
-                    while missing > 0 and budget > 0:
-                        procs.append(spawn(spawned))
-                        spawned += 1
-                        missing -= 1
-                        budget -= 1
-                    if not procs:
-                        raise DispatchError(
-                            "every campaign worker exited with "
-                            f"{coordinator.state.outstanding} cells "
-                            "unresolved and the respawn budget spent"
-                        )
-                return coordinator.result()
-            finally:
-                for proc in procs:
-                    if proc.poll() is None:
-                        proc.terminate()
-                for proc in procs:
-                    try:
-                        proc.wait(timeout=5.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait(timeout=5.0)
+        return coordinator.result()
     finally:
-        if temp is not None:
-            temp.cleanup()
+        for proc in procs:
+            if proc.poll() is None:
+                proc.terminate()
+        for proc in procs:
+            try:
+                proc.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=5.0)

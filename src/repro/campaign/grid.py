@@ -116,7 +116,7 @@ class ParameterGrid:
         :class:`~repro.sim.library.UnknownParameterError` (unknown
         parameter, with a "did you mean ...?" suggestion) *before* any
         cell is dispatched — a typo'd ``--vary n_statoins=...`` fails
-        here in milliseconds instead of as one ``FailedCell`` per grid
+        here in milliseconds instead of as one failure record per grid
         point after the pool spins up.  Returns ``self`` for chaining.
         """
         from ..sim import validate_scenario_params

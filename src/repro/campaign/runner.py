@@ -10,9 +10,14 @@ one trace per cell, and wall-clock scales with the worker count
 Campaigns are **crash-safe and resumable** when given a ``store_dir``:
 results stream into a content-addressed
 :class:`~repro.campaign.store.CampaignStore` *as jobs resolve*, a
-cell that raises becomes a :class:`~repro.campaign.store.FailedCell`
+cell that raises becomes a :class:`~repro.jobs.JobError` failure
 record instead of sinking the whole run, and a re-invocation consults
 the store first and dispatches only the cells it is missing.
+
+A campaign has one body, ``_CellRun``; ``dispatch`` only picks what
+resolves its jobs — :func:`repro.jobs.run_jobs`, or the lease
+coordinator of :mod:`repro.campaign.dispatch` with local worker
+subprocesses — and both call its ``record`` once per job.
 
     from repro.campaign import ParameterGrid, run_campaign
 
@@ -24,14 +29,17 @@ the store first and dispatches only the cells it is missing.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..jobs import JobError, run_jobs
 from .grid import CampaignCell, ParameterGrid
-from .store import CampaignStore, FailedCell
+from .merge import MergeReport, merge_shards, shard_roots
+from .store import CampaignStore
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.report import CongestionReport
@@ -56,7 +64,7 @@ def _safe_ratio(numerator: float, denominator: float) -> float:
 class Timeout(Exception):
     """A cell exceeded ``run_campaign(timeout_s=...)`` and was aborted.
 
-    Named so the :class:`FailedCell` record reads ``type="Timeout"``.
+    Named so the failure record reads ``type="Timeout"``.
     """
 
 
@@ -150,7 +158,7 @@ class CampaignResult:
     cells: list[CellResult]
     workers: int
     elapsed_s: float
-    failed: list[FailedCell] = field(default_factory=list)
+    failed: list[JobError] = field(default_factory=list)
     store_hits: int = 0
     dispatched: int = 0
     store_dir: str | None = None
@@ -227,22 +235,100 @@ def _simulate_cell(job: tuple[CampaignCell, dict]) -> CellResult:
     )
 
 
-def _failed_cell(cell: CampaignCell, e: JobError) -> FailedCell:
-    return FailedCell(cell, e.error_type, e.error, e.traceback, e.elapsed_s)
+class _CellRun:
+    """One campaign's body, whatever resolves its jobs.
 
+    Checks the run options and grid before opening the store, merges
+    any worker shards into it (crash recovery: a shard can hold cells a
+    dead coordinator never stored), and partitions the cells by what it
+    holds.  :meth:`record` is the ``on_done`` of whatever runs :attr:`jobs`.
+    """
 
-def _expand_cells(
-    grid: ParameterGrid | Sequence[CampaignCell],
-) -> list[CampaignCell]:
-    """Grid → cell list with the shared sanity checks (shape only)."""
-    cells = grid.cells() if isinstance(grid, ParameterGrid) else list(grid)
-    if not cells:
-        raise ValueError("campaign has no cells")
-    names = [cell.name for cell in cells]
-    if len(set(names)) != len(names):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise ValueError(f"duplicate campaign cells: {dupes}")
-    return cells
+    def __init__(
+        self,
+        grid: ParameterGrid | Sequence[CampaignCell],
+        store_dir: str | os.PathLike | None = None,
+        *,
+        salt: str | None = None,
+        chunk_frames: int = CELL_CHUNK_FRAMES,
+        window_s: float = 1.0,
+        keep_reports: bool = False,
+        timeout_s: float | None = None,
+        resume: bool = True,
+        retry_failed: bool = False,
+    ) -> None:
+        if chunk_frames < 1:
+            raise ValueError("run option 'chunk_frames' must be >= 1")
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError("run option 'timeout_s' must be > 0")
+        cells = grid.cells() if isinstance(grid, ParameterGrid) else list(grid)
+        if not cells:
+            raise ValueError("campaign has no cells")
+        names = [cell.name for cell in cells]
+        if len(set(names)) != len(names):
+            dupes = sorted({n for n in names if names.count(n) > 1})
+            raise ValueError(f"duplicate campaign cells: {dupes}")
+        self.cells = cells
+        self.options = {
+            "chunk_frames": chunk_frames,
+            "window_s": window_s,
+            "keep_reports": keep_reports,
+            "timeout_s": timeout_s,
+        }
+        self.start = time.perf_counter()
+        self.store_dir = store_dir
+        self.store = CampaignStore(store_dir, salt=salt) if store_dir is not None else None
+        self.recovery = MergeReport()
+        # `store is not None`, never `if store:` — CampaignStore has __len__.
+        if self.store is not None:
+            self.recovery = merge_shards(self.store, shard_roots(store_dir))
+        if self.store is not None and resume:
+            status = self.store.partition(
+                self.cells, retry_failed=retry_failed, with_report=keep_reports
+            )
+            self.keys, self.pending = status.keys, status.pending
+            self.results, self.failures = dict(status.done), dict(status.failed)
+        else:
+            self.keys = [
+                None if self.store is None else self.store.key_for(cell)
+                for cell in self.cells
+            ]
+            self.pending = list(range(len(self.cells)))
+            self.results, self.failures = {}, {}
+        self.store_hits = len(self.results)
+        self.jobs = [(self.cells[index], self.options) for index in self.pending]
+
+    def record(self, slot: int, outcome: CellResult | JobError) -> None:
+        """Keep and store the outcome of pending job ``slot``, under the
+        key its cell was partitioned with."""
+        index = self.pending[slot]
+        cell, key = self.cells[index], self.keys[index]
+        if isinstance(outcome, JobError):
+            outcome = replace(outcome, name=cell.name, source=cell)
+            self.failures[index] = outcome
+            # A dead worker's failure is not the cell's: never persisted.
+            if self.store is not None and outcome.ran:
+                self.store.put_failure(outcome, key=key)
+        else:
+            self.results[index] = outcome
+            if self.store is not None:
+                self.store.put(outcome, key=key)
+
+    def result(self, workers: int) -> CampaignResult:
+        return CampaignResult(
+            cells=[self.results[i] for i in sorted(self.results)],
+            workers=workers,
+            elapsed_s=time.perf_counter() - self.start,
+            failed=[self.failures[i] for i in sorted(self.failures)],
+            store_hits=self.store_hits,
+            dispatched=len(self.pending),
+            store_dir=os.fspath(self.store_dir) if self.store_dir is not None else None,
+            quarantined=(
+                self.store.quarantined + self.recovery.quarantined
+                if self.store is not None
+                else 0
+            ),
+        )
 
 
 def run_campaign(
@@ -275,24 +361,26 @@ def run_campaign(
     default) answers cells from the store when their content key
     matches; ``resume=False`` recomputes (and overwrites) everything.
     Recorded failures are *not* retried on resume unless
-    ``retry_failed=True``.
+    ``retry_failed=True``.  Bad run options (``chunk_frames < 1``,
+    ``timeout_s <= 0``) raise ``ValueError`` before the store is opened.
 
     A cell that raises never aborts the campaign: it is captured as a
-    :class:`FailedCell` (config + traceback) in ``result.failed`` and —
-    when a store is attached — persisted alongside the results.  A dead
-    pool worker's ``FailedCell(type="BrokenProcessPool")`` is not
-    persisted: a broken pool also fails cells that never started.
+    :class:`~repro.jobs.JobError` (``source`` the cell, with its
+    traceback) in ``result.failed`` and — when a store is attached —
+    persisted alongside the results.  A dead pool worker's
+    ``JobError(error_type="BrokenProcessPool")`` is not persisted: a
+    broken pool also fails cells that never started.
 
     ``timeout_s`` bounds each cell's wall-clock: the first stream chunk
     that arrives past the deadline aborts the cell, which is captured as
-    a ``FailedCell(type="Timeout")`` instead of stalling its pool slot.
+    a ``JobError(error_type="Timeout")`` instead of stalling its slot.
 
-    ``dispatch="distributed"`` routes the same grid through the
-    fault-tolerant coordinator/worker protocol
-    (:func:`repro.campaign.dispatch.run_distributed_campaign`): worker
-    *subprocesses* lease cell batches over a socket, results land in
-    per-worker store shards merged losslessly into ``store_dir``, and
-    dead workers are survived via lease reclaim + bounded retries.
+    ``dispatch="distributed"`` resolves the same jobs through the lease
+    coordinator (:class:`repro.campaign.dispatch.Coordinator`) and
+    ``workers`` local ``repro campaign-worker`` subprocesses (default:
+    one per CPU), surviving dead workers via lease reclaim, bounded
+    retries and respawns; ``store_dir=None`` uses a private temporary
+    store, and ``keep_reports=True`` is refused.
     """
     if dispatch not in DISPATCH_MODES:
         from .._suggest import unknown_name_message
@@ -300,70 +388,33 @@ def run_campaign(
         raise ValueError(
             unknown_name_message("dispatch mode", dispatch, DISPATCH_MODES)
         )
-    if dispatch == "distributed":
-        from .dispatch import run_distributed_campaign
-
-        return run_distributed_campaign(
-            grid,
-            workers=workers,
-            chunk_frames=chunk_frames,
-            window_s=window_s,
-            keep_reports=keep_reports,
-            store_dir=store_dir,
-            resume=resume,
-            retry_failed=retry_failed,
-            timeout_s=timeout_s,
-        )
-    cells = _expand_cells(grid)
-
-    store = CampaignStore(store_dir) if store_dir is not None else None
-    options = {
-        "chunk_frames": chunk_frames,
-        "window_s": window_s,
-        "keep_reports": keep_reports,
-        "timeout_s": timeout_s,
-    }
-
-    start = time.perf_counter()
-    # `store is not None`, never `if store:` — CampaignStore has __len__.
-    if store is not None and resume:
-        status = store.partition(
-            cells, retry_failed=retry_failed, with_report=keep_reports
-        )
-        results, failures = dict(status.done), dict(status.failed)
-        to_run, keys = status.pending, status.keys
-    else:
-        results, failures = {}, {}
-        to_run, keys = list(range(len(cells))), [None] * len(cells)
-    store_hits = len(results)
-
-    def record(slot: int, outcome: CellResult | JobError) -> None:
-        index = to_run[slot]
-        key = keys[index]
-        if isinstance(outcome, JobError):
-            failures[index] = _failed_cell(cells[index], outcome)
-            # A dead worker's failure is not the cell's: never persisted.
-            if store is not None and outcome.ran:
-                store.put_failure(failures[index], key=key)
-        else:
-            results[index] = outcome
-            if store is not None:
-                store.put(outcome, key=key)
-
-    run_jobs(
-        _simulate_cell,
-        [(cells[index], options) for index in to_run],
-        record,
-        workers=workers,
+    options = dict(
+        chunk_frames=chunk_frames,
+        window_s=window_s,
+        timeout_s=timeout_s,
+        resume=resume,
+        retry_failed=retry_failed,
     )
-    serial = len(to_run) <= 1 or workers == 1
-    return CampaignResult(
-        cells=[results[i] for i in sorted(results)],
-        workers=1 if serial else workers or os.cpu_count() or 1,
-        elapsed_s=time.perf_counter() - start,
-        failed=[failures[i] for i in sorted(failures)],
-        store_hits=store_hits,
-        dispatched=len(to_run),
-        store_dir=os.fspath(store_dir) if store_dir is not None else None,
-        quarantined=store.quarantined if store is not None else 0,
-    )
+    if dispatch == "local":
+        run = _CellRun(grid, store_dir, keep_reports=keep_reports, **options)
+        run_jobs(_simulate_cell, run.jobs, run.record, workers=workers)
+        serial = len(run.pending) <= 1 or workers == 1
+        return run.result(1 if serial else workers or os.cpu_count() or 1)
+
+    if keep_reports:
+        raise ValueError(
+            "distributed dispatch does not support keep_reports=True — "
+            "full reports do not travel the wire; use the store's "
+            "summary records or local dispatch"
+        )
+    n_workers = workers if workers is not None else (os.cpu_count() or 1)
+    if n_workers < 1:
+        raise ValueError("workers must be >= 1")
+    from .dispatch import Coordinator, _drive_local_workers
+
+    with (
+        tempfile.TemporaryDirectory(prefix="repro-campaign-")
+        if store_dir is None
+        else contextlib.nullcontext(store_dir)
+    ) as root, Coordinator(grid, root, **options) as coordinator:
+        return _drive_local_workers(coordinator, n_workers)

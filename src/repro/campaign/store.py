@@ -13,11 +13,11 @@ the missing work.  The :class:`CampaignStore` provides that guarantee:
   safe substitute for re-running; anything that changes the simulation
   — a parameter, a seed, a library default, the simulator source —
   changes the key and transparently invalidates the entry.
-* **Failure records.**  A cell that raises is persisted as a
-  :class:`FailedCell` (exception type, message, traceback) in a
-  ``.fail.json`` sidecar; the campaign completes, reports the failure,
-  and a ``--retry-failed`` pass re-runs exactly those cells.  A result
-  always outranks a failure for the same key.
+* **Failure records.**  A cell that raises is persisted from its
+  :class:`~repro.jobs.JobError` (exception type, message, traceback)
+  in a ``.fail.json`` sidecar; the campaign completes, reports the
+  failure, and a ``--retry-failed`` pass re-runs exactly those cells.
+  A result always outranks a failure for the same key.
 
 Layout, atomic writes, corruption quarantine, the report sidecar and
 the code-version salt are the shared :mod:`repro.store` disciplines.  A
@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..jobs import JobError
 from ..store import (
     BLOB_SUFFIX,
     FORMAT,
@@ -56,7 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "CampaignStore",
-    "FailedCell",
     "StoreStatus",
     "cell_key",
 ]
@@ -96,27 +96,12 @@ def cell_key(cell: CampaignCell, salt: str) -> str:
 
 
 @dataclass(frozen=True)
-class FailedCell:
-    """A cell whose simulation raised; the campaign completed without it."""
-
-    cell: CampaignCell
-    error_type: str
-    error: str
-    traceback: str
-    elapsed_s: float
-
-    @property
-    def name(self) -> str:
-        return self.cell.name
-
-
-@dataclass(frozen=True)
 class StoreStatus:
     """Cells of a grid partitioned by what the store holds, by index."""
 
     keys: list[str]  # every cell's content key
     done: dict[int, "CellResult"]  # stored results
-    failed: dict[int, FailedCell]  # recorded failures a resume keeps
+    failed: dict[int, JobError]  # recorded failures a resume keeps
     pending: list[int]  # still to run
 
     @property
@@ -167,6 +152,26 @@ _RESULT_FIELDS = (
     "events_processed",
     "events_cancelled",
 )
+
+
+def cell_result(
+    cell: CampaignCell, record: object, report: object = None
+) -> "CellResult | None":
+    """The :class:`CellResult` a ``result`` record holds for ``cell``.
+
+    ``None`` when the record lacks a numeric field: a store read treats
+    that as a miss (recompute), the coordinator as a malformed report.
+    """
+    from .runner import CellResult
+
+    numbers = record.get("result") if isinstance(record, Mapping) else None
+    if not isinstance(numbers, Mapping) or not all(
+        isinstance(numbers.get(f), (int, float)) for f in _RESULT_FIELDS
+    ):
+        return None
+    return CellResult(
+        cell=cell, report=report, **{f: numbers[f] for f in _RESULT_FIELDS}
+    )
 
 
 class CampaignStore:
@@ -230,13 +235,14 @@ class CampaignStore:
             "has_report": result.report is not None,
         }
 
-    def failure_payload(self, failed: FailedCell, key: str) -> dict:
-        """The on-disk JSON record for a failed cell (pure)."""
+    def failure_payload(self, failed: JobError, key: str) -> dict:
+        """The on-disk JSON record for a failed cell (pure);
+        ``failed.source`` is the cell."""
         return {
             "kind": "failure",
             "key": key,
             "salt": self.salt,
-            "cell": _cell_payload(failed.cell),
+            "cell": _cell_payload(failed.source),
             "error": {
                 "type": failed.error_type,
                 "message": failed.error,
@@ -272,9 +278,9 @@ class CampaignStore:
             self._records.put_blob(key, result.report)
         return self.put_record(self.result_payload(result, key))
 
-    def put_failure(self, failed: FailedCell, *, key: str | None = None) -> Path:
+    def put_failure(self, failed: JobError, *, key: str | None = None) -> Path:
         """Persist a failure record (never overwrites a success)."""
-        key = key or self.key_for(failed.cell)
+        key = key or self.key_for(failed.source)
         return self.put_record(self.failure_payload(failed, key))
 
     # -- reading ----------------------------------------------------------
@@ -299,17 +305,10 @@ class CampaignStore:
         JSON reconstruction), so resumed campaigns aggregate exactly
         like fresh ones.
         """
-        from .runner import CellResult
-
         key = key or self.key_for(cell)
         payload = self.result_record(key)
         if payload is None:
             return None
-        numbers = payload.get("result", {})
-        try:
-            kwargs = {f: numbers[f] for f in _RESULT_FIELDS}
-        except KeyError:
-            return None  # record from an incompatible layout: recompute
         report = None
         if with_report:
             # A record persisted without a report (or whose sidecar was
@@ -320,23 +319,24 @@ class CampaignStore:
             report = self._records.get_blob(key)
             if report is None:
                 return None
-        return CellResult(cell=cell, report=report, **kwargs)
+        return cell_result(cell, payload, report)
 
     def get_failure(
         self, cell: CampaignCell, *, key: str | None = None
-    ) -> FailedCell | None:
+    ) -> JobError | None:
         """Stored failure record for ``cell``, or ``None``."""
         key = key or self.key_for(cell)
         payload = self._records.get(key, _FAILURE_SUFFIX)
         if payload is None or payload["kind"] != "failure":
             return None
         error = payload.get("error", {})
-        return FailedCell(
-            cell=cell,
+        return JobError(
             error_type=str(error.get("type", "Exception")),
             error=str(error.get("message", "")),
             traceback=str(error.get("traceback", "")),
             elapsed_s=float(payload.get("elapsed_s", 0.0)),
+            name=cell.name,
+            source=cell,
         )
 
     def __contains__(self, cell: CampaignCell) -> bool:
@@ -379,7 +379,7 @@ class CampaignStore:
         """
         keys = [self.key_for(cell) for cell in cells]
         done: dict[int, "CellResult"] = {}
-        failed: dict[int, FailedCell] = {}
+        failed: dict[int, JobError] = {}
         pending: list[int] = []
         for index, (cell, key) in enumerate(zip(cells, keys)):
             result = self.get(cell, key=key, with_report=with_report)

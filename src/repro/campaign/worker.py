@@ -3,13 +3,15 @@
 The worker side of :mod:`repro.campaign.dispatch`.  A worker process
 connects to a coordinator, introduces itself (``hello`` → ``welcome``
 carrying the store salt, simulation options and a private shard
-directory), then loops: lease a batch, simulate each cell (the local
-runner's cell job and failure capture, ``timeout_s`` included), write
-the finished record into its *own shard* first, and only then report the
-completion.  That ordering is the durability story: if the coordinator
-dies between the shard write and the report, the record is recovered
-from the shard on restart; if the *worker* dies, the coordinator's
-lease expiry hands the unfinished cells to someone else.
+directory), then loops: lease a batch, run each cell as the local
+runner's job through :func:`repro.jobs.capture` (``timeout_s``
+included), write the finished record — result, or the
+:class:`~repro.jobs.JobError` failure record — into its *own shard*
+first, and only then report it.  That ordering is the durability
+story: if the coordinator dies between the shard write and the report,
+the record is recovered from the shard on restart; if the *worker*
+dies, the coordinator's lease expiry hands the unfinished cells to
+someone else.
 
 While a cell simulates, a background heartbeat thread keeps the lease
 alive.  If a heartbeat learns the lease is gone (the coordinator
@@ -26,13 +28,15 @@ import os
 import socket
 import threading
 import time
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from ..jobs import JobError, capture
 from .dispatch import DispatchError, cell_from_wire, recv_message, send_message
-from .runner import _failed_cell, _simulate_cell
-from .store import CampaignStore, FailedCell
+from .runner import _simulate_cell
+from .store import CampaignStore
 
 __all__ = ["WorkerChannel", "run_worker"]
 
@@ -62,51 +66,37 @@ class WorkerChannel:
         with self._lock:
             send_message(self._sock, message)
 
-    def close(self) -> None:
-        try:
-            self._sock.close()
-        except OSError:
-            pass
 
+@contextmanager
+def _heartbeat(
+    channel: WorkerChannel, worker: str, lease: str, lease_s: float
+) -> Iterator[threading.Event]:
+    """Extend one lease from a daemon thread while a cell simulates;
+    yields an event set once the coordinator says the lease is gone."""
+    stop, gone = threading.Event(), threading.Event()
 
-class _Heartbeat:
-    """Daemon thread extending one lease while a cell simulates."""
-
-    def __init__(self, channel: WorkerChannel, worker: str, lease: str,
-                 lease_s: float) -> None:
-        self._channel = channel
-        self._worker = worker
-        self._lease = lease
-        self._interval = max(0.05, lease_s / 3.0)
-        self._stop = threading.Event()
-        #: Set when the coordinator says the lease no longer exists.
-        self.lease_gone = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval):
+    def beat() -> None:
+        while not stop.wait(max(0.05, lease_s / 3.0)):
             try:
-                reply = self._channel.request(
-                    {"op": "heartbeat", "worker": self._worker,
-                     "lease": self._lease}
+                reply = channel.request(
+                    {"op": "heartbeat", "worker": worker, "lease": lease}
                 )
             except (ConnectionError, OSError):
                 # Coordinator unreachable: keep simulating — the record
                 # still lands in the shard, and shard merge on
                 # coordinator restart recovers it.
-                self.lease_gone.set()
-                return
+                reply = {"op": "gone"}
             if reply.get("op") == "gone":
-                self.lease_gone.set()
+                gone.set()
                 return
+
+    thread = threading.Thread(target=beat, daemon=True)
+    thread.start()
+    try:
+        yield gone
+    finally:
+        stop.set()
+        thread.join(timeout=5.0)
 
 
 def run_worker(
@@ -127,13 +117,9 @@ def run_worker(
     an unreachable coordinator); the session itself blocks, since a
     lease-grant can legitimately take as long as the queue is deep.
     """
-    sock = socket.create_connection((host, port), timeout=connect_timeout_s)
-    sock.settimeout(None)
-    channel = WorkerChannel(sock)
-    try:
-        return _serve(channel, worker_id=worker_id, shard_dir=shard_dir)
-    finally:
-        channel.close()
+    with socket.create_connection((host, port), timeout=connect_timeout_s) as sock:
+        sock.settimeout(None)
+        return _serve(WorkerChannel(sock), worker_id=worker_id, shard_dir=shard_dir)
 
 
 def _serve(
@@ -152,7 +138,6 @@ def _serve(
     name = welcome["worker"]  # coordinator-disambiguated identity
     lease_s = float(welcome.get("lease_s", 30.0))
     options = dict(welcome.get("options") or {})
-    options.setdefault("keep_reports", False)
     shard = CampaignStore(Path(welcome["shard"]), salt=welcome["salt"])
     completed = 0
 
@@ -172,51 +157,38 @@ def _serve(
         for entry in reply["cells"]:
             cell = cell_from_wire(entry["cell"])
             key = str(entry["key"])
+            message = {
+                "op": "fail", "worker": name, "lease": lease,
+                "index": entry["index"], "key": key,
+            }
             own_key = shard.key_for(cell)
             if own_key != key:
                 # Code-version skew: this worker would simulate
                 # *different* work than the key promises.  Refuse the
                 # cell rather than poison the store.
-                message = {
-                    "op": "fail", "worker": name, "lease": lease,
-                    "index": entry["index"], "key": key,
-                    "record": shard.failure_payload(
-                        FailedCell(
-                            cell=cell,
-                            error_type="KeySkew",
-                            error=(
-                                f"worker computes key {own_key[:12]}… for a "
-                                f"cell leased under {key[:12]}… — worker and "
-                                "coordinator run different repro code"
-                            ),
-                            traceback="",
-                            elapsed_s=0.0,
-                        ),
-                        key,
-                    ),
-                }
-                channel.request(message)
+                skew = JobError(
+                    "KeySkew",
+                    f"worker computes key {own_key[:12]}… for a cell leased "
+                    f"under {key[:12]}… — worker and coordinator run "
+                    "different repro code",
+                    "",
+                    0.0,
+                    source=cell,
+                )
+                channel.request({**message, "record": shard.failure_payload(skew, key)})
                 continue
 
-            with _Heartbeat(channel, name, lease, lease_s) as beat:
+            with _heartbeat(channel, name, lease, lease_s) as lease_gone:
                 outcome = capture(_simulate_cell, (cell, options))
             if isinstance(outcome, JobError):
-                failure = _failed_cell(cell, outcome)
+                failure = replace(outcome, source=cell)
                 shard.put_failure(failure, key=key)
-                message = {
-                    "op": "fail", "worker": name, "lease": lease,
-                    "index": entry["index"], "key": key,
-                    "record": shard.failure_payload(failure, key),
-                }
+                message["record"] = shard.failure_payload(failure, key)
             else:
                 shard.put(outcome, key=key)
-                record = shard.result_payload(outcome, key)
-                message = {
-                    "op": "complete", "worker": name, "lease": lease,
-                    "index": entry["index"], "key": key, "record": record,
-                }
+                message.update(op="complete", record=shard.result_payload(outcome, key))
             ack = channel.request(message)
             completed += 1
-            if beat.lease_gone.is_set() or not ack.get("lease_valid", True):
+            if lease_gone.is_set() or not ack.get("lease_valid", True):
                 # The rest of this batch belongs to someone else now.
                 break

@@ -18,7 +18,7 @@ import gzip
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..pcap.pcapio import _GZIP_ERRORS, _GZIP_MAGIC, _MAGIC
+from ..pcap.pcapio import _GZIP_ERRORS, _GZIP_MAGIC, _MAGIC, CaptureError
 
 __all__ = [
     "CaptureFormat",
@@ -86,8 +86,8 @@ def _sniff(head: bytes) -> str | None:
 def detect_format(path: str | Path) -> tuple[str, bool]:
     """Identify ``path`` by content: ``(format name, compressed)``.
 
-    Raises ``ValueError`` for anything no registered format claims,
-    including unreadably corrupt gzip wrappers.
+    Raises :class:`~repro.pcap.CaptureError` for anything no registered
+    format claims, including unreadably corrupt gzip wrappers.
     """
     path = Path(path)
     with path.open("rb") as fp:
@@ -97,21 +97,24 @@ def detect_format(path: str | Path) -> tuple[str, bool]:
             with gzip.open(path, "rb") as zp:
                 inner = zp.read(8)
         except _GZIP_ERRORS as error:
-            raise ValueError(
+            raise CaptureError(
                 f"{path}: corrupt gzip stream "
-                f"({type(error).__name__}: {error})"
+                f"({type(error).__name__}: {error})",
+                path=path,
             ) from error
         name = _sniff(inner)
         if name is None:
-            raise ValueError(
+            raise CaptureError(
                 f"{path}: gzipped data is not a recognised capture "
-                f"format (known: {sorted(CAPTURE_FORMATS)})"
+                f"format (known: {sorted(CAPTURE_FORMATS)})",
+                path=path,
             )
         return name, True
     name = _sniff(head)
     if name is None:
-        raise ValueError(
+        raise CaptureError(
             f"{path}: not a recognised capture format "
-            f"(known: {sorted(CAPTURE_FORMATS)})"
+            f"(known: {sorted(CAPTURE_FORMATS)})",
+            path=path,
         )
     return name, False

@@ -21,7 +21,7 @@ in place, or a flaky worker, retries on the next run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..core.report import CongestionReport
@@ -155,7 +155,7 @@ class CorpusAnalysis:
     cached: int  # served from the analysis store
     dispatched: int  # actually analyzed this run
     reports: dict[str, CongestionReport]  # path → report (cached + fresh)
-    failures: dict = field(default_factory=dict)  # path → FailedAnalysis
+    failures: dict = field(default_factory=dict)  # path → JobError
     skipped: dict[str, str] = field(default_factory=dict)  # path → status
 
     @property
@@ -186,7 +186,7 @@ def analyze_corpus(
     repeated (or interrupted and re-run) call dispatches only the rest.
     """
     from ..jobs import JobError, run_jobs
-    from ..pipeline import DEFAULT_CHUNK_FRAMES, FailedAnalysis
+    from ..pipeline import DEFAULT_CHUNK_FRAMES
     from ..pipeline.executor import report_job
 
     index = CorpusIndex(root)
@@ -211,7 +211,7 @@ def analyze_corpus(
     failures: dict = {}
     for (path, source, _), outcome in zip(jobs, outcomes):
         if isinstance(outcome, JobError):
-            failures[path] = FailedAnalysis.from_error(path, source, outcome)
+            failures[path] = replace(outcome, name=path, source=str(source))
         else:
             reports[path] = outcome
 

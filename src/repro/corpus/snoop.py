@@ -30,7 +30,7 @@ transparent, deterministic (level 9, mtime pinned to 0) gzip
 streaming, same as the pcap side.  Truncation/corruption surfaces as
 :class:`TruncatedSnoopError`, a subclass of
 :class:`repro.pcap.TruncatedPcapError`, after the clean prefix has
-been yielded.
+been yielded; a foreign file header is a :class:`repro.pcap.CaptureError`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from ..pcap.pcapio import (  # noqa: F401 - _CHUNK_BYTES is re-exported
     _CHUNK_BYTES,  # the shared reader's slab size, set on repro.pcap.pcapio
     _GZIP_MAGIC,
     PAPER_SNAPLEN,
+    CaptureError,
     TruncatedPcapError,
     _collect,
     _read_batches,
@@ -112,18 +113,20 @@ def _file_header(snaplen: int) -> bytes:
 
 def _check_file_header(path: Path, header: bytes) -> None:
     if len(header) < _FILE_HEADER.size:
-        raise ValueError(f"{path}: not a snoop file (too short)")
+        raise CaptureError(f"{path}: not a snoop file (too short)", path=path)
     ident, version, datalink = _FILE_HEADER.unpack(header)
     if ident != SNOOP_IDENT:
-        raise ValueError(f"{path}: bad snoop ident {ident!r}")
+        raise CaptureError(f"{path}: bad snoop ident {ident!r}", path=path)
     if version != SNOOP_VERSION:
-        raise ValueError(
-            f"{path}: snoop version {version}, expected {SNOOP_VERSION}"
+        raise CaptureError(
+            f"{path}: snoop version {version}, expected {SNOOP_VERSION}",
+            path=path,
         )
     if datalink != SnoopDatalinkType.IEEE_802_11_RADIOTAP:
-        raise ValueError(
+        raise CaptureError(
             f"{path}: snoop datalink {datalink}, expected radiotap "
-            f"({int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)})"
+            f"({int(SnoopDatalinkType.IEEE_802_11_RADIOTAP)})",
+            path=path,
         )
 
 

@@ -10,7 +10,14 @@ pickles.  A worker that dies outright breaks the pool: every job the
 pool had not finished resolves to a ``JobError`` with ``ran=False``,
 which callers report but never persist, since some never started.
 ``on_done(index, outcome)`` runs in this process as each job resolves,
-so whatever it stores survives an interrupt.
+so whatever it stores survives an interrupt.  The campaign's lease
+coordinator (:mod:`repro.campaign.dispatch`) resolves jobs through the
+same ``on_done`` contract, one call per job, from remote workers.
+
+A ``JobError`` is the one failure record: a failed campaign cell, a
+failed capture analysis.  The caller names it (``name``) and says what
+the job ran on (``source``: the cell, the capture path) with
+:func:`dataclasses.replace`.
 
 Stdlib only; imports nothing from ``repro``.
 """
@@ -34,6 +41,8 @@ class JobError:
     traceback: str
     elapsed_s: float
     ran: bool = True  # False: the pool broke; the job may never have started
+    name: str = ""  # set by the caller: the cell or capture name
+    source: Any = None  # set by the caller: the cell or capture path
 
 
 def capture(fn: Callable[[Any], Any], job: Any) -> Any:

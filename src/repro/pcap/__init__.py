@@ -9,6 +9,7 @@ from .dot11_codec import DecodedFrame, decode_frame, encode_frame, mac_to_node, 
 from .pcapio import (
     LINKTYPE_RADIOTAP,
     PAPER_SNAPLEN,
+    CaptureError,
     TruncatedPcapError,
     read_trace,
     read_trace_batches,
@@ -18,6 +19,7 @@ from .radiotap import CHANNEL_FREQ_MHZ, RadiotapHeader, channel_from_freq
 
 __all__ = [
     "CHANNEL_FREQ_MHZ",
+    "CaptureError",
     "DecodedFrame",
     "LINKTYPE_RADIOTAP",
     "PAPER_SNAPLEN",

@@ -60,19 +60,54 @@ __all__ = [
     "write_trace",
     "read_trace",
     "read_trace_batches",
+    "CaptureError",
     "TruncatedPcapError",
     "PAPER_SNAPLEN",
     "LINKTYPE_RADIOTAP",
 ]
 
 
-class TruncatedPcapError(ValueError):
+class CaptureError(ValueError):
+    """A damaged capture, or bytes that are not a capture this codec reads.
+
+    The one error the capture decoders raise at their boundary.  It
+    carries the capture's ``path``, where the damage starts
+    (``byte_offset``) and how many frames decoded cleanly before it
+    (``frames_read``), so callers — the streaming pipeline, the serve
+    daemon, batch runs, corpus indexing — can report the partial read
+    instead of surfacing a raw ``struct.error``.  A bad file header is
+    at offset 0 with no frame read.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        path: str | Path | None = None,
+        byte_offset: int = 0,
+        frames_read: int = 0,
+    ) -> None:
+        super().__init__(message)
+        self.path = None if path is None else str(path)
+        self.byte_offset = byte_offset
+        self.frames_read = frames_read
+        self._message = message
+
+    def _fields(self) -> dict:
+        return {
+            "path": self.path,
+            "byte_offset": self.byte_offset,
+            "frames_read": self.frames_read,
+        }
+
+    def __reduce__(self):
+        # The default reduction, ``cls(*args)``, drops keyword-only args.
+        return functools.partial(type(self), **self._fields()), (self._message,)
+
+
+class TruncatedPcapError(CaptureError):
     """A pcap ended mid-record or a record failed to decode.
 
-    Carries where the damage starts (``byte_offset``) and how many
-    frames decoded cleanly before it (``frames_read``) so callers —
-    the streaming pipeline, the serve daemon, batch runs — can report
-    the partial read instead of surfacing a raw ``struct.error``.
     ``compressed`` marks offsets into the decompressed stream of a
     gzipped capture (the on-disk file offset is not meaningful there).
     """
@@ -84,25 +119,20 @@ class TruncatedPcapError(ValueError):
         byte_offset: int,
         frames_read: int,
         compressed: bool = False,
+        path: str | Path | None = None,
     ) -> None:
         super().__init__(
             f"{message} ({_where(compressed)} {byte_offset}, "
-            f"{frames_read} frames read cleanly)"
+            f"{frames_read} frames read cleanly)",
+            path=path,
+            byte_offset=byte_offset,
+            frames_read=frames_read,
         )
-        self.byte_offset = byte_offset
-        self.frames_read = frames_read
         self.compressed = compressed
         self._message = message
 
-    def __reduce__(self):
-        # The default reduction, ``cls(*args)``, drops keyword-only args.
-        rebuild = functools.partial(
-            type(self),
-            byte_offset=self.byte_offset,
-            frames_read=self.frames_read,
-            compressed=self.compressed,
-        )
-        return rebuild, (self._message,)
+    def _fields(self) -> dict:
+        return {**super()._fields(), "compressed": self.compressed}
 
 
 def _where(compressed: bool) -> str:
@@ -149,7 +179,7 @@ class _RecordLayout:
     zero-padded to a multiple of ``pad`` bytes.  ``error`` is the
     container's damage error; ``file_header(snaplen)`` builds the
     (fixed-size) file header and ``check_file_header(path, header)``
-    raises ``ValueError`` for a foreign one.
+    raises :class:`CaptureError` for a foreign one.
     """
 
     def __init__(
@@ -232,16 +262,17 @@ def _pcap_file_header(snaplen: int) -> bytes:
 
 def _check_pcap_file_header(path: Path, header: bytes) -> None:
     if len(header) < _PCAP_FILE_HEADER.size:
-        raise ValueError(f"{path}: not a pcap file (too short)")
+        raise CaptureError(f"{path}: not a pcap file (too short)", path=path)
     magic, _vmaj, _vmin, _tz, _sig, _snaplen, linktype = (
         _PCAP_FILE_HEADER.unpack(header)
     )
     if magic != _MAGIC:
-        raise ValueError(f"{path}: bad pcap magic {magic:#x}")
+        raise CaptureError(f"{path}: bad pcap magic {magic:#x}", path=path)
     if linktype != LINKTYPE_RADIOTAP:
-        raise ValueError(
+        raise CaptureError(
             f"{path}: linktype {linktype}, expected radiotap "
-            f"({LINKTYPE_RADIOTAP})"
+            f"({LINKTYPE_RADIOTAP})",
+            path=path,
         )
 
 
@@ -826,7 +857,7 @@ def _decode_record_scalar(
 
     Raises the container's damage error (``layout.error``, with the
     record's absolute byte offset) when the codecs reject the bytes,
-    and a plain ``ValueError`` naming the path and offset for a
+    and a :class:`CaptureError` naming the path and offset for a
     well-formed record bearing a non-802.11b rate — that is not
     truncation, it is an out-of-scope capture.
     """
@@ -843,12 +874,16 @@ def _decode_record_scalar(
             byte_offset=abs_offset,
             frames_read=frames_read,
             compressed=compressed,
+            path=path,
         ) from error
     try:
         rate_code = rate_to_code(radiotap.rate_mbps)
     except ValueError as error:
-        raise ValueError(
-            f"{path}: {error} ({_where(compressed)} {abs_offset})"
+        raise CaptureError(
+            f"{path}: {error} ({_where(compressed)} {abs_offset})",
+            path=path,
+            byte_offset=abs_offset,
+            frames_read=frames_read,
         ) from error
     if frame.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
         size = max(0, header["orig_len"] - rt_len - 24) + 24
@@ -909,6 +944,7 @@ def read_trace_batches(
                 byte_offset=0,
                 frames_read=0,
                 compressed=True,
+                path=path,
             ) from error
     if head.startswith(_SNOOP_IDENT):
         from ..corpus.snoop import read_snoop_batches
@@ -930,6 +966,7 @@ def _read_batches(
             byte_offset=byte_offset,
             frames_read=frames_read,
             compressed=True,
+            path=path,
         )
 
     with (gzip.open(path, "rb") if compressed else path.open("rb")) as fp:
@@ -1022,6 +1059,7 @@ def _read_batches(
                     byte_offset=base + bad_at,
                     frames_read=frames_read,
                     compressed=compressed,
+                    path=path,
                 )
             buf = buf[consumed:]
             base += consumed
@@ -1036,12 +1074,14 @@ def _read_batches(
                     byte_offset=base,
                     frames_read=frames_read,
                     compressed=compressed,
+                    path=path,
                 )
             raise layout.error(
                 f"{path}: truncated record body",
                 byte_offset=base + layout.size,
                 frames_read=frames_read,
                 compressed=compressed,
+                path=path,
             )
         if len(rows):
             yield rows.flush()

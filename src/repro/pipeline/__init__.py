@@ -41,7 +41,6 @@ from .consumers import (
     UtilizationConsumer,
 )
 from .executor import (
-    FailedAnalysis,
     PipelineExecutor,
     assemble_report,
     run_all,
@@ -80,7 +79,6 @@ __all__ = [
     "DEFAULT_CHUNK_FRAMES",
     "DEFAULT_CONSUMERS",
     "DelayConsumer",
-    "FailedAnalysis",
     "PipelineExecutor",
     "ROSTER_CONSUMERS",
     "ReceptionConsumer",

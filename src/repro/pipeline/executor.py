@@ -31,7 +31,7 @@ day/plenary splits) run in parallel via :func:`run_batch`.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -58,7 +58,6 @@ from .stream import (
 
 __all__ = [
     "PipelineExecutor",
-    "FailedAnalysis",
     "assemble_report",
     "run_all",
     "run_consumers",
@@ -400,29 +399,6 @@ def run_all(
     return assemble_report(results, name=name)
 
 
-@dataclass(frozen=True)
-class FailedAnalysis:
-    """One capture of a batch whose analysis raised.
-
-    Mirrors the campaign runner's ``FailedCell``: the batch completes
-    without the failing capture, and the record carries enough to
-    diagnose and retry (error type, message, full traceback).
-    """
-
-    name: str
-    source: str
-    error_type: str
-    error: str
-    traceback: str
-
-    @classmethod
-    def from_error(cls, name: str, source, e: JobError) -> "FailedAnalysis":
-        """The record for capture ``name``, whose job ended in ``e``."""
-        path = isinstance(source, (str, Path))
-        source = str(source) if path else type(source).__name__
-        return cls(name, source, e.error_type, e.error, e.traceback)
-
-
 def report_job(job) -> CongestionReport:
     """``(name, source, run_all kwargs)`` → report: the job of
     :func:`run_batch` and corpus analysis (module-level, so pools can
@@ -439,7 +415,7 @@ def run_batch(
     timing: TimingParameters = DOT11B_TIMING,
     min_count: int = 1,
     chunk_frames: int = DEFAULT_CHUNK_FRAMES,
-) -> dict[str, CongestionReport | FailedAnalysis]:
+) -> dict[str, CongestionReport | JobError]:
     """Analyze many captures in parallel, one single-pass run each.
 
     ``traces`` may be a mapping ``{name: source}``, a sequence of
@@ -449,8 +425,9 @@ def run_batch(
 
     One capture raising (a truncated pcap, an unsortable feed), or
     whose pool worker dies, does **not** abort the batch: its entry
-    becomes a :class:`FailedAnalysis` record and every other capture
-    still returns its report.
+    becomes a :class:`~repro.jobs.JobError` failure record (``name``
+    the capture's, ``source`` its path or, for an in-memory source, its
+    type name) and every other capture still returns its report.
 
     Captures run on :func:`repro.jobs.run_jobs`: on processes when every
     source is a path (pcap decode is GIL-bound Python), on threads when
@@ -485,7 +462,13 @@ def run_batch(
     )
     return {
         name: (
-            FailedAnalysis.from_error(name, source, outcome)
+            replace(
+                outcome,
+                name=name,
+                source=str(source)
+                if isinstance(source, (str, Path))
+                else type(source).__name__,
+            )
             if isinstance(outcome, JobError)
             else outcome
         )

@@ -768,7 +768,7 @@ def _cmd_campaign_coordinator(args: argparse.Namespace) -> int:
             print(
                 f"coordinator listening on {host}:{port} "
                 f"({coordinator.state.outstanding} of "
-                f"{coordinator.state.n_cells} cells to run) — start workers "
+                f"{len(coordinator.run.cells)} cells to run) — start workers "
                 f"with: repro campaign-worker --connect {host}:{port}",
                 file=sys.stderr,
             )

@@ -21,14 +21,15 @@ import time
 import pytest
 
 from repro.campaign import CampaignCell, ParameterGrid, run_campaign
-from repro.campaign.dispatch import Coordinator, CoordinatorState
-from repro.campaign.store import CampaignStore, FailedCell
+from repro.campaign.dispatch import Coordinator
+from repro.campaign.store import CampaignStore
 from repro.sim.library import SCENARIO_LIBRARY
 
 from .test_dispatch import (
     SALT,
     FakeClock,
     ProtocolWorker,
+    failed_cell,
     fake_result,
     make_cells,
     make_state,
@@ -137,7 +138,7 @@ class TestStalledHeartbeat:
         store = CampaignStore(tmp_path / "store", salt=SALT)
         clock = FakeClock()
         cells = make_cells(2)
-        state = make_state(store, cells, clock, batch=2, lease_s=5.0)
+        state, _ = make_state(store, cells, clock, batch=2, lease_s=5.0)
         stalled = state.lease("stalled")
         # Heartbeats arrive for a while, then stop (the worker wedged).
         clock.advance(4.0)
@@ -173,7 +174,7 @@ class TestStalledHeartbeat:
         store = CampaignStore(tmp_path / "store", salt=SALT)
         clock = FakeClock()
         cells = make_cells(1)
-        state = make_state(store, cells, clock, batch=1, lease_s=5.0)
+        state, _ = make_state(store, cells, clock, batch=1, lease_s=5.0)
         first = state.lease("w1")
         clock.advance(5.1)
         state.reclaim()
@@ -211,7 +212,7 @@ class TestCoordinatorRestart:
         with Coordinator(
             cells, tmp_path / "store", salt=SALT, batch=2
         ) as second:
-            assert second.state.store_hits == 2
+            assert second.run.store_hits == 2
             worker = ProtocolWorker(second, name="w2")
             try:
                 assert worker.drain() == 2  # only the unfinished half
@@ -236,7 +237,7 @@ class TestCoordinatorRestart:
             cells, tmp_path / "store", salt=SALT
         ) as coordinator:
             assert coordinator.recovery.results_merged == 1
-            assert coordinator.state.store_hits == 1
+            assert coordinator.run.store_hits == 1
             worker = ProtocolWorker(coordinator, name="w")
             try:
                 assert worker.drain() == 1
@@ -246,26 +247,39 @@ class TestCoordinatorRestart:
             result = coordinator.result()
         assert len(result.cells) == 2 and result.dispatched == 1
 
+    def test_local_run_recovers_orphaned_shard_record(self, tmp_path, monkeypatch):
+        """A local run over a store opens it the way a coordinator does:
+        a shard record whose completion never reached the main store is
+        merged and answers its cell."""
+        cells = [
+            CampaignCell("ramp", params=(("duration_s", 1.0),), seed=seed)
+            for seed in (0, 1)
+        ]
+        shard = CampaignStore(
+            tmp_path / "store" / "shards" / "w-crashed", salt=SALT
+        )
+        shard.put(fake_result(cells[0]))
+        monkeypatch.setenv("REPRO_CAMPAIGN_SALT", SALT)
+        result = run_campaign(cells, workers=1, store_dir=tmp_path / "store")
+        assert result.store_hits == 1 and result.dispatched == 1
+        assert result.cells[0] == fake_result(cells[0])
+
     def test_restart_resets_mid_budget_retry_counts(self, tmp_path):
         """Attempts live in coordinator memory, permanent failures in
         the store: a restart forgives half-spent retry budgets."""
         store = CampaignStore(tmp_path / "store", salt=SALT)
         cells = make_cells(1)
         clock = FakeClock()
-        state = make_state(store, cells, clock, batch=1, max_attempts=3)
+        state, _ = make_state(store, cells, clock, batch=1, max_attempts=3)
         grant = state.lease("w1")
         entry = grant["cells"][0]
         failure = store.failure_payload(
-            FailedCell(
-                cell=cells[0], error_type="RuntimeError", error="flaky",
-                traceback="", elapsed_s=0.1,
-            ),
-            entry["key"],
+            failed_cell(cells[0], "RuntimeError", "flaky"), entry["key"]
         )
         state.fail("w1", grant["lease"], entry["index"], entry["key"], failure)
         assert state.attempts[0] == 1
         # "Restart": a fresh state over the same store.
-        reborn = make_state(store, cells, FakeClock(), batch=1, max_attempts=3)
+        reborn, _ = make_state(store, cells, FakeClock(), batch=1, max_attempts=3)
         assert reborn.attempts[0] == 0
         assert reborn.lease("w")["cells"][0]["attempt"] == 1
 
@@ -413,3 +427,49 @@ class TestDistributedEndToEnd:
         )
         assert resumed.dispatched == 0 and resumed.store_hits == 2
         assert normalized(resumed.cells) == normalized(serial.cells)
+
+    def test_failures_match_across_dispatch_paths(self, tmp_path):
+        """Serial, pool and distributed runs of one grid with a good, a
+        mistyped and a hung cell return the same cells and failures,
+        store the same failure records, and resume with 0 dispatched."""
+        grid = [
+            CampaignCell("ramp", params=(("duration_s", 1.0),), seed=0),
+            CampaignCell("ramp", params=(("n_statoins", 3),), seed=0),
+            HUNG_CELL,
+        ]
+        paths = {
+            "serial": {"workers": 1},
+            "pool": {"workers": 2},
+            "distributed": {"workers": 2, "dispatch": "distributed"},
+        }
+        runs, records = {}, {}
+        for name, options in paths.items():
+            store_dir = tmp_path / name
+            runs[name] = run_campaign(
+                grid, timeout_s=0.15, store_dir=store_dir, **options
+            )
+            records[name] = sorted(
+                (
+                    {k: v for k, v in record.items() if k != "elapsed_s"}
+                    | {"error": {**record["error"], "traceback": ""}}
+                    for record in CampaignStore(store_dir).records()
+                    if record["kind"] == "failure"
+                ),
+                key=lambda record: record["key"],
+            )
+            again = run_campaign(grid, timeout_s=0.15, store_dir=store_dir, **options)
+            assert again.dispatched == 0, name
+
+        def failures(result):
+            return [(f.name, f.error_type, f.error) for f in result.failed]
+
+        serial = runs["serial"]
+        assert [f.error_type for f in serial.failed] == [
+            "UnknownParameterError",
+            "Timeout",
+        ]
+        assert len(records["serial"]) == 2
+        for name in ("pool", "distributed"):
+            assert normalized(runs[name].cells) == normalized(serial.cells), name
+            assert failures(runs[name]) == failures(serial), name
+            assert records[name] == records["serial"], name

@@ -2,15 +2,18 @@
 
 Everything timing-dependent runs against :class:`CoordinatorState` with
 an injected fake clock — lease expiry, stalled heartbeats and retry
-backoff are driven by advancing a number, never by sleeping.  Socket
-tests speak the real wire protocol through in-test fake workers that
-fabricate cell records instead of simulating, so the whole file runs in
-well under a second.
+backoff are driven by advancing a number, never by sleeping.  The state
+is built from the pending jobs of the campaign body (``_CellRun``) over
+a test store, and resolves each job into it.  Socket tests speak the
+real wire protocol through in-test fake workers that fabricate cell
+records instead of simulating, so the whole file runs in well under a
+second.
 """
 
 import dataclasses
 import json
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -32,9 +35,10 @@ from repro.campaign.merge import (
     merge_shards,
     shard_roots,
 )
-from repro.campaign.runner import CellResult
-from repro.campaign.store import CampaignStore, FailedCell
+from repro.campaign.runner import CellResult, _CellRun
+from repro.campaign.store import CampaignStore
 from repro.framing import FrameError
+from repro.jobs import JobError
 
 SALT = "dispatch-test"
 
@@ -66,6 +70,13 @@ def fake_result(cell, elapsed_s=0.25):
     )
 
 
+def failed_cell(cell, error_type, error, traceback="", elapsed_s=0.1):
+    """The failure record of ``cell``, as a campaign names it."""
+    return JobError(
+        error_type, error, traceback, elapsed_s, name=cell.name, source=cell
+    )
+
+
 class FakeClock:
     def __init__(self, now=0.0):
         self.now = now
@@ -82,11 +93,17 @@ def store(tmp_path):
     return CampaignStore(tmp_path / "store", salt=SALT)
 
 
-def make_state(store, cells, clock, **kwargs):
+def make_state(store, cells, clock, *, resume=True, retry_failed=False, **kwargs):
+    """The lease state machine over the pending jobs of a cell run on
+    ``store``, resolving into it: ``(state, run)``."""
     kwargs.setdefault("lease_s", 10.0)
     kwargs.setdefault("batch", 2)
     kwargs.setdefault("backoff_s", 0.5)
-    return CoordinatorState(cells, store, clock=clock, **kwargs)
+    run = _CellRun(
+        cells, store.root, salt=store.salt, resume=resume, retry_failed=retry_failed
+    )
+    jobs = [(run.keys[i], cell_to_wire(run.cells[i])) for i in run.pending]
+    return CoordinatorState(jobs, run.record, clock=clock, **kwargs), run
 
 
 def complete_cell(state, store, lease_id, entry, worker="w"):
@@ -149,7 +166,7 @@ class TestWire:
 class TestCoordinatorState:
     def test_grants_batches_until_exhausted_then_wait(self, store):
         clock = FakeClock()
-        state = make_state(store, make_cells(3), clock)
+        state, _ = make_state(store, make_cells(3), clock)
         first = state.lease("w1")
         assert first["op"] == "grant"
         assert [e["index"] for e in first["cells"]] == [0, 1]
@@ -161,7 +178,7 @@ class TestCoordinatorState:
 
     def test_heartbeat_extends_lease_past_original_deadline(self, store):
         clock = FakeClock()
-        state = make_state(store, make_cells(2), clock)
+        state, _ = make_state(store, make_cells(2), clock)
         grant = state.lease("w1")
         clock.advance(8.0)
         assert state.heartbeat("w1", grant["lease"])["op"] == "ok"
@@ -171,7 +188,7 @@ class TestCoordinatorState:
 
     def test_expired_lease_is_reclaimed_and_cells_rerun(self, store):
         clock = FakeClock()
-        state = make_state(store, make_cells(2), clock)
+        state, _ = make_state(store, make_cells(2), clock)
         grant = state.lease("w1")
         clock.advance(10.1)
         assert state.reclaim() == 1
@@ -182,7 +199,7 @@ class TestCoordinatorState:
 
     def test_connection_death_reclaims_immediately(self, store):
         clock = FakeClock()
-        state = make_state(store, make_cells(2), clock)
+        state, _ = make_state(store, make_cells(2), clock)
         state.lease("w1")
         assert state.drop_worker("w1") == 1
         # No clock advance needed: the cells are dispatchable right now.
@@ -190,19 +207,19 @@ class TestCoordinatorState:
 
     def test_duplicate_completion_is_absorbed(self, store):
         clock = FakeClock()
-        state = make_state(store, make_cells(2), clock)
+        state, run = make_state(store, make_cells(2), clock)
         grant = state.lease("w1")
         entry = grant["cells"][0]
         first = complete_cell(state, store, grant["lease"], entry)
         assert first == {"op": "ok", "lease_valid": True}
         again = complete_cell(state, store, grant["lease"], entry)
         assert again["duplicate"] is True
-        assert len(state.done) == 1
+        assert len(run.results) == 1
 
     def test_stale_lease_completion_still_counts(self, store):
         """Work finished after the lease was reclaimed is never wasted."""
         clock = FakeClock()
-        state = make_state(store, make_cells(2), clock)
+        state, run = make_state(store, make_cells(2), clock)
         grant = state.lease("w1")
         clock.advance(10.1)
         state.reclaim()
@@ -212,21 +229,16 @@ class TestCoordinatorState:
         # The completed cell must not be granted to anyone else.
         regrant = state.lease("w2")
         assert entry["index"] not in [e["index"] for e in regrant["cells"]]
-        assert state.done[entry["index"]] == entry["key"]
+        done = run.results[run.pending[entry["index"]]]
+        assert store.key_for(done.cell) == entry["key"]
 
     def test_failed_cell_backs_off_then_retries(self, store):
         clock = FakeClock()
-        state = make_state(store, make_cells(1), clock, batch=1)
+        state, _ = make_state(store, make_cells(1), clock, batch=1)
         grant = state.lease("w1")
         entry = grant["cells"][0]
         failure = store.failure_payload(
-            FailedCell(
-                cell=make_cells(1)[0],
-                error_type="RuntimeError",
-                error="boom",
-                traceback="tb",
-                elapsed_s=0.1,
-            ),
+            failed_cell(make_cells(1)[0], "RuntimeError", "boom", "tb"),
             entry["key"],
         )
         ack = state.fail("w1", grant["lease"], entry["index"], entry["key"], failure)
@@ -245,11 +257,8 @@ class TestCoordinatorState:
     def test_retry_budget_exhaustion_records_permanent_failure(self, store):
         clock = FakeClock()
         cells = make_cells(1)
-        state = make_state(store, cells, clock, batch=1, max_attempts=2)
-        failure = FailedCell(
-            cell=cells[0], error_type="RuntimeError", error="boom",
-            traceback="tb", elapsed_s=0.1,
-        )
+        state, _ = make_state(store, cells, clock, batch=1, max_attempts=2)
+        failure = failed_cell(cells[0], "RuntimeError", "boom", "tb")
         for attempt in (1, 2):
             clock.advance(1.0)
             grant = state.lease("w1")
@@ -269,13 +278,13 @@ class TestCoordinatorState:
         """A cell that keeps killing its workers cannot starve the run."""
         clock = FakeClock()
         cells = make_cells(1)
-        state = make_state(store, cells, clock, batch=1, max_attempts=3)
+        state, run = make_state(store, cells, clock, batch=1, max_attempts=3)
         for _ in range(3):
             grant = state.lease("w1")
             assert grant["op"] == "grant"
             state.drop_worker("w1")  # worker dies holding the lease
         assert state.is_done
-        failure = state.failed[0]
+        failure = run.failures[0]
         assert failure.error_type == "LeaseExpired"
         assert "retry budget" in failure.error
         assert store.get_failure(cells[0]) is not None
@@ -283,27 +292,17 @@ class TestCoordinatorState:
     def test_resume_preloads_store_results_and_failures(self, store):
         cells = make_cells(3)
         store.put(fake_result(cells[0]))
-        store.put_failure(
-            FailedCell(
-                cell=cells[1], error_type="RuntimeError", error="old",
-                traceback="", elapsed_s=0.1,
-            )
-        )
-        state = make_state(store, cells, FakeClock())
-        assert state.store_hits == 1
-        assert 0 in state.done and 1 in state.failed
+        store.put_failure(failed_cell(cells[1], "RuntimeError", "old"))
+        state, run = make_state(store, cells, FakeClock())
+        assert run.store_hits == 1
+        assert 0 in run.results and 1 in run.failures
         grant = state.lease("w1")
-        assert [e["index"] for e in grant["cells"]] == [2]
+        assert [cell_from_wire(e["cell"]) for e in grant["cells"]] == [cells[2]]
 
     def test_retry_failed_redispatches_recorded_failures(self, store):
         cells = make_cells(2)
-        store.put_failure(
-            FailedCell(
-                cell=cells[0], error_type="RuntimeError", error="old",
-                traceback="", elapsed_s=0.1,
-            )
-        )
-        state = make_state(store, cells, FakeClock(), retry_failed=True)
+        store.put_failure(failed_cell(cells[0], "RuntimeError", "old"))
+        state, _ = make_state(store, cells, FakeClock(), retry_failed=True)
         grant = state.lease("w1")
         assert [e["index"] for e in grant["cells"]] == [0, 1]
         complete_cell(state, store, grant["lease"], grant["cells"][0])
@@ -315,21 +314,25 @@ class TestCoordinatorState:
         cells = make_cells(1)
         path = store.put(fake_result(cells[0]))
         path.write_text("{ torn")
-        state = make_state(store, cells, FakeClock())
-        assert state.store_hits == 0
-        assert store.quarantined == 1
+        state, run = make_state(store, cells, FakeClock())
+        assert run.store_hits == 0
+        assert run.store.quarantined == 1
         assert path.with_name(path.name + ".corrupt").exists()
         assert state.lease("w1")["op"] == "grant"
 
-    def test_snapshot_shape(self, store):
-        clock = FakeClock()
-        state = make_state(store, make_cells(3), clock)
-        grant = state.lease("w1")
-        complete_cell(state, store, grant["lease"], grant["cells"][0])
-        snap = state.snapshot()
+    def test_snapshot_shape(self, tmp_path):
+        """The status view: the state's leases plus the cell run's counts."""
+        with Coordinator(make_cells(3), tmp_path / "store", salt=SALT) as coordinator:
+            worker = ProtocolWorker(coordinator, name="w")
+            try:
+                grant = worker.lease()
+                worker.complete_entry(grant["lease"], grant["cells"][0])
+                snap = worker.request({"op": "status"})["state"]
+            finally:
+                worker.close()
         assert snap["cells"] == 3 and snap["done"] == 1
         assert snap["leased"] == 1 and snap["ready"] == 1
-        assert snap["workers"]["w"]["completed"] == 1
+        assert snap["workers"][worker.welcome["worker"]]["completed"] == 1
         assert snap["phase"] == "running"
 
 
@@ -338,12 +341,7 @@ class TestMerge:
         cells = make_cells(3)
         shard = CampaignStore(tmp_path / "shard", salt=SALT)
         shard.put(fake_result(cells[0]))
-        shard.put_failure(
-            FailedCell(
-                cell=cells[1], error_type="RuntimeError", error="x",
-                traceback="", elapsed_s=0.1,
-            )
-        )
+        shard.put_failure(failed_cell(cells[1], "RuntimeError", "x"))
         report = merge_shard(store, shard.root)
         assert report.results_merged == 1 and report.failures_merged == 1
         assert store.get(cells[0]) is not None
@@ -385,12 +383,7 @@ class TestMerge:
         cells = make_cells(1)
         shard = CampaignStore(tmp_path / "shard", salt=SALT)
         store.put(fake_result(cells[0]))
-        shard.put_failure(
-            FailedCell(
-                cell=cells[0], error_type="RuntimeError", error="late",
-                traceback="", elapsed_s=0.1,
-            )
-        )
+        shard.put_failure(failed_cell(cells[0], "RuntimeError", "late"))
         report = merge_shard(store, shard.root)
         assert report.failures_skipped == 1
         assert store.get_failure(cells[0]) is None
@@ -571,6 +564,83 @@ class TestCoordinatorServer:
                 worker.close()
 
 
+    @pytest.fixture
+    def thread_errors(self, monkeypatch):
+        """Exceptions that escape a coordinator handler thread."""
+        errors = []
+        monkeypatch.setattr(threading, "excepthook", errors.append)
+        return errors
+
+    def refused_report(self, tmp_path, thread_errors, op, record_for):
+        """Send one bad ``op`` report for the first leased cell; return
+        the reply after checking nothing was stored, the lease and the
+        connection stayed open, and no handler thread raised."""
+        cells = make_cells(2)
+        with Coordinator(cells, tmp_path / "store", salt=SALT) as coordinator:
+            worker = ProtocolWorker(coordinator)
+            try:
+                grant = worker.lease()
+                entry = grant["cells"][0]
+                reply = worker.request(
+                    {
+                        "op": op,
+                        "worker": worker.welcome["worker"],
+                        "lease": grant["lease"],
+                        "index": entry["index"],
+                        "key": entry["key"],
+                        "record": record_for(worker.shard, cells, entry),
+                    }
+                )
+                beat = worker.request(
+                    {
+                        "op": "heartbeat",
+                        "worker": worker.welcome["worker"],
+                        "lease": grant["lease"],
+                    }
+                )
+                assert beat["op"] == "ok"  # lease and connection survive
+                assert grant["lease"] in coordinator.state.leases
+                assert coordinator.state.outstanding == 2
+            finally:
+                worker.close()
+        assert list(CampaignStore(tmp_path / "store", salt=SALT).records()) == []
+        assert thread_errors == []
+        return reply
+
+    def test_completion_carrying_another_cells_key_is_refused(
+        self, tmp_path, thread_errors
+    ):
+        def other_cells_record(shard, cells, entry):
+            other = cells[1]
+            return shard.result_payload(fake_result(other), shard.key_for(other))
+
+        reply = self.refused_report(
+            tmp_path, thread_errors, "complete", other_cells_record
+        )
+        assert reply["op"] == "error"
+        assert "carries key" in reply["error"] and "leased under" in reply["error"]
+
+    def test_failure_whose_error_is_a_string_is_refused(self, tmp_path, thread_errors):
+        def string_error(shard, cells, entry):
+            record = shard.failure_payload(
+                failed_cell(cells[0], "RuntimeError", "boom"), entry["key"]
+            )
+            return {**record, "error": "boom"}
+
+        reply = self.refused_report(tmp_path, thread_errors, "fail", string_error)
+        assert reply["op"] == "error"
+        assert "no error object" in reply["error"]
+
+    def test_completion_whose_record_is_a_list_is_refused(
+        self, tmp_path, thread_errors
+    ):
+        reply = self.refused_report(
+            tmp_path, thread_errors, "complete", lambda *_: ["not", "a", "record"]
+        )
+        assert reply["op"] == "error"
+        assert "not a result record" in reply["error"]
+
+
 class TestRunCampaignRouting:
     def test_unknown_dispatch_mode_suggests(self):
         with pytest.raises(ValueError, match="did you mean 'distributed'"):
@@ -581,3 +651,16 @@ class TestRunCampaignRouting:
             run_campaign(
                 make_cells(1), dispatch="distributed", keep_reports=True
             )
+
+    def test_distributed_rejects_chunk_frames_zero(self, tmp_path):
+        """Checked by the shared cell run before any store is opened or
+        worker spawned, as on the local path."""
+        cell = CampaignCell("ramp", params=(("duration_s", 1.0),), seed=0)
+        with pytest.raises(ValueError, match="'chunk_frames' must be >= 1"):
+            run_campaign(
+                [cell],
+                dispatch="distributed",
+                chunk_frames=0,
+                store_dir=tmp_path / "store",
+            )
+        assert not (tmp_path / "store").exists()

@@ -126,7 +126,7 @@ class TestRunCampaign:
         (failure,) = result.failed
         assert failure.name == cells[1].name
         assert failure.error_type == "ValueError"
-        assert "n_stations" in str(dict(failure.cell.params))
+        assert "n_stations" in str(dict(failure.source.params))
         assert "Traceback" in failure.traceback
 
     def test_raising_cell_in_process_pool(self):
@@ -154,6 +154,25 @@ class TestRunCampaign:
         cell = CampaignCell(scenario="ramp", seed=1)
         with pytest.raises(ValueError, match="duplicate"):
             run_campaign([cell, cell], workers=1)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"chunk_frames": 0}, "run option 'chunk_frames' must be >= 1"),
+            ({"timeout_s": -1}, "run option 'timeout_s' must be > 0"),
+            ({"timeout_s": 0}, "run option 'timeout_s' must be > 0"),
+        ],
+    )
+    def test_bad_run_options_write_nothing_to_the_store(
+        self, tmp_path, options, message
+    ):
+        """Chunking and the timeout are not part of a cell's key, so a
+        failure record written for a bad option would be served to every
+        later resume: reject the options before the store is opened."""
+        cell = CampaignCell("ramp", params=(("duration_s", 1.0),), seed=0)
+        with pytest.raises(ValueError, match=message):
+            run_campaign([cell], workers=1, store_dir=tmp_path / "s", **options)
+        assert not (tmp_path / "s").exists()
 
 
 class TestSummaries:

@@ -16,14 +16,13 @@ import pytest
 from repro.campaign import (
     CampaignCell,
     CampaignStore,
-    FailedCell,
     ParameterGrid,
     cell_key,
     render_campaign,
     run_campaign,
 )
 
-from .test_dispatch import fake_result
+from .test_dispatch import failed_cell, fake_result
 
 #: Small but real: 4 cells, ~1 s of simulation each.
 GRID = ParameterGrid(
@@ -323,7 +322,7 @@ class TestFailureRecords:
         store = CampaignStore(tmp_path / "s")
         cell = GRID.cells()[0]
         store.put_failure(
-            FailedCell(cell, "RuntimeError", "boom", "tb", 0.1)
+            failed_cell(cell, "RuntimeError", "boom", "tb", 0.1)
         )
         assert store.get_failure(cell) is not None
         result = run_campaign([cell], workers=1, store_dir=tmp_path / "s",
@@ -335,7 +334,7 @@ class TestFailureRecords:
         store = CampaignStore(tmp_path / "s")
         cell = GRID.cells()[0]
         store.put(fake_result(cell))
-        store.put_failure(FailedCell(cell, "RuntimeError", "late", "tb", 0.1))
+        store.put_failure(failed_cell(cell, "RuntimeError", "late", "tb", 0.1))
         assert [r["kind"] for r in store.records()] == ["result"]
         assert store.get_failure(cell) is None
 

@@ -189,7 +189,7 @@ class TestProfileFlag:
         def never(*args, **kwargs):
             raise AssertionError("a distributed campaign was started")
 
-        monkeypatch.setattr(dispatch, "run_distributed_campaign", never)
+        monkeypatch.setattr(dispatch, "_drive_local_workers", never)
         rc = main(
             [
                 "campaign",

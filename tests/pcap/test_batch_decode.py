@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.frames import TRACE_COLUMNS
-from repro.pcap import TruncatedPcapError, write_trace
+from repro.pcap import CaptureError, TruncatedPcapError, write_trace
 from repro.pcap.pcapio import _scan_records, read_trace_batches
 from repro.sim import build_scenario
 
@@ -169,10 +169,12 @@ class TestCorruptionFallsBackIdentically:
 
         mutated = self._mutated(tmp_path, raw, mutate)
         _, error = assert_parity(mutated)
-        assert type(error) is ValueError
-        # Not damage, but still located: the path and record offset.
+        # A typed capture error, but not truncation: an out-of-scope
+        # capture, located by its path and record offset.
+        assert type(error) is CaptureError
         assert str(error).startswith(f"{mutated}: 6.0 is not an 802.11b rate")
         assert str(error).endswith(f"(byte offset {offsets[35]})")
+        assert (error.path, error.byte_offset) == (str(mutated), offsets[35])
 
     def test_unknown_frame_type(self, capture, tmp_path):
         path, raw, offsets, layout = capture

@@ -8,8 +8,9 @@
     read, then a typed :class:`TruncatedPcapError` (none only when the
     cut falls on a record boundary of a plain capture).
 (c) Reading a capture with 1–4 flipped bytes gives a result or a
-    ``ValueError`` subclass — never a raw ``zlib.error``,
-    ``struct.error`` or ``IndexError``.
+    :class:`CaptureError` naming the capture — never a plain
+    ``ValueError``, a raw ``zlib.error``, ``struct.error`` or
+    ``IndexError``.
 
 Runs are derandomized and bounded, so the suite stays deterministic.
 """
@@ -34,6 +35,7 @@ from repro.frames import (
     Trace,
 )
 from repro.pcap import (
+    CaptureError,
     TruncatedPcapError,
     read_trace,
     read_trace_batches,
@@ -237,9 +239,10 @@ def test_flipped_bytes_fail_typed(tmp_path, clean_captures, suffix, data):
         raw[position] ^= mask
     path = tmp_path / f"mutant{suffix}"
     path.write_bytes(bytes(raw))
-    # Anything but a ValueError subclass propagates and fails the test.
+    # A clean read, or a CaptureError naming the capture; anything else
+    # propagates and fails the test.
     for read in (read_trace, detect_format):
         try:
             read(path)
-        except ValueError:
-            pass
+        except CaptureError as error:
+            assert error.path == str(path)

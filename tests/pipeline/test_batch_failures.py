@@ -1,9 +1,9 @@
 """run_batch fault capture: one bad capture never aborts the batch.
 
-Mirrors the campaign store's ``FailedCell`` contract at the analysis
-layer — a failed file becomes a typed :class:`FailedAnalysis` record
-(error type, message, traceback) keyed like any report, and every
-healthy capture still returns its numbers.
+The campaign's failure contract at the analysis layer — a failed file
+becomes a :class:`~repro.jobs.JobError` record (name, source, error
+type, message, traceback) keyed like any report, and every healthy
+capture still returns its numbers.
 """
 
 import pytest
@@ -11,7 +11,8 @@ import pytest
 from repro.core import CongestionReport
 from repro.frames import Trace
 from repro.pcap import write_trace
-from repro.pipeline import FailedAnalysis, run_batch
+from repro.jobs import JobError
+from repro.pipeline import run_batch
 
 from ..conftest import ack, data
 
@@ -39,7 +40,7 @@ def test_failure_captured_others_succeed(pcap_pair):
     assert isinstance(results["good"], CongestionReport)
     assert results["good"].summary.n_frames == 4
     failure = results["bad"]
-    assert isinstance(failure, FailedAnalysis)
+    assert isinstance(failure, JobError)
     assert failure.name == "bad"
     assert failure.error_type == "TruncatedPcapError"
     assert "truncated" in failure.error
@@ -53,11 +54,11 @@ def test_failure_records_preserve_order(pcap_pair):
 
 
 def test_capture_in_parallel_pool(pcap_pair):
-    """FailedAnalysis records pickle across the process pool."""
+    """Failure records pickle across the process pool."""
     good, bad = pcap_pair
     results = run_batch({"good": good, "bad": bad}, max_workers=2)
     assert isinstance(results["good"], CongestionReport)
-    assert isinstance(results["bad"], FailedAnalysis)
+    assert isinstance(results["bad"], JobError)
     assert results["bad"].error_type == "TruncatedPcapError"
 
 
@@ -99,9 +100,9 @@ def test_killed_pool_worker_fails_its_capture_only(pcap_pair, monkeypatch):
     monkeypatch.setattr(executor, "run_all", run_all)
     results = run_batch({"a": good, "victim": good, "b": good}, max_workers=2)
     assert list(results) == ["a", "victim", "b"]
-    assert isinstance(results["victim"], FailedAnalysis)
+    assert isinstance(results["victim"], JobError)
     assert results["victim"].error_type == "BrokenProcessPool"
     assert all(
-        isinstance(r, (CongestionReport, FailedAnalysis))
+        isinstance(r, (CongestionReport, JobError))
         for r in results.values()
     )
