@@ -107,7 +107,7 @@ def test_streamed_cell_memory_stays_bounded(output_dir):
 
     peak_buffered = 0
     total = 0
-    for chunk in built.stream(chunk_frames=4096, window_s=1.0):
+    for chunk in built.stream():
         total += len(chunk)
         peak_buffered = max(
             peak_buffered,

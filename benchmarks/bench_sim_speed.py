@@ -91,7 +91,7 @@ def measure_scenario(
         built = build_scenario(name, duration_s=duration_s, fidelity=fidelity)
         start = time.perf_counter()
         frames_streamed = 0
-        for chunk in built.stream(window_s=1.0):
+        for chunk in built.stream():
             frames_streamed += len(chunk)
         elapsed = time.perf_counter() - start
         # Capture counters now and drop the scenario before the next

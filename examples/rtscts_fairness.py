@@ -86,8 +86,7 @@ def main() -> None:
         "shows the structural penalty directly: every handshake delivery\n"
         "pays RTS + CTS + two SIFS, ~1.5-1.7x the plain users' channel\n"
         "time — the efficiency deficit behind the paper's advice to avoid\n"
-        "RTS/CTS during congestion.  See EXPERIMENTS.md for the deviation\n"
-        "note."
+        "RTS/CTS during congestion."
     )
 
 

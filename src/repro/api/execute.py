@@ -72,8 +72,8 @@ def _subset_job(job) -> dict[str, object]:
     """One capture's analysis subset (module-level, so pools can pickle it)."""
     from ..pipeline import run_consumers
 
-    name, path, names, chunk = job
-    return run_consumers(path, names, name=name, chunk_frames=chunk)
+    name, path, names = job
+    return run_consumers(path, names, name=name)
 
 
 def _execute_corpus(spec: ExperimentSpec) -> ExperimentResult:
@@ -85,7 +85,6 @@ def _execute_corpus(spec: ExperimentSpec) -> ExperimentResult:
         spec.corpus,
         spec.corpus_where,
         workers=spec.workers,
-        chunk_frames=spec.chunk_frames,
     )
     reports = {
         path: analysis.reports[path] for path in sorted(analysis.reports)
@@ -109,21 +108,19 @@ def _execute_corpus(spec: ExperimentSpec) -> ExperimentResult:
 
 def _execute_analysis(spec: ExperimentSpec) -> ExperimentResult:
     from ..jobs import JobError, run_jobs
-    from ..pipeline import DEFAULT_CHUNK_FRAMES
     from ..pipeline import resolve_consumer_names
     from ..pipeline.executor import report_job
 
     if spec.corpus is not None:
         return _execute_corpus(spec)
     sources = _named_sources(spec)
-    chunk = spec.chunk_frames or DEFAULT_CHUNK_FRAMES
     start = time.perf_counter()
     subset = bool(spec.analyses) and tuple(spec.analyses) != ("all",)
     if subset:
         names = resolve_consumer_names(spec.analyses)
-        jobs = [(name, path, names, chunk) for name, path in sources]
+        jobs = [(name, path, names) for name, path in sources]
     else:  # full reports: exactly run_batch's jobs over these paths
-        jobs = [(name, path, {"chunk_frames": chunk}) for name, path in sources]
+        jobs = [(name, path, {}) for name, path in sources]
     outcomes = run_jobs(
         _subset_job if subset else report_job, jobs, workers=spec.workers
     )
@@ -158,8 +155,6 @@ def _execute_single(spec: ExperimentSpec, keep_trace: bool) -> ExperimentResult:
     if keep_trace:
         scenario_result = built.run()
         source = scenario_result.trace
-    elif spec.chunk_frames is not None:
-        source = built.stream(chunk_frames=spec.chunk_frames)
     else:
         source = built.stream()
     if spec.analyses and tuple(spec.analyses) != ("all",):
@@ -184,14 +179,12 @@ def _execute_single(spec: ExperimentSpec, keep_trace: bool) -> ExperimentResult:
 
 def _execute_campaign(spec: ExperimentSpec) -> ExperimentResult:
     from ..campaign import run_campaign
-    from ..campaign.runner import CELL_CHUNK_FRAMES
 
     grid = grid_for(spec).validate()
     start = time.perf_counter()
     campaign = run_campaign(
         grid,
         workers=spec.workers,
-        chunk_frames=spec.chunk_frames or CELL_CHUNK_FRAMES,
         keep_reports=spec.keep_reports,
         store_dir=spec.store,
         resume=spec.resume,

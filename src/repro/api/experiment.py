@@ -175,10 +175,6 @@ class Experiment:
         """Default worker-process count (overridable at :meth:`run`)."""
         return self._replace(workers=workers)
 
-    def chunk_frames(self, chunk_frames: int) -> "Experiment":
-        """Frames per streamed chunk (memory/throughput trade-off)."""
-        return self._replace(chunk_frames=chunk_frames)
-
     def store(
         self, store_dir: str | Path, *, resume: bool = True, retry_failed: bool = False
     ) -> "Experiment":
@@ -229,7 +225,6 @@ class Experiment:
         store_dir: str | Path | None = None,
         resume: bool | None = None,
         retry_failed: bool | None = None,
-        chunk_frames: int | None = None,
         keep_reports: bool | None = None,
         timeout_s: float | None = None,
         dispatch: str | None = None,
@@ -250,7 +245,6 @@ class Experiment:
             store=str(store_dir) if store_dir is not None else None,
             resume=resume,
             retry_failed=retry_failed,
-            chunk_frames=chunk_frames,
             keep_reports=keep_reports,
             timeout_s=timeout_s,
             dispatch=dispatch,

@@ -31,8 +31,8 @@ files, directories or glob patterns, expanded deterministically), and
 indexed corpus through the query planner.  ``[params]``
 fixes scenario parameters for every cell, ``[vary]`` declares sweep
 axes, ``seeds`` multiplies the grid, and ``[run]`` holds execution
-options (workers, chunk_frames, store, resume, retry_failed,
-keep_reports, timeout_s, dispatch).  Unknown keys anywhere fail with a
+options (workers, store, resume, retry_failed, keep_reports,
+timeout_s, dispatch).  Unknown keys anywhere fail with a
 "did you mean ...?" error before anything runs.
 
 >>> spec = ExperimentSpec.from_toml(
@@ -78,7 +78,6 @@ _TOP_KEYS = (
 #: Keys allowed inside the ``[run]`` table.
 _RUN_KEYS = (
     "workers",
-    "chunk_frames",
     "store",
     "resume",
     "retry_failed",
@@ -113,7 +112,6 @@ class ExperimentSpec:
     fidelity: str | None = None
     analyses: tuple[str, ...] = ()
     workers: int | None = None
-    chunk_frames: int | None = None
     store: str | None = None
     resume: bool = True
     retry_failed: bool = False
@@ -251,7 +249,6 @@ class ExperimentSpec:
             fidelity=fidelity,
             analyses=tuple(analyses_raw),
             workers=run_opt("workers", int, "an int"),
-            chunk_frames=run_opt("chunk_frames", int, "an int"),
             store=run_opt("store", str, "a directory path string"),
             resume=run_opt("resume", bool, "a boolean", True),
             retry_failed=run_opt("retry_failed", bool, "a boolean", False),
@@ -327,8 +324,6 @@ class ExperimentSpec:
         run: dict[str, object] = {}
         if self.workers is not None:
             run["workers"] = self.workers
-        if self.chunk_frames is not None:
-            run["chunk_frames"] = self.chunk_frames
         if self.store is not None:
             run["store"] = self.store
         if self.resume is not True:
@@ -466,8 +461,6 @@ class ExperimentSpec:
             raise SpecError("'seeds' list must not be empty")
         if self.workers is not None and self.workers < 1:
             raise SpecError("run option 'workers' must be >= 1")
-        if self.chunk_frames is not None and self.chunk_frames < 1:
-            raise SpecError("run option 'chunk_frames' must be >= 1")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise SpecError("run option 'timeout_s' must be > 0")
         if self.dispatch is not None:

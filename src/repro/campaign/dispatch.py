@@ -68,7 +68,7 @@ from ..jobs import JobError
 from ..store import write_atomic
 from .grid import CampaignCell, ParameterGrid
 from .merge import merge_shards, shard_roots
-from .runner import CELL_CHUNK_FRAMES, CampaignResult, _CellRun
+from .runner import CampaignResult, _CellRun
 from .store import cell_result
 
 __all__ = [
@@ -495,8 +495,6 @@ class Coordinator:
         backoff_s: float = DEFAULT_BACKOFF_S,
         resume: bool = True,
         retry_failed: bool = False,
-        chunk_frames: int | None = None,
-        window_s: float = 1.0,
         timeout_s: float | None = None,
         salt: str | None = None,
     ) -> None:
@@ -505,8 +503,6 @@ class Coordinator:
             grid,
             self.store_dir,
             salt=salt,
-            chunk_frames=CELL_CHUNK_FRAMES if chunk_frames is None else chunk_frames,
-            window_s=window_s,
             timeout_s=timeout_s,
             resume=resume,
             retry_failed=retry_failed,

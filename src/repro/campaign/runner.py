@@ -51,11 +51,6 @@ __all__ = ["CellResult", "CampaignResult", "Timeout", "run_campaign"]
 DISPATCH_MODES = ("local", "distributed")
 
 
-#: Streaming defaults for campaign cells: small enough that worker
-#: memory stays flat, large enough that numpy consumers amortise.
-CELL_CHUNK_FRAMES = 65_536
-
-
 def _safe_ratio(numerator: float, denominator: float) -> float:
     """0.0 instead of ZeroDivisionError for degenerate (empty) cells."""
     return numerator / denominator if denominator else 0.0
@@ -200,9 +195,7 @@ def _simulate_cell(job: tuple[CampaignCell, dict]) -> CellResult:
     built = build_scenario(
         cell.scenario, fidelity=cell.fidelity or "default", **cell.kwargs
     )
-    chunks = built.stream(
-        chunk_frames=options["chunk_frames"], window_s=options["window_s"]
-    )
+    chunks = built.stream()
     if options.get("timeout_s"):
         chunks = _within_deadline(chunks, start, options["timeout_s"])
     report = run_all(chunks, roster=built.roster, name=cell.name)
@@ -250,15 +243,11 @@ class _CellRun:
         store_dir: str | os.PathLike | None = None,
         *,
         salt: str | None = None,
-        chunk_frames: int = CELL_CHUNK_FRAMES,
-        window_s: float = 1.0,
         keep_reports: bool = False,
         timeout_s: float | None = None,
         resume: bool = True,
         retry_failed: bool = False,
     ) -> None:
-        if chunk_frames < 1:
-            raise ValueError("run option 'chunk_frames' must be >= 1")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("run option 'timeout_s' must be > 0")
         cells = grid.cells() if isinstance(grid, ParameterGrid) else list(grid)
@@ -270,8 +259,6 @@ class _CellRun:
             raise ValueError(f"duplicate campaign cells: {dupes}")
         self.cells = cells
         self.options = {
-            "chunk_frames": chunk_frames,
-            "window_s": window_s,
             "keep_reports": keep_reports,
             "timeout_s": timeout_s,
         }
@@ -335,8 +322,6 @@ def run_campaign(
     grid: ParameterGrid | Sequence[CampaignCell],
     *,
     workers: int | None = None,
-    chunk_frames: int = CELL_CHUNK_FRAMES,
-    window_s: float = 1.0,
     keep_reports: bool = False,
     store_dir: str | os.PathLike | None = None,
     resume: bool = True,
@@ -361,8 +346,8 @@ def run_campaign(
     default) answers cells from the store when their content key
     matches; ``resume=False`` recomputes (and overwrites) everything.
     Recorded failures are *not* retried on resume unless
-    ``retry_failed=True``.  Bad run options (``chunk_frames < 1``,
-    ``timeout_s <= 0``) raise ``ValueError`` before the store is opened.
+    ``retry_failed=True``.  A bad ``timeout_s`` (``<= 0``) raises
+    ``ValueError`` before the store is opened.
 
     A cell that raises never aborts the campaign: it is captured as a
     :class:`~repro.jobs.JobError` (``source`` the cell, with its
@@ -389,8 +374,6 @@ def run_campaign(
             unknown_name_message("dispatch mode", dispatch, DISPATCH_MODES)
         )
     options = dict(
-        chunk_frames=chunk_frames,
-        window_s=window_s,
         timeout_s=timeout_s,
         resume=resume,
         retry_failed=retry_failed,

@@ -170,7 +170,6 @@ def analyze_corpus(
     where: str | Query | None = None,
     *,
     workers: int | None = None,
-    chunk_frames: int | None = None,
     timing: TimingParameters = DOT11B_TIMING,
     min_count: int = 1,
     refresh: bool = True,
@@ -186,7 +185,6 @@ def analyze_corpus(
     repeated (or interrupted and re-run) call dispatches only the rest.
     """
     from ..jobs import JobError, run_jobs
-    from ..pipeline import DEFAULT_CHUNK_FRAMES
     from ..pipeline.executor import report_job
 
     index = CorpusIndex(root)
@@ -203,8 +201,7 @@ def analyze_corpus(
         if not isinstance(outcome, JobError):
             store.put(key, record.content_hash, record.path, outcome)
 
-    chunk = chunk_frames if chunk_frames is not None else DEFAULT_CHUNK_FRAMES
-    kwargs = dict(timing=timing, min_count=min_count, chunk_frames=chunk)
+    kwargs = dict(timing=timing, min_count=min_count)
     jobs = [(r.path, index.root / r.path, kwargs) for r, _ in plan.to_run]
     outcomes = run_jobs(report_job, jobs, persist, workers=workers)
     reports = {record.path: report for record, _, report in plan.cached}

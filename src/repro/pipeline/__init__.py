@@ -64,7 +64,6 @@ from .stream import (
     UnsortedStreamError,
     as_stream,
     pcap_chunks,
-    scenario_chunks,
     trace_chunks,
 )
 
@@ -105,6 +104,5 @@ __all__ = [
     "run_all",
     "run_batch",
     "run_consumers",
-    "scenario_chunks",
     "trace_chunks",
 ]

@@ -7,7 +7,9 @@ executor walks the stream **once**: per chunk it derives the shared
 per-frame state (second index, channel busy-time, DATA-ACK matching),
 accumulates total busy time, and fans the chunk out to every consumer.
 Finalization then assembles exactly the objects the core functions
-return.
+return.  Segment size is the source's business (see
+:mod:`repro.pipeline.stream`): the report is identical for any
+segmentation, so the executor takes no size of its own.
 
     from repro.pipeline import run_all
     report = run_all(trace, roster)          # == analyze_trace(trace, roster)
@@ -48,7 +50,6 @@ from .accumulate import SecondAccumulator
 from .consumers import Consumer  # noqa: F401  (registers default consumers)
 from .registry import DEFAULT_CONSUMERS, ROSTER_CONSUMERS, create_consumers
 from .stream import (
-    DEFAULT_CHUNK_FRAMES,
     Chunk,
     StreamContext,
     UnsortedStreamError,
@@ -136,7 +137,6 @@ class PipelineExecutor:
         timing: TimingParameters = DOT11B_TIMING,
         roster: NodeRoster | None = None,
         min_count: int = 1,
-        chunk_frames: int = DEFAULT_CHUNK_FRAMES,
     ) -> None:
         names = [c.name for c in consumers]
         if len(set(names)) != len(names):
@@ -149,7 +149,6 @@ class PipelineExecutor:
                         "which is not part of this run"
                     )
         self.consumers = list(consumers)
-        self.chunk_frames = chunk_frames
         self._ctx_args = dict(
             name=name, timing=timing, roster=roster, min_count=min_count
         )
@@ -291,13 +290,11 @@ class PipelineExecutor:
                 raise
             from ..pcap import read_trace
 
-            return self._run(
-                trace_chunks(read_trace(source), self.chunk_frames)
-            )
+            return self._run(trace_chunks(read_trace(source)))
 
     def _run(self, source) -> dict[str, object]:
         self.reset()
-        for segment in as_stream(source, self.chunk_frames):
+        for segment in as_stream(source):
             self.feed(segment)
         return self.close()
 
@@ -325,7 +322,6 @@ def run_consumers(
     timing: TimingParameters = DOT11B_TIMING,
     roster: NodeRoster | None = None,
     min_count: int = 1,
-    chunk_frames: int = DEFAULT_CHUNK_FRAMES,
 ) -> dict[str, object]:
     """One-pass run of the named registered consumers over ``source``."""
     executor = PipelineExecutor(
@@ -334,7 +330,6 @@ def run_consumers(
         timing=timing,
         roster=roster,
         min_count=min_count,
-        chunk_frames=chunk_frames,
     )
     return executor.run(source)
 
@@ -378,7 +373,6 @@ def run_all(
     name: str = "trace",
     timing: TimingParameters = DOT11B_TIMING,
     min_count: int = 1,
-    chunk_frames: int = DEFAULT_CHUNK_FRAMES,
 ) -> CongestionReport:
     """Single-pass equivalent of :func:`repro.core.analyze_trace`.
 
@@ -394,7 +388,6 @@ def run_all(
         timing=timing,
         roster=roster,
         min_count=min_count,
-        chunk_frames=chunk_frames,
     )
     return assemble_report(results, name=name)
 
@@ -414,7 +407,6 @@ def run_batch(
     max_workers: int | None = None,
     timing: TimingParameters = DOT11B_TIMING,
     min_count: int = 1,
-    chunk_frames: int = DEFAULT_CHUNK_FRAMES,
 ) -> dict[str, CongestionReport | JobError]:
     """Analyze many captures in parallel, one single-pass run each.
 
@@ -452,7 +444,6 @@ def run_batch(
         roster=roster,
         timing=timing,
         min_count=min_count,
-        chunk_frames=chunk_frames,
     )
     outcomes = run_jobs(
         report_job,

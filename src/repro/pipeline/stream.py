@@ -7,11 +7,15 @@ time-sorted :class:`~repro.frames.Trace` segments:
 
 * :func:`trace_chunks` — slice an in-memory trace (sorting it once);
 * :func:`pcap_chunks` — a radiotap pcap file, via :mod:`repro.pcap`;
-* :func:`scenario_chunks` — a *live* simulated vicinity-sniffer feed
-  from :mod:`repro.sim`, drained in bounded batches as the simulation
-  advances (never a full-run trace);
+* :func:`repro.sim.stream_scenario` or a built scenario's ``stream()``
+  — a *live* simulated vicinity-sniffer feed, one segment per
+  one-second drain window (never a full-run trace);
 * any generator of your own (e.g. a live RFMon reader) that yields
   sorted, non-overlapping trace segments.
+
+Only the two slicing helpers choose a segment size; the report is the
+same for any segmentation, so everything above them takes the
+default.
 
 The executor wraps each segment in a :class:`Chunk` carrying the shared
 per-frame derivations every consumer needs — channel busy-time, second
@@ -51,7 +55,6 @@ __all__ = [
     "UnsortedStreamError",
     "trace_chunks",
     "pcap_chunks",
-    "scenario_chunks",
     "as_stream",
 ]
 
@@ -172,37 +175,14 @@ def pcap_chunks(
         yield batch
 
 
-def scenario_chunks(
-    config, chunk_frames: int = DEFAULT_CHUNK_FRAMES, window_s: float = 1.0
-) -> Iterator[Trace]:
-    """Run a :mod:`repro.sim` scenario *live* and stream its capture.
-
-    The simulation advances window by window and each sniffer's buffer
-    is drained as frames settle, so chunks flow out while the scenario
-    runs and memory stays bounded by one drain window — a day-long
-    multi-million-frame session never materialises a full
-    :class:`~repro.frames.Trace` (and records no per-frame ground
-    truth).  The chunk concatenation equals
-    ``run_scenario(config).trace.sorted_by_time()`` — the order every
-    analysis works on — so analyses match the buffered path exactly.
-    """
-    from ..sim import stream_scenario
-
-    yield from stream_scenario(
-        config, chunk_frames=chunk_frames, window_s=window_s
-    )
-
-
-def as_stream(
-    source, chunk_frames: int = DEFAULT_CHUNK_FRAMES
-) -> Iterable[Trace]:
+def as_stream(source) -> Iterable[Trace]:
     """Normalise any supported source into an iterable of trace segments.
 
     Accepts a :class:`Trace`, a pcap path, or an iterable of segments
     (passed through as-is; the executor validates time ordering).
     """
     if isinstance(source, Trace):
-        return trace_chunks(source, chunk_frames)
+        return trace_chunks(source)
     if isinstance(source, (str, Path)):
-        return pcap_chunks(source, chunk_frames)
+        return pcap_chunks(source)
     return source

@@ -22,6 +22,12 @@ Isolation and robustness rules (each pinned by ``tests/serve/``):
   covers exactly the intact prefix;
 * **graceful drain** — shutdown enqueues end-of-feed behind pending
   segments and waits for every worker, so nothing ingested is dropped.
+
+A segment is whatever the source yields: an uploaded pcap is read in
+:func:`~repro.pipeline.pcap_chunks` batches, an attached scenario
+yields one segment per one-second drain window, and a pushed batch is
+one segment as sent.  The report does not depend on the segmentation,
+so no feed takes a size of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from typing import TYPE_CHECKING
 from ..core.report import CongestionReport
 from ..frames import NodeRoster, Trace
 from ..pipeline import (
-    DEFAULT_CHUNK_FRAMES,
     DEFAULT_CONSUMERS,
     ROSTER_CONSUMERS,
     PipelineExecutor,
@@ -106,7 +111,6 @@ class Feed:
         kind: str,
         *,
         roster: NodeRoster | None = None,
-        chunk_frames: int = DEFAULT_CHUNK_FRAMES,
         queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
     ) -> None:
         if queue_chunks < 1:
@@ -122,7 +126,6 @@ class Feed:
             create_consumers(names),
             name=feed_id,
             roster=roster,
-            chunk_frames=chunk_frames,
         )
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_chunks)
         self.error: FeedError | None = None
@@ -273,13 +276,11 @@ class FeedManager:
     def __init__(
         self,
         *,
-        chunk_frames: int = DEFAULT_CHUNK_FRAMES,
         queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
         max_feeds: int = 64,
     ) -> None:
         if max_feeds < 1:
             raise ValueError("max_feeds must be >= 1")
-        self.chunk_frames = chunk_frames
         self.queue_chunks = queue_chunks
         self.max_feeds = max_feeds
         self.feeds: dict[str, Feed] = {}
@@ -294,8 +295,6 @@ class FeedManager:
         kind: str = "push",
         *,
         roster: NodeRoster | None = None,
-        chunk_frames: int | None = None,
-        queue_chunks: int | None = None,
     ) -> Feed:
         """Register a feed and start its worker task."""
         if self._shutting_down:
@@ -312,8 +311,7 @@ class FeedManager:
             feed_id,
             kind,
             roster=roster,
-            chunk_frames=chunk_frames or self.chunk_frames,
-            queue_chunks=queue_chunks or self.queue_chunks,
+            queue_chunks=self.queue_chunks,
         )
         feed._worker = asyncio.get_running_loop().create_task(feed._drive())
         self.feeds[feed_id] = feed
@@ -323,23 +321,18 @@ class FeedManager:
         self,
         built: "BuiltScenario",
         name: str | None = None,
-        *,
-        chunk_frames: int | None = None,
-        window_s: float = 1.0,
     ) -> Feed:
         """Attach a simulated scenario as a live feed.
 
         The scenario's ``stream()`` generator runs step by step in the
         default thread-pool executor (each ``next()`` simulates one
-        window) so the event loop never blocks on simulation; segments
-        flow through the same bounded queue as any other producer, so
-        a slow analysis side backpressures the simulation too.
+        one-second window) so the event loop never blocks on simulation;
+        segments flow through the same bounded queue as any other
+        producer, so a slow analysis side backpressures the simulation
+        too.
         """
-        feed = self.create_feed(
-            name, "scenario", roster=built.roster, chunk_frames=chunk_frames
-        )
-        chunks = built.stream(chunk_frames=chunk_frames or self.chunk_frames,
-                              window_s=window_s)
+        feed = self.create_feed(name, "scenario", roster=built.roster)
+        chunks = built.stream()
         feed._producer = asyncio.get_running_loop().create_task(
             self._pump_generator(feed, chunks)
         )
@@ -373,7 +366,7 @@ class FeedManager:
         from ..pipeline import pcap_chunks
 
         loop = asyncio.get_running_loop()
-        chunks = pcap_chunks(path, self.chunk_frames)
+        chunks = pcap_chunks(path)
         sentinel = object()
         queued = 0
         while True:

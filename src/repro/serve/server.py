@@ -39,7 +39,6 @@ from urllib.parse import unquote
 from .feeds import DEFAULT_QUEUE_CHUNKS, FeedManager, UnknownFeedError
 from .protocol import FrameBatchError, decode_batch, read_batches
 from .reportjson import report_to_jsonable
-from ..pipeline import DEFAULT_CHUNK_FRAMES
 from ..store import write_atomic
 
 __all__ = ["ServeDaemon", "serve_main"]
@@ -76,7 +75,6 @@ class ServeDaemon:
         port: int = 0,
         ingest_port: int | None = 0,
         *,
-        chunk_frames: int = DEFAULT_CHUNK_FRAMES,
         queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
         max_feeds: int = 64,
         spool_dir: str | None = None,
@@ -85,7 +83,6 @@ class ServeDaemon:
         self._want_port = port
         self._want_ingest = ingest_port
         self.manager = FeedManager(
-            chunk_frames=chunk_frames,
             queue_chunks=queue_chunks,
             max_feeds=max_feeds,
         )
@@ -203,6 +200,8 @@ class ServeDaemon:
             length = int(headers.get("content-length", "0") or "0")
         except ValueError:
             raise _HttpError(400, "malformed Content-Length") from None
+        if length < 0:
+            raise _HttpError(400, "malformed Content-Length")
         if length > limit:
             raise _HttpError(413, f"body of {length} bytes exceeds {limit}")
         if length == 0:
@@ -319,10 +318,7 @@ class ServeDaemon:
                     )
                 except (TypeError, ValueError, KeyError) as error:
                     raise _HttpError(400, f"bad scenario: {error}") from None
-                window_s = float(body.get("window_s", 1.0))
-                feed = self.manager.attach_scenario(
-                    built, name, window_s=window_s
-                )
+                feed = self.manager.attach_scenario(built, name)
             else:
                 raise _HttpError(400, f"unknown feed kind {kind!r}")
         except (RuntimeError, ValueError) as error:
@@ -449,7 +445,6 @@ async def serve_main(
     port: int = 8433,
     ingest_port: int | None = 0,
     *,
-    chunk_frames: int = DEFAULT_CHUNK_FRAMES,
     queue_chunks: int = DEFAULT_QUEUE_CHUNKS,
     max_feeds: int = 64,
     port_file: str | None = None,
@@ -467,7 +462,6 @@ async def serve_main(
         host,
         port,
         ingest_port,
-        chunk_frames=chunk_frames,
         queue_chunks=queue_chunks,
         max_feeds=max_feeds,
     )

@@ -21,9 +21,10 @@ four swappable components plus the builder that wires them together:
 ``ScenarioBuilder`` assembles the components into a
 :class:`BuiltScenario`, which can either ``run()`` to completion and
 return the classic buffered :class:`~repro.sim.scenarios.ScenarioResult`,
-or ``stream()`` the sniffer capture as bounded time-sorted chunks while
-the simulation advances — the live feed the single-pass analysis
-pipeline consumes without ever materialising a full-run trace.
+or ``stream()`` the sniffer capture as one time-sorted segment per
+one-second drain window (:data:`DRAIN_WINDOW_US`) while the simulation
+advances — the live feed the single-pass analysis pipeline consumes
+without ever materialising a full-run trace.
 
 The default component set is numerically identical to the historical
 ``run_scenario`` (which now delegates here): RNG streams are consumed
@@ -56,6 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from .scenarios import ScenarioConfig, ScenarioResult
 
 __all__ = [
+    "DRAIN_WINDOW_US",
     "MAX_FRAME_AIRTIME_US",
     "StationRole",
     "Placement",
@@ -85,9 +87,10 @@ SNIFFER_ID_BASE = 60_000
 #: but record it at its end).
 MAX_FRAME_AIRTIME_US = 24_000
 
-#: Frames per streamed chunk (matches repro.pipeline's default; kept
-#: local so repro.sim does not import the pipeline at module load).
-_DEFAULT_CHUNK_FRAMES = 131_072
+#: Simulated time per ``stream()`` drain window — the paper's one-second
+#: analysis interval.  Both engines step the whole run in windows of
+#: this length.
+DRAIN_WINDOW_US = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -510,57 +513,39 @@ class BuiltScenario:
             roaming_manager=self.roaming_manager,
         )
 
-    def stream(
-        self,
-        chunk_frames: int = _DEFAULT_CHUNK_FRAMES,
-        window_s: float = 1.0,
-        drain_guard_us: int = MAX_FRAME_AIRTIME_US,
-        record_ground_truth: bool = False,
-    ) -> Iterator[Trace]:
-        """Advance the simulation window by window, yielding the merged
-        sniffer capture as time-sorted chunks of at most ``chunk_frames``.
+    def stream(self) -> Iterator[Trace]:
+        """Advance the simulation one :data:`DRAIN_WINDOW_US` window at a
+        time, yielding each window's merged sniffer capture as one
+        time-sorted segment (windows that captured nothing yield none).
 
         Memory stays bounded: each window drains every sniffer of rows
-        older than ``now - drain_guard_us`` (rows newer than that may
-        still be re-ordered by in-flight frames), and per-frame ground
-        truth is not recorded unless requested.  The concatenation of
-        the yielded chunks equals the buffered ``run()`` capture after
-        its global stable time sort — i.e. exactly the row order
-        ``analyze_trace`` works on — so a streamed analysis is
-        field-identical to the buffered one.  (``run().trace`` itself
-        is a per-sniffer concatenation; on multi-channel configs
-        compare against ``run().trace.sorted_by_time()``.)
+        older than ``now - MAX_FRAME_AIRTIME_US`` (rows newer than that
+        may still be re-ordered by in-flight frames), and per-frame
+        ground truth is not recorded.  The concatenation of the yielded
+        segments equals the buffered ``run()`` capture after its global
+        stable time sort — i.e. exactly the row order ``analyze_trace``
+        works on — so a streamed analysis is field-identical to the
+        buffered one.  (``run().trace`` itself is a per-sniffer
+        concatenation; on multi-channel configs compare against
+        ``run().trace.sorted_by_time()``.)
         """
-        if chunk_frames <= 0:
-            raise ValueError("chunk_frames must be positive")
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if drain_guard_us < MAX_FRAME_AIRTIME_US:
-            raise ValueError(
-                f"drain_guard_us must cover one frame airtime "
-                f"({MAX_FRAME_AIRTIME_US} us)"
-            )
         self._consume()
-        self.medium.record_ground_truth = record_ground_truth
+        self.medium.record_ground_truth = False
         duration_us = self.config.duration_us
-        window_us = max(int(window_s * 1_000_000), 1)
         now = 0
-        watermark = 0
         while now < duration_us:
-            now = min(now + window_us, duration_us)
+            now = min(now + DRAIN_WINDOW_US, duration_us)
             self.sim.run_until(now)
             if now >= duration_us:
                 cutoff = None        # run complete: drain everything
             else:
-                cutoff = now - drain_guard_us
-                if cutoff <= watermark:
-                    continue         # nothing new is safely behind the guard
-                watermark = cutoff
+                cutoff = now - MAX_FRAME_AIRTIME_US
+            # concatenate() stably time-sorts the merged sniffers.
             merged = Trace.concatenate(
                 [s.drain_trace(cutoff) for s in self.sniffers]
-            ).sorted_by_time()
-            for lo in range(0, len(merged), chunk_frames):
-                yield merged.slice_rows(lo, min(lo + chunk_frames, len(merged)))
+            )
+            if len(merged):
+                yield merged
 
 
 # ---------------------------------------------------------------------------

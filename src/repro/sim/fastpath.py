@@ -4,9 +4,11 @@ The default simulator is a discrete-event machine: every backoff slot,
 ACK and timeout is one Python callback, which pins it near ~36 us of
 order-frozen work per frame (see BENCH_sim.json history).  This module
 trades byte-identical event ordering for throughput: it steps a whole
-channel cell per *window epoch* (default one second, matching the
-paper's analysis granularity) with every per-frame quantity held in
-numpy arrays.
+channel cell per *window epoch* (one second,
+:data:`~repro.sim.builder.DRAIN_WINDOW_US`, matching the paper's
+analysis granularity) with every per-frame quantity held in numpy
+arrays.  ``run()`` and ``stream()`` step the same windows, so they
+simulate the same network.
 
 What stays exact
 ----------------
@@ -61,7 +63,7 @@ from ..frames import (
     Trace,
     rate_to_code,
 )
-from .builder import MAX_FRAME_AIRTIME_US, _DEFAULT_CHUNK_FRAMES, BuiltScenario
+from .builder import DRAIN_WINDOW_US, BuiltScenario
 from .node import BEACON_INTERVAL_US
 from .phy import BASIC_RATE_MBPS
 
@@ -496,7 +498,7 @@ class FastBuiltScenario:
         self._consume()
         capture: list[Trace] = []
         truth_rows: list[dict[str, np.ndarray]] = []
-        for chunk, truth in self._window_loop(1_000_000, keep_truth=True):
+        for chunk, truth in self._window_loop(keep_truth=True):
             if len(chunk):
                 capture.append(chunk)
             truth_rows.extend(truth)
@@ -514,35 +516,24 @@ class FastBuiltScenario:
             config=self.config,
         )
 
-    def stream(
-        self,
-        chunk_frames: int = _DEFAULT_CHUNK_FRAMES,
-        window_s: float = 1.0,
-        drain_guard_us: int = MAX_FRAME_AIRTIME_US,
-        record_ground_truth: bool = False,
-    ):
-        """Yield the capture as bounded, globally time-sorted chunks."""
-        if chunk_frames <= 0:
-            raise ValueError("chunk_frames must be positive")
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
+    def stream(self):
+        """Yield the capture as one globally time-sorted segment per
+        :data:`~repro.sim.builder.DRAIN_WINDOW_US` window — the windows
+        :meth:`run` steps, so the network is the same."""
         self._consume()
-        window_us = max(int(window_s * 1_000_000), 1)
-        for chunk, _ in self._window_loop(window_us, keep_truth=False):
-            for lo in range(0, len(chunk), chunk_frames):
-                part = chunk.slice_rows(lo, min(lo + chunk_frames, len(chunk)))
-                if len(part):
-                    yield part
+        for chunk, _ in self._window_loop(keep_truth=False):
+            if len(chunk):
+                yield chunk
 
     # ------------------------------------------------------------------
     # the window loop
     # ------------------------------------------------------------------
 
-    def _window_loop(self, window_us: int, keep_truth: bool):
+    def _window_loop(self, keep_truth: bool):
         duration = self.config.duration_us
         t0 = 0
         while t0 < duration:
-            t1 = min(t0 + window_us, duration)
+            t1 = min(t0 + DRAIN_WINDOW_US, duration)
             final = t1 >= duration
             released: list[dict[str, np.ndarray]] = []
             truth_released: list[dict[str, np.ndarray]] = []

@@ -1,6 +1,6 @@
 """Scenario configs and runners: assembled networks that emit traces.
 Three config families reproduce the paper's measurement settings at
-laptop scale (the scale substitution is documented in DESIGN.md §2):
+laptop scale:
 
 * :func:`run_scenario` / :func:`stream_scenario` — one room, one or
   more AP/channel cells, configurable traffic, rate adaptation and
@@ -30,7 +30,7 @@ from .dcf import MacConfig
 from .engine import Simulator
 from .medium import Medium
 from .node import AccessPoint, Station
-from .builder import ScenarioBuilder, _DEFAULT_CHUNK_FRAMES, MAX_FRAME_AIRTIME_US
+from .builder import ScenarioBuilder
 from .channel_manager import ChannelManager
 from .roaming import RoamingManager
 from .sniffer import Sniffer, SnifferConfig
@@ -161,27 +161,19 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return ScenarioBuilder(config).build().run()
 
 
-def stream_scenario(
-    config: ScenarioConfig,
-    chunk_frames: int = _DEFAULT_CHUNK_FRAMES,
-    window_s: float = 1.0,
-    drain_guard_us: int = MAX_FRAME_AIRTIME_US,
-) -> Iterator[Trace]:
-    """Run ``config`` live, yielding the merged sniffer capture as
-    bounded time-sorted chunks while the simulation advances.
+def stream_scenario(config: ScenarioConfig) -> Iterator[Trace]:
+    """Run ``config`` live, yielding the merged sniffer capture as one
+    time-sorted segment per one-second drain window while the
+    simulation advances.
 
-    The concatenated chunks equal
+    The concatenated segments equal
     ``run_scenario(config).trace.sorted_by_time()`` — the row order
     every analysis works on — but no full-run trace (or per-frame
     ground truth) is ever materialised: peak memory is one drain window
     however long the session.  Feed the iterator straight to
     :func:`repro.pipeline.run_all`.
     """
-    yield from ScenarioBuilder(config).build().stream(
-        chunk_frames=chunk_frames,
-        window_s=window_s,
-        drain_guard_us=drain_guard_us,
-    )
+    yield from ScenarioBuilder(config).build().stream()
 
 
 #: Size mixture calibrated for the load-ramp scenario: S and XL dominate

@@ -31,8 +31,8 @@ analyze``, ``campaign``, ``campaign-status`` and
 :class:`~repro.api.ExperimentSpec` fields are declared once
 (``_SPEC_FLAGS``, each ``dest`` a field name — the grid flags
 ``--scenario --vary --fix --seeds --fidelity`` and the run flags
-``--workers --chunk-frames --store --resume --retry-failed --timeout-s
---dispatch --out``); ``_spec_from_args`` folds whichever a subcommand
+``--workers --store --resume --retry-failed --timeout-s --dispatch
+--out``); ``_spec_from_args`` folds whichever a subcommand
 takes into its spec, and ``ExperimentSpec.validate()`` checks the
 result, so a flag means the same on every subcommand and in a spec
 file.
@@ -54,10 +54,14 @@ may be killed, added or restarted freely (:mod:`repro.campaign.dispatch`);
 ``corpus`` manages an indexed capture library (content-addressed
 catalog, catalog-only queries, query-planned batch analysis that skips
 already-stored reports — see :mod:`repro.corpus`);
-``info`` prints the Table-1 style summary only; ``serve`` runs the
-always-on multi-feed analysis daemon (:mod:`repro.serve`); ``lint``
-runs the AST-based determinism & protocol-safety analyzer
-(:mod:`repro.lint`) against the committed ratchet baseline.
+``info`` prints the Table-1 style summary only (``analyze`` with just
+the ``summary`` consumer, so it fails as ``analyze`` does); ``serve``
+runs the always-on multi-feed analysis daemon (:mod:`repro.serve`);
+``lint`` runs the AST-based determinism & protocol-safety analyzer
+(:mod:`repro.lint`) against the committed ratchet baseline.  No
+subcommand takes a segment size: captures stream in
+:data:`~repro.pipeline.DEFAULT_CHUNK_FRAMES` batches and simulations in
+one-second windows.
 """
 
 from __future__ import annotations
@@ -71,12 +75,10 @@ import sys
 from .api import Experiment, ExperimentResult, ExperimentSpec, SpecError
 from .api.execute import execute, grid_for
 from .campaign import CampaignStore
-from .core import dataset_summary
 from .core.render import render_report
 from .lint.cli import add_lint_arguments
 from .lint.cli import run_from_args as _run_lint_args
-from .pcap import read_trace, write_trace
-from .pipeline import DEFAULT_CHUNK_FRAMES
+from .pcap import write_trace
 from .sim import available_scenarios
 from .viz import table
 
@@ -119,10 +121,6 @@ _SPEC_FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
     "workers": (
         ("--workers",),
         {"type": int, "help": "worker processes (default: pool size; 1 = serial)"},
-    ),
-    "chunk_frames": (
-        ("--chunk-frames",),
-        {"type": int, "help": "frames per streamed chunk"},
     ),
     "store": (
         ("--store",),
@@ -169,7 +167,6 @@ _SPEC_FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
 _GRID_FLAGS = ("scenario", "vary", "params", "seeds", "fidelity")
 _RUN_FLAGS = (
     "workers",
-    "chunk_frames",
     "store",
     "resume",
     "retry_failed",
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser(
         "analyze",
-        parents=[_spec_flags("workers", "chunk_frames")],
+        parents=[_spec_flags("workers")],
         help="full congestion report from one or more captures (single-pass pipeline)",
     )
     analyze.add_argument(
@@ -293,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     corpus_analyze = corpus_sub.add_parser(
         "analyze",
-        parents=[_spec_flags("workers", "chunk_frames")],
+        parents=[_spec_flags("workers")],
         help="query-planned batch analysis: stored reports are served, "
         "the rest dispatch largest-first",
     )
@@ -317,9 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_spec_flags(*_GRID_FLAGS, *_RUN_FLAGS)],
         help="sweep a parameter grid over a library scenario in parallel",
     )
-    campaign.set_defaults(
-        scenario="ramp", seeds=1, chunk_frames=DEFAULT_CHUNK_FRAMES, resume=False
-    )
+    campaign.set_defaults(scenario="ramp", seeds=1, resume=False)
     campaign.add_argument(
         "--list",
         action="store_true",
@@ -346,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
             _spec_flags(
                 *_GRID_FLAGS,
                 "store",
-                "chunk_frames",
                 "resume",
                 "retry_failed",
                 "timeout_s",
@@ -357,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a campaign grid to campaign-worker processes "
         "(lease-based fault-tolerant dispatch)",
     )
-    coordinator.set_defaults(
-        scenario="ramp", seeds=1, chunk_frames=DEFAULT_CHUNK_FRAMES
-    )
+    coordinator.set_defaults(scenario="ramp", seeds=1)
     coordinator.add_argument(
         "--host", default="127.0.0.1", help="bind address (default loopback)"
     )
@@ -439,12 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP frame-batch ingest port (0 = ephemeral, -1 = disabled)",
     )
     serve.add_argument(
-        "--chunk-frames",
-        type=int,
-        default=DEFAULT_CHUNK_FRAMES,
-        help="frames per analysis segment",
-    )
-    serve.add_argument(
         "--queue-chunks",
         type=int,
         default=8,
@@ -511,9 +497,8 @@ def _spec_from_args(
         if dest != "out" and getattr(args, dest, None) is not None
     }
     # Checked ahead of validate() so that the message names the flag.
-    for dest in ("workers", "chunk_frames"):
-        if given.get(dest, 1) < 1:
-            raise SpecError(f"--{dest.replace('_', '-')} must be >= 1")
+    if given.get("workers", 1) < 1:
+        raise SpecError("--workers must be >= 1")
     if (given.get("resume") or given.get("retry_failed")) and not (
         given.get("store") or base.store
     ):
@@ -704,7 +689,6 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             spec.corpus,
             spec.corpus_where,
             workers=spec.workers,
-            chunk_frames=spec.chunk_frames,
             refresh=not args.no_refresh,
         )
     except CorpusError as error:
@@ -761,7 +745,6 @@ def _cmd_campaign_coordinator(args: argparse.Namespace) -> int:
             max_attempts=args.max_attempts,
             resume=spec.resume,
             retry_failed=spec.retry_failed,
-            chunk_frames=spec.chunk_frames,
             timeout_s=spec.timeout_s,
         ) as coordinator:
             host, port = coordinator.address
@@ -901,10 +884,17 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    trace = read_trace(args.capture)
-    summary = dataset_summary(trace, args.capture)
-    print(table([summary.as_row()], title="Capture summary"))
-    return 0
+    # analyze's spec path with only the summary consumer: the capture
+    # streams from disk, and a damaged, foreign or missing file is one
+    # stderr line, never a traceback.
+    spec = ExperimentSpec(
+        pcaps=(args.capture,), name=args.capture, analyses=("summary",)
+    )
+    result = _execute(spec)
+    rows = [metrics["summary"].as_row() for metrics in result.metrics.values()]
+    if rows:
+        print(table(rows, title="Capture summary"))
+    return _report_failures(result)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -918,7 +908,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 args.host,
                 args.port,
                 None if args.ingest_port < 0 else args.ingest_port,
-                chunk_frames=args.chunk_frames,
                 queue_chunks=args.queue_chunks,
                 max_feeds=args.max_feeds,
                 port_file=args.port_file,

@@ -96,6 +96,13 @@ class TestStrictKeys:
                 {"scenario": "ramp", "run": {"worker": 2}}
             )
 
+    def test_chunk_frames_is_not_a_run_option(self):
+        """Segment size belongs to the sources, not to a spec."""
+        with pytest.raises(SpecError, match="unknown run option 'chunk_frames'"):
+            ExperimentSpec.from_toml(
+                'scenario = "ramp"\n[run]\nchunk_frames = 4096\n'
+            )
+
     def test_vary_scalar_rejected(self):
         with pytest.raises(SpecError, match="must be a list"):
             ExperimentSpec.from_mapping(

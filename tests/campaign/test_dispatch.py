@@ -652,15 +652,15 @@ class TestRunCampaignRouting:
                 make_cells(1), dispatch="distributed", keep_reports=True
             )
 
-    def test_distributed_rejects_chunk_frames_zero(self, tmp_path):
+    def test_distributed_rejects_bad_timeout(self, tmp_path):
         """Checked by the shared cell run before any store is opened or
         worker spawned, as on the local path."""
         cell = CampaignCell("ramp", params=(("duration_s", 1.0),), seed=0)
-        with pytest.raises(ValueError, match="'chunk_frames' must be >= 1"):
+        with pytest.raises(ValueError, match="'timeout_s' must be > 0"):
             run_campaign(
                 [cell],
                 dispatch="distributed",
-                chunk_frames=0,
+                timeout_s=0,
                 store_dir=tmp_path / "store",
             )
         assert not (tmp_path / "store").exists()

@@ -158,7 +158,6 @@ class TestRunCampaign:
     @pytest.mark.parametrize(
         "options, message",
         [
-            ({"chunk_frames": 0}, "run option 'chunk_frames' must be >= 1"),
             ({"timeout_s": -1}, "run option 'timeout_s' must be > 0"),
             ({"timeout_s": 0}, "run option 'timeout_s' must be > 0"),
         ],
@@ -166,9 +165,9 @@ class TestRunCampaign:
     def test_bad_run_options_write_nothing_to_the_store(
         self, tmp_path, options, message
     ):
-        """Chunking and the timeout are not part of a cell's key, so a
-        failure record written for a bad option would be served to every
-        later resume: reject the options before the store is opened."""
+        """The timeout is not part of a cell's key, so a failure record
+        written for a bad value would be served to every later resume:
+        reject it before the store is opened."""
         cell = CampaignCell("ramp", params=(("duration_s", 1.0),), seed=0)
         with pytest.raises(ValueError, match=message):
             run_campaign([cell], workers=1, store_dir=tmp_path / "s", **options)

@@ -98,9 +98,56 @@ class TestCli:
         rc = main(["analyze", "whatever.pcap", "--workers", "0"])
         assert rc == 2
         assert "--workers" in capsys.readouterr().err
-        rc = main(["analyze", "whatever.pcap", "--chunk-frames", "0"])
-        assert rc == 2
-        assert "--chunk-frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "spec.toml"],
+            ["analyze", "x.pcap"],
+            ["corpus", "analyze", "root"],
+            ["campaign"],
+            ["campaign-coordinator", "--store", "s"],
+            ["serve"],
+        ],
+        ids=[
+            "run", "analyze", "corpus-analyze", "campaign",
+            "campaign-coordinator", "serve",
+        ],
+    )
+    def test_chunk_frames_flag_is_gone(self, argv, capsys):
+        """Segment size is not a run option: the flag is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, "--chunk-frames", "4096"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --chunk-frames" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["cut", "foreign", "missing"])
+    def test_info_reports_bad_capture_in_one_line(
+        self, tmp_path, capsys, damage
+    ):
+        """info fails like analyze: one stderr line naming the path (and
+        the byte offset, where there is one), never a traceback."""
+        from repro.frames import Trace
+        from repro.pcap import write_trace
+
+        from ..conftest import data
+
+        path = tmp_path / "capture.pcap"
+        if damage == "cut":
+            rows = [data(i * 1_000, src=10, dst=1, seq=i) for i in range(20)]
+            write_trace(Trace.from_rows(rows), path)
+            path.write_bytes(path.read_bytes()[:-9])
+        elif damage == "foreign":
+            path.write_text("not a capture\n" * 8)
+        rc = main(["info", str(path)])
+        captured = capsys.readouterr()
+        assert rc == (2 if damage == "missing" else 1)
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert str(path) in lines[0]
+        if damage == "cut":
+            assert "byte offset" in lines[0]
+        assert "Traceback" not in captured.err + captured.out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -393,7 +440,6 @@ class TestGridSubcommandsValidateAlike:
         "flag, value, message",
         [
             ("--timeout-s", "-1", "'timeout_s' must be > 0"),
-            ("--chunk-frames", "0", "--chunk-frames must be >= 1"),
         ],
     )
     def test_coordinator_rejects_bad_run_options(

@@ -91,7 +91,7 @@ def test_run_all_matches_analyze_trace(small_scenario, chunk_frames):
     trace, roster = small_scenario.trace, small_scenario.roster
     batch = analyze_trace(trace, roster, name="scenario")
     streamed = run_all(
-        trace, roster, name="scenario", chunk_frames=chunk_frames
+        trace_chunks(trace, chunk_frames), roster, name="scenario"
     )
     assert_reports_equal(batch, streamed)
     assert batch.headline() == streamed.headline()
@@ -102,7 +102,7 @@ def test_tiny_exchange_trace(exchange_trace, tiny_roster, chunk_frames):
     """Chunk sizes down to one frame: boundary pairs must still match."""
     batch = analyze_trace(exchange_trace, tiny_roster, name="tiny")
     streamed = run_all(
-        exchange_trace, tiny_roster, name="tiny", chunk_frames=chunk_frames
+        trace_chunks(exchange_trace, chunk_frames), tiny_roster, name="tiny"
     )
     assert_reports_equal(batch, streamed)
 
@@ -110,7 +110,7 @@ def test_tiny_exchange_trace(exchange_trace, tiny_roster, chunk_frames):
 def test_without_roster(small_scenario):
     """Roster-less runs skip the Fig-4 analyses, like analyze_trace."""
     batch = analyze_trace(small_scenario.trace, name="bare")
-    streamed = run_all(small_scenario.trace, name="bare", chunk_frames=999)
+    streamed = run_all(trace_chunks(small_scenario.trace, 999), name="bare")
     assert_reports_equal(batch, streamed)
     assert streamed.ap_activity is None
     assert streamed.unrecorded_per_ap is None
@@ -148,7 +148,7 @@ def test_unrecorded_rules_across_boundaries(tiny_roster):
     batch = analyze_trace(trace, tiny_roster, name="rules")
     for chunk_frames in (1, 2, 3, 5, 8):
         streamed = run_all(
-            trace, tiny_roster, name="rules", chunk_frames=chunk_frames
+            trace_chunks(trace, chunk_frames), tiny_roster, name="rules"
         )
         assert_reports_equal(batch, streamed)
     assert batch.unrecorded.missing_data == 1

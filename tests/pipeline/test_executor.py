@@ -117,8 +117,8 @@ class TestCustomConsumers:
         rows = [beacon(0, src=1)] + [
             data(1_000 + i * 2_000, src=10, dst=1, seq=i) for i in range(5)
         ]
-        executor = PipelineExecutor([FrameCounter()], chunk_frames=2)
-        results = executor.run(Trace.from_rows(rows))
+        executor = PipelineExecutor([FrameCounter()])
+        results = executor.run(trace_chunks(Trace.from_rows(rows), 2))
         assert results["frame_counter"] == {"total": 6, "beacons": 1}
 
     def test_registered_custom_consumer_via_run_consumers(self, monkeypatch):
@@ -173,21 +173,44 @@ class TestStreamValidation:
 
 class TestPcapSources:
     def test_unsorted_pcap_falls_back_to_load_and_sort(self, tmp_path):
-        """A pcap with records out of time order must still analyze,
-        matching the batch path (regression: the streaming reader used
-        to crash on it)."""
-        import numpy as np
-
+        """A pcap with records out of time order beyond one reader batch
+        must still analyze, matching the batch path (regression: the
+        streaming reader used to crash on it)."""
         from repro.core import analyze_trace
         from repro.pcap import read_trace, write_trace
+        from repro.frames import rate_to_code
+        from repro.pipeline import (
+            DEFAULT_CHUNK_FRAMES,
+            UnsortedStreamError,
+            pcap_chunks,
+        )
 
-        rng = np.random.default_rng(5)
-        times = rng.permutation(50) * 100_000
-        rows = [data(int(t), src=10, dst=1, seq=i) for i, t in enumerate(times)]
+        # One batch of in-order frames, then 50 that belong inside it.
+        n = DEFAULT_CHUNK_FRAMES + 50
+        times = np.arange(n, dtype=np.int64) * 1_000
+        times[-50:] = np.random.default_rng(5).permutation(50) * 100_000 + 500
         path = tmp_path / "unsorted.pcap"
-        write_trace(Trace.from_rows(rows), path)  # preserves row order
+        write_trace(  # preserves row order
+            Trace(
+                {
+                    "time_us": times,
+                    "ftype": np.full(n, int(FrameType.DATA)),
+                    "rate_code": np.full(n, rate_to_code(11.0)),
+                    "size": np.full(n, 60),
+                    "src": np.full(n, 10),
+                    "dst": np.full(n, 1),
+                    "retry": np.zeros(n, dtype=bool),
+                    "channel": np.full(n, 1),
+                    "snr_db": np.full(n, 25.0),
+                    "seq": np.arange(n) % 4096,
+                }
+            ),
+            path,
+        )
+        with pytest.raises(UnsortedStreamError):  # the fallback is needed
+            list(pcap_chunks(path))
 
-        streamed = run_all(str(path), name="u", chunk_frames=7)
+        streamed = run_all(str(path), name="u")
         batch = analyze_trace(read_trace(path), name="u")
         assert streamed.summary == batch.summary
         assert np.allclose(

@@ -55,7 +55,9 @@ def assert_prefix_equivalence(chunks, roster=None):
 def test_every_library_scenario_prefixwise(scenario):
     """All library scenarios: snapshot after each chunk == batch prefix."""
     built = build_scenario(scenario, duration_s=2)
-    chunks = list(built.stream(chunk_frames=256))
+    chunks = [
+        part for segment in built.stream() for part in trace_chunks(segment, 256)
+    ]
     assert len(chunks) >= 2, "need multiple prefixes to make this meaningful"
     assert_prefix_equivalence(chunks, built.roster)
 

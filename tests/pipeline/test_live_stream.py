@@ -1,20 +1,26 @@
 """Live sniffer streaming: field-identical to the buffered path.
 
 The contract of the sim→pipeline boundary: a scenario streamed live
-through :func:`repro.pipeline.scenario_chunks` (bounded memory, no
+through :func:`repro.sim.stream_scenario` (bounded memory, no
 full-trace materialisation) produces a :class:`CongestionReport`
 field-identical to the buffered ``run_scenario`` + ``analyze_trace``
-path, down to small chunk sizes and drain windows.
+path, also when its one-second segments are re-sliced small.
 """
 
 import pytest
 
 from repro.core import analyze_trace
 from repro.frames import Trace
-from repro.pipeline import run_all, scenario_chunks
+from repro.pipeline import run_all, trace_chunks
 from repro.sim import ScenarioBuilder, stream_scenario
 
 from .test_equivalence import assert_reports_equal
+
+
+def resliced(segments, chunk_frames):
+    """A live stream cut into ``chunk_frames``-row segments."""
+    for segment in segments:
+        yield from trace_chunks(segment, chunk_frames)
 
 
 @pytest.mark.parametrize("chunk_frames", [37, 1024])
@@ -28,25 +34,12 @@ def test_streamed_scenario_report_matches_buffered(
         small_scenario.trace, small_scenario.roster, name="live"
     )
     streamed = run_all(
-        scenario_chunks(config, chunk_frames=chunk_frames),
+        resliced(stream_scenario(config), chunk_frames),
         roster=small_scenario.roster,
         name="live",
-        chunk_frames=chunk_frames,
     )
     assert_reports_equal(buffered, streamed)
     assert buffered.headline() == streamed.headline()
-
-
-@pytest.mark.parametrize("window_s", [0.25, 2.0])
-def test_drain_window_size_is_invisible(small_scenario, window_s):
-    """The drain cadence is an implementation detail: any window
-    produces the same stream."""
-    config = small_scenario.config
-    reference = small_scenario.trace.sorted_by_time()
-    streamed = Trace.concatenate(
-        list(stream_scenario(config, chunk_frames=256, window_s=window_s))
-    )
-    assert streamed == reference
 
 
 def test_streamed_run_holds_no_full_trace(small_scenario):
@@ -56,7 +49,7 @@ def test_streamed_run_holds_no_full_trace(small_scenario):
     built = ScenarioBuilder(config).build()
     peak_buffered = 0
     total = 0
-    for chunk in built.stream(chunk_frames=256, window_s=0.5):
+    for chunk in built.stream():
         total += len(chunk)
         peak_buffered = max(
             peak_buffered, sum(s.frames_buffered for s in built.sniffers)
@@ -83,12 +76,12 @@ def test_multi_channel_merge_order_preserved():
     )
     buffered = run_scenario(config)
     streamed = Trace.concatenate(
-        list(stream_scenario(config, chunk_frames=128))
+        list(resliced(stream_scenario(config), 128))
     )
     assert streamed == buffered.trace.sorted_by_time()
     report_buffered = analyze_trace(buffered.trace, buffered.roster, name="mc")
     report_streamed = run_all(
-        stream_scenario(config, chunk_frames=128),
+        resliced(stream_scenario(config), 128),
         roster=buffered.roster,
         name="mc",
     )

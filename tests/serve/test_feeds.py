@@ -266,24 +266,42 @@ def test_shutdown_is_idempotent():
     asyncio.run(main())
 
 
-def test_ingest_pcap_clean(tmp_path, segments):
+@pytest.fixture
+def five_frame_batches(monkeypatch):
+    """``ingest_pcap`` reads 5-frame batches, so a small capture arrives
+    as several segments."""
+    import functools
+
+    from repro import pipeline
+
+    monkeypatch.setattr(
+        pipeline,
+        "pcap_chunks",
+        functools.partial(pipeline.pcap_chunks, chunk_frames=5),
+    )
+
+
+def test_ingest_pcap_clean(tmp_path, segments, five_frame_batches):
     path = tmp_path / "ok.pcap"
     rows = [r for s in segments for r in s.iter_rows()]
     write_trace(Trace.from_rows(rows), path)
 
     async def main():
-        manager = FeedManager(chunk_frames=5)
+        manager = FeedManager()
         feed = manager.create_feed("f")
         queued = await manager.ingest_pcap(feed, path)
         await feed.put_eof()
         await feed.done.wait()
         assert queued == feed.frames_in == len(rows)
+        assert feed.batches_in == 3  # 5 + 5 + 2 frames
         assert_reports_equal(run_all(path, name="f"), feed.report())
 
     asyncio.run(main())
 
 
-def test_ingest_truncated_pcap_fails_feed_with_prefix(tmp_path, segments):
+def test_ingest_truncated_pcap_fails_feed_with_prefix(
+    tmp_path, segments, five_frame_batches
+):
     path = tmp_path / "cut.pcap"
     rows = [r for s in segments for r in s.iter_rows()]
     write_trace(Trace.from_rows(rows), path)
@@ -291,7 +309,7 @@ def test_ingest_truncated_pcap_fails_feed_with_prefix(tmp_path, segments):
     path.write_bytes(raw[:-9])             # last record loses its tail
 
     async def main():
-        manager = FeedManager(chunk_frames=5)
+        manager = FeedManager()
         feed = manager.create_feed("f")
         await manager.ingest_pcap(feed, path)
         await feed.done.wait()
@@ -299,6 +317,7 @@ def test_ingest_truncated_pcap_fails_feed_with_prefix(tmp_path, segments):
         assert feed.error.error_type == "TruncatedPcapError"
         assert feed.error.where == "ingest"
         assert feed.frames_in == len(rows) - 1
+        assert feed.batches_in == 3  # clean batches of 5 + 5 + 1 first
         assert feed.report().summary.n_frames == len(rows) - 1
 
     asyncio.run(main())
@@ -307,12 +326,10 @@ def test_ingest_truncated_pcap_fails_feed_with_prefix(tmp_path, segments):
 def test_attach_scenario_runs_to_completion():
     built = build_scenario("ramp", duration_s=2)
     reference = build_scenario("ramp", duration_s=2)
-    expected = run_all(
-        reference.stream(chunk_frames=512), reference.roster, name="f"
-    )
+    expected = run_all(reference.stream(), reference.roster, name="f")
 
     async def main():
-        manager = FeedManager(chunk_frames=512)
+        manager = FeedManager()
         feed = manager.attach_scenario(built, "f")
         await feed.done.wait()
         assert feed.state == "closed"

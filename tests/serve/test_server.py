@@ -1,6 +1,9 @@
 """HTTP + TCP front end: routes, payloads, and served-report equivalence."""
 
 import asyncio
+import json
+
+import pytest
 
 from repro.frames import Trace
 from repro.pcap import write_trace
@@ -69,6 +72,34 @@ def test_malformed_request_line_400():
             raw = await reader.read()
             writer.close()
             assert b" 400 " in raw.split(b"\r\n", 1)[0]
+
+    asyncio.run(main())
+
+
+@pytest.mark.parametrize("path", ["/feeds", "/feeds/f/frames"])
+def test_negative_content_length_400(path):
+    """A negative length is malformed, like a non-integer one — not a
+    500 from the body reader."""
+
+    async def main():
+        async with daemon_running() as daemon:
+            status, _ = await http_json(
+                daemon.http_port, "POST", "/feeds", {"name": "f"}
+            )
+            assert status == 200
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.http_port
+            )
+            writer.write(
+                f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+                "Content-Length: -5\r\n\r\n".encode()
+            )
+            await writer.drain()
+            raw = await reader.read()
+            writer.close()
+            head, _, payload = raw.partition(b"\r\n\r\n")
+            assert b" 400 " in head.split(b"\r\n", 1)[0]
+            assert json.loads(payload)["error"] == "malformed Content-Length"
 
     asyncio.run(main())
 

@@ -46,10 +46,8 @@ class TestDefaultEquivalence:
     def test_stream_concatenation_equals_buffered_trace(self):
         config = small_config(n_aps=2, channels=(1, 6))
         buffered = run_scenario(config).trace.sorted_by_time()
-        chunks = list(
-            ScenarioBuilder(config).build().stream(chunk_frames=100)
-        )
-        assert all(len(c) <= 100 for c in chunks)
+        chunks = list(ScenarioBuilder(config).build().stream())
+        assert len(chunks) == 3  # one segment per one-second drain window
         assert Trace.concatenate(chunks) == buffered
 
 
@@ -145,17 +143,6 @@ class TestBuilderApi:
         with pytest.raises(RuntimeError, match="already run"):
             list(built.stream())
 
-    def test_stream_parameter_validation(self):
-        built = ScenarioBuilder(small_config()).build()
-        with pytest.raises(ValueError, match="chunk_frames"):
-            list(built.stream(chunk_frames=0))
-        built = ScenarioBuilder(small_config()).build()
-        with pytest.raises(ValueError, match="window_s"):
-            list(built.stream(window_s=0.0))
-        built = ScenarioBuilder(small_config()).build()
-        with pytest.raises(ValueError, match="drain_guard_us"):
-            list(built.stream(drain_guard_us=100))
-
     def test_roster_available_before_run(self):
         built = ScenarioBuilder(small_config(n_aps=2, channels=(1, 6))).build()
         roster = built.roster
@@ -166,7 +153,7 @@ class TestBuilderApi:
 class TestStreamedRunState:
     def test_streamed_run_records_no_ground_truth(self):
         built = ScenarioBuilder(small_config()).build()
-        total = sum(len(chunk) for chunk in built.stream(chunk_frames=64))
+        total = sum(len(chunk) for chunk in built.stream())
         assert len(built.medium.ground_truth) == 0
         assert built.frames_transmitted > 0
         assert total == built.frames_captured

@@ -44,6 +44,6 @@ def test_streamed_trace_matches_golden(name):
     ground truth, so this covers the columnar drain/compact path on top
     of the buffered ``run()`` covered above.
     """
-    chunks = list(GOLDEN_CASES[name]().stream(window_s=1.0))
+    chunks = list(GOLDEN_CASES[name]().stream())
     merged = Trace.concatenate(chunks)
     assert trace_digest(merged) == FIXTURE[name]["trace_sha256"]

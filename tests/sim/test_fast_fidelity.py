@@ -23,6 +23,7 @@ regression in the fast engine fails it reproducibly.
 import numpy as np
 import pytest
 
+from repro.frames import Trace
 from repro.frames.dot11 import RATE_CODES
 from repro.sim import FIDELITY_MODES, FastBuiltScenario, build_scenario
 
@@ -179,18 +180,20 @@ class TestFastEngineSurface:
             r1.trace.column("time_us"), r2.trace.column("time_us")
         )
 
-    def test_stream_matches_buffered_run(self):
-        built_a = build_scenario(
-            "uniform", n_stations=4, duration_s=2.0, seed=11, fidelity="fast"
-        )
-        buffered = built_a.run().trace
-        built_b = build_scenario(
-            "uniform", n_stations=4, duration_s=2.0, seed=11, fidelity="fast"
-        )
-        chunks = list(built_b.stream(chunk_frames=256))
-        assert all(len(c) <= 256 for c in chunks)
-        streamed = np.concatenate([c.column("time_us") for c in chunks])
-        assert np.array_equal(streamed, buffered.column("time_us"))
+    @pytest.mark.parametrize("scenario", ["uniform", "co-channel", "day"])
+    def test_stream_matches_buffered_run(self, scenario):
+        """stream() steps the windows run() steps: the same network, so
+        the same capture in every column (day: three channels)."""
+
+        def build():
+            return build_scenario(
+                scenario, duration_s=4.0, seed=3, fidelity="fast"
+            )
+
+        buffered = build().run().trace
+        chunks = list(build().stream())
+        assert len(chunks) == 4  # one segment per one-second drain window
+        assert Trace.concatenate(chunks) == buffered
 
     def test_single_consumption_enforced(self):
         built = build_scenario(
