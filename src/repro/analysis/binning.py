@@ -47,15 +47,6 @@ class BinnedSeries:
         idx = int(np.argmin(np.abs(self.utilization - utilization)))
         return float(self.value[idx])
 
-    def smoothed(self, window: int = 5) -> "BinnedSeries":
-        """Centered moving average of ``value`` (for knee detection)."""
-        if window <= 1 or len(self.value) < window:
-            return self
-        kernel = np.ones(window) / window
-        padded = np.pad(self.value, window // 2, mode="edge")
-        smoothed = np.convolve(padded, kernel, mode="valid")[: len(self.value)]
-        return BinnedSeries(self.utilization, smoothed, self.count)
-
 
 def utilization_bins(percent: np.ndarray, upper: float = 100.0) -> np.ndarray:
     """Integer utilization bin per second: round then clip to [0, upper]."""

@@ -3,7 +3,7 @@
 The planner turns "analyze everything matching this query" into the
 smallest possible batch of jobs for :func:`repro.jobs.run_jobs`:
 
-* captures whose ``(content hash, timing, code salt)`` already has a
+* captures whose ``(content hash, code salt)`` already has a
   stored report are **skipped** — their report is served from the
   analysis store, so a warm re-run dispatches zero work (the same
   content addressing and code-version salt every :mod:`repro.store`
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..core.report import CongestionReport
-from ..core.timing import DOT11B_TIMING, TimingParameters
+from ..core.timing import DOT11B_TIMING
 from ..store import RecordStore, canonical, canonical_key, code_version_salt
 from .index import INDEX_DIRNAME, CaptureRecord, CorpusIndex
 from .query import Query, filter_records
@@ -40,27 +40,22 @@ __all__ = [
 ]
 
 
-def analysis_key(
-    content_hash: str,
-    *,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
-    salt: str | None = None,
-) -> str:
+def analysis_key(content_hash: str, *, salt: str | None = None) -> str:
     """Content-addressed key for one capture's stored analysis.
 
     Everything that can change the report participates: the capture's
-    content hash, the timing parameters, the minimum sample count, and
-    the code-version salt.  Corpus analysis always stores complete
-    :class:`CongestionReport`s; the constant ``"consumers"`` entry is
-    part of the hashed layout, so existing stores keep their keys.
+    content hash and the code-version salt.  Corpus analysis always
+    stores complete :class:`CongestionReport`s computed with the
+    802.11b timing and a minimum bin count of 1; the ``"consumers"``,
+    ``"timing"`` and ``"min_count"`` entries hash those constants, so
+    existing stores keep their keys.
     """
     return canonical_key(
         {
             "capture": content_hash,
             "consumers": ["report"],
-            "timing": canonical(timing),
-            "min_count": min_count,
+            "timing": canonical(DOT11B_TIMING),
+            "min_count": 1,
             "salt": salt if salt is not None else code_version_salt(),
         }
     )
@@ -115,8 +110,6 @@ def plan_analysis(
     store: AnalysisStore,
     records: list[CaptureRecord],
     *,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
     salt: str | None = None,
 ) -> AnalysisPlan:
     """Partition matched records into cached / to-run / skipped."""
@@ -128,12 +121,7 @@ def plan_analysis(
         if record.status != "ok":
             skipped[record.path] = record.status
             continue
-        key = analysis_key(
-            record.content_hash,
-            timing=timing,
-            min_count=min_count,
-            salt=resolved_salt,
-        )
+        key = analysis_key(record.content_hash, salt=resolved_salt)
         report = store.get(key)
         if report is not None:
             cached.append((record, key, report))
@@ -170,8 +158,6 @@ def analyze_corpus(
     where: str | Query | None = None,
     *,
     workers: int | None = None,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
     refresh: bool = True,
     verify: bool = False,
     salt: str | None = None,
@@ -192,17 +178,14 @@ def analyze_corpus(
         index.refresh(verify=verify)
     records = filter_records(index.records().values(), where)
     store = AnalysisStore(index.root)
-    plan = plan_analysis(
-        store, records, timing=timing, min_count=min_count, salt=salt
-    )
+    plan = plan_analysis(store, records, salt=salt)
 
     def persist(slot: int, outcome) -> None:
         record, key = plan.to_run[slot]
         if not isinstance(outcome, JobError):
             store.put(key, record.content_hash, record.path, outcome)
 
-    kwargs = dict(timing=timing, min_count=min_count)
-    jobs = [(r.path, index.root / r.path, kwargs) for r, _ in plan.to_run]
+    jobs = [(r.path, index.root / r.path, {}) for r, _ in plan.to_run]
     outcomes = run_jobs(report_job, jobs, persist, workers=workers)
     reports = {record.path: report for record, _, report in plan.cached}
     failures: dict = {}

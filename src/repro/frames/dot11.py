@@ -14,6 +14,7 @@ import enum
 __all__ = [
     "FrameType",
     "DOT11_RATES_MBPS",
+    "CHANNEL_FREQ_MHZ",
     "RATE_CODES",
     "rate_to_code",
     "code_to_rate",
@@ -86,6 +87,10 @@ def frame_type_from_dot11(ftype: int, subtype: int) -> FrameType:
 
 #: The four 802.11b data rates, in Mbps, in ascending order (paper §6).
 DOT11_RATES_MBPS = (1.0, 2.0, 5.5, 11.0)
+
+#: 2.4 GHz centre frequency of each 802.11b channel.
+CHANNEL_FREQ_MHZ = {ch: 2407 + 5 * ch for ch in range(1, 14)}
+CHANNEL_FREQ_MHZ[14] = 2484
 
 #: Compact rate codes for columnar storage: index into DOT11_RATES_MBPS.
 RATE_CODES = {rate: code for code, rate in enumerate(DOT11_RATES_MBPS)}

@@ -22,6 +22,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from ..frames.dot11 import CHANNEL_FREQ_MHZ
+
 __all__ = ["RadiotapHeader", "CHANNEL_FREQ_MHZ", "channel_from_freq"]
 
 _TSFT = 1 << 0
@@ -32,10 +34,6 @@ _ANT_SIGNAL = 1 << 5
 _ANT_NOISE = 1 << 6
 
 _PRESENT = _TSFT | _FLAGS | _RATE | _CHANNEL | _ANT_SIGNAL | _ANT_NOISE
-
-#: 2.4 GHz centre frequency of each 802.11b channel.
-CHANNEL_FREQ_MHZ = {ch: 2407 + 5 * ch for ch in range(1, 14)}
-CHANNEL_FREQ_MHZ[14] = 2484
 
 #: Channel flags: 2 GHz spectrum + CCK modulation.
 _CHAN_FLAGS_B = 0x00A0

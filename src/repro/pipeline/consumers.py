@@ -18,6 +18,10 @@ remaining intentional restatement is the chunk-carrying form of the
 §4.4 atomicity rules in :class:`UnrecordedConsumer` and the retry-chain
 loop in :class:`DelayConsumer`; the equivalence tests pin both to the
 core, with dedicated chunk-boundary cases.
+
+Every binned series keeps each non-empty utilization bin (the
+``min_count=1`` default of ``bin_by_utilization`` and
+``bin_deliveries``), as ``analyze_trace`` does by default.
 """
 
 from __future__ import annotations
@@ -168,12 +172,7 @@ class UtilizationConsumer(Consumer):
 
 @register_consumer("throughput")
 class ThroughputConsumer(Consumer):
-    """Figure 6 throughput/goodput curves (``throughput_vs_utilization``).
-
-    ``analyze_trace`` fits the congestion classifier on curves binned
-    with ``min_count=1``; this consumer mirrors that, independent of
-    ``ctx.min_count``.
-    """
+    """Figure 6 throughput/goodput curves (``throughput_vs_utilization``)."""
 
     name = "throughput"
 
@@ -193,8 +192,8 @@ class ThroughputConsumer(Consumer):
         tput = self._bits.totals(n) / 1e6
         gput = self._good_bits.totals(n) / 1e6
         return ThroughputSeries(
-            throughput_mbps=bin_by_utilization(util.percent, tput, min_count=1),
-            goodput_mbps=bin_by_utilization(util.percent, gput, min_count=1),
+            throughput_mbps=bin_by_utilization(util.percent, tput),
+            goodput_mbps=bin_by_utilization(util.percent, gput),
             utilization=util,
         )
 
@@ -256,12 +255,8 @@ class RtsCtsConsumer(Consumer):
         util = ctx.utilization
         n = len(util)
         return RtsCtsSeries(
-            rts=bin_by_utilization(
-                util.percent, self._rts.totals(n), min_count=ctx.min_count
-            ),
-            cts=bin_by_utilization(
-                util.percent, self._cts.totals(n), min_count=ctx.min_count
-            ),
+            rts=bin_by_utilization(util.percent, self._rts.totals(n)),
+            cts=bin_by_utilization(util.percent, self._cts.totals(n)),
         )
 
 
@@ -281,7 +276,6 @@ class _PerRateConsumer(Consumer):
             rate: bin_by_utilization(
                 util.percent,
                 self._per_second(totals, code),
-                min_count=ctx.min_count,
             )
             for code, rate in enumerate(DOT11_RATES_MBPS)
         }
@@ -372,7 +366,6 @@ class TransmissionsConsumer(Consumer):
             cat.name: bin_by_utilization(
                 util.percent,
                 totals[:, cat.rate_code * 4 + int(cat.size_class)],
-                min_count=ctx.min_count,
             )
             for cat in self.categories
         }
@@ -433,9 +426,7 @@ class DelayConsumer(Consumer):
             size=np.array(self._sizes, dtype=np.int64),
             rate_code=np.array(self._rates, dtype=np.int64),
         )
-        return bin_deliveries(
-            deliveries, ctx.utilization, self.categories, ctx.min_count
-        )
+        return bin_deliveries(deliveries, ctx.utilization, self.categories)
 
 
 @register_consumer("unrecorded")

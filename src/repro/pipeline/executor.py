@@ -42,7 +42,6 @@ import numpy as np
 from ..core.report import CongestionReport
 from ..core.acking import ack_match_pairs
 from ..core.busytime import trace_cbt_us
-from ..core.timing import DOT11B_TIMING, TimingParameters
 from ..core.utilization import UtilizationSeries
 from ..frames import NodeRoster, Trace
 from ..jobs import JobError, run_jobs
@@ -134,9 +133,7 @@ class PipelineExecutor:
         consumers: Sequence[Consumer],
         *,
         name: str = "trace",
-        timing: TimingParameters = DOT11B_TIMING,
         roster: NodeRoster | None = None,
-        min_count: int = 1,
     ) -> None:
         names = [c.name for c in consumers]
         if len(set(names)) != len(names):
@@ -149,9 +146,7 @@ class PipelineExecutor:
                         "which is not part of this run"
                     )
         self.consumers = list(consumers)
-        self._ctx_args = dict(
-            name=name, timing=timing, roster=roster, min_count=min_count
-        )
+        self._ctx_args = dict(name=name, roster=roster)
         self.reset()
 
     # -- incremental protocol ---------------------------------------------
@@ -249,7 +244,7 @@ class PipelineExecutor:
             np.int64
         )
         if self._need_cbt:
-            cbt = trace_cbt_us(segment, ctx.timing)
+            cbt = trace_cbt_us(segment)
             self._busy.add(second, weights=cbt)
         else:  # no consumer reads busy time or utilization
             cbt = None
@@ -319,17 +314,13 @@ def run_consumers(
     names: Sequence[str],
     *,
     name: str = "trace",
-    timing: TimingParameters = DOT11B_TIMING,
     roster: NodeRoster | None = None,
-    min_count: int = 1,
 ) -> dict[str, object]:
     """One-pass run of the named registered consumers over ``source``."""
     executor = PipelineExecutor(
         create_consumers(names),
         name=name,
-        timing=timing,
         roster=roster,
-        min_count=min_count,
     )
     return executor.run(source)
 
@@ -371,8 +362,6 @@ def run_all(
     source,
     roster: NodeRoster | None = None,
     name: str = "trace",
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
 ) -> CongestionReport:
     """Single-pass equivalent of :func:`repro.core.analyze_trace`.
 
@@ -385,9 +374,7 @@ def run_all(
         source,
         names,
         name=name,
-        timing=timing,
         roster=roster,
-        min_count=min_count,
     )
     return assemble_report(results, name=name)
 
@@ -405,8 +392,6 @@ def run_batch(
     roster: NodeRoster | None = None,
     *,
     max_workers: int | None = None,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
 ) -> dict[str, CongestionReport | JobError]:
     """Analyze many captures in parallel, one single-pass run each.
 
@@ -440,11 +425,7 @@ def run_batch(
         raise ValueError(
             f"duplicate batch names {dupes}: results are keyed by name"
         )
-    kwargs = dict(
-        roster=roster,
-        timing=timing,
-        min_count=min_count,
-    )
+    kwargs = dict(roster=roster)
     outcomes = run_jobs(
         report_job,
         [(name, source, kwargs) for name, source in items],

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from ..frames import FrameType, NodeRoster, Trace
-from ..core.timing import DOT11B_TIMING, TimingParameters
 from ..pcap import TruncatedPcapError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -83,9 +82,7 @@ class StreamContext:
     """
 
     name: str = "trace"
-    timing: TimingParameters = DOT11B_TIMING
     roster: NodeRoster | None = None
-    min_count: int = 1
     start_us: int | None = None
     n_seconds: int = 0
     utilization: "UtilizationSeries | None" = None

@@ -9,12 +9,8 @@ sniffers record what a vicinity-sniffing laptop would have captured.
 from .builder import (
     MAX_FRAME_AIRTIME_US,
     BuiltScenario,
-    CalibratedObstruction,
     ExplicitPlacement,
-    ExplicitPopulation,
-    FractionPopulation,
     HotspotPlacement,
-    PoissonProgram,
     RoomPlacement,
     ScenarioBuilder,
     StationRole,
@@ -52,8 +48,6 @@ from .library import (
     UnknownParameterError,
     available_scenarios,
     build_scenario,
-    hidden_terminal_config,
-    hotspot_plenary_config,
     co_channel_config,
     register_scenario,
     roaming_storm_config,
@@ -66,13 +60,10 @@ from .library import (
 from .sniffer import Sniffer, SnifferConfig, ground_truth_trace
 from .topology import place_aps, place_stations, sniffer_position
 from .traffic import (
-    BULK_MIX,
     ClosedLoopSource,
     ModulatedRate,
     ScaledRate,
     CONFERENCE_MIX,
-    VOICE_MIX,
-    WEB_MIX,
     ConstantRate,
     LinearRamp,
     PoissonSource,
@@ -87,23 +78,19 @@ __all__ = [
     "ArfRateAdaptation",
     "BASIC_RATE_MBPS",
     "BEACON_INTERVAL_US",
-    "BULK_MIX",
     "BuiltScenario",
-    "CalibratedObstruction",
+    "CONFERENCE_MIX",
     "ChannelManager",
-    "ClosedLoopSource",
     "ChannelManagerConfig",
     "ChannelSwitch",
-    "CONFERENCE_MIX",
+    "ClosedLoopSource",
     "ConstantRate",
     "DcfMac",
     "EventHandle",
     "ExplicitPlacement",
-    "ExplicitPopulation",
     "FIDELITY_MODES",
     "FastBuiltScenario",
     "FixedRate",
-    "FractionPopulation",
     "HotspotPlacement",
     "LinearRamp",
     "MAX_FRAME_AIRTIME_US",
@@ -112,7 +99,6 @@ __all__ = [
     "Medium",
     "ModulatedRate",
     "PhyModel",
-    "PoissonProgram",
     "PoissonSource",
     "Position",
     "PowerControlConfig",
@@ -124,13 +110,13 @@ __all__ = [
     "RoamingManager",
     "RoomPlacement",
     "SCENARIO_LIBRARY",
+    "ScaledRate",
     "ScenarioBuilder",
     "ScenarioConfig",
     "ScenarioResult",
     "SimFrame",
     "Simulator",
     "Sniffer",
-    "ScaledRate",
     "SnifferConfig",
     "SnrOracleRateAdaptation",
     "Station",
@@ -139,15 +125,11 @@ __all__ = [
     "Transmission",
     "TransmitPowerControl",
     "UnknownParameterError",
-    "VOICE_MIX",
-    "WEB_MIX",
     "available_scenarios",
     "build_scenario",
     "class_mixture",
     "co_channel_config",
     "ground_truth_trace",
-    "hidden_terminal_config",
-    "hotspot_plenary_config",
     "ietf_day_config",
     "ietf_plenary_config",
     "load_ramp_config",

@@ -1,24 +1,19 @@
-"""Composable scenario assembly: topology, population, traffic, wiring.
+"""Scenario assembly: placement, station roles, traffic, wiring.
 
 :func:`repro.sim.run_scenario` historically built one fixed floor plan in
-a single 200-line function.  This module decomposes that assembly into
-four swappable components plus the builder that wires them together:
+a single 200-line function.  This module splits that assembly into fixed
+steps driven by the :class:`~repro.sim.scenarios.ScenarioConfig`, with
+one swappable part, the :class:`Placement` — where APs, stations and
+sniffers physically go (:class:`RoomPlacement` is the classic uniform
+floor, :class:`HotspotPlacement` clusters users around foci,
+:class:`ExplicitPlacement` pins every position for hand-built
+geometries such as hidden-terminal pairs).  The other steps read the
+config: its RTS/CTS and obstruction quotas set each station's
+:class:`StationRole`, an obstructed station's link is calibrated into
+the config's SNR band, and every station gets an open-loop Poisson
+uplink/downlink pair.
 
-* :class:`Placement` — where APs, stations and sniffers physically go
-  (:class:`RoomPlacement` is the classic uniform floor,
-  :class:`HotspotPlacement` clusters users around foci,
-  :class:`ExplicitPlacement` pins every position for hand-built
-  geometries such as hidden-terminal pairs);
-* :class:`Population` — per-station roles: who runs RTS/CTS, who sits
-  behind an obstructed link, per-station load factors
-  (:class:`FractionPopulation` reproduces the config-fraction quotas);
-* :class:`LinkImpairment` — how an obstructed role translates into
-  propagation damage (:class:`CalibratedObstruction` lands the weak
-  link direction in a target SNR band);
-* :class:`TrafficProgram` — what each station offers
-  (:class:`PoissonProgram` is the open-loop uplink/downlink pair).
-
-``ScenarioBuilder`` assembles the components into a
+``ScenarioBuilder`` wires those steps into a
 :class:`BuiltScenario`, which can either ``run()`` to completion and
 return the classic buffered :class:`~repro.sim.scenarios.ScenarioResult`,
 or ``stream()`` the sniffer capture as one time-sorted segment per
@@ -26,7 +21,7 @@ one-second drain window (:data:`DRAIN_WINDOW_US`) while the simulation
 advances — the live feed the single-pass analysis pipeline consumes
 without ever materialising a full-run trace.
 
-The default component set is numerically identical to the historical
+The default placement is numerically identical to the historical
 ``run_scenario`` (which now delegates here): RNG streams are consumed
 in the same order, entities attach to the medium in the same order, and
 events are scheduled in the same order, so fixed-seed runs reproduce
@@ -64,13 +59,6 @@ __all__ = [
     "RoomPlacement",
     "HotspotPlacement",
     "ExplicitPlacement",
-    "Population",
-    "FractionPopulation",
-    "ExplicitPopulation",
-    "LinkImpairment",
-    "CalibratedObstruction",
-    "TrafficProgram",
-    "PoissonProgram",
     "BuiltScenario",
     "ScenarioBuilder",
 ]
@@ -94,13 +82,13 @@ DRAIN_WINDOW_US = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# component protocols and default implementations
+# station roles and placements
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class StationRole:
-    """Per-station population facts the builder wires into the network."""
+    """Per-station facts the builder wires into the network."""
 
     uses_rtscts: bool = False
     obstructed: bool = False
@@ -215,168 +203,118 @@ class ExplicitPlacement:
         return self.sniffer
 
 
-class Population(Protocol):
-    """Assign per-station roles for one scenario."""
-
-    def assign(
-        self, config: "ScenarioConfig", rng: np.random.Generator
-    ) -> list[StationRole]: ...
+# ---------------------------------------------------------------------------
+# the fixed build steps
+# ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FractionPopulation:
-    """Quota-based roles from the config fractions (the default).
+def _assign_roles(
+    config: "ScenarioConfig", rng: np.random.Generator
+) -> list[StationRole]:
+    """Quota-based roles from the config fractions.
 
     The first ``round(rtscts_fraction * n)`` station indices use
     RTS/CTS; ``round(obstructed_fraction * n)`` indices drawn without
     replacement are obstructed and get the configured load factor —
     exactly the populations ``run_scenario`` always built.
     """
-
-    def assign(
-        self, config: "ScenarioConfig", rng: np.random.Generator
-    ) -> list[StationRole]:
-        n = config.n_stations
-        n_rtscts = round(config.rtscts_fraction * n)
-        n_obstructed = round(config.obstructed_fraction * n)
-        obstructed = set(
-            rng.choice(n, size=n_obstructed, replace=False).tolist()
+    n = config.n_stations
+    n_rtscts = round(config.rtscts_fraction * n)
+    n_obstructed = round(config.obstructed_fraction * n)
+    obstructed = set(
+        rng.choice(n, size=n_obstructed, replace=False).tolist()
+    )
+    return [
+        StationRole(
+            uses_rtscts=j < n_rtscts,
+            obstructed=j in obstructed,
+            load_factor=(
+                config.obstructed_load_factor if j in obstructed else 1.0
+            ),
         )
-        return [
-            StationRole(
-                uses_rtscts=j < n_rtscts,
-                obstructed=j in obstructed,
-                load_factor=(
-                    config.obstructed_load_factor if j in obstructed else 1.0
-                ),
-            )
-            for j in range(n)
-        ]
+        for j in range(n)
+    ]
 
 
-@dataclass(frozen=True)
-class ExplicitPopulation:
-    """Hand-picked roles, index-aligned with the station positions."""
-
-    roles: tuple[StationRole, ...]
-
-    def assign(
-        self, config: "ScenarioConfig", rng: np.random.Generator
-    ) -> list[StationRole]:
-        if len(self.roles) != config.n_stations:
-            raise ValueError(
-                f"population pins {len(self.roles)} roles but config has "
-                f"{config.n_stations} stations"
-            )
-        return list(self.roles)
-
-
-class LinkImpairment(Protocol):
-    """Translate an obstructed role into propagation damage."""
-
-    def apply(
-        self,
-        config: "ScenarioConfig",
-        propagation: PropagationModel,
-        node_id: int,
-        position: Position,
-        ap: AccessPoint,
-        rng: np.random.Generator,
-    ) -> None: ...
-
-
-@dataclass(frozen=True)
-class CalibratedObstruction:
-    """Extra loss calibrated so the weaker link direction lands in the
-    config's SNR band (the default).
+def _obstruct(
+    config: "ScenarioConfig",
+    propagation: PropagationModel,
+    node_id: int,
+    position: Position,
+    ap: AccessPoint,
+    rng: np.random.Generator,
+) -> None:
+    """Give an obstructed station extra loss calibrated so the weaker
+    link direction lands in the config's SNR band.
 
     Calibrate on the *weaker* direction (usually the station uplink,
     lower tx power): the stronger direction then sits a few dB above
     the band.  Calibrating on the strong direction would leave the weak
     one below the band — undeliverable at any rate.
     """
-
-    def apply(
-        self,
-        config: "ScenarioConfig",
-        propagation: PropagationModel,
-        node_id: int,
-        position: Position,
-        ap: AccessPoint,
-        rng: np.random.Generator,
-    ) -> None:
-        clean_rx = propagation.received_power_dbm(
-            min(config.station_tx_power_dbm, config.ap_tx_power_dbm),
-            ap.mac.position,
-            position,
-            tx_id=ap.node_id,
-            rx_id=node_id,
-        )
-        clean_snr = clean_rx - propagation.noise_floor_dbm
-        lo, hi = config.obstructed_snr_band_db
-        target_snr = float(rng.uniform(lo, hi))
-        propagation.node_extra_loss_db[node_id] = max(0.0, clean_snr - target_snr)
+    clean_rx = propagation.received_power_dbm(
+        min(config.station_tx_power_dbm, config.ap_tx_power_dbm),
+        ap.mac.position,
+        position,
+        tx_id=ap.node_id,
+        rx_id=node_id,
+    )
+    clean_snr = clean_rx - propagation.noise_floor_dbm
+    lo, hi = config.obstructed_snr_band_db
+    target_snr = float(rng.uniform(lo, hi))
+    propagation.node_extra_loss_db[node_id] = max(0.0, clean_snr - target_snr)
 
 
-class TrafficProgram(Protocol):
-    """Attach offered-load sources to a built network."""
-
-    def attach(self, built: "BuiltScenario") -> list[object]: ...
-
-
-@dataclass(frozen=True)
-class PoissonProgram:
-    """Per-station open-loop Poisson uplink + downlink (the default).
+def _attach_traffic(built: "BuiltScenario") -> list[object]:
+    """Per-station open-loop Poisson uplink + downlink.
 
     Follows the config's rate schedules, size mix and activity windows;
     stations whose role carries a load factor get both directions
     scaled (their upper layers would back off on a bad link).
     """
-
-    def attach(self, built: "BuiltScenario") -> list[object]:
-        config, sim = built.config, built.sim
-        sources: list[object] = []
-        for j, station in enumerate(built.stations):
-            sta_rng = np.random.default_rng(config.seed + 1000 + j)
-            if config.activity is not None:
-                start_us, end_us = config.activity(j, sta_rng)
-            else:
-                start_us, end_us = 0, config.duration_us
-            uplink, downlink = config.uplink, config.downlink
-            role = built.roles[j]
-            if role.load_factor != 1.0:
-                uplink = ScaledRate(uplink, role.load_factor)
-                downlink = ScaledRate(downlink, role.load_factor)
-            # Association management frame at activity start.
-            sim.schedule_at(
-                max(start_us, 0),
-                (lambda s=station: s.mac.enqueue(s.ap_id, 64, FrameType.MGMT)),
+    config, sim = built.config, built.sim
+    sources: list[object] = []
+    for j, station in enumerate(built.stations):
+        sta_rng = np.random.default_rng(config.seed + 1000 + j)
+        if config.activity is not None:
+            start_us, end_us = config.activity(j, sta_rng)
+        else:
+            start_us, end_us = 0, config.duration_us
+        uplink, downlink = config.uplink, config.downlink
+        role = built.roles[j]
+        if role.load_factor != 1.0:
+            uplink = ScaledRate(uplink, role.load_factor)
+            downlink = ScaledRate(downlink, role.load_factor)
+        # Association management frame at activity start.
+        sim.schedule_at(
+            max(start_us, 0),
+            (lambda s=station: s.mac.enqueue(s.ap_id, 64, FrameType.MGMT)),
+        )
+        sources.append(
+            PoissonSource(
+                sim=sim,
+                enqueue=station.mac.enqueue,
+                dst=station.ap_id,
+                schedule=uplink,
+                sizes=config.size_mix,
+                rng=sta_rng,
+                start_us=start_us,
+                end_us=end_us,
             )
-            sources.append(
-                PoissonSource(
-                    sim=sim,
-                    enqueue=station.mac.enqueue,
-                    dst=station.ap_id,
-                    schedule=uplink,
-                    sizes=config.size_mix,
-                    rng=sta_rng,
-                    start_us=start_us,
-                    end_us=end_us,
-                )
+        )
+        sources.append(
+            PoissonSource(
+                sim=sim,
+                enqueue=built.downlink_enqueue(station.node_id),
+                dst=station.node_id,
+                schedule=downlink,
+                sizes=config.size_mix,
+                rng=np.random.default_rng(config.seed + 2000 + j),
+                start_us=start_us,
+                end_us=end_us,
             )
-            sources.append(
-                PoissonSource(
-                    sim=sim,
-                    enqueue=built.downlink_enqueue(station.node_id),
-                    dst=station.node_id,
-                    schedule=downlink,
-                    sizes=config.size_mix,
-                    rng=np.random.default_rng(config.seed + 2000 + j),
-                    start_us=start_us,
-                    end_us=end_us,
-                )
-            )
-        return sources
+        )
+    return sources
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +492,7 @@ class BuiltScenario:
 
 
 class ScenarioBuilder:
-    """Assemble a :class:`BuiltScenario` from swappable components.
+    """Assemble a :class:`BuiltScenario` from a config and a placement.
 
     >>> from repro.sim import ScenarioBuilder, ScenarioConfig
     >>> built = (
@@ -565,9 +503,9 @@ class ScenarioBuilder:
     >>> len(built.stations)
     2
 
-    ``with_*`` methods return ``self`` for chaining; ``configure``
-    tweaks individual config fields without rebuilding the whole
-    :class:`~repro.sim.scenarios.ScenarioConfig`.
+    ``with_placement`` and ``configure`` return ``self`` for chaining;
+    ``configure`` tweaks individual config fields without rebuilding the
+    whole :class:`~repro.sim.scenarios.ScenarioConfig`.
     """
 
     def __init__(self, config: "ScenarioConfig | None" = None) -> None:
@@ -575,40 +513,21 @@ class ScenarioBuilder:
 
         self.config = config if config is not None else ScenarioConfig()
         self._placement: Placement = RoomPlacement()
-        self._population: Population = FractionPopulation()
-        self._impairment: LinkImpairment = CalibratedObstruction()
-        self._traffic: TrafficProgram = PoissonProgram()
 
     def configure(self, **overrides) -> "ScenarioBuilder":
         """Replace individual :class:`ScenarioConfig` fields."""
         self.config = replace(self.config, **overrides)
         return self
 
-    def with_config(self, config: "ScenarioConfig") -> "ScenarioBuilder":
-        self.config = config
-        return self
-
     def with_placement(self, placement: Placement) -> "ScenarioBuilder":
         self._placement = placement
         return self
 
-    def with_population(self, population: Population) -> "ScenarioBuilder":
-        self._population = population
-        return self
-
-    def with_impairment(self, impairment: LinkImpairment) -> "ScenarioBuilder":
-        self._impairment = impairment
-        return self
-
-    def with_traffic(self, traffic: TrafficProgram) -> "ScenarioBuilder":
-        self._traffic = traffic
-        return self
-
     def build(self, fidelity: str = "default"):
-        """Wire the network.  Component hooks run in a fixed order
-        (placement → population → per-station impairments → traffic →
+        """Wire the network.  The steps run in a fixed order
+        (placement → roles → per-station obstruction → traffic →
         infrastructure → sniffers) sharing one seeded RNG stream, so a
-        given config + component set is fully reproducible.
+        given config and placement are fully reproducible.
 
         ``fidelity`` selects the engine the built scenario runs on:
         ``"default"`` is the byte-identical discrete-event machine
@@ -661,15 +580,13 @@ class ScenarioBuilder:
 
         # --- stations: placed, role-assigned, associated to nearest AP --
         sta_positions = self._placement.station_positions(config, rng)
-        roles = self._population.assign(config, rng)
+        roles = _assign_roles(config, rng)
         stations: list[Station] = []
         for j, pos in enumerate(sta_positions):
             nearest = min(aps, key=lambda ap: ap.mac.position.distance_to(pos))
             node_id = config.n_aps + 1 + j
             if roles[j].obstructed:
-                self._impairment.apply(
-                    config, propagation, node_id, pos, nearest, rng
-                )
+                _obstruct(config, propagation, node_id, pos, nearest, rng)
             station = Station.create(
                 sim=sim,
                 medium=medium,
@@ -709,7 +626,7 @@ class ScenarioBuilder:
         )
 
         # --- traffic, infrastructure, sniffers (original event order) --
-        built.sources = self._traffic.attach(built)
+        built.sources = _attach_traffic(built)
         if config.channel_management:
             built.channel_manager = ChannelManager(
                 sim=sim,

@@ -3,10 +3,14 @@
 The paper's findings come from *comparing* conditions — congested vs.
 uncongested hours, RTS/CTS on vs. off, rate fallback under load.  This
 registry packages those conditions (and the pathologies behind them) as
-named, parameterised :class:`~repro.sim.builder.ScenarioBuilder`
-factories, so campaigns can sweep them by name:
+named scenarios, so campaigns can sweep them by name.  Each is declared
+once: either a plain config factory registered through ``_classic``, or,
+where the scenario pins its own :class:`~repro.sim.builder.Placement`,
+one factory that builds the config next to that placement and returns
+the :class:`~repro.sim.builder.ScenarioBuilder`:
 
 * ``ramp`` / ``day`` / ``plenary`` — the classic calibrated configs;
+* ``uniform`` — one plain room with constant Poisson rates;
 * ``hidden-terminal`` — two station clusters that can reach the AP but
   not hear each other (the §5 collision pathology RTS/CTS targets);
 * ``hotspot-plenary`` — users piled around hotspot foci with heavy
@@ -31,12 +35,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .._suggest import unknown_name_message
-from .builder import (
-    BuiltScenario,
-    ExplicitPlacement,
-    HotspotPlacement,
-    ScenarioBuilder,
-)
+from .builder import ExplicitPlacement, HotspotPlacement, ScenarioBuilder
 from .propagation import Position
 from .scenarios import (
     RAMP_MIX,
@@ -58,8 +57,6 @@ __all__ = [
     "scenario_parameters",
     "validate_scenario_params",
     "build_scenario",
-    "hidden_terminal_config",
-    "hotspot_plenary_config",
     "co_channel_config",
     "roaming_storm_config",
     "uniform_config",
@@ -235,36 +232,6 @@ def uniform_config(
 SCENARIO_LIBRARY["uniform"] = _classic(uniform_config)
 
 
-def hidden_terminal_config(
-    n_stations: int = 8,
-    duration_s: float = 20.0,
-    seed: int = 31,
-    room_width_m: float = 64.0,
-    uplink_pps: float = 22.0,
-    rtscts_fraction: float = 0.0,
-) -> ScenarioConfig:
-    """Config half of :func:`_hidden_terminal` (see that factory)."""
-    return ScenarioConfig(
-        n_stations=n_stations,
-        n_aps=1,
-        duration_s=duration_s,
-        seed=seed,
-        channels=(1,),
-        room_width_m=room_width_m,
-        room_depth_m=8.0,
-        # Deterministic geometry: hiddenness must come from path loss,
-        # not a lucky shadowing draw.
-        shadowing_sigma_db=0.0,
-        path_loss_exponent=3.5,
-        station_tx_power_dbm=15.0,
-        rtscts_fraction=rtscts_fraction,
-        obstructed_fraction=0.0,
-        uplink=ConstantRate(uplink_pps),
-        downlink=ConstantRate(4.0),
-        size_mix=CONFERENCE_MIX,
-    )
-
-
 @register_scenario("hidden-terminal")
 def _hidden_terminal(
     n_stations: int = 8,
@@ -284,19 +251,31 @@ def _hidden_terminal(
     and uplink DATA collides at the AP.  Sweep ``rtscts_fraction``
     0 → 1 to reproduce the RTS/CTS trade-off of the paper's Figure 7.
     """
-    config = hidden_terminal_config(
-        n_stations=n_stations,
-        duration_s=duration_s,
-        seed=seed,
-        room_width_m=room_width_m,
-        uplink_pps=uplink_pps,
-        rtscts_fraction=rtscts_fraction,
+    # Apply overrides *before* pinning positions: the explicit
+    # placement below is computed from the room geometry, so a late
+    # configure() would silently ignore e.g. room_depth_m.
+    config = replace(
+        ScenarioConfig(
+            n_stations=n_stations,
+            n_aps=1,
+            duration_s=duration_s,
+            seed=seed,
+            channels=(1,),
+            room_width_m=room_width_m,
+            room_depth_m=8.0,
+            # Deterministic geometry: hiddenness must come from path
+            # loss, not a lucky shadowing draw.
+            shadowing_sigma_db=0.0,
+            path_loss_exponent=3.5,
+            station_tx_power_dbm=15.0,
+            rtscts_fraction=rtscts_fraction,
+            obstructed_fraction=0.0,
+            uplink=ConstantRate(uplink_pps),
+            downlink=ConstantRate(4.0),
+            size_mix=CONFERENCE_MIX,
+        ),
+        **overrides,
     )
-    if overrides:
-        # Apply overrides *before* pinning positions: the explicit
-        # placement below is computed from the room geometry, so a late
-        # configure() would silently ignore e.g. room_depth_m.
-        config = replace(config, **overrides)
     width, depth = config.room_width_m, config.room_depth_m
     rng = np.random.default_rng(seed + 7)
     stations = []
@@ -317,14 +296,24 @@ def _hidden_terminal(
     return ScenarioBuilder(config).with_placement(placement)
 
 
-def hotspot_plenary_config(
+@register_scenario("hotspot-plenary")
+def _hotspot_plenary(
     n_stations: int = 24,
     duration_s: float = 45.0,
     seed: int = 33,
     burst_sigma: float = 1.3,
-) -> ScenarioConfig:
-    """Config half of :func:`_hotspot_plenary` (see that factory)."""
-    return ScenarioConfig(
+    spread_m: float = 4.0,
+    **overrides,
+) -> ScenarioBuilder:
+    """Plenary-hall cells with users piled around hotspot foci.
+
+    Instead of a uniform floor, stations cluster near the doors and the
+    front rows, so one AP's cell is much denser than the others while
+    heavy log-normal burst modulation (``burst_sigma``) slams the
+    offered load around — the crowding that drove the paper's plenary
+    captures deep into congestion.
+    """
+    config = ScenarioConfig(
         n_stations=n_stations,
         n_aps=3,
         duration_s=duration_s,
@@ -345,31 +334,6 @@ def hotspot_plenary_config(
             ConstantRate(30.0), sigma=burst_sigma, seed=seed + 52
         ),
     )
-
-
-@register_scenario("hotspot-plenary")
-def _hotspot_plenary(
-    n_stations: int = 24,
-    duration_s: float = 45.0,
-    seed: int = 33,
-    burst_sigma: float = 1.3,
-    spread_m: float = 4.0,
-    **overrides,
-) -> ScenarioBuilder:
-    """Plenary-hall cells with users piled around hotspot foci.
-
-    Instead of a uniform floor, stations cluster near the doors and the
-    front rows, so one AP's cell is much denser than the others while
-    heavy log-normal burst modulation (``burst_sigma``) slams the
-    offered load around — the crowding that drove the paper's plenary
-    captures deep into congestion.
-    """
-    config = hotspot_plenary_config(
-        n_stations=n_stations,
-        duration_s=duration_s,
-        seed=seed,
-        burst_sigma=burst_sigma,
-    )
     placement = HotspotPlacement(
         centres=((0.15, 0.5), (0.85, 0.55), (0.5, 0.3)),
         spread_m=spread_m,
@@ -385,7 +349,13 @@ def co_channel_config(
     duration_s: float = 30.0,
     seed: int = 35,
 ) -> ScenarioConfig:
-    """Config half of :func:`_co_channel` (see that factory)."""
+    """Several AP cells forced onto one shared channel.
+
+    The paper's venue spread its APs over channels 1/6/11; this
+    scenario deliberately does not, so neighbouring cells carrier-sense
+    and collide with each other.  Sweeping ``n_aps`` shows co-channel
+    overlap eating the capacity that extra APs were supposed to add.
+    """
     return ScenarioConfig(
         n_stations=n_stations,
         n_aps=n_aps,
@@ -404,28 +374,7 @@ def co_channel_config(
     )
 
 
-@register_scenario("co-channel")
-def _co_channel(
-    n_stations: int = 18,
-    n_aps: int = 3,
-    duration_s: float = 30.0,
-    seed: int = 35,
-    **overrides,
-) -> ScenarioBuilder:
-    """Several AP cells forced onto one shared channel.
-
-    The paper's venue spread its APs over channels 1/6/11; this
-    scenario deliberately does not, so neighbouring cells carrier-sense
-    and collide with each other.  Sweeping ``n_aps`` shows co-channel
-    overlap eating the capacity that extra APs were supposed to add.
-    """
-    config = co_channel_config(
-        n_stations=n_stations,
-        n_aps=n_aps,
-        duration_s=duration_s,
-        seed=seed,
-    )
-    return ScenarioBuilder(config).configure(**overrides)
+SCENARIO_LIBRARY["co-channel"] = _classic(co_channel_config)
 
 
 def roaming_storm_config(
@@ -433,7 +382,14 @@ def roaming_storm_config(
     duration_s: float = 40.0,
     seed: int = 37,
 ) -> ScenarioConfig:
-    """Config half of :func:`_roaming_storm` (see that factory)."""
+    """Association churn: heavy shadowing plus periodic handoffs.
+
+    Stations start on the nearest AP, but with 9 dB link shadowing the
+    strongest beacon is often a different one; the roaming manager then
+    keeps moving users as scans fire — Figure 4(b)'s shifting
+    association counts, plus the reassociation management traffic the
+    sniffers record.
+    """
     return ScenarioConfig(
         n_stations=n_stations,
         n_aps=4,
@@ -456,22 +412,4 @@ def roaming_storm_config(
     )
 
 
-@register_scenario("roaming-storm")
-def _roaming_storm(
-    n_stations: int = 20,
-    duration_s: float = 40.0,
-    seed: int = 37,
-    **overrides,
-) -> ScenarioBuilder:
-    """Association churn: heavy shadowing plus periodic handoffs.
-
-    Stations start on the nearest AP, but with 9 dB link shadowing the
-    strongest beacon is often a different one; the roaming manager then
-    keeps moving users as scans fire — Figure 4(b)'s shifting
-    association counts, plus the reassociation management traffic the
-    sniffers record.
-    """
-    config = roaming_storm_config(
-        n_stations=n_stations, duration_s=duration_s, seed=seed
-    )
-    return ScenarioBuilder(config).configure(**overrides)
+SCENARIO_LIBRARY["roaming-storm"] = _classic(roaming_storm_config)

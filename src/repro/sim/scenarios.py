@@ -15,8 +15,9 @@ laptop scale:
 
 The assembly itself lives in :mod:`repro.sim.builder`
 (:class:`~repro.sim.builder.ScenarioBuilder`); both runners here are
-thin conveniences over it, and custom topologies/populations/traffic
-programs compose through the builder directly.
+thin conveniences over it.  A custom topology is a config plus a
+:class:`~repro.sim.builder.Placement` handed to the builder directly;
+roles and traffic always follow the config.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..frames import NodeRoster, Trace
+from ..frames.dot11 import CHANNEL_FREQ_MHZ
 from .dcf import MacConfig
 from .engine import Simulator
 from .medium import Medium
@@ -119,6 +121,20 @@ class ScenarioConfig:
             raise ValueError("obstructed_fraction must be in [0, 1]")
         if not self.channels:
             raise ValueError("need at least one channel")
+        for channel in self.channels:
+            if channel not in CHANNEL_FREQ_MHZ:
+                raise ValueError(
+                    f"channels: {channel!r} is not an 802.11b channel (1-14)"
+                )
+        if len(set(self.channels)) != len(self.channels):
+            # One sniffer per listed channel: a repeat records every
+            # frame on that channel twice.
+            raise ValueError(f"channels: {self.channels} repeats a channel")
+        low, high = self.obstructed_snr_band_db
+        if low > high:
+            raise ValueError(
+                f"obstructed_snr_band_db: low {low} dB is above high {high} dB"
+            )
 
     @property
     def duration_us(self) -> int:

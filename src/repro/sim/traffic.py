@@ -5,7 +5,9 @@ voice/audio and control-ish traffic, M/L interactive and web, XL file
 transfer and video.  Generators produce MSDUs with a configurable size
 mixture and a (possibly time-varying) arrival rate — the load ramp used
 to sweep channel utilization across the 30-99 % range the paper studies
-is just a generator whose rate grows over the run.
+is just a generator whose rate grows over the run.  The one blend
+defined here is :data:`CONFERENCE_MIX`; :func:`class_mixture` builds
+any other from class weights.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ __all__ = [
     "SizeSampler",
     "uniform_sizes",
     "class_mixture",
-    "VOICE_MIX",
-    "WEB_MIX",
-    "BULK_MIX",
     "CONFERENCE_MIX",
     "RateSchedule",
     "ConstantRate",
@@ -134,10 +133,6 @@ def class_mixture(weights: dict[str, float]) -> SizeSampler:
     return sample
 
 
-#: Application profiles used by the scenarios.
-VOICE_MIX = class_mixture({"S": 1.0})
-WEB_MIX = class_mixture({"S": 0.3, "M": 0.3, "L": 0.2, "XL": 0.2})
-BULK_MIX = class_mixture({"XL": 0.85, "L": 0.15})
 #: Conference-floor blend: lots of small frames (TCP acks, SSH, audio)
 #: plus a heavy XL tail (downloads, slide decks) and thin M/L middle —
 #: the shape that makes S and XL dominate as in the paper's Figs 10-13.

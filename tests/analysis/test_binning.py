@@ -53,13 +53,6 @@ class TestBinByUtilization:
         )
         assert np.isnan(series.value_at(65))
 
-    def test_smoothed_preserves_length(self):
-        util = np.arange(30.0, 60.0)
-        series = bin_by_utilization(util, np.sin(util))
-        smoothed = series.smoothed(5)
-        assert len(smoothed) == len(series)
-        assert np.array_equal(smoothed.utilization, series.utilization)
-
 
 @given(
     st.lists(

@@ -35,7 +35,6 @@ class TestAnalysisKey:
         assert analysis_key("hash", salt=SALT) == base
         assert analysis_key("other", salt=SALT) != base
         assert analysis_key("hash", salt="other") != base
-        assert analysis_key("hash", min_count=9, salt=SALT) != base
 
     def test_key_is_a_full_sha256(self):
         key = analysis_key("hash", salt=SALT)

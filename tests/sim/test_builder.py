@@ -8,14 +8,11 @@ from repro.sim import (
     BuiltScenario,
     ConstantRate,
     ExplicitPlacement,
-    ExplicitPopulation,
-    FractionPopulation,
     HotspotPlacement,
     Position,
     RoomPlacement,
     ScenarioBuilder,
     ScenarioConfig,
-    StationRole,
     run_scenario,
 )
 
@@ -52,39 +49,28 @@ class TestDefaultEquivalence:
 
 
 class TestComponents:
-    def test_fraction_population_quotas(self):
+    def test_roles_follow_config_quotas(self):
         config = small_config(
             n_stations=10, rtscts_fraction=0.3, obstructed_fraction=0.2
         )
-        roles = FractionPopulation().assign(config, np.random.default_rng(0))
+        built = ScenarioBuilder(config).build()
+        roles = built.roles
         assert sum(r.uses_rtscts for r in roles) == 3
         assert sum(r.obstructed for r in roles) == 2
         for role in roles:
             expected = config.obstructed_load_factor if role.obstructed else 1.0
             assert role.load_factor == expected
-
-    def test_explicit_population_length_checked(self):
-        config = small_config()
-        population = ExplicitPopulation(roles=(StationRole(),))
-        with pytest.raises(ValueError, match="pins 1 roles"):
-            population.assign(config, np.random.default_rng(0))
-
-    def test_explicit_population_wired_into_stations(self):
-        config = small_config()
-        roles = (
-            StationRole(uses_rtscts=True),
-            StationRole(),
-            StationRole(uses_rtscts=True),
-            StationRole(),
-        )
-        built = (
-            ScenarioBuilder(config)
-            .with_population(ExplicitPopulation(roles=roles))
-            .build()
-        )
+        # The first round(rtscts_fraction * n) stations run RTS/CTS, and
+        # each station is wired with its role's flag.
         assert [s.uses_rtscts for s in built.stations] == [
-            True, False, True, False,
+            True, True, True, False, False, False, False, False, False, False,
         ]
+        # Only obstructed stations get a calibrated link loss.
+        assert set(built.propagation.node_extra_loss_db) == {
+            station.node_id
+            for station, role in zip(built.stations, roles)
+            if role.obstructed
+        }
 
     def test_hotspot_placement_clusters_near_focus(self):
         config = small_config(
@@ -174,14 +160,10 @@ class TestStreamedRunState:
             downlink=ConstantRate(0.0),
         )
 
-        # A do-nothing traffic program: no sources, no association MGMT.
-        class Silent:
-            def attach(self, built):
-                return []
-
-        built = ScenarioBuilder(config).with_traffic(Silent()).build()
+        built = ScenarioBuilder(config).build()
         list(built.stream())
-        # Beacons still go on the air, but no DATA was ever attempted.
+        # Beacons and association MGMT frames still go on the air, but
+        # no DATA was ever attempted.
         assert built.delivery_ratio == 0.0
         assert built.offered_packets == 0
         assert 0.0 <= built.capture_ratio <= 1.0

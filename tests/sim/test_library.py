@@ -1,5 +1,7 @@
 """Tests for the named scenario library."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -15,17 +17,61 @@ from repro.sim import (
 
 class TestRegistry:
     def test_expected_scenarios_present(self):
-        names = available_scenarios()
-        for expected in (
-            "ramp",
+        assert available_scenarios() == [
+            "co-channel",
             "day",
-            "plenary",
             "hidden-terminal",
             "hotspot-plenary",
-            "co-channel",
+            "plenary",
+            "ramp",
             "roaming-storm",
-        ):
-            assert expected in names
+            "uniform",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("ramp", dict(
+                n_stations=12, duration_s=240.0, peak_downlink_pps=50.0,
+                peak_uplink_pps=16.0, seed=11, rate_algorithm="arf",
+                rtscts_fraction=0.15, size_mix=None, burst_sigma=1.0,
+            )),
+            ("day", dict(n_stations=36, duration_s=120.0, seed=21)),
+            ("plenary", dict(n_stations=30, duration_s=120.0, seed=22)),
+            ("uniform", dict(
+                n_stations=10, n_aps=1, duration_s=20.0, seed=7,
+                uplink_pps=8.0, downlink_pps=18.0, rate_algorithm="arf",
+                rtscts_fraction=0.0, obstructed_fraction=0.25,
+            )),
+            ("hidden-terminal", dict(
+                n_stations=8, duration_s=20.0, seed=31, room_width_m=64.0,
+                uplink_pps=22.0, rtscts_fraction=0.0,
+            )),
+            ("hotspot-plenary", dict(
+                n_stations=24, duration_s=45.0, seed=33, burst_sigma=1.3,
+                spread_m=4.0,
+            )),
+            ("co-channel", dict(
+                n_stations=18, n_aps=3, duration_s=30.0, seed=35,
+            )),
+            ("roaming-storm", dict(n_stations=20, duration_s=40.0, seed=37)),
+        ],
+    )
+    def test_factory_keywords_and_defaults_pinned(self, name, expected):
+        """The keywords a factory declares (what cell params carry and
+        what reaches the factory instead of the config) and their
+        defaults, in declaration order."""
+        declared = {
+            pname: param.default
+            for pname, param in inspect.signature(
+                SCENARIO_LIBRARY[name]
+            ).parameters.items()
+            if param.kind is not inspect.Parameter.VAR_KEYWORD
+        }
+        assert list(declared) == list(expected)
+        for pname, default in expected.items():
+            assert declared[pname] == default, pname
+            assert type(declared[pname]) is type(default), pname
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):

@@ -28,6 +28,10 @@ class TestConfigValidation:
             {"rtscts_fraction": 1.5},
             {"obstructed_fraction": -0.1},
             {"channels": ()},
+            {"channels": (1, 1)},
+            {"channels": (99,)},
+            {"channels": (0,)},
+            {"obstructed_snr_band_db": (3.0, -1.0)},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
