@@ -49,23 +49,34 @@ class TestDefaultEquivalence:
 
 
 class TestComponents:
-    def test_roles_follow_config_quotas(self):
+    def test_fraction_population_quotas(self):
+        """The builder's role step gives round(fraction * n) stations each
+        role, and obstructed stations the config's load factor."""
         config = small_config(
             n_stations=10, rtscts_fraction=0.3, obstructed_fraction=0.2
         )
-        built = ScenarioBuilder(config).build()
-        roles = built.roles
+        roles = ScenarioBuilder(config).build().roles
         assert sum(r.uses_rtscts for r in roles) == 3
         assert sum(r.obstructed for r in roles) == 2
         for role in roles:
             expected = config.obstructed_load_factor if role.obstructed else 1.0
             assert role.load_factor == expected
-        # The first round(rtscts_fraction * n) stations run RTS/CTS, and
-        # each station is wired with its role's flag.
+
+    def test_explicit_population_wired_into_stations(self):
+        """Each station is wired with its own role: the first
+        round(rtscts_fraction * n) stations run RTS/CTS, and only
+        obstructed stations get a calibrated link loss."""
+        config = small_config(
+            n_stations=10, rtscts_fraction=0.3, obstructed_fraction=0.2
+        )
+        built = ScenarioBuilder(config).build()
+        roles = built.roles
         assert [s.uses_rtscts for s in built.stations] == [
             True, True, True, False, False, False, False, False, False, False,
         ]
-        # Only obstructed stations get a calibrated link loss.
+        assert [s.uses_rtscts for s in built.stations] == [
+            r.uses_rtscts for r in roles
+        ]
         assert set(built.propagation.node_extra_loss_db) == {
             station.node_id
             for station, role in zip(built.stations, roles)
