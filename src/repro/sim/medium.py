@@ -30,6 +30,14 @@ is kept expression-for-expression identical to the uncached path, so
 optimized runs emit byte-identical traces (enforced by
 ``tests/sim/test_determinism_golden.py``).
 
+Most decodable entries are MACs declaring ``overhear_noop`` that hear a
+frame addressed elsewhere with no NAV: nothing they decode can act, so
+delivery computes no outcome for them.  Such an entry keeps its slot in
+the delivery's one vectorized draw, and still makes every lazy link
+evaluation that can draw shadowing (its own overlapping transmission,
+and interferers whose plan predates a topology change), so the RNG
+streams advance exactly as if its outcome were computed.
+
 Plans are invalidated by ``notify_topology_changed()`` — called
 automatically when a :class:`~repro.sim.dcf.DcfMac` channel is
 re-targeted (roaming, channel management) or a listener attaches.
@@ -231,9 +239,11 @@ class Medium:
         Returns ``(sender, finish_entries, transmit_entries, n_draws,
         mw_by_listener)`` where ``n_draws`` is the decodable-listener
         count — the number of medium-RNG doubles every delivery of this
-        plan consumes — and ``mw_by_listener`` maps ``id(listener)`` to
-        this transmitter's signal power in mW there (the interference
-        contribution when this transmission overlaps another).
+        plan consumes, one fixed slot per decodable entry (an entry's
+        ``reception`` is None below the decode floor) — and
+        ``mw_by_listener`` maps ``id(listener)`` to this transmitter's
+        signal power in mW there (the interference contribution when
+        this transmission overlaps another).
         Listeners exposing an ``in_contention`` flag (DCF MACs) become
         the *gate* of their own busy/idle callbacks: the medium skips
         the call when the MAC is not contending, which is exactly the
@@ -254,29 +264,37 @@ class Medium:
             decodable = power >= decode_floor
             if not audible and not decodable:
                 continue
-            passive = getattr(listener, "medium_passive", False)
-            sensed = None if passive else self._sensed[id(listener)]
+            # Only the audible, active listeners that ``transmit`` marks
+            # busy carry their sensed set; the rest have nothing to clear.
+            if audible and not getattr(listener, "medium_passive", False):
+                sensed = self._sensed[id(listener)]
+            else:
+                sensed = None
             gate = listener if hasattr(listener, "in_contention") else None
+            sig_mw = 10.0 ** (power / 10.0)
+            mw_by_listener[id(listener)] = sig_mw
             if decodable:
+                reception = (
+                    n_draws,                             # slot in the draw
+                    propagation.snr_db(power, 0.0),      # interference-free SNR
+                    sig_mw,
+                    listener.on_frame_received,
+                    {},  # rate -> (log1p(-ber_header), log1p(-ber_body))
+                    {},  # control ftype -> success probability
+                )
                 n_draws += 1
-            entry = (
+            else:
+                reception = None
+            finish_entries.append((
                 listener,
-                power,
-                propagation.snr_db(power, 0.0),      # interference-free SNR
                 sensed,
-                decodable,
-                listener.on_frame_received,
-                listener.on_medium_idle,
                 gate,
+                listener.on_medium_idle,
                 listener.node_id,
                 getattr(listener, "overhear_noop", False),
-                {},  # rate -> (log1p(-ber_header), log1p(-ber_body))
-                {},  # control ftype -> success probability
-                10.0 ** (power / 10.0),              # signal power in mW
-            )
-            finish_entries.append(entry)
-            mw_by_listener[id(listener)] = entry[-1]
-            if audible and not passive:
+                reception,
+            ))
+            if sensed is not None:
                 transmit_entries.append((sensed, gate, listener.on_medium_busy))
         return (sender, finish_entries, transmit_entries, n_draws, mw_by_listener)
 
@@ -355,7 +373,8 @@ class Medium:
         tx = self._tx_ids.pop(tx_id)
         self._active.remove(tx)
         plan = tx.plan
-        if plan is None or tx.plan_epoch != self._plan_epoch:
+        epoch = tx.plan_epoch
+        if plan is None or epoch != self._plan_epoch:
             self._finish_dynamic(tx, tx_id)
             return
 
@@ -368,7 +387,7 @@ class Medium:
             body_bits = 0
         rate = frame.rate_mbps
         dst = frame.dst
-        nav = frame.nav_us
+        nav_free = frame.nav_us <= 0
         channel = frame.channel
         # Only same-channel overlaps interfere; prefilter once per
         # frame instead of once per (listener, overlap) pair.
@@ -381,11 +400,11 @@ class Medium:
         # One vectorized draw for the whole delivery: the plan's
         # decodable count is exactly how many doubles the sequential
         # loop would consume, and numpy's Generator produces the
-        # identical sequence for vector and scalar draws.  No callback
-        # below touches the medium RNG, so order is preserved.
+        # identical sequence for vector and scalar draws.  Each
+        # decodable entry reads its own fixed slot.  No callback below
+        # touches the medium RNG, so order is preserved.
         n_draws = plan[3]
         draws = self.rng.random(n_draws).tolist() if n_draws else ()
-        draw_index = 0
         exp = math.exp
         log10 = math.log10
         noise_mw = self._noise_mw
@@ -393,17 +412,31 @@ class Medium:
         collision_terms = self._collision_terms
         collision_ctrl_p = self._collision_ctrl_p
 
-        for (listener, power, snr0, sensed, decodable,
-             recv_cb, idle_cb, gate, node_id, noop,
-             data_terms, ctrl_p, sig_mw) in plan[1]:
+        for (listener, sensed, gate, idle_cb, node_id, noop,
+             reception) in plan[1]:
             # Idle transition first, so receive callbacks observe the
             # post-frame medium state (they often start SIFS responses).
             if sensed is not None and tx_id in sensed:
                 sensed.discard(tx_id)
                 if not sensed and (gate is None or gate.in_contention):
                     idle_cb()
-            if not decodable:
-                continue  # inaudible: cannot decode
+            if reception is None:
+                continue  # below the decode floor
+            if noop and nav_free and node_id != dst:
+                # Provably a no-op at the receiver (frame addressed
+                # elsewhere, no NAV to set, and the listener declared
+                # overhearing side-effect-free), so compute no outcome;
+                # its draw slot goes unread.  A link the full path below
+                # evaluates lazily draws shadowing on first use, so keep
+                # those evaluations: the listener's own overlapping
+                # transmission (no plan holds a self-link) and
+                # interferers whose plan predates a topology change.  A
+                # current-epoch plan evaluated every link on its channel.
+                for other in interferers:
+                    if other.tx is listener or other.plan_epoch != epoch:
+                        link_power_mw(other.tx, other.tx_power_dbm, listener)
+                continue
+            slot, snr0, sig_mw, recv_cb, data_terms, ctrl_p = reception
             snr_db = snr0
             collided = False
             if interferers:
@@ -446,14 +479,8 @@ class Medium:
                     if p is None:
                         p = self.phy.control_success_probability(snr0, ftype)
                         ctrl_p[ftype] = p
-            draw = draws[draw_index]
-            draw_index += 1
-            if draw < p:
-                # Deliver unless provably a no-op at the receiver (frame
-                # addressed elsewhere, no NAV to set, and the listener
-                # declared overhearing side-effect-free).
-                if dst == node_id or nav > 0 or not noop:
-                    recv_cb(frame, snr_db)
+            if draws[slot] < p:
+                recv_cb(frame, snr_db)
 
     def _data_terms(
         self, store: dict, snr_db: float, rate: float, key=None

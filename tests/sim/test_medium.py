@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from repro.frames import FrameType
-from repro.sim import Medium, PhyModel, Position, PropagationModel, SimFrame, Simulator
+from repro.sim import (
+    Medium,
+    PhyModel,
+    Position,
+    PropagationModel,
+    SimFrame,
+    Simulator,
+    available_scenarios,
+    build_scenario,
+)
+
+from .golden_lib import trace_digest
 
 
 class RecordingListener:
@@ -242,3 +253,116 @@ class TestDeliveryPlans:
         assert passive.busy_events == 0
         assert passive.idle_events == 0
         assert len(passive.received) == 1  # reception is unaffected
+
+
+class TestNoopSkip:
+    """Skipping no-op overhearers must not move a single frame."""
+
+    @staticmethod
+    def _digests(name, full_path):
+        built = build_scenario(name, duration_s=3.0, seed=1)
+        if full_path:
+            # No MAC declares overhearing a no-op, so every decodable
+            # plan entry computes its outcome and delivers on success.
+            for node in built.aps + built.stations:
+                node.mac.overhear_noop = False
+            built.medium.notify_topology_changed()
+        result = built.run()
+        return (
+            trace_digest(result.trace.sorted_by_time()),
+            trace_digest(result.ground_truth),
+        )
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_skip_path_matches_full_path(self, name):
+        assert self._digests(name, full_path=False) == self._digests(
+            name, full_path=True
+        )
+
+    @staticmethod
+    def _shadowing_after_stale_overlap(noop):
+        """Link shadowing after a skipped entry meets a stale interferer.
+
+        The overhearer (node 3) joins channel 1 while A's frame is on
+        the air, so A's plan, from an older epoch, never evaluated the
+        A-overhearer link.  B's frame to A overlaps A's; at its end the
+        full path evaluates that link at the overhearer's entry, then
+        A's self-link at A's entry, each drawing shadowing on first use.
+        """
+        sim, medium = _make_medium(shadowing=4.0)
+        overhearer = RecordingListener(3, Position(5, 0), channel=6)
+        overhearer.overhear_noop = noop
+        a = RecordingListener(1, Position(0, 0))
+        b = RecordingListener(2, Position(10, 0))
+        for node in (overhearer, a, b):
+            medium.attach(node)
+        medium.transmit(a, _frame(1, 2, size=1400, rate=1.0), 15.0)
+        sim.run_until(100)
+        overhearer.channel = 1
+        medium.notify_topology_changed()
+        sim.run_until(200)
+        medium.transmit(b, _frame(2, 1, size=100, rate=11.0), 15.0)
+        sim.run_all()
+        shadowing = medium.propagation.link_shadowing_db
+        return [shadowing(1, 3), shadowing(1, 1)]
+
+    def test_stale_interferer_link_is_still_evaluated(self):
+        assert self._shadowing_after_stale_overlap(
+            noop=True
+        ) == self._shadowing_after_stale_overlap(noop=False)
+
+
+class TestPinnedFaults:
+    """Delivery faults whose fixes move the golden digests.
+
+    Each is pinned as a strict xfail until ROADMAP item 1 versions the
+    digests once; a fix that lands without that version fails here.
+    """
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a listener that leaves the channel mid-frame keeps the "
+        "frame's tx id; the fix moves golden digests (ROADMAP item 1)",
+    )
+    def test_channel_change_mid_frame_ends_carrier_sense(self):
+        sim, medium = _make_medium()
+        a = RecordingListener(1, Position(0, 0))
+        b = RecordingListener(2, Position(5, 0))
+        medium.attach(a)
+        medium.attach(b)
+        medium.transmit(a, _frame(1, 2, size=1400, rate=1.0), 15.0)
+        sim.run_until(1_000)
+        assert not medium.is_idle(b)
+        b.channel = 6
+        medium.notify_topology_changed()
+        sim.run_all()
+        assert medium.is_idle(b)
+        assert b.idle_events == 1
+
+    @pytest.mark.parametrize(
+        "extra_loss_db",
+        [
+            0.0,
+            pytest.param(
+                50.0,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="an obstructed listener's self-link interference "
+                    "is ~100 dB down, so it decodes while transmitting; "
+                    "the fix moves golden digests (ROADMAP item 1)",
+                ),
+            ),
+        ],
+    )
+    def test_transmitting_listener_decodes_nothing(self, extra_loss_db):
+        sim, medium = _make_medium(shadowing=0.0)
+        medium.propagation.node_extra_loss_db[1] = extra_loss_db
+        a = RecordingListener(1, Position(0, 0))
+        b = RecordingListener(2, Position(2, 0))
+        medium.attach(a)
+        medium.attach(b)
+        medium.transmit(a, _frame(1, 2, size=1400, rate=1.0), 15.0)
+        sim.run_until(1_000)
+        medium.transmit(b, _frame(2, 1, size=100, rate=1.0), 15.0)
+        sim.run_all()
+        assert a.received == []  # half duplex: A is still on the air

@@ -74,8 +74,7 @@ class TestRoaming:
         new AP."""
         result = run_scenario(_two_ap_cell(roaming=True))
         manager = result.roaming_manager
-        if not manager.roams:
-            pytest.skip("no roam at this seed")
+        assert manager.roams, "seed 83 gave no roam, so nothing is tested"
         roam = manager.roams[0]
         truth = result.ground_truth
         after = truth.between(roam.time_us, int(result.config.duration_us))
@@ -89,8 +88,7 @@ class TestRoaming:
     def test_reassociation_frame_emitted(self):
         result = run_scenario(_two_ap_cell(roaming=True))
         manager = result.roaming_manager
-        if not manager.roams:
-            pytest.skip("no roam at this seed")
+        assert manager.roams, "seed 83 gave no roam, so nothing is tested"
         roam = manager.roams[0]
         truth = result.ground_truth
         mgmt = truth.only_type(FrameType.MGMT)
