@@ -26,10 +26,12 @@ Subpackages
                     with the named scenario library.
 ``repro.campaign``  parameter-grid sweeps: process pool + resumable
                     content-addressed store.
-``repro.corpus``    capture library: snoop/gzip interchange,
-                    content-addressed catalog, query-planned batches.
+``repro.corpus``    capture library: content-addressed catalog,
+                    queries, query-planned batches.
 ``repro.frames``    802.11 frame model and columnar trace container.
-``repro.pcap``      pcap + radiotap + 802.11 header codec.
+``repro.pcap``      capture codec: radiotap pcap and RFC 1761 snoop,
+                    each optionally gzipped, and the one content
+                    sniffer that tells them apart.
 ``repro.analysis``  numpy columnar tables, binning, knee detection.
 ``repro.baselines`` analytical comparators (Jun TMT, Heusse anomaly,
                     Cantieni finite-load model, beacon reliability).

@@ -103,17 +103,6 @@ class CellResult:
     events_cancelled: int = 0
 
     @property
-    def cell_frames_per_sec(self) -> float:
-        """Whole-cell throughput: frames simulated per wall-second of
-        the cell's *combined* simulate-and-analyze run.
-
-        Not comparable to ``BENCH_sim.json`` frames/sec, which times
-        trace generation alone — a cell's elapsed time includes the
-        full analysis pipeline consuming the stream.
-        """
-        return _safe_ratio(self.frames_transmitted, self.elapsed_s)
-
-    @property
     def name(self) -> str:
         return self.cell.name
 

@@ -1,13 +1,12 @@
-"""Trace corpus: capture interchange, catalog, queries and planning.
+"""Trace corpus: capture catalog, queries and planning.
 
 The paper's analyses ran over real capture *libraries* — multi-sniffer,
 multi-day, mixed formats — not single files.  This package makes that
-the unit of work:
+the unit of work.  Which container a file is (pcap or snoop, each
+optionally gzipped) is :mod:`repro.pcap`'s decision; this package asks
+it through ``detect_format``, ``CAPTURE_FORMATS`` and
+``CAPTURE_SUFFIXES``.
 
-* :mod:`~repro.corpus.snoop` — RFC 1761 snoop interchange sharing the
-  pcap layer's packet codecs (plus gzip streaming on both containers);
-* :mod:`~repro.corpus.formats` — the capture-format registry and
-  content sniffing;
 * :mod:`~repro.corpus.paths` — deterministic capture discovery
   (directories, globs);
 * :mod:`~repro.corpus.index` — the content-addressed on-disk catalog;
@@ -17,7 +16,6 @@ the unit of work:
   largest-first batch analysis.
 """
 
-from .formats import CAPTURE_FORMATS, CaptureFormat, capture_suffixes, detect_format
 from .index import CaptureRecord, CorpusIndex, RefreshStats
 from .paths import CorpusError, expand_captures, iter_capture_files
 from .plan import (
@@ -28,19 +26,8 @@ from .plan import (
     plan_analysis,
 )
 from .query import Query, filter_records, parse_query
-from .snoop import (
-    SnoopDatalinkType,
-    TruncatedSnoopError,
-    read_snoop,
-    read_snoop_batches,
-    write_snoop,
-)
 
 __all__ = [
-    "CAPTURE_FORMATS",
-    "CaptureFormat",
-    "capture_suffixes",
-    "detect_format",
     "CaptureRecord",
     "CorpusIndex",
     "RefreshStats",
@@ -55,9 +42,4 @@ __all__ = [
     "Query",
     "filter_records",
     "parse_query",
-    "SnoopDatalinkType",
-    "TruncatedSnoopError",
-    "read_snoop",
-    "read_snoop_batches",
-    "write_snoop",
 ]

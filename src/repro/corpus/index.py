@@ -28,9 +28,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..pcap.pcapio import TruncatedPcapError, read_trace_batches
+from ..pcap.pcapio import (
+    TruncatedPcapError,
+    detect_format,
+    read_trace_batches,
+)
 from ..store import RecordStore
-from .formats import detect_format
 from .paths import CorpusError, iter_capture_files
 
 __all__ = [
@@ -53,7 +56,7 @@ class CaptureRecord:
 
     content_hash: str
     path: str  # primary path, POSIX-style, relative to the corpus root
-    file_format: str  # registered format name, or "unknown"
+    file_format: str  # a repro.pcap.CAPTURE_FORMATS name, or "unknown"
     compressed: bool
     byte_size: int
     mtime_ns: int

@@ -13,7 +13,7 @@ import glob
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .formats import capture_suffixes
+from ..pcap import CAPTURE_SUFFIXES
 
 __all__ = ["CorpusError", "iter_capture_files", "expand_captures"]
 
@@ -30,7 +30,7 @@ class CorpusError(ValueError):
 
 
 def _is_capture_name(name: str) -> bool:
-    return name.lower().endswith(capture_suffixes())
+    return name.lower().endswith(CAPTURE_SUFFIXES)
 
 
 def iter_capture_files(root: Path) -> Iterator[Path]:
@@ -80,7 +80,7 @@ def expand_captures(patterns: Iterable[str | Path]) -> list[Path]:
             if not matched:
                 raise CorpusError(
                     f"no captures matched: directory {text!r} contains no "
-                    f"capture files ({', '.join(capture_suffixes())})"
+                    f"capture files ({', '.join(CAPTURE_SUFFIXES)})"
                 )
             for item in matched:
                 add(item)

@@ -28,7 +28,8 @@ Keys:
 ``overlaps``
     a window ``lo-hi``.  ``HH:MM[:SS]`` endpoints compare by time of
     day (wraparound-aware: both a window and a capture span may cross
-    midnight); bare µs or ``s``-suffixed endpoints compare absolutely.
+    midnight); bare µs or ``s``-suffixed endpoints compare absolutely,
+    and a reversed absolute window is rejected when the query is parsed.
 
 Malformed clauses and unknown keys raise
 :class:`~repro.corpus.paths.CorpusError` with a did-you-mean hint; an
@@ -42,7 +43,7 @@ from fnmatch import fnmatchcase
 from typing import Iterable, Mapping
 
 from .._suggest import unknown_name_message
-from .formats import CAPTURE_FORMATS
+from ..pcap import CAPTURE_FORMATS
 from .index import CaptureRecord
 from .paths import CorpusError
 
@@ -124,7 +125,10 @@ def _parse_window(text: str) -> tuple[str, int, int]:
         )
     if tod:
         return "tod", _parse_tod_us(lo_text), _parse_tod_us(hi_text)
-    return "abs", _parse_abs_us(lo_text), _parse_abs_us(hi_text)
+    lo, hi = _parse_abs_us(lo_text), _parse_abs_us(hi_text)
+    if lo > hi:
+        raise CorpusError(f"empty window: {lo}-{hi}")
+    return "abs", lo, hi
 
 
 def _tod_intervals(start_us: int, end_us: int) -> list[tuple[int, int]]:
@@ -151,8 +155,6 @@ def _overlaps(record: CaptureRecord, kind: str, lo: int, hi: int) -> bool:
     if record.time_start_us is None or record.time_end_us is None:
         return False
     if kind == "abs":
-        if lo > hi:
-            raise CorpusError(f"empty window: {lo}-{hi}")
         return record.time_start_us <= hi and record.time_end_us >= lo
     spans = _tod_intervals(record.time_start_us, record.time_end_us)
     windows = _window_intervals(lo, hi)

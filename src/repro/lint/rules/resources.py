@@ -24,8 +24,11 @@ decision growing back, so ``os.replace``/``os.rename`` are flagged
 outside ``src/repro/store.py``.
 
 Likewise :mod:`repro.jobs` is the one job runner, so a worker pool
-built anywhere else in ``src/`` is flagged; and timeouts are checked at
-known points, so nothing in ``src/`` arms a ``SIGALRM`` timer.
+built anywhere else in ``src/`` is flagged; :mod:`repro.pcap` is the one
+capture codec and content sniffer, so a gzip stream opened anywhere else
+in ``src/`` is flagged (``gzip.compress``/``gzip.decompress`` on
+in-memory blobs stay allowed); and timeouts are checked at known points,
+so nothing in ``src/`` arms a ``SIGALRM`` timer.
 """
 
 from __future__ import annotations
@@ -153,6 +156,37 @@ def check_pool_bypass(ctx) -> Iterator[Finding]:
                 f"`{name}` outside `repro.jobs` is a private job runner — "
                 "use `run_jobs` (failures captured, dead workers reported)",
             )
+
+
+@rule(
+    "gzip-bypass",
+    family="resource-safety",
+    severity="error",
+    summary="a gzip stream opened outside `repro/pcap/`",
+    scope=lambda path: (
+        path.startswith("src/") and not path.startswith("src/repro/pcap/")
+    ),
+)
+def check_gzip_bypass(ctx) -> Iterator[Finding]:
+    # Any reference, not just a call (as for pools), and the names a
+    # `from gzip import ...` binds.
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gzip":
+            names = [f"gzip.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [dotted_name(node)]
+        else:
+            continue
+        for name in names:
+            if name in ("gzip.open", "gzip.GzipFile"):
+                yield make(
+                    ctx,
+                    "gzip-bypass",
+                    node,
+                    f"`{name}` outside `repro.pcap` is a second capture "
+                    "reader or sniffer — use `repro.pcap.detect_format` "
+                    "or `read_trace_batches`",
+                )
 
 
 @rule(

@@ -1,24 +1,31 @@
-"""pcap file reader/writer for radiotap-encapsulated 802.11 traces.
+"""Capture codec: the containers this repo writes and reads.
 
-Writes classic little-endian pcap (magic ``0xa1b2c3d4``, version 2.4)
-with linktype 127 (IEEE802_11_RADIOTAP) — the same container a tethereal
-RFMon capture like the paper's produces — and reads it back into a
-:class:`repro.frames.Trace`.
+Writes radiotap-encapsulated 802.11 traces in two containers and reads
+them back into a :class:`repro.frames.Trace`:
+
+* classic little-endian pcap (magic ``0xa1b2c3d4``, version 2.4) with
+  linktype 127 (IEEE802_11_RADIOTAP) — the same container a tethereal
+  RFMon capture like the paper's produces;
+* RFC 1761 snoop (big-endian, ident ``b"snoop\\0\\0\\0"``, version 2).
+  The RFC assigns datalink codes 0–9 only; radiotap is the project
+  extension 127, numbered to match the pcap linktype, so both carry the
+  same payload.
+
+Either may be gzipped (level 9, mtime pinned to 0, so output is
+byte-deterministic).  :data:`_CONTAINERS` lists the two once, as
+(name, suffix, leading bytes, record layout): :func:`write_trace` picks
+a row by path suffix, and one content sniffer — gzip magic, then each
+row's leading bytes — serves :func:`read_trace_batches` and
+:func:`detect_format`.  For compressed captures every reported byte
+offset is into the *decompressed* stream.
 
 Like the paper's capture (snap length 250 bytes, §4.2), packets may be
-truncated on disk; the pcap record's ``orig_len`` preserves the true
-on-air size, so frame sizes survive the round trip.
+truncated on disk; the record's ``orig_len`` preserves the true on-air
+size, so frame sizes survive the round trip.
 
 Information that genuinely does not exist on the air is lost exactly as
 it was for the paper: ACK and CTS frames carry no transmitter address,
 so those frames read back with ``src == NO_NODE``.
-
-Interchange: :func:`read_trace_batches` sniffs the leading bytes and
-transparently handles gzip-compressed captures and RFC 1761 snoop
-captures (:mod:`repro.corpus.snoop`) in addition to plain pcap;
-:func:`write_trace` routes on the path suffix (``.pcap`` /
-``.pcap.gz`` / ``.snoop`` / ``.snoop.gz``).  For compressed captures
-every reported byte offset is into the *decompressed* stream.
 
 Both containers run through one columnar codec.  A
 :class:`_RecordLayout` describes what differs between them — the
@@ -60,8 +67,12 @@ __all__ = [
     "write_trace",
     "read_trace",
     "read_trace_batches",
+    "detect_format",
     "CaptureError",
     "TruncatedPcapError",
+    "TruncatedSnoopError",
+    "CAPTURE_FORMATS",
+    "CAPTURE_SUFFIXES",
     "PAPER_SNAPLEN",
     "LINKTYPE_RADIOTAP",
 ]
@@ -135,6 +146,15 @@ class TruncatedPcapError(CaptureError):
         return {**super()._fields(), "compressed": self.compressed}
 
 
+class TruncatedSnoopError(TruncatedPcapError):
+    """A snoop capture ended mid-record or a record failed to decode.
+
+    Subclasses :class:`TruncatedPcapError` so every partial-read
+    handler (streaming pipeline, serve daemon, batch runs, corpus
+    indexing) treats both containers alike.
+    """
+
+
 def _where(compressed: bool) -> str:
     return "decompressed byte offset" if compressed else "byte offset"
 
@@ -147,9 +167,6 @@ _GZIP_MAGIC = b"\x1f\x8b"
 #: bad header or CRC (gzip.BadGzipFile, an OSError) and corrupt deflate
 #: data (zlib.error).
 _GZIP_ERRORS = (EOFError, OSError, zlib.error)
-#: RFC 1761 file ident (duplicated privately here so the pcap layer
-#: never imports :mod:`repro.corpus` at module load).
-_SNOOP_IDENT = b"snoop\x00\x00\x00"
 
 #: The snap length the paper's sniffers used (§4.2).
 PAPER_SNAPLEN = 250
@@ -283,6 +300,64 @@ _PCAP = _RecordLayout(
     error=TruncatedPcapError,
     file_header=_pcap_file_header,
     check_file_header=_check_pcap_file_header,
+)
+
+
+_SNOOP_IDENT = b"snoop\x00\x00\x00"
+_SNOOP_VERSION = 2
+_SNOOP_FILE_HEADER = struct.Struct(">8sLL")
+
+
+def _snoop_file_header(snaplen: int) -> bytes:
+    # RFC 1761 has no snap length field: each record carries its own
+    # original and included lengths.
+    return _SNOOP_FILE_HEADER.pack(
+        _SNOOP_IDENT, _SNOOP_VERSION, LINKTYPE_RADIOTAP
+    )
+
+
+def _check_snoop_file_header(path: Path, header: bytes) -> None:
+    # The sniffer chose this layout by its ident, so only the rest of
+    # the header is left to check.
+    if len(header) < _SNOOP_FILE_HEADER.size:
+        raise CaptureError(f"{path}: not a snoop file (too short)", path=path)
+    _ident, version, datalink = _SNOOP_FILE_HEADER.unpack(header)
+    if version != _SNOOP_VERSION:
+        raise CaptureError(
+            f"{path}: snoop version {version}, expected {_SNOOP_VERSION}",
+            path=path,
+        )
+    if datalink != LINKTYPE_RADIOTAP:
+        raise CaptureError(
+            f"{path}: snoop datalink {datalink}, expected radiotap "
+            f"({LINKTYPE_RADIOTAP})",
+            path=path,
+        )
+
+
+#: RFC 1761 record framing: every record's ``drops`` word is 0.
+_SNOOP = _RecordLayout(
+    words=("orig_len", "incl_len", "rec_len", "drops", "ts_sec", "ts_usec"),
+    byte_order=">",
+    pad=4,
+    error=TruncatedSnoopError,
+    file_header=_snoop_file_header,
+    check_file_header=_check_snoop_file_header,
+)
+
+#: Every container, each optionally gzipped: (name, path suffix,
+#: leading bytes of its content, record layout).
+_CONTAINERS = (
+    ("pcap", ".pcap", _MAGIC.to_bytes(4, "little"), _PCAP),
+    ("snoop", ".snoop", _SNOOP_IDENT, _SNOOP),
+)
+_SNIFF_BYTES = max(len(lead) for _, _, lead, _ in _CONTAINERS)
+
+#: The container names :func:`detect_format` reports.
+CAPTURE_FORMATS = tuple(name for name, _, _, _ in _CONTAINERS)
+#: Every suffix a capture file may carry, plain then gzipped.
+CAPTURE_SUFFIXES = tuple(
+    suffix + gz for gz in ("", ".gz") for _, suffix, _, _ in _CONTAINERS
 )
 
 
@@ -499,15 +574,40 @@ def _encode_block(
     return out[:total], n
 
 
-def _write_capture(
+def write_trace(
     trace: Trace,
     path: str | Path,
-    snaplen: int,
-    duration_fill: bool,
-    layout: _RecordLayout,
+    snaplen: int = PAPER_SNAPLEN,
+    duration_fill: bool = True,
 ) -> int:
-    """Validate ``trace``, then write it in ``layout``'s container."""
+    """Write ``trace`` to ``path``; returns frame count.
+
+    The container is chosen by suffix from :data:`_CONTAINERS`:
+    ``.snoop`` writes RFC 1761 snoop, anything else a radiotap pcap,
+    and a further ``.gz`` gzip-compresses (level 9, mtime pinned to 0,
+    so output is byte-deterministic).
+
+    The whole trace is validated first: a row the container cannot
+    hold (unknown channel, frame type or rate code, a ``NO_NODE``
+    address that would be written, negative or 32-bit-overflowing time,
+    non-finite SNR, a length overflowing its 32-bit field) raises one
+    ``ValueError`` naming its column and row before the file is opened,
+    as does a ``snaplen`` outside [0, 2**32).  Records are then encoded
+    in columnar blocks of about ``_CHUNK_BYTES``, byte-identical to the
+    per-record encoders (``RadiotapHeader.encode``, ``encode_frame``).
+
+    ``duration_fill`` populates the 802.11 Duration field with each
+    frame's NAV-style remaining-exchange estimate (SIFS + ACK) so real
+    tools display something sensible; it is not read back.
+    """
     path = Path(path)
+    filename = path.name.lower()
+    compressed = filename.endswith(".gz")
+    plain = filename.removesuffix(".gz")
+    layout = next(
+        (lay for _, suffix, _, lay in _CONTAINERS if plain.endswith(suffix)),
+        _PCAP,
+    )
     snaplen = operator.index(snaplen)
     if not 0 <= snaplen <= _U32_MAX:
         raise ValueError(f"snaplen {snaplen} outside [0, 2**32)")
@@ -525,7 +625,7 @@ def _write_capture(
         gzip.GzipFile(
             filename="", fileobj=raw, mode="wb", compresslevel=9, mtime=0
         )
-        if path.name.lower().endswith(".gz")
+        if compressed
         else contextlib.nullcontext(raw)
     ) as fp:
         fp.write(layout.file_header(snaplen))
@@ -541,42 +641,6 @@ def _write_capture(
             fp.write(block)
             start += rows
     return len(trace)
-
-
-def write_trace(
-    trace: Trace,
-    path: str | Path,
-    snaplen: int = PAPER_SNAPLEN,
-    duration_fill: bool = True,
-) -> int:
-    """Write ``trace`` to ``path``; returns frame count.
-
-    The container is chosen by suffix: ``.snoop``/``.snoop.gz`` write
-    RFC 1761 snoop (:func:`repro.corpus.snoop.write_snoop`), a ``.gz``
-    suffix gzip-compresses (level 9, mtime pinned to 0, so output is
-    byte-deterministic), anything else is a plain radiotap pcap.
-
-    The whole trace is validated first: a row the container cannot
-    hold (unknown channel, frame type or rate code, a ``NO_NODE``
-    address that would be written, negative or 32-bit-overflowing time,
-    non-finite SNR, a length overflowing its 32-bit field) raises one
-    ``ValueError`` naming its column and row before the file is opened,
-    as does a ``snaplen`` outside [0, 2**32).  Records are then encoded
-    in columnar blocks of about ``_CHUNK_BYTES``, byte-identical to the
-    per-record encoders (``RadiotapHeader.encode``, ``encode_frame``).
-
-    ``duration_fill`` populates the 802.11 Duration field with each
-    frame's NAV-style remaining-exchange estimate (SIFS + ACK) so real
-    tools display something sensible; it is not read back.
-    """
-    path = Path(path)
-    if path.name.lower().endswith((".snoop", ".snoop.gz")):
-        from ..corpus.snoop import write_snoop
-
-        return write_snoop(
-            trace, path, snaplen=snaplen, duration_fill=duration_fill
-        )
-    return _write_capture(trace, path, snaplen, duration_fill, _PCAP)
 
 
 # --- reading ----------------------------------------------------------------
@@ -905,38 +969,22 @@ def _decode_record_scalar(
     }
 
 
-def read_trace_batches(
-    path: str | Path, batch_frames: int = 131_072
-):
-    """Incrementally read a capture as bounded-size Traces.
+def _sniff(path: Path) -> tuple[str | None, _RecordLayout, bool]:
+    """``(name, layout, compressed)`` of the container whose leading
+    bytes start ``path``'s content, looking through a gzip wrapper.
 
-    The container is detected from the leading bytes, never the name:
-    plain radiotap pcap, RFC 1761 snoop (delegated to
-    :func:`repro.corpus.snoop.read_snoop_batches`), and gzip-compressed
-    variants of both.  For compressed captures, reads stream through
-    :mod:`gzip` — the file is never fully decompressed in memory — and
-    every reported byte offset is into the decompressed stream.
-
-    The file is consumed in multi-megabyte slabs, so memory stays
-    bounded no matter how large the capture is — the streaming
-    pipeline's pcap source.  Records in the shape :func:`write_trace`
-    emits are decoded in bulk via numpy gathers over the raw byte
-    stream; anything else falls back, record by record, to the scalar
-    codecs, which also own the error behaviour (damaged tails, and
-    corrupt gzip streams, raise :class:`TruncatedPcapError` *after*
-    the clean prefix is flushed).  Frames are yielded in file order;
-    captures written by :func:`write_trace` are time-ordered.
+    Bytes no container claims give ``(None, _PCAP, compressed)``: read
+    as pcap, its header check names what is wrong with them.  A gzip
+    wrapper that dies before those bytes raises
+    :class:`TruncatedPcapError` at decompressed offset 0.
     """
-    if batch_frames <= 0:
-        raise ValueError("batch_frames must be positive")
-    path = Path(path)
     with path.open("rb") as fp:
-        head = fp.read(8)
+        head = fp.read(_SNIFF_BYTES)
     compressed = head.startswith(_GZIP_MAGIC)
     if compressed:
         try:
             with gzip.open(path, "rb") as zp:
-                head = zp.read(8)
+                head = zp.read(_SNIFF_BYTES)
         except _GZIP_ERRORS as error:
             raise TruncatedPcapError(
                 f"{path}: corrupt gzip stream "
@@ -946,18 +994,60 @@ def read_trace_batches(
                 compressed=True,
                 path=path,
             ) from error
-    if head.startswith(_SNOOP_IDENT):
-        from ..corpus.snoop import read_snoop_batches
-
-        yield from read_snoop_batches(path, batch_frames)
-        return
-    yield from _read_batches(path, batch_frames, compressed, _PCAP)
+    for name, _, lead, layout in _CONTAINERS:
+        if head.startswith(lead):
+            return name, layout, compressed
+    return None, _PCAP, compressed
 
 
-def _read_batches(
-    path: Path, batch_frames: int, compressed: bool, layout: _RecordLayout
+def detect_format(path: str | Path) -> tuple[str, bool]:
+    """Identify ``path`` by content, never by name: ``(container name,
+    compressed)``, e.g. ``("snoop", True)`` for a gzipped snoop file.
+
+    Raises :class:`CaptureError` for bytes no container claims (a
+    :class:`TruncatedPcapError` when a gzip wrapper cannot be read
+    that far).
+    """
+    path = Path(path)
+    name, _, compressed = _sniff(path)
+    if name is None:
+        raise CaptureError(
+            f"{path}: not a recognised capture format "
+            f"(known: {sorted(CAPTURE_FORMATS)})",
+            path=path,
+        )
+    return name, compressed
+
+
+def read_trace_batches(
+    path: str | Path, batch_frames: int = 131_072
 ):
-    """The slab loop both containers share (format pre-sniffed)."""
+    """Incrementally read a capture as bounded-size Traces.
+
+    The container is detected from the leading bytes, never the name
+    (see :func:`detect_format`): plain radiotap pcap, RFC 1761 snoop,
+    and gzip-compressed variants of both.  Bytes no container claims
+    fail the pcap header check ("magic", "too short", "linktype").
+    For compressed captures, reads stream through :mod:`gzip` — the
+    file is never fully decompressed in memory — and every reported
+    byte offset is into the decompressed stream.
+
+    The file is consumed in multi-megabyte slabs, so memory stays
+    bounded no matter how large the capture is — the streaming
+    pipeline's pcap source.  Records in the shape :func:`write_trace`
+    emits are decoded in bulk via numpy gathers over the raw byte
+    stream; anything else falls back, record by record, to the scalar
+    codecs, which also own the error behaviour: damaged tails, and
+    corrupt gzip streams, raise the container's damage error
+    (:class:`TruncatedPcapError`, or its subclass
+    :class:`TruncatedSnoopError`) *after* the clean prefix is flushed.
+    Frames are yielded in file order; captures written by
+    :func:`write_trace` are time-ordered.
+    """
+    if batch_frames <= 0:
+        raise ValueError("batch_frames must be positive")
+    path = Path(path)
+    _, layout, compressed = _sniff(path)
 
     def corrupt_gzip(error, byte_offset, frames_read):
         return layout.error(
@@ -1087,9 +1177,9 @@ def _read_batches(
             yield rows.flush()
 
 
-def _collect(batches) -> Trace:
-    """Concatenate a batch reader's Traces into one."""
-    batches = list(batches)
+def read_trace(path: str | Path) -> Trace:
+    """Read a capture (pcap/snoop, optionally gzipped) into a Trace."""
+    batches = list(read_trace_batches(path))
     if not batches:
         return Trace.empty()
     if len(batches) == 1:
@@ -1100,8 +1190,3 @@ def _collect(batches) -> Trace:
             for name in TRACE_COLUMNS
         }
     )
-
-
-def read_trace(path: str | Path) -> Trace:
-    """Read a capture (pcap/snoop, optionally gzipped) into a Trace."""
-    return _collect(read_trace_batches(path))

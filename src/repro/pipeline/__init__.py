@@ -60,7 +60,6 @@ from .stream import (
     DEFAULT_CHUNK_FRAMES,
     Chunk,
     StreamContext,
-    TruncatedPcapError,
     UnsortedStreamError,
     as_stream,
     pcap_chunks,
@@ -87,7 +86,6 @@ __all__ = [
     "SummaryConsumer",
     "ThroughputConsumer",
     "TransmissionsConsumer",
-    "TruncatedPcapError",
     "UnrecordedByApConsumer",
     "UnrecordedConsumer",
     "UnsortedStreamError",

@@ -41,7 +41,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from ..frames import FrameType, NodeRoster, Trace
-from ..pcap import TruncatedPcapError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from ..core.utilization import UtilizationSeries
@@ -50,7 +49,6 @@ __all__ = [
     "DEFAULT_CHUNK_FRAMES",
     "Chunk",
     "StreamContext",
-    "TruncatedPcapError",
     "UnsortedStreamError",
     "trace_chunks",
     "pcap_chunks",
@@ -116,10 +114,6 @@ class Chunk:
     def __len__(self) -> int:
         return len(self.trace)
 
-    @property
-    def is_first(self) -> bool:
-        return self.index == 0
-
 
 def trace_chunks(
     trace: Trace,
@@ -153,7 +147,7 @@ def pcap_chunks(
     ``trace_chunks(read_trace(path))``).
 
     A capture with a truncated or corrupt tail yields every cleanly
-    decoded batch first, then raises :class:`TruncatedPcapError`
+    decoded batch first, then raises :class:`repro.pcap.TruncatedPcapError`
     (byte offset + frames read) — callers see the intact prefix and a
     typed failure, never a raw ``struct.error``.
     """

@@ -460,12 +460,11 @@ class BuiltScenario:
         older than ``now - MAX_FRAME_AIRTIME_US`` (rows newer than that
         may still be re-ordered by in-flight frames), and per-frame
         ground truth is not recorded.  The concatenation of the yielded
-        segments equals the buffered ``run()`` capture after its global
-        stable time sort — i.e. exactly the row order ``analyze_trace``
+        segments equals the buffered ``run().trace``, which
+        :meth:`Trace.concatenate` already merged across sniffers in
+        stable time order — exactly the row order ``analyze_trace``
         works on — so a streamed analysis is field-identical to the
-        buffered one.  (``run().trace`` itself is a per-sniffer
-        concatenation; on multi-channel configs compare against
-        ``run().trace.sorted_by_time()``.)
+        buffered one.
         """
         self._consume()
         self.medium.record_ground_truth = False

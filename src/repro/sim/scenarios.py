@@ -182,9 +182,9 @@ def stream_scenario(config: ScenarioConfig) -> Iterator[Trace]:
     time-sorted segment per one-second drain window while the
     simulation advances.
 
-    The concatenated segments equal
-    ``run_scenario(config).trace.sorted_by_time()`` — the row order
-    every analysis works on — but no full-run trace (or per-frame
+    The concatenated segments equal ``run_scenario(config).trace``
+    (already merged across sniffers in time order — the row order
+    every analysis works on), but no full-run trace (or per-frame
     ground truth) is ever materialised: peak memory is one drain window
     however long the session.  Feed the iterator straight to
     :func:`repro.pipeline.run_all`.

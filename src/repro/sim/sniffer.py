@@ -180,11 +180,6 @@ class Sniffer:
         """Rows currently held in the buffer (shrinks as a stream drains)."""
         return self._n
 
-    @property
-    def buffer_capacity(self) -> int:
-        """Allocated rows per column (tracks the peak undrained window)."""
-        return self._capacity
-
     def _output_columns(self, mask: np.ndarray | None) -> dict[str, np.ndarray]:
         """Trace columns for the selected buffered rows.
 

@@ -70,6 +70,13 @@ class TestValidation:
         with pytest.raises(SpecError, match="bad corpus query"):
             spec.validate()
 
+    def test_reversed_window_caught_up_front(self, corpus_dir):
+        spec = ExperimentSpec.from_mapping(
+            {"pcaps": {"corpus": str(corpus_dir), "where": "overlaps=200-100"}}
+        )
+        with pytest.raises(SpecError, match="empty window"):
+            spec.validate()
+
     def test_pcaps_and_corpus_both_rejected(self, corpus_dir):
         spec = ExperimentSpec(pcaps=("a.pcap",), corpus=str(corpus_dir))
         with pytest.raises(SpecError, match="not both"):

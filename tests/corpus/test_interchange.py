@@ -13,15 +13,8 @@ import struct
 import numpy as np
 import pytest
 
-from repro.corpus import (
-    SnoopDatalinkType,
-    detect_format,
-    read_snoop,
-    write_snoop,
-)
-from repro.corpus.snoop import SNOOP_IDENT, SNOOP_VERSION
 from repro.frames import TRACE_SCHEMA
-from repro.pcap import read_trace, write_trace
+from repro.pcap import detect_format, read_trace, write_trace
 
 from .conftest import burst_trace
 
@@ -71,19 +64,21 @@ def test_detect_format_by_content(tmp_path, trace, suffix):
 
 
 def test_snoop_header_layout(tmp_path, trace):
-    """The on-disk snoop header is RFC 1761: ident, version 2, datalink."""
+    """The on-disk snoop header is RFC 1761: ident, version 2, and the
+    radiotap datalink 127 (a project extension matching the pcap
+    linktype)."""
     path = tmp_path / "capture.snoop"
-    write_snoop(trace, path)
+    write_trace(trace, path)
     raw = path.read_bytes()
     ident, version, datalink = struct.unpack(">8sLL", raw[:16])
-    assert ident == SNOOP_IDENT
-    assert version == SNOOP_VERSION
-    assert datalink == SnoopDatalinkType.IEEE_802_11_RADIOTAP
+    assert ident == b"snoop\x00\x00\x00"
+    assert version == 2
+    assert datalink == 127
 
 
 def test_snoop_records_are_padded_to_four_bytes(tmp_path, trace):
     path = tmp_path / "capture.snoop"
-    write_snoop(trace, path)
+    write_trace(trace, path)
     raw = path.read_bytes()
     pos = 16
     records = 0
@@ -98,14 +93,6 @@ def test_snoop_records_are_padded_to_four_bytes(tmp_path, trace):
         pos += rec_len
     assert pos == len(raw)
     assert records == len(trace)
-
-
-def test_read_snoop_direct(tmp_path, trace):
-    snoop_path = tmp_path / "capture.snoop"
-    pcap_path = tmp_path / "capture.pcap"
-    write_snoop(trace, snoop_path)
-    write_trace(trace, pcap_path)
-    assert_traces_identical(read_snoop(snoop_path), read_trace(pcap_path))
 
 
 def test_gzip_output_is_deterministic(tmp_path, trace):

@@ -172,6 +172,14 @@ class TestErrors:
         with pytest.raises(CorpusError, match="mixes"):
             parse_query("overlaps=13:00-500")
 
+    def test_reversed_absolute_window_rejected_when_parsed(self):
+        # Not only when a record with timestamps is matched: a catalog
+        # of empty captures must not let the bad window through.
+        with pytest.raises(CorpusError, match="empty window: 200-100"):
+            parse_query("overlaps=200-100")
+        with pytest.raises(CorpusError, match="empty window"):
+            parse_query("overlaps=20s-10s")
+
     def test_bad_time_of_day(self):
         with pytest.raises(CorpusError, match="time of day"):
             parse_query("overlaps=25:00-26:00")

@@ -12,8 +12,12 @@ import struct
 
 import pytest
 
-from repro.corpus import TruncatedSnoopError, write_snoop
-from repro.pcap import TruncatedPcapError, read_trace, write_trace
+from repro.pcap import (
+    TruncatedPcapError,
+    TruncatedSnoopError,
+    read_trace,
+    write_trace,
+)
 from repro.pcap.pcapio import read_trace_batches
 
 from .conftest import burst_trace
@@ -30,7 +34,7 @@ def trace():
 def snoop_capture(tmp_path, trace):
     """A clean snoop capture plus its per-record header offsets."""
     path = tmp_path / "capture.snoop"
-    write_snoop(trace, path)
+    write_trace(trace, path)
     raw = path.read_bytes()
     offsets = []
     offset = 16
@@ -144,11 +148,9 @@ class TestTruncatedGzip:
     ):
         # Small slabs so several reads succeed before the cut: the
         # clean prefix must stream out ahead of the typed error.
-        import repro.corpus.snoop as snoop_mod
         import repro.pcap.pcapio as pcapio_mod
 
         monkeypatch.setattr(pcapio_mod, "_CHUNK_BYTES", 512)
-        monkeypatch.setattr(snoop_mod, "_CHUNK_BYTES", 512)
         cut = tmp_path / f"cut-{gz_capture.name}"
         raw = gz_capture.read_bytes()
         cut.write_bytes(raw[: int(len(raw) * 0.6)])

@@ -261,7 +261,7 @@ class TestResourceRules:
 
     def test_with_managed_opens_are_fine(self, lint_tree):
         lint_tree.write(
-            "src/repro/corpus/foo.py",
+            "src/repro/pcap/foo.py",
             """\
             import gzip
 
@@ -323,6 +323,38 @@ class TestResourceRules:
             "def pool():\n    return ProcessPoolExecutor(2)\n"
         )
         lint_tree.write("src/repro/jobs.py", source)
+        lint_tree.write("benchmarks/foo.py", source)
+        assert lint_tree.rules_found() == []
+
+    def test_gzip_stream_flagged_outside_the_codec(self, lint_tree):
+        lint_tree.write(
+            "src/repro/corpus/foo.py",
+            """\
+            import gzip
+            from gzip import GzipFile
+
+            def peek(path, wrap=gzip.GzipFile):
+                with gzip.open(path, "rb") as fp:
+                    return fp.read(8), wrap, GzipFile
+            """,
+        )
+        assert lint_tree.rules_found() == ["gzip-bypass"] * 3
+
+    def test_gzip_blobs_and_the_codec_are_fine(self, lint_tree):
+        lint_tree.write(
+            "src/repro/campaign/foo.py",
+            """\
+            import gzip
+
+            def roundtrip(data):
+                return gzip.decompress(gzip.compress(data, mtime=0))
+            """,
+        )
+        source = (
+            "import gzip\n\ndef read(path):\n"
+            "    with gzip.open(path) as fp:\n        return fp.read()\n"
+        )
+        lint_tree.write("src/repro/pcap/foo.py", source)
         lint_tree.write("benchmarks/foo.py", source)
         assert lint_tree.rules_found() == []
 

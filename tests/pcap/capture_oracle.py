@@ -16,9 +16,9 @@ import gzip
 import io
 import struct
 
-from repro.corpus.snoop import _LAYOUT as SNOOP_LAYOUT
 from repro.pcap.pcapio import (
     _PCAP as PCAP_LAYOUT,
+    _SNOOP as SNOOP_LAYOUT,
     TruncatedPcapError,
     _decode_record_scalar,
     _encode_packet,

@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.pcap.pcapio as pcapio
-from repro.corpus import detect_format
 from repro.frames import (
     BROADCAST,
     NO_NODE,
@@ -37,6 +36,7 @@ from repro.frames import (
 from repro.pcap import (
     CaptureError,
     TruncatedPcapError,
+    detect_format,
     read_trace,
     read_trace_batches,
     write_trace,

@@ -13,9 +13,13 @@ import struct
 
 import pytest
 
-from repro.corpus import TruncatedSnoopError
 from repro.frames import Trace
-from repro.pcap import TruncatedPcapError, read_trace, write_trace
+from repro.pcap import (
+    TruncatedPcapError,
+    TruncatedSnoopError,
+    read_trace,
+    write_trace,
+)
 from repro.pipeline import pcap_chunks
 
 from ..conftest import ack, data
