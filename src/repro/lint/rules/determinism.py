@@ -4,7 +4,7 @@ The reproduction's first invariant is that a (scenario, params, seed)
 cell is a pure function: golden-trace digests, the content-addressed
 campaign store and distributed-dispatch idempotency all depend on it.
 These rules fence the code paths that execute cells — the simulator
-package and the campaign package — against the three classic leaks:
+package and the campaign package — against these leaks:
 
 * the stdlib ``random`` module (global, seedless by default),
 * numpy's legacy module-level RNG (``np.random.<fn>`` shares hidden
@@ -13,7 +13,10 @@ package and the campaign package — against the three classic leaks:
 * wall-clock reads (``time.time``, ``datetime.now``) leaking into
   results or keys.  Monotonic timing (``perf_counter``/``monotonic``)
   stays allowed: elapsed-time fields are declared volatile and the
-  store compares modulo them.
+  store compares modulo them,
+* rewinding a generator (assigning ``<rng>.bit_generator.state``), so
+  that each stream is drawn once, in order, when its events happen.
+  Reading the state stays allowed.
 
 Wall-clock-legitimate sites (the coordinator's operator-facing status
 file stamp) carry a reasoned ``lint-ok`` pragma — that is the
@@ -185,4 +188,30 @@ def check_wall_clock(ctx) -> Iterator[Finding]:
                 "keys must not depend on when a cell ran "
                 "(perf_counter/monotonic for elapsed timing is fine); "
                 "operator-facing sites take a reasoned lint-ok pragma",
+            )
+
+
+@rule(
+    "det-rng-rewind",
+    family="determinism",
+    severity="error",
+    summary="assignment to `<rng>.bit_generator.state` (a rewound stream)",
+    scope=SCOPE,
+)
+def check_rng_rewind(ctx) -> Iterator[Finding]:
+    for node in ast.walk(ctx.tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "state"
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "bit_generator"
+        ):
+            yield make(
+                ctx,
+                "det-rng-rewind",
+                node,
+                "assigning `bit_generator.state` rewinds a stream — draw "
+                "each value once, when its event happens, so every "
+                "stream is a plain function of its seed",
             )

@@ -179,6 +179,11 @@ _DURATION_FILL_US = 10 + 304
 #: one encoded block for the writer.
 _CHUNK_BYTES = 4 << 20
 
+#: Most bytes one gzip ``read1`` call is asked for.  The buffered reader
+#: allocates the whole request before it decompresses, so asking for a
+#: slab per call costs more than the bytes it returns.
+_GZIP_PIECE_BYTES = 1 << 16
+
 _U32_MAX = 0xFFFFFFFF
 
 
@@ -1019,6 +1024,27 @@ def detect_format(path: str | Path) -> tuple[str, bool]:
     return name, compressed
 
 
+def _read_slab(fp, compressed: bool) -> tuple[bytes, BaseException | None]:
+    """Up to ``_CHUNK_BYTES`` bytes of ``fp``, plus the gzip error that
+    cut them short (``None`` if none did).
+
+    A gzip stream is read in ``read1`` pieces, so a stream that dies
+    mid-slab keeps what the pieces before the damage decompressed.
+    """
+    if not compressed:
+        return fp.read(_CHUNK_BYTES), None
+    pieces, size, error = [], 0, None
+    try:
+        while size < _CHUNK_BYTES and (
+            piece := fp.read1(min(_GZIP_PIECE_BYTES, _CHUNK_BYTES - size))
+        ):
+            pieces.append(piece)
+            size += len(piece)
+    except _GZIP_ERRORS as exc:
+        error = exc
+    return b"".join(pieces), error
+
+
 def read_trace_batches(
     path: str | Path, batch_frames: int = 131_072
 ):
@@ -1072,20 +1098,9 @@ def read_trace_batches(
         buf = b""
         frames_read = 0
         eof = False
-        while not eof:
-            try:
-                data = fp.read(_CHUNK_BYTES)
-            except _GZIP_ERRORS as error:
-                if not compressed:
-                    raise
-                # The gzip stream itself died (truncated or corrupt
-                # compressed bytes): everything decoded so far is a
-                # clean prefix, exactly like an on-disk truncation.
-                if len(rows):
-                    yield rows.flush()
-                raise corrupt_gzip(
-                    error, base + len(buf), frames_read
-                ) from error
+        stream_error = None
+        while not eof and stream_error is None:
+            data, stream_error = _read_slab(fp, compressed)
             if not data:
                 eof = True
             else:
@@ -1153,6 +1168,16 @@ def read_trace_batches(
                 )
             buf = buf[consumed:]
             base += consumed
+        if stream_error is not None:
+            # The gzip stream itself died (truncated or corrupt
+            # compressed bytes): every record decompressed before the
+            # damage is a clean prefix, exactly like an on-disk
+            # truncation.
+            if len(rows):
+                yield rows.flush()
+            raise corrupt_gzip(
+                stream_error, base + len(buf), frames_read
+            ) from stream_error
         if buf:
             # Damage found: flush the clean prefix first so streaming
             # callers keep every frame read so far.

@@ -395,8 +395,8 @@ class BuiltScenario:
         """Hot-path diagnostics: frame and event-loop counters.
 
         ``events_cancelled`` tracks timeout churn (ACK/CTS timeouts
-        cancelled on success); the engine compacts the heap when such
-        tombstones would otherwise dominate it.  Benchmarks and campaign
+        cancelled on success, frozen backoff countdowns); the engine
+        drops each such entry when it pops it.  Benchmarks and campaign
         cells report these so perf regressions are attributable.
         """
         return {

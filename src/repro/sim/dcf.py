@@ -33,14 +33,6 @@ from .rate_adaptation import FixedRate, RateAdaptation
 
 __all__ = ["MacConfig", "MacStats", "DcfMac"]
 
-#: Backoff draws fetched per speculative batch.  The MAC's generator is
-#: consumed by nothing but backoff draws, and numpy's bounded-integer
-#: fill walks the bit stream identically for vector and scalar requests,
-#: so a batch at a fixed contention window yields the exact scalar
-#: sequence.  When the window changes mid-batch the generator is rewound
-#: and the consumed prefix replayed scalar-style (see ``_draw_backoff``).
-_BACKOFF_BATCH = 32
-
 
 @dataclass(frozen=True)
 class MacConfig:
@@ -167,11 +159,6 @@ class DcfMac:
         self._cw = self.config.cw_min
         self._backoff_slots = 0
         self._backoff_event: EventHandle | None = None
-        # Speculative backoff-draw batch (see _draw_backoff).
-        self._bo_cache: np.ndarray | None = None
-        self._bo_state: dict | None = None
-        self._bo_bound = 0
-        self._bo_pos = 0
         self._timeout_event: EventHandle | None = None
         self._nav_until = 0
         self._nav_event: EventHandle | None = None
@@ -279,35 +266,13 @@ class DcfMac:
         return sizes
 
     def _draw_backoff(self) -> None:
-        """Next backoff count — batched, but stream-identical to scalar.
+        """Draw the next backoff count, uniform over [0, cw] slots.
 
-        Draws come from a speculative block of ``_BACKOFF_BATCH`` values
-        at the current bound.  Most draws happen at cw_min (every fresh
-        MSDU resets the window), so the block usually survives to
-        exhaustion and one vectorized call replaces 32 scalar ones.  On
-        a bound change (retry doubling) the generator is rewound to the
-        pre-batch state and the consumed prefix replayed at the old
-        bound, leaving the stream exactly where per-call draws would
-        have — the golden-trace digests pin this equivalence.
+        One scalar draw per call from the MAC's generator, which nothing
+        else consumes once the node is built, so the stream depends only
+        on this MAC's own sequence of contention windows.
         """
-        bound = self._cw + 1
-        cache = self._bo_cache
-        if cache is not None and self._bo_bound == bound and self._bo_pos < len(cache):
-            self._backoff_slots = int(cache[self._bo_pos])
-            self._bo_pos += 1
-            return
-        rng = self.rng
-        if cache is not None and self._bo_pos < len(cache):
-            rng.bit_generator.state = self._bo_state
-            old_bound = self._bo_bound
-            for _ in range(self._bo_pos):
-                rng.integers(0, old_bound)
-        self._bo_state = rng.bit_generator.state
-        cache = rng.integers(0, bound, size=_BACKOFF_BATCH)
-        self._bo_cache = cache
-        self._bo_bound = bound
-        self._bo_pos = 1
-        self._backoff_slots = int(cache[0])
+        self._backoff_slots = int(self.rng.integers(0, self._cw + 1))
 
     def _physical_idle(self) -> bool:
         return self.medium.is_idle(self)
@@ -411,7 +376,7 @@ class DcfMac:
             + cfg.ack_timeout_margin_us
         )
         self._state = _State.WAIT_CTS
-        self._timeout_event = self.sim.schedule_timeout_in(
+        self._timeout_event = self.sim.schedule_in(
             timeout, self._handshake_timeout
         )
 
@@ -443,7 +408,7 @@ class DcfMac:
             + self.config.ack_timeout_margin_us
         )
         self._state = _State.WAIT_ACK
-        self._timeout_event = self.sim.schedule_timeout_in(timeout, self._ack_timeout)
+        self._timeout_event = self.sim.schedule_in(timeout, self._ack_timeout)
 
     def _broadcast_done(self) -> None:
         self._pending = None

@@ -1,24 +1,14 @@
 """Discrete-event simulation engine.
 
-A minimal, fast event loop: integer-microsecond virtual clock, a binary
-heap of ``(time, sequence, callback)`` entries, and O(1) cancellation via
-tombstoning.  Ties break in scheduling order, which keeps runs
-deterministic for a fixed seed.
+A minimal event loop: an integer-microsecond virtual clock and one
+binary heap of ``(time, sequence, handle)`` entries.  Ties break in
+scheduling order, which keeps runs deterministic for a fixed seed.
 
-Cancelled events do not linger: when tombstones outnumber live entries
-the heap is compacted in place, so cancel-heavy workloads (RTS/CTS
-handshakes cancel a timeout per delivered frame) keep the heap — and
-every subsequent push/pop — proportional to *pending* work.
-
-ACK/CTS timeouts get a dedicated side heap (:meth:`Simulator.
-schedule_timeout_in`).  They are the churn pathology of a DCF run: one
-is pushed per data frame and almost every one is cancelled a few
-milliseconds later, so routing them through the main heap makes every
-unrelated push/pop pay log(timeouts) and drives most compactions.  The
-side heap is keyed by the *same* ``(time, sequence)`` counter and the
-drain loop always fires the globally smallest key, so the executed
-event order — and therefore every RNG stream — is bit-identical to the
-single-heap engine.
+Cancellation is O(1): ``cancel()`` marks the handle, and the loop drops
+the entry when it pops it.  Nothing compacts the heap.  The only events
+a DCF run cancels are backoff countdowns and ACK/CTS timeouts, each at
+most one backoff or one frame exchange ahead, so the cancelled entries
+still queued are bounded by the network, not by the run's length.
 """
 
 from __future__ import annotations
@@ -28,15 +18,11 @@ from typing import Callable
 
 __all__ = ["EventHandle", "Simulator"]
 
-#: Compaction never triggers below this many tombstones — tiny heaps are
-#: cheap to scan anyway and rebuilding them would be pure overhead.
-_COMPACT_MIN_TOMBSTONES = 64
-
 
 class EventHandle:
-    """Handle to a scheduled event; ``cancel()`` tombstones it."""
+    """Handle to a scheduled event; ``cancel()`` stops it from firing."""
 
-    __slots__ = ("time_us", "callback", "cancelled", "_sim", "_in_timeout_heap")
+    __slots__ = ("time_us", "callback", "cancelled", "_sim")
 
     def __init__(
         self,
@@ -48,7 +34,6 @@ class EventHandle:
         self.callback: Callable[[], None] | None = callback
         self.cancelled = False
         self._sim = sim
-        self._in_timeout_heap = False
 
     def cancel(self) -> None:
         """Prevent the event from firing (safe to call repeatedly)."""
@@ -58,7 +43,8 @@ class EventHandle:
         self.callback = None
         sim = self._sim
         if sim is not None:
-            sim._note_cancel(self._in_timeout_heap)
+            sim._cancelled += 1
+            sim._tombstones += 1
 
     @property
     def pending(self) -> bool:
@@ -79,12 +65,10 @@ class Simulator:
     def __init__(self) -> None:
         self.now_us: int = 0
         self._heap: list[tuple[int, int, EventHandle]] = []
-        self._timeout_heap: list[tuple[int, int, EventHandle]] = []
         self._sequence = 0
         self._processed = 0
         self._cancelled = 0
         self._tombstones = 0  # cancelled entries still sitting in the heap
-        self._timeout_tombstones = 0
 
     @property
     def events_processed(self) -> int:
@@ -98,13 +82,8 @@ class Simulator:
 
     @property
     def events_pending(self) -> int:
-        """Live (non-tombstoned) entries across both heaps."""
-        return (
-            len(self._heap)
-            - self._tombstones
-            + len(self._timeout_heap)
-            - self._timeout_tombstones
-        )
+        """Live (non-cancelled) entries in the heap."""
+        return len(self._heap) - self._tombstones
 
     def schedule_at(self, time_us: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at absolute virtual time ``time_us``."""
@@ -132,84 +111,22 @@ class Simulator:
         heapq.heappush(self._heap, (time_us, self._sequence, handle))
         return handle
 
-    def schedule_timeout_in(
-        self, delay_us: int, callback: Callable[[], None]
-    ) -> EventHandle:
-        """Schedule a likely-to-be-cancelled timer on the side heap.
-
-        Identical semantics to :meth:`schedule_in` — the entry draws
-        from the same ``(time, sequence)`` counter, so its firing order
-        relative to every other event is unchanged — but cancel churn
-        stays out of the main heap.  Use for guard timers that are
-        cancelled on the success path (ACK/CTS timeouts).
-        """
-        if delay_us < 0:
-            raise ValueError(f"delay must be non-negative, got {delay_us}")
-        time_us = self.now_us + int(delay_us)
-        handle = EventHandle(time_us, callback, self)
-        handle._in_timeout_heap = True
-        self._sequence += 1
-        heapq.heappush(self._timeout_heap, (time_us, self._sequence, handle))
-        return handle
-
-    def _note_cancel(self, in_timeout_heap: bool = False) -> None:
-        """A pending handle was tombstoned; compact when they dominate.
-
-        Compaction rewrites the heap *in place* (slice assignment), so a
-        ``_drain`` loop holding a reference to the list keeps working.
-        Pending entries keep their ``(time, sequence)`` keys, so firing
-        order is untouched.  Each heap compacts on its own tombstone
-        count.
-        """
-        self._cancelled += 1
-        if in_timeout_heap:
-            self._timeout_tombstones += 1
-            heap = self._timeout_heap
-            if (
-                self._timeout_tombstones >= _COMPACT_MIN_TOMBSTONES
-                and self._timeout_tombstones * 2 > len(heap)
-            ):
-                heap[:] = [entry for entry in heap if not entry[2].cancelled]
-                heapq.heapify(heap)
-                self._timeout_tombstones = 0
-            return
-        self._tombstones += 1
-        heap = self._heap
-        if (
-            self._tombstones >= _COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 > len(heap)
-        ):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
-            heapq.heapify(heap)
-            self._tombstones = 0
-
     def _drain(self, end_us: int | None, safety_limit: int | None) -> None:
         """Pop-and-fire loop shared by :meth:`run_until` and :meth:`run_all`.
 
-        Tombstoned (cancelled) events are discarded without counting
-        against ``safety_limit``; ``end_us=None`` means no time bound.
+        Cancelled entries are dropped as they are popped, without
+        counting against ``safety_limit``; ``end_us=None`` means no
+        time bound.
         """
         heap = self._heap
-        timeout_heap = self._timeout_heap
         heappop = heapq.heappop
         executed = 0
-        while heap or timeout_heap:
-            # Fire whichever heap holds the globally smallest
-            # (time, sequence) key; sequences are unique across both, so
-            # the merged order equals the single-heap order exactly.
-            if timeout_heap and (not heap or timeout_heap[0] < heap[0]):
-                src = timeout_heap
-            else:
-                src = heap
-            time_us = src[0][0]
-            if end_us is not None and time_us > end_us:
+        while heap:
+            if end_us is not None and heap[0][0] > end_us:
                 break
-            time_us, _, handle = heappop(src)
+            time_us, _, handle = heappop(heap)
             if handle.cancelled:
-                if src is timeout_heap:
-                    self._timeout_tombstones -= 1
-                else:
-                    self._tombstones -= 1
+                self._tombstones -= 1
                 continue
             executed += 1
             if safety_limit is not None and executed > safety_limit:

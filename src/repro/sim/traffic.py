@@ -41,11 +41,9 @@ SizeSampler = Callable[[np.random.Generator], int]
 def _poisson_gap_us(rng: np.random.Generator, rate_pps: float) -> int:
     """One exponential inter-arrival gap in µs, clamped to at least 1.
 
-    The single definition both Poisson arrival paths (the emit branch
-    and the idle-loop branch of ``PoissonSource._refill``) must share:
-    the clamp keeps the integer-µs clock advancing at extreme rates,
-    and hoisting it here guarantees the RNG streams of the two branches
-    can never silently diverge.
+    The single gap definition ``PoissonSource`` uses after an idle poll
+    and after an arrival alike: the clamp keeps the integer-µs clock
+    advancing at extreme rates.
     """
     return max(1, int(rng.exponential(1e6 / rate_pps)))
 
@@ -248,23 +246,12 @@ class PoissonSource:
     rate; for slowly-varying schedules (our ramps) this is an accurate
     approximation of thinning and costs one event per packet.
 
-    The arrival process depends only on this source's private RNG and
-    the (pure) rate schedule, never on the rest of the simulation — so
-    arrival times and sizes are **pre-generated in batches** into numpy
-    arrays, drawing the RNG in exactly the per-event order the lazy loop
-    used (gap, then size-and-next-gap per emission), and the event
-    callbacks just replay the table.  Event scheduling is chained
-    one-for-one with the lazy loop (each event schedules its successor,
-    idle polls included), so global event ordering — and therefore every
-    emitted frame — is byte-identical.
+    Each value is drawn when its event fires: an arrival draws its size,
+    enqueues it, then draws the gap to the next arrival at the rate of
+    the moment.  While the rate is zero the source polls every 100 ms
+    without touching its generator.  The generator is this source's
+    alone, so its stream depends only on the seed and the schedule.
     """
-
-    #: Arrivals pre-generated per batch; bounds memory for day-long runs.
-    BATCH_EVENTS = 512
-
-    #: An entry with this size marks an event that fires without
-    #: emitting (idle-schedule poll, or the terminal past-end event).
-    _NO_EMIT = -1
 
     def __init__(
         self,
@@ -286,87 +273,30 @@ class PoissonSource:
         self.start_us = max(start_us, 0)
         self.end_us = end_us
         self.packets_offered = 0
-        # Generator state: the next pending event is either an
-        # "arrival-loop" tick ('loop') or an emission ('emit') at _gen_time;
-        # None means the chain has terminated.
-        self._gen_kind: str | None = "loop"
-        self._gen_time = max(start_us, 0)
-        self._times = np.empty(0, dtype=np.int64)
-        self._sizes_buf = np.empty(0, dtype=np.int64)
-        self._cursor = 0
-        self._refill()
-        if len(self._times):
-            sim.schedule_at(int(self._times[0]), self._fire)
+        sim.schedule_at(self.start_us, self._poll)
 
-    def _refill(self) -> None:
-        """Pre-generate the next batch of events into the numpy table.
+    def _ended(self) -> bool:
+        return self.end_us is not None and self.sim.now_us >= self.end_us
 
-        Mirrors the lazy loop statement for statement so the RNG stream
-        is consumed in the identical order: an emission draws its size
-        first, then the gap to the next arrival at the post-emission
-        rate; idle periods poll every 100 ms without touching the RNG.
-        """
-        times: list[int] = []
-        emit_sizes: list[int] = []
-        kind, t = self._gen_kind, self._gen_time
-        end_us = self.end_us
-        rng = self.rng
-        rate_at = self.schedule.rate_at
-        sample = self.sizes
-        no_emit = self._NO_EMIT
-        limit = self.BATCH_EVENTS
-        while kind is not None and len(times) < limit:
-            if kind == "emit":
-                if end_us is None or t < end_us:
-                    times.append(t)
-                    emit_sizes.append(sample(rng))
-                    rate = rate_at(t)
-                    if rate <= 0:
-                        kind, t = "loop", t + 100_000
-                    else:
-                        t += _poisson_gap_us(rng, rate)
-                else:
-                    # Past-end emission event: fires, emits nothing, ends.
-                    times.append(t)
-                    emit_sizes.append(no_emit)
-                    kind = None
-            else:  # 'loop' tick
-                times.append(t)
-                emit_sizes.append(no_emit)
-                if end_us is not None and t >= end_us:
-                    kind = None
-                else:
-                    rate = rate_at(t)
-                    if rate <= 0:
-                        t += 100_000  # idle poll; stays a 'loop' tick
-                    else:
-                        kind, t = "emit", t + _poisson_gap_us(rng, rate)
-        self._gen_kind, self._gen_time = kind, t
-        # Stored columnar (one int64 array per field, like the sniffer's
-        # capture buffers) even though replay reads scalars: the arrays
-        # are the inspectable contract of the pre-generated schedule,
-        # and the per-read unboxing is ~100 ns against a >10 µs event.
-        self._times = np.array(times, dtype=np.int64)
-        self._sizes_buf = np.array(emit_sizes, dtype=np.int64)
-        self._cursor = 0
+    def _poll(self) -> None:
+        """Idle tick: schedule the first arrival once the rate is positive."""
+        if not self._ended():
+            self._schedule_next()
 
-    def _fire(self) -> None:
-        """Replay one pre-generated event and chain-schedule the next."""
-        i = self._cursor
-        size = self._sizes_buf[i]
-        if size >= 0:
-            self.enqueue(self.dst, int(size), FrameType.DATA)
-            self.packets_offered += 1
-        i += 1
-        if i >= len(self._times):
-            if self._gen_kind is None:
-                return
-            self._refill()
-            i = 0
-            if not len(self._times):  # pragma: no cover - defensive
-                return
-        self._cursor = i
-        self.sim.schedule_at(int(self._times[i]), self._fire)
+    def _arrive(self) -> None:
+        """Offer one MSDU, then schedule the next arrival."""
+        if self._ended():
+            return
+        self.enqueue(self.dst, self.sizes(self.rng), FrameType.DATA)
+        self.packets_offered += 1
+        self._schedule_next()
+
+    def _schedule_next(self) -> None:
+        rate = self.schedule.rate_at(self.sim.now_us)
+        if rate <= 0:
+            self.sim.schedule_in(100_000, self._poll)
+        else:
+            self.sim.schedule_in(_poisson_gap_us(self.rng, rate), self._arrive)
 
 
 class ClosedLoopSource:

@@ -75,6 +75,31 @@ class TestDeterminismRules:
         )
         assert lint_tree.rules_found() == ["det-wall-clock"]
 
+    def test_rng_state_assignment_flagged(self, lint_tree):
+        lint_tree.write(
+            "src/repro/sim/foo.py",
+            """\
+            def rewind(self, rng, saved):
+                rng.bit_generator.state = saved
+                self.rng.bit_generator.state, other = saved, None
+            """,
+        )
+        assert lint_tree.rules_found() == ["det-rng-rewind", "det-rng-rewind"]
+
+    def test_rng_state_read_and_out_of_scope_are_fine(self, lint_tree):
+        lint_tree.write(
+            "src/repro/sim/foo.py",
+            """\
+            def same(a, b):
+                return a.bit_generator.state == b.bit_generator.state
+            """,
+        )
+        lint_tree.write(
+            "src/repro/analysis/foo.py",
+            "def rewind(rng, saved):\n    rng.bit_generator.state = saved\n",
+        )
+        assert lint_tree.rules_found() == []
+
 
 class TestAsyncBlockingRules:
     def test_blocking_calls_in_async_def_flagged(self, lint_tree):

@@ -4,9 +4,10 @@
     the columnar writer's bytes equal the per-row ``_encode_packet``
     oracle; a trace with one bad value is rejected exactly when the
     oracle rejects it, with a ``ValueError`` and no file left behind.
-(b) Reading a capture cut anywhere yields a clean prefix of the full
-    read, then a typed :class:`TruncatedPcapError` (none only when the
-    cut falls on a record boundary of a plain capture).
+(b) Reading a capture cut anywhere yields its longest clean prefix —
+    every whole record before the cut, decompressed for a gzip stream
+    — then a typed :class:`TruncatedPcapError` (none only when the cut
+    falls on a record boundary of a plain capture).
 (c) Reading a capture with 1–4 flipped bytes gives a result or a
     :class:`CaptureError` naming the capture — never a plain
     ``ValueError``, a raw ``zlib.error``, ``struct.error`` or
@@ -17,6 +18,7 @@ Runs are derandomized and bounded, so the suite stays deterministic.
 
 import math
 import struct
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -187,26 +189,69 @@ def test_cut_capture_reads_clean_prefix(tmp_path, trace, suffix, data):
     first = 2 if compressed else layout.file_header_size
     cut = data.draw(st.integers(first, len(raw) - 1), label="cut")
     path.write_bytes(raw[:cut])
+    # The longest clean prefix: the whole records in the cut bytes,
+    # or in what an incremental decompress yields from them.
+    clean = zlib.decompressobj(31).decompress(raw[:cut]) if compressed else raw[:cut]
+    plain = suffix.removesuffix(".gz")
+    ends = [
+        len(oracle_bytes(trace.slice_rows(0, k), plain))
+        for k in range(1, len(trace) + 1)
+    ]
+    longest = sum(1 for end in ends if end <= len(clean))
 
-    batches, error = [], None
-    # Slabs shorter than a record: the cut lands after slab seams.
-    with mock.patch.object(pcapio, "_CHUNK_BYTES", 64):
-        try:
-            for batch in read_trace_batches(path, 3):
+    # The real slab size, and slabs shorter than a record (the cut
+    # lands after slab seams).
+    for chunk_bytes in (pcapio._CHUNK_BYTES, 64):
+        batches, error = [], None
+        with mock.patch.object(pcapio, "_CHUNK_BYTES", chunk_bytes):
+            try:
+                for batch in read_trace_batches(path, 3):
+                    batches.append(batch)
+            except TruncatedPcapError as exc:
+                error = exc
+        n = sum(len(b) for b in batches)
+        assert n == longest, chunk_bytes
+        for name in TRACE_COLUMNS:
+            got = np.concatenate([b.column(name) for b in batches]) if batches else []
+            assert np.array_equal(got, full.column(name)[:n]), name
+        if error is None:
+            # Only a plain capture cut exactly between records reads clean.
+            assert not compressed
+            assert cut == len(oracle_bytes(trace.slice_rows(0, n), suffix))
+        else:
+            assert error.frames_read == n
+            assert error.compressed == compressed
+
+
+#: A 1,101-frame fast ``uniform`` capture (2 s, seed 3) cut at 50, 75,
+#: 90 and 99 % of its gzipped bytes: the whole records in what an
+#: incremental zlib decompress yields from each cut.
+CUT_GZIP_FRAMES = {
+    ".pcap.gz": (559, 828, 993, 1089),
+    ".snoop.gz": (535, 819, 989, 1089),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(CUT_GZIP_FRAMES))
+def test_cut_gzip_capture_reads_its_clean_prefix(tmp_path, suffix):
+    built = build_scenario("uniform", fidelity="fast", duration_s=2.0, seed=3)
+    trace = Trace.concatenate(list(built.stream()))
+    assert len(trace) == 1101
+    path = tmp_path / f"capture{suffix}"
+    write_trace(trace, path)
+    raw = path.read_bytes()
+    full = read_trace(path)
+    for percent, expected in zip((50, 75, 90, 99), CUT_GZIP_FRAMES[suffix]):
+        path.write_bytes(raw[: len(raw) * percent // 100])
+        batches = []
+        with pytest.raises(TruncatedPcapError, match="corrupt gzip stream") as info:
+            for batch in read_trace_batches(path):
                 batches.append(batch)
-        except TruncatedPcapError as exc:
-            error = exc
-    n = sum(len(b) for b in batches)
-    for name in TRACE_COLUMNS:
-        got = np.concatenate([b.column(name) for b in batches]) if batches else []
-        assert np.array_equal(got, full.column(name)[:n]), name
-    if error is None:
-        # Only a plain capture cut exactly between records reads clean.
-        assert not compressed
-        assert cut == len(oracle_bytes(trace.slice_rows(0, n), suffix))
-    else:
-        assert error.frames_read == n
-        assert error.compressed == compressed
+        assert sum(len(b) for b in batches) == expected, percent
+        assert info.value.frames_read == expected
+        got = Trace.concatenate(batches)
+        for name in TRACE_COLUMNS:
+            assert np.array_equal(got.column(name), full.column(name)[:expected])
 
 
 @pytest.fixture(scope="module")

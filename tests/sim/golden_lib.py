@@ -1,7 +1,7 @@
 """Golden-trace fixtures: canonical configs and digests for determinism.
 
 The simulator hot-path work (audibility culling, cached delivery plans,
-columnar capture, traffic pre-generation) must not change a single
+columnar capture, draws made when events fire) must not change a single
 emitted frame.  The enforcement is a set of *golden digests*: SHA-256
 over the raw column bytes of the capture and ground-truth traces for a
 spread of library scenarios and feature-exercising ad-hoc configs, all

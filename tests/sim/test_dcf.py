@@ -187,10 +187,11 @@ class TestTimingFidelity:
 
 
 class TestBackoffBatching:
-    """Batched backoff draws must be stream-identical to scalar draws."""
+    """The MAC's per-call backoff draws are exactly the scalar stream of
+    its generator, whatever sequence of windows it draws at."""
 
     def _observed_and_reference(self, seed, bounds):
-        """Draw through the MAC (batched) and a fresh RNG (scalar)."""
+        """Draw through the MAC and through a fresh RNG (scalar)."""
         _, _, a, _ = _pair(seed=seed)
         observed = []
         for bound in bounds:
@@ -207,9 +208,8 @@ class TestBackoffBatching:
         assert observed == reference
 
     def test_window_changes_mid_batch_match_scalar_stream(self):
-        # Collisions double cw (forcing a rewind-and-replay of the
-        # speculative batch) and successes reset it; the observed draws
-        # must still equal a pure scalar draw-per-call sequence.
+        # Collisions double cw and successes reset it; the observed
+        # draws must equal a pure scalar draw-per-call sequence.
         bounds = (
             [32] * 5 + [64] * 3 + [128] * 2 + [32] * 40 + [64] * 1 + [32] * 20
         )

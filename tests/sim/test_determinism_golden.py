@@ -3,7 +3,7 @@
 ``golden_traces.json`` holds SHA-256 digests of the capture and
 ground-truth traces produced by the simulator *before* the hot-path
 overhaul (audibility-culled medium, cached delivery plans, columnar
-sniffer, pre-generated traffic).  These tests prove the optimized
+sniffer).  These tests prove the optimized
 simulator emits byte-for-byte the same frames for every library
 scenario and for ad-hoc configs that exercise mid-run topology mutation
 (roaming and channel management re-target MAC channels, TPC varies

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Simulator
+from repro.sim import Simulator, build_scenario
+from repro.sim.library import available_scenarios
 
 
 class TestScheduling:
@@ -136,6 +137,8 @@ class TestRunSemantics:
 
 
 class TestTombstoneCompaction:
+    """Cancelled entries stay in the heap until popped, then drop."""
+
     def test_events_cancelled_counter(self):
         sim = Simulator()
         handles = [sim.schedule_at(t, lambda: None) for t in range(10)]
@@ -147,24 +150,6 @@ class TestTombstoneCompaction:
         sim.run_all()
         assert sim.events_processed == 6
         assert sim.events_cancelled == 4
-
-    def test_compaction_bounds_tombstones(self):
-        """Mass cancellation compacts the heap instead of leaving corpses."""
-        sim = Simulator()
-        keep = [sim.schedule_at(1_000_000 + t, lambda: None) for t in range(50)]
-        doomed = [sim.schedule_at(t, lambda: None) for t in range(2_000)]
-        for handle in doomed:
-            handle.cancel()
-        # Tombstones can never dominate the heap (beyond the small
-        # compaction floor).
-        assert sim._tombstones * 2 <= len(sim._heap) + 1
-        assert len(sim._heap) < 2_050 // 2
-        assert sim.events_pending == 50
-        fired = []
-        for handle in keep:
-            handle.callback = lambda: fired.append(True)
-        sim.run_all()
-        assert len(fired) == 50
 
     def test_compaction_preserves_firing_order(self):
         sim = Simulator()
@@ -180,9 +165,9 @@ class TestTombstoneCompaction:
         assert fired == live
 
     def test_cancel_all_then_run_small_heap(self):
-        """Degenerate heap below the compaction floor: every entry is a
-        tombstone.  run_all must drain cleanly — no IndexError, no
-        stall, no spurious executions."""
+        """Degenerate heap: every entry is a tombstone.  run_all must
+        drain cleanly — no IndexError, no stall, no spurious
+        executions."""
         sim = Simulator()
         handles = [sim.schedule_at(t, lambda: None) for t in range(10)]
         for handle in handles:
@@ -196,17 +181,14 @@ class TestTombstoneCompaction:
         assert sim._tombstones == 0
 
     def test_cancel_all_then_run_compacted_heap(self):
-        """Cancel-all across the compaction threshold: compaction fires
-        mid-cancellation, later cancels hit an already-rebuilt heap, and
-        the tombstone accounting stays exact."""
+        """Cancel-all over a larger heap: every tombstone is dropped as
+        it is popped, and the tombstone accounting stays exact."""
         sim = Simulator()
         handles = [sim.schedule_at(t, lambda: None) for t in range(500)]
         for handle in handles:
             handle.cancel()
         assert sim.events_cancelled == 500
         assert sim.events_pending == 0
-        # Compaction kept the all-tombstone heap from retaining corpses.
-        assert len(sim._heap) < 500
         sim.run_all()
         assert sim.events_processed == 0
         assert sim.events_cancelled == 500
@@ -237,8 +219,8 @@ class TestTombstoneCompaction:
 
     def test_cancel_heavy_rtscts_run_keeps_heap_lean(self):
         """An all-RTS/CTS network cancels a timeout per delivered frame;
-        the heap must stay proportional to pending work and the counters
-        must expose the churn."""
+        the tombstones left in the heap stay few and the counters
+        expose the churn."""
         from repro.sim import ScenarioBuilder, ScenarioConfig
         from repro.sim.traffic import ConstantRate
 
@@ -261,77 +243,27 @@ class TestTombstoneCompaction:
         assert sim._tombstones * 2 <= len(sim._heap) + 64
 
 
-class TestTimeoutHeap:
-    """The ACK/CTS-timeout side heap: same ordering, isolated churn."""
+_HEAP_BOUND_CASES = [
+    pytest.param(name, {}, id=name) for name in available_scenarios()
+] + [
+    pytest.param(
+        "hidden-terminal", {"rtscts_fraction": 1.0}, id="hidden-terminal-rtscts"
+    )
+]
 
-    def test_interleaves_with_main_heap_in_time_order(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(30, lambda: fired.append("main-30"))
-        sim.schedule_timeout_in(10, lambda: fired.append("timeout-10"))
-        sim.schedule_at(20, lambda: fired.append("main-20"))
-        sim.schedule_timeout_in(40, lambda: fired.append("timeout-40"))
-        sim.run_until(100)
-        assert fired == ["timeout-10", "main-20", "main-30", "timeout-40"]
 
-    def test_ties_fire_in_scheduling_order_across_heaps(self):
-        # The side heap shares the (time, sequence) counter, so a tie
-        # between heaps resolves by scheduling order — exactly as the
-        # single-heap engine would have fired them.
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(5, lambda: fired.append("a"))
-        sim.schedule_timeout_in(5, lambda: fired.append("b"))
-        sim.schedule_at(5, lambda: fired.append("c"))
-        sim.run_until(10)
-        assert fired == ["a", "b", "c"]
+class TestHeapBound:
+    """Nothing compacts the heap, so what it holds must be bounded by
+    the network — one arrival per source plus a few timers per node —
+    and never grow with frames or simulated seconds."""
 
-    def test_cancelled_timeout_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_timeout_in(10, lambda: fired.append("t"))
-        handle.cancel()
-        sim.run_until(100)
-        assert fired == []
-        assert sim.events_cancelled == 1
-
-    def test_negative_delay_rejected(self):
-        sim = Simulator()
-        with pytest.raises(ValueError, match="non-negative"):
-            sim.schedule_timeout_in(-1, lambda: None)
-
-    def test_events_pending_spans_both_heaps(self):
-        sim = Simulator()
-        sim.schedule_at(10, lambda: None)
-        handle = sim.schedule_timeout_in(20, lambda: None)
-        assert sim.events_pending == 2
-        handle.cancel()
-        assert sim.events_pending == 1
-
-    def test_timeout_compaction_is_independent(self):
-        # Cancel-heavy timeout traffic compacts the side heap without
-        # touching (or being blocked by) the main heap's bookkeeping.
-        sim = Simulator()
-        sim.schedule_at(1_000_000, lambda: None)  # long-lived main event
-        handles = [
-            sim.schedule_timeout_in(500_000 + i, lambda: None)
-            for i in range(200)
-        ]
-        for handle in handles:
-            handle.cancel()
-        # Compaction bounds residual tombstones to the floor below
-        # which rebuilds are not worth it.
-        assert sim._timeout_tombstones * 2 <= len(sim._timeout_heap) + 64
-        assert sim.events_pending == 1
-        sim.run_until(2_000_000)
-        assert sim.events_processed == 1
-
-    def test_run_until_horizon_respects_side_heap(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_timeout_in(50, lambda: fired.append("late"))
-        sim.schedule_at(10, lambda: fired.append("early"))
-        sim.run_until(20)
-        assert fired == ["early"]
-        sim.run_until(100)
-        assert fired == ["early", "late"]
+    @pytest.mark.parametrize("name, params", _HEAP_BOUND_CASES)
+    def test_heap_bounded_by_network(self, name, params):
+        built = build_scenario(name, duration_s=5.0, seed=5, **params)
+        bound = len(built.sources) + 4 * (len(built.stations) + len(built.aps))
+        windows = 0
+        for _ in built.stream():
+            windows += 1
+            assert len(built.sim._heap) <= bound
+        assert windows == 5
+        assert built.sim.events_cancelled > 0

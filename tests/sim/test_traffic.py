@@ -177,13 +177,12 @@ class TestRngStreamEquivalence:
 
 
 def _reference_lazy_arrivals(schedule, sizes, rng, end_us):
-    """The pre-batching lazy arrival loop, statement for statement.
+    """The arrival process as a plain loop, independent of the engine.
 
-    Replicates the state machine ``PoissonSource._refill`` pre-generates
-    (idle 'loop' ticks poll every 100 ms without touching the RNG; an
+    Idle 'loop' ticks poll every 100 ms without touching the RNG; an
     emission draws its size first, then the gap at the post-emission
-    rate) — the reference the batch path must match draw for draw,
-    including the shared ``max(1, gap)`` clamp.
+    rate.  ``PoissonSource`` must match it draw for draw, including the
+    shared ``max(1, gap)`` clamp.
     """
     from repro.sim.traffic import _poisson_gap_us
 
@@ -213,11 +212,11 @@ def _reference_lazy_arrivals(schedule, sizes, rng, end_us):
 
 
 class TestLazyBatchEquivalence:
-    """The batch-pregenerated arrival path must emit the exact stream the
-    lazy loop would have — same times, same sizes, same RNG consumption —
-    because the two share one gap helper (``_poisson_gap_us``)."""
+    """The event-driven source must emit the exact stream the reference
+    loop would — same times, same sizes, same RNG consumption — because
+    the two share one gap helper (``_poisson_gap_us``)."""
 
-    def _batch_arrivals(self, schedule, end_us, seed, run_us):
+    def _source_arrivals(self, schedule, end_us, seed, run_us):
         sim = Simulator()
         arrivals = []
 
@@ -239,20 +238,20 @@ class TestLazyBatchEquivalence:
 
     def test_batch_matches_lazy_reference_at_moderate_rate(self):
         schedule = ConstantRate(400.0)
-        got = self._batch_arrivals(schedule, end_us=5_000_000, seed=21,
+        got = self._source_arrivals(schedule, end_us=5_000_000, seed=21,
                                    run_us=6_000_000)
         expected = _reference_lazy_arrivals(
             schedule, uniform_sizes(60, 1500), np.random.default_rng(21),
             end_us=5_000_000,
         )
-        assert len(got) > 1_000  # spans several 512-event refill batches
+        assert len(got) > 1_000
         assert got == expected
 
     def test_batch_matches_lazy_reference_under_gap_clamp(self):
         """Rate high enough that raw exponential gaps round to 0 µs and
         the max(1, ...) clamp engages: both paths must clamp alike."""
         schedule = ConstantRate(5_000_000.0)  # mean gap 0.2 µs
-        got = self._batch_arrivals(schedule, end_us=3_000, seed=9,
+        got = self._source_arrivals(schedule, end_us=3_000, seed=9,
                                    run_us=10_000)
         expected = _reference_lazy_arrivals(
             schedule, uniform_sizes(60, 1500), np.random.default_rng(9),
