@@ -66,9 +66,12 @@ class AckMatch:
 def match_acks(trace: Trace) -> AckMatch:
     """Match each DATA frame with its immediately-following ACK.
 
-    The trace must be time-sorted; per-channel sub-traces should be
-    matched separately when a merged multi-channel trace is analysed
-    (callers normally operate per channel, as the sniffers did).
+    The trace must be time-sorted.  Each DATA is judged against the
+    next row of the whole trace, whatever its channel, and no caller
+    splits a capture by channel first: on a capture merged across
+    channels, a frame of another channel between a DATA and its ACK
+    leaves the DATA unacked (pinned by
+    ``tests/core/test_merged_channels.py``).
     """
     if not trace.is_time_sorted():
         trace = trace.sorted_by_time()

@@ -18,6 +18,7 @@ from ..frames import FrameType, NodeRoster, Trace
 
 __all__ = [
     "ApActivity",
+    "ap_frame_counts",
     "ap_frame_ranking",
     "ranking_from_counts",
     "user_association_series",
@@ -41,16 +42,20 @@ class ApActivity:
         return float(frames[:n].sum()) / self.total_frames
 
 
-def ap_frame_ranking(trace: Trace, roster: NodeRoster) -> ApActivity:
-    """Rank APs by data+control frames sent or received (Fig 4a)."""
-    ap_ids = np.array(roster.ap_ids, dtype=np.int64)
+def ap_frame_counts(trace: Trace, ap_ids: np.ndarray) -> np.ndarray:
+    """Frames each AP in ``ap_ids`` sent or received, in that order."""
     src = trace.src.astype(np.int64)
     dst = trace.dst.astype(np.int64)
-    counts = np.array(
+    return np.array(
         [int(np.count_nonzero((src == ap) | (dst == ap))) for ap in ap_ids],
         dtype=np.int64,
     )
-    return ranking_from_counts(ap_ids, counts)
+
+
+def ap_frame_ranking(trace: Trace, roster: NodeRoster) -> ApActivity:
+    """Rank APs by data+control frames sent or received (Fig 4a)."""
+    ap_ids = np.array(roster.ap_ids, dtype=np.int64)
+    return ranking_from_counts(ap_ids, ap_frame_counts(trace, ap_ids))
 
 
 def ranking_from_counts(ap_ids: np.ndarray, counts: np.ndarray) -> ApActivity:

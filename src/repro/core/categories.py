@@ -33,6 +33,12 @@ class Category:
         return DOT11_RATES_MBPS[self.rate_code]
 
     @property
+    def code(self) -> int:
+        """Column in a per-category table: ``rate_code * 4 + size_class``,
+        the index :func:`category_codes` gives each frame."""
+        return self.rate_code * 4 + int(self.size_class)
+
+    @property
     def name(self) -> str:
         """Paper naming: ``{size}-{rate}``, e.g. ``S-11``, ``XL-1``."""
         return f"{self.size_class.name}-{_rate_label(self.rate_mbps)}"

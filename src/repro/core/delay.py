@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..analysis import BinnedSeries, bin_by_utilization
-from ..frames import FrameType, Trace
+from ..analysis import BinnedSeries, utilization_bins
+from ..frames import FrameType, Trace, size_class_array
 from .acking import match_acks
-from .categories import Category
+from .categories import ALL_CATEGORIES, Category
 from .timing import DOT11B_TIMING, TimingParameters
 from .utilization import UtilizationSeries, utilization_series
 
@@ -32,6 +32,8 @@ __all__ = [
     "acceptance_delays",
     "acceptance_delay_vs_utilization",
     "bin_deliveries",
+    "bin_delay_tallies",
+    "fold_chains",
     "FIGURE15_CATEGORIES",
 ]
 
@@ -67,73 +69,65 @@ class AcceptanceDelays:
 #: sniffer missed could inherit a stale first-attempt timestamp from a
 #: previous incarnation of the same key, minutes in the past.  Seven
 #: retries of an XL-1 frame with maximal backoff stay well under 1 s.
-#: Shared with the streaming pipeline's chain reconstruction.
 CHAIN_TIMEOUT_US = 1_000_000
-_CHAIN_TIMEOUT_US = CHAIN_TIMEOUT_US  # backwards-compatible alias
+
+
+def fold_chains(
+    chains: dict[int, int], trace: Trace, rows: np.ndarray, acked: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold the DATA ``rows`` of time-sorted ``trace`` into open retry chains.
+
+    ``chains`` maps a chain key (src, dst, seq) to its first attempt's
+    timestamp and is updated in place, so a stream folded chunk by
+    chunk keeps passing the same dict.  A clear Retry bit starts a
+    fresh chain; so does a retry with no recorded first attempt, or
+    one recorded more than :data:`CHAIN_TIMEOUT_US` earlier (the
+    sniffer missed it, or the seq number has wrapped since), which
+    starts the chain at the earliest frame we did capture.  A row with
+    ``acked[row]`` set closes its chain.  Chains older than the
+    timeout at ``trace``'s first frame are dropped up front: any later
+    frame would restart them.
+
+    Returns the delivered rows and each one's first-attempt time.
+    """
+    if len(trace):
+        horizon = int(trace.time_us[0]) - CHAIN_TIMEOUT_US
+        for stale in [k for k, t0 in chains.items() if t0 < horizon]:
+            del chains[stale]
+    key = (
+        (trace.src.astype(np.int64) << 28)
+        | (trace.dst.astype(np.int64) << 12)
+        | trace.seq.astype(np.int64)
+    )[rows]
+    delivered: list[int] = []
+    firsts: list[int] = []
+    for row, k, now, retry, done in zip(
+        rows.tolist(),
+        key.tolist(),
+        trace.time_us[rows].tolist(),
+        trace.retry[rows].tolist(),
+        acked[rows].tolist(),
+    ):
+        known = chains.get(k)
+        if not retry or known is None or now - known > CHAIN_TIMEOUT_US:
+            chains[k] = now
+        if done:
+            delivered.append(row)
+            firsts.append(chains.pop(k))
+    return np.array(delivered, dtype=np.int64), np.array(firsts, dtype=np.int64)
 
 
 def acceptance_delays(trace: Trace) -> AcceptanceDelays:
     """Reconstruct retry chains and compute per-delivery acceptance delay."""
     trace = trace.sorted_by_time()
     match = match_acks(trace)
-    is_data = trace.ftype == int(FrameType.DATA)
-
-    acked_rows = np.nonzero(match.acked & is_data)[0]
-    if len(acked_rows) == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        return AcceptanceDelays(
-            empty_i, empty_i.astype(np.float64), empty_i, empty_i
-        )
-
-    # Chain key per data row: (src, dst, seq).  For each acked delivery,
-    # the first attempt is the earliest *preceding* data frame with the
-    # same key and an unbroken retry run; in a capture, earlier chains
-    # with a recycled seq are separated by their own ACK, so taking the
-    # earliest same-key frame after the key's previous ACK is exact.
-    src = trace.src.astype(np.int64)
-    dst = trace.dst.astype(np.int64)
-    seq = trace.seq.astype(np.int64)
-    key = (src << 28) | (dst << 12) | seq
-
-    data_rows = np.nonzero(is_data)[0]
-    data_keys = key[data_rows]
-
-    first_attempt_time: dict[int, int] = {}
-    delays: list[float] = []
-    firsts: list[int] = []
-    sizes: list[int] = []
-    rates: list[int] = []
-    time_us = trace.time_us
-    retry = trace.retry
-    acked_set = match.acked
-
-    for row in data_rows:
-        k = int(key[row])
-        now = int(time_us[row])
-        known = first_attempt_time.get(k)
-        if (
-            not retry[row]
-            or known is None
-            or now - known > _CHAIN_TIMEOUT_US
-        ):
-            # A clear Retry bit starts a fresh chain; a retry without a
-            # recorded (recent) first attempt — the sniffer missed it,
-            # or the seq number has wrapped since — starts the chain at
-            # the earliest frame we did capture.
-            first_attempt_time[k] = now
-        if acked_set[row]:
-            t0 = first_attempt_time.pop(k)
-            ack_t = int(match.ack_time_us[row])
-            delays.append(float(ack_t - t0))
-            firsts.append(t0)
-            sizes.append(int(trace.size[row]))
-            rates.append(int(trace.rate_code[row]))
-
+    rows = np.nonzero(trace.ftype == int(FrameType.DATA))[0]
+    delivered, firsts = fold_chains({}, trace, rows, match.acked)
     return AcceptanceDelays(
-        first_attempt_us=np.array(firsts, dtype=np.int64),
-        delay_us=np.array(delays, dtype=np.float64),
-        size=np.array(sizes, dtype=np.int64),
-        rate_code=np.array(rates, dtype=np.int64),
+        first_attempt_us=firsts,
+        delay_us=(match.ack_time_us[delivered] - firsts).astype(np.float64),
+        size=trace.size[delivered].astype(np.int64),
+        rate_code=trace.rate_code[delivered].astype(np.int64),
     )
 
 
@@ -183,34 +177,54 @@ def bin_deliveries(
     min_count: int = 1,
 ) -> DelaySeries:
     """Bin extracted deliveries by the utilization of their first-attempt
-    second — the Figure-15 transform, shared with the streaming pipeline."""
-    if len(deliveries) == 0:
-        empty = BinnedSeries(
-            np.empty(0), np.empty(0), np.empty(0, dtype=np.int64)
-        )
-        return DelaySeries({c.name: empty for c in categories})
-
-    second = ((deliveries.first_attempt_us - util.start_us) // 1_000_000).astype(
-        np.int64
+    second: tally them per second, then :func:`bin_delay_tallies`."""
+    n, width = len(util), len(ALL_CATEGORIES)
+    second = (deliveries.first_attempt_us - util.start_us) // 1_000_000
+    keep = (second >= 0) & (second < n)
+    flat = (
+        second[keep] * width
+        + deliveries.rate_code[keep] * 4
+        + size_class_array(deliveries.size[keep])
     )
-    in_range = (second >= 0) & (second < len(util))
-    util_of_delivery = np.where(
-        in_range, util.percent[np.clip(second, 0, len(util) - 1)], np.nan
+    delay_sum_us = np.bincount(
+        flat, weights=deliveries.delay_us[keep], minlength=n * width
+    )
+    count = np.bincount(flat, minlength=n * width)
+    return bin_delay_tallies(
+        util,
+        delay_sum_us.reshape(n, width),
+        count.reshape(n, width),
+        categories,
+        min_count,
     )
 
-    from ..frames import size_class_array
 
-    size_cls = size_class_array(deliveries.size)
+def bin_delay_tallies(
+    util: "UtilizationSeries",
+    delay_sum_us: np.ndarray,
+    count: np.ndarray,
+    categories: tuple[Category, ...] = FIGURE15_CATEGORIES,
+    min_count: int = 1,
+) -> DelaySeries:
+    """The Figure-15 transform over per-second delivery tallies.
+
+    ``delay_sum_us`` and ``count`` are ``(len(util), 16)`` tables: per
+    first-attempt second and category code (``rate_code * 4 +
+    size_class``), the summed acceptance delay in microseconds and the
+    number of deliveries.  A bin's value is its mean delay in seconds
+    and its count the deliveries in it; bins with fewer than
+    ``min_count`` deliveries are dropped.  Shared with the streaming
+    pipeline, which keeps just these two tables.
+    """
+    bins = utilization_bins(util.percent)
     out: dict[str, BinnedSeries] = {}
     for cat in categories:
-        sel = (
-            in_range
-            & (size_cls == int(cat.size_class))
-            & (deliveries.rate_code == cat.rate_code)
-        )
-        out[cat.name] = bin_by_utilization(
-            util_of_delivery[sel],
-            deliveries.delay_us[sel] / 1e6,
-            min_count=min_count,
+        delivered = np.bincount(bins, weights=count[:, cat.code])
+        total_us = np.bincount(bins, weights=delay_sum_us[:, cat.code])
+        present = delivered >= max(1, min_count)
+        out[cat.name] = BinnedSeries(
+            utilization=np.nonzero(present)[0].astype(np.float64),
+            value=total_us[present] / delivered[present] / 1e6,
+            count=delivered[present].astype(np.int64),
         )
     return DelaySeries(per_category=out)

@@ -24,30 +24,36 @@ import numpy as np
 
 from ..analysis import ColumnTable
 from ..frames import FrameType, NodeRoster, Trace
+from .ap_stats import ap_frame_counts
 
 __all__ = [
+    "NO_PREDECESSOR",
     "UnrecordedEstimate",
+    "atomicity_misses",
     "estimate_unrecorded",
     "unrecorded_by_ap",
     "ap_table_from_counts",
 ]
+
+#: ``(ftype, src, dst)`` standing in for the frame before a trace's
+#: first: a type no rule matches, so an opening ACK or CTS is lone.
+NO_PREDECESSOR = (-1, -1, -1)
 
 
 @dataclass(frozen=True)
 class UnrecordedEstimate:
     """Counts of inferred-missing frames for one trace.
 
-    ``missing_data_src`` etc. record, for each inferred missing frame,
-    the node that must have transmitted it — used for per-AP attribution
-    (Figure 4c).
+    ``missing_data_by_node`` counts, per node, the inferred-missing
+    DATA frames it must have sent or received; the per-AP attribution
+    of Figure 4c reads it.
     """
 
     captured_frames: int
     missing_data: int
     missing_rts: int
     missing_cts: int
-    missing_data_src: np.ndarray
-    missing_data_dst: np.ndarray
+    missing_data_by_node: dict[int, int]
 
     @property
     def total_missing(self) -> int:
@@ -62,66 +68,61 @@ class UnrecordedEstimate:
         return 100.0 * self.total_missing / denom
 
 
+def atomicity_misses(
+    prev: tuple[int, int, int], cur: Trace
+) -> tuple[int, int, int, dict[int, int]]:
+    """Apply the three atomicity rules to every frame of ``cur``.
+
+    Each frame is judged against the one before it; ``prev`` is the
+    ``(ftype, src, dst)`` of the frame before ``cur``'s first, or
+    :data:`NO_PREDECESSOR`.  Returns the inferred-missing DATA, RTS and
+    CTS counts, and the missing DATA per node: each went from the lone
+    ACK's receiver to its transmitter and counts once toward each.
+    """
+    ftype = cur.ftype.astype(np.int64)
+    src = cur.src.astype(np.int64)
+    dst = cur.dst.astype(np.int64)
+    prev_type, prev_src, prev_dst = (
+        np.concatenate([[first], column[:-1]])
+        for first, column in zip(prev, (ftype, src, dst))
+    )
+    # DATA-ACK: an ACK not preceded by its DATA implies a missing DATA.
+    lone_ack = (ftype == int(FrameType.ACK)) & ~(
+        (prev_type == int(FrameType.DATA)) & (prev_src == dst)
+    )
+    # RTS-CTS: a CTS not preceded by its RTS implies a missing RTS.
+    lone_cts = (ftype == int(FrameType.CTS)) & ~(
+        (prev_type == int(FrameType.RTS)) & (prev_src == dst)
+    )
+    # RTS-CTS-DATA: an RTS directly followed by the DATA it protected
+    # (same transmitter, same receiver) skipped a CTS.
+    skipped_cts = (
+        (prev_type == int(FrameType.RTS))
+        & (ftype == int(FrameType.DATA))
+        & (src == prev_src)
+        & (dst == prev_dst)
+    )
+    sender, receiver = dst[lone_ack], src[lone_ack]
+    nodes, counts = np.unique(
+        np.concatenate([sender, receiver[receiver != sender]]),
+        return_counts=True,
+    )
+    return (
+        int(np.count_nonzero(lone_ack)),
+        int(np.count_nonzero(lone_cts)),
+        int(np.count_nonzero(skipped_cts)),
+        dict(zip(nodes.tolist(), counts.tolist())),
+    )
+
+
 def estimate_unrecorded(trace: Trace) -> UnrecordedEstimate:
     """Apply the three atomicity rules to a time-sorted trace."""
     if not trace.is_time_sorted():
         trace = trace.sorted_by_time()
     n = len(trace)
-    ftype = trace.ftype
-    src = trace.src
-    dst = trace.dst
-
     if n < 2:
-        empty = np.empty(0, dtype=np.int64)
-        return UnrecordedEstimate(n, 0, 0, 0, empty, empty)
-
-    prev_type = ftype[:-1]
-    cur_type = ftype[1:]
-
-    # DATA-ACK: ACK at i whose predecessor is not its DATA.
-    is_ack = cur_type == int(FrameType.ACK)
-    prev_is_matching_data = (prev_type == int(FrameType.DATA)) & (
-        src[:-1] == dst[1:]
-    )
-    lone_ack = is_ack & ~prev_is_matching_data
-    # Attribute each missing DATA to (transmitter = ACK dst, receiver = ACK src).
-    lone_ack_rows = np.nonzero(lone_ack)[0] + 1
-    missing_data_src = dst[lone_ack_rows].astype(np.int64)
-    missing_data_dst = src[lone_ack_rows].astype(np.int64)
-
-    # First frame of the trace: an opening ACK also implies a missing DATA.
-    if ftype[0] == int(FrameType.ACK):
-        missing_data_src = np.concatenate([[int(dst[0])], missing_data_src])
-        missing_data_dst = np.concatenate([[int(src[0])], missing_data_dst])
-
-    # RTS-CTS: CTS at i whose predecessor is not its RTS.
-    is_cts = cur_type == int(FrameType.CTS)
-    prev_is_matching_rts = (prev_type == int(FrameType.RTS)) & (
-        src[:-1] == dst[1:]
-    )
-    lone_cts = is_cts & ~prev_is_matching_rts
-    missing_rts = int(np.count_nonzero(lone_cts))
-    if ftype[0] == int(FrameType.CTS):
-        missing_rts += 1
-
-    # RTS-CTS-DATA: RTS at i directly followed by the DATA it protected
-    # (same transmitter, same receiver) with no CTS in between.
-    is_rts = prev_type == int(FrameType.RTS)
-    next_is_same_flow_data = (
-        (cur_type == int(FrameType.DATA))
-        & (src[1:] == src[:-1])
-        & (dst[1:] == dst[:-1])
-    )
-    missing_cts = int(np.count_nonzero(is_rts & next_is_same_flow_data))
-
-    return UnrecordedEstimate(
-        captured_frames=n,
-        missing_data=len(missing_data_src),
-        missing_rts=missing_rts,
-        missing_cts=missing_cts,
-        missing_data_src=missing_data_src,
-        missing_data_dst=missing_data_dst,
-    )
+        return UnrecordedEstimate(n, 0, 0, 0, {})
+    return UnrecordedEstimate(n, *atomicity_misses(NO_PREDECESSOR, trace))
 
 
 def unrecorded_by_ap(
@@ -135,34 +136,12 @@ def unrecorded_by_ap(
     columns ``ap``, ``rank``, ``captured``, ``missing``,
     ``unrecorded_percent`` ordered by descending captured traffic.
     """
-    if not trace.is_time_sorted():
-        trace = trace.sorted_by_time()
-    estimate = estimate_unrecorded(trace)
     ap_ids = np.array(roster.ap_ids, dtype=np.int64)
-    if len(ap_ids) == 0:
-        return ColumnTable(
-            {
-                "ap": np.empty(0, dtype=np.int64),
-                "rank": np.empty(0, dtype=np.int64),
-                "captured": np.empty(0, dtype=np.int64),
-                "missing": np.empty(0, dtype=np.int64),
-                "unrecorded_percent": np.empty(0, dtype=np.float64),
-            }
-        )
-
-    captured = np.zeros(len(ap_ids), dtype=np.int64)
-    missing = np.zeros(len(ap_ids), dtype=np.int64)
-    src = trace.src.astype(np.int64)
-    dst = trace.dst.astype(np.int64)
-    for i, ap in enumerate(ap_ids):
-        captured[i] = int(np.count_nonzero((src == ap) | (dst == ap)))
-        missing[i] = int(
-            np.count_nonzero(
-                (estimate.missing_data_src == ap)
-                | (estimate.missing_data_dst == ap)
-            )
-        )
-    return ap_table_from_counts(ap_ids, captured, missing, top_n)
+    by_node = estimate_unrecorded(trace).missing_data_by_node
+    missing = [by_node.get(ap, 0) for ap in ap_ids.tolist()]
+    return ap_table_from_counts(
+        ap_ids, ap_frame_counts(trace, ap_ids), missing, top_n
+    )
 
 
 def ap_table_from_counts(

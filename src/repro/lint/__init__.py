@@ -8,7 +8,7 @@ vocabulary, sleep-free tier-1 tests, and timeouts on socket connects.
 
 Run it::
 
-    repro lint --baseline          # ratchet check (what CI runs)
+    repro lint                     # exit 1 on any finding (what CI runs)
     python -m repro.lint           # same tool, stdlib-only entry
     repro lint --list-rules        # the catalog
 
@@ -16,30 +16,19 @@ Suppress a finding *with a reason*::
 
     stamp = time.time()  # repro: lint-ok[det-wall-clock] status file stamp
 
-See ``docs/ARCHITECTURE.md`` ("Static analysis") for the rule catalog,
-baseline ratchet workflow and how to add a rule.  The package imports
-no third-party modules — it must run anywhere, first.
+See ``docs/ARCHITECTURE.md`` ("Static analysis") for the rule catalog
+and how to add a rule.  The package imports no third-party modules —
+it must run anywhere, first.
 """
 
 from __future__ import annotations
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    BaselineDelta,
-    BaselineError,
-    compare,
-    load_baseline,
-    write_baseline,
-)
 from .engine import FileContext, LintResult, ProjectContext, run_lint
 from .findings import Finding
 from .pragmas import Pragma, parse_pragmas
 from .rules import RULES, Rule, rule
 
 __all__ = [
-    "DEFAULT_BASELINE",
-    "BaselineDelta",
-    "BaselineError",
     "FileContext",
     "Finding",
     "LintResult",
@@ -47,10 +36,7 @@ __all__ = [
     "ProjectContext",
     "RULES",
     "Rule",
-    "compare",
-    "load_baseline",
     "parse_pragmas",
     "rule",
     "run_lint",
-    "write_baseline",
 ]

@@ -6,8 +6,8 @@ executes it.  The standalone module form exists so the linter runs on
 any interpreter with zero third-party imports (the CI ``lint-gate``
 job exercises it on a bare Python 3.10 with no numpy installed).
 
-Exit codes: 0 clean (or everything grandfathered by the baseline),
-1 findings (new findings, in baseline mode), 2 usage errors.
+Exit codes: 0 clean, 1 findings, 2 usage errors.  Suppress one site
+with a reasoned ``# repro: lint-ok[rule] why`` pragma.
 """
 
 from __future__ import annotations
@@ -17,13 +17,6 @@ import json
 import sys
 from pathlib import Path
 
-from .baseline import (
-    DEFAULT_BASELINE,
-    BaselineError,
-    compare,
-    load_baseline,
-    write_baseline,
-)
 from .engine import run_lint
 from .findings import Finding
 from .rules import RULES
@@ -49,21 +42,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         choices=("text", "json"),
         default="text",
         help="output format",
-    )
-    parser.add_argument(
-        "--baseline",
-        nargs="?",
-        const=DEFAULT_BASELINE,
-        default=None,
-        metavar="PATH",
-        help="ratchet mode: fail only on findings beyond the committed "
-        f"baseline (default path: {DEFAULT_BASELINE} under --root)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current counts as the new baseline and exit 0 "
-        "(an explicit human decision — check mode never widens it)",
     )
     parser.add_argument(
         "--select",
@@ -95,32 +73,14 @@ def _rule_catalog() -> str:
     return "\n".join(lines)
 
 
-def _render_text(
-    findings: list[Finding],
-    *,
-    files_scanned: int,
-    new_keys: set[str] | None,
-    improved: dict | None,
-) -> str:
-    lines = []
-    for finding in findings:
-        suffix = ""
-        if new_keys is not None:
-            suffix = (
-                "  (NEW)" if finding.key in new_keys else "  (grandfathered)"
-            )
-        lines.append(finding.render() + suffix)
+def _render_text(findings: list[Finding], *, files_scanned: int) -> str:
+    lines = [finding.render() for finding in findings]
     errors = sum(1 for f in findings if f.severity == "error")
     warnings = len(findings) - errors
     lines.append(
         f"{len(findings)} finding(s) ({errors} error, {warnings} warning) "
         f"across {files_scanned} file(s)"
     )
-    if improved:
-        lines.append(
-            f"ratchet: {len(improved)} baseline key(s) improved — run "
-            "`repro lint --write-baseline` to lock the win in"
-        )
     return "\n".join(lines)
 
 
@@ -146,61 +106,17 @@ def run_from_args(args: argparse.Namespace) -> int:
     except ValueError as error:  # unknown --select id, with did-you-mean
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
-    counts = result.counts
-
-    baseline_path = args.baseline
-    if baseline_path is None and args.write_baseline:
-        baseline_path = DEFAULT_BASELINE
-    if baseline_path is not None:
-        baseline_file = Path(baseline_path)
-        if not baseline_file.is_absolute():
-            baseline_file = root / baseline_file
-
-    if args.write_baseline:
-        write_baseline(baseline_file, counts)
-        print(
-            f"baseline written: {baseline_file} "
-            f"({len(counts)} key(s), {len(result.findings)} finding(s))"
-        )
-        return 0
-
-    new_keys: set[str] | None = None
-    improved: dict | None = None
     ok = not result.findings
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_file)
-        except BaselineError as error:
-            print(f"repro lint: {error}", file=sys.stderr)
-            return 2
-        delta = compare(counts, baseline)
-        new_keys = set(delta.new)
-        improved = delta.improved
-        ok = delta.ok
-
     if args.format == "json":
         payload = {
             "ok": ok,
             "files_scanned": result.files_scanned,
             "findings": [f.to_jsonable() for f in result.findings],
-            "counts": dict(sorted(counts.items())),
+            "counts": dict(sorted(result.counts.items())),
         }
-        if new_keys is not None:
-            payload["new"] = sorted(new_keys)
-            payload["improved"] = {
-                k: {"live": live, "grandfathered": grand}
-                for k, (live, grand) in (improved or {}).items()
-            }
         print(json.dumps(payload, indent=1, sort_keys=True))
     else:
-        print(
-            _render_text(
-                result.findings,
-                files_scanned=result.files_scanned,
-                new_keys=new_keys,
-                improved=improved,
-            )
-        )
+        print(_render_text(result.findings, files_scanned=result.files_scanned))
     return 0 if ok else 1
 
 

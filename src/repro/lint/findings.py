@@ -1,10 +1,8 @@
 """The one value object every lint layer exchanges: a :class:`Finding`.
 
 A finding is immutable and orderable (path, line, col, rule) so output
-and baselines are deterministic, and it knows its own *baseline key* —
-``rule:path`` — the granularity the ratchet counts at.  Line numbers
-deliberately stay out of the key: moving code around must not read as
-"new finding", only genuinely adding one may.
+is deterministic, and it knows its own *key* — ``rule:path`` — the
+granularity the JSON output counts findings at.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ class Finding:
 
     @property
     def key(self) -> str:
-        """Baseline identity: counts ratchet per (rule, file)."""
+        """``rule:path``: findings are counted per (rule, file)."""
         return f"{self.rule}:{self.path}"
 
     def render(self) -> str:

@@ -4,8 +4,8 @@ Every rule is a :class:`Rule` record registered by id via the
 :func:`rule` decorator.  Adding a rule is: write a generator that
 yields findings from a file (or project) context, decorate it, and
 drop one positive + one negative fixture into ``tests/lint/`` — the
-engine, CLI, pragma layer, baseline ratchet and ``--list-rules``
-catalog all pick it up from the registry.
+engine, CLI, pragma layer and ``--list-rules`` catalog all pick it up
+from the registry.
 
 Two rule shapes exist:
 

@@ -140,7 +140,7 @@ def _bytes_literals(tree: ast.Module) -> Iterator[tuple[bytes, ast.AST]]:
 )
 def check_protocol(project) -> Iterator[Finding]:
     """The whole cross-check lives here; it yields findings under all
-    three ``proto-*`` ids (they ratchet independently)."""
+    three ``proto-*`` ids (each can be selected on its own)."""
     registry_ctx = project.parse(REGISTRY_PATH)
     if registry_ctx is None:
         return  # tree without a registry (fixture roots): nothing to check

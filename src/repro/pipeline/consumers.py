@@ -8,50 +8,58 @@ Each consumer adapts one paper analysis to the single-pass protocol:
   ``repro.core`` function returns.
 
 Equivalence with the batch functions is a hard contract (verified by
-``tests/pipeline/test_equivalence.py``): consumers accumulate the same
-per-second / per-delivery quantities the core computes, and share the
-core's own rule and finalization helpers (``ack_match_pairs``,
-``control_frame_mask``, ``CHAIN_TIMEOUT_US``, ``bin_by_utilization``,
-``bin_deliveries``, ``fit_curves``, ``ranking_from_counts``,
-``ap_table_from_counts``) so the rules live in one place.  The one
-remaining intentional restatement is the chunk-carrying form of the
-§4.4 atomicity rules in :class:`UnrecordedConsumer` and the retry-chain
-loop in :class:`DelayConsumer`; the equivalence tests pin both to the
-core, with dedicated chunk-boundary cases.
+``tests/pipeline/test_equivalence.py``): consumers call the core's own
+rule and finalization helpers (``ack_match_pairs``, ``fold_chains``,
+``atomicity_misses``, ``control_frame_mask``, ``bin_by_utilization``,
+``bin_delay_tallies``, ``fit_curves``, ``ranking_from_counts``,
+``ap_table_from_counts``), so every rule lives in one place and a
+consumer only carries state across chunks.  That state is bounded by
+seconds and stations, never by frames
+(``tests/pipeline/test_bounded_state.py``).
 
 Every binned series keeps each non-empty utilization bin (the
 ``min_count=1`` default of ``bin_by_utilization`` and
-``bin_deliveries``), as ``analyze_trace`` does by default.
+``bin_delay_tallies``), as ``analyze_trace`` does by default.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from ..analysis import ColumnTable, bin_by_utilization
-from ..core.ap_stats import ApActivity, DatasetSummary, ranking_from_counts
-from ..core.categories import ALL_CATEGORIES, Category
+from ..core.ap_stats import (
+    ApActivity,
+    DatasetSummary,
+    ap_frame_counts,
+    ranking_from_counts,
+)
+from ..core.categories import ALL_CATEGORIES, Category, category_codes
 from ..core.congestion import (
     CongestionClassifier,
     CongestionLevel,
     CongestionThresholds,
 )
 from ..core.delay import (
-    CHAIN_TIMEOUT_US,
     FIGURE15_CATEGORIES,
-    AcceptanceDelays,
     DelaySeries,
-    bin_deliveries,
+    bin_delay_tallies,
+    fold_chains,
 )
 from ..core.rate_share import RateShareSeries
 from ..core.reception import ReceptionSeries
 from ..core.rts_cts import RtsCtsSeries
 from ..core.throughput import ThroughputSeries, control_frame_mask, frame_bits
 from ..core.transmissions import CategoryCounts
-from ..core.unrecorded import UnrecordedEstimate, ap_table_from_counts
+from ..core.unrecorded import (
+    NO_PREDECESSOR,
+    UnrecordedEstimate,
+    ap_table_from_counts,
+    atomicity_misses,
+)
 from ..frames import DOT11_RATES_MBPS, FrameType
 from .accumulate import SecondAccumulator
 from .registry import register_consumer
@@ -353,20 +361,13 @@ class TransmissionsConsumer(Consumer):
 
     def consume(self, chunk: Chunk) -> None:
         mask = chunk.is_data
-        codes = (
-            chunk.trace.rate_code[mask].astype(np.int64) * 4
-            + chunk.trace.size_class[mask].astype(np.int64)
-        )
-        self._acc.add(chunk.second[mask], cols=codes)
+        self._acc.add(chunk.second[mask], cols=category_codes(chunk.trace)[mask])
 
     def finalize(self, ctx: StreamContext, deps) -> CategoryCounts:
         util = ctx.utilization
         totals = self._acc.totals(len(util))
         out = {
-            cat.name: bin_by_utilization(
-                util.percent,
-                totals[:, cat.rate_code * 4 + int(cat.size_class)],
-            )
+            cat.name: bin_by_utilization(util.percent, totals[:, cat.code])
             for cat in self.categories
         }
         return CategoryCounts(per_category=out)
@@ -376,8 +377,12 @@ class TransmissionsConsumer(Consumer):
 class DelayConsumer(Consumer):
     """Figure 15 acceptance delays (``acceptance_delay_vs_utilization``).
 
-    Retry chains are keyed by (src, dst, seq); the chain table persists
-    across chunks, so chunking never splits a delivery.
+    Each chunk's DATA frames go through the core's :func:`fold_chains`
+    with an open-chain table that persists across chunks, so chunking
+    never splits a delivery; the table drops chains past
+    ``CHAIN_TIMEOUT_US``.  Deliveries are kept only as per-second delay
+    sums and counts by category code, which :func:`bin_delay_tallies`
+    bins.
     """
 
     name = "delays"
@@ -388,53 +393,39 @@ class DelayConsumer(Consumer):
         self.categories = categories
 
     def start(self, ctx: StreamContext) -> None:
-        self._open_chains: dict[int, int] = {}
-        self._firsts: list[int] = []
-        self._delays: list[float] = []
-        self._sizes: list[int] = []
-        self._rates: list[int] = []
+        self._ctx = ctx  # start_us is filled in before the first chunk
+        self._chains: dict[int, int] = {}
+        self._delay_sum_us = SecondAccumulator(width=16)
+        self._deliveries = SecondAccumulator(width=16)
 
     def consume(self, chunk: Chunk) -> None:
         trace = chunk.trace
-        src = trace.src.astype(np.int64)
-        dst = trace.dst.astype(np.int64)
-        key = (src << 28) | (dst << 12) | trace.seq.astype(np.int64)
-        time_us = trace.time_us
-        retry = trace.retry
-        acked = chunk.acked
-        ack_time = chunk.ack_time_us
-        size = trace.size
-        rate_code = trace.rate_code
-        chains = self._open_chains
-        for row in np.nonzero(chunk.is_data)[0]:
-            k = int(key[row])
-            now = int(time_us[row])
-            known = chains.get(k)
-            if not retry[row] or known is None or now - known > CHAIN_TIMEOUT_US:
-                chains[k] = now
-            if acked[row]:
-                t0 = chains.pop(k)
-                self._delays.append(float(int(ack_time[row]) - t0))
-                self._firsts.append(t0)
-                self._sizes.append(int(size[row]))
-                self._rates.append(int(rate_code[row]))
+        rows, firsts = fold_chains(
+            self._chains, trace, np.nonzero(chunk.is_data)[0], chunk.acked
+        )
+        second = (firsts - self._ctx.start_us) // 1_000_000
+        codes = category_codes(trace)[rows]
+        delay_us = (chunk.ack_time_us[rows] - firsts).astype(np.float64)
+        self._delay_sum_us.add(second, weights=delay_us, cols=codes)
+        self._deliveries.add(second, cols=codes)
 
     def finalize(self, ctx: StreamContext, deps) -> DelaySeries:
-        deliveries = AcceptanceDelays(
-            first_attempt_us=np.array(self._firsts, dtype=np.int64),
-            delay_us=np.array(self._delays, dtype=np.float64),
-            size=np.array(self._sizes, dtype=np.int64),
-            rate_code=np.array(self._rates, dtype=np.int64),
+        n = len(ctx.utilization)
+        return bin_delay_tallies(
+            ctx.utilization,
+            self._delay_sum_us.totals(n),
+            self._deliveries.totals(n),
+            self.categories,
         )
-        return bin_deliveries(deliveries, ctx.utilization, self.categories)
 
 
 @register_consumer("unrecorded")
 class UnrecordedConsumer(Consumer):
     """§4.4 unrecorded-frame estimate (``estimate_unrecorded``).
 
-    The three DCF atomicity rules inspect consecutive frame pairs; the
-    consumer carries the last frame of each chunk so pairs straddling a
+    The core's :func:`atomicity_misses` judges each frame against the
+    one before it; the consumer carries the last frame of each chunk
+    (:data:`NO_PREDECESSOR` before the first) so pairs straddling a
     chunk boundary are judged exactly once.
     """
 
@@ -444,83 +435,22 @@ class UnrecordedConsumer(Consumer):
 
     def start(self, ctx: StreamContext) -> None:
         self._total = 0
-        self._missing_rts = 0
-        self._missing_cts = 0
-        self._missing_src: list[np.ndarray] = []
-        self._missing_dst: list[np.ndarray] = []
-        self._carry: tuple[int, int, int] | None = None  # (ftype, src, dst)
+        self._missing = [0, 0, 0]  # DATA, RTS, CTS
+        self._by_node: Counter[int] = Counter()
+        self._carry = NO_PREDECESSOR
 
     def consume(self, chunk: Chunk) -> None:
         trace = chunk.trace
-        ftype = trace.ftype.astype(np.int64)
-        src = trace.src.astype(np.int64)
-        dst = trace.dst.astype(np.int64)
-
-        if self._carry is None:
-            # Very first frame of the stream: an opening ACK or CTS
-            # implies a predecessor the sniffer never recorded.
-            if ftype[0] == int(FrameType.ACK):
-                self._missing_src.append(np.array([dst[0]]))
-                self._missing_dst.append(np.array([src[0]]))
-            if ftype[0] == int(FrameType.CTS):
-                self._missing_rts += 1
-            prev_type, prev_src, prev_dst = ftype[:-1], src[:-1], dst[:-1]
-            cur_type, cur_src, cur_dst = ftype[1:], src[1:], dst[1:]
-        else:
-            cf, cs, cd = self._carry
-            prev_type = np.concatenate([[cf], ftype[:-1]])
-            prev_src = np.concatenate([[cs], src[:-1]])
-            prev_dst = np.concatenate([[cd], dst[:-1]])
-            cur_type, cur_src, cur_dst = ftype, src, dst
-
-        # DATA-ACK: an ACK not preceded by its DATA implies missing DATA.
-        lone_ack = (cur_type == int(FrameType.ACK)) & ~(
-            (prev_type == int(FrameType.DATA)) & (prev_src == cur_dst)
-        )
-        self._missing_src.append(cur_dst[lone_ack])
-        self._missing_dst.append(cur_src[lone_ack])
-
-        # RTS-CTS: a CTS not preceded by its RTS implies a missing RTS.
-        lone_cts = (cur_type == int(FrameType.CTS)) & ~(
-            (prev_type == int(FrameType.RTS)) & (prev_src == cur_dst)
-        )
-        self._missing_rts += int(np.count_nonzero(lone_cts))
-
-        # RTS-CTS-DATA: RTS directly followed by its DATA skipped the CTS.
-        self._missing_cts += int(
-            np.count_nonzero(
-                (prev_type == int(FrameType.RTS))
-                & (cur_type == int(FrameType.DATA))
-                & (cur_src == prev_src)
-                & (cur_dst == prev_dst)
-            )
-        )
-
+        *missing, by_node = atomicity_misses(self._carry, trace)
+        self._missing = [a + b for a, b in zip(self._missing, missing)]
+        self._by_node.update(by_node)
         self._total += len(chunk)
-        self._carry = (int(ftype[-1]), int(src[-1]), int(dst[-1]))
+        self._carry = (int(trace.ftype[-1]), int(trace.src[-1]), int(trace.dst[-1]))
 
     def finalize(self, ctx: StreamContext, deps) -> UnrecordedEstimate:
         if self._total < 2:  # the core's degenerate-trace rule
-            empty = np.empty(0, dtype=np.int64)
-            return UnrecordedEstimate(self._total, 0, 0, 0, empty, empty)
-        missing_src = (
-            np.concatenate(self._missing_src)
-            if self._missing_src
-            else np.empty(0, dtype=np.int64)
-        )
-        missing_dst = (
-            np.concatenate(self._missing_dst)
-            if self._missing_dst
-            else np.empty(0, dtype=np.int64)
-        )
-        return UnrecordedEstimate(
-            captured_frames=self._total,
-            missing_data=len(missing_src),
-            missing_rts=self._missing_rts,
-            missing_cts=self._missing_cts,
-            missing_data_src=missing_src.astype(np.int64),
-            missing_data_dst=missing_dst.astype(np.int64),
-        )
+            return UnrecordedEstimate(self._total, 0, 0, 0, {})
+        return UnrecordedEstimate(self._total, *self._missing, dict(self._by_node))
 
 
 class _RosterConsumer(Consumer):
@@ -545,10 +475,7 @@ class ApActivityConsumer(_RosterConsumer):
         self._counts = np.zeros(len(self._ap_ids), dtype=np.int64)
 
     def consume(self, chunk: Chunk) -> None:
-        src = chunk.trace.src.astype(np.int64)
-        dst = chunk.trace.dst.astype(np.int64)
-        for i, ap in enumerate(self._ap_ids):
-            self._counts[i] += int(np.count_nonzero((src == ap) | (dst == ap)))
+        self._counts += ap_frame_counts(chunk.trace, self._ap_ids)
 
     def finalize(self, ctx: StreamContext, deps) -> ApActivity:
         return ranking_from_counts(self._ap_ids, self._counts)
@@ -571,28 +498,17 @@ class UnrecordedByApConsumer(_RosterConsumer):
         self.top_n = top_n
 
     def finalize(self, ctx: StreamContext, deps) -> ColumnTable:
-        estimate: UnrecordedEstimate = deps["unrecorded"]
+        by_node = deps["unrecorded"].missing_data_by_node
         activity: ApActivity = deps["ap_activity"]
-        ap_ids = np.array(ctx.roster.ap_ids, dtype=np.int64)
+        ap_ids = ctx.roster.ap_ids
         by_ap = dict(
             zip(
                 activity.table.column("ap").tolist(),
                 activity.table.column("frames").tolist(),
             )
         )
-        captured = np.array([by_ap.get(int(ap), 0) for ap in ap_ids], dtype=np.int64)
-        missing = np.array(
-            [
-                int(
-                    np.count_nonzero(
-                        (estimate.missing_data_src == ap)
-                        | (estimate.missing_data_dst == ap)
-                    )
-                )
-                for ap in ap_ids
-            ],
-            dtype=np.int64,
-        )
+        captured = [by_ap.get(ap, 0) for ap in ap_ids]
+        missing = [by_node.get(ap, 0) for ap in ap_ids]
         return ap_table_from_counts(ap_ids, captured, missing, self.top_n)
 
 

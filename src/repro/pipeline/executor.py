@@ -158,8 +158,6 @@ class PipelineExecutor:
             consumer.start(self.ctx)
         self._busy = SecondAccumulator()
         self._max_second = -1
-        self._start_row = 0
-        self._index = 0
         self._tail_time: int | None = None
         self._pending: Trace | None = None
         self._need_ack = any(c.needs_ack_match for c in self.consumers)
@@ -254,8 +252,6 @@ class PipelineExecutor:
             acked = ack_time = None
         chunk = Chunk(
             trace=segment,
-            index=self._index,
-            start_row=self._start_row,
             second=second,
             cbt_us=cbt,
             acked=acked,
@@ -264,8 +260,6 @@ class PipelineExecutor:
         for consumer in self.consumers:
             consumer.consume(chunk)
         self._max_second = int(second[-1])
-        self._start_row += len(segment)
-        self._index += 1
 
     # -- one-shot -----------------------------------------------------------
 

@@ -99,8 +99,6 @@ class Chunk:
     """
 
     trace: Trace
-    index: int                 # chunk number within the stream
-    start_row: int             # global row offset of this chunk's first frame
     second: np.ndarray         # int64 second index relative to stream start
     cbt_us: np.ndarray         # float64 per-frame channel busy-time (Eq 2-6)
     acked: np.ndarray          # bool: DATA immediately followed by its ACK
@@ -116,18 +114,17 @@ class Chunk:
 
 
 def trace_chunks(
-    trace: Trace,
-    chunk_frames: int = DEFAULT_CHUNK_FRAMES,
-    sort: bool = True,
+    trace: Trace, chunk_frames: int = DEFAULT_CHUNK_FRAMES
 ) -> Iterator[Trace]:
     """Yield ``trace`` as time-sorted segments of ``chunk_frames`` rows.
 
-    Sorting happens once up front (stable, like ``analyze_trace``);
-    the yielded segments are zero-copy views of the sorted columns.
+    An unsorted trace is sorted once up front (stable, like
+    ``analyze_trace``); the yielded segments are zero-copy views of the
+    sorted columns.
     """
     if chunk_frames <= 0:
         raise ValueError("chunk_frames must be positive")
-    if sort and not trace.is_time_sorted():
+    if not trace.is_time_sorted():
         trace = trace.sorted_by_time()
     for lo in range(0, len(trace), chunk_frames):
         yield trace.slice_rows(lo, min(lo + chunk_frames, len(trace)))

@@ -210,11 +210,12 @@ def uniform_config(
     """A plain one-room cell with constant Poisson rates.
 
     The declarative face of a bare :class:`ScenarioConfig`: every
-    argument is a scalar, so spec files (and the ``simulate`` CLI,
-    whose defaults these mirror) can describe the run without
-    constructing schedule objects — ``uplink_pps``/``downlink_pps``
-    become :class:`~repro.sim.traffic.ConstantRate` schedules.  Any
-    other :class:`ScenarioConfig` field is accepted as an override.
+    argument is a scalar, so a spec file or ``--set KEY=VALUE`` on the
+    command line (``uniform`` is the scenario ``simulate`` runs unless
+    told otherwise) can describe the run without constructing schedule
+    objects — ``uplink_pps``/``downlink_pps`` become
+    :class:`~repro.sim.traffic.ConstantRate` schedules.  Any other
+    :class:`ScenarioConfig` field is accepted as an override.
     """
     return ScenarioConfig(
         n_stations=n_stations,

@@ -4,7 +4,8 @@ Usage (``repro`` and ``python -m repro`` are the same program)::
 
     repro run study.toml --workers 4
     repro run study.toml --validate-only
-    repro simulate out.pcap --stations 10 --duration 20
+    repro simulate out.pcap --set n_stations=10 --set duration_s=20
+    repro simulate day.pcap --scenario day --fidelity fast
     repro analyze capture.pcap
     repro analyze day.pcap plenary.pcap --workers 2
     repro analyze captures/ 'sniffers/**/*.snoop' --workers 4
@@ -21,7 +22,7 @@ Usage (``repro`` and ``python -m repro`` are the same program)::
     repro campaign-worker --connect 127.0.0.1:9300
     repro info capture.pcap
     repro serve --port 8433
-    repro lint --baseline
+    repro lint
 
 Every experiment subcommand is a spec builder over :mod:`repro.api`:
 ``run`` loads a declarative spec file (TOML/JSON — see
@@ -37,8 +38,9 @@ takes into its spec, and ``ExperimentSpec.validate()`` checks the
 result, so a flag means the same on every subcommand and in a spec
 file.
 
-``simulate`` runs a scenario and
-writes the sniffer capture as a real radiotap pcap; ``analyze`` streams
+``simulate`` runs a library scenario (``uniform`` unless ``--scenario``
+names another, its parameters set with ``--set``) and writes the
+sniffer capture as a real radiotap pcap; ``analyze`` streams
 one or more pcaps through the single-pass :mod:`repro.pipeline` and
 prints the rendered congestion report(s) — multiple captures are
 analyzed in parallel; ``campaign`` sweeps a parameter grid over a
@@ -58,7 +60,7 @@ already-stored reports — see :mod:`repro.corpus`);
 the ``summary`` consumer, so it fails as ``analyze`` does); ``serve``
 runs the always-on multi-feed analysis daemon (:mod:`repro.serve`);
 ``lint`` runs the AST-based determinism & protocol-safety analyzer
-(:mod:`repro.lint`) against the committed ratchet baseline.  No
+(:mod:`repro.lint`), which exits 1 on any finding.  No
 subcommand takes a segment size: captures stream in
 :data:`~repro.pipeline.DEFAULT_CHUNK_FRAMES` batches and simulations in
 one-second windows.
@@ -216,21 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser(
         "simulate",
-        parents=[_spec_flags("fidelity")],
-        help="run a scenario and write the capture as pcap",
+        parents=[_spec_flags("scenario", "params", "fidelity")],
+        help="run a library scenario (default: uniform) and write the "
+        "capture as pcap; --set KEY=VALUE sets its parameters",
     )
+    simulate.set_defaults(scenario="uniform")
     simulate.add_argument("output", help="output .pcap path")
-    simulate.add_argument("--stations", type=int, default=10)
-    simulate.add_argument("--aps", type=int, default=1)
-    simulate.add_argument("--duration", type=float, default=20.0, help="seconds")
-    simulate.add_argument("--seed", type=int, default=7)
-    simulate.add_argument("--uplink-pps", type=float, default=8.0)
-    simulate.add_argument("--downlink-pps", type=float, default=18.0)
-    simulate.add_argument(
-        "--rate-algorithm", choices=("arf", "aarf", "snr", "fixed"), default="arf"
-    )
-    simulate.add_argument("--rtscts-fraction", type=float, default=0.0)
-    simulate.add_argument("--obstructed-fraction", type=float, default=0.25)
     simulate.add_argument(
         "--profile",
         action="store_true",
@@ -612,19 +605,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    base = Experiment.scenario(
-        "uniform",
-        n_stations=args.stations,
-        n_aps=args.aps,
-        duration_s=args.duration,
-        seed=args.seed,
-        uplink_pps=args.uplink_pps,
-        downlink_pps=args.downlink_pps,
-        rate_algorithm=args.rate_algorithm,
-        rtscts_fraction=args.rtscts_fraction,
-        obstructed_fraction=args.obstructed_fraction,
-    ).analyses("summary")  # buffered run; only the cheap summary consumer
-    spec = _spec_from_args(args, base.spec())
+    # A buffered run with only the cheap summary consumer.
+    spec = _spec_from_args(args, ExperimentSpec(analyses=("summary",)))
     with _profiled(args.profile, spec.fidelity):
         result = _execute(spec, keep_trace=True).scenario_result
     n = write_trace(result.trace, args.output)

@@ -13,8 +13,8 @@ class TestDataAckRule:
         trace = Trace.from_rows([beacon(0, 1), ack(1000, 1, 10)])
         est = estimate_unrecorded(trace)
         assert est.missing_data == 1
-        assert list(est.missing_data_src) == [10]  # ACK dst = data sender
-        assert list(est.missing_data_dst) == [1]
+        # One DATA from 10 (the ACK's dst) to 1 (its src).
+        assert est.missing_data_by_node == {10: 1, 1: 1}
 
     def test_matched_pair_not_missing(self):
         trace = Trace.from_rows([data(0, 10, 1), ack(1000, 1, 10)])

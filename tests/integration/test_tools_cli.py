@@ -30,17 +30,20 @@ class TestRenderReport:
 class TestCli:
     def test_parser_commands(self):
         parser = build_parser()
-        args = parser.parse_args(["simulate", "out.pcap", "--stations", "4"])
+        args = parser.parse_args(
+            ["simulate", "out.pcap", "--set", "n_stations=4"]
+        )
         assert args.command == "simulate"
-        assert args.stations == 4
+        assert args.scenario == "uniform"
+        assert args.params == ["n_stations=4"]
 
     def test_simulate_then_analyze_then_info(self, tmp_path, capsys):
         pcap = tmp_path / "cli.pcap"
         rc = main(
             [
                 "simulate", str(pcap),
-                "--stations", "4", "--duration", "4",
-                "--uplink-pps", "6", "--downlink-pps", "10",
+                "--set", "n_stations=4", "--set", "duration_s=4",
+                "--set", "uplink_pps=6", "--set", "downlink_pps=10",
             ]
         )
         assert rc == 0
@@ -79,8 +82,8 @@ class TestCli:
         rc = main(
             [
                 "simulate", str(good),
-                "--stations", "3", "--duration", "3",
-                "--uplink-pps", "5", "--downlink-pps", "8",
+                "--set", "n_stations=3", "--set", "duration_s=3",
+                "--set", "uplink_pps=5", "--set", "downlink_pps=8",
             ]
         )
         assert rc == 0
@@ -197,8 +200,8 @@ class TestProfileFlag:
             [
                 "simulate",
                 str(tmp_path / "prof.pcap"),
-                "--stations", "3",
-                "--duration", "1",
+                "--set", "n_stations=3",
+                "--set", "duration_s=1",
                 "--profile",
             ]
         )
@@ -533,8 +536,8 @@ class TestServeCli:
         rc = main(
             [
                 "simulate", str(good),
-                "--stations", "3", "--duration", "3",
-                "--uplink-pps", "5", "--downlink-pps", "8",
+                "--set", "n_stations=3", "--set", "duration_s=3",
+                "--set", "uplink_pps=5", "--set", "downlink_pps=8",
             ]
         )
         assert rc == 0

@@ -57,8 +57,7 @@ def assert_reports_equal(a, b):
     assert ua.missing_data == ub.missing_data
     assert ua.missing_rts == ub.missing_rts
     assert ua.missing_cts == ub.missing_cts
-    assert np.array_equal(ua.missing_data_src, ub.missing_data_src)
-    assert np.array_equal(ua.missing_data_dst, ub.missing_data_dst)
+    assert ua.missing_data_by_node == ub.missing_data_by_node
     for attr in ("ap_activity", "unrecorded_per_ap", "user_series"):
         assert (getattr(a, attr) is None) == (getattr(b, attr) is None), attr
     if a.ap_activity is not None:
