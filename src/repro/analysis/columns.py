@@ -1,37 +1,27 @@
 """A small numpy-backed columnar table (our pandas substitute).
 
-The paper's figures are all produced by "group frames/seconds by some
-key, aggregate a value per group" operations.  :class:`ColumnTable`
-provides exactly that: named homogeneous columns, boolean filtering,
-sorting and group-by aggregation, with no dependency beyond numpy.
+Reports hand their per-bin and per-AP results around as
+:class:`ColumnTable`: named homogeneous columns, with no dependency
+beyond numpy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
 __all__ = ["ColumnTable"]
 
-_AGGREGATORS: dict[str, Callable[[np.ndarray], float]] = {
-    "sum": np.sum,
-    "mean": np.mean,
-    "median": np.median,
-    "min": np.min,
-    "max": np.max,
-    "count": len,
-    "std": np.std,
-}
-
 
 class ColumnTable:
-    """Dict-of-arrays table with filter/sort/group-by.
+    """Dict-of-arrays table of equal-length columns.
 
     >>> t = ColumnTable({"k": [1, 1, 2], "v": [10.0, 20.0, 30.0]})
-    >>> g = t.group_by("k", {"v": "mean"})
-    >>> list(g.column("k")), list(g.column("v_mean"))
-    ([1, 2], [15.0, 30.0])
+    >>> len(t), t.column_names
+    (3, ['k', 'v'])
+    >>> t.head(1).to_rows()
+    [{'k': 1, 'v': 10.0}]
     """
 
     def __init__(self, columns: Mapping[str, Iterable]) -> None:
@@ -67,93 +57,11 @@ class ColumnTable:
     def __repr__(self) -> str:
         return f"ColumnTable({self._length} rows x {list(self._cols)})"
 
-    # -- building ---------------------------------------------------------
-
-    def with_column(self, name: str, values: Iterable) -> "ColumnTable":
-        """Return a copy with column ``name`` added or replaced."""
-        cols = dict(self._cols)
-        arr = np.asarray(values)
-        if len(arr) != self._length:
-            raise ValueError(
-                f"new column {name!r} has length {len(arr)}, expected {self._length}"
-            )
-        cols[name] = arr
-        return ColumnTable(cols)
-
-    @classmethod
-    def vstack(cls, tables: Sequence["ColumnTable"]) -> "ColumnTable":
-        """Concatenate tables that share the same column set."""
-        if not tables:
-            return cls({})
-        names = tables[0].column_names
-        for t in tables[1:]:
-            if t.column_names != names:
-                raise ValueError("vstack requires identical column sets")
-        return cls(
-            {n: np.concatenate([t.column(n) for t in tables]) for n in names}
-        )
-
-    # -- transformations ----------------------------------------------------
-
-    def filter(self, mask: np.ndarray) -> "ColumnTable":
-        """Rows where boolean ``mask`` is true."""
-        mask = np.asarray(mask)
-        if mask.dtype != np.bool_ or len(mask) != self._length:
-            raise ValueError("mask must be a boolean array matching the table")
-        return ColumnTable({n: a[mask] for n, a in self._cols.items()})
-
-    def sort_by(self, name: str, descending: bool = False) -> "ColumnTable":
-        """Rows stably sorted by column ``name``."""
-        order = np.argsort(self._cols[name], kind="stable")
-        if descending:
-            order = order[::-1]
-        return ColumnTable({n: a[order] for n, a in self._cols.items()})
+    # -- views ------------------------------------------------------------
 
     def head(self, n: int) -> "ColumnTable":
         """First ``n`` rows."""
         return ColumnTable({name: a[:n] for name, a in self._cols.items()})
-
-    def group_by(
-        self, key: str, aggregations: Mapping[str, str]
-    ) -> "ColumnTable":
-        """Aggregate columns per unique value of ``key``.
-
-        ``aggregations`` maps value-column name to one of
-        ``sum/mean/median/min/max/count/std``.  The result has the key
-        column (sorted ascending) plus one ``{col}_{agg}`` column per
-        aggregation.
-        """
-        keys = self._cols[key]
-        uniques, inverse = np.unique(keys, return_inverse=True)
-        out: dict[str, np.ndarray] = {key: uniques}
-        for col, agg in aggregations.items():
-            if agg not in _AGGREGATORS:
-                raise ValueError(f"unknown aggregator {agg!r}")
-            fn = _AGGREGATORS[agg]
-            values = self._cols[col]
-            if agg == "sum":
-                result = np.bincount(
-                    inverse, weights=values.astype(np.float64),
-                    minlength=len(uniques),
-                )
-            elif agg == "count":
-                result = np.bincount(inverse, minlength=len(uniques)).astype(
-                    np.float64
-                )
-            elif agg == "mean":
-                sums = np.bincount(
-                    inverse, weights=values.astype(np.float64),
-                    minlength=len(uniques),
-                )
-                counts = np.bincount(inverse, minlength=len(uniques))
-                result = sums / np.maximum(counts, 1)
-            else:
-                result = np.array(
-                    [fn(values[inverse == i]) for i in range(len(uniques))],
-                    dtype=np.float64,
-                )
-            out[f"{col}_{agg}"] = result
-        return ColumnTable(out)
 
     def to_rows(self) -> list[dict]:
         """Materialise as a list of row dicts (small tables, reports)."""

@@ -21,7 +21,10 @@ __all__ = [
     "ap_frame_counts",
     "ap_frame_ranking",
     "ranking_from_counts",
+    "station_roles",
     "user_association_series",
+    "user_keys",
+    "users_per_interval",
     "DatasetSummary",
     "dataset_summary",
 ]
@@ -90,33 +93,60 @@ def user_association_series(
     active".  Returns columns ``interval`` (index) and ``users``.
     """
     if len(trace) == 0:
-        return ColumnTable(
-            {"interval": np.empty(0, dtype=np.int64), "users": np.empty(0, dtype=np.int64)}
-        )
+        return users_per_interval(np.empty(0, dtype=np.int64), 0)
     trace = trace.sorted_by_time()
-    ap_set = np.array(roster.ap_ids, dtype=np.int64)
+    keys, last = user_keys(
+        station_roles(roster), trace, int(trace.time_us[0]), interval_us
+    )
+    return users_per_interval(keys, last + 1)
+
+
+_AP, _STATION = 1, 2
+
+
+def station_roles(roster: NodeRoster) -> np.ndarray:
+    """Node-indexed roles for :func:`user_keys`: 1 for an AP, 2 for a
+    roster station, 0 for any other id; the last entry stands for every
+    id past the roster."""
+    roles = np.zeros(max((n.node_id for n in roster), default=-1) + 2, dtype=np.int8)
+    roles[roster.ap_ids] = _AP
+    roles[roster.station_ids] = _STATION
+    return roles
+
+
+def user_keys(
+    roles: np.ndarray, trace: Trace, start_us: int, interval_us: int
+) -> tuple[np.ndarray, int]:
+    """Figure 4b's user rule over time-sorted ``trace``: the distinct
+    ``interval << 16 | station`` keys of its frames between an AP and a
+    roster station, and the index of its last frame's interval.
+
+    Only roster stations count, so broadcast destinations (beacons) and
+    pseudo-addresses never inflate the census.
+    """
+    top = len(roles) - 1
     src = trace.src.astype(np.int64)
     dst = trace.dst.astype(np.int64)
-    src_is_ap = np.isin(src, ap_set)
-    dst_is_ap = np.isin(dst, ap_set)
-    # The station endpoint of each AP<->station frame; -1 where none.
+    src_role = roles[np.minimum(src, top)]
+    dst_role = roles[np.minimum(dst, top)]
     station = np.where(
-        src_is_ap & ~dst_is_ap, dst, np.where(dst_is_ap & ~src_is_ap, src, -1)
+        (src_role == _AP) & (dst_role == _STATION),
+        dst,
+        np.where((dst_role == _AP) & (src_role == _STATION), src, -1),
     )
-    # Only roster stations count as users: broadcast destinations
-    # (beacons) and pseudo-addresses must not inflate the census.
-    station_set = np.array(roster.station_ids, dtype=np.int64)
-    station = np.where(np.isin(station, station_set), station, -1)
-    t0 = int(trace.time_us[0])
-    interval = ((trace.time_us - t0) // interval_us).astype(np.int64)
-    n_intervals = int(interval[-1]) + 1
-    users = np.zeros(n_intervals, dtype=np.int64)
+    interval = ((trace.time_us - start_us) // interval_us).astype(np.int64)
     valid = station >= 0
-    for i in range(n_intervals):
-        sel = valid & (interval == i)
-        users[i] = len(np.unique(station[sel]))
+    keys = np.unique((interval[valid] << 16) | station[valid])
+    return keys, int(interval[-1])
+
+
+def users_per_interval(keys: np.ndarray, n_intervals: int) -> ColumnTable:
+    """Figure 4b's table from distinct :func:`user_keys` keys."""
     return ColumnTable(
-        {"interval": np.arange(n_intervals), "users": users}
+        {
+            "interval": np.arange(n_intervals),
+            "users": np.bincount(keys >> 16, minlength=n_intervals),
+        }
     )
 
 

@@ -84,16 +84,13 @@ def fold_chains(
     one recorded more than :data:`CHAIN_TIMEOUT_US` earlier (the
     sniffer missed it, or the seq number has wrapped since), which
     starts the chain at the earliest frame we did capture.  A row with
-    ``acked[row]`` set closes its chain.  Chains older than the
-    timeout at ``trace``'s first frame are dropped up front: any later
-    frame would restart them.
+    ``acked[row]`` set closes its chain.  As trace time advances, once
+    per timeout, chains older than the timeout are dropped: any later
+    frame would restart them, so the table holds at most two timeouts
+    of chains whatever the chunk size.
 
     Returns the delivered rows and each one's first-attempt time.
     """
-    if len(trace):
-        horizon = int(trace.time_us[0]) - CHAIN_TIMEOUT_US
-        for stale in [k for k, t0 in chains.items() if t0 < horizon]:
-            del chains[stale]
     key = (
         (trace.src.astype(np.int64) << 28)
         | (trace.dst.astype(np.int64) << 12)
@@ -101,6 +98,7 @@ def fold_chains(
     )[rows]
     delivered: list[int] = []
     firsts: list[int] = []
+    next_sweep = float("-inf")
     for row, k, now, retry, done in zip(
         rows.tolist(),
         key.tolist(),
@@ -108,6 +106,11 @@ def fold_chains(
         trace.retry[rows].tolist(),
         acked[rows].tolist(),
     ):
+        if now >= next_sweep:
+            horizon = now - CHAIN_TIMEOUT_US
+            for stale in [c for c, first in chains.items() if first < horizon]:
+                del chains[stale]
+            next_sweep = now + CHAIN_TIMEOUT_US
         known = chains.get(k)
         if not retry or known is None or now - known > CHAIN_TIMEOUT_US:
             chains[k] = now

@@ -26,18 +26,6 @@ from ..frames import Trace
 __all__ = ["merge_captures", "CoverageGain", "coverage_gain"]
 
 
-def _identity_keys(trace: Trace) -> np.ndarray:
-    """A per-row on-air identity key for duplicate detection."""
-    return (
-        trace.time_us.astype(np.int64) * 1_000_003
-        + trace.ftype.astype(np.int64) * 65_537
-        + trace.src.astype(np.int64) * 4_099
-        + trace.dst.astype(np.int64) * 257
-        + trace.seq.astype(np.int64) * 17
-        + trace.channel.astype(np.int64)
-    )
-
-
 def merge_captures(captures: Sequence[Trace], dedupe: bool = True) -> Trace:
     """Fuse sniffer captures into one time-sorted trace.
 
@@ -48,12 +36,18 @@ def merge_captures(captures: Sequence[Trace], dedupe: bool = True) -> Trace:
     merged = Trace.concatenate(list(captures))
     if not dedupe or len(merged) == 0:
         return merged
-    keys = _identity_keys(merged)
-    # Keep, per identity key, the row with the highest SNR.
-    order = np.lexsort((-merged.snr_db, keys))
-    sorted_keys = keys[order]
-    first_of_group = np.ones(len(order), dtype=np.bool_)
-    first_of_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    identity = [
+        getattr(merged, name)
+        for name in ("channel", "seq", "dst", "src", "ftype", "time_us")
+    ]
+    # Group rows on the six identity columns, highest SNR first in each
+    # group, and keep each group's first row.
+    order = np.lexsort([-merged.snr_db, *identity])
+    first_of_group = np.zeros(len(order), dtype=np.bool_)
+    first_of_group[0] = True
+    for column in identity:
+        ranked = column[order]
+        first_of_group[1:] |= ranked[1:] != ranked[:-1]
     keep = order[first_of_group]
     keep.sort()
     return merged.take(keep)

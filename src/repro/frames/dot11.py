@@ -23,6 +23,7 @@ __all__ = [
     "RTS_FRAME_BYTES",
     "CTS_FRAME_BYTES",
     "BEACON_BODY_BYTES",
+    "ASSOC_FRAME_BYTES",
     "is_control",
     "is_management",
     "is_data",
@@ -123,6 +124,7 @@ ACK_FRAME_BYTES = 14
 RTS_FRAME_BYTES = 20
 CTS_FRAME_BYTES = 14
 BEACON_BODY_BYTES = 80  # representative beacon payload incl. IEs
+ASSOC_FRAME_BYTES = 64  # (re)association management frame body
 
 
 def is_control(ftype: FrameType) -> bool:

@@ -12,9 +12,9 @@ Equivalence with the batch functions is a hard contract (verified by
 rule and finalization helpers (``ack_match_pairs``, ``fold_chains``,
 ``atomicity_misses``, ``control_frame_mask``, ``bin_by_utilization``,
 ``bin_delay_tallies``, ``fit_curves``, ``ranking_from_counts``,
-``ap_table_from_counts``), so every rule lives in one place and a
-consumer only carries state across chunks.  That state is bounded by
-seconds and stations, never by frames
+``ap_table_from_counts``, ``user_keys``, ``users_per_interval``), so
+every rule lives in one place and a consumer only carries state across
+chunks.  That state is bounded by seconds and stations, never by frames
 (``tests/pipeline/test_bounded_state.py``).
 
 Every binned series keeps each non-empty utilization bin (the
@@ -36,6 +36,9 @@ from ..core.ap_stats import (
     DatasetSummary,
     ap_frame_counts,
     ranking_from_counts,
+    station_roles,
+    user_keys,
+    users_per_interval,
 )
 from ..core.categories import ALL_CATEGORIES, Category, category_codes
 from ..core.congestion import (
@@ -526,45 +529,17 @@ class UserSeriesConsumer(_RosterConsumer):
     def start(self, ctx: StreamContext) -> None:
         super().start(ctx)
         self._ctx = ctx  # start_us is filled in before the first chunk
-        self._ap_set = np.array(ctx.roster.ap_ids, dtype=np.int64)
-        self._station_set = np.array(ctx.roster.station_ids, dtype=np.int64)
-        self._seen: set[tuple[int, int]] = set()
+        self._roles = station_roles(ctx.roster)
+        self._seen: set[int] = set()
         self._max_interval = -1
 
     def consume(self, chunk: Chunk) -> None:
-        trace = chunk.trace
-        src = trace.src.astype(np.int64)
-        dst = trace.dst.astype(np.int64)
-        src_is_ap = np.isin(src, self._ap_set)
-        dst_is_ap = np.isin(dst, self._ap_set)
-        station = np.where(
-            src_is_ap & ~dst_is_ap, dst, np.where(dst_is_ap & ~src_is_ap, src, -1)
+        keys, last = user_keys(
+            self._roles, chunk.trace, int(self._ctx.start_us), self.interval_us
         )
-        station = np.where(np.isin(station, self._station_set), station, -1)
-        interval = (
-            (trace.time_us - int(self._ctx.start_us)) // self.interval_us
-        ).astype(np.int64)
-        self._max_interval = max(self._max_interval, int(interval[-1]))
-        valid = station >= 0
-        if np.any(valid):
-            pairs = np.unique(
-                np.stack([interval[valid], station[valid]], axis=1), axis=0
-            )
-            self._seen.update((int(a), int(b)) for a, b in pairs)
+        self._max_interval = max(self._max_interval, last)
+        self._seen.update(keys.tolist())
 
     def finalize(self, ctx: StreamContext, deps) -> ColumnTable:
-        if self._max_interval < 0:
-            return ColumnTable(
-                {
-                    "interval": np.empty(0, dtype=np.int64),
-                    "users": np.empty(0, dtype=np.int64),
-                }
-            )
-        n_intervals = self._max_interval + 1
-        users = np.zeros(n_intervals, dtype=np.int64)
-        for interval, _station in self._seen:
-            if 0 <= interval < n_intervals:
-                users[interval] += 1
-        return ColumnTable(
-            {"interval": np.arange(n_intervals), "users": users}
-        )
+        keys = np.fromiter(self._seen, dtype=np.int64, count=len(self._seen))
+        return users_per_interval(keys, self._max_interval + 1)

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterator, Protocol
 
 import numpy as np
 
-from ..frames import FrameType, NodeRoster, Trace
+from ..frames import ASSOC_FRAME_BYTES, FrameType, NodeRoster, Trace
 from .channel_manager import ChannelManager
 from .engine import Simulator
 from .medium import Medium
@@ -288,7 +288,7 @@ def _attach_traffic(built: "BuiltScenario") -> list[object]:
         # Association management frame at activity start.
         sim.schedule_at(
             max(start_us, 0),
-            (lambda s=station: s.mac.enqueue(s.ap_id, 64, FrameType.MGMT)),
+            lambda s=station: s.mac.enqueue(s.ap_id, ASSOC_FRAME_BYTES, FrameType.MGMT),
         )
         sources.append(
             PoissonSource(

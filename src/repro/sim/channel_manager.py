@@ -129,7 +129,6 @@ class ChannelManager:
 
     def _switch(self, ap: AccessPoint, new_channel: int) -> None:
         old = ap.channel
-        ap.channel = new_channel
         ap.mac.channel = new_channel
         for station in self.stations:
             if station.ap_id == ap.node_id:

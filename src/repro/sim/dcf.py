@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.timing import DOT11B_TIMING
 from ..frames import FrameType, BROADCAST
 from .engine import EventHandle, Simulator
 from .medium import Medium, SimFrame
@@ -36,13 +37,13 @@ __all__ = ["MacConfig", "MacStats", "DcfMac"]
 
 @dataclass(frozen=True)
 class MacConfig:
-    """DCF parameters; defaults follow the paper's §3 description."""
+    """DCF parameters; IFS, slot and CW bounds default to ``DOT11B_TIMING``."""
 
-    sifs_us: int = 10
-    difs_us: int = 50
-    slot_us: int = 20
-    cw_min: int = 31
-    cw_max: int = 255              # paper: MaxBO grows 31 -> 255 slots
+    sifs_us: int = int(DOT11B_TIMING.sifs_us)
+    difs_us: int = int(DOT11B_TIMING.difs_us)
+    slot_us: int = int(DOT11B_TIMING.slot_us)
+    cw_min: int = DOT11B_TIMING.cw_min
+    cw_max: int = DOT11B_TIMING.cw_max
     retry_limit: int = 7
     rts_threshold: int | None = None  # None disables RTS/CTS (the default)
     #: MSDUs larger than this are split into fragments delivered as a

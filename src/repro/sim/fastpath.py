@@ -17,9 +17,9 @@ What stays exact
   BuiltScenario`, so the builder's seeded RNG streams are consumed
   identically and the network is the same network the default engine
   would simulate.
-* The PHY: frame durations (paper Table 2), the BER/processing-gain
-  ladder and per-frame success probabilities reuse
-  :class:`~repro.sim.phy.PhyModel` arithmetic, vectorised.
+* The PHY: frame durations (paper Table 2), the per-bit survival and
+  frame success laws (:class:`~repro.sim.phy.PhyModel`, vectorised) and
+  the decode gate (:meth:`~repro.sim.medium.Medium.decode_floor_dbm`).
 * Arrival processes: per-flow Poisson counts per 100 ms sub-slice with
   order-statistics uniform placement — an exact Poisson process for
   the same rate schedules.
@@ -53,6 +53,7 @@ import numpy as np
 
 from ..frames import (
     ACK_FRAME_BYTES,
+    ASSOC_FRAME_BYTES,
     BEACON_BODY_BYTES,
     BROADCAST,
     CTS_FRAME_BYTES,
@@ -114,18 +115,9 @@ _HIDDEN_PERSIST = 0.8
 _RATE_REF_SIZE = 1000
 _RATE_TARGET_PER = 0.1
 
-#: Association/probe management frame emitted at activity start.
-_MGMT_BYTES = 64
-
 _DATA = int(FrameType.DATA)
 _MGMT = int(FrameType.MGMT)
 _BEACON = int(FrameType.BEACON)
-
-
-def _log1p_neg_ber(phy, snr_db: float, rate_mbps: float) -> float:
-    """log(1 - BER) with PhyModel's clamp, as used by its success laws."""
-    ber = phy.bit_error_rate(snr_db, rate_mbps)
-    return math.log1p(-min(ber, 1 - 1e-12))
 
 
 @dataclass
@@ -193,6 +185,7 @@ class FastBuiltScenario:
         propagation = built.propagation
         noise = propagation.noise_floor_dbm
         phy = built.phy
+        decode_floor_dbm = built.medium.decode_floor_dbm
 
         macs = {ap.node_id: ap.mac for ap in built.aps}
         macs.update({s.node_id: s.mac for s in built.stations})
@@ -202,14 +195,6 @@ class FastBuiltScenario:
             return propagation.received_power_dbm(
                 tx.tx_power_dbm, tx.position, rx.position, tx_id=tx_id, rx_id=rx_id
             )
-
-        def link_decodes(power: float, rx_id: int) -> bool:
-            # Mirror the medium's decode gate: below the receiver's
-            # decode floor a frame is pure noise regardless of BER.
-            floor = getattr(
-                macs[rx_id], "decode_threshold_dbm", noise + 1.0
-            )
-            return power >= floor
 
         # Bootstrap pool for the configured size mixture: the scalar
         # sampler runs _SIZE_POOL times at init, then windows resample
@@ -237,16 +222,7 @@ class FastBuiltScenario:
         for s_id in ids:
             s_mac = macs[s_id]
             for h_id in ids:
-                if h_id == s_id:
-                    continue
-                power = propagation.received_power_dbm(
-                    macs[h_id].tx_power_dbm,
-                    macs[h_id].position,
-                    s_mac.position,
-                    tx_id=h_id,
-                    rx_id=s_id,
-                )
-                if power < s_mac.sense_threshold_dbm:
+                if h_id != s_id and link_power(h_id, s_id) < s_mac.sense_threshold_dbm:
                     cant_sense[s_id, h_id] = True
         self._hidden = cant_sense | cant_sense.T
 
@@ -285,7 +261,7 @@ class FastBuiltScenario:
             self._sniff_snr[node_id] = snr
             self._sniff_audible[node_id] = power >= self._sniff_cfg.sensitivity_dbm
             for code, rate in enumerate(DOT11_RATES_MBPS):
-                self._sniff_lr[node_id, code] = _log1p_neg_ber(phy, snr, rate)
+                self._sniff_lr[node_id, code] = phy.log_survival(snr, rate)
 
         # -- flows: uplink + downlink per station, one beacon flow per AP
         flow_src: list[int] = []
@@ -301,12 +277,6 @@ class FastBuiltScenario:
         self._schedules: list[object] = []
         self._activity: list[tuple[int, int]] = []
 
-        def frame_success(snr_db: float, rate: float, bits: float) -> float:
-            return math.exp(
-                48.0 * _log1p_neg_ber(phy, snr_db, BASIC_RATE_MBPS)
-                + bits * _log1p_neg_ber(phy, snr_db, rate)
-            )
-
         def hidden_weights(src, dst, rate, fwd_power):
             """Per-interferer loss probability given a hidden overlap.
 
@@ -317,9 +287,10 @@ class FastBuiltScenario:
             traffic from a barely-audible corner of the room discounts
             itself while a strong hidden peer scores ~1.
             """
-            bits = 8.0 * (34 + _RATE_REF_SIZE)
             row = np.zeros(self._max_id, dtype=np.float64)
-            p_clean = frame_success(fwd_power - noise, rate, bits)
+            p_clean = phy.frame_success_probability(
+                fwd_power - noise, _RATE_REF_SIZE, rate
+            )
             for h in ids:
                 if h == src or not self._hidden[src, h]:
                     continue
@@ -330,7 +301,7 @@ class FastBuiltScenario:
                 snr_eff = fwd_power - 10.0 * math.log10(
                     10.0 ** (noise / 10.0) + 10.0 ** (interference / 10.0)
                 )
-                p_eff = frame_success(snr_eff, rate, bits)
+                p_eff = phy.frame_success_probability(snr_eff, _RATE_REF_SIZE, rate)
                 row[h] = min(1.0, max(0.0, 1.0 - p_eff / max(p_clean, 1e-12)))
             return row
 
@@ -347,8 +318,8 @@ class FastBuiltScenario:
             flow_rate.append(rate)
             flow_chan.append(channel)
             flow_rts.append(rts)
-            flow_l1.append(_log1p_neg_ber(phy, snr, BASIC_RATE_MBPS))
-            flow_lr.append(_log1p_neg_ber(phy, snr, rate))
+            flow_l1.append(phy.log_survival(snr, BASIC_RATE_MBPS))
+            flow_lr.append(phy.log_survival(snr, rate))
             if beacon:
                 flow_p_ack.append(1.0)
                 flow_p_hand.append(1.0)
@@ -363,7 +334,8 @@ class FastBuiltScenario:
                 rev_power = link_power(dst, src)
                 rev = rev_power - noise
                 alive = float(
-                    link_decodes(fwd_power, dst) and link_decodes(rev_power, src)
+                    fwd_power >= decode_floor_dbm(macs[dst])
+                    and rev_power >= decode_floor_dbm(macs[src])
                 )
                 flow_p_ack.append(
                     alive * phy.control_success_probability(rev, FrameType.ACK)
@@ -819,7 +791,7 @@ class FastBuiltScenario:
             if fi % 2 == 0 and t0 <= start < t1 and start < end:
                 jf.append(np.array([fi], dtype=np.int64))
                 ja.append(np.array([start], dtype=np.int64))
-                js.append(np.array([_MGMT_BYTES], dtype=np.int64))
+                js.append(np.array([ASSOC_FRAME_BYTES], dtype=np.int64))
                 jt.append(np.array([_MGMT], dtype=np.int64))
 
             lo, hi = max(t0, start), min(t1, end)

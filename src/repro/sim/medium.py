@@ -155,9 +155,6 @@ class Medium:
         #: sniffer capture model (and the paper's unrecorded-frame
         #: estimator) can be validated.
         self.ground_truth: list[tuple[int, SimFrame]] = []
-        # Positions are static for a run, so per-(tx, rx) received power
-        # is cached; this is the simulation hot path.
-        self._power_cache: dict[tuple[int, int, float], float] = {}
         # Delivery plans: (id(sender), tx_power, channel) -> (sender,
         # finish_entries, transmit_entries).  Cleared wholesale on any
         # topology change; the epoch stamps in-flight transmissions.
@@ -167,7 +164,7 @@ class Medium:
         # on every transmit.
         self._duration_cache: dict[tuple[FrameType, int, float], int] = {}
         # Interference helpers: per-link received power in mW (pure
-        # 10**(dBm/10) of the cached dBm), and success probabilities for
+        # 10**(dBm/10) of the link's dBm), and success probabilities for
         # collision SINRs, which repeat whenever the same link pair
         # collides.  The collision cache is bounded: distinct overlap
         # sets are combinatorial in principle, so it is cleared (a pure
@@ -203,26 +200,31 @@ class Medium:
         """Energy carrier sense: nothing audible is on the air."""
         return not self._sensed[id(listener)]
 
-    # -- link power --------------------------------------------------------
+    # -- link power and the decode gate --------------------------------------
 
     def _link_power_dbm(
         self, tx_entity: MediumListener, tx_power_dbm: float, listener: MediumListener
     ) -> float:
-        key = (tx_entity.node_id, listener.node_id, tx_power_dbm)
-        power = self._power_cache.get(key)
-        if power is None:
-            power = self.propagation.received_power_dbm(
-                tx_power_dbm,
-                tx_entity.position,
-                listener.position,
-                tx_id=tx_entity.node_id,
-                rx_id=listener.node_id,
-            )
-            self._power_cache[key] = power
-        return power
+        return self.propagation.received_power_dbm(
+            tx_power_dbm,
+            tx_entity.position,
+            listener.position,
+            tx_id=tx_entity.node_id,
+            rx_id=listener.node_id,
+        )
 
-    def _rx_power_dbm(self, tx: Transmission, listener: MediumListener) -> float:
-        return self._link_power_dbm(tx.tx, tx.tx_power_dbm, listener)
+    def decode_floor_dbm(self, listener: MediumListener) -> float:
+        """The decode gate: below this received power a frame is noise.
+
+        Radios decode well below the energy-detect carrier-sense
+        threshold (1 Mbps DSSS sensitivity sits near the noise floor
+        thanks to the Barker spreading gain), so the gate is the
+        listener's ``decode_threshold_dbm``, defaulting to just above
+        thermal noise; the PHY BER model decides success from there.
+        """
+        return getattr(
+            listener, "decode_threshold_dbm", self.propagation.noise_floor_dbm + 1.0
+        )
 
     # -- delivery plans ----------------------------------------------------
 
@@ -250,7 +252,6 @@ class Medium:
         callback's own first early-return.
         """
         propagation = self.propagation
-        decode_default = propagation.noise_floor_dbm + 1.0
         finish_entries = []
         transmit_entries = []
         mw_by_listener: dict[int, float] = {}
@@ -260,8 +261,7 @@ class Medium:
                 continue
             power = self._link_power_dbm(sender, tx_power_dbm, listener)
             audible = power >= listener.sense_threshold_dbm
-            decode_floor = getattr(listener, "decode_threshold_dbm", decode_default)
-            decodable = power >= decode_floor
+            decodable = power >= self.decode_floor_dbm(listener)
             if not audible and not decodable:
                 continue
             # Only the audible, active listeners that ``transmit`` marks
@@ -485,20 +485,16 @@ class Medium:
     def _data_terms(
         self, store: dict, snr_db: float, rate: float, key=None
     ) -> tuple[float, float]:
-        """``log1p(-BER)`` factors for one (SNR, rate) — identical floats.
-
-        Computed once via the PHY model; recombining them per frame
-        repeats the exact expression
-        :meth:`~repro.sim.phy.PhyModel.frame_success_probability` uses,
-        so probabilities (and hence RNG outcomes) are bit-identical to
-        the uncached path.
+        """:meth:`~repro.sim.phy.PhyModel.log_survival` at the basic and
+        the data rate for one (SNR, rate), stored for reuse; ``_finish``
+        recombines them with the exact expression of
+        :meth:`~repro.sim.phy.PhyModel.frame_success_probability`, so
+        probabilities (and hence RNG outcomes) are bit-identical to the
+        uncached path.
         """
-        phy = self.phy
-        ber_header = phy.bit_error_rate(snr_db, BASIC_RATE_MBPS)
-        ber_body = phy.bit_error_rate(snr_db, rate)
         terms = (
-            math.log1p(-min(ber_header, 1 - 1e-12)),
-            math.log1p(-min(ber_body, 1 - 1e-12)),
+            self.phy.log_survival(snr_db, BASIC_RATE_MBPS),
+            self.phy.log_survival(snr_db, rate),
         )
         store[rate if key is None else key] = terms
         return terms
@@ -553,7 +549,7 @@ class Medium:
         for listener in self._listeners:
             if listener is tx.tx or listener.channel != frame.channel:
                 continue
-            power = self._rx_power_dbm(tx, listener)
+            power = self._link_power_dbm(tx.tx, tx.tx_power_dbm, listener)
             # Idle transition first, so receive callbacks observe the
             # post-frame medium state (they often start SIFS responses).
             sensed = self._sensed[id(listener)]
@@ -561,24 +557,15 @@ class Medium:
                 sensed.discard(tx_id)
                 if not sensed:
                     listener.on_medium_idle()
-            # Decode gate: radios decode well below the energy-detect
-            # carrier-sense threshold (1 Mbps DSSS sensitivity sits
-            # near the noise floor thanks to the Barker spreading
-            # gain), so the gate is per-listener decode sensitivity —
-            # defaulting to just above thermal noise — and the PHY BER
-            # model decides success from there.
-            decode_floor = getattr(
-                listener,
-                "decode_threshold_dbm",
-                self.propagation.noise_floor_dbm + 1.0,
-            )
-            if power < decode_floor:
+            if power < self.decode_floor_dbm(listener):
                 continue  # inaudible: cannot decode
             interference_mw = 0.0
             for other in tx.overlapped:
                 if other.frame.channel != frame.channel:
                     continue
-                other_power = self._rx_power_dbm(other, listener)
+                other_power = self._link_power_dbm(
+                    other.tx, other.tx_power_dbm, listener
+                )
                 interference_mw += 10.0 ** (other_power / 10.0)
             snr_db = self.propagation.snr_db(power, interference_mw)
             if self.rng.random() < self._success_probability(frame, snr_db):

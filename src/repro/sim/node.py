@@ -98,8 +98,12 @@ class AccessPoint:
 
     node_id: int
     mac: DcfMac
-    channel: int
     stations: list[int] = field(default_factory=list)
+
+    @property
+    def channel(self) -> int:
+        """The channel the AP's MAC is on."""
+        return self.mac.channel
 
     @property
     def info(self) -> NodeInfo:
@@ -132,7 +136,7 @@ class AccessPoint:
             rate_adaptation=rate_adaptation,
             tx_power_dbm=tx_power_dbm,
         )
-        ap = cls(node_id=node_id, mac=mac, channel=channel)
+        ap = cls(node_id=node_id, mac=mac)
         # Stagger beacon phases so co-channel APs do not beacon in lockstep.
         offset = (
             beacon_offset_us

@@ -91,6 +91,15 @@ class PhyModel:
         snr_linear = snr_db_to_linear(snr_db)
         return _q_function(math.sqrt(2.0 * gain * snr_linear))
 
+    def log_survival(self, snr_db: float, rate_mbps: float) -> float:
+        """``log(1 - BER)``, the per-bit survival law, BER clamped below 1.
+
+        Every success probability in both engines is ``exp`` of bit
+        counts times these terms; callers that cache them recombine the
+        exact expressions below, so probabilities stay bit-identical.
+        """
+        return math.log1p(-min(self.bit_error_rate(snr_db, rate_mbps), 1 - 1e-12))
+
     def frame_success_probability(
         self, snr_db: float, size_bytes: int, rate_mbps: float
     ) -> float:
@@ -102,12 +111,10 @@ class PhyModel:
         """
         header_bits = 48  # PLCP SIGNAL/SERVICE/LENGTH/CRC fields
         body_bits = 8 * (self.timing.mac_overhead_bytes + size_bytes)
-        ber_header = self.bit_error_rate(snr_db, BASIC_RATE_MBPS)
-        ber_body = self.bit_error_rate(snr_db, rate_mbps)
-        log_p = header_bits * math.log1p(-min(ber_header, 1 - 1e-12)) + (
-            body_bits * math.log1p(-min(ber_body, 1 - 1e-12))
+        return math.exp(
+            header_bits * self.log_survival(snr_db, BASIC_RATE_MBPS)
+            + body_bits * self.log_survival(snr_db, rate_mbps)
         )
-        return math.exp(log_p)
 
     def control_success_probability(self, snr_db: float, ftype: FrameType) -> float:
         """Success probability for fixed-size control/beacon frames."""
@@ -117,9 +124,7 @@ class PhyModel:
             FrameType.ACK: ACK_FRAME_BYTES,
             FrameType.BEACON: ACK_FRAME_BYTES,
         }[ftype]
-        body_bits = 8 * size
-        ber = self.bit_error_rate(snr_db, BASIC_RATE_MBPS)
-        return math.exp(body_bits * math.log1p(-min(ber, 1 - 1e-12)))
+        return math.exp(8 * size * self.log_survival(snr_db, BASIC_RATE_MBPS))
 
     def best_rate_for_snr(
         self, snr_db: float, size_bytes: int = 1000, target_per: float = 0.1

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..frames import FrameType
+from ..frames import ASSOC_FRAME_BYTES, FrameType
 from .engine import Simulator
 from .node import AccessPoint, Station
 from .propagation import PropagationModel
@@ -124,7 +124,7 @@ class RoamingManager:
         station.mac.channel = new.channel
         self.router[station.node_id] = new
         # Reassociation management exchange, visible to sniffers.
-        station.mac.enqueue(new.node_id, 64, FrameType.MGMT)
+        station.mac.enqueue(new.node_id, ASSOC_FRAME_BYTES, FrameType.MGMT)
         self._last_roam[station.node_id] = self.sim.now_us
         self.roams.append(
             Roam(

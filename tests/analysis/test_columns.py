@@ -1,9 +1,6 @@
 """Tests for the ColumnTable (the pandas substitute)."""
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.analysis import ColumnTable
 
@@ -31,79 +28,11 @@ class TestConstruction:
     def test_empty_table(self):
         assert len(ColumnTable({})) == 0
 
-    def test_with_column(self, table):
-        extended = table.with_column("double", table.column("value") * 2)
-        assert "double" in extended
-        assert "double" not in table  # original untouched
-        with pytest.raises(ValueError):
-            table.with_column("bad", [1])
-
 
 class TestTransforms:
-    def test_filter(self, table):
-        out = table.filter(table.column("key") == 1)
-        assert len(out) == 3
-        assert list(out.column("value")) == [10.0, 30.0, 60.0]
-
-    def test_filter_bad_mask(self, table):
-        with pytest.raises(ValueError):
-            table.filter(np.array([1, 0, 1, 0, 1, 0]))
-
-    def test_sort_by(self, table):
-        out = table.sort_by("value", descending=True)
-        assert list(out.column("value")) == [60.0, 50.0, 40.0, 30.0, 20.0, 10.0]
-
     def test_head(self, table):
         assert len(table.head(2)) == 2
-
-    def test_vstack(self, table):
-        stacked = ColumnTable.vstack([table, table])
-        assert len(stacked) == 12
-        with pytest.raises(ValueError):
-            ColumnTable.vstack([table, ColumnTable({"other": [1]})])
-
-    def test_vstack_empty(self):
-        assert len(ColumnTable.vstack([])) == 0
 
     def test_to_rows(self, table):
         rows = table.head(2).to_rows()
         assert rows == [{"key": 1, "value": 10.0}, {"key": 2, "value": 20.0}]
-
-
-class TestGroupBy:
-    def test_mean(self, table):
-        out = table.group_by("key", {"value": "mean"})
-        assert list(out.column("key")) == [1, 2, 3]
-        assert list(out.column("value_mean")) == pytest.approx(
-            [100 / 3, 35.0, 40.0]
-        )
-
-    def test_sum_and_count(self, table):
-        out = table.group_by("key", {"value": "sum"})
-        assert list(out.column("value_sum")) == [100.0, 70.0, 40.0]
-        out = table.group_by("key", {"value": "count"})
-        assert list(out.column("value_count")) == [3.0, 2.0, 1.0]
-
-    @pytest.mark.parametrize("agg,expected", [("min", 10.0), ("max", 60.0), ("median", 30.0)])
-    def test_order_statistics(self, table, agg, expected):
-        out = table.group_by("key", {"value": agg})
-        assert out.column(f"value_{agg}")[0] == expected
-
-    def test_unknown_aggregator(self, table):
-        with pytest.raises(ValueError, match="unknown aggregator"):
-            table.group_by("key", {"value": "mode"})
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, 5), st.floats(-100, 100)),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_groupby_sum_conserves_total(pairs):
-    keys = [k for k, _ in pairs]
-    values = [v for _, v in pairs]
-    table = ColumnTable({"k": keys, "v": values})
-    out = table.group_by("k", {"v": "sum"})
-    assert out.column("v_sum").sum() == pytest.approx(sum(values), abs=1e-6)

@@ -50,6 +50,15 @@ class TestMergeCaptures:
         b = _capture([data(0, 10, 1, seq=1, channel=6)])
         assert len(merge_captures([a, b])) == 2
 
+    def test_distinct_frames_with_colliding_linear_keys_kept(self):
+        """dst * 257 + seq * 17 reads the same for (dst 1, seq 300) and
+        (dst 18, seq 43); grouping on the columns keeps both frames."""
+        a = _capture([data(1_000, 5, 1, seq=300, channel=6)])
+        b = _capture([data(1_000, 5, 18, seq=43, channel=6)])
+        merged = merge_captures([a, b])
+        assert len(merged) == 2
+        assert sorted(merged.dst.tolist()) == [1, 18]
+
     def test_dedupe_disabled(self):
         rows = [data(0, 10, 1, seq=5)]
         merged = merge_captures([_capture(rows), _capture(rows)], dedupe=False)

@@ -6,6 +6,11 @@ snapshot costs.  The same 10 s network (fast ``uniform``, seed 3) is
 streamed at two offered loads, 2/4 and 16/32 pps uplink/downlink
 (about 1.3k and 7.5k frames): same duration, same stations, ~6x the
 frames.  No consumer's pickled state may grow by more than 25 %.
+
+Nor may it grow with segment size: one 60 s fast ``hotspot-plenary``
+capture (seed 1, ~79k frames) is fed in 1,000-frame segments and in
+two halves, and each consumer's state after the halves must stay
+within 25 % of its state after the small segments.
 """
 
 from __future__ import annotations
@@ -19,10 +24,19 @@ from repro.pipeline import (
     ROSTER_CONSUMERS,
     PipelineExecutor,
     create_consumers,
+    trace_chunks,
 )
 from repro.sim import build_scenario
 
 MAX_GROWTH = 1.25
+
+
+def _state_after(segments, roster):
+    consumers = create_consumers(DEFAULT_CONSUMERS + ROSTER_CONSUMERS)
+    executor = PipelineExecutor(consumers, roster=roster)
+    for segment in segments:
+        executor.feed(segment)
+    return executor.frames_fed, {c.name: len(pickle.dumps(c)) for c in consumers}
 
 
 def _fed_state(uplink_pps: float, downlink_pps: float):
@@ -34,11 +48,7 @@ def _fed_state(uplink_pps: float, downlink_pps: float):
         uplink_pps=uplink_pps,
         downlink_pps=downlink_pps,
     )
-    consumers = create_consumers(DEFAULT_CONSUMERS + ROSTER_CONSUMERS)
-    executor = PipelineExecutor(consumers, roster=built.roster)
-    for segment in built.stream():
-        executor.feed(segment)
-    return executor.frames_fed, {c.name: len(pickle.dumps(c)) for c in consumers}
+    return _state_after(built.stream(), built.roster)
 
 
 @pytest.fixture(scope="module")
@@ -57,4 +67,26 @@ def test_consumer_state_does_not_grow_with_frames(two_loads, name):
     assert high[name] <= MAX_GROWTH * low[name], (
         f"{name}: {low[name]} -> {high[name]} bytes "
         f"({high[name] / low[name]:.2f}x)"
+    )
+
+
+@pytest.fixture(scope="module")
+def two_segment_sizes():
+    result = build_scenario(
+        "hotspot-plenary", fidelity="fast", duration_s=60.0, seed=1
+    ).run()
+    trace, half = result.trace, len(result.trace) // 2
+    halves = [trace.slice_rows(0, half), trace.slice_rows(half, len(trace))]
+    return (
+        _state_after(trace_chunks(trace, 1000), result.roster),
+        _state_after(halves, result.roster),
+    )
+
+
+@pytest.mark.parametrize("name", DEFAULT_CONSUMERS + ROSTER_CONSUMERS)
+def test_consumer_state_does_not_grow_with_segment_size(two_segment_sizes, name):
+    (_, small), (_, large) = two_segment_sizes
+    assert large[name] <= MAX_GROWTH * small[name], (
+        f"{name}: {small[name]} -> {large[name]} bytes "
+        f"({large[name] / small[name]:.2f}x)"
     )
