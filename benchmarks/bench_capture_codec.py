@@ -9,9 +9,12 @@ encoder — and read twice — record by record through
 vectorized decoder.  Writes must be byte-identical and reads
 field-identical.
 
-Exits non-zero on any mismatch, or unless the columnar path is at
-least 3x faster for plain-container writes and for snoop reads and
-faster for every other case, so CI can run it as a gate::
+Exits non-zero, so CI can run it as a gate, on any mismatch; unless
+the columnar path is at least 3x faster for plain-container writes and
+for snoop reads and faster for every other case; or when a gzipped
+container's columnar write costs more than 10x the same container's
+plain columnar write in the same run (a ratio, so host speed cancels
+out)::
 
     python benchmarks/bench_capture_codec.py
     python benchmarks/bench_capture_codec.py --frames 50000 --repeats 5
@@ -48,6 +51,10 @@ GATES = {
     ("write", ".snoop"): 3.0,
     ("read", ".snoop"): 3.0,
 }
+
+#: Most a gzipped container's columnar write may cost, as a multiple of
+#: its plain container's columnar write.
+GZIP_WRITE_CEILING = 10.0
 
 
 def make_trace(min_frames: int) -> Trace:
@@ -109,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         f"{'columnar us/f':>14s} {'speedup':>8s}"
     )
     failures = []
+    columnar_write = {}
     with tempfile.TemporaryDirectory() as tmp:
         for suffix in SUFFIXES:
             oracle_path = Path(tmp) / f"oracle{suffix}"
@@ -119,6 +127,7 @@ def main(argv: list[str] | None = None) -> int:
             columnar_write_s, _ = best_of(
                 lambda: write_trace(trace, columnar_path), args.repeats
             )
+            columnar_write[suffix] = columnar_write_s
             if oracle_path.read_bytes() != columnar_path.read_bytes():
                 failures.append(f"{suffix}: written bytes differ")
             scalar_read_s, scalar_trace = best_of(
@@ -146,6 +155,15 @@ def main(argv: list[str] | None = None) -> int:
                         f"{suffix} {op}: {speedup:.2f}x, needs "
                         + (f">= {floor:g}x" if floor else "> 1x")
                     )
+    for suffix, write_s in columnar_write.items():
+        if suffix.endswith(".gz"):
+            ratio = write_s / columnar_write[suffix.removesuffix(".gz")]
+            print(f"{suffix:10s} write costs {ratio:.1f}x the plain write")
+            if ratio > GZIP_WRITE_CEILING:
+                failures.append(
+                    f"{suffix} write: {ratio:.1f}x the plain write, "
+                    f"needs <= {GZIP_WRITE_CEILING:g}x"
+                )
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
     if not failures:

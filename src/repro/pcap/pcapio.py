@@ -11,13 +11,14 @@ them back into a :class:`repro.frames.Trace`:
   extension 127, numbered to match the pcap linktype, so both carry the
   same payload.
 
-Either may be gzipped (level 9, mtime pinned to 0, so output is
+Either may be gzipped (level 6, mtime pinned to 0, so output is
 byte-deterministic).  :data:`_CONTAINERS` lists the two once, as
 (name, suffix, leading bytes, record layout): :func:`write_trace` picks
 a row by path suffix, and one content sniffer — gzip magic, then each
 row's leading bytes — serves :func:`read_trace_batches` and
-:func:`detect_format`.  For compressed captures every reported byte
-offset is into the *decompressed* stream.
+:func:`detect_format`.  Compressed captures are read through
+:class:`_Inflater`, and every reported byte offset is into the
+*decompressed* stream.
 
 Like the paper's capture (snap length 250 bytes, §4.2), packets may be
 truncated on disk; the record's ``orig_len`` preserves the true on-air
@@ -163,10 +164,6 @@ _MAGIC = 0xA1B2C3D4
 LINKTYPE_RADIOTAP = 127
 
 _GZIP_MAGIC = b"\x1f\x8b"
-#: What a damaged gzip stream raises mid-read: truncation (EOFError), a
-#: bad header or CRC (gzip.BadGzipFile, an OSError) and corrupt deflate
-#: data (zlib.error).
-_GZIP_ERRORS = (EOFError, OSError, zlib.error)
 
 #: The snap length the paper's sniffers used (§4.2).
 PAPER_SNAPLEN = 250
@@ -179,9 +176,7 @@ _DURATION_FILL_US = 10 + 304
 #: one encoded block for the writer.
 _CHUNK_BYTES = 4 << 20
 
-#: Most bytes one gzip ``read1`` call is asked for.  The buffered reader
-#: allocates the whole request before it decompresses, so asking for a
-#: slab per call costs more than the bytes it returns.
+#: Most compressed bytes one read from a gzip file feeds zlib.
 _GZIP_PIECE_BYTES = 1 << 16
 
 _U32_MAX = 0xFFFFFFFF
@@ -589,7 +584,7 @@ def write_trace(
 
     The container is chosen by suffix from :data:`_CONTAINERS`:
     ``.snoop`` writes RFC 1761 snoop, anything else a radiotap pcap,
-    and a further ``.gz`` gzip-compresses (level 9, mtime pinned to 0,
+    and a further ``.gz`` gzip-compresses (level 6, mtime pinned to 0,
     so output is byte-deterministic).
 
     The whole trace is validated first: a row the container cannot
@@ -628,7 +623,7 @@ def write_trace(
     # The level is part of those bytes too.
     with path.open("wb") as raw, (
         gzip.GzipFile(
-            filename="", fileobj=raw, mode="wb", compresslevel=9, mtime=0
+            filename="", fileobj=raw, mode="wb", compresslevel=6, mtime=0
         )
         if compressed
         else contextlib.nullcontext(raw)
@@ -985,20 +980,19 @@ def _sniff(path: Path) -> tuple[str | None, _RecordLayout, bool]:
     """
     with path.open("rb") as fp:
         head = fp.read(_SNIFF_BYTES)
-    compressed = head.startswith(_GZIP_MAGIC)
-    if compressed:
-        try:
-            with gzip.open(path, "rb") as zp:
-                head = zp.read(_SNIFF_BYTES)
-        except _GZIP_ERRORS as error:
-            raise TruncatedPcapError(
-                f"{path}: corrupt gzip stream "
-                f"({type(error).__name__}: {error})",
-                byte_offset=0,
-                frames_read=0,
-                compressed=True,
-                path=path,
-            ) from error
+        compressed = head.startswith(_GZIP_MAGIC)
+        if compressed:
+            fp.seek(0)
+            head, error = _Inflater(fp).read(_SNIFF_BYTES)
+            if error is not None:
+                raise TruncatedPcapError(
+                    f"{path}: corrupt gzip stream "
+                    f"({type(error).__name__}: {error})",
+                    byte_offset=0,
+                    frames_read=0,
+                    compressed=True,
+                    path=path,
+                ) from error
     for name, _, lead, layout in _CONTAINERS:
         if head.startswith(lead):
             return name, layout, compressed
@@ -1024,25 +1018,67 @@ def detect_format(path: str | Path) -> tuple[str, bool]:
     return name, compressed
 
 
-def _read_slab(fp, compressed: bool) -> tuple[bytes, BaseException | None]:
-    """Up to ``_CHUNK_BYTES`` bytes of ``fp``, plus the gzip error that
-    cut them short (``None`` if none did).
+class _Inflater:
+    """The decompressed bytes of a gzip file, ``size`` at a time.
 
-    A gzip stream is read in ``read1`` pieces, so a stream that dies
-    mid-slab keeps what the pieces before the damage decompressed.
+    One ``zlib.decompressobj`` per gzip member inflates raw reads of at
+    most ``_GZIP_PIECE_BYTES``, each call bounded to the output still
+    asked for; a member's ``unused_data``, after any zero padding,
+    starts the next member, as :mod:`gzip` reads them.  zlib checks the
+    header, CRC and length itself.  When it rejects a read, the read is
+    replayed a byte at a time from the member's state before it, so
+    every byte inflated before the damage is still returned.
     """
-    if not compressed:
-        return fp.read(_CHUNK_BYTES), None
-    pieces, size, error = [], 0, None
-    try:
-        while size < _CHUNK_BYTES and (
-            piece := fp.read1(min(_GZIP_PIECE_BYTES, _CHUNK_BYTES - size))
-        ):
-            pieces.append(piece)
-            size += len(piece)
-    except _GZIP_ERRORS as exc:
-        error = exc
-    return b"".join(pieces), error
+
+    def __init__(self, raw) -> None:
+        self._raw = raw
+        self._member = None  # the open member's decompressobj
+        self._input = b""  # compressed bytes not yet inflated
+        # The last call filled its output bound: zlib may hold more
+        # output for the bytes it has already taken.
+        self._full = False
+
+    def read(self, size: int) -> tuple[bytes, BaseException | None]:
+        """Up to ``size`` decompressed bytes, fewer only at the end of
+        the file or at damage, plus the error that cut them short:
+        ``EOFError`` for a truncated member, the ``zlib.error`` of
+        damaged bytes, or ``None``."""
+        out, have = [], 0
+        while have < size:
+            if not (self._input or self._full):
+                self._input = self._raw.read(_GZIP_PIECE_BYTES)
+                if not self._input:
+                    if self._member is None:
+                        break
+                    return b"".join(out), EOFError(
+                        "Compressed file ended before the end-of-stream "
+                        "marker was reached"
+                    )
+            if self._member is None:
+                self._input = self._input.lstrip(b"\0")
+                if not self._input:
+                    continue
+                self._member = zlib.decompressobj(31)
+            feed, before, room = self._input, self._member.copy(), size - have
+            try:
+                piece = self._member.decompress(feed, room)
+            except zlib.error as error:
+                # Replay the read a byte at a time from the state before it.
+                for i in range(len(feed)):
+                    try:
+                        out.append(before.decompress(feed[i : i + 1]))
+                    except zlib.error:
+                        break
+                return b"".join(out), error
+            out.append(piece)
+            have += len(piece)
+            self._full = len(piece) == room
+            if self._member.eof:
+                self._input, self._member = self._member.unused_data, None
+                self._full = False
+            else:
+                self._input = self._member.unconsumed_tail
+        return b"".join(out), None
 
 
 def read_trace_batches(
@@ -1054,9 +1090,10 @@ def read_trace_batches(
     (see :func:`detect_format`): plain radiotap pcap, RFC 1761 snoop,
     and gzip-compressed variants of both.  Bytes no container claims
     fail the pcap header check ("magic", "too short", "linktype").
-    For compressed captures, reads stream through :mod:`gzip` — the
-    file is never fully decompressed in memory — and every reported
-    byte offset is into the decompressed stream.
+    For compressed captures, reads stream through zlib
+    (:class:`_Inflater`) — the file is never fully decompressed in
+    memory — and every reported byte offset is into the decompressed
+    stream.
 
     The file is consumed in multi-megabyte slabs, so memory stays
     bounded no matter how large the capture is — the streaming
@@ -1085,10 +1122,11 @@ def read_trace_batches(
             path=path,
         )
 
-    with (gzip.open(path, "rb") if compressed else path.open("rb")) as fp:
-        try:
-            header = fp.read(layout.file_header_size)
-        except _GZIP_ERRORS as error:
+    with path.open("rb") as fp:
+        # read(size) -> (bytes, the error that cut them short or None)
+        read = _Inflater(fp).read if compressed else lambda n: (fp.read(n), None)
+        header, error = read(layout.file_header_size)
+        if error is not None:
             raise corrupt_gzip(error, 0, 0) from error
         layout.check_file_header(path, header)
 
@@ -1100,7 +1138,7 @@ def read_trace_batches(
         eof = False
         stream_error = None
         while not eof and stream_error is None:
-            data, stream_error = _read_slab(fp, compressed)
+            data, stream_error = read(_CHUNK_BYTES)
             if not data:
                 eof = True
             else:

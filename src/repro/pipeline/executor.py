@@ -204,15 +204,16 @@ class PipelineExecutor:
     def snapshot(self) -> dict[str, object]:
         """Results of a batch run over everything fed so far.
 
-        The live pass state (consumers, accumulators, the held-back
-        lookahead segment) is deep-copied and the copy is closed, so
-        feeding may continue afterwards; a snapshot at stream position
-        *k* equals :meth:`run` over the first *k* segments exactly.
-        After :meth:`close` this returns the final results.
+        The live pass state (consumers, accumulators) is deep-copied and
+        the copy is closed, so feeding may continue afterwards; a
+        snapshot at stream position *k* equals :meth:`run` over the
+        first *k* segments exactly.  The held-back lookahead segment is
+        shared, not copied: closing only reads it.  After :meth:`close`
+        this returns the final results.
         """
         if self.closed:
             return self._results
-        clone = copy.deepcopy(self)
+        clone = copy.deepcopy(self, {id(self._pending): self._pending})
         return clone.close()
 
     def close(self) -> dict[str, object]:

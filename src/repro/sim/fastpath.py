@@ -67,6 +67,7 @@ from ..frames import (
 from .builder import DRAIN_WINDOW_US, BuiltScenario
 from .node import BEACON_INTERVAL_US
 from .phy import BASIC_RATE_MBPS
+from .traffic import size_pool
 
 __all__ = ["FIDELITY_MODES", "FastBuiltScenario"]
 
@@ -196,15 +197,11 @@ class FastBuiltScenario:
                 tx.tx_power_dbm, tx.position, rx.position, tx_id=tx_id, rx_id=rx_id
             )
 
-        # Bootstrap pool for the configured size mixture: the scalar
-        # sampler runs _SIZE_POOL times at init, then windows resample
-        # the pool with vectorised integer draws.
-        pool_rng = np.random.default_rng([int(config.seed), 0x512E])
-        sampler = config.size_mix
-        self._size_pool = np.fromiter(
-            (sampler(pool_rng) for _ in range(_SIZE_POOL)),
-            dtype=np.int64,
-            count=_SIZE_POOL,
+        # Bootstrap pool for the configured size mixture: the first
+        # _SIZE_POOL draws of the sampler, then windows resample the
+        # pool with vectorised integer draws.
+        self._size_pool = size_pool(
+            config.size_mix, [int(config.seed), 0x512E], _SIZE_POOL
         )
 
         # Hidden-pair matrix.  A transmission from s collides when a

@@ -24,6 +24,7 @@ __all__ = [
     "SizeSampler",
     "uniform_sizes",
     "class_mixture",
+    "size_pool",
     "CONFERENCE_MIX",
     "RateSchedule",
     "ConstantRate",
@@ -128,7 +129,82 @@ def class_mixture(weights: dict[str, float]) -> SizeSampler:
         low, high = ranges[idx]
         return int(rng.integers(low, high + 1))
 
+    # What size_pool replays.  A function attribute, not a closure
+    # cell: store.canonical hashes the closure, so cell keys stay put.
+    sample.size_table = (
+        cdf,
+        np.array([low for low, _ in ranges], dtype=np.int64),
+        np.array([high - low + 1 for low, high in ranges], dtype=np.uint64),
+    )
     return sample
+
+
+def _scalar_pool(sampler: SizeSampler, seed, n: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.fromiter((sampler(rng) for _ in range(n)), dtype=np.int64, count=n)
+
+
+def _replay_pool(table, seed, n: int) -> np.ndarray | None:
+    """``n`` draws of the :func:`class_mixture` sampler with ``table``
+    from ``default_rng(seed)``, replayed from raw PCG64 outputs.
+
+    Each scalar draw is one ``random()`` (output ``u`` as
+    ``(u >> 11) * 2**-53``) picking the class, then one bounded
+    ``integers`` by Lemire's method on a 32-bit word, and PCG64 serves
+    32-bit words as the low then the high half of one output.  So the
+    draw pair (2k, 2k+1) reads outputs 3k and 3k+2 as its doubles and
+    output 3k+1 as its two words.  ``None`` when a draw would take
+    Lemire's rejection branch, which reads further words.
+    """
+    cdf, lows, spans = table
+    pairs = -(-n // 2)
+    raw = np.random.default_rng(seed).bit_generator.random_raw(3 * pairs)
+    raw = raw.reshape(pairs, 3)
+    doubles = (raw[:, ::2] >> 11).ravel()[:n] * 2.0**-53
+    words = np.stack((raw[:, 1] & 0xFFFFFFFF, raw[:, 1] >> 32), axis=1)
+    idx = cdf.searchsorted(doubles, side="right")
+    span = spans[idx]
+    product = words.ravel()[:n] * span
+    if np.any((product & 0xFFFFFFFF) < span):
+        return None
+    return lows[idx] + (product >> 32).astype(np.int64)
+
+
+#: Lazily-determined: does :func:`_replay_pool` equal the scalar draws
+#: on this numpy?  Checked once per process, like ``_FAST_CHOICE_OK``.
+_REPLAY_OK: bool | None = None
+
+
+def _replay_supported() -> bool:
+    global _REPLAY_OK
+    if _REPLAY_OK is None:
+        ok = _fast_choice_supported()
+        for seed, n in ((12345, 129), ((7, 0x512E), 64)):
+            replay = _replay_pool(CONFERENCE_MIX.size_table, seed, n)
+            ok = ok and replay is not None and np.array_equal(
+                replay, _scalar_pool(CONFERENCE_MIX, seed, n)
+            )
+        _REPLAY_OK = ok
+    return _REPLAY_OK
+
+
+def size_pool(sampler: SizeSampler, seed, n: int) -> np.ndarray:
+    """The first ``n`` draws of ``sampler`` from
+    ``np.random.default_rng(seed)``, as int64.
+
+    A :func:`class_mixture` sampler's draws are replayed from the
+    generator's raw outputs in one vectorised pass; any other sampler,
+    a draw that would take Lemire's rejection branch, or a numpy on
+    which the replay differs from the scalar draws runs the scalar
+    loop on a fresh generator instead.  Either way the pool is the
+    same, draw for draw.
+    """
+    table = getattr(sampler, "size_table", None)
+    if table is not None and _replay_supported():
+        pool = _replay_pool(table, seed, n)
+        if pool is not None:
+            return pool
+    return _scalar_pool(sampler, seed, n)
 
 
 #: Conference-floor blend: lots of small frames (TCP acks, SSH, audio)

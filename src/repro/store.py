@@ -19,9 +19,10 @@ keyed record is laid out, written, read and quarantined:
   :attr:`RecordStore.quarantined`, and read as a miss, so the work is
   recomputed.  Directory walks quarantine the same way.
 * **Blob sidecars.**  Objects too rich for JSON (reports) are pickled
-  into ``<key>.report.pkl.gz``, gzipped with ``mtime=0`` and no member
-  name so identical objects compress to identical bytes.  A blob that
-  fails to load is a plain miss; the JSON record is the commit point.
+  into ``<key>.report.pkl.gz``, gzipped at level 6 with ``mtime=0`` and
+  no member name so identical objects compress to identical bytes.  A
+  blob that fails to load is a plain miss; the JSON record is the
+  commit point.
 * **Salt.**  :func:`code_version_salt` hashes the package source and
   :func:`canonical_key` hashes a key payload, so results keyed with the
   salt never outlive the code that produced them.
@@ -144,7 +145,10 @@ class RecordStore:
     def put_blob(self, key: str, value: object) -> None:
         """Pickle ``value`` into the key's gzip sidecar, atomically."""
         data = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        write_atomic(self.path(key, BLOB_SUFFIX), gzip.compress(data, mtime=0))
+        write_atomic(
+            self.path(key, BLOB_SUFFIX),
+            gzip.compress(data, compresslevel=6, mtime=0),
+        )
 
     def get_blob(self, key: str) -> object | None:
         """The key's sidecar object, or ``None`` if missing or unloadable."""

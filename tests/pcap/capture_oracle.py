@@ -74,12 +74,12 @@ def oracle_pieces(trace, container, snaplen, duration_fill=True):
 def oracle_write(fp, trace, suffix, snaplen=250, duration_fill=True):
     """Write what ``write_trace(trace, "x" + suffix, snaplen)`` must
     write into the binary file ``fp``, one write per piece as the
-    per-row writers did; a ``.gz`` suffix compresses at gzip level 9
+    per-row writers did; a ``.gz`` suffix compresses at gzip level 6
     with mtime 0 and no name."""
     pieces = oracle_pieces(trace, container_of(suffix), snaplen, duration_fill)
     if suffix.endswith(".gz"):
         with gzip.GzipFile(
-            filename="", fileobj=fp, mode="wb", compresslevel=9, mtime=0
+            filename="", fileobj=fp, mode="wb", compresslevel=6, mtime=0
         ) as zp:
             for piece in pieces:
                 zp.write(piece)

@@ -16,6 +16,7 @@
 Runs are derandomized and bounded, so the suite stays deterministic.
 """
 
+import gzip
 import math
 import struct
 import zlib
@@ -45,7 +46,14 @@ from repro.pcap import (
 )
 from repro.sim import build_scenario
 
-from .capture_oracle import CONTAINERS, SUFFIXES, container_of, oracle_bytes
+from ..corpus.conftest import corrupt_deflate
+from .capture_oracle import (
+    CONTAINERS,
+    SUFFIXES,
+    container_of,
+    oracle_bytes,
+    scalar_read,
+)
 
 SNAPLENS = (0, 1, 33, 47, 48, 250, 65535)
 
@@ -223,12 +231,12 @@ def test_cut_capture_reads_clean_prefix(tmp_path, trace, suffix, data):
             assert error.compressed == compressed
 
 
-#: A 1,101-frame fast ``uniform`` capture (2 s, seed 3) cut at 50, 75,
-#: 90 and 99 % of its gzipped bytes: the whole records in what an
-#: incremental zlib decompress yields from each cut.
+#: A 1,101-frame fast ``uniform`` capture (2 s, seed 3), gzipped at
+#: level 6, cut at 50, 75, 90 and 99 % of its gzipped bytes: the whole
+#: records in what an incremental zlib decompress yields from each cut.
 CUT_GZIP_FRAMES = {
-    ".pcap.gz": (559, 828, 993, 1089),
-    ".snoop.gz": (535, 819, 989, 1089),
+    ".pcap.gz": (559, 826, 990, 1088),
+    ".snoop.gz": (536, 817, 986, 1088),
 }
 
 
@@ -252,6 +260,49 @@ def test_cut_gzip_capture_reads_its_clean_prefix(tmp_path, suffix):
         got = Trace.concatenate(batches)
         for name in TRACE_COLUMNS:
             assert np.array_equal(got.column(name), full.column(name)[:expected])
+
+
+def inflate_until_error(raw):
+    """What zlib inflates from gzip bytes fed one at a time, up to the
+    byte it rejects."""
+    inflate, out = zlib.decompressobj(31), []
+    for i in range(len(raw)):
+        try:
+            out.append(inflate.decompress(raw[i : i + 1]))
+        except zlib.error:
+            break
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("suffix", [".pcap.gz", ".snoop.gz"])
+def test_zlib_corrupt_capture_reads_every_clean_record(tmp_path, suffix):
+    """A deflate stream that turns invalid midway yields every whole
+    record in the bytes zlib inflates before the damage, then the
+    container's error at the end of those bytes."""
+    built = build_scenario("uniform", fidelity="fast", duration_s=1.0, seed=3)
+    path = tmp_path / f"capture{suffix}"
+    write_trace(Trace.concatenate(list(built.stream())), path)
+    full = read_trace(path)
+    plain = gzip.decompress(path.read_bytes())
+    corrupt_deflate(path)
+    clean = inflate_until_error(path.read_bytes())
+    assert clean == plain[: len(plain) // 2]  # the half written cleanly
+    oracle, _ = scalar_read(path, 1 << 30, raw=clean)
+    expected = sum(len(b) for b in oracle)
+    assert expected > 200
+
+    batches = []
+    layout = CONTAINERS[container_of(suffix)][2]
+    with pytest.raises(layout.error, match="corrupt gzip stream") as info:
+        for batch in read_trace_batches(path):
+            batches.append(batch)
+    assert "invalid block type" in str(info.value)
+    assert sum(len(b) for b in batches) == expected
+    assert info.value.frames_read == expected
+    assert info.value.byte_offset == len(clean)
+    got = Trace.concatenate(batches)
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(got.column(name), full.column(name)[:expected])
 
 
 @pytest.fixture(scope="module")

@@ -8,10 +8,12 @@ batch ``run_all`` over exactly those chunks — for every library
 scenario, for a real pcap file, and down to one-frame segments.
 """
 
+import pickle
+
 import pytest
 
 from repro.core import analyze_trace
-from repro.frames import Trace
+from repro.frames import TRACE_COLUMNS, Trace
 from repro.pcap import write_trace
 from repro.pipeline import (
     DEFAULT_CONSUMERS,
@@ -103,6 +105,64 @@ def test_snapshot_does_not_disturb_the_stream(small_scenario):
         assemble_report(quiet.close(), name="inc"),
         assemble_report(noisy.close(), name="inc"),
     )
+
+
+def read_only(trace):
+    """A copy of ``trace`` whose columns refuse writes."""
+    columns = {}
+    for name in TRACE_COLUMNS:
+        column = trace.column(name).copy()
+        column.setflags(write=False)
+        columns[name] = column
+    return Trace(columns)
+
+
+def test_snapshot_shares_the_pending_segment_unchanged(
+    small_scenario, monkeypatch
+):
+    """A snapshot closes its copy over the live executor's held-back
+    segment itself, not a copy of it, and leaves that segment's columns
+    byte-equal: nothing on the close path writes into them (they are
+    read-only here, so a write would raise)."""
+    closed_over = []
+    consume = PipelineExecutor._consume_segment
+
+    def spy(self, segment, next_segment):
+        if next_segment is None:
+            closed_over.append(segment)
+        return consume(self, segment, next_segment)
+
+    monkeypatch.setattr(PipelineExecutor, "_consume_segment", spy)
+    chunks = [
+        read_only(chunk) for chunk in trace_chunks(small_scenario.trace, 700)
+    ]
+    executor = make_executor(small_scenario.roster)
+    for chunk in chunks:
+        executor.feed(chunk)
+        before = {name: chunk.column(name).tobytes() for name in TRACE_COLUMNS}
+        executor.snapshot()
+        assert closed_over.pop() is chunk
+        for name in TRACE_COLUMNS:
+            assert chunk.column(name).tobytes() == before[name], name
+
+
+def test_snapshot_every_segment_then_feed_on_equals_run(small_scenario):
+    """Snapshotting after every segment, then feeding on, ends on
+    exactly the results of one uninterrupted run()."""
+    roster = small_scenario.roster
+    chunks = [
+        read_only(chunk) for chunk in trace_chunks(small_scenario.trace, 700)
+    ]
+    live = make_executor(roster)
+    for chunk in chunks:
+        live.feed(chunk)
+        live.snapshot()
+    batch = make_executor(roster).run(iter(chunks))
+    final = live.close()
+    assert_reports_equal(
+        assemble_report(batch, name="inc"), assemble_report(final, name="inc")
+    )
+    assert pickle.dumps(final) == pickle.dumps(batch)  # exactly, not to a tolerance
 
 
 def test_snapshot_on_fresh_executor_is_empty_report():

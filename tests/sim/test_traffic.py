@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.sim.traffic as traffic
 from repro.frames import FrameType
 from repro.sim import (
+    CONFERENCE_MIX,
     ConstantRate,
     LinearRamp,
     ModulatedRate,
@@ -12,9 +16,13 @@ from repro.sim import (
     ScaledRate,
     Simulator,
     StepSchedule,
+    available_scenarios,
+    build_scenario,
     class_mixture,
+    scenario_config,
     uniform_sizes,
 )
+from repro.sim.traffic import size_pool
 
 
 class TestSchedules:
@@ -174,6 +182,88 @@ class TestRngStreamEquivalence:
             expected.append(int(b.integers(low, high + 1)))
         assert got == expected
         assert a.bit_generator.state == b.bit_generator.state
+
+
+def scalar_draws(sampler, seed, n):
+    """The first ``n`` draws of ``sampler``, one scalar call at a time."""
+    rng = np.random.default_rng(seed)
+    return [sampler(rng) for _ in range(n)]
+
+
+#: Every size mix a library scenario draws from, once each.
+LIBRARY_MIXES = list(
+    {
+        id(mix): mix
+        for mix in (scenario_config(name).size_mix for name in available_scenarios())
+    }.values()
+)
+
+#: Random class_mixture weights: any non-empty subset of the classes,
+#: zero weights included, summing to a positive value.
+RANDOM_MIXES = st.dictionaries(
+    st.sampled_from(["S", "M", "L", "XL"]), st.floats(0.0, 10.0), min_size=1
+).filter(lambda weights: sum(weights.values()) > 0).map(class_mixture)
+
+#: Plain integer seeds and the fast engine's ``[seed, 0x512E]`` form.
+SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**32 - 1).map(lambda seed: [seed, 0x512E]),
+)
+
+
+class TestSizePool:
+    """``size_pool`` is the first n scalar draws, whichever path runs."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(
+        sampler=st.one_of(st.sampled_from(LIBRARY_MIXES), RANDOM_MIXES),
+        seed=SEEDS,
+        n=st.integers(1, 600),
+    )
+    def test_equals_scalar_draws(self, sampler, seed, n):
+        pool = size_pool(sampler, seed, n)
+        assert pool.dtype == np.int64
+        assert pool.tolist() == scalar_draws(sampler, seed, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 4095, 4096])
+    @pytest.mark.parametrize("mix", range(len(LIBRARY_MIXES)))
+    def test_library_mixes_at_pool_sizes(self, mix, n):
+        sampler = LIBRARY_MIXES[mix]
+        for seed in (0, 1, [3, 0x512E]):
+            assert size_pool(sampler, seed, n).tolist() == scalar_draws(
+                sampler, seed, n
+            )
+
+    def test_rejection_branch_falls_back_to_the_scalar_loop(self):
+        # On this seed's stream a draw takes Lemire's rejection branch,
+        # which reads a further word and shifts every later draw.
+        seed = [29306, 0x512E]
+        assert traffic._replay_pool(CONFERENCE_MIX.size_table, seed, 4096) is None
+        pool = size_pool(CONFERENCE_MIX, seed, 4096)
+        assert pool.tolist() == scalar_draws(CONFERENCE_MIX, seed, 4096)
+
+    def test_other_samplers_run_the_scalar_loop(self):
+        sampler = uniform_sizes(60, 1500)
+        assert size_pool(sampler, 5, 333).tolist() == scalar_draws(sampler, 5, 333)
+
+    def test_failed_probe_falls_back_to_the_scalar_loop(self, monkeypatch):
+        monkeypatch.setattr(traffic, "_REPLAY_OK", False)
+        monkeypatch.setattr(traffic, "_replay_pool", None)  # never called
+        pool = size_pool(CONFERENCE_MIX, 11, 257)
+        assert pool.tolist() == scalar_draws(CONFERENCE_MIX, 11, 257)
+
+    def test_every_library_pool_is_replayed(self, monkeypatch):
+        """On this numpy the vectorised replay, not the scalar
+        fallback, builds every library scenario's fast-engine pool."""
+        assert traffic._replay_supported()
+
+        def scalar_pool(*args):
+            raise AssertionError("the scalar fallback built a pool")
+
+        monkeypatch.setattr(traffic, "_scalar_pool", scalar_pool)
+        for name in available_scenarios():
+            for seed in (1, 3):
+                build_scenario(name, fidelity="fast", duration_s=1.0, seed=seed)
 
 
 def _reference_lazy_arrivals(schedule, sizes, rng, end_us):
