@@ -60,7 +60,6 @@ from .library import (
 from .sniffer import Sniffer, SnifferConfig, ground_truth_trace
 from .topology import place_aps, place_stations, sniffer_position
 from .traffic import (
-    ClosedLoopSource,
     ModulatedRate,
     ScaledRate,
     CONFERENCE_MIX,
@@ -83,7 +82,6 @@ __all__ = [
     "ChannelManager",
     "ChannelManagerConfig",
     "ChannelSwitch",
-    "ClosedLoopSource",
     "ConstantRate",
     "DcfMac",
     "EventHandle",

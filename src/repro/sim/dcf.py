@@ -117,7 +117,6 @@ class DcfMac:
         sense_threshold_dbm: float = -85.0,
         on_data_delivered: Callable[[SimFrame], None] | None = None,
         power_control: TransmitPowerControl | None = None,
-        on_msdu_complete: Callable[[int, bool], None] | None = None,
     ) -> None:
         self.sim = sim
         self.medium = medium
@@ -144,10 +143,6 @@ class DcfMac:
             is not RateAdaptation.on_feedback_snr
         )
         self.overhear_noop = not self._ra_wants_snr and power_control is None
-        #: Called with (dst, success) when an MSDU finishes: all
-        #: fragments acknowledged (True) or dropped at the retry limit
-        #: (False).  Closed-loop traffic sources hang off this.
-        self.on_msdu_complete = on_msdu_complete
         self.stats = MacStats()
 
         self._queue: deque[tuple[int, int, FrameType]] = deque()
@@ -440,8 +435,6 @@ class DcfMac:
         if pending.retries > self.config.retry_limit:
             self.stats.data_drops += 1
             self._pending = None
-            if self.on_msdu_complete is not None and pending.ftype == FrameType.DATA:
-                self.on_msdu_complete(pending.dst, False)
             self._begin_next()
             return
         self._cw = min((self._cw + 1) * 2 - 1, self.config.cw_max)
@@ -493,12 +486,6 @@ class DcfMac:
             if pending.ftype == FrameType.DATA:
                 self.stats.data_successes += 1
         self._pending = None
-        if (
-            pending is not None
-            and self.on_msdu_complete is not None
-            and pending.ftype == FrameType.DATA
-        ):
-            self.on_msdu_complete(pending.dst, True)
         self._begin_next()
 
     # -- reception --------------------------------------------------------

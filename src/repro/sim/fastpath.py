@@ -66,7 +66,7 @@ from ..frames import (
 )
 from .builder import DRAIN_WINDOW_US, BuiltScenario
 from .node import BEACON_INTERVAL_US
-from .phy import BASIC_RATE_MBPS
+from .phy import BASIC_RATE_MBPS, CONTROL_FRAME_BYTES, PLCP_HEADER_BITS
 from .traffic import size_pool
 
 __all__ = ["FIDELITY_MODES", "FastBuiltScenario"]
@@ -119,6 +119,12 @@ _RATE_TARGET_PER = 0.1
 _DATA = int(FrameType.DATA)
 _MGMT = int(FrameType.MGMT)
 _BEACON = int(FrameType.BEACON)
+
+#: ``CONTROL_FRAME_BYTES`` indexed by frame type (0 for DATA and MGMT,
+#: whose error law counts their body instead).
+_CONTROL_BYTES = np.array(
+    [CONTROL_FRAME_BYTES.get(ftype, 0) for ftype in FrameType], dtype=np.int64
+)
 
 
 @dataclass
@@ -615,7 +621,8 @@ class FastBuiltScenario:
         # -- per-attempt success draws ----------------------------------
         body_bits = 8.0 * (timing.mac_overhead_bytes + jsize)
         p_frame = np.exp(
-            48.0 * self.flow_l1[jflow] + body_bits * self.flow_lr[jflow]
+            PLCP_HEADER_BITS * self.flow_l1[jflow]
+            + body_bits * self.flow_lr[jflow]
         )
 
         # Hidden-terminal losses — the engine's collision model.  A
@@ -959,15 +966,13 @@ class FastBuiltScenario:
         # -- capture filter ---------------------------------------------
         audible = self._sniff_audible[srcs]
         is_payload = (ftype == _DATA) | (ftype == _MGMT)
-        ctrl_size = np.where(
-            ftype == int(FrameType.RTS), RTS_FRAME_BYTES, ACK_FRAME_BYTES
-        )
+        ctrl_size = _CONTROL_BYTES[ftype]
         l1 = self._sniff_lr[srcs, 0]
         lr = self._sniff_lr[srcs, np.minimum(rcodes, len(DOT11_RATES_MBPS) - 1)]
         body_bits = 8.0 * (self.phy.timing.mac_overhead_bytes + sizes)
         p_decode = np.where(
             is_payload,
-            np.exp(48.0 * l1 + body_bits * lr),
+            np.exp(PLCP_HEADER_BITS * l1 + body_bits * lr),
             np.exp(8.0 * ctrl_size * l1),
         )
         span_us = max(int(time_us.max() - time_us.min()), 100_000)

@@ -58,7 +58,7 @@ import numpy as np
 
 from ..frames import FrameType
 from .engine import Simulator
-from .phy import BASIC_RATE_MBPS, PhyModel
+from .phy import BASIC_RATE_MBPS, PLCP_HEADER_BITS, PhyModel
 from .propagation import Position, PropagationModel
 
 __all__ = ["SimFrame", "MediumListener", "Medium", "Transmission"]
@@ -460,7 +460,7 @@ class Medium:
                         terms = collision_terms.get((snr_db, rate))
                         if terms is None:
                             terms = self._collision_data_terms(snr_db, rate)
-                        p = exp(48 * terms[0] + (body_bits * terms[1]))
+                        p = exp(PLCP_HEADER_BITS * terms[0] + (body_bits * terms[1]))
                     else:
                         p = collision_ctrl_p.get((snr_db, ftype))
                         if p is None:
@@ -470,10 +470,10 @@ class Medium:
                     terms = data_terms.get(rate)
                     if terms is None:
                         terms = self._data_terms(data_terms, snr0, rate)
-                    # 48 header bits at the basic rate, body at the data
+                    # Header bits at the basic rate, body at the data
                     # rate; term-for-term the PHY's expression, so the
                     # probability is bit-identical to the uncached path.
-                    p = exp(48 * terms[0] + (body_bits * terms[1]))
+                    p = exp(PLCP_HEADER_BITS * terms[0] + (body_bits * terms[1]))
                 else:
                     p = ctrl_p.get(ftype)
                     if p is None:

@@ -30,10 +30,29 @@ from ..frames import (
 )
 from ..core.timing import DOT11B_TIMING, TimingParameters
 
-__all__ = ["PhyModel", "BASIC_RATE_MBPS", "snr_db_to_linear"]
+__all__ = [
+    "PhyModel",
+    "BASIC_RATE_MBPS",
+    "CONTROL_FRAME_BYTES",
+    "PLCP_HEADER_BITS",
+    "snr_db_to_linear",
+]
 
 #: Control frames and PLCP are sent at the 1 Mbps basic rate.
 BASIC_RATE_MBPS = 1.0
+
+#: PLCP SIGNAL/SERVICE/LENGTH/CRC bits, ahead of every frame at the
+#: basic rate; the bits of a frame's error law besides its body.
+PLCP_HEADER_BITS = 48
+
+#: Bytes of each fixed-size frame in its error law; a beacon counts as
+#: an ACK.
+CONTROL_FRAME_BYTES = {
+    FrameType.RTS: RTS_FRAME_BYTES,
+    FrameType.CTS: CTS_FRAME_BYTES,
+    FrameType.ACK: ACK_FRAME_BYTES,
+    FrameType.BEACON: ACK_FRAME_BYTES,
+}
 
 #: Spreading/processing gain per 802.11b rate (see module docstring).
 _PROCESSING_GAIN = {1.0: 11.0, 2.0: 5.5, 5.5: 2.0, 11.0: 1.0}
@@ -109,21 +128,15 @@ class PhyModel:
         ``rate_mbps``.  ``size_bytes`` excludes the 34-byte MAC overhead,
         which we add back, matching the duration formula.
         """
-        header_bits = 48  # PLCP SIGNAL/SERVICE/LENGTH/CRC fields
         body_bits = 8 * (self.timing.mac_overhead_bytes + size_bytes)
         return math.exp(
-            header_bits * self.log_survival(snr_db, BASIC_RATE_MBPS)
+            PLCP_HEADER_BITS * self.log_survival(snr_db, BASIC_RATE_MBPS)
             + body_bits * self.log_survival(snr_db, rate_mbps)
         )
 
     def control_success_probability(self, snr_db: float, ftype: FrameType) -> float:
         """Success probability for fixed-size control/beacon frames."""
-        size = {
-            FrameType.RTS: RTS_FRAME_BYTES,
-            FrameType.CTS: CTS_FRAME_BYTES,
-            FrameType.ACK: ACK_FRAME_BYTES,
-            FrameType.BEACON: ACK_FRAME_BYTES,
-        }[ftype]
+        size = CONTROL_FRAME_BYTES[ftype]
         return math.exp(8 * size * self.log_survival(snr_db, BASIC_RATE_MBPS))
 
     def best_rate_for_snr(

@@ -49,6 +49,7 @@ from .traffic import (
 __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
+    "SessionBlocks",
     "run_scenario",
     "stream_scenario",
     "load_ramp_config",
@@ -57,9 +58,14 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything needed to build and run one simulated capture session."""
+    """Everything needed to build and run one simulated capture session.
+
+    Frozen.  A library config holds only declared data (numbers,
+    strings, tuples, mappings, frozen dataclasses), so a campaign store
+    keys its cells by what they run (:func:`repro.store.canonical`).
+    """
     n_stations: int = 10
     n_aps: int = 1
     duration_s: float = 30.0
@@ -108,6 +114,7 @@ class ScenarioConfig:
 
     #: Optional per-station activity window factory: given (station
     #: index, rng) return (start_us, end_us).  Default: always active.
+    #: A store keys only a dataclass one, such as :class:`SessionBlocks`.
     activity: Callable[[int, np.random.Generator], tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
@@ -263,18 +270,24 @@ def load_ramp_config(
     )
 
 
-def _session_activity(
-    blocks: tuple[tuple[float, float], ...], duration_us: int
-) -> Callable[[int, np.random.Generator], tuple[int, int]]:
-    """Assign each station one attendance block (fractions of the run)."""
+@dataclass(frozen=True)
+class SessionBlocks:
+    """Attendance: each station attends one of ``blocks`` of the run.
 
-    def pick(index: int, rng: np.random.Generator) -> tuple[int, int]:
-        start_frac, end_frac = blocks[int(rng.integers(0, len(blocks)))]
+    ``blocks`` are (start, end) fractions of ``duration_us``.  A station
+    draws its block uniformly, then shifts it by a jitter of up to 3 %
+    of the run, its end clamped to the run's end.
+    """
+
+    blocks: tuple[tuple[float, float], ...]
+    duration_us: int
+
+    def __call__(self, index: int, rng: np.random.Generator) -> tuple[int, int]:
+        start_frac, end_frac = self.blocks[int(rng.integers(0, len(self.blocks)))]
         jitter = float(rng.uniform(0.0, 0.03))
-        start = int((start_frac + jitter) * duration_us)
-        end = int(min(end_frac + jitter, 1.0) * duration_us)
+        start = int((start_frac + jitter) * self.duration_us)
+        end = int(min(end_frac + jitter, 1.0) * self.duration_us)
         return start, end
-    return pick
 
 
 def ietf_day_config(
@@ -305,7 +318,7 @@ def ietf_day_config(
         size_mix=RAMP_MIX,
         uplink=ModulatedRate(ConstantRate(9.0), sigma=0.8, seed=seed + 51),
         downlink=ModulatedRate(ConstantRate(26.0), sigma=0.8, seed=seed + 52),
-        activity=_session_activity(blocks, duration_us),
+        activity=SessionBlocks(blocks, duration_us),
     )
 
 
@@ -338,5 +351,5 @@ def ietf_plenary_config(
         size_mix=RAMP_MIX,
         uplink=ModulatedRate(ConstantRate(14.0), sigma=0.9, seed=seed + 51),
         downlink=ModulatedRate(ConstantRate(42.0), sigma=0.9, seed=seed + 52),
-        activity=_session_activity(blocks, duration_us),
+        activity=SessionBlocks(blocks, duration_us),
     )

@@ -8,6 +8,11 @@ to sweep channel utilization across the 30-99 % range the paper studies
 is just a generator whose rate grows over the run.  The one blend
 defined here is :data:`CONFERENCE_MIX`; :func:`class_mixture` builds
 any other from class weights.
+
+Samplers and schedules are frozen dataclasses: what they draw is their
+declared fields, which is all a store key hashes
+(:func:`repro.store.canonical`).  A table derived from the fields, or a
+memo filled while a run draws, is a plain attribute beside them.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from .engine import Simulator
 
 __all__ = [
     "SizeSampler",
+    "SizeMix",
+    "UniformSizes",
     "uniform_sizes",
     "class_mixture",
     "size_pool",
@@ -33,7 +40,6 @@ __all__ = [
     "ScaledRate",
     "ModulatedRate",
     "PoissonSource",
-    "ClosedLoopSource",
 ]
 
 SizeSampler = Callable[[np.random.Generator], int]
@@ -49,15 +55,24 @@ def _poisson_gap_us(rng: np.random.Generator, rate_pps: float) -> int:
     return max(1, int(rng.exponential(1e6 / rate_pps)))
 
 
-def uniform_sizes(low: int, high: int) -> SizeSampler:
+@dataclass(frozen=True)
+class UniformSizes:
+    """Frame sizes uniform in [low, high] bytes: one ``integers`` call."""
+
+    low: int
+    high: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.low <= self.high:
+            raise ValueError(f"invalid size range [{self.low}, {self.high}]")
+
+    def __call__(self, rng: np.random.Generator) -> int:
+        return int(rng.integers(self.low, self.high + 1))
+
+
+def uniform_sizes(low: int, high: int) -> UniformSizes:
     """Frame sizes uniform in [low, high] bytes."""
-    if not 0 <= low <= high:
-        raise ValueError(f"invalid size range [{low}, {high}]")
-
-    def sample(rng: np.random.Generator) -> int:
-        return int(rng.integers(low, high + 1))
-
-    return sample
+    return UniformSizes(low, high)
 
 
 #: Representative byte ranges per size class (midpoints of the paper's bands).
@@ -69,74 +84,51 @@ _CLASS_RANGES = {
 }
 
 
-#: Lazily-determined: does ``cdf.searchsorted(rng.random(), 'right')``
-#: replicate ``rng.choice(n, p=...)`` draw for draw on this numpy?  It
-#: does on every numpy we have seen (choice consumes exactly one double
-#: and searches the same normalized cumsum), and the replication is ~20x
-#: faster — but the contract is byte-identical traces, so it is verified
-#: empirically once per process and the slow path kept as fallback.
-_FAST_CHOICE_OK: bool | None = None
+@dataclass(frozen=True)
+class SizeMix:
+    """Sizes from the S/M/L/XL classes, ``weights`` as ((class, weight), ...).
+
+    A draw is one ``random()`` double picking the class, searched in
+    the normalised cumulative weights (the walk ``Generator.choice(p=)``
+    makes on the same double), then one ``integers`` call inside the
+    class's byte range.  The weights' order is the search order, so it
+    is part of what the mix draws.  :attr:`table` holds the cumulative
+    weights, class lows and spans that :func:`size_pool` replays; it is
+    derived from the weights, not a field.
+    """
+
+    weights: tuple[tuple[str, float], ...]
+
+    def __post_init__(self) -> None:
+        names = [name for name, _ in self.weights]
+        unknown = set(names) - set(_CLASS_RANGES)
+        if unknown:
+            raise ValueError(f"unknown size classes: {sorted(unknown)}")
+        probs = np.array([weight for _, weight in self.weights], dtype=np.float64)
+        if probs.sum() <= 0:
+            raise ValueError("weights must sum to a positive value")
+        probs = probs / probs.sum()
+        # The cumsum normalization Generator.choice applies internally.
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        ranges = [_CLASS_RANGES[name] for name in names]
+        lows = np.array([low for low, _ in ranges], dtype=np.int64)
+        spans = np.array([high - low + 1 for low, high in ranges], dtype=np.uint64)
+        object.__setattr__(self, "_ranges", ranges)
+        object.__setattr__(self, "table", (cdf, lows, spans))
+
+    def __call__(self, rng: np.random.Generator) -> int:
+        idx = int(self.table[0].searchsorted(rng.random(), side="right"))
+        low, high = self._ranges[idx]
+        return int(rng.integers(low, high + 1))
 
 
-def _fast_choice_supported() -> bool:
-    global _FAST_CHOICE_OK
-    if _FAST_CHOICE_OK is None:
-        ok = True
-        for seed, raw in ((12345, (0.45, 0.08, 0.07, 0.40)), (999, (0.2, 0.8))):
-            probs = np.array(raw, dtype=np.float64)
-            probs = probs / probs.sum()
-            cdf = probs.cumsum()
-            cdf /= cdf[-1]
-            a = np.random.default_rng(seed)
-            b = np.random.default_rng(seed)
-            xs = [int(a.choice(len(probs), p=probs)) for _ in range(128)]
-            ys = [int(cdf.searchsorted(b.random(), side="right")) for _ in range(128)]
-            ok = ok and xs == ys and (
-                a.bit_generator.state == b.bit_generator.state
-            )
-        _FAST_CHOICE_OK = ok
-    return _FAST_CHOICE_OK
-
-
-def class_mixture(weights: dict[str, float]) -> SizeSampler:
+def class_mixture(weights: dict[str, float]) -> SizeMix:
     """Sample sizes from the S/M/L/XL classes with the given weights.
 
     >>> sampler = class_mixture({"S": 0.5, "XL": 0.5})
     """
-    names = list(weights)
-    unknown = set(names) - set(_CLASS_RANGES)
-    if unknown:
-        raise ValueError(f"unknown size classes: {sorted(unknown)}")
-    probs = np.array([weights[n] for n in names], dtype=np.float64)
-    if probs.sum() <= 0:
-        raise ValueError("weights must sum to a positive value")
-    probs = probs / probs.sum()
-    ranges = [_CLASS_RANGES[n] for n in names]
-    n_classes = len(names)
-    # Same cumsum normalization Generator.choice applies internally, so
-    # the fast path lands on identical class indices.  The support
-    # check is process-constant; resolve it once per sampler.
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    searchsorted = cdf.searchsorted
-    fast_choice = _fast_choice_supported()
-
-    def sample(rng: np.random.Generator) -> int:
-        if fast_choice:
-            idx = int(searchsorted(rng.random(), side="right"))
-        else:  # pragma: no cover - exercised only on exotic numpy builds
-            idx = int(rng.choice(n_classes, p=probs))
-        low, high = ranges[idx]
-        return int(rng.integers(low, high + 1))
-
-    # What size_pool replays.  A function attribute, not a closure
-    # cell: store.canonical hashes the closure, so cell keys stay put.
-    sample.size_table = (
-        cdf,
-        np.array([low for low, _ in ranges], dtype=np.int64),
-        np.array([high - low + 1 for low, high in ranges], dtype=np.uint64),
-    )
-    return sample
+    return SizeMix(tuple(weights.items()))
 
 
 def _scalar_pool(sampler: SizeSampler, seed, n: int) -> np.ndarray:
@@ -145,8 +137,8 @@ def _scalar_pool(sampler: SizeSampler, seed, n: int) -> np.ndarray:
 
 
 def _replay_pool(table, seed, n: int) -> np.ndarray | None:
-    """``n`` draws of the :func:`class_mixture` sampler with ``table``
-    from ``default_rng(seed)``, replayed from raw PCG64 outputs.
+    """``n`` draws of the :class:`SizeMix` with ``table`` from
+    ``default_rng(seed)``, replayed from raw PCG64 outputs.
 
     Each scalar draw is one ``random()`` (output ``u`` as
     ``(u >> 11) * 2**-53``) picking the class, then one bounded
@@ -171,16 +163,16 @@ def _replay_pool(table, seed, n: int) -> np.ndarray | None:
 
 
 #: Lazily-determined: does :func:`_replay_pool` equal the scalar draws
-#: on this numpy?  Checked once per process, like ``_FAST_CHOICE_OK``.
+#: on this numpy?  Checked once per process.
 _REPLAY_OK: bool | None = None
 
 
 def _replay_supported() -> bool:
     global _REPLAY_OK
     if _REPLAY_OK is None:
-        ok = _fast_choice_supported()
+        ok = True
         for seed, n in ((12345, 129), ((7, 0x512E), 64)):
-            replay = _replay_pool(CONFERENCE_MIX.size_table, seed, n)
+            replay = _replay_pool(CONFERENCE_MIX.table, seed, n)
             ok = ok and replay is not None and np.array_equal(
                 replay, _scalar_pool(CONFERENCE_MIX, seed, n)
             )
@@ -192,16 +184,15 @@ def size_pool(sampler: SizeSampler, seed, n: int) -> np.ndarray:
     """The first ``n`` draws of ``sampler`` from
     ``np.random.default_rng(seed)``, as int64.
 
-    A :func:`class_mixture` sampler's draws are replayed from the
-    generator's raw outputs in one vectorised pass; any other sampler,
-    a draw that would take Lemire's rejection branch, or a numpy on
-    which the replay differs from the scalar draws runs the scalar
-    loop on a fresh generator instead.  Either way the pool is the
-    same, draw for draw.
+    A :class:`SizeMix`'s draws are replayed from the generator's raw
+    outputs in one vectorised pass; any other sampler, a draw that
+    would take Lemire's rejection branch, or a numpy on which the
+    replay differs from the scalar draws runs the scalar loop on a
+    fresh generator instead.  Either way the pool is the same, draw
+    for draw.
     """
-    table = getattr(sampler, "size_table", None)
-    if table is not None and _replay_supported():
-        pool = _replay_pool(table, seed, n)
+    if isinstance(sampler, SizeMix) and _replay_supported():
+        pool = _replay_pool(sampler.table, seed, n)
         if pool is not None:
             return pool
     return _scalar_pool(sampler, seed, n)
@@ -255,6 +246,7 @@ class ScaledRate:
         return self.base.rate_at(time_us) * self.factor
 
 
+@dataclass(frozen=True)
 class ModulatedRate:
     """Multiplicative burst modulation of a base schedule.
 
@@ -264,29 +256,25 @@ class ModulatedRate:
     multiplier (unit mean) every ``period_us``, which is what populates
     the intermediate utilization bins of Figures 6-15 — without it an
     open-loop network snaps straight from underload to saturation.
+    Drawn multipliers are memoised by epoch beside the fields.
     """
 
-    def __init__(
-        self,
-        base: "RateSchedule",
-        sigma: float = 0.8,
-        period_us: int = 2_000_000,
-        seed: int = 99,
-    ) -> None:
-        if sigma < 0:
+    base: "RateSchedule"
+    sigma: float = 0.8
+    period_us: int = 2_000_000
+    seed: int = 99
+
+    def __post_init__(self) -> None:
+        if self.sigma < 0:
             raise ValueError("sigma must be non-negative")
-        if period_us <= 0:
+        if self.period_us <= 0:
             raise ValueError("period_us must be positive")
-        self.base = base
-        self.sigma = sigma
-        self.period_us = period_us
-        self._seed = seed
-        self._cache: dict[int, float] = {}
+        object.__setattr__(self, "_cache", {})
 
     def _multiplier(self, epoch: int) -> float:
         value = self._cache.get(epoch)
         if value is None:
-            rng = np.random.default_rng((self._seed, epoch))
+            rng = np.random.default_rng((self.seed, epoch))
             # mean-one log-normal: E[exp(N(-s^2/2, s^2))] = 1
             value = float(
                 np.exp(rng.normal(-self.sigma**2 / 2.0, self.sigma))
@@ -373,65 +361,3 @@ class PoissonSource:
             self.sim.schedule_in(100_000, self._poll)
         else:
             self.sim.schedule_in(_poisson_gap_us(self.rng, rate), self._arrive)
-
-
-class ClosedLoopSource:
-    """Window-limited transfer: a TCP-like self-limiting source.
-
-    Open-loop Poisson sources keep offering load into a congested
-    channel; real conference traffic was mostly TCP, which limits the
-    data in flight.  This source keeps at most ``window`` MSDUs
-    outstanding in the MAC: each completion (delivery or drop) releases
-    the next one after ``think_time_us``.  Under congestion its offered
-    rate automatically tracks the channel's service rate — the
-    self-limiting behaviour the paper's network exhibited between
-    congestion episodes.
-    """
-
-    def __init__(
-        self,
-        mac,
-        dst: int,
-        sizes: SizeSampler,
-        rng: np.random.Generator,
-        window: int = 4,
-        think_time_us: int = 0,
-        total_msdus: int | None = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.mac = mac
-        self.dst = dst
-        self.sizes = sizes
-        self.rng = rng
-        self.window = window
-        self.think_time_us = think_time_us
-        self.total_msdus = total_msdus
-        self.sent = 0
-        self.completed = 0
-        self.delivered = 0
-        if mac.on_msdu_complete is not None:
-            raise ValueError("MAC already has an MSDU-completion consumer")
-        mac.on_msdu_complete = self._on_complete
-        for _ in range(window):
-            self._inject()
-
-    def _exhausted(self) -> bool:
-        return self.total_msdus is not None and self.sent >= self.total_msdus
-
-    def _inject(self) -> None:
-        if self._exhausted():
-            return
-        self.mac.enqueue(self.dst, self.sizes(self.rng), FrameType.DATA)
-        self.sent += 1
-
-    def _on_complete(self, dst: int, success: bool) -> None:
-        if dst != self.dst:
-            return
-        self.completed += 1
-        if success:
-            self.delivered += 1
-        if self.think_time_us > 0:
-            self.mac.sim.schedule_in(self.think_time_us, self._inject)
-        else:
-            self._inject()

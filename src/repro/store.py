@@ -23,9 +23,11 @@ keyed record is laid out, written, read and quarantined:
   no member name so identical objects compress to identical bytes.  A
   blob that fails to load is a plain miss; the JSON record is the
   commit point.
-* **Salt.**  :func:`code_version_salt` hashes the package source and
-  :func:`canonical_key` hashes a key payload, so results keyed with the
-  salt never outlive the code that produced them.
+* **Keys.**  :func:`canonical` reduces declared data — primitives,
+  numpy values, sequences, mappings, dataclasses — to JSON and refuses
+  anything else, :func:`canonical_key` hashes the result, and
+  :func:`code_version_salt` hashes the package source, so results keyed
+  with the salt never outlive the code that produced them.
 
 Stdlib only: numpy values are recognised through ``sys.modules``, since
 only an imported numpy can have produced them.
@@ -196,24 +198,19 @@ def code_version_salt() -> str:
     return os.environ.get(_SALT_ENV) or _source_digest()
 
 
-def canonical(value, seen: set[int] | None = None):
+def canonical(value):
     """Reduce ``value`` to a deterministic JSON-able structure.
 
-    Handles the things a resolved scenario config or timing-parameter
-    set contains: primitives, tuples, mappings, dataclasses, numpy
-    scalars/arrays, rate-schedule objects and size-mix closures.
-    Callables contribute their qualified name plus their closure's
-    canonical contents (so two ``class_mixture`` samplers with different
-    weights hash apart); generic objects contribute their class plus
-    sorted attributes, *skipping* dict/set-valued attributes, which are
-    memo caches by convention (e.g. ``ModulatedRate._cache`` fills in
-    during a run and must not shift the key).
+    A key ingredient is declared data: ``None``, bools, ints, floats,
+    strings, numpy scalars and arrays, lists and tuples, mappings
+    (sorted by key) and dataclass instances (by class and fields).
+    Anything else — a function, a lambda, a plain object — raises
+    :class:`TypeError` naming it: its behaviour is code, which a key
+    cannot see, so two of them could share a key and trade results.
+    A sampler or schedule that derives tables or memoises draws keeps
+    them beside its fields, where they never reach the key.
     """
-    if seen is None:
-        seen = set()
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
     numpy = sys.modules.get("numpy")
     if numpy is not None and isinstance(value, numpy.generic):
@@ -224,15 +221,12 @@ def canonical(value, seen: set[int] | None = None):
             "dtype": str(value.dtype),
             "shape": list(value.shape),
         }
-    if id(value) in seen:
-        return "__cycle__"
-    seen = seen | {id(value)}
     if isinstance(value, (list, tuple)):
-        return [canonical(v, seen) for v in value]
+        return [canonical(v) for v in value]
     if isinstance(value, Mapping):
         return {
             "__map__": [
-                [str(k), canonical(v, seen)]
+                [str(k), canonical(v)]
                 for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))
             ]
         }
@@ -241,34 +235,20 @@ def canonical(value, seen: set[int] | None = None):
         return {
             "__dataclass__": f"{cls.__module__}.{cls.__qualname__}",
             "fields": {
-                f.name: canonical(getattr(value, f.name), seen)
+                f.name: canonical(getattr(value, f.name))
                 for f in dataclass_fields(value)
             },
         }
-    if callable(value):
-        closure = getattr(value, "__closure__", None) or ()
-        bound_self = getattr(value, "__self__", None)
-        return {
-            "__callable__": f"{getattr(value, '__module__', '?')}."
-            f"{getattr(value, '__qualname__', repr(type(value)))}",
-            "closure": [canonical(c.cell_contents, seen) for c in closure],
-            "self": canonical(bound_self, seen) if bound_self is not None else None,
-        }
-    attrs = getattr(value, "__dict__", None)
-    if attrs is not None:
-        cls = type(value)
-        return {
-            "__object__": f"{cls.__module__}.{cls.__qualname__}",
-            "attrs": {
-                k: canonical(v, seen)
-                for k, v in sorted(attrs.items())
-                if not isinstance(v, (dict, set))
-            },
-        }
-    return {"__repr__": repr(value)}
+    # Named without its address, so the message (a cell's config_error)
+    # reads the same in every process.
+    what = getattr(value, "__qualname__", None) or f"{type(value).__qualname__} object"
+    raise TypeError(
+        f"cannot key {what}: store keys hold only declared data "
+        "(primitives, numpy values, sequences, mappings, dataclasses)"
+    )
 
 
 def canonical_key(payload: Mapping) -> str:
     """SHA-256 hex digest of ``payload`` as sorted, compact JSON."""
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()

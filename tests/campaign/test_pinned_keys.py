@@ -1,15 +1,20 @@
 """Pinned campaign cell keys: stored results stay addressable.
 
 A campaign cell's store key hashes its scenario name, parameters,
-seed, engine and fully resolved scenario config, size-mix closures
-included (``repro.store.canonical``).  So a refactor that moves no
-trace can still move every key and orphan every stored result.  These
-keys were computed for every library scenario on both engines, at the
+seed, engine and fully resolved scenario config
+(``repro.store.canonical``), which holds only declared data: size
+mixes, rate schedules and attendance blocks hash by their fields, never
+by the code that draws them.  A change to that declared data, or to how
+a key is composed, moves keys and orphans stored results.  These keys
+were computed for every library scenario on both engines, at the
 defaults with seed 1 and at ``duration_s=2.0`` with seed 3, under the
 fixed salt ``"pinned"``.
 
 A key may move only in a change whose CHANGES.md entry says which keys
-moved and why; such a change updates this table with it.
+moved and why; such a change regenerates this table with it by running
+this file as a script (``PYTHONPATH=src python
+tests/campaign/test_pinned_keys.py``), which prints ``PINNED_KEYS`` as
+the code computes it.
 """
 
 import pytest
@@ -22,72 +27,77 @@ from repro.sim import available_scenarios
 #: engine, seed 1 runs the defaults and seed 3 sets ``duration_s=2.0``.
 PINNED_KEYS = {
     ("co-channel", None, 1):
-        "da452feaa03001f85d3b3931cefb6853a49acc322ca7b73af6ca2addd966170a",
+        "6d07a55c64cd3644384cb38192541f3eabe0c58b18da5e048954b42969dfaabf",
     ("co-channel", None, 3):
-        "62f76b8e83e1235991ea3a08faf3b0cb85e9d7f3d439ebf028723bc9691cd148",
+        "4659c2b1aac02b973837df51fa80a4e074121ff804de81c8ef712ad84c030c9f",
     ("co-channel", "fast", 1):
-        "aac738356310b5a7266d760deabf3a34c8aa1246c32b88616b0490daf1f3f6df",
+        "2ff6eda5dcb89f73a01ad5fb3f6505b734e2e17f85bcdb823a1766461c1c87e8",
     ("co-channel", "fast", 3):
-        "a40bf0bfbc039606f0f91d4d5c89a67e46c531f1aa20e4a27c191845e6e6c34c",
+        "425d4e2add9bc0a89e7a64e9009378a2e5d914ae8424d350b225d3ce2a56c6b0",
     ("day", None, 1):
-        "eb1271ee9ee727808ab8f78dd05ff76215e72866893e29af7633a77cc673761f",
+        "aa84fb8e1a2c4024dd2222a47d61ea576fce54398ac39617b6fed8bcadb13a64",
     ("day", None, 3):
-        "eb46ce05ef1bfceb47b071096e546375c5c0ea5fbf0286ef2039e1b14168b47d",
+        "961b48b06f42c1784c9559013e31a9b72305359d42bb0c628f416e72667e87b6",
     ("day", "fast", 1):
-        "ccccd417d80a0c7d158387241b25b85bb31977ab50ddce213a6b870789910777",
+        "a1d47f32b92f29f3273e49a3d34edb65a3686e136331e5487dd4291160482111",
     ("day", "fast", 3):
-        "92c30c1de9c992043555254bfa26f455bbb94a4b37fa4c3552cef615272df228",
+        "4b61f081679ab5b9b52611174febb6b7bc402504a7812f9a964f59049a8b89b3",
     ("hidden-terminal", None, 1):
-        "d743eed1288b2da663f50ad98c719ee0694d00ad072901d543de49ce49755fc6",
+        "860abf324ee1e8ee064f7bcd00426c6796c3b0b063324ea30f60d0589e588116",
     ("hidden-terminal", None, 3):
-        "b980f03f298ac5620aef70dcd9b353c190ca68273af6f7c0a24fc04ca4a1790c",
+        "c561230ceadecace913503f7046d63105090e8733d3ead226354c8bf26b43190",
     ("hidden-terminal", "fast", 1):
-        "3d6d51bcda06f7b34a4d80870fa630f47efc86fb66139d9700ee5d8be1d4414f",
+        "97f26af19b5fdf1a0993797e3c941c81b84f24f616ce42b091c9b510e667a6de",
     ("hidden-terminal", "fast", 3):
-        "99a3f6986acce77a5cfd8cebc95e088e270692790bfcab9962257cb076b47282",
+        "2f7063086a42189ae9669dba0f4e1fa0f782a827c41817bb2a7b0bb02518b08c",
     ("hotspot-plenary", None, 1):
-        "4130a24f3c95afc9f462a11fb3b40c6542db18d30230b0d869c8a65be70c98da",
+        "5a6c929f3f9b94bceaf3c211d2d7e527231d66cbc47a0c00d689010e126b4ec0",
     ("hotspot-plenary", None, 3):
-        "a4a099ab7bdf3270e8fc9c70604da301ab6b42f1f0615aef5b7d6a3753f5ac30",
+        "7ecaa2f4ff6b8cdbb44249892539b326cfc80bed0ddf6283121b4bd4620a5608",
     ("hotspot-plenary", "fast", 1):
-        "35229df0ead0d958a70847680296badb8bb1449980f8c5f32662fbf0deb093ea",
+        "3e4b0e85c79c3fd98687c91fda7a3923b3a0a3a86180a1714704b85a5d95d629",
     ("hotspot-plenary", "fast", 3):
-        "1d879bfba53b7ad44eb0576454d4e42b76af5c5d74cd04e97d37a079ff68eab5",
+        "473094d798511a5f7746752b878b028f705903cae90bbf0f1a7a816c8e77977b",
     ("plenary", None, 1):
-        "9e4fd3f4cedc64a68dfefc9870755171350cc05d87df9d7c4ecddad297249b7d",
+        "304dd4deaeb9037647d10da1f1e07f9f9e07142f56b6db84e6232c005099af54",
     ("plenary", None, 3):
-        "9c7b5bbc16f27c02f325867b327eda54a780d4f797828652843ff2e683589fc1",
+        "3bfda9507079c61d5e706597916d8d0f17d3be1d2ccbb16c4eebf088b8da501c",
     ("plenary", "fast", 1):
-        "f36586acb8cd2a6352262706a6c4b0af2a6587af1b5f5636aa10ad024b6fecb4",
+        "3c863ee8a279a922e92d926c9768ade901cc0137ec90280fa7336009bf706f39",
     ("plenary", "fast", 3):
-        "182615343f7787e29bff7a233989d6c55b3a58e2823bb481f4ba68249c193309",
+        "339ce8476096a15092d2d4a956fbf2f07d4e921effda302e3870fa262c114687",
     ("ramp", None, 1):
-        "430084939ddb24b39341b24c16ffdb3e379788ca9f31d878e7d4f623a988bb2f",
+        "6b9bfc46841d85bbf75be0c21f14b8d27c61479a5a15a57d508002b613df1974",
     ("ramp", None, 3):
-        "e7b028baf4c833a042714cefb2eabe30620d089d118cbb6216115d61ab9bf9cb",
+        "1fa2616a7e8388489e968e1c4aa6f7e6111b296338a59bfd24bd78db2c23125e",
     ("ramp", "fast", 1):
-        "97ea5b286cfe4ce3f70576cbf6473b8f0b9185cbf86366eec09b685c5c8e0932",
+        "cefc2c5f97fbc1e7dc68a2be07b7daadea9a70da06293b8c67850838fae838c8",
     ("ramp", "fast", 3):
-        "ee9a67feaa7899952b6cffdb228bc472a75776d344d862c981d2c66fe1ad4158",
+        "7efa9ec41c8cce45ef2d8fa7cf3ac3d2b59ae5fe8edda63b82ef26da91009628",
     ("roaming-storm", None, 1):
-        "366567e59be9b52af44d3f267024206817efc10083aeec617debbc615a839f68",
+        "c7e37706241bc10c7f31034e3bf6050209a034e5192774ce4d54b7378f4dbb3b",
     ("roaming-storm", None, 3):
-        "c5391836481d5deb2a07f2a1a7af50afbaf0a9c7f6dc600e614eb7e656645660",
+        "77eb67a4f6e834ae848f83fe3e09135b3590e616988f54a65bfea69b4bd88d69",
     ("roaming-storm", "fast", 1):
-        "de6c60ba8152362cdce267d3f0793cb03da95ca4834c46d352ed124980d14c5e",
+        "1e11aebd12764cc829e4417d157aa562d0a92fae8531b87c2b9388087b676096",
     ("roaming-storm", "fast", 3):
-        "1d072624c899059163fb956265327e3ac24cce7237b58bf6a70af02af689b88e",
+        "c7896c1c03130777867f183923e9d47d2711e6f93f970c3c033288f5342ab625",
     ("uniform", None, 1):
-        "b0589c562466e7c9b158dd420e6a79b39c6d47e92f5af691a8164665eece7a44",
+        "4ceb91226e9262ca76863e8880c936e3ea8094dd4ecac37279d0e30572d179ce",
     ("uniform", None, 3):
-        "5e70c46ca640c0072acdb92d0f65843c987c72305c7d0f416045619afdfec4f2",
+        "fc209f6d797c61cc1528c80be95f27ea3fc930983f226935d7978a18a640cfed",
     ("uniform", "fast", 1):
-        "cdc7c2a6cd2a62b38b7da3ae399ab102281fc05874bcaaf93d4926e03353c117",
+        "1e9364a9937cdac266103b24f57aa552ef1ccdf8bde2877dc1285fb7d22c53ad",
     ("uniform", "fast", 3):
-        "08ff0055a42373997d717a9b9f8ec5ecb5e9ca794fd86195b1d6be41885f6370",
+        "e69116e8881c48b1646d572fa3a1528c142f0bce1560f449213aa94bc67d8ce5",
 }
 
 PARAMS = {1: (), 3: (("duration_s", 2.0),)}
+
+
+def pinned_key(name, fidelity, seed):
+    """The key of one pinned cell as the code computes it now."""
+    return cell_key(CampaignCell(name, PARAMS[seed], seed, fidelity), "pinned")
 
 
 def test_every_library_scenario_is_pinned():
@@ -97,5 +107,15 @@ def test_every_library_scenario_is_pinned():
 
 @pytest.mark.parametrize("name, fidelity, seed", sorted(PINNED_KEYS, key=str))
 def test_cell_key_is_pinned(name, fidelity, seed):
-    cell = CampaignCell(name, PARAMS[seed], seed, fidelity)
-    assert cell_key(cell, "pinned") == PINNED_KEYS[name, fidelity, seed]
+    assert pinned_key(name, fidelity, seed) == PINNED_KEYS[name, fidelity, seed]
+
+
+if __name__ == "__main__":
+    print("PINNED_KEYS = {")
+    for name in available_scenarios():
+        for fidelity in (None, "fast"):
+            for seed in PARAMS:
+                engine = "None" if fidelity is None else f'"{fidelity}"'
+                print(f'    ("{name}", {engine}, {seed}):')
+                print(f'        "{pinned_key(name, fidelity, seed)}",')
+    print("}")

@@ -21,6 +21,9 @@ from repro.campaign import (
     render_campaign,
     run_campaign,
 )
+from repro.campaign import runner as campaign_runner
+from repro.sim import available_scenarios, class_mixture, scenario_config
+from repro.store import canonical
 
 from .test_dispatch import failed_cell, fake_result
 
@@ -102,6 +105,43 @@ class TestCellKey:
         config = scenario_config("hotspot-plenary", duration_s=1.0)
         config.uplink.rate_at(0)  # populate the epoch cache
         assert cell_key(cell, "s") == before
+
+    def test_size_mixes_key_by_their_weights(self):
+        def key(mix):
+            return cell_key(CampaignCell("uniform", params=(("size_mix", mix),)), "s")
+
+        a = class_mixture({"S": 0.5, "XL": 0.5})
+        b = class_mixture({"S": 0.5, "XL": 0.5})
+        assert a is not b and key(a) == key(b)
+        assert key(class_mixture({"S": 0.6, "XL": 0.4})) != key(a)
+
+    @pytest.mark.parametrize("name", available_scenarios())
+    def test_every_library_config_is_declared_data(self, name):
+        canonical(scenario_config(name))  # raises TypeError on anything else
+
+    def test_undeclared_ingredient_fails_before_dispatch(self, tmp_path, monkeypatch):
+        """Two lambdas share a qualified name; keyed by it, a store
+        would answer one cell with the other's result.  Refused instead,
+        naming the function, before any cell runs."""
+        grid = ParameterGrid(
+            "uniform",
+            axes={
+                "activity": [
+                    lambda j, rng: (0, 1_000_000),
+                    lambda j, rng: (1_000_000, 2_000_000),
+                ]
+            },
+            fixed={"duration_s": 2.0},
+        )
+        dispatched = []
+
+        def run_jobs(fn, jobs, *args, **kwargs):
+            dispatched.extend(jobs)
+
+        monkeypatch.setattr(campaign_runner, "run_jobs", run_jobs)
+        with pytest.raises(TypeError, match="<lambda>"):
+            run_campaign(grid, workers=1, store_dir=tmp_path / "s")
+        assert dispatched == []
 
 
 class TestStoreRoundtrip:

@@ -44,8 +44,8 @@ class TestF1ThroughputCollapse:
 
         low = band_mean(20, 45)
         mid = band_mean(50, report.thresholds.high)
-        if not (np.isnan(low) or np.isnan(mid)):
-            assert mid > low
+        assert not (np.isnan(low) or np.isnan(mid)), "a band holds no seconds"
+        assert mid > low
 
 
 class TestF2RateUsage:
@@ -67,8 +67,8 @@ class TestF4SlowFramesEatAirtime:
         share = report.busytime_share[1.0]
         moderate = share.value_at(55)
         high = share.value_at(95)
-        if not (np.isnan(moderate) or np.isnan(high)):
-            assert high > moderate
+        assert not (np.isnan(moderate) or np.isnan(high)), "a bin holds no seconds"
+        assert high > moderate
 
     def test_11mbps_moves_more_bytes_per_airtime(self, ramp_report):
         """11 Mbps delivers more bytes despite less or similar airtime."""
@@ -85,10 +85,11 @@ class TestF4SlowFramesEatAirtime:
         total_busy_1 = np.nansum(
             report.busytime_share[1.0].value * report.busytime_share[1.0].count
         )
-        if min(total_bytes_1, total_busy_1, total_busy_11) > 0:
-            per_airtime_11 = total_bytes_11 / total_busy_11
-            per_airtime_1 = total_bytes_1 / total_busy_1
-            assert per_airtime_11 > 3 * per_airtime_1
+        totals = (total_bytes_11, total_bytes_1, total_busy_11, total_busy_1)
+        assert min(totals) > 0, totals
+        per_airtime_11 = total_bytes_11 / total_busy_11
+        per_airtime_1 = total_bytes_1 / total_busy_1
+        assert per_airtime_11 > 3 * per_airtime_1
 
 
 class TestF5AcceptanceDelay:

@@ -1,5 +1,8 @@
 """Tests for traffic schedules and Poisson sources."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +100,47 @@ class TestSizeSamplers:
             class_mixture({"S": 0.0})
 
 
+class TestDeclaredData:
+    """Samplers, schedules and attendance blocks are frozen data: equal
+    when declared alike, and a pickled copy (what a pool worker
+    rebuilds) draws what the original draws."""
+
+    def test_mixes_declared_alike_are_equal(self):
+        a = class_mixture({"S": 0.5, "XL": 0.5})
+        assert a == class_mixture({"S": 0.5, "XL": 0.5})
+        assert a != class_mixture({"S": 0.6, "XL": 0.4})
+        # The weights' order is the search order, so it is declared too.
+        assert a != class_mixture({"XL": 0.5, "S": 0.5})
+        with pytest.raises(FrozenInstanceError):
+            a.weights = ()
+
+    def test_size_mix_pickles_with_its_draws(self):
+        clone = pickle.loads(pickle.dumps(CONFERENCE_MIX))
+        assert clone == CONFERENCE_MIX
+        assert scalar_draws(clone, 5, 300) == scalar_draws(CONFERENCE_MIX, 5, 300)
+        assert size_pool(clone, 5, 300).tolist() == scalar_draws(CONFERENCE_MIX, 5, 300)
+
+    def test_modulated_rate_pickles_with_its_draws(self):
+        mod = ModulatedRate(ConstantRate(3.0), sigma=0.9, period_us=1000, seed=4)
+        mod.rate_at(0)  # a warm memo travels with the pickle
+        clone = pickle.loads(pickle.dumps(mod))
+        fresh = ModulatedRate(ConstantRate(3.0), sigma=0.9, period_us=1000, seed=4)
+        assert clone == mod == fresh
+        times = range(0, 50_000, 700)
+        rates = [mod.rate_at(t) for t in times]
+        assert [clone.rate_at(t) for t in times] == rates
+        assert [fresh.rate_at(t) for t in times] == rates
+
+    def test_session_blocks_pickle_with_their_draws(self):
+        from repro.sim.scenarios import SessionBlocks
+
+        blocks = SessionBlocks(((0.0, 0.45), (0.30, 0.75), (0.55, 1.0)), 10_000_000)
+        clone = pickle.loads(pickle.dumps(blocks))
+        assert clone == blocks
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        assert [clone(j, a) for j in range(40)] == [blocks(j, b) for j in range(40)]
+
+
 class TestPoissonSource:
     def _run(self, schedule, duration_s=20, start_us=0, end_us=None, seed=4):
         sim = Simulator()
@@ -154,13 +198,8 @@ class TestRngStreamEquivalence:
         b = np.random.default_rng(123)
         assert [a.random() for _ in range(257)] == list(b.random(257))
 
-    def test_fast_choice_replicates_generator_choice(self):
-        from repro.sim.traffic import _fast_choice_supported
-
-        assert _fast_choice_supported() is True
-
     def test_class_mixture_matches_reference_choice_draws(self):
-        """The searchsorted fast path consumes and maps the bitstream
+        """The searchsorted draw consumes and maps the bitstream
         identically to rng.choice(p=...), interleaved with size draws."""
         weights = {"S": 0.45, "M": 0.08, "L": 0.07, "XL": 0.40}
         sampler = class_mixture(weights)
@@ -238,7 +277,7 @@ class TestSizePool:
         # On this seed's stream a draw takes Lemire's rejection branch,
         # which reads a further word and shifts every later draw.
         seed = [29306, 0x512E]
-        assert traffic._replay_pool(CONFERENCE_MIX.size_table, seed, 4096) is None
+        assert traffic._replay_pool(CONFERENCE_MIX.table, seed, 4096) is None
         pool = size_pool(CONFERENCE_MIX, seed, 4096)
         assert pool.tolist() == scalar_draws(CONFERENCE_MIX, seed, 4096)
 

@@ -4,6 +4,7 @@ Each case damages one record of a real store and asks that store for
 it again.  The damage must end as ``<name>.corrupt`` on disk (evidence
 kept), raise the store's quarantine count, and read as a miss, so the
 work is recomputed — never a traceback, never a silent overwrite.
+A key holds only declared data: anything else is refused by name.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.corpus import (
     analyze_corpus,
     plan_analysis,
 )
+from repro.store import canonical
 
 from .campaign.test_dispatch import fake_result
 from .corpus.conftest import write_capture
@@ -103,3 +105,26 @@ def test_damaged_record_quarantined_counted_and_recomputed(store, damage, tmp_pa
     assert corpse.read_bytes() == DAMAGE[damage]
     assert quarantined == 1
     assert recomputed
+
+
+def _activity(index, rng):
+    return 0, 1_000_000
+
+
+class _Plain:
+    def __init__(self):
+        self.start_us = 0
+
+
+@pytest.mark.parametrize(
+    "value, name",
+    [
+        (_activity, "_activity"),
+        (lambda index, rng: (0, 1_000_000), "<lambda>"),
+        (_Plain(), "_Plain"),
+    ],
+    ids=["function", "lambda", "plain-object"],
+)
+def test_canonical_refuses_undeclared_data(value, name):
+    with pytest.raises(TypeError, match=name):
+        canonical({"params": [("activity", value)]})
