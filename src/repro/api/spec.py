@@ -280,9 +280,17 @@ class ExperimentSpec:
         """Load a ``.toml`` or ``.json`` spec file (by extension)."""
         path = Path(path)
         try:
-            text = path.read_text()
+            raw = path.read_bytes()
         except OSError as error:
             raise SpecError(f"cannot read spec {path}: {error}") from None
+        try:
+            # Newlines fold as text-mode reading folds them.
+            text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as error:
+            raise SpecError(
+                f"spec {path} is not UTF-8: byte 0x{raw[error.start]:02x} "
+                f"at offset {error.start}"
+            ) from None
         suffix = path.suffix.lower()
         if suffix == ".toml":
             return cls.from_toml(text, source=str(path))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.timing import DOT11B_TIMING, TimingParameters
+from ..core.timing import DOT11B_TIMING
 from ..sim.phy import PhyModel
 
 __all__ = ["FrameClass", "DcfModelResult", "bianchi_fixed_point", "multirate_dcf_model"]
@@ -93,7 +93,6 @@ def bianchi_fixed_point(
 def multirate_dcf_model(
     classes: tuple[FrameClass, ...],
     snr_db: float = 15.0,
-    timing: TimingParameters = DOT11B_TIMING,
     phy: PhyModel | None = None,
 ) -> DcfModelResult:
     """Saturation throughput and per-class success probability.
@@ -108,7 +107,7 @@ def multirate_dcf_model(
         raise ValueError("need at least one class")
     phy = phy or PhyModel()
     n_total = sum(c.n_stations for c in classes)
-    tau, p = bianchi_fixed_point(n_total, timing.cw_min, timing.cw_max)
+    tau, p = bianchi_fixed_point(n_total, DOT11B_TIMING.cw_min, DOT11B_TIMING.cw_max)
 
     # Per-slot event probabilities.
     p_tr = 1.0 - (1.0 - tau) ** n_total            # some transmission
@@ -118,15 +117,15 @@ def multirate_dcf_model(
     # Expected busy time of a transmission slot: population-weighted.
     def exchange_us(c: FrameClass) -> float:
         return (
-            timing.difs_us
-            + timing.data_frame_duration_us(c.size_bytes, c.rate_mbps)
-            + timing.sifs_us
-            + timing.ack_us
+            DOT11B_TIMING.difs_us
+            + DOT11B_TIMING.data_frame_duration_us(c.size_bytes, c.rate_mbps)
+            + DOT11B_TIMING.sifs_us
+            + DOT11B_TIMING.ack_us
         )
 
     weights = [c.n_stations / n_total for c in classes]
     mean_exchange = sum(w * exchange_us(c) for w, c in zip(weights, classes))
-    slot = timing.slot_us
+    slot = DOT11B_TIMING.slot_us
     mean_slot_us = (
         (1 - p_tr) * slot
         + p_tr * p_success_slot * mean_exchange

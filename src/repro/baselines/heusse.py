@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.timing import DOT11B_TIMING, TimingParameters
+from ..core.timing import DOT11B_TIMING
 
 __all__ = ["AnomalyResult", "anomaly_throughput", "anomaly_penalty"]
 
@@ -39,21 +39,18 @@ class AnomalyResult:
         return len(self.cycle_times_us)
 
 
-def _cycle_us(
-    size_bytes: int, rate_mbps: float, timing: TimingParameters
-) -> float:
+def _cycle_us(size_bytes: int, rate_mbps: float) -> float:
     return (
-        timing.difs_us
-        + timing.data_frame_duration_us(size_bytes, rate_mbps)
-        + timing.sifs_us
-        + timing.ack_us
+        DOT11B_TIMING.difs_us
+        + DOT11B_TIMING.data_frame_duration_us(size_bytes, rate_mbps)
+        + DOT11B_TIMING.sifs_us
+        + DOT11B_TIMING.ack_us
     )
 
 
 def anomaly_throughput(
     station_rates_mbps: tuple[float, ...],
     size_bytes: int = 1500,
-    timing: TimingParameters = DOT11B_TIMING,
 ) -> AnomalyResult:
     """Per-station saturation throughput of a mixed-rate cell.
 
@@ -64,9 +61,7 @@ def anomaly_throughput(
     """
     if not station_rates_mbps:
         raise ValueError("need at least one station")
-    cycles = tuple(
-        _cycle_us(size_bytes, rate, timing) for rate in station_rates_mbps
-    )
+    cycles = tuple(_cycle_us(size_bytes, rate) for rate in station_rates_mbps)
     # Round-robin in expectation: one frame per station per "super-cycle".
     super_cycle = sum(cycles)
     per_station = 8.0 * size_bytes / super_cycle
@@ -83,7 +78,6 @@ def anomaly_penalty(
     fast_rate_mbps: float = 11.0,
     slow_rate_mbps: float = 1.0,
     size_bytes: int = 1500,
-    timing: TimingParameters = DOT11B_TIMING,
 ) -> float:
     """Throughput penalty on fast stations from ``n_slow`` slow peers.
 
@@ -95,11 +89,7 @@ def anomaly_penalty(
     if n_fast <= 0:
         raise ValueError("need at least one fast station")
     mixed = anomaly_throughput(
-        (fast_rate_mbps,) * n_fast + (slow_rate_mbps,) * n_slow,
-        size_bytes,
-        timing,
+        (fast_rate_mbps,) * n_fast + (slow_rate_mbps,) * n_slow, size_bytes
     )
-    uniform = anomaly_throughput(
-        (fast_rate_mbps,) * (n_fast + n_slow), size_bytes, timing
-    )
+    uniform = anomaly_throughput((fast_rate_mbps,) * (n_fast + n_slow), size_bytes)
     return mixed.per_station_mbps / uniform.per_station_mbps

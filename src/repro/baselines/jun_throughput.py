@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.timing import DOT11B_TIMING, TimingParameters
+from ..core.timing import DOT11B_TIMING
 
 __all__ = ["TmtPoint", "theoretical_maximum_throughput", "tmt_table"]
 
@@ -32,7 +32,6 @@ def theoretical_maximum_throughput(
     size_bytes: int,
     rate_mbps: float,
     rts_cts: bool = False,
-    timing: TimingParameters = DOT11B_TIMING,
     mean_backoff_slots: float = 15.5,
 ) -> TmtPoint:
     """TMT for a payload of ``size_bytes`` at ``rate_mbps``.
@@ -44,15 +43,16 @@ def theoretical_maximum_throughput(
     """
     if size_bytes <= 0:
         raise ValueError("payload size must be positive")
+    t = DOT11B_TIMING
     cycle = (
-        timing.difs_us
-        + mean_backoff_slots * timing.slot_us
-        + timing.data_frame_duration_us(size_bytes, rate_mbps)
-        + timing.sifs_us
-        + timing.ack_us
+        t.difs_us
+        + mean_backoff_slots * t.slot_us
+        + t.data_frame_duration_us(size_bytes, rate_mbps)
+        + t.sifs_us
+        + t.ack_us
     )
     if rts_cts:
-        cycle += timing.rts_us + timing.sifs_us + timing.cts_us + timing.sifs_us
+        cycle += t.rts_us + t.sifs_us + t.cts_us + t.sifs_us
     return TmtPoint(
         size_bytes=size_bytes,
         rate_mbps=rate_mbps,
@@ -66,11 +66,10 @@ def tmt_table(
     sizes: tuple[int, ...] = (400, 800, 1200, 1500),
     rates: tuple[float, ...] = (1.0, 2.0, 5.5, 11.0),
     rts_cts: bool = False,
-    timing: TimingParameters = DOT11B_TIMING,
 ) -> list[TmtPoint]:
     """TMT over a grid of sizes and rates (Jun et al.'s headline table)."""
     return [
-        theoretical_maximum_throughput(size, rate, rts_cts, timing)
+        theoretical_maximum_throughput(size, rate, rts_cts)
         for rate in rates
         for size in sizes
     ]

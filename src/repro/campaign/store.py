@@ -76,7 +76,7 @@ def cell_key(cell: CampaignCell, salt: str) -> str:
     payload: dict[str, object] = {
         "scenario": cell.scenario,
         "params": canonical(dict(cell.params)),
-        "seed": cell.seed,
+        "seed": canonical(cell.seed),
         "salt": salt,
     }
     if cell.fidelity is not None:
@@ -126,7 +126,7 @@ def _cell_payload(cell: CampaignCell) -> dict[str, object]:
     payload = {
         "scenario": cell.scenario,
         "params": [[k, _json_safe(v)] for k, v in cell.params],
-        "seed": cell.seed,
+        "seed": _json_safe(cell.seed),
         "name": cell.name,
     }
     if cell.fidelity is not None:

@@ -5,6 +5,14 @@ Public surface for computing channel busy-time and utilization (paper
 (§5.3), unrecorded-frame estimation (§4.4) and the §6 link-layer effect
 analyses (RTS/CTS, rate share, transmissions, reception, acceptance
 delay), plus the one-call :func:`analyze_trace` report.
+
+The paper's constants are read, not passed: busy time always uses the
+Table 2 delays (:data:`DOT11B_TIMING`), every "versus utilization"
+series bins in 1 % steps and keeps each non-empty bin, and the
+congestion classifier falls back to :data:`PAPER_THRESHOLDS`.  So each
+analysis here takes the same inputs as its streaming consumer in
+:mod:`repro.pipeline`, and the pipeline≡core suites, which hold the
+consumers to these functions, cover every configuration either accepts.
 """
 
 from .acking import AckMatch, match_acks

@@ -17,6 +17,7 @@ from ..analysis import ColumnTable
 from ..frames import FrameType, NodeRoster, Trace
 
 __all__ = [
+    "USER_INTERVAL_US",
     "ApActivity",
     "ap_frame_counts",
     "ap_frame_ranking",
@@ -80,10 +81,14 @@ def ranking_from_counts(ap_ids: np.ndarray, counts: np.ndarray) -> ApActivity:
     return ApActivity(table=table, total_frames=int(counts.sum()))
 
 
+#: Figure 4b's census interval: 30 s.
+USER_INTERVAL_US = 30_000_000
+
+
 def user_association_series(
     trace: Trace,
     roster: NodeRoster,
-    interval_us: int = 30_000_000,
+    interval_us: int = USER_INTERVAL_US,
 ) -> ColumnTable:
     """Users active with the network per interval (Fig 4b).
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..frames import FrameType, Trace
-from .timing import DOT11B_TIMING, TimingParameters
+from .timing import DOT11B_TIMING
 
 __all__ = [
     "frame_cbt_us",
@@ -30,48 +30,44 @@ __all__ = [
 ]
 
 
+#: CBT of the fixed-size frames (Equations 3-6).
+_FIXED_CBT_US = {
+    FrameType.RTS: DOT11B_TIMING.rts_us,
+    FrameType.CTS: DOT11B_TIMING.sifs_us + DOT11B_TIMING.cts_us,
+    FrameType.ACK: DOT11B_TIMING.sifs_us + DOT11B_TIMING.ack_us,
+    FrameType.BEACON: DOT11B_TIMING.difs_us + DOT11B_TIMING.beacon_us,
+}
+
+
 def frame_cbt_us(
-    ftype: FrameType,
-    size_bytes: int = 0,
-    rate_mbps: float = 1.0,
-    timing: TimingParameters = DOT11B_TIMING,
+    ftype: FrameType, size_bytes: int = 0, rate_mbps: float = 1.0
 ) -> float:
     """Channel busy-time of one frame, in microseconds (Equations 2-6).
 
     Management frames other than beacons are treated like data frames
     (they are data-rate encoded payloads preceded by a DIFS).
     """
-    if ftype == FrameType.DATA:
-        return timing.difs_us + timing.data_frame_duration_us(size_bytes, rate_mbps)
-    if ftype == FrameType.RTS:
-        return timing.rts_us
-    if ftype == FrameType.CTS:
-        return timing.sifs_us + timing.cts_us
-    if ftype == FrameType.ACK:
-        return timing.sifs_us + timing.ack_us
-    if ftype == FrameType.BEACON:
-        return timing.difs_us + timing.beacon_us
-    if ftype == FrameType.MGMT:
-        return timing.difs_us + timing.data_frame_duration_us(size_bytes, rate_mbps)
+    if ftype in (FrameType.DATA, FrameType.MGMT):
+        duration_us = DOT11B_TIMING.data_frame_duration_us(size_bytes, rate_mbps)
+        return DOT11B_TIMING.difs_us + duration_us
+    if ftype in _FIXED_CBT_US:
+        return _FIXED_CBT_US[ftype]
     raise ValueError(f"unknown frame type: {ftype!r}")
 
 
-def trace_cbt_us(
-    trace: Trace, timing: TimingParameters = DOT11B_TIMING
-) -> np.ndarray:
+def trace_cbt_us(trace: Trace) -> np.ndarray:
     """Vectorised per-frame CBT for a whole trace, in microseconds."""
-    n = len(trace)
-    cbt = np.zeros(n, dtype=np.float64)
+    cbt = np.zeros(len(trace), dtype=np.float64)
     ftype = trace.ftype
     data_like = (ftype == int(FrameType.DATA)) | (ftype == int(FrameType.MGMT))
     if np.any(data_like):
-        cbt[data_like] = timing.difs_us + timing.data_frame_duration_us_array(
-            trace.size[data_like], trace.rate_mbps[data_like]
+        cbt[data_like] = DOT11B_TIMING.difs_us + (
+            DOT11B_TIMING.data_frame_duration_us_array(
+                trace.size[data_like], trace.rate_mbps[data_like]
+            )
         )
-    cbt[ftype == int(FrameType.RTS)] = timing.rts_us
-    cbt[ftype == int(FrameType.CTS)] = timing.sifs_us + timing.cts_us
-    cbt[ftype == int(FrameType.ACK)] = timing.sifs_us + timing.ack_us
-    cbt[ftype == int(FrameType.BEACON)] = timing.difs_us + timing.beacon_us
+    for fixed, cbt_us in _FIXED_CBT_US.items():
+        cbt[ftype == int(fixed)] = cbt_us
     return cbt
 
 
@@ -85,7 +81,6 @@ def _second_index(trace: Trace, start_us: int | None) -> tuple[np.ndarray, int]:
 
 def cbt_by_second(
     trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
     start_us: int | None = None,
     n_seconds: int | None = None,
 ) -> np.ndarray:
@@ -104,14 +99,13 @@ def cbt_by_second(
     length = span if n_seconds is None else int(n_seconds)
     valid = (seconds >= 0) & (seconds < length)
     totals = np.bincount(
-        seconds[valid], weights=trace_cbt_us(trace, timing)[valid], minlength=length
+        seconds[valid], weights=trace_cbt_us(trace)[valid], minlength=length
     )
     return totals[:length]
 
 
 def cbt_by_second_per_rate(
     trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
     start_us: int | None = None,
     n_seconds: int | None = None,
 ) -> np.ndarray:
@@ -131,7 +125,7 @@ def cbt_by_second_per_rate(
         start_us = int(trace.time_us[0]) if len(trace) else 0
     seconds, span = _second_index(data, start_us)
     length = span if n_seconds is None else int(n_seconds)
-    cbt = trace_cbt_us(data, timing)
+    cbt = trace_cbt_us(data)
     out = np.zeros((length, 4), dtype=np.float64)
     for code in range(4):
         sel = (data.rate_code == code) & (seconds >= 0) & (seconds < length)

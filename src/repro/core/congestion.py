@@ -12,7 +12,7 @@ almost no seconds under 30 %); the high threshold is *derived* from where
 throughput peaks before collapsing.  :class:`CongestionClassifier`
 reproduces that derivation: ``fit`` locates the knee on a trace's
 throughput curve, falling back to the paper's 84 % when no knee is
-observable.
+observable; the low threshold is always the paper's 30 %.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from ..analysis import find_knee
 from ..frames import Trace
 from .throughput import ThroughputSeries, throughput_vs_utilization
-from .timing import DOT11B_TIMING, TimingParameters
+from .utilization import utilization_series
 
 __all__ = [
     "CongestionLevel",
@@ -99,17 +99,13 @@ class CongestionClassifier:
     series the decision was based on.
     """
 
-    low_threshold: float = 30.0
-    fallback_high: float = 84.0
     smooth_window: int = 5
     thresholds: CongestionThresholds | None = None
     curves: ThroughputSeries | None = None
 
-    def fit(
-        self, trace: Trace, timing: TimingParameters = DOT11B_TIMING
-    ) -> "CongestionClassifier":
+    def fit(self, trace: Trace) -> "CongestionClassifier":
         """Estimate thresholds from ``trace``'s throughput knee."""
-        return self.fit_curves(throughput_vs_utilization(trace, timing))
+        return self.fit_curves(throughput_vs_utilization(trace))
 
     def fit_curves(self, curves: ThroughputSeries) -> "CongestionClassifier":
         """Estimate thresholds from precomputed Figure-6 curves.
@@ -120,11 +116,12 @@ class CongestionClassifier:
         """
         self.curves = curves
         knee = find_knee(curves.throughput_mbps, smooth_window=self.smooth_window)
+        low = PAPER_THRESHOLDS.low
         if knee is not None and knee.is_significant:
-            high = max(knee.utilization, self.low_threshold + 1.0)
+            high = max(knee.utilization, low + 1.0)
         else:
-            high = self.fallback_high
-        self.thresholds = CongestionThresholds(low=self.low_threshold, high=high)
+            high = PAPER_THRESHOLDS.high
+        self.thresholds = CongestionThresholds(low=low, high=high)
         return self
 
     def _require_fit(self) -> CongestionThresholds:
@@ -136,20 +133,13 @@ class CongestionClassifier:
         """Level codes for an array of utilization percentages."""
         return self._require_fit().classify_array(percent)
 
-    def classify_seconds(
-        self, trace: Trace, timing: TimingParameters = DOT11B_TIMING
-    ) -> np.ndarray:
+    def classify_seconds(self, trace: Trace) -> np.ndarray:
         """Level code for every one-second interval of ``trace``."""
-        from .utilization import utilization_series
+        return self.classify_percent(utilization_series(trace).percent)
 
-        util = utilization_series(trace, timing)
-        return self.classify_percent(util.percent)
-
-    def occupancy(
-        self, trace: Trace, timing: TimingParameters = DOT11B_TIMING
-    ) -> dict[CongestionLevel, float]:
+    def occupancy(self, trace: Trace) -> dict[CongestionLevel, float]:
         """Fraction of trace seconds spent in each congestion state."""
-        levels = self.classify_seconds(trace, timing)
+        levels = self.classify_seconds(trace)
         n = max(len(levels), 1)
         return {
             level: float(np.count_nonzero(levels == int(level))) / n

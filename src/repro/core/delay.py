@@ -23,7 +23,6 @@ from ..analysis import BinnedSeries, utilization_bins
 from ..frames import FrameType, Trace, size_class_array
 from .acking import match_acks
 from .categories import ALL_CATEGORIES, Category
-from .timing import DOT11B_TIMING, TimingParameters
 from .utilization import UtilizationSeries, utilization_series
 
 __all__ = [
@@ -155,12 +154,7 @@ class DelaySeries:
         return float(np.average(series.value, weights=series.count))
 
 
-def acceptance_delay_vs_utilization(
-    trace: Trace,
-    categories: tuple[Category, ...] = FIGURE15_CATEGORIES,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
-) -> DelaySeries:
+def acceptance_delay_vs_utilization(trace: Trace) -> DelaySeries:
     """Reproduce Figure 15 for ``trace``.
 
     Each delivery is assigned to the one-second interval of its first
@@ -168,16 +162,11 @@ def acceptance_delay_vs_utilization(
     figure's y axis).
     """
     trace = trace.sorted_by_time()
-    util = utilization_series(trace, timing)
-    deliveries = acceptance_delays(trace)
-    return bin_deliveries(deliveries, util, categories, min_count)
+    return bin_deliveries(acceptance_delays(trace), utilization_series(trace))
 
 
 def bin_deliveries(
-    deliveries: AcceptanceDelays,
-    util: "UtilizationSeries",
-    categories: tuple[Category, ...] = FIGURE15_CATEGORIES,
-    min_count: int = 1,
+    deliveries: AcceptanceDelays, util: UtilizationSeries
 ) -> DelaySeries:
     """Bin extracted deliveries by the utilization of their first-attempt
     second: tally them per second, then :func:`bin_delay_tallies`."""
@@ -194,20 +183,12 @@ def bin_deliveries(
     )
     count = np.bincount(flat, minlength=n * width)
     return bin_delay_tallies(
-        util,
-        delay_sum_us.reshape(n, width),
-        count.reshape(n, width),
-        categories,
-        min_count,
+        util, delay_sum_us.reshape(n, width), count.reshape(n, width)
     )
 
 
 def bin_delay_tallies(
-    util: "UtilizationSeries",
-    delay_sum_us: np.ndarray,
-    count: np.ndarray,
-    categories: tuple[Category, ...] = FIGURE15_CATEGORIES,
-    min_count: int = 1,
+    util: UtilizationSeries, delay_sum_us: np.ndarray, count: np.ndarray
 ) -> DelaySeries:
     """The Figure-15 transform over per-second delivery tallies.
 
@@ -215,16 +196,16 @@ def bin_delay_tallies(
     first-attempt second and category code (``rate_code * 4 +
     size_class``), the summed acceptance delay in microseconds and the
     number of deliveries.  A bin's value is its mean delay in seconds
-    and its count the deliveries in it; bins with fewer than
-    ``min_count`` deliveries are dropped.  Shared with the streaming
-    pipeline, which keeps just these two tables.
+    and its count the deliveries in it; a bin with no delivery is
+    dropped.  Shared with the streaming pipeline, which keeps just
+    these two tables.
     """
     bins = utilization_bins(util.percent)
     out: dict[str, BinnedSeries] = {}
-    for cat in categories:
+    for cat in FIGURE15_CATEGORIES:
         delivered = np.bincount(bins, weights=count[:, cat.code])
         total_us = np.bincount(bins, weights=delay_sum_us[:, cat.code])
-        present = delivered >= max(1, min_count)
+        present = delivered >= 1
         out[cat.name] = BinnedSeries(
             utilization=np.nonzero(present)[0].astype(np.float64),
             value=total_us[present] / delivered[present] / 1e6,

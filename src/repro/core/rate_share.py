@@ -19,7 +19,6 @@ import numpy as np
 from ..analysis import BinnedSeries, bin_by_utilization, sum_per_interval
 from ..frames import DOT11_RATES_MBPS, FrameType, Trace
 from .busytime import cbt_by_second_per_rate
-from .timing import DOT11B_TIMING, TimingParameters
 from .utilization import utilization_series
 
 __all__ = ["RateShareSeries", "busytime_share_vs_utilization", "bytes_per_rate_vs_utilization"]
@@ -47,33 +46,23 @@ class RateShareSeries:
         return num / den
 
 
-def busytime_share_vs_utilization(
-    trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
-) -> RateShareSeries:
+def busytime_share_vs_utilization(trace: Trace) -> RateShareSeries:
     """Reproduce Figure 8: seconds of channel time per rate, per bin."""
     trace = trace.sorted_by_time()
-    util = utilization_series(trace, timing)
+    util = utilization_series(trace)
     n = len(util)
-    cbt = cbt_by_second_per_rate(trace, timing, start_us=util.start_us, n_seconds=n)
+    cbt = cbt_by_second_per_rate(trace, start_us=util.start_us, n_seconds=n)
     per_rate = {}
     for code, rate in enumerate(DOT11_RATES_MBPS):
         seconds_busy = cbt[:, code] / 1e6  # fraction of each second
-        per_rate[rate] = bin_by_utilization(
-            util.percent, seconds_busy, min_count=min_count
-        )
+        per_rate[rate] = bin_by_utilization(util.percent, seconds_busy)
     return RateShareSeries(per_rate=per_rate)
 
 
-def bytes_per_rate_vs_utilization(
-    trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
-) -> RateShareSeries:
+def bytes_per_rate_vs_utilization(trace: Trace) -> RateShareSeries:
     """Reproduce Figure 9: data bytes per second per rate, per bin."""
     trace = trace.sorted_by_time()
-    util = utilization_series(trace, timing)
+    util = utilization_series(trace)
     n = len(util)
     data = trace.only_type(FrameType.DATA)
     per_rate = {}
@@ -85,7 +74,5 @@ def bytes_per_rate_vs_utilization(
             start_us=util.start_us,
             n_intervals=n,
         )
-        per_rate[rate] = bin_by_utilization(
-            util.percent, byte_counts, min_count=min_count
-        )
+        per_rate[rate] = bin_by_utilization(util.percent, byte_counts)
     return RateShareSeries(per_rate=per_rate)

@@ -17,7 +17,6 @@ import numpy as np
 from ..analysis import BinnedSeries, bin_by_utilization, sum_per_interval
 from ..frames import DOT11_RATES_MBPS, FrameType, Trace
 from .acking import match_acks
-from .timing import DOT11B_TIMING, TimingParameters
 from .utilization import utilization_series
 
 __all__ = ["ReceptionSeries", "first_attempt_ack_vs_utilization"]
@@ -37,11 +36,7 @@ class ReceptionSeries:
         return tuple(self.per_rate)
 
 
-def first_attempt_ack_vs_utilization(
-    trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
-) -> ReceptionSeries:
+def first_attempt_ack_vs_utilization(trace: Trace) -> ReceptionSeries:
     """Reproduce Figure 14 for ``trace``.
 
     A frame qualifies when (a) its Retry bit is clear — it is a first
@@ -49,7 +44,7 @@ def first_attempt_ack_vs_utilization(
     ACK (the paper's §6.4 identification rule).
     """
     trace = trace.sorted_by_time()
-    util = utilization_series(trace, timing)
+    util = utilization_series(trace)
     n = len(util)
     match = match_acks(trace)
     first_attempt_acked = (
@@ -65,7 +60,5 @@ def first_attempt_ack_vs_utilization(
         counts = sum_per_interval(
             trace, qualifying, start_us=util.start_us, n_intervals=n
         )
-        per_rate[rate] = bin_by_utilization(
-            util.percent, counts, min_count=min_count
-        )
+        per_rate[rate] = bin_by_utilization(util.percent, counts)
     return ReceptionSeries(per_rate=per_rate)

@@ -23,7 +23,6 @@ from .rate_share import RateShareSeries, busytime_share_vs_utilization, bytes_pe
 from .reception import ReceptionSeries, first_attempt_ack_vs_utilization
 from .rts_cts import RtsCtsSeries, rts_cts_vs_utilization
 from .throughput import ThroughputSeries
-from .timing import DOT11B_TIMING, TimingParameters
 from .transmissions import CategoryCounts, transmissions_vs_utilization
 from .unrecorded import UnrecordedEstimate, estimate_unrecorded, unrecorded_by_ap
 from .utilization import UtilizationSeries, utilization_series
@@ -70,8 +69,6 @@ def analyze_trace(
     trace: Trace,
     roster: NodeRoster | None = None,
     name: str = "trace",
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
 ) -> CongestionReport:
     """Run the full paper pipeline on ``trace``.
 
@@ -79,22 +76,22 @@ def analyze_trace(
     those report fields are ``None``.
     """
     trace = trace.sorted_by_time()
-    classifier = CongestionClassifier().fit(trace, timing)
+    classifier = CongestionClassifier().fit(trace)
     assert classifier.thresholds is not None and classifier.curves is not None
 
     report = CongestionReport(
         name=name,
         summary=dataset_summary(trace, name),
-        utilization=utilization_series(trace, timing),
+        utilization=utilization_series(trace),
         thresholds=classifier.thresholds,
-        level_occupancy=classifier.occupancy(trace, timing),
+        level_occupancy=classifier.occupancy(trace),
         throughput=classifier.curves,
-        rts_cts=rts_cts_vs_utilization(trace, timing, min_count),
-        busytime_share=busytime_share_vs_utilization(trace, timing, min_count),
-        bytes_per_rate=bytes_per_rate_vs_utilization(trace, timing, min_count),
-        transmissions=transmissions_vs_utilization(trace, timing=timing, min_count=min_count),
-        reception=first_attempt_ack_vs_utilization(trace, timing, min_count),
-        delays=acceptance_delay_vs_utilization(trace, timing=timing, min_count=min_count),
+        rts_cts=rts_cts_vs_utilization(trace),
+        busytime_share=busytime_share_vs_utilization(trace),
+        bytes_per_rate=bytes_per_rate_vs_utilization(trace),
+        transmissions=transmissions_vs_utilization(trace),
+        reception=first_attempt_ack_vs_utilization(trace),
+        delays=acceptance_delay_vs_utilization(trace),
         unrecorded=estimate_unrecorded(trace),
     )
     if roster is not None:

@@ -20,7 +20,6 @@ import numpy as np
 from ..analysis import BinnedSeries, bin_by_utilization, count_per_interval
 from ..frames import FrameType, NodeRoster, Trace
 from .acking import match_acks
-from .timing import DOT11B_TIMING, TimingParameters
 from .utilization import utilization_series
 
 __all__ = ["RtsCtsSeries", "rts_cts_vs_utilization", "RtsCtsFairness", "rts_cts_fairness"]
@@ -39,14 +38,10 @@ class RtsCtsSeries:
         return np.minimum(self.cts.value / rts, 1.0)
 
 
-def rts_cts_vs_utilization(
-    trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
-) -> RtsCtsSeries:
+def rts_cts_vs_utilization(trace: Trace) -> RtsCtsSeries:
     """Reproduce Figure 7 for ``trace``."""
     trace = trace.sorted_by_time()
-    util = utilization_series(trace, timing)
+    util = utilization_series(trace)
     n = len(util)
     rts_counts = count_per_interval(
         trace.only_type(FrameType.RTS),
@@ -59,8 +54,8 @@ def rts_cts_vs_utilization(
         n_intervals=n,
     ).astype(np.float64)
     return RtsCtsSeries(
-        rts=bin_by_utilization(util.percent, rts_counts, min_count=min_count),
-        cts=bin_by_utilization(util.percent, cts_counts, min_count=min_count),
+        rts=bin_by_utilization(util.percent, rts_counts),
+        cts=bin_by_utilization(util.percent, cts_counts),
     )
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from ..analysis import BinnedSeries, bin_by_utilization, sum_per_interval
 from ..frames import FrameType, Trace
 from .acking import match_acks
-from .timing import DOT11B_TIMING, TimingParameters
 from .utilization import UtilizationSeries, utilization_series
 
 __all__ = [
@@ -115,11 +114,7 @@ def goodput_per_second(
     return per_second / 1e6
 
 
-def throughput_vs_utilization(
-    trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
-) -> ThroughputSeries:
+def throughput_vs_utilization(trace: Trace) -> ThroughputSeries:
     """Reproduce Figure 6 for ``trace``.
 
     Computes per-second utilization, throughput and goodput over the
@@ -127,13 +122,13 @@ def throughput_vs_utilization(
     utilization bin.
     """
     trace = trace.sorted_by_time()
-    util = utilization_series(trace, timing)
+    util = utilization_series(trace)
     n = len(util)
     start = util.start_us
     tput = throughput_per_second(trace, start_us=start, n_seconds=n)
     gput = goodput_per_second(trace, start_us=start, n_seconds=n)
     return ThroughputSeries(
-        throughput_mbps=bin_by_utilization(util.percent, tput, min_count=min_count),
-        goodput_mbps=bin_by_utilization(util.percent, gput, min_count=min_count),
+        throughput_mbps=bin_by_utilization(util.percent, tput),
+        goodput_mbps=bin_by_utilization(util.percent, gput),
         utilization=util,
     )

@@ -19,7 +19,6 @@ import numpy as np
 from ..analysis import BinnedSeries, bin_by_utilization, count_per_interval
 from ..frames import SizeClass, Trace
 from .categories import ALL_CATEGORIES, Category, category_mask
-from .timing import DOT11B_TIMING, TimingParameters
 from .utilization import utilization_series
 
 __all__ = [
@@ -59,10 +58,7 @@ class CategoryCounts:
 
 
 def transmissions_vs_utilization(
-    trace: Trace,
-    categories: tuple[Category, ...] = ALL_CATEGORIES,
-    timing: TimingParameters = DOT11B_TIMING,
-    min_count: int = 1,
+    trace: Trace, categories: tuple[Category, ...] = ALL_CATEGORIES
 ) -> CategoryCounts:
     """Per-second transmitted-frame counts per category, binned by utilization.
 
@@ -70,7 +66,7 @@ def transmissions_vs_utilization(
     frames sent at the first attempt and retransmitted frames").
     """
     trace = trace.sorted_by_time()
-    util = utilization_series(trace, timing)
+    util = utilization_series(trace)
     n = len(util)
     out: dict[str, BinnedSeries] = {}
     for cat in categories:
@@ -78,7 +74,7 @@ def transmissions_vs_utilization(
         counts = count_per_interval(
             sub, start_us=util.start_us, n_intervals=n
         ).astype(np.float64)
-        out[cat.name] = bin_by_utilization(util.percent, counts, min_count=min_count)
+        out[cat.name] = bin_by_utilization(util.percent, counts)
     return CategoryCounts(per_category=out)
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..frames import Trace
 from .busytime import cbt_by_second
-from .timing import DOT11B_TIMING, TimingParameters
 
 __all__ = ["UtilizationSeries", "utilization_series", "utilization_histogram"]
 
@@ -40,21 +39,19 @@ class UtilizationSeries:
         """Elapsed-seconds axis for plotting (Fig 5a/5b)."""
         return np.arange(len(self.percent))
 
-    def clipped(self, upper: float = 100.0) -> np.ndarray:
-        """Utilization clipped to ``[0, upper]`` as displayed in Fig 5."""
-        return np.clip(self.percent, 0.0, upper)
+    def clipped(self) -> np.ndarray:
+        """Utilization clipped to ``[0, 100]`` as displayed in Fig 5."""
+        return np.clip(self.percent, 0.0, 100.0)
 
-    def histogram(
-        self, bin_width: float = 1.0, upper: float = 100.0
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def histogram(self, bin_width: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
         """Frequency of utilization values (Fig 5c).
 
         Returns ``(bin_lefts, counts)`` where counts[i] is the number of
         seconds whose (clipped) utilization fell in
         ``[bin_lefts[i], bin_lefts[i] + bin_width)``.
         """
-        edges = np.arange(0.0, upper + bin_width, bin_width)
-        counts, _ = np.histogram(self.clipped(upper), bins=edges)
+        edges = np.arange(0.0, 100.0 + bin_width, bin_width)
+        counts, _ = np.histogram(self.clipped(), bins=edges)
         return edges[:-1], counts
 
     def mode_percent(self, bin_width: float = 1.0) -> float:
@@ -67,23 +64,20 @@ class UtilizationSeries:
 
 def utilization_series(
     trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
     start_us: int | None = None,
     n_seconds: int | None = None,
 ) -> UtilizationSeries:
     """Compute U(t) for every one-second interval of ``trace`` (Eq 8)."""
     if len(trace) and start_us is None:
         start_us = int(trace.sorted_by_time().time_us[0])
-    busy_us = cbt_by_second(trace, timing, start_us=start_us, n_seconds=n_seconds)
+    busy_us = cbt_by_second(trace, start_us=start_us, n_seconds=n_seconds)
     return UtilizationSeries(
         start_us=int(start_us or 0), percent=busy_us / 1_000_000.0 * 100.0
     )
 
 
 def utilization_histogram(
-    trace: Trace,
-    timing: TimingParameters = DOT11B_TIMING,
-    bin_width: float = 1.0,
+    trace: Trace, bin_width: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-call Figure 5(c): histogram of per-second utilization."""
-    return utilization_series(trace, timing).histogram(bin_width)
+    return utilization_series(trace).histogram(bin_width)

@@ -44,11 +44,11 @@ def analysis_key(content_hash: str, *, salt: str | None = None) -> str:
     """Content-addressed key for one capture's stored analysis.
 
     Everything that can change the report participates: the capture's
-    content hash and the code-version salt.  Corpus analysis always
-    stores complete :class:`CongestionReport`s computed with the
-    802.11b timing and a minimum bin count of 1; the ``"consumers"``,
-    ``"timing"`` and ``"min_count"`` entries hash those constants, so
-    existing stores keep their keys.
+    content hash and the code-version salt.  Every report is complete
+    and computed with the paper's 802.11b timing, each non-empty
+    utilization bin kept; no analysis takes either as an input.  The
+    ``"consumers"``, ``"timing"`` and ``"min_count"`` entries hash
+    those constants only so existing stores keep their keys.
     """
     return canonical_key(
         {

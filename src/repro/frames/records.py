@@ -18,7 +18,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .dot11 import FrameType, code_to_rate, rate_to_code
+from .dot11 import (
+    CHANNEL_FREQ_MHZ,
+    DOT11_RATES_MBPS,
+    FrameType,
+    code_to_rate,
+    rate_to_code,
+)
 from .sizes import size_class_array
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "NodeRoster",
     "TRACE_COLUMNS",
     "TRACE_SCHEMA",
+    "first_column_fault",
 ]
 
 
@@ -54,6 +61,43 @@ TRACE_COLUMNS = _COLUMNS
 #: Public (name, dtype) schema pairs — the single source for layers
 #: that materialise trace columns themselves (e.g. the pcap reader).
 TRACE_SCHEMA = _SCHEMA
+
+#: Channel numbers a ``channel`` column may hold, indexed by value.
+_IS_CHANNEL = np.zeros(256, dtype=bool)
+_IS_CHANNEL[list(CHANNEL_FREQ_MHZ)] = True
+
+
+def first_column_fault(
+    cols: Mapping[str, np.ndarray], extra: Iterable = ()
+) -> tuple[int, str, str] | None:
+    """``(row, column, reason)`` of the first row of the schema-typed
+    trace columns ``cols`` that no frame can carry, or None.
+
+    A row is at fault when its frame type, rate code or channel is not
+    802.11b's, its SNR is not finite or its time is negative.  ``extra``
+    adds ``(column, bad_rows_mask, reason)`` checks, as a container does
+    for the fields it cannot hold.  Where one row fails several checks,
+    the earliest in that order is named.
+    """
+    checks = (
+        ("ftype", cols["ftype"] >= len(FrameType), "is not a frame type"),
+        (
+            "rate_code",
+            cols["rate_code"] >= len(DOT11_RATES_MBPS),
+            "is not an 802.11b rate code",
+        ),
+        ("snr_db", ~np.isfinite(cols["snr_db"]), "is not finite"),
+        ("time_us", cols["time_us"] < 0, "is negative"),
+        ("channel", ~_IS_CHANNEL[cols["channel"]], "is not an 802.11b channel"),
+        *extra,
+    )
+    first = None
+    for column, bad, reason in checks:
+        if bad.any():
+            row = int(bad.argmax())
+            if first is None or row < first[0]:
+                first = (row, column, reason)
+    return first
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ implemented by the engine itself and registered here with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from ..findings import Finding
 
@@ -104,14 +104,6 @@ def make(ctx, rule_id: str, node, message: str) -> Finding:
         severity=spec.severity,
         message=message,
     )
-
-
-def iter_rules(ids: Iterable[str] | None = None) -> list[Rule]:
-    """Registry view, optionally restricted to ``ids``, catalog order."""
-    if ids is None:
-        return list(RULES.values())
-    wanted = set(ids)
-    return [spec for spec in RULES.values() if spec.id in wanted]
 
 
 # Engine-implemented meta rules (see repro/lint/engine.py).

@@ -49,14 +49,19 @@ from typing import Callable
 
 import numpy as np
 
+from ..core.timing import DOT11B_TIMING
 from ..frames import (
+    ACK_FRAME_BYTES,
     BROADCAST,
+    CTS_FRAME_BYTES,
     DOT11_RATES_MBPS,
     NO_NODE,
+    RTS_FRAME_BYTES,
     TRACE_COLUMNS,
     TRACE_SCHEMA,
     FrameType,
     Trace,
+    first_column_fault,
     rate_to_code,
 )
 from ..frames.dot11 import RATE_CODES, frame_type_from_dot11
@@ -170,7 +175,7 @@ PAPER_SNAPLEN = 250
 
 _NOISE_FLOOR_DBM = -96
 #: Duration field with ``duration_fill``: SIFS + an ACK at 1 Mbps.
-_DURATION_FILL_US = 10 + 304
+_DURATION_FILL_US = round(DOT11B_TIMING.sifs_us + DOT11B_TIMING.ack_us)
 
 #: File-read granularity for the batched reader, and the output size of
 #: one encoded block for the writer.
@@ -423,49 +428,32 @@ def _encode_packet(row, duration_fill: bool) -> bytes:
 
 def _first_fault(cols: dict[str, np.ndarray], max_size: int):
     """``(row, column, reason)`` of the first row in ``cols`` that a
-    container cannot hold, or None.  The checks follow the per-record
+    container cannot hold, or None: the trace schema's column check,
+    then the container's own limits.  The checks follow the per-record
     encoder's order, so a row with two faults names the one it meets
     first."""
     ftype = cols["ftype"]
-    time_us = cols["time_us"]
-    checks = (
-        ("ftype", ftype >= len(FrameType), "is not a frame type"),
+    return first_column_fault(
+        cols,
         (
-            "rate_code",
-            cols["rate_code"] >= len(DOT11_RATES_MBPS),
-            "is not an 802.11b rate code",
-        ),
-        ("snr_db", ~np.isfinite(cols["snr_db"]), "is not finite"),
-        ("time_us", time_us < 0, "is negative"),
-        (
-            "channel",
-            _CHANNEL_FREQ[cols["channel"]] == 0,
-            "is not an 802.11b channel",
-        ),
-        ("dst", cols["dst"] == NO_NODE, "has no MAC address"),
-        (
-            "src",
-            _WRITES_SRC[ftype] & (cols["src"] == NO_NODE),
-            "has no MAC address",
-        ),
-        (
-            "time_us",
-            time_us >= _TS_LIMIT,
-            "overflows the 32-bit seconds field",
-        ),
-        (
-            "size",
-            _DATA_CLASS[ftype] & (cols["size"] > max_size),
-            "overflows a 32-bit length field",
+            ("dst", cols["dst"] == NO_NODE, "has no MAC address"),
+            (
+                "src",
+                _WRITES_SRC[ftype] & (cols["src"] == NO_NODE),
+                "has no MAC address",
+            ),
+            (
+                "time_us",
+                cols["time_us"] >= _TS_LIMIT,
+                "overflows the 32-bit seconds field",
+            ),
+            (
+                "size",
+                _DATA_CLASS[ftype] & (cols["size"] > max_size),
+                "overflows a 32-bit length field",
+            ),
         ),
     )
-    first = None
-    for column, bad, reason in checks:
-        if bad.any():
-            row = int(bad.argmax())
-            if first is None or row < first[0]:
-                first = (row, column, reason)
-    return first
 
 
 def _check_writable(
@@ -753,9 +741,9 @@ _FREQ_CHANNEL = np.array(
 
 #: Control-frame on-air sizes indexed by FrameType value.
 _CTRL_SIZE = np.zeros(8, dtype=np.uint32)
-_CTRL_SIZE[int(FrameType.ACK)] = 14
-_CTRL_SIZE[int(FrameType.CTS)] = 14
-_CTRL_SIZE[int(FrameType.RTS)] = 20
+_CTRL_SIZE[int(FrameType.ACK)] = ACK_FRAME_BYTES
+_CTRL_SIZE[int(FrameType.CTS)] = CTS_FRAME_BYTES
+_CTRL_SIZE[int(FrameType.RTS)] = RTS_FRAME_BYTES
 
 
 def _scan_records(buf: bytes, layout: _RecordLayout) -> tuple[list[int], int]:
@@ -952,9 +940,7 @@ def _decode_record_scalar(
     if frame.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
         size = max(0, header["orig_len"] - rt_len - 24) + 24
     else:
-        size = {FrameType.ACK: 14, FrameType.CTS: 14, FrameType.RTS: 20}[
-            frame.ftype
-        ]
+        size = int(_CTRL_SIZE[frame.ftype])
     return {
         "time_us": header["ts_sec"] * 1_000_000 + header["ts_usec"],
         "ftype": int(frame.ftype),

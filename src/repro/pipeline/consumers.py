@@ -17,9 +17,9 @@ every rule lives in one place and a consumer only carries state across
 chunks.  That state is bounded by seconds and stations, never by frames
 (``tests/pipeline/test_bounded_state.py``).
 
-Every binned series keeps each non-empty utilization bin (the
-``min_count=1`` default of ``bin_by_utilization`` and
-``bin_delay_tallies``), as ``analyze_trace`` does by default.
+Like the core, consumers take no options: busy time is the paper's
+802.11b timing and every binned series keeps each non-empty 1 %
+utilization bin, so a consumer is built with no arguments.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import numpy as np
 
 from ..analysis import ColumnTable, bin_by_utilization
 from ..core.ap_stats import (
+    USER_INTERVAL_US,
     ApActivity,
     DatasetSummary,
     ap_frame_counts,
@@ -40,18 +41,13 @@ from ..core.ap_stats import (
     user_keys,
     users_per_interval,
 )
-from ..core.categories import ALL_CATEGORIES, Category, category_codes
+from ..core.categories import ALL_CATEGORIES, category_codes
 from ..core.congestion import (
     CongestionClassifier,
     CongestionLevel,
     CongestionThresholds,
 )
-from ..core.delay import (
-    FIGURE15_CATEGORIES,
-    DelaySeries,
-    bin_delay_tallies,
-    fold_chains,
-)
+from ..core.delay import DelaySeries, bin_delay_tallies, fold_chains
 from ..core.rate_share import RateShareSeries
 from ..core.reception import ReceptionSeries
 from ..core.rts_cts import RtsCtsSeries
@@ -356,9 +352,6 @@ class TransmissionsConsumer(Consumer):
     name = "transmissions"
     needs_ack_match = False
 
-    def __init__(self, categories: tuple[Category, ...] = ALL_CATEGORIES) -> None:
-        self.categories = categories
-
     def start(self, ctx: StreamContext) -> None:
         self._acc = SecondAccumulator(width=16)
 
@@ -371,7 +364,7 @@ class TransmissionsConsumer(Consumer):
         totals = self._acc.totals(len(util))
         out = {
             cat.name: bin_by_utilization(util.percent, totals[:, cat.code])
-            for cat in self.categories
+            for cat in ALL_CATEGORIES
         }
         return CategoryCounts(per_category=out)
 
@@ -389,11 +382,6 @@ class DelayConsumer(Consumer):
     """
 
     name = "delays"
-
-    def __init__(
-        self, categories: tuple[Category, ...] = FIGURE15_CATEGORIES
-    ) -> None:
-        self.categories = categories
 
     def start(self, ctx: StreamContext) -> None:
         self._ctx = ctx  # start_us is filled in before the first chunk
@@ -418,7 +406,6 @@ class DelayConsumer(Consumer):
             ctx.utilization,
             self._delay_sum_us.totals(n),
             self._deliveries.totals(n),
-            self.categories,
         )
 
 
@@ -497,9 +484,6 @@ class UnrecordedByApConsumer(_RosterConsumer):
     needs_ack_match = False
     needs_cbt = False
 
-    def __init__(self, top_n: int = 15) -> None:
-        self.top_n = top_n
-
     def finalize(self, ctx: StreamContext, deps) -> ColumnTable:
         by_node = deps["unrecorded"].missing_data_by_node
         activity: ApActivity = deps["ap_activity"]
@@ -512,7 +496,7 @@ class UnrecordedByApConsumer(_RosterConsumer):
         )
         captured = [by_ap.get(ap, 0) for ap in ap_ids]
         missing = [by_node.get(ap, 0) for ap in ap_ids]
-        return ap_table_from_counts(ap_ids, captured, missing, self.top_n)
+        return ap_table_from_counts(ap_ids, captured, missing)
 
 
 @register_consumer("user_series")
@@ -523,9 +507,6 @@ class UserSeriesConsumer(_RosterConsumer):
     needs_ack_match = False
     needs_cbt = False
 
-    def __init__(self, interval_us: int = 30_000_000) -> None:
-        self.interval_us = interval_us
-
     def start(self, ctx: StreamContext) -> None:
         super().start(ctx)
         self._ctx = ctx  # start_us is filled in before the first chunk
@@ -535,7 +516,7 @@ class UserSeriesConsumer(_RosterConsumer):
 
     def consume(self, chunk: Chunk) -> None:
         keys, last = user_keys(
-            self._roles, chunk.trace, int(self._ctx.start_us), self.interval_us
+            self._roles, chunk.trace, int(self._ctx.start_us), USER_INTERVAL_US
         )
         self._max_interval = max(self._max_interval, last)
         self._seen.update(keys.tolist())

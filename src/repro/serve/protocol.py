@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..frames import TRACE_SCHEMA, Trace
+from ..frames import TRACE_SCHEMA, Trace, first_column_fault
 from ..framing import FrameError, encode_frame, header_length
 from ..protocol_registry import BATCH_MAGIC
 
@@ -77,7 +77,10 @@ def decode_batch(payload: bytes) -> Trace:
 
     Validates the advertised row count against the actual payload size
     byte-for-byte, so a truncated or padded batch fails loudly instead
-    of decoding shifted garbage.
+    of decoding shifted garbage, and every row against the trace
+    schema (:func:`~repro.frames.first_column_fault`), so a value no
+    frame can carry is refused here, naming its row and column, and
+    never reaches an analysis.
     """
     if len(payload) < 4:
         raise FrameBatchError(
@@ -99,6 +102,13 @@ def decode_batch(payload: bytes) -> Trace:
             payload[offset:end], dtype=little
         ).astype(dtype, copy=False)
         offset = end
+    fault = first_column_fault(columns)
+    if fault is not None:
+        row, column, reason = fault
+        raise FrameBatchError(
+            f"batch column {column!r} row {row}: "
+            f"{columns[column][row].item()!r} {reason}"
+        )
     return Trace(columns)
 
 

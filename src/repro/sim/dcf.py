@@ -24,10 +24,10 @@ from typing import Callable
 import numpy as np
 
 from ..core.timing import DOT11B_TIMING
-from ..frames import FrameType, BROADCAST
+from ..frames import RTS_FRAME_BYTES, FrameType, BROADCAST
 from .engine import EventHandle, Simulator
 from .medium import Medium, SimFrame
-from .phy import BASIC_RATE_MBPS, PhyModel
+from .phy import BASIC_RATE_MBPS, CONTROL_FRAME_BYTES, PhyModel
 from .propagation import Position
 from .power_control import TransmitPowerControl
 from .rate_adaptation import FixedRate, RateAdaptation
@@ -355,7 +355,7 @@ class DcfMac:
             ftype=FrameType.RTS,
             src=self.node_id,
             dst=pending.dst,
-            size=20,
+            size=RTS_FRAME_BYTES,
             rate_mbps=BASIC_RATE_MBPS,
             seq=pending.seq,
             retry=pending.retries > 0,
@@ -549,7 +549,7 @@ class DcfMac:
             ftype=ftype,
             src=self.node_id,
             dst=dst,
-            size=14,
+            size=CONTROL_FRAME_BYTES[ftype],
             rate_mbps=BASIC_RATE_MBPS,
             channel=self._channel,
             nav_us=remaining_nav,

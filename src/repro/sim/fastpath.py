@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.timing import DOT11B_TIMING
 from ..frames import (
     ACK_FRAME_BYTES,
     ASSOC_FRAME_BYTES,
@@ -166,7 +167,6 @@ class FastBuiltScenario:
     def __init__(self, built: BuiltScenario) -> None:
         self._built = built
         self.config = built.config
-        self.phy = built.phy
         self.sim = built.sim
         self._consumed = False
         self._rng = np.random.default_rng([int(built.config.seed), 0xFA57])
@@ -609,17 +609,14 @@ class FastBuiltScenario:
         use_rts = self.flow_rts[jflow] & ~is_beacon
         rate_code = np.where(is_beacon, 0, self.flow_rate_code[jflow])
         rate = self._rates_by_code[rate_code]
-        timing = self.phy.timing
+        body_bits = 8.0 * (DOT11B_TIMING.mac_overhead_bytes + jsize)
         data_dur = np.where(
             is_beacon,
             float(self._beacon_dur),
-            np.round(
-                timing.plcp_us + 8.0 * (timing.mac_overhead_bytes + jsize) / rate
-            ),
+            np.round(DOT11B_TIMING.plcp_us + body_bits / rate),
         ).astype(np.int64)
 
         # -- per-attempt success draws ----------------------------------
-        body_bits = 8.0 * (timing.mac_overhead_bytes + jsize)
         p_frame = np.exp(
             PLCP_HEADER_BITS * self.flow_l1[jflow]
             + body_bits * self.flow_lr[jflow]
@@ -969,7 +966,7 @@ class FastBuiltScenario:
         ctrl_size = _CONTROL_BYTES[ftype]
         l1 = self._sniff_lr[srcs, 0]
         lr = self._sniff_lr[srcs, np.minimum(rcodes, len(DOT11_RATES_MBPS) - 1)]
-        body_bits = 8.0 * (self.phy.timing.mac_overhead_bytes + sizes)
+        body_bits = 8.0 * (DOT11B_TIMING.mac_overhead_bytes + sizes)
         p_decode = np.where(
             is_payload,
             np.exp(PLCP_HEADER_BITS * l1 + body_bits * lr),

@@ -56,6 +56,7 @@ from typing import Protocol
 
 import numpy as np
 
+from ..core.timing import DOT11B_TIMING
 from ..frames import FrameType
 from .engine import Simulator
 from .phy import BASIC_RATE_MBPS, PLCP_HEADER_BITS, PhyModel
@@ -382,7 +383,7 @@ class Medium:
         ftype = frame.ftype
         is_data = ftype is FrameType.DATA or ftype is FrameType.MGMT
         if is_data:
-            body_bits = 8 * (self.phy.timing.mac_overhead_bytes + frame.size)
+            body_bits = 8 * (DOT11B_TIMING.mac_overhead_bytes + frame.size)
         else:
             body_bits = 0
         rate = frame.rate_mbps

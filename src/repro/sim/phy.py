@@ -28,7 +28,7 @@ from ..frames import (
     RTS_FRAME_BYTES,
     FrameType,
 )
-from ..core.timing import DOT11B_TIMING, TimingParameters
+from ..core.timing import DOT11B_TIMING
 
 __all__ = [
     "PhyModel",
@@ -70,26 +70,27 @@ def _q_function(x: float) -> float:
 
 @dataclass(frozen=True)
 class PhyModel:
-    """802.11b PHY: durations and per-frame error probabilities."""
+    """802.11b PHY: durations and per-frame error probabilities.
 
-    timing: TimingParameters = DOT11B_TIMING
+    Durations come from the paper's Table 2 (:data:`DOT11B_TIMING`).
+    """
 
     # -- durations -------------------------------------------------------
 
     def data_duration_us(self, size_bytes: int, rate_mbps: float) -> int:
         """On-air time of a data/management frame, rounded to whole us."""
-        return round(self.timing.data_frame_duration_us(size_bytes, rate_mbps))
+        return round(DOT11B_TIMING.data_frame_duration_us(size_bytes, rate_mbps))
 
     def control_duration_us(self, ftype: FrameType) -> int:
         """On-air time of a control/beacon frame (Table 2 constants)."""
         if ftype == FrameType.RTS:
-            return round(self.timing.rts_us)
+            return round(DOT11B_TIMING.rts_us)
         if ftype == FrameType.CTS:
-            return round(self.timing.cts_us)
+            return round(DOT11B_TIMING.cts_us)
         if ftype == FrameType.ACK:
-            return round(self.timing.ack_us)
+            return round(DOT11B_TIMING.ack_us)
         if ftype == FrameType.BEACON:
-            return round(self.timing.beacon_us)
+            return round(DOT11B_TIMING.beacon_us)
         raise ValueError(f"{ftype!r} is not a fixed-duration frame type")
 
     def frame_duration_us(
@@ -128,7 +129,7 @@ class PhyModel:
         ``rate_mbps``.  ``size_bytes`` excludes the 34-byte MAC overhead,
         which we add back, matching the duration formula.
         """
-        body_bits = 8 * (self.timing.mac_overhead_bytes + size_bytes)
+        body_bits = 8 * (DOT11B_TIMING.mac_overhead_bytes + size_bytes)
         return math.exp(
             PLCP_HEADER_BITS * self.log_survival(snr_db, BASIC_RATE_MBPS)
             + body_bits * self.log_survival(snr_db, rate_mbps)

@@ -131,7 +131,8 @@ class ScenarioConfig:
         for channel in self.channels:
             if channel not in CHANNEL_FREQ_MHZ:
                 raise ValueError(
-                    f"channels: {channel!r} is not an 802.11b channel (1-14)"
+                    f"channels: {channel!r} is not an 802.11b channel "
+                    f"({min(CHANNEL_FREQ_MHZ)}-{max(CHANNEL_FREQ_MHZ)})"
                 )
         if len(set(self.channels)) != len(self.channels):
             # One sniffer per listed channel: a repeat records every

@@ -27,12 +27,6 @@ class TestBinByUtilization:
         assert series.value_at(80) == pytest.approx(10.0)
         assert series.count[list(series.utilization).index(50)] == 3
 
-    def test_min_count_filters_sparse_bins(self):
-        util = np.array([50.0, 50.0, 70.0])
-        values = np.array([1.0, 3.0, 9.0])
-        series = bin_by_utilization(util, values, min_count=2)
-        assert list(series.utilization) == [50.0]
-
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             bin_by_utilization(np.array([1.0]), np.array([1.0, 2.0]))

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    count_per_interval,
-    interval_index,
-    mean_per_interval,
-    sum_per_interval,
-)
+from repro.analysis import count_per_interval, interval_index, sum_per_interval
 from repro.frames import Trace
 
 from ..conftest import data
@@ -60,10 +55,3 @@ class TestSumsAndMeans:
         trace = Trace.from_rows([data(0, 10, 1)])
         with pytest.raises(ValueError):
             sum_per_interval(trace, np.array([1.0, 2.0]))
-
-    def test_mean_per_interval_nan_when_empty(self):
-        trace = Trace.from_rows([data(0, 10, 1), data(2_000_000, 10, 1)])
-        means = mean_per_interval(trace, np.array([4.0, 8.0]))
-        assert means[0] == 4.0
-        assert np.isnan(means[1])
-        assert means[2] == 8.0

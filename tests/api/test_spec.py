@@ -80,6 +80,18 @@ class TestParsing:
         with pytest.raises(SpecError, match="cannot read spec"):
             load_spec(tmp_path / "nope.toml")
 
+    def test_non_utf8_file_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"scenario": "ramp", "name": "\xc3"}')
+        with pytest.raises(SpecError, match=r"s\.json is not UTF-8: byte 0xc3 at offset 30"):
+            load_spec(path)
+
+    def test_crlf_file_reads_like_lf(self, tmp_path):
+        crlf, lf = tmp_path / "crlf.toml", tmp_path / "lf.toml"
+        crlf.write_bytes(CAMPAIGN_TOML.replace("\n", "\r\n").encode())
+        lf.write_bytes(CAMPAIGN_TOML.encode())
+        assert load_spec(crlf) == load_spec(lf)
+
     def test_invalid_toml(self):
         with pytest.raises(SpecError, match="invalid TOML"):
             ExperimentSpec.from_toml("scenario = [unterminated")

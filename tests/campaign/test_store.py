@@ -55,10 +55,11 @@ NUMERIC_FIELDS = (
 
 
 def _numbers(result):
-    return [
-        (c.name, tuple(getattr(c, f) for f in NUMERIC_FIELDS))
-        for c in result.cells
-    ]
+    return [_numbers_of(c) for c in result.cells]
+
+
+def _numbers_of(cell_result):
+    return (cell_result.name, tuple(getattr(cell_result, f) for f in NUMERIC_FIELDS))
 
 
 class TestCellKey:
@@ -114,6 +115,18 @@ class TestCellKey:
         b = class_mixture({"S": 0.5, "XL": 0.5})
         assert a is not b and key(a) == key(b)
         assert key(class_mixture({"S": 0.6, "XL": 0.4})) != key(a)
+
+    def test_numpy_seed_keys_and_stores_like_its_int(self, tmp_path):
+        plain = CampaignCell("uniform", seed=3)
+        wide = CampaignCell("uniform", seed=np.int64(3))
+        assert cell_key(wide, "s") == cell_key(plain, "s")
+        store = CampaignStore(tmp_path / "s", salt="s")
+        store.put(fake_result(wide))
+        assert store.get(plain) is not None
+        record = json.loads(store.result_path(store.key_for(plain)).read_text())
+        assert record["cell"]["seed"] == 3 and record["cell"]["name"] == plain.name
+        store.put(fake_result(plain))
+        assert _numbers_of(store.get(wide)) == _numbers_of(fake_result(plain))
 
     @pytest.mark.parametrize("name", available_scenarios())
     def test_every_library_config_is_declared_data(self, name):

@@ -287,6 +287,15 @@ class TestRunCli:
         assert rc == 0
         assert "OK (campaign, 2 cells)" in capsys.readouterr().out
 
+    def test_non_utf8_spec_is_one_line_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "bad.toml"
+        spec.write_bytes(b'scenario = "ramp"\nname = "x\xff"\n')
+        rc = main(["run", str(spec), "--validate-only"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(spec) in err and "byte 0xff at offset 27" in err
+
     def test_set_overrides_params(self, tmp_path, capsys):
         spec = tmp_path / "study.toml"
         spec.write_text('scenario = "ramp"\n[params]\nduration_s = 1.5\n')

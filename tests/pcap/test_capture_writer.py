@@ -115,3 +115,52 @@ def test_bad_row_past_the_first_check_block(trace, tmp_path):
     with pytest.raises(ValueError, match=r"column 'channel' row 70001: 0 "):
         write_trace(bad, path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "edits, named",
+    [
+        ({"ftype": [(2, 250)]}, "column 'ftype' row 2: 250 is not a frame type"),
+        ({"rate_code": [(1, 200)]}, "column 'rate_code' row 1: 200 is not an 802.11b rate code"),
+        ({"snr_db": [(3, np.nan)]}, "column 'snr_db' row 3: nan is not finite"),
+        ({"time_us": [(0, -5)]}, "column 'time_us' row 0: -5 is negative"),
+        ({"channel": [(2, 15)]}, "column 'channel' row 2: 15 is not an 802.11b channel"),
+        ({"channel": [(2, 14)]}, None),
+        ({"src": [(1, NO_NODE)]}, "column 'src' row 1: 65534 has no MAC address"),
+        ({"src": [(2, NO_NODE)]}, None),  # an ACK carries no transmitter
+        (
+            {"time_us": [(3, 2**32 * 1_000_000)]},
+            "column 'time_us' row 3: 4294967296000000 overflows the 32-bit seconds field",
+        ),
+        (
+            {"ftype": [(2, 250)], "dst": [(2, NO_NODE)]},
+            "column 'ftype' row 2: 250 is not a frame type",
+        ),
+        (
+            {"channel": [(1, 0)], "dst": [(1, NO_NODE)]},
+            "column 'channel' row 1: 0 is not an 802.11b channel",
+        ),
+        (
+            {"snr_db": [(3, np.nan)], "dst": [(1, NO_NODE)]},
+            "column 'dst' row 1: 65534 has no MAC address",
+        ),
+        (
+            {"src": [(3, NO_NODE)], "rate_code": [(3, 4)], "time_us": [(3, -1)]},
+            "column 'rate_code' row 3: 4 is not an 802.11b rate code",
+        ),
+    ],
+)
+def test_schema_and_container_checks_name_one_fault(trace, tmp_path, edits, named):
+    """The trace schema's column check runs before the container's own
+    limits, and the earliest row wins whichever half names it."""
+    for column, cells in edits.items():
+        for row, value in cells:
+            trace = with_value(trace, column, row, value)
+    path = tmp_path / "capture.pcap"
+    if named is None:
+        write_trace(trace, path)
+        return
+    with pytest.raises(ValueError) as caught:
+        write_trace(trace, path)
+    assert str(caught.value) == f"cannot write {path}: {named}"
+    assert not path.exists()

@@ -32,6 +32,13 @@ def make_segments(n_segments: int = 3, frames_per: int = 4) -> list[Trace]:
     return segments
 
 
+def with_value(trace: Trace, column: str, row: int, value) -> Trace:
+    """``trace`` with one cell overwritten (bypassing every check)."""
+    cols = {name: trace.column(name).copy() for name, _ in TRACE_SCHEMA}
+    cols[column][row] = value
+    return Trace(cols)
+
+
 def assert_traces_equal(a: Trace, b: Trace) -> None:
     assert len(a) == len(b)
     for name, _ in TRACE_SCHEMA:

@@ -14,7 +14,13 @@ from repro.pcap import write_trace
 from repro.pipeline import run_all
 from repro.serve import encode_batch, frame_batch, report_to_jsonable, write_batch, write_eof
 
-from .conftest import daemon_running, http_json, http_request, make_segments
+from .conftest import (
+    daemon_running,
+    http_json,
+    http_request,
+    make_segments,
+    with_value,
+)
 
 
 async def create_feed(daemon, name):
@@ -90,6 +96,33 @@ def test_tcp_disconnect_mid_batch():
             assert served == report_to_jsonable(
                 run_all(iter(segments[:1]), name="f")
             )
+            await assert_daemon_healthy(daemon)
+
+    asyncio.run(main())
+
+
+def test_tcp_batch_with_an_unknown_channel_fails_the_feed_naming_it():
+    segments = make_segments()
+
+    async def main():
+        async with daemon_running() as daemon:
+            await create_feed(daemon, "f")
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", daemon.ingest_port
+            )
+            writer.write(b"FEED f\n")
+            await write_batch(writer, segments[0])
+            await write_batch(writer, with_value(segments[1], "channel", 2, 0))
+            # Bounded: a server that accepts the batch waits for more.
+            reply = await asyncio.wait_for(reader.readline(), timeout=30)
+            writer.close()
+            assert reply == b"ERR batch column 'channel' row 2: 0 is not an 802.11b channel\n"
+            feed = daemon.manager.get("f")
+            await feed.done.wait()
+            assert feed.state == "failed"
+            assert feed.error.error_type == "FrameBatchError"
+            assert "column 'channel' row 2" in feed.error.message
+            assert feed.error.at_frames == len(segments[0])
             await assert_daemon_healthy(daemon)
 
     asyncio.run(main())

@@ -18,7 +18,7 @@ from repro.serve import (
     read_batches,
 )
 
-from .conftest import assert_traces_equal, make_segments
+from .conftest import assert_traces_equal, make_segments, with_value
 
 
 def test_roundtrip_preserves_every_column():
@@ -52,6 +52,31 @@ def test_padded_payload_rejected():
     payload = encode_batch(make_segments(1)[0])
     with pytest.raises(FrameBatchError, match="carries"):
         decode_batch(payload + b"\x00")
+
+
+@pytest.mark.parametrize(
+    "column, value, reason",
+    [
+        ("ftype", 250, "250 is not a frame type"),
+        ("rate_code", 200, "200 is not an 802.11b rate code"),
+        ("snr_db", np.nan, "nan is not finite"),
+        ("time_us", -5, "-5 is negative"),
+        ("channel", 0, "0 is not an 802.11b channel"),
+        ("channel", 15, "15 is not an 802.11b channel"),
+    ],
+)
+def test_value_no_frame_can_carry_names_row_and_column(column, value, reason):
+    bad = with_value(make_segments(1, frames_per=6)[0], column, 3, value)
+    with pytest.raises(FrameBatchError) as caught:
+        decode_batch(encode_batch(bad))
+    assert str(caught.value) == f"batch column {column!r} row 3: {reason}"
+
+
+def test_first_faulty_row_is_named():
+    bad = with_value(make_segments(1, frames_per=6)[0], "channel", 4, 0)
+    bad = with_value(bad, "rate_code", 2, 9)
+    with pytest.raises(FrameBatchError, match="column 'rate_code' row 2: 9 "):
+        decode_batch(encode_batch(bad))
 
 
 def test_eof_marker_layout():

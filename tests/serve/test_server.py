@@ -15,7 +15,13 @@ from repro.serve import (
     write_eof,
 )
 
-from .conftest import daemon_running, http_json, http_request, make_segments
+from .conftest import (
+    daemon_running,
+    http_json,
+    http_request,
+    make_segments,
+    with_value,
+)
 
 
 def test_health_and_metrics():
@@ -228,6 +234,38 @@ def test_corrupt_http_push_rejected_feed_survives():
                 encode_batch(segments[0]),
             )
             assert status == 200
+
+    asyncio.run(main())
+
+
+def test_http_push_of_an_unknown_rate_code_is_a_400_and_the_feed_runs_on():
+    segments = make_segments()
+    bad = with_value(segments[1], "rate_code", 1, 200)
+
+    async def main():
+        async with daemon_running() as daemon:
+            await http_json(daemon.http_port, "POST", "/feeds", {"name": "f"})
+            for segment in (segments[0], bad, segments[2]):
+                status, reply = await http_request(
+                    daemon.http_port,
+                    "POST",
+                    "/feeds/f/frames",
+                    encode_batch(segment),
+                )
+                if segment is bad:
+                    assert status == 400
+                    assert "column 'rate_code' row 1: 200" in reply["error"]
+                else:
+                    assert status == 200
+            status, info = await http_request(
+                daemon.http_port, "POST", "/feeds/f/eof"
+            )
+            assert info["state"] == "closed" and info["ingest_errors"] == 1
+            _, served = await http_request(
+                daemon.http_port, "GET", "/feeds/f/report"
+            )
+            good = iter([segments[0], segments[2]])
+            assert served == report_to_jsonable(run_all(good, name="f"))
 
     asyncio.run(main())
 

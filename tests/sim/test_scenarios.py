@@ -38,6 +38,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    def test_channel_error_names_the_channels_it_accepts(self):
+        ScenarioConfig(channels=(14,))  # 2484 MHz, the table's last entry
+        with pytest.raises(ValueError, match=r"15 is not an 802\.11b channel \(1-14\)"):
+            ScenarioConfig(channels=(15,))
+
 
 class TestCaptureRatioGuard:
     def test_zero_frame_ground_truth_reports_zero(self):
