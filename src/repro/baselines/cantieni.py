@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.timing import DOT11B_TIMING
-from ..sim.phy import PhyModel
+from ..sim import phy
 
 __all__ = ["FrameClass", "DcfModelResult", "bianchi_fixed_point", "multirate_dcf_model"]
 
@@ -93,7 +93,6 @@ def bianchi_fixed_point(
 def multirate_dcf_model(
     classes: tuple[FrameClass, ...],
     snr_db: float = 15.0,
-    phy: PhyModel | None = None,
 ) -> DcfModelResult:
     """Saturation throughput and per-class success probability.
 
@@ -105,7 +104,6 @@ def multirate_dcf_model(
     """
     if not classes:
         raise ValueError("need at least one class")
-    phy = phy or PhyModel()
     n_total = sum(c.n_stations for c in classes)
     tau, p = bianchi_fixed_point(n_total, DOT11B_TIMING.cw_min, DOT11B_TIMING.cw_max)
 

@@ -611,13 +611,21 @@ class Coordinator:
             elif op == "heartbeat":
                 reply = self.state.heartbeat(worker, str(message.get("lease")))
             elif op in ("complete", "fail"):
-                reply = getattr(self.state, op)(
-                    worker,
-                    str(message.get("lease")),
-                    int(message.get("index", -1)),
-                    str(message.get("key", "")),
-                    message.get("record"),
-                )
+                index = message.get("index")
+                if type(index) is not int:  # a JSON integer, not a bool
+                    reply = {
+                        "op": "error",
+                        "error": f"{op} report refused: index {index!r} "
+                        "is not an integer",
+                    }
+                else:
+                    reply = getattr(self.state, op)(
+                        worker,
+                        str(message.get("lease")),
+                        index,
+                        str(message.get("key", "")),
+                        message.get("record"),
+                    )
             elif op == "status":
                 reply = {"op": "status", "state": self._snapshot()}
             else:

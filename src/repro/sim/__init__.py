@@ -15,16 +15,16 @@ from .builder import (
     ScenarioBuilder,
     StationRole,
 )
-from .channel_manager import ChannelManager, ChannelManagerConfig, ChannelSwitch
+from .channel_manager import ChannelManager, ChannelSwitch
 from .dcf import DcfMac, MacConfig, MacStats
 from .engine import EventHandle, Simulator
 from .fastpath import FIDELITY_MODES, FastBuiltScenario
 from .medium import Medium, SimFrame, Transmission
 from .node import BEACON_INTERVAL_US, AccessPoint, Station
-from .phy import BASIC_RATE_MBPS, PhyModel, snr_db_to_linear
+from .phy import BASIC_RATE_MBPS, snr_db_to_linear
 from .power_control import PowerControlConfig, TransmitPowerControl
 from .propagation import Position, PropagationModel
-from .roaming import Roam, RoamingConfig, RoamingManager
+from .roaming import Roam, RoamingManager
 from .rate_adaptation import (
     AarfRateAdaptation,
     ArfRateAdaptation,
@@ -80,7 +80,6 @@ __all__ = [
     "BuiltScenario",
     "CONFERENCE_MIX",
     "ChannelManager",
-    "ChannelManagerConfig",
     "ChannelSwitch",
     "ConstantRate",
     "DcfMac",
@@ -96,7 +95,6 @@ __all__ = [
     "MacStats",
     "Medium",
     "ModulatedRate",
-    "PhyModel",
     "PoissonSource",
     "Position",
     "PowerControlConfig",
@@ -104,7 +102,6 @@ __all__ = [
     "RAMP_MIX",
     "RateAdaptation",
     "Roam",
-    "RoamingConfig",
     "RoamingManager",
     "RoomPlacement",
     "SCENARIO_LIBRARY",

@@ -40,12 +40,11 @@ from .channel_manager import ChannelManager
 from .engine import Simulator
 from .medium import Medium
 from .node import AccessPoint, Station
-from .phy import PhyModel
-from .propagation import Position, PropagationModel
+from .propagation import NOISE_FLOOR_DBM, Position, PropagationModel
 from .rate_adaptation import make_rate_adaptation
 from .roaming import RoamingManager
 from .sniffer import Sniffer, ground_truth_trace
-from .topology import place_aps, place_stations, sniffer_position
+from .topology import STATION_MARGIN_M, place_aps, place_stations, sniffer_position
 from .traffic import PoissonSource, ScaledRate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -152,7 +151,7 @@ class HotspotPlacement:
     def station_positions(
         self, config: "ScenarioConfig", rng: np.random.Generator
     ) -> list[Position]:
-        margin = 1.0
+        margin = STATION_MARGIN_M
         width, depth = config.room_width_m, config.room_depth_m
         positions = []
         for _ in range(config.n_stations):
@@ -259,7 +258,7 @@ def _obstruct(
         tx_id=ap.node_id,
         rx_id=node_id,
     )
-    clean_snr = clean_rx - propagation.noise_floor_dbm
+    clean_snr = clean_rx - NOISE_FLOOR_DBM
     lo, hi = config.obstructed_snr_band_db
     target_snr = float(rng.uniform(lo, hi))
     propagation.node_extra_loss_db[node_id] = max(0.0, clean_snr - target_snr)
@@ -337,7 +336,6 @@ class BuiltScenario:
     sim: Simulator
     medium: Medium
     propagation: PropagationModel
-    phy: PhyModel
     aps: list[AccessPoint]
     stations: list[Station]
     roles: list[StationRole]
@@ -552,10 +550,7 @@ class ScenarioBuilder:
             shadowing_sigma_db=config.shadowing_sigma_db,
             rng=np.random.default_rng(config.seed + 1),
         )
-        phy = PhyModel()
-        medium = Medium(
-            sim, propagation, phy, rng=np.random.default_rng(config.seed + 2)
-        )
+        medium = Medium(sim, propagation, rng=np.random.default_rng(config.seed + 2))
 
         # --- access points: round-robin over channels ------------------
         aps: list[AccessPoint] = []
@@ -564,7 +559,6 @@ class ScenarioBuilder:
                 AccessPoint.create(
                     sim=sim,
                     medium=medium,
-                    phy=phy,
                     node_id=i + 1,
                     position=pos,
                     channel=config.channels[i % len(config.channels)],
@@ -589,7 +583,6 @@ class ScenarioBuilder:
             station = Station.create(
                 sim=sim,
                 medium=medium,
-                phy=phy,
                 node_id=node_id,
                 position=pos,
                 channel=nearest.channel,
@@ -617,7 +610,6 @@ class ScenarioBuilder:
             sim=sim,
             medium=medium,
             propagation=propagation,
-            phy=phy,
             aps=aps,
             stations=stations,
             roles=roles,

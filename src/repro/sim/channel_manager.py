@@ -17,15 +17,22 @@ below the one-second analysis granularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .engine import Simulator
 from .medium import Medium
 from .node import AccessPoint, Station
 
-__all__ = ["ChannelSwitch", "ChannelManagerConfig", "ChannelManager"]
+__all__ = ["ChannelSwitch", "ChannelManager"]
+
+#: Measurement and decision period.
+REBALANCE_INTERVAL_US = 5_000_000
+
+#: Heaviest/lightest per-channel load ratio that triggers a move.
+IMBALANCE_RATIO = 1.5
+
+#: Minimum time between two moves of one AP.
+SWITCH_COOLDOWN_US = 15_000_000
 
 
 @dataclass(frozen=True)
@@ -38,21 +45,6 @@ class ChannelSwitch:
     new_channel: int
 
 
-@dataclass(frozen=True)
-class ChannelManagerConfig:
-    """Rebalancing policy parameters."""
-
-    interval_us: int = 5_000_000      # measurement/decision period
-    imbalance_ratio: float = 1.5      # heaviest/lightest load trigger
-    cooldown_us: int = 15_000_000     # per-AP minimum time between moves
-
-    def __post_init__(self) -> None:
-        if self.interval_us <= 0 or self.cooldown_us < 0:
-            raise ValueError("intervals must be positive")
-        if self.imbalance_ratio < 1.0:
-            raise ValueError("imbalance_ratio must be >= 1")
-
-
 class ChannelManager:
     """Periodic per-channel load balancing across a set of APs."""
 
@@ -63,18 +55,16 @@ class ChannelManager:
         aps: list[AccessPoint],
         stations: list[Station],
         channels: tuple[int, ...],
-        config: ChannelManagerConfig | None = None,
     ) -> None:
         self.sim = sim
         self.medium = medium
         self.aps = aps
         self.stations = stations
         self.channels = channels
-        self.config = config or ChannelManagerConfig()
         self.switches: list[ChannelSwitch] = []
         self._last_counts: dict[int, int] = {}  # per-channel count watermark
         self._last_switch: dict[int, int] = {}
-        sim.schedule_in(self.config.interval_us, self._evaluate)
+        sim.schedule_in(REBALANCE_INTERVAL_US, self._evaluate)
 
     # -- measurement --------------------------------------------------------
 
@@ -101,14 +91,14 @@ class ChannelManager:
     def _evaluate(self) -> None:
         load = self._interval_load()
         self._maybe_rebalance(load)
-        self.sim.schedule_in(self.config.interval_us, self._evaluate)
+        self.sim.schedule_in(REBALANCE_INTERVAL_US, self._evaluate)
 
     def _maybe_rebalance(self, load: dict[int, int]) -> None:
         heavy = max(load, key=lambda ch: load[ch])
         light = min(load, key=lambda ch: load[ch])
         if heavy == light:
             return
-        if load[heavy] < self.config.imbalance_ratio * max(load[light], 1):
+        if load[heavy] < IMBALANCE_RATIO * max(load[light], 1):
             return
         candidates = self._aps_on(heavy)
         if len(candidates) < 2:
@@ -118,7 +108,7 @@ class ChannelManager:
             ap
             for ap in candidates
             if now - self._last_switch.get(ap.node_id, -(10**12))
-            >= self.config.cooldown_us
+            >= SWITCH_COOLDOWN_US
             and ap.mac.queue_length == 0
         ]
         if not movable:

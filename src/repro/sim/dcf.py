@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core.timing import DOT11B_TIMING
 from ..frames import RTS_FRAME_BYTES, FrameType, BROADCAST
+from . import phy
 from .engine import EventHandle, Simulator
 from .medium import Medium, SimFrame
-from .phy import BASIC_RATE_MBPS, CONTROL_FRAME_BYTES, PhyModel
+from .phy import BASIC_RATE_MBPS, CONTROL_FRAME_BYTES
 from .propagation import Position
 from .power_control import TransmitPowerControl
 from .rate_adaptation import FixedRate, RateAdaptation
@@ -102,11 +102,14 @@ class _Pending:
 class DcfMac:
     """One node's DCF MAC entity, attached to a :class:`Medium`."""
 
+    #: Energy-detect carrier-sense threshold, read by the medium's
+    #: listener protocol and the fast engine's hidden-pair graph.
+    sense_threshold_dbm = -85.0
+
     def __init__(
         self,
         sim: Simulator,
         medium: Medium,
-        phy: PhyModel,
         node_id: int,
         position: Position,
         channel: int,
@@ -114,13 +117,10 @@ class DcfMac:
         config: MacConfig | None = None,
         rate_adaptation: RateAdaptation | None = None,
         tx_power_dbm: float = 15.0,
-        sense_threshold_dbm: float = -85.0,
-        on_data_delivered: Callable[[SimFrame], None] | None = None,
         power_control: TransmitPowerControl | None = None,
     ) -> None:
         self.sim = sim
         self.medium = medium
-        self.phy = phy
         self.node_id = node_id
         self.position = position
         self._channel = channel
@@ -128,9 +128,7 @@ class DcfMac:
         self.config = config or MacConfig()
         self.rate_adaptation = rate_adaptation or FixedRate(11.0)
         self.tx_power_dbm = tx_power_dbm
-        self.sense_threshold_dbm = sense_threshold_dbm
         self.power_control = power_control
-        self.on_data_delivered = on_data_delivered
         #: Overhearing a frame addressed elsewhere with no NAV field is a
         #: provable no-op for this MAC (its rate adaptation ignores SNR
         #: feedback and it runs no power control), so the medium may skip
@@ -166,7 +164,7 @@ class DcfMac:
         # so it must transmit anyway — this is precisely how DCF
         # collisions happen.
         self._transmit_despite_busy = False
-        # Hot-path constants (config and PHY are frozen after init).
+        # Hot-path constants (the config is frozen after init).
         cfg = self.config
         self._sifs_us = cfg.sifs_us
         self._difs_us = cfg.difs_us
@@ -339,17 +337,14 @@ class DcfMac:
 
     # -- transmission legs --------------------------------------------------
 
-    def _data_duration_us(self, pending: _Pending) -> int:
-        return self.phy.data_duration_us(pending.size, pending.rate_mbps)
-
     def _send_rts(self, pending: _Pending) -> None:
         cfg = self.config
-        data_dur = self._data_duration_us(pending)
+        data_dur = phy.data_duration_us(pending.size, pending.rate_mbps)
         nav = (
             3 * cfg.sifs_us
-            + self.phy.control_duration_us(FrameType.CTS)
+            + self._cts_duration_us
             + data_dur
-            + self.phy.control_duration_us(FrameType.ACK)
+            + self._ack_duration_us
         )
         frame = SimFrame(
             ftype=FrameType.RTS,
@@ -368,7 +363,7 @@ class DcfMac:
         timeout = (
             frame.duration_us
             + cfg.sifs_us
-            + self.phy.control_duration_us(FrameType.CTS)
+            + self._cts_duration_us
             + cfg.ack_timeout_margin_us
         )
         self._state = _State.WAIT_CTS
@@ -512,8 +507,6 @@ class DcfMac:
             self.stats.delivered_frames += 1
             self.stats.delivered_bytes += frame.size
             self._respond(FrameType.ACK, frame.src)
-            if self.on_data_delivered is not None:
-                self.on_data_delivered(frame)
         elif frame.ftype == FrameType.ACK:
             if self._state == _State.WAIT_ACK:
                 self._fragment_or_success()
@@ -543,7 +536,7 @@ class DcfMac:
                 0,
                 nav_us
                 - self.config.sifs_us
-                - self.phy.control_duration_us(FrameType.CTS),
+                - self._cts_duration_us,
             )
         frame = SimFrame(
             ftype=ftype,

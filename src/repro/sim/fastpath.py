@@ -18,8 +18,10 @@ What stays exact
   identically and the network is the same network the default engine
   would simulate.
 * The PHY: frame durations (paper Table 2), the per-bit survival and
-  frame success laws (:class:`~repro.sim.phy.PhyModel`, vectorised) and
-  the decode gate (:meth:`~repro.sim.medium.Medium.decode_floor_dbm`).
+  frame success laws (:func:`~repro.sim.phy.log_survival` terms
+  recombined vectorised, :func:`~repro.sim.phy.frame_success_probability`,
+  :func:`~repro.sim.phy.control_success_probability`) and the decode
+  gate (:meth:`~repro.sim.medium.Medium.decode_floor_dbm`).
 * Arrival processes: per-flow Poisson counts per 100 ms sub-slice with
   order-statistics uniform placement — an exact Poisson process for
   the same rate schedules.
@@ -35,9 +37,12 @@ What is relaxed (and validated statistically instead of by digest)
 * Contention: collisions are sampled from a hidden-terminal coupling
   model — per-source airtime measured over recent windows against the
   carrier-sense graph — instead of per-slot medium arbitration.
-* Rate selection: each link transmits at the highest rate whose frame
-  error probability clears a target — the stationary point ARF hovers
-  around — instead of per-ACK ladder moves.
+* Rate selection: each link transmits at the rate the one SNR-oracle
+  rule picks for its clean SNR (:func:`~repro.sim.phy.best_rate_for_snr`:
+  the fastest rate whose :data:`~repro.sim.phy.RATE_REFERENCE_BYTES`
+  frame error probability stays within
+  :data:`~repro.sim.phy.RATE_TARGET_PER`) — the stationary point ARF
+  hovers around — instead of per-ACK ladder moves.
 
 ``tests/sim/test_fast_fidelity.py`` holds the contract: delivery
 ratio, channel utilization and busy-time share must agree with the
@@ -65,9 +70,11 @@ from ..frames import (
     Trace,
     rate_to_code,
 )
+from . import phy
 from .builder import DRAIN_WINDOW_US, BuiltScenario
 from .node import BEACON_INTERVAL_US
 from .phy import BASIC_RATE_MBPS, CONTROL_FRAME_BYTES, PLCP_HEADER_BITS
+from .propagation import NOISE_FLOOR_DBM
 from .traffic import size_pool
 
 __all__ = ["FIDELITY_MODES", "FastBuiltScenario"]
@@ -107,15 +114,6 @@ _HIDDEN_COUPLING = 2.5
 #: event engine.  1.0 would doom a colliding job for all its retries;
 #: 0.0 would make attempts independent.
 _HIDDEN_PERSIST = 0.8
-
-#: Reference frame size and PER target for the per-link rate choice —
-#: the stationary point of the default engine's SNR-oracle policy.
-#: The oracle seeds at 11 Mbps and tracks a noisy EWMA of observed
-#: (interference-depressed) SNR, so its effective choice is a notch
-#: more aggressive than the clean steady state; the PER target is
-#: calibrated against its measured retry rates.
-_RATE_REF_SIZE = 1000
-_RATE_TARGET_PER = 0.1
 
 _DATA = int(FrameType.DATA)
 _MGMT = int(FrameType.MGMT)
@@ -190,8 +188,7 @@ class FastBuiltScenario:
     def _extract_topology(self, built: BuiltScenario) -> None:
         config = built.config
         propagation = built.propagation
-        noise = propagation.noise_floor_dbm
-        phy = built.phy
+        noise = NOISE_FLOOR_DBM
         decode_floor_dbm = built.medium.decode_floor_dbm
 
         macs = {ap.node_id: ap.mac for ap in built.aps}
@@ -292,7 +289,7 @@ class FastBuiltScenario:
             """
             row = np.zeros(self._max_id, dtype=np.float64)
             p_clean = phy.frame_success_probability(
-                fwd_power - noise, _RATE_REF_SIZE, rate
+                fwd_power - noise, phy.RATE_REFERENCE_BYTES, rate
             )
             for h in ids:
                 if h == src or not self._hidden[src, h]:
@@ -304,7 +301,9 @@ class FastBuiltScenario:
                 snr_eff = fwd_power - 10.0 * math.log10(
                     10.0 ** (noise / 10.0) + 10.0 ** (interference / 10.0)
                 )
-                p_eff = phy.frame_success_probability(snr_eff, _RATE_REF_SIZE, rate)
+                p_eff = phy.frame_success_probability(
+                    snr_eff, phy.RATE_REFERENCE_BYTES, rate
+                )
                 row[h] = min(1.0, max(0.0, 1.0 - p_eff / max(p_clean, 1e-12)))
             return row
 
@@ -313,9 +312,7 @@ class FastBuiltScenario:
                 snr, rate = 40.0, BASIC_RATE_MBPS
             else:
                 snr = link_power(src, dst) - noise
-                rate = phy.best_rate_for_snr(
-                    snr, size_bytes=_RATE_REF_SIZE, target_per=_RATE_TARGET_PER
-                )
+                rate = phy.best_rate_for_snr(snr)
             flow_src.append(src)
             flow_dst.append(dst)
             flow_rate.append(rate)

@@ -24,9 +24,11 @@ who is *audible* (above carrier-sense threshold) and who is *decodable*
 (above decode floor), and every later frame from that transmitter walks
 only those listeners — O(audible) Python work per frame instead of
 O(attached).  Each plan entry carries the static link SNR and lazily
-caches the PHY success probability per rate/frame type, collapsing the
-per-reception erfc/log1p/exp chain to one ``math.exp``.  The arithmetic
-is kept expression-for-expression identical to the uncached path, so
+caches :func:`repro.sim.phy.log_survival` terms per rate and
+:func:`repro.sim.phy.control_success_probability` per frame type,
+collapsing the per-reception erfc/log1p/exp chain to one ``math.exp``.
+The arithmetic is kept expression-for-expression identical to
+:func:`repro.sim.phy.frame_success_probability`, so
 optimized runs emit byte-identical traces (enforced by
 ``tests/sim/test_determinism_golden.py``).
 
@@ -58,9 +60,10 @@ import numpy as np
 
 from ..core.timing import DOT11B_TIMING
 from ..frames import FrameType
+from . import phy
 from .engine import Simulator
-from .phy import BASIC_RATE_MBPS, PLCP_HEADER_BITS, PhyModel
-from .propagation import Position, PropagationModel
+from .phy import BASIC_RATE_MBPS, PLCP_HEADER_BITS
+from .propagation import NOISE_FLOOR_DBM, Position, PropagationModel
 
 __all__ = ["SimFrame", "MediumListener", "Medium", "Transmission"]
 
@@ -130,12 +133,10 @@ class Medium:
         self,
         sim: Simulator,
         propagation: PropagationModel,
-        phy: PhyModel,
         rng: np.random.Generator,
     ) -> None:
         self.sim = sim
         self.propagation = propagation
-        self.phy = phy
         self.rng = rng
         self._listeners: list[MediumListener] = []
         self._active: list[Transmission] = []
@@ -177,7 +178,7 @@ class Medium:
         self._collision_ctrl_p: dict[tuple, float] = {}
         # The constant factor of PropagationModel.snr_db, precomputed so
         # the collision path can inline the SINR formula.
-        self._noise_mw = 10.0 ** (propagation.noise_floor_dbm / 10.0)
+        self._noise_mw = 10.0 ** (NOISE_FLOOR_DBM / 10.0)
 
     # -- attachment --------------------------------------------------------
 
@@ -223,9 +224,7 @@ class Medium:
         listener's ``decode_threshold_dbm``, defaulting to just above
         thermal noise; the PHY BER model decides success from there.
         """
-        return getattr(
-            listener, "decode_threshold_dbm", self.propagation.noise_floor_dbm + 1.0
-        )
+        return getattr(listener, "decode_threshold_dbm", NOISE_FLOOR_DBM + 1.0)
 
     # -- delivery plans ----------------------------------------------------
 
@@ -315,7 +314,7 @@ class Medium:
             dkey = (frame.ftype, frame.size, frame.rate_mbps)
             duration = self._duration_cache.get(dkey)
             if duration is None:
-                duration = self.phy.frame_duration_us(
+                duration = phy.frame_duration_us(
                     frame.ftype, frame.size, frame.rate_mbps
                 )
                 self._duration_cache[dkey] = duration
@@ -478,7 +477,7 @@ class Medium:
                 else:
                     p = ctrl_p.get(ftype)
                     if p is None:
-                        p = self.phy.control_success_probability(snr0, ftype)
+                        p = phy.control_success_probability(snr0, ftype)
                         ctrl_p[ftype] = p
             if draws[slot] < p:
                 recv_cb(frame, snr_db)
@@ -486,16 +485,16 @@ class Medium:
     def _data_terms(
         self, store: dict, snr_db: float, rate: float, key=None
     ) -> tuple[float, float]:
-        """:meth:`~repro.sim.phy.PhyModel.log_survival` at the basic and
-        the data rate for one (SNR, rate), stored for reuse; ``_finish``
+        """:func:`~repro.sim.phy.log_survival` at the basic and the data
+        rate for one (SNR, rate), stored for reuse; ``_finish``
         recombines them with the exact expression of
-        :meth:`~repro.sim.phy.PhyModel.frame_success_probability`, so
+        :func:`~repro.sim.phy.frame_success_probability`, so
         probabilities (and hence RNG outcomes) are bit-identical to the
         uncached path.
         """
         terms = (
-            self.phy.log_survival(snr_db, BASIC_RATE_MBPS),
-            self.phy.log_survival(snr_db, rate),
+            phy.log_survival(snr_db, BASIC_RATE_MBPS),
+            phy.log_survival(snr_db, rate),
         )
         store[rate if key is None else key] = terms
         return terms
@@ -535,7 +534,7 @@ class Medium:
         cache = self._collision_ctrl_p
         if len(cache) >= 200_000:
             cache.clear()
-        p = self.phy.control_success_probability(snr_db, ftype)
+        p = phy.control_success_probability(snr_db, ftype)
         cache[(snr_db, ftype)] = p
         return p
 
@@ -574,7 +573,7 @@ class Medium:
 
     def _success_probability(self, frame: SimFrame, snr_db: float) -> float:
         if frame.ftype in (FrameType.DATA, FrameType.MGMT):
-            return self.phy.frame_success_probability(
+            return phy.frame_success_probability(
                 snr_db, frame.size, frame.rate_mbps
             )
-        return self.phy.control_success_probability(snr_db, frame.ftype)
+        return phy.control_success_probability(snr_db, frame.ftype)

@@ -17,8 +17,7 @@ from ..frames import BROADCAST, FrameType, NodeInfo
 from .dcf import DcfMac, MacConfig
 from .engine import Simulator
 from .medium import Medium
-from .phy import PhyModel
-from .power_control import PowerControlConfig, TransmitPowerControl
+from .power_control import TransmitPowerControl
 from .propagation import Position
 from .rate_adaptation import RateAdaptation
 
@@ -51,7 +50,6 @@ class Station:
         cls,
         sim: Simulator,
         medium: Medium,
-        phy: PhyModel,
         node_id: int,
         position: Position,
         channel: int,
@@ -59,27 +57,22 @@ class Station:
         rng: np.random.Generator,
         rate_adaptation: RateAdaptation,
         uses_rtscts: bool = False,
-        rts_threshold: int = 0,
         tx_power_dbm: float = 15.0,
         mac_config: MacConfig | None = None,
         power_control: bool = False,
-        power_control_config: PowerControlConfig | None = None,
     ) -> "Station":
         config = mac_config or MacConfig()
         if uses_rtscts:
-            config = dataclasses.replace(config, rts_threshold=rts_threshold)
+            # An RTS/CTS station reserves the medium for every frame.
+            config = dataclasses.replace(config, rts_threshold=0)
         tpc = (
-            TransmitPowerControl(
-                base_power_dbm=tx_power_dbm,
-                config=power_control_config or PowerControlConfig(),
-            )
+            TransmitPowerControl(base_power_dbm=tx_power_dbm)
             if power_control
             else None
         )
         mac = DcfMac(
             sim=sim,
             medium=medium,
-            phy=phy,
             node_id=node_id,
             position=position,
             channel=channel,
@@ -114,7 +107,6 @@ class AccessPoint:
         cls,
         sim: Simulator,
         medium: Medium,
-        phy: PhyModel,
         node_id: int,
         position: Position,
         channel: int,
@@ -122,12 +114,10 @@ class AccessPoint:
         rate_adaptation: RateAdaptation,
         tx_power_dbm: float = 18.0,
         mac_config: MacConfig | None = None,
-        beacon_offset_us: int | None = None,
     ) -> "AccessPoint":
         mac = DcfMac(
             sim=sim,
             medium=medium,
-            phy=phy,
             node_id=node_id,
             position=position,
             channel=channel,
@@ -138,11 +128,7 @@ class AccessPoint:
         )
         ap = cls(node_id=node_id, mac=mac)
         # Stagger beacon phases so co-channel APs do not beacon in lockstep.
-        offset = (
-            beacon_offset_us
-            if beacon_offset_us is not None
-            else int(rng.integers(0, BEACON_INTERVAL_US))
-        )
+        offset = int(rng.integers(0, BEACON_INTERVAL_US))
         sim.schedule_at(offset, ap._beacon_loop_factory(sim))
         return ap
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Position", "PropagationModel"]
+__all__ = ["NOISE_FLOOR_DBM", "REFERENCE_LOSS_DB", "Position", "PropagationModel"]
+
+#: Path loss at the 1 m reference distance.
+REFERENCE_LOSS_DB = 40.0
+
+#: Thermal noise plus receiver noise figure over the 22 MHz channel.
+NOISE_FLOOR_DBM = -96.0
 
 
 @dataclass(frozen=True)
@@ -35,10 +41,8 @@ class Position:
 class PropagationModel:
     """Log-distance path loss + per-link log-normal shadowing."""
 
-    reference_loss_db: float = 40.0   # PL at 1 m
     exponent: float = 3.0             # indoor path-loss exponent
     shadowing_sigma_db: float = 4.0   # per-link shadowing std-dev
-    noise_floor_dbm: float = -96.0    # thermal + NF over 22 MHz
     rng: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0))
     _shadowing: dict[tuple[int, int], float] = field(default_factory=dict)
     #: Extra per-node attenuation (dB) applied to every link touching the
@@ -48,7 +52,7 @@ class PropagationModel:
     def path_loss_db(self, distance_m: float) -> float:
         """Deterministic log-distance path loss."""
         d = max(distance_m, 1.0)
-        return self.reference_loss_db + 10.0 * self.exponent * math.log10(d)
+        return REFERENCE_LOSS_DB + 10.0 * self.exponent * math.log10(d)
 
     def link_shadowing_db(self, tx_id: int, rx_id: int) -> float:
         """Per-link shadowing, symmetric and fixed for a run."""
@@ -79,6 +83,6 @@ class PropagationModel:
 
     def snr_db(self, rx_power_dbm: float, interference_mw: float = 0.0) -> float:
         """SINR given received power and summed interference power (mW)."""
-        noise_mw = 10.0 ** (self.noise_floor_dbm / 10.0)
+        noise_mw = 10.0 ** (NOISE_FLOOR_DBM / 10.0)
         signal_mw = 10.0 ** (rx_power_dbm / 10.0)
         return 10.0 * math.log10(signal_mw / (noise_mw + interference_mw))

@@ -34,24 +34,20 @@ class _LinkState:
 class ArfRateAdaptation(RateAdaptation):
     """Classic ARF: N failures step down, M successes step up."""
 
-    def __init__(
-        self,
-        up_threshold: int = 10,
-        down_threshold: int = 2,
-        initial_rate_mbps: float = 11.0,
-    ) -> None:
+    def __init__(self, up_threshold: int = 10, down_threshold: int = 2) -> None:
         if up_threshold < 1 or down_threshold < 1:
             raise ValueError("thresholds must be >= 1")
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
-        self._initial_index = DOT11_RATES_MBPS.index(float(initial_rate_mbps))
         self._links: dict[int, _LinkState] = {}
 
     def _link(self, dst: int) -> _LinkState:
         state = self._links.get(dst)
         if state is None:
+            # A new link starts at the top rate.
             state = _LinkState(
-                rate_index=self._initial_index, up_threshold=self.up_threshold
+                rate_index=len(DOT11_RATES_MBPS) - 1,
+                up_threshold=self.up_threshold,
             )
             self._links[dst] = state
         return state
@@ -98,9 +94,8 @@ class AarfRateAdaptation(ArfRateAdaptation):
         up_threshold: int = 10,
         down_threshold: int = 2,
         max_up_threshold: int = 160,
-        initial_rate_mbps: float = 11.0,
     ) -> None:
-        super().__init__(up_threshold, down_threshold, initial_rate_mbps)
+        super().__init__(up_threshold, down_threshold)
         self.max_up_threshold = max_up_threshold
 
     def _maybe_step_down(self, state: _LinkState) -> None:

@@ -6,14 +6,15 @@ packet transmission rate based on SNR" (citing RBAR and OAR).  This
 implementation keeps an exponentially-weighted estimate of the SNR of
 frames heard *from* each peer (ACKs are the natural feedback channel)
 and picks the highest rate whose predicted frame error rate at that SNR
-is below a target.  Collision losses leave the SNR estimate — and hence
-the rate — untouched, which is exactly the property the paper asks for.
+is below a target (:func:`repro.sim.phy.best_rate_for_snr`, the one
+rate rule).  Collision losses leave the SNR estimate — and hence the
+rate — untouched, which is exactly the property the paper asks for.
 """
 
 from __future__ import annotations
 
 from ...frames import DOT11_RATES_MBPS
-from ..phy import PhyModel
+from .. import phy
 from .base import RateAdaptation
 
 __all__ = ["SnrOracleRateAdaptation"]
@@ -22,15 +23,7 @@ __all__ = ["SnrOracleRateAdaptation"]
 class SnrOracleRateAdaptation(RateAdaptation):
     """Pick the fastest rate whose predicted PER at the link SNR is OK."""
 
-    def __init__(
-        self,
-        phy: PhyModel | None = None,
-        target_per: float = 0.1,
-        reference_size: int = 1000,
-        ewma_alpha: float = 0.25,
-        initial_rate_mbps: float = 11.0,
-        margin_db: float = 0.0,
-    ) -> None:
+    def __init__(self, ewma_alpha: float = 0.25, margin_db: float = 0.0) -> None:
         """``margin_db`` is subtracted from the observed feedback SNR
         before choosing a rate.  Feedback measures the *reverse* link;
         when the peer transmits hotter than we do (an AP typically runs
@@ -40,14 +33,8 @@ class SnrOracleRateAdaptation(RateAdaptation):
             raise ValueError("ewma_alpha must be in (0, 1]")
         if margin_db < 0:
             raise ValueError("margin_db must be non-negative")
-        self.phy = phy or PhyModel()
-        self.target_per = target_per
-        self.reference_size = reference_size
         self.ewma_alpha = ewma_alpha
         self.margin_db = margin_db
-        self._initial_rate = float(initial_rate_mbps)
-        if self._initial_rate not in DOT11_RATES_MBPS:
-            raise ValueError(f"{initial_rate_mbps!r} is not an 802.11b rate")
         self._snr: dict[int, float] = {}
 
     def on_feedback_snr(self, dst: int, snr_db: float) -> None:
@@ -60,12 +47,8 @@ class SnrOracleRateAdaptation(RateAdaptation):
     def rate_for(self, dst: int) -> float:
         snr = self._snr.get(dst)
         if snr is None:
-            return self._initial_rate
-        return self.phy.best_rate_for_snr(
-            snr - self.margin_db,
-            size_bytes=self.reference_size,
-            target_per=self.target_per,
-        )
+            return DOT11_RATES_MBPS[-1]  # no feedback yet: the top rate
+        return phy.best_rate_for_snr(snr - self.margin_db)
 
     def on_success(self, dst: int) -> None:
         pass  # outcome-independent by design

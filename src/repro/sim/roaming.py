@@ -20,9 +20,18 @@ from dataclasses import dataclass
 from ..frames import ASSOC_FRAME_BYTES, FrameType
 from .engine import Simulator
 from .node import AccessPoint, Station
-from .propagation import PropagationModel
+from .propagation import NOISE_FLOOR_DBM, PropagationModel
 
-__all__ = ["Roam", "RoamingConfig", "RoamingManager"]
+__all__ = ["Roam", "RoamingManager"]
+
+#: Time between two scans of every station.
+SCAN_INTERVAL_US = 2_000_000
+
+#: How far a candidate AP's beacon SNR must beat the serving AP's.
+HYSTERESIS_DB = 4.0
+
+#: Minimum time between two roams of one station.
+ROAM_COOLDOWN_US = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -35,21 +44,6 @@ class Roam:
     new_ap: int
 
 
-@dataclass(frozen=True)
-class RoamingConfig:
-    """Handoff policy parameters."""
-
-    scan_interval_us: int = 2_000_000
-    hysteresis_db: float = 4.0        # candidate must beat serving by this
-    cooldown_us: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if self.scan_interval_us <= 0 or self.cooldown_us < 0:
-            raise ValueError("intervals must be positive")
-        if self.hysteresis_db < 0:
-            raise ValueError("hysteresis must be non-negative")
-
-
 class RoamingManager:
     """Periodic best-AP evaluation and reassociation for all stations."""
 
@@ -60,7 +54,6 @@ class RoamingManager:
         aps: list[AccessPoint],
         stations: list[Station],
         downlink_router: dict[int, AccessPoint],
-        config: RoamingConfig | None = None,
         ap_tx_power_dbm: float = 18.0,
     ) -> None:
         self.sim = sim
@@ -68,11 +61,10 @@ class RoamingManager:
         self.aps = aps
         self.stations = stations
         self.router = downlink_router
-        self.config = config or RoamingConfig()
         self.ap_tx_power_dbm = ap_tx_power_dbm
         self.roams: list[Roam] = []
         self._last_roam: dict[int, int] = {}
-        sim.schedule_in(self.config.scan_interval_us, self._scan)
+        sim.schedule_in(SCAN_INTERVAL_US, self._scan)
 
     # -- measurement --------------------------------------------------------
 
@@ -85,7 +77,7 @@ class RoamingManager:
             tx_id=ap.node_id,
             rx_id=station.node_id,
         )
-        return rx - self.propagation.noise_floor_dbm
+        return rx - NOISE_FLOOR_DBM
 
     def best_ap(self, station: Station) -> AccessPoint:
         """The AP with the strongest beacons at this station."""
@@ -97,7 +89,7 @@ class RoamingManager:
         now = self.sim.now_us
         for station in self.stations:
             last = self._last_roam.get(station.node_id)
-            if last is not None and now - last < self.config.cooldown_us:
+            if last is not None and now - last < ROAM_COOLDOWN_US:
                 continue
             serving = next(
                 (ap for ap in self.aps if ap.node_id == station.ap_id), None
@@ -110,9 +102,9 @@ class RoamingManager:
             gain = self.beacon_snr_db(station, candidate) - self.beacon_snr_db(
                 station, serving
             )
-            if gain >= self.config.hysteresis_db:
+            if gain >= HYSTERESIS_DB:
                 self._roam(station, serving, candidate)
-        self.sim.schedule_in(self.config.scan_interval_us, self._scan)
+        self.sim.schedule_in(SCAN_INTERVAL_US, self._scan)
 
     def _roam(
         self, station: Station, old: AccessPoint, new: AccessPoint

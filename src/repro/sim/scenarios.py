@@ -22,6 +22,7 @@ roles and traffic always follow the config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 import numpy as np
@@ -56,6 +57,14 @@ __all__ = [
     "ietf_day_config",
     "ietf_plenary_config",
 ]
+
+
+def _run_length_us(duration_s: float) -> int:
+    """A run length in whole microseconds; a non-finite one is refused by
+    name, before any factory builds a schedule from it."""
+    if not math.isfinite(duration_s):
+        raise ValueError(f"duration_s must be finite, got {duration_s!r}")
+    return int(duration_s * 1_000_000)
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n_stations < 1 or self.n_aps < 1:
             raise ValueError("need at least one station and one AP")
+        _run_length_us(self.duration_s)  # refuses a non-finite length by name
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
         if not 0.0 <= self.rtscts_fraction <= 1.0:
@@ -146,7 +156,7 @@ class ScenarioConfig:
 
     @property
     def duration_us(self) -> int:
-        return int(self.duration_s * 1_000_000)
+        return _run_length_us(self.duration_s)
 
 
 @dataclass
@@ -232,7 +242,7 @@ def load_ramp_config(
       the population that legitimately occupies the 1-2 Mbps rates and
       produces the paper's persistent 1 Mbps airtime share (Fig 8).
     """
-    duration_us = int(duration_s * 1e6)
+    duration_us = _run_length_us(duration_s)
     up = ModulatedRate(
         LinearRamp(0.3, peak_uplink_pps, duration_us),
         sigma=burst_sigma,
@@ -301,7 +311,7 @@ def ietf_day_config(
     session blocks, so the active population rises and falls during the
     run as in Figure 4(b).
     """
-    duration_us = int(duration_s * 1e6)
+    duration_us = _run_length_us(duration_s)
     blocks = ((0.0, 0.45), (0.30, 0.75), (0.55, 1.0))
     return ScenarioConfig(
         n_stations=n_stations,
@@ -334,7 +344,7 @@ def ietf_plenary_config(
     the network deep into congestion in the paper (mode ~86 %
     utilization vs ~55 % during the day).
     """
-    duration_us = int(duration_s * 1e6)
+    duration_us = _run_length_us(duration_s)
     blocks = ((0.0, 1.0), (0.05, 0.95), (0.0, 0.9))
     return ScenarioConfig(
         n_stations=n_stations,

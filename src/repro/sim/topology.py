@@ -13,7 +13,10 @@ import numpy as np
 
 from .propagation import Position
 
-__all__ = ["place_aps", "place_stations", "sniffer_position"]
+__all__ = ["STATION_MARGIN_M", "place_aps", "place_stations", "sniffer_position"]
+
+#: No station stands closer than this to a wall.
+STATION_MARGIN_M = 1.0
 
 
 def place_aps(n_aps: int, width_m: float, depth_m: float) -> list[Position]:
@@ -29,11 +32,11 @@ def place_stations(
     width_m: float,
     depth_m: float,
     rng: np.random.Generator,
-    margin_m: float = 1.0,
 ) -> list[Position]:
     """Scatter stations uniformly over the floor."""
-    xs = rng.uniform(margin_m, max(width_m - margin_m, margin_m), n_stations)
-    ys = rng.uniform(margin_m, max(depth_m - margin_m, margin_m), n_stations)
+    margin = STATION_MARGIN_M
+    xs = rng.uniform(margin, max(width_m - margin, margin), n_stations)
+    ys = rng.uniform(margin, max(depth_m - margin, margin), n_stations)
     return [Position(float(x), float(y)) for x, y in zip(xs, ys)]
 
 

@@ -43,7 +43,6 @@ import os
 import pickle
 import sys
 import tempfile
-import zlib
 from dataclasses import fields as dataclass_fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -153,11 +152,18 @@ class RecordStore:
         )
 
     def get_blob(self, key: str) -> object | None:
-        """The key's sidecar object, or ``None`` if missing or unloadable."""
+        """The key's sidecar object, or ``None`` if missing or unloadable.
+
+        Damaged pickle bytes fail in many ways (a bad opcode, a mangled
+        module or attribute name, a huge length, a bad string), so any
+        exception while reading, decompressing or unpickling is a miss.
+        That keeps a damaged sidecar from ending a run; it does not make
+        unpickling a hostile file safe.
+        """
         try:
             with open(self.path(key, BLOB_SUFFIX), "rb") as handle:
                 return pickle.loads(gzip.decompress(handle.read()))
-        except (OSError, EOFError, zlib.error, pickle.UnpicklingError):
+        except Exception:
             return None
 
     def discard(

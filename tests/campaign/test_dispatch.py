@@ -571,10 +571,11 @@ class TestCoordinatorServer:
         monkeypatch.setattr(threading, "excepthook", errors.append)
         return errors
 
-    def refused_report(self, tmp_path, thread_errors, op, record_for):
-        """Send one bad ``op`` report for the first leased cell; return
-        the reply after checking nothing was stored, the lease and the
-        connection stayed open, and no handler thread raised."""
+    def refused_report(self, tmp_path, thread_errors, op, record_for, **fields):
+        """Send one bad ``op`` report for the first leased cell, with
+        ``fields`` overriding the message's own; return the reply after
+        checking nothing was stored, the lease and the connection stayed
+        open, and no handler thread raised."""
         cells = make_cells(2)
         with Coordinator(cells, tmp_path / "store", salt=SALT) as coordinator:
             worker = ProtocolWorker(coordinator)
@@ -589,6 +590,7 @@ class TestCoordinatorServer:
                         "index": entry["index"],
                         "key": entry["key"],
                         "record": record_for(worker.shard, cells, entry),
+                        **fields,
                     }
                 )
                 beat = worker.request(
@@ -639,6 +641,30 @@ class TestCoordinatorServer:
         )
         assert reply["op"] == "error"
         assert "not a result record" in reply["error"]
+
+    @pytest.mark.parametrize("op", ["complete", "fail"])
+    @pytest.mark.parametrize(
+        "index", [None, [0], float("inf"), "x"], ids=["null", "list", "inf", "str"]
+    )
+    def test_report_whose_index_is_not_an_integer_is_refused(
+        self, tmp_path, thread_errors, op, index
+    ):
+        """The report is otherwise valid for the leased cell, so only
+        the index can be at fault, and the reply names it."""
+
+        def valid_record(shard, cells, entry):
+            if op == "complete":
+                return shard.result_payload(fake_result(cells[0]), entry["key"])
+            return shard.failure_payload(
+                failed_cell(cells[0], "RuntimeError", "boom"), entry["key"]
+            )
+
+        reply = self.refused_report(
+            tmp_path, thread_errors, op, valid_record, index=index
+        )
+        assert reply["op"] == "error"
+        assert f"{op} report refused: index" in reply["error"]
+        assert "is not an integer" in reply["error"]
 
 
 class TestRunCampaignRouting:

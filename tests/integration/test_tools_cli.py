@@ -296,6 +296,15 @@ class TestRunCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert str(spec) in err and "byte 0xff at offset 27" in err
 
+    def test_non_finite_duration_is_one_line_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "forever.toml"
+        spec.write_text('scenario = "ramp"\n[params]\nduration_s = inf\n')
+        rc = main(["run", str(spec)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "duration_s must be finite, got inf" in err
+
     def test_set_overrides_params(self, tmp_path, capsys):
         spec = tmp_path / "study.toml"
         spec.write_text('scenario = "ramp"\n[params]\nduration_s = 1.5\n')

@@ -170,6 +170,26 @@ def test_unknown_scenario_400():
     asyncio.run(main())
 
 
+@pytest.mark.parametrize("scenario", ["ramp", "uniform"])
+def test_non_finite_scenario_duration_400(scenario):
+    async def main():
+        async with daemon_running() as daemon:
+            status, body = await http_json(
+                daemon.http_port,
+                "POST",
+                "/feeds",
+                {
+                    "kind": "scenario",
+                    "scenario": scenario,
+                    "params": {"duration_s": float("inf")},  # JSON Infinity
+                },
+            )
+            assert status == 400
+            assert "bad scenario: duration_s must be finite" in body["error"]
+
+    asyncio.run(main())
+
+
 def test_duplicate_feed_name_409():
     async def main():
         async with daemon_running() as daemon:

@@ -10,15 +10,27 @@ generated from the pre-optimization simulator; any optimization that
 perturbs RNG draw order, event scheduling order or per-frame arithmetic
 shows up as a digest mismatch.
 
-Regenerate (only when a PR *deliberately* changes simulator physics)
+Regenerate (only when a change *deliberately* changes simulator physics)
 with::
 
     PYTHONPATH=src python -m tests.sim.golden_lib
 
+The same module checks a change that must not alter the simulator at
+all.  ``--identity`` prints one JSON document (and writes nothing)
+describing every library scenario on both engines; run it once with
+``PYTHONPATH`` at each tree's ``src/`` and ``cmp`` the outputs::
+
+    PYTHONPATH=src:. python -m tests.sim.golden_lib --identity > new.json
+    PYTHONPATH=../parent/src:. python -m tests.sim.golden_lib --identity > old.json
+    cmp old.json new.json
+
+It uses only names the library has long exported, so it runs
+unchanged against an archive of an earlier commit.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -116,6 +128,70 @@ def case_fingerprint(name: str) -> dict[str, object]:
     }
 
 
+#: (duration_s, seed) pairs the identity dump runs every scenario at.
+IDENTITY_PARAMS = ((3.0, 1), (2.5, 5))
+
+
+def _after_run(built) -> dict[str, object]:
+    """What a finished run reports besides its frames."""
+    return {
+        "delivery_ratio": built.delivery_ratio,
+        "offered_packets": built.offered_packets,
+        "perf_counters": built.perf_counters,
+    }
+
+
+def identity() -> dict[str, object]:
+    """Everything a behaviour-preserving simulator change must keep.
+
+    Per library scenario: ``scenario_parameters``, and for each engine
+    and :data:`IDENTITY_PARAMS` pair the campaign cell key (salt
+    ``"pinned"``), the ``stream()`` segment lengths with a digest of
+    their concatenation, the digests of ``run()``'s trace and ground
+    truth, and the delivery ratio, offered packets and perf counters
+    after each of the two runs.
+    """
+    from repro.campaign import CampaignCell
+    from repro.campaign.store import cell_key
+    from repro.sim import available_scenarios, scenario_parameters
+
+    doc: dict[str, object] = {}
+    for name in available_scenarios():
+        cases = {}
+        for fidelity in ("default", "fast"):
+            for duration_s, seed in IDENTITY_PARAMS:
+                cell = CampaignCell(
+                    name,
+                    (("duration_s", duration_s),),
+                    seed,
+                    None if fidelity == "default" else fidelity,
+                )
+                built = build_scenario(name, fidelity, **cell.kwargs)
+                segments = list(built.stream())
+                streamed = {
+                    "segment_lengths": [len(s) for s in segments],
+                    "sha256": trace_digest(Trace.concatenate(segments)),
+                    **_after_run(built),
+                }
+                built = build_scenario(name, fidelity, **cell.kwargs)
+                result = built.run()
+                ran = {
+                    "trace_sha256": trace_digest(result.trace),
+                    "ground_truth_sha256": trace_digest(result.ground_truth),
+                    **_after_run(built),
+                }
+                cases[f"{fidelity}/{duration_s}s/seed={seed}"] = {
+                    "cell_key": cell_key(cell, "pinned"),
+                    "stream": streamed,
+                    "run": ran,
+                }
+        doc[name] = {
+            "parameters": list(scenario_parameters(name)),
+            "cases": cases,
+        }
+    return doc
+
+
 def load_fixture() -> dict[str, dict[str, object]]:
     return json.loads(FIXTURE_PATH.read_text())
 
@@ -132,4 +208,13 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    regenerate()
+    parser = argparse.ArgumentParser(prog="python -m tests.sim.golden_lib")
+    parser.add_argument(
+        "--identity",
+        action="store_true",
+        help="print the identity dump as JSON instead of regenerating",
+    )
+    if parser.parse_args().identity:
+        print(json.dumps(identity(), indent=1, sort_keys=True))
+    else:
+        regenerate()

@@ -5,19 +5,11 @@ import pytest
 
 from repro.sim import (
     ChannelManager,
-    ChannelManagerConfig,
     ConstantRate,
     ScenarioConfig,
     run_scenario,
 )
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelManagerConfig(interval_us=0)
-        with pytest.raises(ValueError):
-            ChannelManagerConfig(imbalance_ratio=0.5)
+from repro.sim.channel_manager import SWITCH_COOLDOWN_US
 
 
 def _crowded_config(channel_management: bool, seed: int = 71) -> ScenarioConfig:
@@ -70,7 +62,7 @@ class TestRebalancing:
         for switch in manager.switches:
             times = switch_times.setdefault(switch.ap_id, [])
             if times:
-                assert switch.time_us - times[-1] >= manager.config.cooldown_us
+                assert switch.time_us - times[-1] >= SWITCH_COOLDOWN_US
             times.append(switch.time_us)
 
     def test_traffic_continues_after_switch(self):

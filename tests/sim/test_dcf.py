@@ -9,7 +9,6 @@ from repro.sim import (
     FixedRate,
     MacConfig,
     Medium,
-    PhyModel,
     Position,
     PropagationModel,
     SimFrame,
@@ -23,17 +22,15 @@ def _pair(seed=3, distance=5.0, config=None, config_b=None, shadowing=0.0):
     medium = Medium(
         sim,
         PropagationModel(shadowing_sigma_db=shadowing),
-        PhyModel(),
         rng=np.random.default_rng(seed),
     )
-    phy = PhyModel()
     a = DcfMac(
-        sim, medium, phy, node_id=1, position=Position(0, 0), channel=1,
+        sim, medium, node_id=1, position=Position(0, 0), channel=1,
         rng=np.random.default_rng(seed + 1), config=config or MacConfig(),
         rate_adaptation=FixedRate(11.0),
     )
     b = DcfMac(
-        sim, medium, phy, node_id=2, position=Position(distance, 0), channel=1,
+        sim, medium, node_id=2, position=Position(distance, 0), channel=1,
         rng=np.random.default_rng(seed + 2), config=config_b or config or MacConfig(),
         rate_adaptation=FixedRate(11.0),
     )
@@ -78,14 +75,6 @@ class TestBasicExchange:
         sim.run_until(1_000_000)
         kinds = [frame.ftype for _, frame in medium.ground_truth]
         assert kinds == [FrameType.BEACON]
-
-    def test_data_delivered_callback(self):
-        sim, medium, a, b = _pair()
-        got = []
-        b.on_data_delivered = got.append
-        a.enqueue(2, 777)
-        sim.run_until(1_000_000)
-        assert len(got) == 1 and got[0].size == 777
 
 
 class TestRetries:

@@ -104,7 +104,7 @@ class TestFragmentRetries:
         fragments raise end-to-end delivery of large MSDUs."""
         import numpy as np
         from repro.sim import (
-            DcfMac, FixedRate, Medium, PhyModel, Position,
+            DcfMac, FixedRate, Medium, Position,
             PropagationModel, Simulator,
         )
 
@@ -115,14 +115,14 @@ class TestFragmentRetries:
             # 11 Mbps a 1500 B frame survives ~36% of the time but a
             # 300 B fragment ~80% — the regime where fragmentation pays.
             prop.node_extra_loss_db[1] = 41.5
-            medium = Medium(sim, prop, PhyModel(), np.random.default_rng(3))
+            medium = Medium(sim, prop, np.random.default_rng(3))
             config = MacConfig(
                 fragmentation_threshold=threshold, retry_limit=4
             )
-            a = DcfMac(sim, medium, PhyModel(), 1, Position(0, 0), 1,
+            a = DcfMac(sim, medium, 1, Position(0, 0), 1,
                        np.random.default_rng(4), config=config,
                        rate_adaptation=FixedRate(11.0))
-            b = DcfMac(sim, medium, PhyModel(), 2, Position(5, 0), 1,
+            b = DcfMac(sim, medium, 2, Position(5, 0), 1,
                        np.random.default_rng(5), config=config,
                        rate_adaptation=FixedRate(11.0))
             for _ in range(30):

@@ -6,7 +6,6 @@ import pytest
 from repro.frames import FrameType
 from repro.sim import (
     Medium,
-    PhyModel,
     Position,
     PropagationModel,
     SimFrame,
@@ -45,7 +44,6 @@ def _make_medium(seed=1, shadowing=0.0):
     medium = Medium(
         sim,
         PropagationModel(shadowing_sigma_db=shadowing),
-        PhyModel(),
         rng=np.random.default_rng(seed),
     )
     return sim, medium
@@ -228,7 +226,6 @@ class TestDeliveryPlans:
         mac = dcf.DcfMac(
             sim=sim,
             medium=medium,
-            phy=PhyModel(),
             node_id=7,
             position=Position(1, 1),
             channel=1,

@@ -5,9 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.frames import FrameType
-from repro.sim import PhyModel
-
-phy = PhyModel()
+from repro.sim import phy
 
 
 class TestDurations:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim import Position, PropagationModel
+from repro.sim.propagation import NOISE_FLOOR_DBM
 
 
 class TestPathLoss:
@@ -64,7 +65,7 @@ class TestReceivedPower:
 class TestSnr:
     def test_snr_at_noise_floor(self):
         model = PropagationModel(shadowing_sigma_db=0.0)
-        assert model.snr_db(model.noise_floor_dbm) == pytest.approx(0.0)
+        assert model.snr_db(NOISE_FLOOR_DBM) == pytest.approx(0.0)
 
     def test_interference_reduces_snr(self):
         model = PropagationModel(shadowing_sigma_db=0.0)

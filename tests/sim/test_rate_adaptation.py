@@ -6,7 +6,6 @@ from repro.sim import (
     AarfRateAdaptation,
     ArfRateAdaptation,
     FixedRate,
-    PhyModel,
     SnrOracleRateAdaptation,
     make_rate_adaptation,
 )

@@ -1,23 +1,14 @@
 """Tests for station roaming / AP handoff."""
 
 import numpy as np
-import pytest
 
 from repro.frames import FrameType
 from repro.sim import (
     ConstantRate,
-    RoamingConfig,
     ScenarioConfig,
     run_scenario,
 )
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RoamingConfig(scan_interval_us=0)
-        with pytest.raises(ValueError):
-            RoamingConfig(hysteresis_db=-1.0)
+from repro.sim.roaming import HYSTERESIS_DB, ROAM_COOLDOWN_US
 
 
 def _two_ap_cell(roaming: bool, seed: int = 83) -> ScenarioConfig:
@@ -57,7 +48,7 @@ class TestRoaming:
             best_snr = manager.beacon_snr_db(station, best)
             # Post-convergence: nobody is more than the hysteresis away
             # from their best AP.
-            assert best_snr - serving_snr < manager.config.hysteresis_db + 1e-9
+            assert best_snr - serving_snr < HYSTERESIS_DB + 1e-9
 
     def test_roam_updates_channel_and_association(self):
         result = run_scenario(_two_ap_cell(roaming=True))
@@ -104,5 +95,5 @@ class TestRoaming:
         for roam in manager.roams:
             times = per_station.setdefault(roam.station_id, [])
             if times:
-                assert roam.time_us - times[-1] >= manager.config.cooldown_us
+                assert roam.time_us - times[-1] >= ROAM_COOLDOWN_US
             times.append(roam.time_us)

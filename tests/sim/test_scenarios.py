@@ -38,6 +38,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("duration_s", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_duration_names_the_field(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s must be finite"):
+            ScenarioConfig(duration_s=duration_s)
+
     def test_channel_error_names_the_channels_it_accepts(self):
         ScenarioConfig(channels=(14,))  # 2484 MHz, the table's last entry
         with pytest.raises(ValueError, match=r"15 is not an 802\.11b channel \(1-14\)"):

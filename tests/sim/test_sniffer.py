@@ -6,7 +6,6 @@ import pytest
 from repro.frames import FrameType
 from repro.sim import (
     Medium,
-    PhyModel,
     Position,
     PropagationModel,
     SimFrame,
@@ -24,7 +23,6 @@ def _setup(sniffer_config=None, seed=5):
     medium = Medium(
         sim,
         PropagationModel(shadowing_sigma_db=0.0),
-        PhyModel(),
         rng=np.random.default_rng(seed),
     )
     sniffer = Sniffer(

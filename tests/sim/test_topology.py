@@ -26,7 +26,7 @@ class TestPlacement:
 
     def test_stations_inside_room(self):
         rng = np.random.default_rng(4)
-        positions = place_stations(50, 30.0, 20.0, rng, margin_m=1.0)
+        positions = place_stations(50, 30.0, 20.0, rng)
         assert len(positions) == 50
         assert all(1.0 <= p.x <= 29.0 for p in positions)
         assert all(1.0 <= p.y <= 19.0 for p in positions)

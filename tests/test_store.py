@@ -4,10 +4,15 @@ Each case damages one record of a real store and asks that store for
 it again.  The damage must end as ``<name>.corrupt`` on disk (evidence
 kept), raise the store's quarantine count, and read as a miss, so the
 work is recomputed — never a traceback, never a silent overwrite.
-A key holds only declared data: anything else is refused by name.
+A damaged report sidecar is a plain miss.  A key holds only declared
+data: anything else is refused by name.
 """
 
 from __future__ import annotations
+
+import gzip
+import pickle
+import random
 
 import pytest
 
@@ -19,7 +24,9 @@ from repro.corpus import (
     analyze_corpus,
     plan_analysis,
 )
-from repro.store import canonical
+from repro.pipeline import run_all
+from repro.sim import build_scenario
+from repro.store import BLOB_SUFFIX, RecordStore, canonical
 
 from .campaign.test_dispatch import fake_result
 from .corpus.conftest import write_capture
@@ -105,6 +112,28 @@ def test_damaged_record_quarantined_counted_and_recomputed(store, damage, tmp_pa
     assert corpse.read_bytes() == DAMAGE[damage]
     assert quarantined == 1
     assert recomputed
+
+
+def test_damaged_sidecar_reads_as_a_miss(tmp_path):
+    """Seeded flips of 1-4 bytes in a real report's pickle, recompressed
+    as ``put_blob`` writes it: every sidecar either loads or reads as a
+    miss, and no exception escapes ``get_blob``."""
+    built = build_scenario("uniform", fidelity="fast", duration_s=3.0, seed=1)
+    report = run_all(built.stream(), roster=built.roster)
+    data = pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL)
+    store = RecordStore(tmp_path, kinds=())
+    key = "ab" * 32
+    store.put_blob(key, report)
+    sidecar = store.path(key, BLOB_SUFFIX)
+    misses = 0
+    for trial in range(300):
+        rng = random.Random(trial)
+        damaged = bytearray(data)
+        for offset in rng.sample(range(len(data)), rng.randint(1, 4)):
+            damaged[offset] ^= rng.randint(1, 255)
+        sidecar.write_bytes(gzip.compress(bytes(damaged), compresslevel=6, mtime=0))
+        misses += store.get_blob(key) is None
+    assert 0 < misses < 300  # the flips both break and spare sidecars
 
 
 def _activity(index, rng):
