@@ -19,7 +19,7 @@ import resource
 import time
 
 from repro.campaign import ParameterGrid, run_campaign
-from repro.sim import ScenarioBuilder, load_ramp_config
+from repro.sim import build, load_ramp_config
 
 #: Grid sized so per-cell work dominates pool startup: 6 cells of a
 #: 30-second ramp take ~0.3-1 s of simulation each (2 vCPUs).
@@ -106,7 +106,7 @@ def test_store_resume_is_nearly_free(tmp_path, report_file):
 
 def test_streamed_cell_memory_stays_bounded(output_dir):
     """A long streamed scenario holds one drain window, not the run."""
-    built = ScenarioBuilder(load_ramp_config(duration_s=60.0, seed=3)).build()
+    built = build(load_ramp_config(duration_s=60.0, seed=3))
     rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     peak_buffered = 0

@@ -136,9 +136,6 @@ class Experiment:
         merged.extend(params.items())
         return self._replace(params=tuple(merged))
 
-    #: Alias matching :meth:`repro.sim.ScenarioBuilder.configure`.
-    configure = fix
-
     def seeds(self, seeds: int | Sequence[int]) -> "Experiment":
         """Replicate every grid point: a count (seeds ``0..n-1``) or an
         explicit seed list.  Setting seeds makes the experiment a

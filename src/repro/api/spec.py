@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -386,11 +387,17 @@ class ExperimentSpec:
         """Full semantic check; raises :class:`SpecError`.  Returns self.
 
         Covers source arity, scenario existence and parameter names
-        (with "did you mean ...?" suggestions), axis/params overlap,
-        seed and worker sanity, analysis names, and store/mode fit.
+        (with "did you mean ...?" suggestions), parameter values (each
+        grid point's scenario config is resolved, seeds aside),
+        axis/params overlap, seed and worker sanity, analysis names, and
+        store/mode fit.
         """
         from ..pipeline import resolve_consumer_names
-        from ..sim import UnknownParameterError, validate_scenario_params
+        from ..sim import (
+            UnknownParameterError,
+            scenario_config,
+            validate_scenario_params,
+        )
 
         analysis_source = bool(self.pcaps) or self.corpus is not None
         if self.pcaps and self.corpus is not None:
@@ -463,6 +470,14 @@ class ExperimentSpec:
             except (KeyError, UnknownParameterError) as error:
                 message = error.args[0] if error.args else str(error)
                 raise SpecError(str(message)) from None
+            axes = [key for key, _ in self.vary]
+            for combo in product(*(values for _, values in self.vary)):
+                point = self.params + tuple(zip(axes, combo))
+                try:
+                    scenario_config(self.scenario, **dict(point))
+                except (ValueError, TypeError) as error:
+                    where = ", ".join(f"{k}={v}" for k, v in point)
+                    raise SpecError(f"{where or self.scenario}: {error}") from None
         if isinstance(self.seeds, int) and self.seeds < 1:
             raise SpecError("'seeds' must be >= 1")
         if isinstance(self.seeds, tuple) and not self.seeds:

@@ -6,15 +6,7 @@ path-loss/shadowing propagation, collisions and capture, while passive
 sniffers record what a vicinity-sniffing laptop would have captured.
 """
 
-from .builder import (
-    MAX_FRAME_AIRTIME_US,
-    BuiltScenario,
-    ExplicitPlacement,
-    HotspotPlacement,
-    RoomPlacement,
-    ScenarioBuilder,
-    StationRole,
-)
+from .builder import MAX_FRAME_AIRTIME_US, BuiltScenario, StationRole, build
 from .channel_manager import ChannelManager, ChannelSwitch
 from .dcf import DcfMac, MacConfig, MacStats
 from .engine import EventHandle, Simulator
@@ -49,16 +41,21 @@ from .library import (
     available_scenarios,
     build_scenario,
     co_channel_config,
-    register_scenario,
     roaming_storm_config,
-    scenario_builder,
     scenario_config,
     scenario_parameters,
     uniform_config,
     validate_scenario_params,
 )
 from .sniffer import Sniffer, SnifferConfig, ground_truth_trace
-from .topology import place_aps, place_stations, sniffer_position
+from .topology import (
+    EndClusterPlacement,
+    HotspotPlacement,
+    RoomPlacement,
+    place_aps,
+    place_stations,
+    sniffer_position,
+)
 from .traffic import (
     ModulatedRate,
     ScaledRate,
@@ -83,8 +80,8 @@ __all__ = [
     "ChannelSwitch",
     "ConstantRate",
     "DcfMac",
+    "EndClusterPlacement",
     "EventHandle",
-    "ExplicitPlacement",
     "FIDELITY_MODES",
     "FastBuiltScenario",
     "FixedRate",
@@ -106,7 +103,6 @@ __all__ = [
     "RoomPlacement",
     "SCENARIO_LIBRARY",
     "ScaledRate",
-    "ScenarioBuilder",
     "ScenarioConfig",
     "ScenarioResult",
     "SimFrame",
@@ -121,6 +117,7 @@ __all__ = [
     "TransmitPowerControl",
     "UnknownParameterError",
     "available_scenarios",
+    "build",
     "build_scenario",
     "class_mixture",
     "co_channel_config",
@@ -131,10 +128,8 @@ __all__ = [
     "make_rate_adaptation",
     "place_aps",
     "place_stations",
-    "register_scenario",
     "roaming_storm_config",
     "run_scenario",
-    "scenario_builder",
     "scenario_config",
     "scenario_parameters",
     "sniffer_position",

@@ -1,37 +1,30 @@
-"""Scenario assembly: placement, station roles, traffic, wiring.
+"""Scenario assembly: one config in, one wired network out.
 
-:func:`repro.sim.run_scenario` historically built one fixed floor plan in
-a single 200-line function.  This module splits that assembly into fixed
-steps driven by the :class:`~repro.sim.scenarios.ScenarioConfig`, with
-one swappable part, the :class:`Placement` — where APs, stations and
-sniffers physically go (:class:`RoomPlacement` is the classic uniform
-floor, :class:`HotspotPlacement` clusters users around foci,
-:class:`ExplicitPlacement` pins every position for hand-built
-geometries such as hidden-terminal pairs).  The other steps read the
-config: its RTS/CTS and obstruction quotas set each station's
-:class:`StationRole`, an obstructed station's link is calibrated into
-the config's SNR band, and every station gets an open-loop Poisson
-uplink/downlink pair.
+:func:`build` turns a :class:`~repro.sim.scenarios.ScenarioConfig`, the
+whole description of a network, into a :class:`BuiltScenario` in fixed
+steps.  APs stand on the room's centre line and the sniffers at its
+centre (:mod:`repro.sim.topology`); the only step that varies between
+scenarios is station placement, which the config's ``placement`` field
+decides.  The other steps read the config too: its RTS/CTS and
+obstruction quotas set each station's :class:`StationRole`, an
+obstructed station's link is calibrated into the config's SNR band, and
+every station gets an open-loop Poisson uplink/downlink pair.
 
-``ScenarioBuilder`` wires those steps into a
-:class:`BuiltScenario`, which can either ``run()`` to completion and
-return the classic buffered :class:`~repro.sim.scenarios.ScenarioResult`,
-or ``stream()`` the sniffer capture as one time-sorted segment per
+A :class:`BuiltScenario` can either ``run()`` to completion and return
+the buffered :class:`~repro.sim.scenarios.ScenarioResult`, or
+``stream()`` the sniffer capture as one time-sorted segment per
 one-second drain window (:data:`DRAIN_WINDOW_US`) while the simulation
 advances — the live feed the single-pass analysis pipeline consumes
-without ever materialising a full-run trace.
-
-The default placement is numerically identical to the historical
-``run_scenario`` (which now delegates here): RNG streams are consumed
-in the same order, entities attach to the medium in the same order, and
-events are scheduled in the same order, so fixed-seed runs reproduce
-frame for frame.
+without ever materialising a full-run trace.  The build draws every
+RNG stream, attaches every entity to the medium and schedules every
+event in a fixed order, so a config reproduces frame for frame on
+either path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterator, Protocol
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -44,7 +37,7 @@ from .propagation import NOISE_FLOOR_DBM, Position, PropagationModel
 from .rate_adaptation import make_rate_adaptation
 from .roaming import RoamingManager
 from .sniffer import Sniffer, ground_truth_trace
-from .topology import STATION_MARGIN_M, place_aps, place_stations, sniffer_position
+from .topology import place_aps, sniffer_position
 from .traffic import PoissonSource, ScaledRate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -54,12 +47,8 @@ __all__ = [
     "DRAIN_WINDOW_US",
     "MAX_FRAME_AIRTIME_US",
     "StationRole",
-    "Placement",
-    "RoomPlacement",
-    "HotspotPlacement",
-    "ExplicitPlacement",
     "BuiltScenario",
-    "ScenarioBuilder",
+    "build",
 ]
 
 
@@ -81,7 +70,7 @@ DRAIN_WINDOW_US = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# station roles and placements
+# station roles
 # ---------------------------------------------------------------------------
 
 
@@ -92,114 +81,6 @@ class StationRole:
     uses_rtscts: bool = False
     obstructed: bool = False
     load_factor: float = 1.0
-
-
-class Placement(Protocol):
-    """Physical layout strategy for one scenario."""
-
-    def ap_positions(self, config: "ScenarioConfig") -> list[Position]: ...
-
-    def station_positions(
-        self, config: "ScenarioConfig", rng: np.random.Generator
-    ) -> list[Position]: ...
-
-    def sniffer_position(self, config: "ScenarioConfig") -> Position: ...
-
-
-@dataclass(frozen=True)
-class RoomPlacement:
-    """The classic floor plan: APs on the centre line, stations uniform,
-    sniffers at the room centre (paper Figs 2-3)."""
-
-    def ap_positions(self, config: "ScenarioConfig") -> list[Position]:
-        return place_aps(config.n_aps, config.room_width_m, config.room_depth_m)
-
-    def station_positions(
-        self, config: "ScenarioConfig", rng: np.random.Generator
-    ) -> list[Position]:
-        return place_stations(
-            config.n_stations, config.room_width_m, config.room_depth_m, rng
-        )
-
-    def sniffer_position(self, config: "ScenarioConfig") -> Position:
-        return sniffer_position(config.room_width_m, config.room_depth_m)
-
-
-@dataclass(frozen=True)
-class HotspotPlacement:
-    """Stations cluster around hotspot foci instead of filling the floor.
-
-    ``centres`` are (x, y) fractions of the room; each station picks a
-    focus uniformly and lands a Gaussian ``spread_m`` away (clipped to
-    the floor).  Models the registration desk / coffee-break crowding
-    that makes conference cells locally much denser than a uniform
-    scatter.
-    """
-
-    centres: tuple[tuple[float, float], ...] = ((0.5, 0.5),)
-    spread_m: float = 3.0
-
-    def __post_init__(self) -> None:
-        if not self.centres:
-            raise ValueError("need at least one hotspot centre")
-        if self.spread_m <= 0:
-            raise ValueError("spread_m must be positive")
-
-    def ap_positions(self, config: "ScenarioConfig") -> list[Position]:
-        return place_aps(config.n_aps, config.room_width_m, config.room_depth_m)
-
-    def station_positions(
-        self, config: "ScenarioConfig", rng: np.random.Generator
-    ) -> list[Position]:
-        margin = STATION_MARGIN_M
-        width, depth = config.room_width_m, config.room_depth_m
-        positions = []
-        for _ in range(config.n_stations):
-            cx, cy = self.centres[int(rng.integers(0, len(self.centres)))]
-            x = float(np.clip(
-                cx * width + rng.normal(0.0, self.spread_m),
-                margin, max(width - margin, margin),
-            ))
-            y = float(np.clip(
-                cy * depth + rng.normal(0.0, self.spread_m),
-                margin, max(depth - margin, margin),
-            ))
-            positions.append(Position(x, y))
-        return positions
-
-    def sniffer_position(self, config: "ScenarioConfig") -> Position:
-        return sniffer_position(config.room_width_m, config.room_depth_m)
-
-
-@dataclass(frozen=True)
-class ExplicitPlacement:
-    """Every position pinned by hand — hidden-terminal pairs, regression
-    geometries, measured venue layouts."""
-
-    aps: tuple[Position, ...]
-    stations: tuple[Position, ...]
-    sniffer: Position
-
-    def ap_positions(self, config: "ScenarioConfig") -> list[Position]:
-        if len(self.aps) != config.n_aps:
-            raise ValueError(
-                f"placement pins {len(self.aps)} APs but config has "
-                f"{config.n_aps}"
-            )
-        return list(self.aps)
-
-    def station_positions(
-        self, config: "ScenarioConfig", rng: np.random.Generator
-    ) -> list[Position]:
-        if len(self.stations) != config.n_stations:
-            raise ValueError(
-                f"placement pins {len(self.stations)} stations but config "
-                f"has {config.n_stations}"
-            )
-        return list(self.stations)
-
-    def sniffer_position(self, config: "ScenarioConfig") -> Position:
-        return self.sniffer
 
 
 # ---------------------------------------------------------------------------
@@ -484,186 +365,162 @@ class BuiltScenario:
 
 
 # ---------------------------------------------------------------------------
-# the builder
+# the build
 # ---------------------------------------------------------------------------
 
 
-class ScenarioBuilder:
-    """Assemble a :class:`BuiltScenario` from a config and a placement.
+def build(config: "ScenarioConfig", fidelity: str = "default"):
+    """Wire the network ``config`` describes.
 
-    >>> from repro.sim import ScenarioBuilder, ScenarioConfig
-    >>> built = (
-    ...     ScenarioBuilder(ScenarioConfig(n_stations=2, duration_s=1.0))
-    ...     .with_placement(HotspotPlacement(centres=((0.3, 0.5),)))
-    ...     .build()
-    ... )
+    >>> from repro.sim import HotspotPlacement, ScenarioConfig, build
+    >>> built = build(ScenarioConfig(
+    ...     n_stations=2, duration_s=1.0,
+    ...     placement=HotspotPlacement(centres=((0.3, 0.5),)),
+    ... ))
     >>> len(built.stations)
     2
 
-    ``with_placement`` and ``configure`` return ``self`` for chaining;
-    ``configure`` tweaks individual config fields without rebuilding the
-    whole :class:`~repro.sim.scenarios.ScenarioConfig`.
+    The steps run in a fixed order (APs → station placement → roles →
+    per-station obstruction → traffic → infrastructure → sniffers)
+    sharing one seeded RNG stream, so a given config is fully
+    reproducible.
+
+    ``fidelity`` selects the engine the built scenario runs on:
+    ``"default"`` is the byte-identical discrete-event machine pinned by
+    the golden-trace digests; ``"fast"`` wraps the same wired network in
+    the columnar batch-stepped core
+    (:class:`~repro.sim.fastpath.FastBuiltScenario`), which is validated
+    statistically instead.  The wiring below runs identically for both,
+    so the RNG streams — and therefore the topology — never depend on
+    the fidelity choice.
     """
+    from .fastpath import FIDELITY_MODES, FastBuiltScenario
 
-    def __init__(self, config: "ScenarioConfig | None" = None) -> None:
-        from .scenarios import ScenarioConfig
-
-        self.config = config if config is not None else ScenarioConfig()
-        self._placement: Placement = RoomPlacement()
-
-    def configure(self, **overrides) -> "ScenarioBuilder":
-        """Replace individual :class:`ScenarioConfig` fields."""
-        self.config = replace(self.config, **overrides)
-        return self
-
-    def with_placement(self, placement: Placement) -> "ScenarioBuilder":
-        self._placement = placement
-        return self
-
-    def build(self, fidelity: str = "default"):
-        """Wire the network.  The steps run in a fixed order
-        (placement → roles → per-station obstruction → traffic →
-        infrastructure → sniffers) sharing one seeded RNG stream, so a
-        given config and placement are fully reproducible.
-
-        ``fidelity`` selects the engine the built scenario runs on:
-        ``"default"`` is the byte-identical discrete-event machine
-        pinned by the golden-trace digests; ``"fast"`` wraps the same
-        wired network in the columnar batch-stepped core
-        (:class:`~repro.sim.fastpath.FastBuiltScenario`), which is
-        validated statistically instead.  The wiring below runs
-        identically for both, so the RNG streams — and therefore the
-        topology — never depend on the fidelity choice.
-        """
-        from .fastpath import FIDELITY_MODES, FastBuiltScenario
-
-        if fidelity not in FIDELITY_MODES:
-            choices = ", ".join(repr(m) for m in FIDELITY_MODES)
-            raise ValueError(
-                f"unknown fidelity {fidelity!r}: expected one of {choices}"
-            )
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        sim = Simulator()
-        propagation = PropagationModel(
-            exponent=config.path_loss_exponent,
-            shadowing_sigma_db=config.shadowing_sigma_db,
-            rng=np.random.default_rng(config.seed + 1),
+    if fidelity not in FIDELITY_MODES:
+        choices = ", ".join(repr(m) for m in FIDELITY_MODES)
+        raise ValueError(
+            f"unknown fidelity {fidelity!r}: expected one of {choices}"
         )
-        medium = Medium(sim, propagation, rng=np.random.default_rng(config.seed + 2))
+    rng = np.random.default_rng(config.seed)
+    sim = Simulator()
+    propagation = PropagationModel(
+        exponent=config.path_loss_exponent,
+        shadowing_sigma_db=config.shadowing_sigma_db,
+        rng=np.random.default_rng(config.seed + 1),
+    )
+    medium = Medium(sim, propagation, rng=np.random.default_rng(config.seed + 2))
+    width, depth = config.room_width_m, config.room_depth_m
 
-        # --- access points: round-robin over channels ------------------
-        aps: list[AccessPoint] = []
-        for i, pos in enumerate(self._placement.ap_positions(config)):
-            aps.append(
-                AccessPoint.create(
-                    sim=sim,
-                    medium=medium,
-                    node_id=i + 1,
-                    position=pos,
-                    channel=config.channels[i % len(config.channels)],
-                    rng=np.random.default_rng(config.seed + 10 + i),
-                    rate_adaptation=make_rate_adaptation(
-                        config.rate_algorithm, **config.rate_adaptation_kwargs
-                    ),
-                    tx_power_dbm=config.ap_tx_power_dbm,
-                    mac_config=config.mac_config,
-                )
-            )
-
-        # --- stations: placed, role-assigned, associated to nearest AP --
-        sta_positions = self._placement.station_positions(config, rng)
-        roles = _assign_roles(config, rng)
-        stations: list[Station] = []
-        for j, pos in enumerate(sta_positions):
-            nearest = min(aps, key=lambda ap: ap.mac.position.distance_to(pos))
-            node_id = config.n_aps + 1 + j
-            if roles[j].obstructed:
-                _obstruct(config, propagation, node_id, pos, nearest, rng)
-            station = Station.create(
+    # --- access points: centre line, round-robin over channels ---------
+    aps: list[AccessPoint] = []
+    for i, pos in enumerate(place_aps(config.n_aps, width, depth)):
+        aps.append(
+            AccessPoint.create(
                 sim=sim,
                 medium=medium,
-                node_id=node_id,
+                node_id=i + 1,
                 position=pos,
-                channel=nearest.channel,
-                ap_id=nearest.node_id,
-                rng=np.random.default_rng(config.seed + 100 + j),
+                channel=config.channels[i % len(config.channels)],
+                rng=np.random.default_rng(config.seed + 10 + i),
                 rate_adaptation=make_rate_adaptation(
-                    config.rate_algorithm, **self._station_ra_kwargs()
+                    config.rate_algorithm, **config.rate_adaptation_kwargs
                 ),
-                uses_rtscts=roles[j].uses_rtscts,
-                tx_power_dbm=config.station_tx_power_dbm,
+                tx_power_dbm=config.ap_tx_power_dbm,
                 mac_config=config.mac_config,
-                power_control=config.power_control,
             )
-            nearest.associate(station.node_id)
-            stations.append(station)
+        )
 
-        downlink_router: dict[int, AccessPoint] = {
-            station.node_id: next(
-                a for a in aps if a.node_id == station.ap_id
-            )
-            for station in stations
-        }
-        built = BuiltScenario(
-            config=config,
+    # --- stations: placed, role-assigned, associated to nearest AP ------
+    sta_positions = config.placement.station_positions(config, rng)
+    roles = _assign_roles(config, rng)
+    station_ra_kwargs = _station_ra_kwargs(config)
+    stations: list[Station] = []
+    for j, pos in enumerate(sta_positions):
+        nearest = min(aps, key=lambda ap: ap.mac.position.distance_to(pos))
+        node_id = config.n_aps + 1 + j
+        if roles[j].obstructed:
+            _obstruct(config, propagation, node_id, pos, nearest, rng)
+        station = Station.create(
             sim=sim,
             medium=medium,
+            node_id=node_id,
+            position=pos,
+            channel=nearest.channel,
+            ap_id=nearest.node_id,
+            rng=np.random.default_rng(config.seed + 100 + j),
+            rate_adaptation=make_rate_adaptation(
+                config.rate_algorithm, **station_ra_kwargs
+            ),
+            uses_rtscts=roles[j].uses_rtscts,
+            tx_power_dbm=config.station_tx_power_dbm,
+            mac_config=config.mac_config,
+            power_control=config.power_control,
+        )
+        nearest.associate(station.node_id)
+        stations.append(station)
+
+    downlink_router: dict[int, AccessPoint] = {
+        station.node_id: next(a for a in aps if a.node_id == station.ap_id)
+        for station in stations
+    }
+    built = BuiltScenario(
+        config=config,
+        sim=sim,
+        medium=medium,
+        propagation=propagation,
+        aps=aps,
+        stations=stations,
+        roles=roles,
+        downlink_router=downlink_router,
+    )
+
+    # --- traffic, infrastructure, sniffers (original event order) ------
+    built.sources = _attach_traffic(built)
+    if config.channel_management:
+        built.channel_manager = ChannelManager(
+            sim=sim,
+            medium=medium,
+            aps=aps,
+            stations=stations,
+            channels=config.channels,
+        )
+    if config.roaming:
+        built.roaming_manager = RoamingManager(
+            sim=sim,
             propagation=propagation,
             aps=aps,
             stations=stations,
-            roles=roles,
             downlink_router=downlink_router,
+            ap_tx_power_dbm=config.ap_tx_power_dbm,
         )
-
-        # --- traffic, infrastructure, sniffers (original event order) --
-        built.sources = _attach_traffic(built)
-        if config.channel_management:
-            built.channel_manager = ChannelManager(
+    centre = sniffer_position(width, depth)
+    for k, channel in enumerate(config.channels):
+        built.sniffers.append(
+            Sniffer(
                 sim=sim,
                 medium=medium,
-                aps=aps,
-                stations=stations,
-                channels=config.channels,
+                node_id=SNIFFER_ID_BASE + k,
+                position=centre,
+                channel=channel,
+                rng=np.random.default_rng(config.seed + 3000 + k),
+                config=config.sniffer_config,
             )
-        if config.roaming:
-            built.roaming_manager = RoamingManager(
-                sim=sim,
-                propagation=propagation,
-                aps=aps,
-                stations=stations,
-                downlink_router=downlink_router,
-                ap_tx_power_dbm=config.ap_tx_power_dbm,
-            )
-        centre = self._placement.sniffer_position(config)
-        for k, channel in enumerate(config.channels):
-            built.sniffers.append(
-                Sniffer(
-                    sim=sim,
-                    medium=medium,
-                    node_id=SNIFFER_ID_BASE + k,
-                    position=centre,
-                    channel=channel,
-                    rng=np.random.default_rng(config.seed + 3000 + k),
-                    config=config.sniffer_config,
-                )
-            )
-        if fidelity == "fast":
-            return FastBuiltScenario(built)
-        return built
+        )
+    if fidelity == "fast":
+        return FastBuiltScenario(built)
+    return built
 
-    def _station_ra_kwargs(self) -> dict:
-        """Station-side rate-adaptation kwargs.
 
-        SNR-based schemes measure the *downlink* (frames heard from the
-        AP) but transmit on the *uplink*; the AP typically runs hotter,
-        so the station oracle budgets the tx-power asymmetry as a
-        margin.
-        """
-        config = self.config
-        kwargs = dict(config.rate_adaptation_kwargs)
-        if config.rate_algorithm == "snr" and "margin_db" not in kwargs:
-            kwargs["margin_db"] = max(
-                0.0, config.ap_tx_power_dbm - config.station_tx_power_dbm
-            )
-        return kwargs
+def _station_ra_kwargs(config: "ScenarioConfig") -> dict:
+    """Station-side rate-adaptation kwargs.
+
+    SNR-based schemes measure the *downlink* (frames heard from the AP)
+    but transmit on the *uplink*; the AP typically runs hotter, so the
+    station oracle budgets the tx-power asymmetry as a margin.
+    """
+    kwargs = dict(config.rate_adaptation_kwargs)
+    if config.rate_algorithm == "snr" and "margin_db" not in kwargs:
+        kwargs["margin_db"] = max(
+            0.0, config.ap_tx_power_dbm - config.station_tx_power_dbm
+        )
+    return kwargs

@@ -1,13 +1,11 @@
-"""Named scenario library: ready-made builders for diverse conditions.
+"""Named scenario library: ready-made configs for diverse conditions.
 
 The paper's findings come from *comparing* conditions — congested vs.
 uncongested hours, RTS/CTS on vs. off, rate fallback under load.  This
 registry packages those conditions (and the pathologies behind them) as
 named scenarios, so campaigns can sweep them by name.  Each is declared
-once: either a plain config factory registered through ``_classic``, or,
-where the scenario pins its own :class:`~repro.sim.builder.Placement`,
-one factory that builds the config next to that placement and returns
-the :class:`~repro.sim.builder.ScenarioBuilder`:
+once, as a function that returns the scenario's
+:class:`~repro.sim.scenarios.ScenarioConfig`, placement included:
 
 * ``ramp`` / ``day`` / ``plenary`` — the classic calibrated configs;
 * ``uniform`` — one plain room with constant Poisson rates;
@@ -20,8 +18,8 @@ the :class:`~repro.sim.builder.ScenarioBuilder`:
 * ``roaming-storm`` — heavy shadowing plus handoffs, churning
   associations like Figure 4(b)'s moving user counts.
 
-Every factory takes scenario-shaping keyword arguments plus arbitrary
-:class:`~repro.sim.scenarios.ScenarioConfig` field overrides, e.g.
+A scenario takes its factory's keyword arguments plus any
+:class:`~repro.sim.scenarios.ScenarioConfig` field as an override, e.g.
 ``build_scenario("hidden-terminal", n_stations=12, duration_s=20.0,
 rtscts_fraction=1.0)``.
 """
@@ -32,11 +30,8 @@ import inspect
 from dataclasses import fields as dataclass_fields, replace
 from typing import Callable, Iterable
 
-import numpy as np
-
 from .._suggest import unknown_name_message
-from .builder import ExplicitPlacement, HotspotPlacement, ScenarioBuilder
-from .propagation import Position
+from .builder import build
 from .scenarios import (
     RAMP_MIX,
     ScenarioConfig,
@@ -44,15 +39,13 @@ from .scenarios import (
     ietf_plenary_config,
     load_ramp_config,
 )
-from .topology import sniffer_position
+from .topology import EndClusterPlacement, HotspotPlacement
 from .traffic import CONFERENCE_MIX, ConstantRate, ModulatedRate
 
 __all__ = [
     "SCENARIO_LIBRARY",
     "UnknownParameterError",
-    "register_scenario",
     "available_scenarios",
-    "scenario_builder",
     "scenario_config",
     "scenario_parameters",
     "validate_scenario_params",
@@ -67,26 +60,10 @@ class UnknownParameterError(TypeError):
     """A scenario was given a parameter name it does not understand.
 
     Subclasses :class:`TypeError` because that is what an unknown
-    keyword has always raised (from ``dataclasses.replace`` deep in the
-    builder) — but carries a "did you mean ...?" message listing the
-    scenario's valid parameter names instead of a bare traceback.
+    keyword has always raised (from ``dataclasses.replace``) — but
+    carries a "did you mean ...?" message listing the scenario's valid
+    parameter names instead of a bare traceback.
     """
-
-
-#: name -> factory returning a configured ScenarioBuilder.
-SCENARIO_LIBRARY: dict[str, Callable[..., ScenarioBuilder]] = {}
-
-
-def register_scenario(name: str):
-    """Decorator: add a builder factory to the library under ``name``."""
-
-    def wrap(factory: Callable[..., ScenarioBuilder]):
-        if name in SCENARIO_LIBRARY:
-            raise ValueError(f"scenario {name!r} already registered")
-        SCENARIO_LIBRARY[name] = factory
-        return factory
-
-    return wrap
 
 
 def available_scenarios() -> list[str]:
@@ -94,20 +71,24 @@ def available_scenarios() -> list[str]:
     return sorted(SCENARIO_LIBRARY)
 
 
-def scenario_parameters(name: str) -> tuple[str, ...]:
-    """Every parameter name the named scenario accepts, sorted.
-
-    The union of the factory's declared keyword arguments and the
-    :class:`ScenarioConfig` fields (factories forward unknown keywords
-    as config overrides).
-    """
-    factory = _lookup(name)
-    declared = {
+def _factory_keywords(factory: Callable) -> set[str]:
+    """The keyword arguments a config factory declares."""
+    return {
         pname
         for pname, param in inspect.signature(factory).parameters.items()
         if param.kind
         not in (inspect.Parameter.VAR_KEYWORD, inspect.Parameter.VAR_POSITIONAL)
     }
+
+
+def scenario_parameters(name: str) -> tuple[str, ...]:
+    """Every parameter name the named scenario accepts, sorted.
+
+    The union of the factory's declared keyword arguments and the
+    :class:`ScenarioConfig` fields (a field the factory does not declare
+    is an override of the config it returns).
+    """
+    declared = _factory_keywords(_lookup(name))
     declared.update(f.name for f in dataclass_fields(ScenarioConfig))
     return tuple(sorted(declared))
 
@@ -127,7 +108,7 @@ def validate_scenario_params(name: str, params: Iterable[str]) -> None:
             )
 
 
-def _lookup(name: str) -> Callable[..., ScenarioBuilder]:
+def _lookup(name: str) -> Callable[..., ScenarioConfig]:
     factory = SCENARIO_LIBRARY.get(name)
     if factory is None:
         raise KeyError(
@@ -136,22 +117,20 @@ def _lookup(name: str) -> Callable[..., ScenarioBuilder]:
     return factory
 
 
-def scenario_builder(name: str, **params) -> ScenarioBuilder:
-    """Instantiate the named library scenario with ``params``.
+def scenario_config(name: str, **params) -> ScenarioConfig:
+    """The whole network the named scenario runs with ``params``.
 
     Parameters the factory's signature declares go to the factory;
-    anything else must be a :class:`ScenarioConfig` field and is applied
-    as an override.  Unknown names raise :class:`UnknownParameterError`
-    with a "did you mean ...?" suggestion.
+    anything else must be a :class:`ScenarioConfig` field and replaces
+    it.  Unknown names raise :class:`UnknownParameterError` with a "did
+    you mean ...?" suggestion.
     """
     factory = _lookup(name)
     validate_scenario_params(name, params)
-    return factory(**params)
-
-
-def scenario_config(name: str, **params) -> ScenarioConfig:
-    """The :class:`ScenarioConfig` the named scenario would run with."""
-    return scenario_builder(name, **params).config
+    declared = _factory_keywords(factory)
+    config = factory(**{k: v for k, v in params.items() if k in declared})
+    overrides = {k: v for k, v in params.items() if k not in declared}
+    return replace(config, **overrides) if overrides else config
 
 
 def build_scenario(name: str, fidelity: str = "default", **params):
@@ -165,35 +144,7 @@ def build_scenario(name: str, fidelity: str = "default", **params):
     that runs it — so it rides outside ``params`` and campaign grids
     key it separately.
     """
-    return scenario_builder(name, **params).build(fidelity=fidelity)
-
-
-def _split_params(factory: Callable, params: dict) -> tuple[dict, dict]:
-    """Split ``params`` into factory kwargs vs. config-field overrides."""
-    accepted = set(inspect.signature(factory).parameters)
-    factory_kwargs = {k: v for k, v in params.items() if k in accepted}
-    overrides = {k: v for k, v in params.items() if k not in accepted}
-    return factory_kwargs, overrides
-
-
-def _classic(config_factory: Callable[..., ScenarioConfig]):
-    """Wrap a plain config factory as a builder factory with overrides."""
-
-    def make(**params) -> ScenarioBuilder:
-        factory_kwargs, overrides = _split_params(config_factory, params)
-        return ScenarioBuilder(config_factory(**factory_kwargs)).configure(
-            **overrides
-        )
-
-    # Let inspect.signature (scenario_parameters) see the config
-    # factory's declared keywords through the **params wrapper.
-    make.__wrapped__ = config_factory
-    return make
-
-
-SCENARIO_LIBRARY["ramp"] = _classic(load_ramp_config)
-SCENARIO_LIBRARY["day"] = _classic(ietf_day_config)
-SCENARIO_LIBRARY["plenary"] = _classic(ietf_plenary_config)
+    return build(scenario_config(name, **params), fidelity)
 
 
 def uniform_config(
@@ -230,10 +181,6 @@ def uniform_config(
     )
 
 
-SCENARIO_LIBRARY["uniform"] = _classic(uniform_config)
-
-
-@register_scenario("hidden-terminal")
 def _hidden_terminal(
     n_stations: int = 8,
     duration_s: float = 20.0,
@@ -241,8 +188,7 @@ def _hidden_terminal(
     room_width_m: float = 64.0,
     uplink_pps: float = 22.0,
     rtscts_fraction: float = 0.0,
-    **overrides,
-) -> ScenarioBuilder:
+) -> ScenarioConfig:
     """Two station clusters at opposite ends of a long narrow room.
 
     At path-loss exponent 3.5 and 15 dBm transmit power the ~58 m
@@ -252,60 +198,35 @@ def _hidden_terminal(
     and uplink DATA collides at the AP.  Sweep ``rtscts_fraction``
     0 → 1 to reproduce the RTS/CTS trade-off of the paper's Figure 7.
     """
-    # Apply overrides *before* pinning positions: the explicit
-    # placement below is computed from the room geometry, so a late
-    # configure() would silently ignore e.g. room_depth_m.
-    config = replace(
-        ScenarioConfig(
-            n_stations=n_stations,
-            n_aps=1,
-            duration_s=duration_s,
-            seed=seed,
-            channels=(1,),
-            room_width_m=room_width_m,
-            room_depth_m=8.0,
-            # Deterministic geometry: hiddenness must come from path
-            # loss, not a lucky shadowing draw.
-            shadowing_sigma_db=0.0,
-            path_loss_exponent=3.5,
-            station_tx_power_dbm=15.0,
-            rtscts_fraction=rtscts_fraction,
-            obstructed_fraction=0.0,
-            uplink=ConstantRate(uplink_pps),
-            downlink=ConstantRate(4.0),
-            size_mix=CONFERENCE_MIX,
-        ),
-        **overrides,
+    return ScenarioConfig(
+        n_stations=n_stations,
+        n_aps=1,
+        duration_s=duration_s,
+        seed=seed,
+        channels=(1,),
+        room_width_m=room_width_m,
+        room_depth_m=8.0,
+        placement=EndClusterPlacement(),
+        # Deterministic geometry: hiddenness must come from path
+        # loss, not a lucky shadowing draw.
+        shadowing_sigma_db=0.0,
+        path_loss_exponent=3.5,
+        station_tx_power_dbm=15.0,
+        rtscts_fraction=rtscts_fraction,
+        obstructed_fraction=0.0,
+        uplink=ConstantRate(uplink_pps),
+        downlink=ConstantRate(4.0),
+        size_mix=CONFERENCE_MIX,
     )
-    width, depth = config.room_width_m, config.room_depth_m
-    rng = np.random.default_rng(seed + 7)
-    stations = []
-    for j in range(config.n_stations):
-        # Alternate ends so both clusters stay populated for any count.
-        x_lo, x_hi = (1.0, 3.0) if j % 2 == 0 else (width - 3.0, width - 1.0)
-        stations.append(
-            Position(
-                float(rng.uniform(x_lo, x_hi)),
-                float(rng.uniform(1.0, depth - 1.0)),
-            )
-        )
-    placement = ExplicitPlacement(
-        aps=(Position(width / 2.0, depth / 2.0),),
-        stations=tuple(stations),
-        sniffer=sniffer_position(width, depth),
-    )
-    return ScenarioBuilder(config).with_placement(placement)
 
 
-@register_scenario("hotspot-plenary")
 def _hotspot_plenary(
     n_stations: int = 24,
     duration_s: float = 45.0,
     seed: int = 33,
     burst_sigma: float = 1.3,
     spread_m: float = 4.0,
-    **overrides,
-) -> ScenarioBuilder:
+) -> ScenarioConfig:
     """Plenary-hall cells with users piled around hotspot foci.
 
     Instead of a uniform floor, stations cluster near the doors and the
@@ -314,7 +235,7 @@ def _hotspot_plenary(
     offered load around — the crowding that drove the paper's plenary
     captures deep into congestion.
     """
-    config = ScenarioConfig(
+    return ScenarioConfig(
         n_stations=n_stations,
         n_aps=3,
         duration_s=duration_s,
@@ -322,6 +243,10 @@ def _hotspot_plenary(
         channels=(1, 6, 11),
         room_width_m=40.0,
         room_depth_m=25.0,
+        placement=HotspotPlacement(
+            centres=((0.15, 0.5), (0.85, 0.55), (0.5, 0.3)),
+            spread_m=spread_m,
+        ),
         shadowing_sigma_db=6.0,
         path_loss_exponent=3.2,
         station_tx_power_dbm=12.0,
@@ -334,13 +259,6 @@ def _hotspot_plenary(
         downlink=ModulatedRate(
             ConstantRate(30.0), sigma=burst_sigma, seed=seed + 52
         ),
-    )
-    placement = HotspotPlacement(
-        centres=((0.15, 0.5), (0.85, 0.55), (0.5, 0.3)),
-        spread_m=spread_m,
-    )
-    return (
-        ScenarioBuilder(config).with_placement(placement).configure(**overrides)
     )
 
 
@@ -373,9 +291,6 @@ def co_channel_config(
         downlink=ConstantRate(20.0),
         size_mix=CONFERENCE_MIX,
     )
-
-
-SCENARIO_LIBRARY["co-channel"] = _classic(co_channel_config)
 
 
 def roaming_storm_config(
@@ -413,4 +328,14 @@ def roaming_storm_config(
     )
 
 
-SCENARIO_LIBRARY["roaming-storm"] = _classic(roaming_storm_config)
+#: name -> function returning the scenario's :class:`ScenarioConfig`.
+SCENARIO_LIBRARY: dict[str, Callable[..., ScenarioConfig]] = {
+    "ramp": load_ramp_config,
+    "day": ietf_day_config,
+    "plenary": ietf_plenary_config,
+    "uniform": uniform_config,
+    "hidden-terminal": _hidden_terminal,
+    "hotspot-plenary": _hotspot_plenary,
+    "co-channel": co_channel_config,
+    "roaming-storm": roaming_storm_config,
+}

@@ -1,11 +1,15 @@
-"""Scenario configs and runners: assembled networks that emit traces.
-Three config families reproduce the paper's measurement settings at
-laptop scale:
+"""Scenario configs and runners: a config is the whole network.
 
-* :func:`run_scenario` / :func:`stream_scenario` — one room, one or
-  more AP/channel cells, configurable traffic, rate adaptation and
-  RTS/CTS population; the general-purpose entry points (buffered
-  result vs live bounded-memory chunk stream).
+A :class:`ScenarioConfig` holds everything one simulated capture
+session needs, the station :class:`~repro.sim.topology.Placement`
+included, so the config a campaign cell key hashes is exactly the
+network the cell runs.  Three config families reproduce the paper's
+measurement settings at laptop scale:
+
+* :func:`run_scenario` / :func:`stream_scenario` — run any config: one
+  room, one or more AP/channel cells, configurable traffic, rate
+  adaptation and RTS/CTS population (buffered result vs live
+  bounded-memory chunk stream).
 * :func:`load_ramp_config` — offered load climbing over the run so the
   captured trace sweeps channel utilization across the paper's 30-99 %
   analysis range (the workload behind Figures 6-15).
@@ -13,16 +17,16 @@ laptop scale:
   analogues of the two IETF data sets: three channels, multiple APs,
   station populations that rise and fall like the meeting schedule.
 
-The assembly itself lives in :mod:`repro.sim.builder`
-(:class:`~repro.sim.builder.ScenarioBuilder`); both runners here are
-thin conveniences over it.  A custom topology is a config plus a
-:class:`~repro.sim.builder.Placement` handed to the builder directly;
-roles and traffic always follow the config.
+Both runners are :func:`repro.sim.builder.build` followed by
+``run()`` or ``stream()``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 import numpy as np
@@ -33,10 +37,11 @@ from .dcf import MacConfig
 from .engine import Simulator
 from .medium import Medium
 from .node import AccessPoint, Station
-from .builder import ScenarioBuilder
+from .builder import build
 from .channel_manager import ChannelManager
 from .roaming import RoamingManager
 from .sniffer import Sniffer, SnifferConfig
+from .topology import Placement, RoomPlacement
 from .traffic import (
     CONFERENCE_MIX,
     ConstantRate,
@@ -67,13 +72,66 @@ def _run_length_us(duration_s: float) -> int:
     return int(duration_s * 1_000_000)
 
 
+def _is_integer(value) -> bool:
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real)
+
+
+def _is_sequence_of(value, is_item) -> bool:
+    return isinstance(value, Sequence) and all(is_item(v) for v in value)
+
+
+#: Each field's kind: a test, and what a refusal says the field must be.
+#: Integers pass :func:`operator.index`, so a numpy seed stays what it
+#: is and keys like the int it equals.  The three flags are read for
+#: their truth, so any value serves.
+_FIELD_KINDS = {
+    **dict.fromkeys(("n_stations", "n_aps", "seed"), (_is_integer, "an integer")),
+    **dict.fromkeys(
+        ("duration_s", "room_width_m", "room_depth_m", "rtscts_fraction",
+         "obstructed_fraction", "obstructed_load_factor", "station_tx_power_dbm",
+         "ap_tx_power_dbm", "path_loss_exponent", "shadowing_sigma_db"),
+        (_is_real, "a real number"),
+    ),
+    "channels": (lambda v: _is_sequence_of(v, _is_integer), "a sequence of integers"),
+    "obstructed_snr_band_db": (
+        lambda v: _is_sequence_of(v, _is_real) and len(v) == 2,
+        "a (low, high) pair in dB",
+    ),
+    "rate_algorithm": (lambda v: isinstance(v, str), "an algorithm name"),
+    "rate_adaptation_kwargs": (lambda v: isinstance(v, Mapping), "a mapping"),
+    **dict.fromkeys(
+        ("uplink", "downlink"),
+        (lambda v: hasattr(v, "rate_at"), "a rate schedule (with rate_at)"),
+    ),
+    "size_mix": (callable, "a size sampler (a callable)"),
+    "activity": (lambda v: v is None or callable(v), "None or a callable"),
+    "placement": (
+        lambda v: hasattr(v, "station_positions"),
+        "a placement (with station_positions)",
+    ),
+    "mac_config": (lambda v: isinstance(v, MacConfig), "a MacConfig"),
+    "sniffer_config": (lambda v: isinstance(v, SnifferConfig), "a SnifferConfig"),
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything needed to build and run one simulated capture session.
 
-    Frozen.  A library config holds only declared data (numbers,
-    strings, tuples, mappings, frozen dataclasses), so a campaign store
-    keys its cells by what they run (:func:`repro.store.canonical`).
+    Frozen, and the whole network: where the stations stand is the
+    ``placement`` field.  A library config holds only declared data
+    (numbers, strings, tuples, mappings, frozen dataclasses), so a
+    campaign store keys its cells by what they run
+    (:func:`repro.store.canonical`).  A value of the wrong kind is
+    refused by its field's name.
     """
     n_stations: int = 10
     n_aps: int = 1
@@ -82,6 +140,9 @@ class ScenarioConfig:
     channels: tuple[int, ...] = (1,)
     room_width_m: float = 25.0
     room_depth_m: float = 20.0
+    #: Where the stations stand (APs always stand on the room's centre
+    #: line and sniffers at its centre).
+    placement: Placement = RoomPlacement()
     rate_algorithm: str = "arf"
     rate_adaptation_kwargs: dict = field(default_factory=dict)
     rtscts_fraction: float = 0.0
@@ -127,6 +188,12 @@ class ScenarioConfig:
     activity: Callable[[int, np.random.Generator], tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
+        for name, (is_kind, expected) in _FIELD_KINDS.items():
+            value = getattr(self, name)
+            if not is_kind(value):
+                raise TypeError(f"{name} must be {expected}, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_stations < 1 or self.n_aps < 1:
             raise ValueError("need at least one station and one AP")
         _run_length_us(self.duration_s)  # refuses a non-finite length by name
@@ -192,7 +259,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     Buffers the full capture and ground truth in memory; for day-long
     runs feed :func:`stream_scenario` to the analysis pipeline instead.
     """
-    return ScenarioBuilder(config).build().run()
+    return build(config).run()
 
 
 def stream_scenario(config: ScenarioConfig) -> Iterator[Trace]:
@@ -207,7 +274,7 @@ def stream_scenario(config: ScenarioConfig) -> Iterator[Trace]:
     however long the session.  Feed the iterator straight to
     :func:`repro.pipeline.run_all`.
     """
-    yield from ScenarioBuilder(config).build().stream()
+    yield from build(config).stream()
 
 
 #: Size mixture calibrated for the load-ramp scenario: S and XL dominate

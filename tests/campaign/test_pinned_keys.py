@@ -27,69 +27,69 @@ from repro.sim import available_scenarios
 #: engine, seed 1 runs the defaults and seed 3 sets ``duration_s=2.0``.
 PINNED_KEYS = {
     ("co-channel", None, 1):
-        "6d07a55c64cd3644384cb38192541f3eabe0c58b18da5e048954b42969dfaabf",
+        "435b2948270a028dcc01ade71568770b8f5d56a82b598f6d75630420b8b64471",
     ("co-channel", None, 3):
-        "4659c2b1aac02b973837df51fa80a4e074121ff804de81c8ef712ad84c030c9f",
+        "479bb325601a484ced4afc25f2726e3026b6b135e6bd46711a7bf3eae93e4794",
     ("co-channel", "fast", 1):
-        "2ff6eda5dcb89f73a01ad5fb3f6505b734e2e17f85bcdb823a1766461c1c87e8",
+        "10b9f548433cd296e70289780d6458d9b2049b03ff679e08951a18bdce76c534",
     ("co-channel", "fast", 3):
-        "425d4e2add9bc0a89e7a64e9009378a2e5d914ae8424d350b225d3ce2a56c6b0",
+        "1a4ffd7779e3aaf80542df1c95710809f67cb124913fd61acf10dc57d29cfedf",
     ("day", None, 1):
-        "aa84fb8e1a2c4024dd2222a47d61ea576fce54398ac39617b6fed8bcadb13a64",
+        "2df5d41c9768eb9d0601598ebd3540f2d54743b872f49c39df24dc46577fcb9c",
     ("day", None, 3):
-        "961b48b06f42c1784c9559013e31a9b72305359d42bb0c628f416e72667e87b6",
+        "e0d61088084b2d2219e9c6ca6d01f7da95c11fdd18c0f34791855db4f4d872f1",
     ("day", "fast", 1):
-        "a1d47f32b92f29f3273e49a3d34edb65a3686e136331e5487dd4291160482111",
+        "191a9dc39173d1204d17227edc52d245771e861b402bbd424cb0e0fadc51234e",
     ("day", "fast", 3):
-        "4b61f081679ab5b9b52611174febb6b7bc402504a7812f9a964f59049a8b89b3",
+        "1f2ffc957146c0db5dcf8493bb3e01c3714a925edef387a57c07fb50f9b5bd67",
     ("hidden-terminal", None, 1):
-        "860abf324ee1e8ee064f7bcd00426c6796c3b0b063324ea30f60d0589e588116",
+        "4ac0d62fcfc3b0e3b3290e16b0b8057552e5620d39e955791f300ea414a939aa",
     ("hidden-terminal", None, 3):
-        "c561230ceadecace913503f7046d63105090e8733d3ead226354c8bf26b43190",
+        "d21b8b9c6610380bf7c51eb45a0a3a95c6eb53c0c93430e2e39b1572d903fb4b",
     ("hidden-terminal", "fast", 1):
-        "97f26af19b5fdf1a0993797e3c941c81b84f24f616ce42b091c9b510e667a6de",
+        "4b204d4abaf68d90450acf98b3c910f6742a6a4366fdb8c36619441eb8586e1c",
     ("hidden-terminal", "fast", 3):
-        "2f7063086a42189ae9669dba0f4e1fa0f782a827c41817bb2a7b0bb02518b08c",
+        "a81c8f72b075078962f7651ce091eb333012ec236476265a8fd14decab030d73",
     ("hotspot-plenary", None, 1):
-        "5a6c929f3f9b94bceaf3c211d2d7e527231d66cbc47a0c00d689010e126b4ec0",
+        "fdea3c7e9a9a0884caf4eec329f3c477ac737a2844b1cdbe7d5bde0a7d1d244f",
     ("hotspot-plenary", None, 3):
-        "7ecaa2f4ff6b8cdbb44249892539b326cfc80bed0ddf6283121b4bd4620a5608",
+        "f280f69955e3d1efc3aa32e201385be70d12454bf99cb7d2e7780786777feac8",
     ("hotspot-plenary", "fast", 1):
-        "3e4b0e85c79c3fd98687c91fda7a3923b3a0a3a86180a1714704b85a5d95d629",
+        "8649f5c3c98b6375ede42b31af1564cafe1ebb1bd9ccfc5168eb23cd311633b1",
     ("hotspot-plenary", "fast", 3):
-        "473094d798511a5f7746752b878b028f705903cae90bbf0f1a7a816c8e77977b",
+        "f75c6e1e2669a7793f2aceb08894bbb766a36c2495b759d565e464d8d1dc1117",
     ("plenary", None, 1):
-        "304dd4deaeb9037647d10da1f1e07f9f9e07142f56b6db84e6232c005099af54",
+        "9032917559976b974bc9b58c4461feaa33b32953c7248bbd270279d82067195a",
     ("plenary", None, 3):
-        "3bfda9507079c61d5e706597916d8d0f17d3be1d2ccbb16c4eebf088b8da501c",
+        "9d416f783bf72557edb9e7a914e5c10b5d97fd1772d5273ef851247c9bd580f2",
     ("plenary", "fast", 1):
-        "3c863ee8a279a922e92d926c9768ade901cc0137ec90280fa7336009bf706f39",
+        "ffed79d2c53ce43b095472262ed160264efbf792767b2f73826917193ec46781",
     ("plenary", "fast", 3):
-        "339ce8476096a15092d2d4a956fbf2f07d4e921effda302e3870fa262c114687",
+        "afd8b9c772bad98263d788426aa20a69cbe15640d92b34883f0b47d8325709e6",
     ("ramp", None, 1):
-        "6b9bfc46841d85bbf75be0c21f14b8d27c61479a5a15a57d508002b613df1974",
+        "ecff1be4cf121676c1911bb319b28d12e1299c57623c3096bc9864d722e2b89b",
     ("ramp", None, 3):
-        "1fa2616a7e8388489e968e1c4aa6f7e6111b296338a59bfd24bd78db2c23125e",
+        "877b4b7f1355254058e0b26d382fceb3f0dfbde92898e7ffb08353baec4161c3",
     ("ramp", "fast", 1):
-        "cefc2c5f97fbc1e7dc68a2be07b7daadea9a70da06293b8c67850838fae838c8",
+        "73052c6cd3cd8121aa490f2c933635b1fd0efe2f6e71811d31700bcad6eba18c",
     ("ramp", "fast", 3):
-        "7efa9ec41c8cce45ef2d8fa7cf3ac3d2b59ae5fe8edda63b82ef26da91009628",
+        "607361fa64659bf7b25935697138e6d4120b7482eda48092053b1a34fd4e0437",
     ("roaming-storm", None, 1):
-        "c7e37706241bc10c7f31034e3bf6050209a034e5192774ce4d54b7378f4dbb3b",
+        "55ea94f5a58ac36dc7e5cc87cc3223d2da492e0a20e48d0a3a793f907767c384",
     ("roaming-storm", None, 3):
-        "77eb67a4f6e834ae848f83fe3e09135b3590e616988f54a65bfea69b4bd88d69",
+        "78e0cf10f1749a0ee6e870fd8b4f3a4710dc57708a00cf7ccfb61431532b3221",
     ("roaming-storm", "fast", 1):
-        "1e11aebd12764cc829e4417d157aa562d0a92fae8531b87c2b9388087b676096",
+        "8f251f42ecd5e1c1eddc09f7a5cc4e3234862c2be511714903212a4a4559924d",
     ("roaming-storm", "fast", 3):
-        "c7896c1c03130777867f183923e9d47d2711e6f93f970c3c033288f5342ab625",
+        "dfb97d0684b53de49b7437425ea0228731298b0c7ab17233ed86ee43bfe38697",
     ("uniform", None, 1):
-        "4ceb91226e9262ca76863e8880c936e3ea8094dd4ecac37279d0e30572d179ce",
+        "82458731269d69fb39d415bbebe55f5e2e8fb10c78d10600cfb4b65e5db14f27",
     ("uniform", None, 3):
-        "fc209f6d797c61cc1528c80be95f27ea3fc930983f226935d7978a18a640cfed",
+        "2e8bb14fbcf3fdc710804492bbd88d079e91af460974a3f0197f13a002d54463",
     ("uniform", "fast", 1):
-        "1e9364a9937cdac266103b24f57aa552ef1ccdf8bde2877dc1285fb7d22c53ad",
+        "e1d4a72861210a58e8f54ea18a46c41deedfd1760d681381265ecd0195c5691e",
     ("uniform", "fast", 3):
-        "e69116e8881c48b1646d572fa3a1528c142f0bce1560f449213aa94bc67d8ce5",
+        "2961d06015e081a4e775cfc72ee23da397ff255e1af4369488597ede741d63f4",
 }
 
 PARAMS = {1: (), 3: (("duration_s", 2.0),)}

@@ -116,6 +116,19 @@ class TestCellKey:
         assert a is not b and key(a) == key(b)
         assert key(class_mixture({"S": 0.6, "XL": 0.4})) != key(a)
 
+    def test_placement_enters_the_key(self):
+        """The config holds the placement, so two hotspot spreads key
+        apart (and a cell key with them)."""
+        tight = scenario_config("hotspot-plenary", spread_m=2.0)
+        loose = scenario_config("hotspot-plenary", spread_m=4.0)
+        assert tight != loose
+        assert canonical(tight) != canonical(loose)
+        keys = {
+            cell_key(CampaignCell("hotspot-plenary", params=(("spread_m", s),)), "s")
+            for s in (2.0, 4.0)
+        }
+        assert len(keys) == 2
+
     def test_numpy_seed_keys_and_stores_like_its_int(self, tmp_path):
         plain = CampaignCell("uniform", seed=3)
         wide = CampaignCell("uniform", seed=np.int64(3))
@@ -396,7 +409,7 @@ class TestFailureRecords:
         fails every queued future — those synthesized failures must not
         be persisted, or a plain --resume would report never-started
         cells as failed instead of re-running them."""
-        from repro.sim import ScenarioBuilder, ScenarioConfig
+        from repro.sim import ScenarioConfig
         from repro.sim.library import SCENARIO_LIBRARY
 
         def _die_at_build(_index, _rng):
@@ -409,9 +422,7 @@ class TestFailureRecords:
             # it for key hashing.  Only *building* the scenario — which
             # happens in the worker — invokes the activity hook and
             # kills the process.
-            return ScenarioBuilder(
-                ScenarioConfig(duration_s=0.5, activity=_die_at_build)
-            )
+            return ScenarioConfig(duration_s=0.5, activity=_die_at_build)
 
         SCENARIO_LIBRARY["_kamikaze-store-test"] = _kamikaze
         try:

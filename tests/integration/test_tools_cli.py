@@ -63,6 +63,19 @@ class TestCli:
         assert "Capture summary" in out
 
 
+    @pytest.mark.parametrize("assignment", ["uplink=3", "placement=x"])
+    def test_simulate_wrong_kind_is_one_line_exit_2(
+        self, tmp_path, capsys, assignment
+    ):
+        pcap = tmp_path / "o.pcap"
+        rc = main(["simulate", str(pcap), "--set", assignment])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        field = assignment.partition("=")[0]
+        assert f"{field} must be " in err
+        assert not pcap.exists()
+
     def test_analyze_empty_capture_fails(self, tmp_path, capsys):
         from repro.frames import Trace
         from repro.pcap import write_trace
@@ -304,6 +317,37 @@ class TestRunCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert "duration_s must be finite, got inf" in err
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (
+                "[params]\nduration_s = inf\n",
+                "duration_s=inf: duration_s must be finite, got inf",
+            ),
+            (
+                "[params]\nn_stations = 0\n",
+                "n_stations=0: need at least one station and one AP",
+            ),
+            (
+                "[vary]\nn_stations = [0, 2]\n",
+                "n_stations=0: need at least one station and one AP",
+            ),
+        ],
+        ids=["infinite-duration", "no-stations", "vary-no-stations"],
+    )
+    def test_validate_only_checks_parameter_values(
+        self, tmp_path, capsys, body, message
+    ):
+        """Each grid point's config is resolved while validating, so a
+        value the run would refuse is refused before anything runs."""
+        spec = tmp_path / "bad.toml"
+        spec.write_text('scenario = "uniform"\n' + body)
+        rc = main(["run", str(spec), "--validate-only"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert message in err
 
     def test_set_overrides_params(self, tmp_path, capsys):
         spec = tmp_path / "study.toml"

@@ -12,7 +12,7 @@ import pytest
 from repro.core import analyze_trace
 from repro.frames import Trace
 from repro.pipeline import run_all, trace_chunks
-from repro.sim import ScenarioBuilder, stream_scenario
+from repro.sim import build, stream_scenario
 
 from .test_equivalence import assert_reports_equal
 
@@ -46,7 +46,7 @@ def test_streamed_run_holds_no_full_trace(small_scenario):
     """Bounded memory, verified structurally: ground truth stays empty
     and sniffer buffers never approach the full capture."""
     config = small_scenario.config
-    built = ScenarioBuilder(config).build()
+    built = build(config)
     peak_buffered = 0
     total = 0
     for chunk in built.stream():

@@ -24,8 +24,9 @@ describing every library scenario on both engines; run it once with
     PYTHONPATH=../parent/src:. python -m tests.sim.golden_lib --identity > old.json
     cmp old.json new.json
 
-It uses only names the library has long exported, so it runs
-unchanged against an archive of an earlier commit.
+At import and in ``--identity`` it uses only names the library has
+long exported (the ad-hoc golden cases import ``build`` when they
+run), so it runs unchanged against an archive of an earlier commit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from repro.frames import TRACE_COLUMNS, Trace
-from repro.sim import ScenarioBuilder, ScenarioConfig, build_scenario
+from repro.sim import ScenarioConfig, build_scenario
 from repro.sim.builder import BuiltScenario
 from repro.sim.dcf import MacConfig
 from repro.sim.traffic import ConstantRate
@@ -61,30 +62,30 @@ def _channel_mgmt() -> BuiltScenario:
     Stations pile into one corner so one channel carries most of the
     load and the manager provably moves an AP during the run.
     """
-    from repro.sim.builder import HotspotPlacement
+    from repro.sim import build
+    from repro.sim.topology import HotspotPlacement
 
-    return (
-        ScenarioBuilder(
-            ScenarioConfig(
-                n_stations=12,
-                n_aps=4,
-                channels=(1, 6),
-                duration_s=12.0,
-                seed=5,
-                channel_management=True,
-                uplink=ConstantRate(12.0),
-                downlink=ConstantRate(25.0),
-            )
+    return build(
+        ScenarioConfig(
+            n_stations=12,
+            n_aps=4,
+            channels=(1, 6),
+            duration_s=12.0,
+            seed=5,
+            placement=HotspotPlacement(centres=((0.05, 0.1),), spread_m=3.0),
+            channel_management=True,
+            uplink=ConstantRate(12.0),
+            downlink=ConstantRate(25.0),
         )
-        .with_placement(HotspotPlacement(centres=((0.05, 0.1),), spread_m=3.0))
-        .build()
     )
 
 
 def _tpc_frag() -> BuiltScenario:
     """Ad-hoc config exercising TPC (per-destination tx power) and
     fragmentation bursts plus a heavy RTS/CTS population."""
-    return ScenarioBuilder(
+    from repro.sim import build
+
+    return build(
         ScenarioConfig(
             n_stations=8,
             duration_s=6.0,
@@ -95,7 +96,7 @@ def _tpc_frag() -> BuiltScenario:
             ),
             rtscts_fraction=0.5,
         )
-    ).build()
+    )
 
 
 #: name -> zero-arg factory returning a fresh, unconsumed BuiltScenario.

@@ -1,19 +1,17 @@
-"""Tests for the composable scenario builder layer."""
+"""Tests for scenario assembly: one config in, one wired network out."""
 
 import numpy as np
 import pytest
 
 from repro.frames import Trace
 from repro.sim import (
-    BuiltScenario,
     ConstantRate,
-    ExplicitPlacement,
     HotspotPlacement,
-    Position,
-    RoomPlacement,
-    ScenarioBuilder,
     ScenarioConfig,
+    build,
+    place_aps,
     run_scenario,
+    sniffer_position,
 )
 
 
@@ -32,18 +30,18 @@ def small_config(**overrides) -> ScenarioConfig:
 
 class TestDefaultEquivalence:
     def test_builder_run_matches_run_scenario(self):
-        """run_scenario delegates to the builder; a hand-built default
-        builder must reproduce it frame for frame."""
+        """run_scenario builds its config; building the same config by
+        hand must reproduce it frame for frame."""
         config = small_config(rtscts_fraction=0.5, obstructed_fraction=0.25)
         classic = run_scenario(config)
-        built = ScenarioBuilder(config).build().run()
+        built = build(config).run()
         assert built.trace == classic.trace
         assert built.ground_truth == classic.ground_truth
 
     def test_stream_concatenation_equals_buffered_trace(self):
         config = small_config(n_aps=2, channels=(1, 6))
         buffered = run_scenario(config).trace.sorted_by_time()
-        chunks = list(ScenarioBuilder(config).build().stream())
+        chunks = list(build(config).stream())
         assert len(chunks) == 3  # one segment per one-second drain window
         assert Trace.concatenate(chunks) == buffered
 
@@ -55,7 +53,7 @@ class TestComponents:
         config = small_config(
             n_stations=10, rtscts_fraction=0.3, obstructed_fraction=0.2
         )
-        roles = ScenarioBuilder(config).build().roles
+        roles = build(config).roles
         assert sum(r.uses_rtscts for r in roles) == 3
         assert sum(r.obstructed for r in roles) == 2
         for role in roles:
@@ -69,7 +67,7 @@ class TestComponents:
         config = small_config(
             n_stations=10, rtscts_fraction=0.3, obstructed_fraction=0.2
         )
-        built = ScenarioBuilder(config).build()
+        built = build(config)
         roles = built.roles
         assert [s.uses_rtscts for s in built.stations] == [
             True, True, True, False, False, False, False, False, False, False,
@@ -104,36 +102,24 @@ class TestComponents:
         with pytest.raises(ValueError, match="spread"):
             HotspotPlacement(spread_m=0.0)
 
-    def test_explicit_placement_counts_checked(self):
-        config = small_config(n_stations=2)
-        placement = ExplicitPlacement(
-            aps=(Position(1.0, 1.0), Position(2.0, 2.0)),
-            stations=(Position(0.0, 0.0), Position(3.0, 3.0)),
-            sniffer=Position(1.5, 1.5),
+    def test_placement_moves_only_the_stations(self):
+        """APs stand on the centre line and sniffers at the room centre
+        whatever the placement; a hotspot placement moves the stations."""
+        config = small_config(
+            n_stations=6, n_aps=2, channels=(1, 6),
+            placement=HotspotPlacement(centres=((0.1, 0.1),), spread_m=1.0),
         )
-        with pytest.raises(ValueError, match="pins 2 APs"):
-            placement.ap_positions(config)  # config has one AP
-        assert len(placement.station_positions(config, None)) == 2
-
-    def test_room_placement_matches_topology_helpers(self):
-        config = small_config()
-        placement = RoomPlacement()
-        aps = placement.ap_positions(config)
-        assert len(aps) == 1
-        assert aps[0].y == config.room_depth_m / 2.0
+        built = build(config)
+        width, depth = config.room_width_m, config.room_depth_m
+        assert [ap.mac.position for ap in built.aps] == place_aps(2, width, depth)
+        assert all(ap.mac.position.y == depth / 2.0 for ap in built.aps)
+        assert {s.position for s in built.sniffers} == {sniffer_position(width, depth)}
+        assert all(s.mac.position.x < width / 2.0 for s in built.stations)
 
 
 class TestBuilderApi:
-    def test_configure_replaces_fields(self):
-        builder = ScenarioBuilder(small_config()).configure(n_stations=7)
-        assert builder.config.n_stations == 7
-
-    def test_configure_rejects_unknown_fields(self):
-        with pytest.raises(TypeError):
-            ScenarioBuilder(small_config()).configure(bogus=1)
-
     def test_built_scenario_runs_once(self):
-        built = ScenarioBuilder(small_config()).build()
+        built = build(small_config())
         built.run()
         with pytest.raises(RuntimeError, match="already run"):
             built.run()
@@ -141,7 +127,7 @@ class TestBuilderApi:
             list(built.stream())
 
     def test_roster_available_before_run(self):
-        built = ScenarioBuilder(small_config(n_aps=2, channels=(1, 6))).build()
+        built = build(small_config(n_aps=2, channels=(1, 6)))
         roster = built.roster
         assert len(roster.ap_ids) == 2
         assert len(roster.station_ids) == 4
@@ -149,7 +135,7 @@ class TestBuilderApi:
 
 class TestStreamedRunState:
     def test_streamed_run_records_no_ground_truth(self):
-        built = ScenarioBuilder(small_config()).build()
+        built = build(small_config())
         total = sum(len(chunk) for chunk in built.stream())
         assert len(built.medium.ground_truth) == 0
         assert built.frames_transmitted > 0
@@ -157,7 +143,7 @@ class TestStreamedRunState:
         assert sum(s.frames_buffered for s in built.sniffers) == 0
 
     def test_post_run_statistics(self):
-        built = ScenarioBuilder(small_config()).build()
+        built = build(small_config())
         built.run()
         assert 0.0 < built.capture_ratio <= 1.0
         assert 0.0 < built.delivery_ratio <= 1.0
@@ -171,7 +157,7 @@ class TestStreamedRunState:
             downlink=ConstantRate(0.0),
         )
 
-        built = ScenarioBuilder(config).build()
+        built = build(config)
         list(built.stream())
         # Beacons and association MGMT frames still go on the air, but
         # no DATA was ever attempted.
@@ -181,7 +167,7 @@ class TestStreamedRunState:
 
     def test_capture_ratio_zero_frame_guard(self):
         """Degenerate zero-transmission state: 0.0, not ZeroDivisionError."""
-        built = ScenarioBuilder(small_config()).build()
+        built = build(small_config())
         # Inspect before any run: nothing has been transmitted yet.
         assert built.frames_transmitted == 0
         assert built.capture_ratio == 0.0

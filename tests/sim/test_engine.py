@@ -221,10 +221,10 @@ class TestTombstoneCompaction:
         """An all-RTS/CTS network cancels a timeout per delivered frame;
         the tombstones left in the heap stay few and the counters
         expose the churn."""
-        from repro.sim import ScenarioBuilder, ScenarioConfig
+        from repro.sim import ScenarioConfig, build
         from repro.sim.traffic import ConstantRate
 
-        built = ScenarioBuilder(
+        built = build(
             ScenarioConfig(
                 n_stations=6,
                 duration_s=3.0,
@@ -233,7 +233,7 @@ class TestTombstoneCompaction:
                 uplink=ConstantRate(30.0),
                 downlink=ConstantRate(10.0),
             )
-        ).build()
+        )
         result = built.run()
         sim = result.sim
         assert result.medium.frames_transmitted > 500

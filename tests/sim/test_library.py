@@ -10,7 +10,8 @@ from repro.sim import (
     SCENARIO_LIBRARY,
     available_scenarios,
     build_scenario,
-    scenario_builder,
+    place_aps,
+    run_scenario,
     scenario_config,
 )
 
@@ -75,7 +76,7 @@ class TestRegistry:
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):
-            scenario_builder("no-such-scenario")
+            scenario_config("no-such-scenario")
 
     def test_factory_params_and_config_overrides_split(self):
         config = scenario_config(
@@ -93,6 +94,16 @@ class TestRegistry:
         for name in available_scenarios():
             built = build_scenario(name, n_stations=2, duration_s=1.0)
             assert len(built.stations) == 2
+
+    @pytest.mark.parametrize("name", sorted(SCENARIO_LIBRARY))
+    def test_the_config_is_the_whole_scenario(self, name):
+        """Running a scenario's config runs the scenario: nothing that
+        shapes the network (its placement included) lives beside it."""
+        config = scenario_config(name, duration_s=1.0, seed=3)
+        from_config = run_scenario(config)
+        from_name = build_scenario(name, duration_s=1.0, seed=3).run()
+        assert from_config.trace == from_name.trace
+        assert from_config.ground_truth == from_name.ground_truth
 
 
 class TestHiddenTerminal:
@@ -122,7 +133,8 @@ class TestHiddenTerminal:
         assert ap_rx > ap.mac.sense_threshold_dbm + 5.0
 
     def test_geometry_overrides_reach_the_pinned_placement(self):
-        """Config overrides must apply before positions are pinned."""
+        """The end-cluster placement reads the room from the config it
+        is built with, so a room override moves the stations."""
         built = build_scenario(
             "hidden-terminal", n_stations=4, duration_s=1.0,
             room_depth_m=24.0,
@@ -132,6 +144,15 @@ class TestHiddenTerminal:
         # Stations spread over the full 24 m depth, not the default 8 m.
         assert max(ys) > 8.0
         assert built.sniffers[0].position.y == 12.0
+
+    def test_extra_aps_stand_on_the_centre_line(self):
+        built = build_scenario(
+            "hidden-terminal", n_stations=4, duration_s=1.0, n_aps=3
+        )
+        config = built.config
+        assert [ap.mac.position for ap in built.aps] == place_aps(
+            3, config.room_width_m, config.room_depth_m
+        )
 
     def test_collisions_hurt_delivery_and_rtscts_recovers(self):
         bare = build_scenario(
@@ -205,9 +226,9 @@ class TestParameterValidation:
         assert "room_width_m" in params      # factory AND config field
         assert "shadowing_sigma_db" in params  # config-only override
 
-    def test_classic_wrapper_exposes_factory_params(self):
-        """_classic-wrapped config factories (ramp/day/plenary/uniform)
-        must surface their declared keywords through the **params shim."""
+    def test_factory_keywords_are_parameters(self):
+        """A config factory's declared keywords are scenario parameters
+        beside the config fields."""
         from repro.sim import scenario_parameters
 
         assert "uplink_pps" in scenario_parameters("uniform")
@@ -226,11 +247,11 @@ class TestParameterValidation:
 
         assert issubclass(UnknownParameterError, TypeError)
         with pytest.raises(TypeError, match="did you mean"):
-            scenario_builder("ramp", n_statoins=4)
+            scenario_config("ramp", n_statoins=4)
 
     def test_unknown_scenario_suggests(self):
         with pytest.raises(KeyError, match="did you mean 'ramp'"):
-            scenario_builder("rampp")
+            scenario_config("rampp")
 
     def test_valid_params_pass(self):
         from repro.sim import validate_scenario_params

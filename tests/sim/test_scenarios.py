@@ -1,4 +1,4 @@
-"""Tests for the scenario builders."""
+"""Tests for scenario configs and the runners that build them."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from repro.sim import (
     ietf_plenary_config,
     load_ramp_config,
     run_scenario,
+    scenario_config,
 )
 
 
@@ -42,6 +43,41 @@ class TestConfigValidation:
     def test_non_finite_duration_names_the_field(self, duration_s):
         with pytest.raises(ValueError, match="duration_s must be finite"):
             ScenarioConfig(duration_s=duration_s)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("uplink", 3),
+            ("downlink", "x"),
+            ("placement", "x"),
+            ("mac_config", 3),
+            ("sniffer_config", "x"),
+            ("size_mix", 3),
+            ("activity", 3),
+            ("rate_adaptation_kwargs", 3),
+            ("rate_algorithm", 3),
+            ("n_stations", 2.5),
+            ("n_aps", 1.5),
+            ("seed", -1),
+            ("seed", None),
+            ("room_width_m", "wide"),
+            ("channels", 1),
+            ("channels", (1.0, 6.0)),
+            ("obstructed_snr_band_db", 1),
+            ("obstructed_snr_band_db", (-1.0, 1.0, 3.0)),
+        ],
+    )
+    def test_wrong_kind_names_the_field(self, field, value):
+        """A value the builder could not use is refused up front, by
+        the name of the field it was given for."""
+        with pytest.raises((TypeError, ValueError), match=rf"^{field} must be "):
+            scenario_config("uniform", **{field: value})
+
+    def test_numpy_integers_are_integers(self):
+        config = ScenarioConfig(
+            n_stations=np.int64(3), seed=np.uint32(2), channels=(np.int64(6),)
+        )
+        assert config.n_stations == 3 and config.channels == (6,)
 
     def test_channel_error_names_the_channels_it_accepts(self):
         ScenarioConfig(channels=(14,))  # 2484 MHz, the table's last entry
