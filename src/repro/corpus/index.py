@@ -23,7 +23,7 @@ record carrying ``duplicate_paths``.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +87,9 @@ class CaptureRecord:
 
 @dataclass
 class RefreshStats:
-    """What one :meth:`CorpusIndex.refresh` pass did."""
+    """What one :meth:`CorpusIndex.refresh` pass did, and the catalog it
+    left: ``records`` is what :meth:`CorpusIndex.records` would return
+    right after, so a caller need not walk the catalog again."""
 
     scanned: int = 0  # capture files seen on disk
     hashed: int = 0  # files whose bytes were (re-)hashed
@@ -97,6 +99,9 @@ class RefreshStats:
     removed: int = 0  # stale records dropped
     quarantined: int = 0  # corrupt record files set aside
     failed: int = 0  # captures catalogued as truncated/unreadable
+    records: dict[str, CaptureRecord] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def summary(self) -> str:
         return (
@@ -187,7 +192,8 @@ class CorpusIndex:
     # -- reading -----------------------------------------------------------
 
     def records(self) -> dict[str, CaptureRecord]:
-        """All records, keyed by content hash.  Never opens captures."""
+        """All records, keyed by content hash in hash order.  Never opens
+        captures."""
         out: dict[str, CaptureRecord] = {}
         for _, payload in self._store.walk():
             record = CaptureRecord.from_payload(payload)
@@ -241,6 +247,7 @@ class CorpusIndex:
             if rel != group["path"]:
                 group["dups"].append(rel)
 
+        catalog: dict[str, CaptureRecord] = {}
         for content_hash, group in groups.items():
             stat = group["stat"]
             prior = existing.get(content_hash)
@@ -258,6 +265,7 @@ class CorpusIndex:
                 if record.status != "ok":
                     stats.failed += 1
                 self._write(record)
+                catalog[content_hash] = record
                 continue
             # Same content: the scan fields are still valid by
             # construction; only location/stat metadata can drift.
@@ -275,11 +283,15 @@ class CorpusIndex:
             else:
                 stats.updated += 1
                 self._write(record)
+            catalog[content_hash] = record
 
         for content_hash in set(existing) - set(groups):
             if self._store.discard(content_hash):
                 stats.removed += 1
         stats.quarantined = self._store.quarantined - quarantined_before
+        # The store files a record under its hash, so a walk reads the
+        # catalog in hash order.
+        stats.records = {key: catalog[key] for key in sorted(catalog)}
         return stats
 
     def _write(self, record: CaptureRecord) -> None:

@@ -174,9 +174,8 @@ def analyze_corpus(
     from ..pipeline.executor import report_job
 
     index = CorpusIndex(root)
-    if refresh:
-        index.refresh(verify=verify)
-    records = filter_records(index.records().values(), where)
+    catalog = index.refresh(verify=verify).records if refresh else index.records()
+    records = filter_records(catalog, where)
     store = AnalysisStore(index.root)
     plan = plan_analysis(store, records, salt=salt)
 

@@ -85,7 +85,7 @@ class _State(enum.Enum):
     WAIT_ACK = "wait_ack"
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     """The MSDU currently being delivered."""
 
@@ -144,9 +144,10 @@ class DcfMac:
         self.stats = MacStats()
 
         self._queue: deque[tuple[int, int, FrameType]] = deque()
-        #: Mirrors ``_state is CONTEND`` (maintained by the ``_state``
-        #: property).  The medium peeks it to skip busy/idle callbacks
-        #: whose own first statement would be the not-contending return.
+        #: ``_state is CONTEND``, set beside every ``_state`` assignment.
+        #: The MAC tests it for contention, and the medium peeks it to
+        #: skip busy/idle callbacks whose own first statement would be
+        #: the not-contending return.
         self.in_contention = False
         self._state = _State.IDLE
         self._pending: _Pending | None = None
@@ -174,15 +175,6 @@ class DcfMac:
         medium.attach(self)
 
     @property
-    def _state(self) -> _State:
-        return self._state_value
-
-    @_state.setter
-    def _state(self, value: _State) -> None:
-        self._state_value = value
-        self.in_contention = value is _State.CONTEND
-
-    @property
     def channel(self) -> int:
         return self._channel
 
@@ -201,14 +193,14 @@ class DcfMac:
             self.stats.queue_overflows += 1
             return False
         self._queue.append((dst, size, ftype))
-        if self._state == _State.IDLE:
+        if self._state is _State.IDLE:
             self._begin_next()
         return True
 
     def enqueue_front(self, dst: int, size: int, ftype: FrameType) -> None:
         """Queue-jumping insert, used for beacons."""
         self._queue.appendleft((dst, size, ftype))
-        if self._state == _State.IDLE:
+        if self._state is _State.IDLE:
             self._begin_next()
 
     @property
@@ -220,6 +212,7 @@ class DcfMac:
     def _begin_next(self) -> None:
         if not self._queue:
             self._state = _State.IDLE
+            self.in_contention = False
             return
         dst, size, ftype = self._queue.popleft()
         self._seq_counter = (self._seq_counter + 1) % 4096
@@ -240,6 +233,7 @@ class DcfMac:
         self._cw = self.config.cw_min
         self._draw_backoff()
         self._state = _State.CONTEND
+        self.in_contention = True
         self._try_resume()
 
     def _fragment_sizes(
@@ -268,23 +262,22 @@ class DcfMac:
         """
         self._backoff_slots = int(self.rng.integers(0, self._cw + 1))
 
-    def _physical_idle(self) -> bool:
-        return self.medium.is_idle(self)
-
     def _try_resume(self) -> None:
         """(Re)arm the backoff-completion timer if the medium allows."""
-        if self._state != _State.CONTEND:
+        if not self.in_contention:
             return
         now = self.sim.now_us
         if self._nav_until > now:
-            if self._nav_event is None or not self._nav_event.pending:
+            nav_event = self._nav_event
+            if nav_event is None or nav_event.cancelled:
                 self._nav_event = self.sim.schedule_at(
                     self._nav_until, self._try_resume
                 )
             return
-        if not self._physical_idle():
+        if not self.medium.is_idle(self):
             return  # on_medium_idle will call us back
-        if self._backoff_event is not None and self._backoff_event.pending:
+        backoff_event = self._backoff_event
+        if backoff_event is not None and not backoff_event.cancelled:
             return  # already counting down
         delay = self._difs_us + self._backoff_slots * self._slot_us
         self._resume_started_at = now
@@ -292,17 +285,18 @@ class DcfMac:
 
     def on_medium_busy(self) -> None:
         """Medium callback: freeze a running backoff countdown."""
-        if self._state != _State.CONTEND:
+        if not self.in_contention:
             return
-        if self._backoff_event is not None and self._backoff_event.pending:
-            if self._backoff_event.time_us <= self.sim.now_us:
+        backoff_event = self._backoff_event
+        if backoff_event is not None and not backoff_event.cancelled:
+            if backoff_event.time_us <= self.sim.now_us:
                 # Backoff expired in this very slot: the concurrent
                 # starter is not yet sensible to our radio.  Let the
                 # pending completion fire and transmit into the
                 # collision (the DCF vulnerability window).
                 self._transmit_despite_busy = True
                 return
-            self._backoff_event.cancel()
+            backoff_event.cancel()
             elapsed = self.sim.now_us - (self._resume_started_at or 0)
             slots_consumed = max(0, (elapsed - self._difs_us)) // self._slot_us
             self._backoff_slots = max(0, self._backoff_slots - int(slots_consumed))
@@ -310,17 +304,17 @@ class DcfMac:
 
     def on_medium_idle(self) -> None:
         """Medium callback: resume the countdown after DIFS."""
-        if self._state == _State.CONTEND:
+        if self.in_contention:
             self._try_resume()
 
     def _backoff_done(self) -> None:
         self._backoff_event = None
         transmit_anyway = self._transmit_despite_busy
         self._transmit_despite_busy = False
-        if self._state != _State.CONTEND or self._pending is None:
+        if not self.in_contention or self._pending is None:
             return
         if self._nav_until > self.sim.now_us or (
-            not self._physical_idle() and not transmit_anyway
+            not transmit_anyway and not self.medium.is_idle(self)
         ):
             self._try_resume()
             return
@@ -359,6 +353,7 @@ class DcfMac:
         )
         self.stats.rts_attempts += 1
         self._state = _State.TX
+        self.in_contention = False
         self.medium.transmit(self, frame, self._power_toward(pending.dst))
         timeout = (
             frame.duration_us
@@ -387,6 +382,7 @@ class DcfMac:
         duration = self.medium.transmit(
             self, frame, self._power_toward(pending.dst)
         ).frame.duration_us
+        self.in_contention = False
         if pending.dst == BROADCAST:
             # Broadcasts are not acknowledged: done at the end of the tx.
             self._state = _State.TX
@@ -409,7 +405,7 @@ class DcfMac:
 
     def _ack_timeout(self) -> None:
         self._timeout_event = None
-        if self._state != _State.WAIT_ACK or self._pending is None:
+        if self._state is not _State.WAIT_ACK or self._pending is None:
             return
         pending = self._pending
         self.rate_adaptation.on_failure(pending.dst)
@@ -417,7 +413,7 @@ class DcfMac:
 
     def _handshake_timeout(self) -> None:
         self._timeout_event = None
-        if self._state != _State.WAIT_CTS or self._pending is None:
+        if self._state is not _State.WAIT_CTS or self._pending is None:
             return
         pending = self._pending
         # A lost handshake is a channel-access failure, not a data-rate
@@ -440,6 +436,7 @@ class DcfMac:
         )
         self._draw_backoff()
         self._state = _State.CONTEND
+        self.in_contention = True
         self._try_resume()
 
     def _fragment_or_success(self) -> None:
@@ -508,10 +505,10 @@ class DcfMac:
             self.stats.delivered_bytes += frame.size
             self._respond(FrameType.ACK, frame.src)
         elif frame.ftype == FrameType.ACK:
-            if self._state == _State.WAIT_ACK:
+            if self._state is _State.WAIT_ACK:
                 self._fragment_or_success()
         elif frame.ftype == FrameType.CTS:
-            if self._state == _State.WAIT_CTS and self._pending is not None:
+            if self._state is _State.WAIT_CTS and self._pending is not None:
                 self.stats.cts_received += 1
                 if self._timeout_event is not None:
                     self._timeout_event.cancel()
@@ -555,5 +552,5 @@ class DcfMac:
     def _set_nav(self, until_us: int) -> None:
         if until_us > self._nav_until:
             self._nav_until = until_us
-            if self._state == _State.CONTEND:
+            if self.in_contention:
                 self._try_resume()

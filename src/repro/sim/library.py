@@ -27,6 +27,7 @@ rtscts_fraction=1.0)``.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import fields as dataclass_fields, replace
 from typing import Callable, Iterable
 
@@ -35,6 +36,7 @@ from .builder import build
 from .scenarios import (
     RAMP_MIX,
     ScenarioConfig,
+    _is_finite,
     ietf_day_config,
     ietf_plenary_config,
     load_ramp_config,
@@ -147,6 +149,16 @@ def build_scenario(name: str, fidelity: str = "default", **params):
     return build(scenario_config(name, **params), fidelity)
 
 
+def _constant_rate(name: str, pps) -> ConstantRate:
+    """A factory's ``*_pps`` keyword as a schedule; a value that is not a
+    finite, non-negative real is refused by the keyword's name."""
+    if not isinstance(pps, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {pps!r}")
+    if not (_is_finite(pps) and pps >= 0):
+        raise ValueError(f"{name} must be finite and non-negative, got {pps!r}")
+    return ConstantRate(pps)
+
+
 def uniform_config(
     n_stations: int = 10,
     n_aps: int = 1,
@@ -173,8 +185,8 @@ def uniform_config(
         n_aps=n_aps,
         duration_s=duration_s,
         seed=seed,
-        uplink=ConstantRate(uplink_pps),
-        downlink=ConstantRate(downlink_pps),
+        uplink=_constant_rate("uplink_pps", uplink_pps),
+        downlink=_constant_rate("downlink_pps", downlink_pps),
         rate_algorithm=rate_algorithm,
         rtscts_fraction=rtscts_fraction,
         obstructed_fraction=obstructed_fraction,
@@ -214,7 +226,7 @@ def _hidden_terminal(
         station_tx_power_dbm=15.0,
         rtscts_fraction=rtscts_fraction,
         obstructed_fraction=0.0,
-        uplink=ConstantRate(uplink_pps),
+        uplink=_constant_rate("uplink_pps", uplink_pps),
         downlink=ConstantRate(4.0),
         size_mix=CONFERENCE_MIX,
     )

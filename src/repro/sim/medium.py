@@ -40,6 +40,10 @@ evaluation that can draw shadowing (its own overlapping transmission,
 and interferers whose plan predates a topology change), so the RNG
 streams advance exactly as if its outcome were computed.
 
+A transmission carries its own tx id, and its finish is scheduled as
+a bound call on the :class:`Transmission` (``partial(_finish, tx)``):
+no closure and no id-to-transmission table per frame.
+
 Plans are invalidated by ``notify_topology_changed()`` — called
 automatically when a :class:`~repro.sim.dcf.DcfMac` channel is
 re-targeted (roaming, channel management) or a listener attaches.
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Protocol
 
 import numpy as np
@@ -118,6 +123,8 @@ class Transmission:
     tx_power_dbm: float
     start_us: int
     end_us: int
+    #: the id the sensed sets of listeners that hear this frame hold.
+    tx_id: int
     overlapped: list["Transmission"] = field(default_factory=list)
     #: delivery-plan entries captured at transmit time (fast path), and
     #: the plan epoch they belong to — a mismatch at finish time means
@@ -142,7 +149,6 @@ class Medium:
         self._active: list[Transmission] = []
         self._sensed: dict[int, set[int]] = {}  # listener id -> active tx ids
         self._tx_counter = 0
-        self._tx_ids: dict[int, Transmission] = {}
         self.frames_transmitted = 0
         #: per-channel transmission counts — always maintained (O(channels)
         #: memory), so infrastructure like the channel manager can measure
@@ -319,16 +325,11 @@ class Medium:
                 )
                 self._duration_cache[dkey] = duration
             frame.duration_us = duration
-        tx = Transmission(
-            frame=frame,
-            tx=sender,
-            tx_power_dbm=tx_power_dbm,
-            start_us=now,
-            end_us=now + frame.duration_us,
-        )
         self._tx_counter += 1
         tx_id = self._tx_counter
-        self._tx_ids[tx_id] = tx
+        tx = Transmission(
+            frame, sender, tx_power_dbm, now, now + frame.duration_us, tx_id
+        )
         self.frames_transmitted += 1
         channel = frame.channel
         counts = self.channel_tx_counts
@@ -366,16 +367,16 @@ class Medium:
             if was_idle and (gate is None or gate.in_contention):
                 on_busy()
 
-        self.sim.schedule_at(tx.end_us, lambda: self._finish(tx_id))
+        self.sim.schedule_at(tx.end_us, partial(self._finish, tx))
         return tx
 
-    def _finish(self, tx_id: int) -> None:
-        tx = self._tx_ids.pop(tx_id)
+    def _finish(self, tx: Transmission) -> None:
         self._active.remove(tx)
+        tx_id = tx.tx_id
         plan = tx.plan
         epoch = tx.plan_epoch
         if plan is None or epoch != self._plan_epoch:
-            self._finish_dynamic(tx, tx_id)
+            self._finish_dynamic(tx)
             return
 
         frame = tx.frame
@@ -538,7 +539,7 @@ class Medium:
         cache[(snr_db, ftype)] = p
         return p
 
-    def _finish_dynamic(self, tx: Transmission, tx_id: int) -> None:
+    def _finish_dynamic(self, tx: Transmission) -> None:
         """Delivery for frames whose plan was invalidated mid-flight.
 
         Re-reads listener channels at finish time — the exact uncached
@@ -546,6 +547,7 @@ class Medium:
         channel switch.
         """
         frame = tx.frame
+        tx_id = tx.tx_id
         for listener in self._listeners:
             if listener is tx.tx or listener.channel != frame.channel:
                 continue

@@ -16,6 +16,7 @@ losses.  We implement:
   regardless of collision losses.
 """
 
+from ..._suggest import unknown_name_message
 from .base import RateAdaptation
 from .fixed import FixedRate
 from .arf import AarfRateAdaptation, ArfRateAdaptation
@@ -27,19 +28,32 @@ __all__ = [
     "ArfRateAdaptation",
     "AarfRateAdaptation",
     "SnrOracleRateAdaptation",
+    "RATE_ALGORITHMS",
+    "rate_adaptation_class",
     "make_rate_adaptation",
 ]
+
+_CLASSES: dict[str, type[RateAdaptation]] = {
+    "fixed": FixedRate,
+    "arf": ArfRateAdaptation,
+    "aarf": AarfRateAdaptation,
+    "snr": SnrOracleRateAdaptation,
+}
+
+#: The algorithm names :func:`make_rate_adaptation` knows (any case).
+RATE_ALGORITHMS = tuple(_CLASSES)
+
+
+def rate_adaptation_class(name: str) -> type[RateAdaptation]:
+    """The class :func:`make_rate_adaptation` builds for ``name``."""
+    try:
+        return _CLASSES[name.lower()]
+    except KeyError:
+        raise ValueError(
+            unknown_name_message("rate adaptation algorithm", name, RATE_ALGORITHMS)
+        ) from None
 
 
 def make_rate_adaptation(name: str, **kwargs) -> RateAdaptation:
     """Factory by algorithm name: ``fixed``, ``arf``, ``aarf``, ``snr``."""
-    name = name.lower()
-    if name == "fixed":
-        return FixedRate(**kwargs)
-    if name == "arf":
-        return ArfRateAdaptation(**kwargs)
-    if name == "aarf":
-        return AarfRateAdaptation(**kwargs)
-    if name == "snr":
-        return SnrOracleRateAdaptation(**kwargs)
-    raise ValueError(f"unknown rate adaptation algorithm: {name!r}")
+    return rate_adaptation_class(name)(**kwargs)

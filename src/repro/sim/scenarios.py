@@ -23,6 +23,7 @@ Both runners are :func:`repro.sim.builder.build` followed by
 
 from __future__ import annotations
 
+import inspect
 import math
 import numbers
 import operator
@@ -38,6 +39,7 @@ from .engine import Simulator
 from .medium import Medium
 from .node import AccessPoint, Station
 from .builder import build
+from .rate_adaptation import rate_adaptation_class
 from .channel_manager import ChannelManager
 from .roaming import RoamingManager
 from .sniffer import Sniffer, SnifferConfig
@@ -64,10 +66,18 @@ __all__ = [
 ]
 
 
+def _is_finite(value) -> bool:
+    """``math.isfinite``, reading an int too large for a float as infinite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _run_length_us(duration_s: float) -> int:
     """A run length in whole microseconds; a non-finite one is refused by
     name, before any factory builds a schedule from it."""
-    if not math.isfinite(duration_s):
+    if not _is_finite(duration_s):
         raise ValueError(f"duration_s must be finite, got {duration_s!r}")
     return int(duration_s * 1_000_000)
 
@@ -119,6 +129,22 @@ _FIELD_KINDS = {
     ),
     "mac_config": (lambda v: isinstance(v, MacConfig), "a MacConfig"),
     "sniffer_config": (lambda v: isinstance(v, SnifferConfig), "a SnifferConfig"),
+}
+
+#: The range of each physical quantity of the right kind: a test, and
+#: what a refusal says the field must be.
+_FIELD_RANGES = {
+    **dict.fromkeys(
+        ("room_width_m", "room_depth_m", "path_loss_exponent"),
+        (lambda v: _is_finite(v) and v > 0, "finite and positive"),
+    ),
+    **dict.fromkeys(
+        ("shadowing_sigma_db", "obstructed_load_factor"),
+        (lambda v: _is_finite(v) and v >= 0, "finite and non-negative"),
+    ),
+    **dict.fromkeys(
+        ("station_tx_power_dbm", "ap_tx_power_dbm"), (_is_finite, "finite")
+    ),
 }
 
 
@@ -192,6 +218,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not is_kind(value):
                 raise TypeError(f"{name} must be {expected}, got {value!r}")
+        for name, (in_range, expected) in _FIELD_RANGES.items():
+            value = getattr(self, name)
+            if not in_range(value):
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_stations < 1 or self.n_aps < 1:
@@ -220,6 +250,17 @@ class ScenarioConfig:
             raise ValueError(
                 f"obstructed_snr_band_db: low {low} dB is above high {high} dB"
             )
+        try:
+            ra_class = rate_adaptation_class(self.rate_algorithm)
+        except ValueError as error:
+            raise ValueError(f"rate_algorithm: {error}") from None
+        try:
+            inspect.signature(ra_class).bind(**self.rate_adaptation_kwargs)
+        except TypeError as error:
+            raise ValueError(
+                f"rate_adaptation_kwargs: {error} ({ra_class.__name__}, "
+                f"rate_algorithm {self.rate_algorithm!r})"
+            ) from None
 
     @property
     def duration_us(self) -> int:

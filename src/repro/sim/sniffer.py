@@ -14,22 +14,29 @@ reasons, all of which this model produces:
 3. **Hidden terminals** — transmitters below the sniffer's sensitivity
    are never heard at all (this falls out of the propagation model).
 
-Captured fields are appended straight into geometrically-grown
-preallocated numpy column buffers — no per-frame Python row objects —
-so ``to_trace``/``drain_trace`` assemble output from array slices
-instead of converting Python lists, and a draining stream compacts the
-columns in place.  Buffer capacity therefore tracks the *peak
-undrained* window, not the run length.
+A decoded frame is only queued (decode time, frame, SNR).  A settle step
+applies the drop law to the whole queue at once: one ``rng.random(n)``
+from the sniffer's own generator, in decode order, which is the draw
+sequence the per-frame law made, and the kept rows go into
+geometrically-grown preallocated numpy column buffers as slices.  It
+runs at every ``to_trace``/``drain_trace``, on any read of
+``frames_captured``, ``hardware_drops`` or ``frames_buffered``, and
+when the queue reaches :data:`SETTLE_BOUND` frames, so a buffered run
+holds a bounded queue.  Nothing the simulation does reads the capture or
+the sniffer's generator, so when a frame settles changes no outcome.
+``to_trace``/``drain_trace`` assemble output from array slices, and a
+draining stream compacts the columns in place: buffer capacity tracks
+the *peak undrained* window, not the run length.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from ..frames import FrameType, Trace, rate_to_code
+from ..frames import Trace, rate_to_code
 from .engine import Simulator
 from .medium import Medium, SimFrame
 from .propagation import Position
@@ -38,6 +45,16 @@ __all__ = ["SnifferConfig", "Sniffer", "ground_truth_trace"]
 
 #: Initial per-column buffer capacity; doubles when full.
 _INITIAL_CAPACITY = 1024
+
+#: Decoded frames a sniffer queues before it settles them: the frames
+#: a queue keeps alive between drains, in a buffered ``run()`` and in a
+#: streamed window alike.  A settle costs a few numpy calls.
+SETTLE_BOUND = 128
+
+#: The captured fields a settle reads off each kept frame.
+_FRAME_FIELDS = attrgetter(
+    "duration_us", "ftype", "rate_mbps", "size", "src", "dst", "retry", "seq"
+)
 
 
 @dataclass(frozen=True)
@@ -102,13 +119,17 @@ class Sniffer:
         # sensitivity is the decode gate too (unlike MACs, which sense
         # at -85 dBm but decode down to the noise floor).
         self.decode_threshold_dbm = self.config.sensitivity_dbm
-        self._recent: deque[int] = deque()
+        # Decoded frames not yet settled: (decode time, frame, SNR).
+        self._queue: list[tuple[int, SimFrame, float]] = []
+        # Decode times (kept or dropped) that can still count towards
+        # the load window of a later frame.
+        self._recent = np.empty(0, dtype=np.int64)
         # Hot-path copies of the frozen config's drop-model fields.
         self._load_window_us = self.config.load_window_us
         self._drop_floor = self.config.drop_floor
         self._drop_per_frame = self.config.drop_per_frame
         self._drop_ceiling = self.config.drop_ceiling
-        self.hardware_drops = 0
+        self._drops = 0
         self._captured_total = 0
         # Columnar capture buffers: preallocated, geometrically grown,
         # compacted in place by a draining stream.
@@ -127,45 +148,74 @@ class Sniffer:
         pass
 
     def on_frame_received(self, frame: SimFrame, snr_db: float) -> None:
-        """A frame decoded at the sniffer; apply the hardware-drop model."""
-        now = self.sim.now_us
-        window_start = now - self._load_window_us
-        recent = self._recent
-        while recent and recent[0] < window_start:
-            recent.popleft()
-        p_drop = min(
-            self._drop_ceiling,
-            self._drop_floor + self._drop_per_frame * len(recent),
-        )
-        recent.append(now)
-        if self.rng.random() < p_drop:
-            self.hardware_drops += 1
+        """A frame decoded at the sniffer: queue it for the drop law."""
+        queue = self._queue
+        queue.append((self.sim.now_us, frame, snr_db))
+        if len(queue) >= SETTLE_BOUND:
+            self._settle()
+
+    def _settle(self) -> None:
+        """Apply the hardware-drop law to the queue and record the kept rows.
+
+        A frame is dropped with probability ``drop_floor +
+        drop_per_frame * load``, capped at ``drop_ceiling``, where
+        ``load`` counts the earlier decodes, kept or dropped, at most
+        ``load_window_us`` before its own.  One ``rng.random(n)`` gives
+        the queue its draws in decode order, the doubles n scalar draws
+        would give.
+        """
+        queue = self._queue
+        n = len(queue)
+        if not n:
             return
-        self._record(now, frame, snr_db)
+        self._queue = []
+        decoded, frames, snrs = zip(*queue)
+        decoded = np.array(decoded, dtype=np.int64)
+        times = np.concatenate((self._recent, decoded))
+        first = times.searchsorted(decoded - self._load_window_us)
+        load = np.arange(len(self._recent), len(times)) - first
+        p_drop = np.minimum(
+            self._drop_ceiling, self._drop_floor + self._drop_per_frame * load
+        )
+        kept = self.rng.random(n) >= p_drop
+        self._recent = times[first[-1]:]
+        k = int(np.count_nonzero(kept))
+        self._drops += n - k
+        if not k:
+            return
+        if k < n:
+            rows = np.flatnonzero(kept).tolist()
+            frames = [frames[i] for i in rows]
+            snrs = [snrs[i] for i in rows]
+            decoded = decoded[kept]
+        duration, ftype, rate, size, src, dst, retry, seq = zip(
+            *map(_FRAME_FIELDS, frames)
+        )
+        i, j = self._n, self._n + k
+        if j > self._capacity:
+            self._grow(j)
+        # Timestamp a frame at its start of transmission, like a capture
+        # card stamping the preamble.
+        self._time[i:j] = decoded - np.array(duration, dtype=np.int64)
+        self._ftype[i:j] = np.fromiter(ftype, np.uint8, k)
+        self._rate[i:j] = list(map(rate_to_code, rate))
+        self._size[i:j] = size
+        self._src[i:j] = src
+        self._dst[i:j] = dst
+        self._retry[i:j] = retry
+        self._snr[i:j] = snrs
+        self._seq[i:j] = seq
+        self._n = j
+        self._captured_total += k
 
-    def _record(self, now: int, frame: SimFrame, snr_db: float) -> None:
-        i = self._n
-        if i == self._capacity:
-            self._grow()
-        # Timestamp the frame at its start of transmission, like a
-        # capture card stamping the preamble.
-        self._time[i] = now - frame.duration_us
-        self._ftype[i] = frame.ftype
-        self._rate[i] = rate_to_code(frame.rate_mbps)
-        self._size[i] = frame.size
-        self._src[i] = frame.src
-        self._dst[i] = frame.dst
-        self._retry[i] = frame.retry
-        self._snr[i] = snr_db
-        self._seq[i] = frame.seq
-        self._n = i + 1
-        self._captured_total += 1
-
-    def _grow(self) -> None:
-        self._capacity *= 2
+    def _grow(self, rows: int) -> None:
+        """Double the column buffers until ``rows`` rows fit."""
+        while self._capacity < rows:
+            self._capacity *= 2
+        n = self._n
         for attr, _, dtype in _CAPTURE_COLUMNS:
             grown = np.empty(self._capacity, dtype=dtype)
-            grown[: self._n] = getattr(self, attr)
+            grown[:n] = getattr(self, attr)[:n]
             setattr(self, attr, grown)
 
     # -- output --------------------------------------------------------
@@ -173,11 +223,19 @@ class Sniffer:
     @property
     def frames_captured(self) -> int:
         """Total frames recorded over the run (drained or still buffered)."""
+        self._settle()
         return self._captured_total
+
+    @property
+    def hardware_drops(self) -> int:
+        """Decoded frames the drop law discarded over the run."""
+        self._settle()
+        return self._drops
 
     @property
     def frames_buffered(self) -> int:
         """Rows currently held in the buffer (shrinks as a stream drains)."""
+        self._settle()
         return self._n
 
     def _output_columns(self, mask: np.ndarray | None) -> dict[str, np.ndarray]:
@@ -204,6 +262,7 @@ class Sniffer:
 
     def to_trace(self) -> Trace:
         """Materialise the current capture buffer as a :class:`Trace`."""
+        self._settle()
         return Trace(self._output_columns(None)).sorted_by_time()
 
     def drain_trace(self, before_us: int | None = None) -> Trace:
@@ -224,6 +283,7 @@ class Sniffer:
         rows are compacted to the front of the column buffers in
         place; no Python-object row conversion happens either way.
         """
+        self._settle()
         n = self._n
         if before_us is None:
             trace = self.to_trace()

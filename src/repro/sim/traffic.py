@@ -17,6 +17,7 @@ memo filled while a run draws, is a plain attribute beside them.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Callable, Protocol
 
@@ -90,11 +91,12 @@ class SizeMix:
 
     A draw is one ``random()`` double picking the class, searched in
     the normalised cumulative weights (the walk ``Generator.choice(p=)``
-    makes on the same double), then one ``integers`` call inside the
-    class's byte range.  The weights' order is the search order, so it
-    is part of what the mix draws.  :attr:`table` holds the cumulative
-    weights, class lows and spans that :func:`size_pool` replays; it is
-    derived from the weights, not a field.
+    makes on the same double) by ``bisect.bisect_right`` over a tuple of
+    their floats, then one ``integers`` call inside the class's byte
+    range.  The weights' order is the search order, so it is part of
+    what the mix draws.  :attr:`table` holds the cumulative weights,
+    class lows and spans that :func:`size_pool` replays; it is derived
+    from the weights, not a field.
     """
 
     weights: tuple[tuple[str, float], ...]
@@ -115,11 +117,11 @@ class SizeMix:
         lows = np.array([low for low, _ in ranges], dtype=np.int64)
         spans = np.array([high - low + 1 for low, high in ranges], dtype=np.uint64)
         object.__setattr__(self, "_ranges", ranges)
+        object.__setattr__(self, "_cdf", tuple(cdf.tolist()))
         object.__setattr__(self, "table", (cdf, lows, spans))
 
     def __call__(self, rng: np.random.Generator) -> int:
-        idx = int(self.table[0].searchsorted(rng.random(), side="right"))
-        low, high = self._ranges[idx]
+        low, high = self._ranges[bisect.bisect_right(self._cdf, rng.random())]
         return int(rng.integers(low, high + 1))
 
 

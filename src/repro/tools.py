@@ -641,19 +641,16 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
 
     try:
         if args.corpus_command == "index":
-            index = CorpusIndex(args.root)
-            stats = index.refresh(verify=args.verify)
-            records = index.records()
+            stats = CorpusIndex(args.root).refresh(verify=args.verify)
             print(
-                f"{args.root}: {len(records)} capture(s) catalogued "
+                f"{args.root}: {len(stats.records)} capture(s) catalogued "
                 f"({stats.summary()})"
             )
             return 0
         if args.corpus_command == "query":
             index = CorpusIndex(args.root)
-            if not args.no_refresh:
-                index.refresh()
-            matched = filter_records(index.records(), args.where)
+            catalog = index.records() if args.no_refresh else index.refresh().records
+            matched = filter_records(catalog, args.where)
             for record in matched:
                 suffix = ".gz" if record.compressed else ""
                 channels = ",".join(str(c) for c in record.channels) or "-"

@@ -5,6 +5,8 @@ an unchanged corpus dispatches **zero** captures, and deleting exactly
 one stored analysis recomputes exactly that one.
 """
 
+import shutil
+
 import pytest
 
 from repro.core.report import CongestionReport
@@ -15,7 +17,9 @@ from repro.corpus import (
     analyze_corpus,
     plan_analysis,
 )
+from repro.store import RecordStore
 
+from ..pipeline.test_equivalence import assert_reports_equal
 from .conftest import write_capture
 
 SALT = "test-salt"  # pin: key stability under the repo's real salt is
@@ -111,6 +115,48 @@ class TestColdAndWarmRuns:
         assert run.skipped == {"cut.pcap": "truncated"}
         assert run.matched == 4
         assert run.dispatched == 3
+
+
+class TestCatalogWalk:
+    def test_one_catalog_walk_per_call(self, corpus_dir, tmp_path, monkeypatch):
+        """``analyze_corpus`` analyses the records ``refresh()`` reconciled:
+        one ``RecordStore.walk`` pass, and the analysis that refreshing
+        and then walking the catalog again gives, field for field and in
+        dict order."""
+        raw = (corpus_dir / "day1" / "morning.pcap").read_bytes()
+        (corpus_dir / "cut.pcap").write_bytes(raw[:-30])
+        twin = tmp_path / "twin"
+        shutil.copytree(corpus_dir, twin)
+        CorpusIndex(twin).refresh()
+        walked = analyze_corpus(twin, workers=1, salt=SALT, refresh=False)
+
+        walks = []
+        real_walk = RecordStore.walk
+
+        def counting_walk(store):
+            walks.append(store.root)
+            return real_walk(store)
+
+        monkeypatch.setattr(RecordStore, "walk", counting_walk)
+        run = analyze_corpus(corpus_dir, workers=1, salt=SALT)
+        assert len(walks) == 1
+        assert (run.where, run.matched, run.cached, run.dispatched) == (
+            walked.where, walked.matched, walked.cached, walked.dispatched
+        )
+        assert list(run.skipped.items()) == list(walked.skipped.items())
+        assert list(run.failures) == list(walked.failures) == []
+        assert list(run.reports) == list(walked.reports)
+        for path, report in run.reports.items():
+            assert_reports_equal(report, walked.reports[path])
+
+    def test_refresh_returns_the_catalog_records_reads(self, corpus_dir):
+        index = CorpusIndex(corpus_dir)
+        cold = index.refresh()
+        assert list(cold.records.items()) == list(index.records().items())
+        (corpus_dir / "late.pcap.gz").rename(corpus_dir / "moved.pcap.gz")
+        warm = index.refresh()
+        assert warm.updated == 1
+        assert list(warm.records.items()) == list(index.records().items())
 
 
 class TestPlanOrdering:

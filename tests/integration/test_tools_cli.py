@@ -76,6 +76,23 @@ class TestCli:
         assert f"{field} must be " in err
         assert not pcap.exists()
 
+    @pytest.mark.parametrize(
+        "assignment", ["room_width_m=-3", "uplink_pps=x", "downlink_pps=-5"]
+    )
+    def test_simulate_out_of_range_is_one_line_exit_2(
+        self, tmp_path, capsys, assignment
+    ):
+        pcap = tmp_path / "o.pcap"
+        rc = main(
+            ["simulate", str(pcap), "--set", assignment, "--set", "duration_s=0.5"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        field = assignment.partition("=")[0]
+        assert f"{field} must be " in err
+        assert not pcap.exists()
+
     def test_analyze_empty_capture_fails(self, tmp_path, capsys):
         from repro.frames import Trace
         from repro.pcap import write_trace
@@ -333,8 +350,24 @@ class TestRunCli:
                 "[vary]\nn_stations = [0, 2]\n",
                 "n_stations=0: need at least one station and one AP",
             ),
+            (
+                '[params]\nrate_algorithm = "bogus"\n',
+                "rate_algorithm=bogus: rate_algorithm: unknown rate adaptation "
+                "algorithm 'bogus'",
+            ),
+            (
+                "[params]\nrate_adaptation_kwargs = {bogus = 1}\n",
+                "rate_adaptation_kwargs: got an unexpected keyword argument 'bogus'",
+            ),
+            (
+                "[params]\nroom_width_m = -3\n",
+                "room_width_m=-3: room_width_m must be finite and positive",
+            ),
         ],
-        ids=["infinite-duration", "no-stations", "vary-no-stations"],
+        ids=[
+            "infinite-duration", "no-stations", "vary-no-stations",
+            "bogus-rate-algorithm", "bogus-rate-kwarg", "negative-room",
+        ],
     )
     def test_validate_only_checks_parameter_values(
         self, tmp_path, capsys, body, message

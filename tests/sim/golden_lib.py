@@ -17,12 +17,13 @@ with::
 
 The same module checks a change that must not alter the simulator at
 all.  ``--identity`` prints one JSON document (and writes nothing)
-describing every library scenario on both engines; run it once with
-``PYTHONPATH`` at each tree's ``src/`` and ``cmp`` the outputs::
+describing every library scenario on both engines.  ``--against REV``
+extracts ``REV`` with ``git archive`` into a temporary directory, runs
+that dump with this module on this tree's ``src/`` and on ``REV``'s,
+and prints ``identical`` (exit 0) or the first key path where the two
+differ (exit 1)::
 
-    PYTHONPATH=src:. python -m tests.sim.golden_lib --identity > new.json
-    PYTHONPATH=../parent/src:. python -m tests.sim.golden_lib --identity > old.json
-    cmp old.json new.json
+    PYTHONPATH=src:. python -m tests.sim.golden_lib --identity --against HEAD~1
 
 At import and in ``--identity`` it uses only names the library has
 long exported (the ad-hoc golden cases import ``build`` when they
@@ -33,7 +34,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -46,6 +53,8 @@ from repro.sim.dcf import MacConfig
 from repro.sim.traffic import ConstantRate
 
 FIXTURE_PATH = Path(__file__).with_name("golden_traces.json")
+#: The checkout this module belongs to.
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def trace_digest(trace: Trace) -> str:
@@ -193,6 +202,54 @@ def identity() -> dict[str, object]:
     return doc
 
 
+def first_difference(old: object, new: object, path: str = "") -> str | None:
+    """The first key path (``/``-joined, keys in sorted order, list
+    indices as numbers) where two JSON documents differ, or ``None``."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            where = f"{path}/{key}"
+            if key not in old or key not in new:
+                return where
+            found = first_difference(old[key], new[key], where)
+            if found is not None:
+                return found
+        return None
+    if isinstance(old, list) and isinstance(new, list):
+        for index, (a, b) in enumerate(zip(old, new)):
+            found = first_difference(a, b, f"{path}/{index}")
+            if found is not None:
+                return found
+        if len(old) != len(new):
+            return f"{path}/{min(len(old), len(new))}"
+        return None
+    if type(old) is not type(new) or old != new:
+        return path or "/"
+    return None
+
+
+def _identity_on(src: Path) -> object:
+    """This module's ``--identity`` dump with ``repro`` imported from ``src``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(REPO_ROOT))))
+    out = subprocess.run(
+        [sys.executable, "-m", "tests.sim.golden_lib", "--identity"],
+        cwd=REPO_ROOT, env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def identity_against(rev: str) -> str | None:
+    """:func:`first_difference` from ``rev``'s identity dump to this tree's."""
+    archive = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "archive", "--format=tar", rev],
+        capture_output=True, check=True,
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        old = _identity_on(Path(tmp) / "src")
+    return first_difference(old, _identity_on(REPO_ROOT / "src"))
+
+
 def load_fixture() -> dict[str, dict[str, object]]:
     return json.loads(FIXTURE_PATH.read_text())
 
@@ -215,7 +272,20 @@ if __name__ == "__main__":
         action="store_true",
         help="print the identity dump as JSON instead of regenerating",
     )
-    if parser.parse_args().identity:
+    parser.add_argument(
+        "--against",
+        metavar="REV",
+        help="with --identity: compare this tree's dump with REV's and "
+        "print 'identical' (exit 0) or the first differing key path (exit 1)",
+    )
+    args = parser.parse_args()
+    if args.against is not None:
+        if not args.identity:
+            parser.error("--against needs --identity")
+        difference = identity_against(args.against)
+        print("identical" if difference is None else difference)
+        sys.exit(0 if difference is None else 1)
+    if args.identity:
         print(json.dumps(identity(), indent=1, sort_keys=True))
     else:
         regenerate()

@@ -17,13 +17,34 @@ import pytest
 
 from repro.frames import Trace
 
-from .golden_lib import GOLDEN_CASES, case_fingerprint, load_fixture, trace_digest
+from .golden_lib import (
+    GOLDEN_CASES,
+    case_fingerprint,
+    first_difference,
+    load_fixture,
+    trace_digest,
+)
 
 FIXTURE = load_fixture()
 
 
 def test_fixture_covers_every_case():
     assert set(FIXTURE) == set(GOLDEN_CASES)
+
+
+@pytest.mark.parametrize(
+    "new, path",
+    [
+        ({"a": {"b": [1, 2]}, "c": 3}, None),
+        ({"a": {"b": [1, 5]}, "c": 4}, "/a/b/1"),
+        ({"a": {"b": [1, 2, 3]}, "c": 3}, "/a/b/2"),
+        ({"a": {"b": [1, 2]}}, "/c"),
+        ({"a": {"b": [1, 2]}, "c": 3.0}, "/c"),
+    ],
+)
+def test_identity_diff_names_the_first_differing_key_path(new, path):
+    """``golden_lib --identity --against REV`` prints this path."""
+    assert first_difference({"a": {"b": [1, 2]}, "c": 3}, new) == path
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -9,6 +9,7 @@ from repro.sim import (
     SnrOracleRateAdaptation,
     make_rate_adaptation,
 )
+from repro.sim.rate_adaptation import RATE_ALGORITHMS, rate_adaptation_class
 
 
 class TestFixed:
@@ -168,3 +169,10 @@ class TestFactory:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             make_rate_adaptation("minstrel")
+
+    def test_the_config_check_lists_every_name_the_factory_builds(self):
+        """``ScenarioConfig`` checks names against the same tuple."""
+        assert RATE_ALGORITHMS == ("fixed", "arf", "aarf", "snr")
+        for name in RATE_ALGORITHMS:
+            ra = make_rate_adaptation(name.upper())
+            assert type(ra) is rate_adaptation_class(name)

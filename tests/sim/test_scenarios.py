@@ -8,6 +8,7 @@ from repro.sim import (
     BEACON_INTERVAL_US,
     ConstantRate,
     ScenarioConfig,
+    build_scenario,
     ietf_day_config,
     ietf_plenary_config,
     load_ramp_config,
@@ -72,6 +73,75 @@ class TestConfigValidation:
         the name of the field it was given for."""
         with pytest.raises((TypeError, ValueError), match=rf"^{field} must be "):
             scenario_config("uniform", **{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("room_width_m", -3),
+            ("room_width_m", 0.0),
+            ("room_width_m", float("inf")),
+            pytest.param("room_width_m", 10**400, id="room_width_m-int-beyond-float"),
+            ("room_depth_m", float("nan")),
+            ("path_loss_exponent", 0),
+            ("path_loss_exponent", -2.0),
+            ("shadowing_sigma_db", -2),
+            ("shadowing_sigma_db", float("inf")),
+            ("obstructed_load_factor", -1),
+            ("station_tx_power_dbm", float("inf")),
+            ("ap_tx_power_dbm", float("nan")),
+            ("uplink_pps", -5),
+            ("uplink_pps", float("inf")),
+            ("uplink_pps", "x"),
+            pytest.param("uplink_pps", 10**400, id="uplink_pps-int-beyond-float"),
+            pytest.param("duration_s", 10**400, id="duration_s-int-beyond-float"),
+            ("downlink_pps", float("nan")),
+            ("downlink_pps", None),
+        ],
+    )
+    def test_out_of_range_names_the_field(self, field, value):
+        """A config that describes no physical network is refused by the
+        name of the field or ``uniform`` keyword it was given for."""
+        with pytest.raises((TypeError, ValueError), match=rf"^{field} must be "):
+            scenario_config("uniform", **{field: value})
+
+    def test_zero_rates_and_shadowing_are_in_range(self):
+        config = scenario_config(
+            "uniform", uplink_pps=0, downlink_pps=0.0, shadowing_sigma_db=0
+        )
+        assert config.uplink.rate_at(0) == 0 and config.shadowing_sigma_db == 0
+
+    @pytest.mark.parametrize("name", ["bogus", "arff"])
+    def test_unknown_rate_algorithm_is_refused(self, name):
+        with pytest.raises(
+            ValueError, match=rf"^rate_algorithm: unknown rate adaptation algorithm '{name}'"
+        ):
+            scenario_config("uniform", rate_algorithm=name)
+
+    @pytest.mark.parametrize(
+        "algorithm, kwargs",
+        [("arf", {"bogus": 1}), ("snr", {"up_threshold": 3}), ("fixed", {1: 2})],
+    )
+    def test_unknown_rate_adaptation_kwargs_are_refused(self, algorithm, kwargs):
+        with pytest.raises(ValueError, match=r"^rate_adaptation_kwargs: "):
+            scenario_config(
+                "uniform", rate_algorithm=algorithm, rate_adaptation_kwargs=kwargs
+            )
+
+    @pytest.mark.parametrize(
+        "algorithm, kwargs",
+        [
+            ("ARF", {"up_threshold": 5}),
+            ("aarf", {"max_up_threshold": 40}),
+            ("snr", {"margin_db": 2.0}),
+            ("fixed", {"rate_mbps": 5.5}),
+        ],
+    )
+    def test_rate_adaptation_kwargs_the_class_takes_pass(self, algorithm, kwargs):
+        built = build_scenario(
+            "uniform", duration_s=0.1, rate_algorithm=algorithm,
+            rate_adaptation_kwargs=kwargs,
+        )
+        assert built.stations
 
     def test_numpy_integers_are_integers(self):
         config = ScenarioConfig(

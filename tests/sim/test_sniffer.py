@@ -1,9 +1,13 @@
 """Tests for the vicinity-sniffer capture model (paper §4.2/§4.4)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.frames import FrameType
+from repro.frames import FrameType, Trace
 from repro.sim import (
     Medium,
     Position,
@@ -12,8 +16,10 @@ from repro.sim import (
     Sniffer,
     SnifferConfig,
     Simulator,
+    build_scenario,
     ground_truth_trace,
 )
+from repro.sim.sniffer import SETTLE_BOUND
 
 from .test_medium import RecordingListener, _frame
 
@@ -232,16 +238,131 @@ class TestDrain:
         all drain together in the next window."""
         sim, medium, sniffer = _setup()
         frame = _frame(1, 2, size=100)
-        # Direct record: equal capture timestamps cannot be produced via
+        # Direct decodes: equal capture timestamps cannot be produced via
         # the medium (same-channel transmissions serialize), but drained
         # streams must still handle them — e.g. identical-duration
         # frames on different channels merged downstream.
         t0 = 10_000 + frame.duration_us
-        sniffer._record(t0, frame, 20.0)
-        sniffer._record(t0, frame, 21.0)
-        sniffer._record(t0 + 500 + frame.duration_us, frame, 22.0)
+        for decoded_us, snr_db in (
+            (t0, 20.0), (t0, 21.0), (t0 + 500 + frame.duration_us, 22.0)
+        ):
+            sim.run_until(decoded_us)
+            sniffer.on_frame_received(frame, snr_db)
         boundary = 10_000
         assert len(sniffer.drain_trace(before_us=boundary)) == 0
         both = sniffer.drain_trace(before_us=boundary + 1)
         assert list(both.time_us) == [boundary, boundary]
         assert sniffer.frames_buffered == 1
+
+
+class _ReferenceDrops:
+    """The per-frame drop law: a deque of decode times in the trailing
+    window and one scalar draw as each frame decodes.  The sniffer
+    settles its queue in bulk and must match it row for row."""
+
+    def __init__(self, config: SnifferConfig, rng: np.random.Generator) -> None:
+        self.config = config
+        self.rng = rng
+        self.recent: deque[int] = deque()
+        self.kept: list[int] = []  # frame ids, decode order
+        self.drops = 0
+
+    def decode(self, now_us: int, frame_id: int) -> None:
+        window_start = now_us - self.config.load_window_us
+        recent = self.recent
+        while recent and recent[0] < window_start:
+            recent.popleft()
+        p_drop = min(
+            self.config.drop_ceiling,
+            self.config.drop_floor + self.config.drop_per_frame * len(recent),
+        )
+        recent.append(now_us)
+        if self.rng.random() < p_drop:
+            self.drops += 1
+        else:
+            self.kept.append(frame_id)
+
+
+#: A 5 ms window that a burst of 17 decodes lifts to the ceiling.
+_BURSTY = SnifferConfig(
+    drop_floor=0.01, drop_per_frame=0.02, drop_ceiling=0.35, load_window_us=5_000
+)
+_DURATION_US = 150
+
+#: Decode gaps: dense bursts that reach the ceiling (0 is a
+#: same-microsecond decode), sparser steps that land decodes exactly
+#: one window apart below it, and quiet spells longer than the window.
+_gaps = st.one_of(
+    st.lists(gap, min_size=1, max_size=60)
+    for gap in (
+        st.integers(0, 400),
+        st.sampled_from((0, 250, 500, 1_000, 1_250)),
+        st.integers(5_001, 20_000),
+    )
+)
+#: A settle: a counter read, or a drain with a cutoff behind now.
+_settles = st.tuples(
+    st.sampled_from(["captured", "drops", "buffered", "drain"]),
+    st.integers(0, 30_000),
+)
+_blocks = st.lists(st.tuples(_gaps, _settles), min_size=1, max_size=12)
+
+
+class TestBulkDropLaw:
+    @settings(max_examples=60, deadline=None)
+    @given(blocks=_blocks, seed=st.integers(0, 2**32 - 1))
+    def test_settling_matches_the_per_frame_law(self, blocks, seed):
+        sim, medium, _ = _setup()
+        sniffer = Sniffer(
+            sim, medium, node_id=60_001, position=Position(5, 5), channel=1,
+            rng=np.random.default_rng(seed), config=_BURSTY,
+        )
+        reference = _ReferenceDrops(_BURSTY, np.random.default_rng(seed))
+        decoded_at: dict[int, int] = {}
+        drained: list[Trace] = []
+        for gaps, (kind, value) in blocks:
+            for gap in gaps:
+                sim.run_until(sim.now_us + gap)
+                frame_id = len(decoded_at) + 1
+                decoded_at[frame_id] = sim.now_us
+                frame = _frame(1, 2, size=frame_id)
+                frame.duration_us = _DURATION_US
+                sniffer.on_frame_received(frame, float(frame_id % 40))
+                reference.decode(sim.now_us, frame_id)
+            if kind == "captured":
+                assert sniffer.frames_captured == len(reference.kept)
+            elif kind == "drops":
+                assert sniffer.hardware_drops == reference.drops
+            elif kind == "buffered":
+                assert sniffer.frames_buffered + sum(map(len, drained)) == len(
+                    reference.kept
+                )
+            else:
+                cutoff = sim.now_us - value
+                part = sniffer.drain_trace(before_us=cutoff)
+                assert (part.time_us < cutoff).all()
+                drained.append(part)
+        drained.append(sniffer.drain_trace())
+        rows = Trace.concatenate(drained)
+        order = np.argsort(rows.size, kind="stable")
+        assert rows.size[order].tolist() == reference.kept
+        assert rows.time_us[order].tolist() == [
+            decoded_at[i] - _DURATION_US for i in reference.kept
+        ]
+        assert rows.snr_db[order].tolist() == [float(i % 40) for i in reference.kept]
+        assert sniffer.hardware_drops == reference.drops
+        assert sniffer.frames_captured == len(reference.kept)
+
+    def test_buffered_day_run_queues_at_most_the_bound(self, monkeypatch):
+        """A buffered ``run()`` drains nothing until it ends, so only the
+        bound keeps each sniffer's queue from holding the whole run."""
+        queued: list[int] = []
+        settle = Sniffer._settle
+
+        def recording_settle(sniffer):
+            queued.append(len(sniffer._queue))
+            settle(sniffer)
+
+        monkeypatch.setattr(Sniffer, "_settle", recording_settle)
+        build_scenario("day", duration_s=3.0, seed=1).run()
+        assert max(queued) == SETTLE_BOUND
