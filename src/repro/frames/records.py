@@ -30,6 +30,7 @@ from .sizes import size_class_array
 __all__ = [
     "FrameRow",
     "Trace",
+    "TraceBuffer",
     "NodeInfo",
     "NodeRoster",
     "TRACE_COLUMNS",
@@ -394,3 +395,40 @@ class Trace:
     def to_columns(self) -> dict[str, np.ndarray]:
         """Copy out the raw column arrays (for serialisation layers)."""
         return {name: arr.copy() for name, arr in self._cols.items()}
+
+
+class TraceBuffer:
+    """Rows held until a time watermark passes them.
+
+    A producer appends traces in any time order (a frame is stamped at
+    its start but recorded at its end, so a later record can carry an
+    earlier stamp), and :meth:`drain` removes and returns the rows
+    stamped before a watermark, stably time-sorted: rows with equal
+    times come out in append order, and successive drains concatenate
+    to :meth:`Trace.concatenate` of everything appended.
+    """
+
+    def __init__(self) -> None:
+        self._parts: list[Trace] = []
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts))
+
+    def append(self, trace: Trace) -> None:
+        if len(trace):
+            self._parts.append(trace)
+
+    def drain(self, before_us: int | None = None) -> Trace:
+        """Remove and return the rows with ``time_us < before_us``.
+
+        The watermark is exclusive: a row stamped exactly at it stays
+        and comes out, once, in the first drain whose watermark passes
+        it.  ``None`` drains every row.
+        """
+        held = Trace.concatenate(self._parts)
+        cut = len(held)
+        if before_us is not None:
+            cut = int(held.time_us.searchsorted(before_us))
+        rest = held.slice_rows(cut, len(held))
+        self._parts = [rest] if len(rest) else []
+        return held.slice_rows(0, cut)

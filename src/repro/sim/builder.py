@@ -10,15 +10,16 @@ obstruction quotas set each station's :class:`StationRole`, an
 obstructed station's link is calibrated into the config's SNR band, and
 every station gets an open-loop Poisson uplink/downlink pair.
 
-A :class:`BuiltScenario` can either ``run()`` to completion and return
-the buffered :class:`~repro.sim.scenarios.ScenarioResult`, or
-``stream()`` the sniffer capture as one time-sorted segment per
-one-second drain window (:data:`DRAIN_WINDOW_US`) while the simulation
-advances — the live feed the single-pass analysis pipeline consumes
-without ever materialising a full-run trace.  The build draws every
-RNG stream, attaches every entity to the medium and schedules every
-event in a fixed order, so a config reproduces frame for frame on
-either path.
+Both engines step a run the same way (:class:`ScenarioRun`): one
+generator, ``_windows``, advances the simulation one one-second drain
+window (:data:`DRAIN_WINDOW_US`) at a time and yields that window's
+merged, time-sorted sniffer capture and, when asked, its ground truth.
+``stream()`` yields the captures as they come — the live feed the
+single-pass analysis pipeline consumes without ever materialising a
+full-run trace — and ``run()`` is the same stream kept whole, returned
+as a :class:`~repro.sim.scenarios.ScenarioResult`.  The build draws
+every RNG stream, attaches every entity to the medium and schedules
+every event in a fixed order, so a config reproduces frame for frame.
 """
 
 from __future__ import annotations
@@ -57,15 +58,14 @@ SNIFFER_ID_BASE = 60_000
 
 #: Upper bound on one frame's on-air time: a maximum-size MSDU at
 #: 1 Mbps plus the long PLCP preamble is ~18.6 ms; rounded up with
-#: margin.  A streamed capture drains only rows older than this behind
+#: margin.  A window drains only capture rows older than this behind
 #: the simulation clock, so no frame can later appear before the
 #: watermark (sniffers timestamp a frame at its transmission *start*
 #: but record it at its end).
 MAX_FRAME_AIRTIME_US = 24_000
 
-#: Simulated time per ``stream()`` drain window — the paper's one-second
-#: analysis interval.  Both engines step the whole run in windows of
-#: this length.
+#: Simulated time per drain window — the paper's one-second analysis
+#: interval.  Both engines step the whole run in windows of this length.
 DRAIN_WINDOW_US = 1_000_000
 
 
@@ -202,16 +202,64 @@ def _attach_traffic(built: "BuiltScenario") -> list[object]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BuiltScenario:
-    """A fully wired network, ready to run exactly once.
+class ScenarioRun:
+    """What both engines share: a network that runs once, window by window.
 
-    ``run()`` buffers everything and returns the classic
-    :class:`~repro.sim.scenarios.ScenarioResult`; ``stream()`` yields
-    the merged sniffer capture as bounded, time-sorted chunks while the
-    simulation advances, never holding more than one drain window of
-    rows — feed it straight to :func:`repro.pipeline.run_all`.
+    An engine supplies ``_windows(keep_truth)``, a generator that
+    advances the run one :data:`DRAIN_WINDOW_US` window at a time and
+    yields each window's merged capture (stably time-sorted, so the
+    segments concatenate to one time-sorted trace) with its ground
+    truth, or None when ``keep_truth`` is False; and ``_result(trace,
+    ground_truth)``, which wraps a whole run as a
+    :class:`~repro.sim.scenarios.ScenarioResult`.
     """
+
+    _consumed = False
+
+    def _start(self, keep_truth: bool) -> Iterator[tuple[Trace, Trace | None]]:
+        if self._consumed:
+            raise RuntimeError(
+                f"this {type(self).__name__} has already run; build a fresh one"
+            )
+        self._consumed = True
+        return self._windows(keep_truth)
+
+    def run(self) -> "ScenarioResult":
+        """Run to the configured duration: the stream kept whole, with
+        its ground truth."""
+        capture, truth = [], []
+        for window_capture, window_truth in self._start(keep_truth=True):
+            capture.append(window_capture)
+            truth.append(window_truth)
+        return self._result(Trace.concatenate(capture), Trace.concatenate(truth))
+
+    def stream(self) -> Iterator[Trace]:
+        """Yield the merged sniffer capture as one time-sorted segment
+        per window (windows that captured nothing yield none).
+
+        Memory stays bounded by a window: each window drains what it
+        captured and transmitted, and no ground truth is kept.  The
+        segments concatenate to ``run().trace``, the capture merged
+        across sniffers in stable time order — exactly the row order
+        ``analyze_trace`` works on — so a streamed analysis is
+        field-identical to the buffered one.  Feed it straight to
+        :func:`repro.pipeline.run_all`.
+        """
+        for capture, _ in self._start(keep_truth=False):
+            if len(capture):
+                yield capture
+
+    @property
+    def capture_ratio(self) -> float:
+        """Captured / transmitted; 0.0 for a degenerate zero-frame run."""
+        total = self.frames_transmitted
+        return self.frames_captured / total if total else 0.0
+
+
+@dataclass
+class BuiltScenario(ScenarioRun):
+    """A fully wired network on the discrete-event engine, ready to run
+    exactly once (see :class:`ScenarioRun`)."""
 
     config: "ScenarioConfig"
     sim: Simulator
@@ -225,7 +273,6 @@ class BuiltScenario:
     sources: list[object] = field(default_factory=list)
     channel_manager: ChannelManager | None = None
     roaming_manager: RoamingManager | None = None
-    _consumed: bool = False
 
     @property
     def roster(self) -> NodeRoster:
@@ -255,12 +302,6 @@ class BuiltScenario:
     @property
     def frames_captured(self) -> int:
         return sum(s.frames_captured for s in self.sniffers)
-
-    @property
-    def capture_ratio(self) -> float:
-        """Captured / transmitted; 0.0 for a degenerate zero-frame run."""
-        total = self.frames_transmitted
-        return self.frames_captured / total if total else 0.0
 
     @property
     def offered_packets(self) -> int:
@@ -302,23 +343,31 @@ class BuiltScenario:
             successes += node.mac.stats.data_successes
         return successes / attempts if attempts else 0.0
 
-    def _consume(self) -> None:
-        if self._consumed:
-            raise RuntimeError(
-                "this BuiltScenario has already run; build a fresh one"
+    def _windows(self, keep_truth: bool) -> Iterator[tuple[Trace, Trace | None]]:
+        """Run the event loop to each window's end, then drain every
+        sniffer of the rows older than ``MAX_FRAME_AIRTIME_US`` behind
+        it (everything at the run's end) and the medium of the window's
+        transmissions."""
+        duration_us = self.config.duration_us
+        now = 0
+        while now < duration_us:
+            now = min(now + DRAIN_WINDOW_US, duration_us)
+            self.sim.run_until(now)
+            cutoff = None if now >= duration_us else now - MAX_FRAME_AIRTIME_US
+            # concatenate() stably time-sorts the merged sniffers.
+            capture = Trace.concatenate(
+                [s.drain_trace(cutoff) for s in self.sniffers]
             )
-        self._consumed = True
+            truth = ground_truth_trace(self.medium) if keep_truth else None
+            self.medium.ground_truth.clear()
+            yield capture, truth
 
-    def run(self) -> "ScenarioResult":
-        """Run to the configured duration; return buffered artifacts."""
+    def _result(self, trace: Trace, ground_truth: Trace) -> "ScenarioResult":
         from .scenarios import ScenarioResult
 
-        self._consume()
-        self.sim.run_until(self.config.duration_us)
-        trace = Trace.concatenate([s.to_trace() for s in self.sniffers])
         return ScenarioResult(
             trace=trace,
-            ground_truth=ground_truth_trace(self.medium),
+            ground_truth=ground_truth,
             roster=self.roster,
             stations=self.stations,
             aps=self.aps,
@@ -329,39 +378,6 @@ class BuiltScenario:
             channel_manager=self.channel_manager,
             roaming_manager=self.roaming_manager,
         )
-
-    def stream(self) -> Iterator[Trace]:
-        """Advance the simulation one :data:`DRAIN_WINDOW_US` window at a
-        time, yielding each window's merged sniffer capture as one
-        time-sorted segment (windows that captured nothing yield none).
-
-        Memory stays bounded: each window drains every sniffer of rows
-        older than ``now - MAX_FRAME_AIRTIME_US`` (rows newer than that
-        may still be re-ordered by in-flight frames), and per-frame
-        ground truth is not recorded.  The concatenation of the yielded
-        segments equals the buffered ``run().trace``, which
-        :meth:`Trace.concatenate` already merged across sniffers in
-        stable time order — exactly the row order ``analyze_trace``
-        works on — so a streamed analysis is field-identical to the
-        buffered one.
-        """
-        self._consume()
-        self.medium.record_ground_truth = False
-        duration_us = self.config.duration_us
-        now = 0
-        while now < duration_us:
-            now = min(now + DRAIN_WINDOW_US, duration_us)
-            self.sim.run_until(now)
-            if now >= duration_us:
-                cutoff = None        # run complete: drain everything
-            else:
-                cutoff = now - MAX_FRAME_AIRTIME_US
-            # concatenate() stably time-sorts the merged sniffers.
-            merged = Trace.concatenate(
-                [s.drain_trace(cutoff) for s in self.sniffers]
-            )
-            if len(merged):
-                yield merged
 
 
 # ---------------------------------------------------------------------------

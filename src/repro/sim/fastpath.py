@@ -7,8 +7,11 @@ trades byte-identical event ordering for throughput: it steps a whole
 channel cell per *window epoch* (one second,
 :data:`~repro.sim.builder.DRAIN_WINDOW_US`, matching the paper's
 analysis granularity) with every per-frame quantity held in numpy
-arrays.  ``run()`` and ``stream()`` step the same windows, so they
-simulate the same network.
+arrays.  Each channel cell holds the rows it emits, capture and ground
+truth, in :class:`~repro.frames.TraceBuffer` objects until the window's
+watermark passes them.  ``run()`` and ``stream()`` are the ones the
+default engine has (:class:`~repro.sim.builder.ScenarioRun`) over this
+module's window loop, so they simulate the same network.
 
 What stays exact
 ----------------
@@ -68,10 +71,11 @@ from ..frames import (
     FrameType,
     NodeRoster,
     Trace,
+    TraceBuffer,
     rate_to_code,
 )
 from . import phy
-from .builder import DRAIN_WINDOW_US, BuiltScenario
+from .builder import DRAIN_WINDOW_US, BuiltScenario, ScenarioRun
 from .node import BEACON_INTERVAL_US
 from .phy import BASIC_RATE_MBPS, CONTROL_FRAME_BYTES, PLCP_HEADER_BITS
 from .propagation import NOISE_FLOOR_DBM
@@ -136,22 +140,24 @@ class _FastMediumStats:
 class _ChannelCell:
     """Mutable per-channel scheduling state carried across windows."""
 
-    __slots__ = ("busy_until", "backlog", "row_buffer", "truth_buffer", "src_busy")
+    __slots__ = ("busy_until", "backlog", "capture", "truth", "src_busy")
 
     def __init__(self, max_id: int) -> None:
         self.busy_until = 0
         #: Jobs whose service did not start before the window closed:
         #: dict of flow/arrival/size/seq/ftype arrays, or None.
         self.backlog: dict[str, np.ndarray] | None = None
-        #: Emitted rows whose timestamps run past the released horizon.
-        self.row_buffer: list[dict[str, np.ndarray]] = []
-        self.truth_buffer: list[dict[str, np.ndarray]] = []
+        #: Emitted rows held until the window watermark passes them: a
+        #: backed-up channel may compute rows seconds ahead of a quiet
+        #: one, and the merged stream must stay time-sorted.
+        self.capture = TraceBuffer()
+        self.truth = TraceBuffer()
         #: EWMA per-source transmit airtime fraction from past windows;
         #: drives the hidden-terminal loss term of the next window.
         self.src_busy = np.zeros(max_id, dtype=np.float64)
 
 
-class FastBuiltScenario:
+class FastBuiltScenario(ScenarioRun):
     """A built scenario that runs on the columnar fast engine.
 
     Exposes the same surface as :class:`~repro.sim.builder.
@@ -166,7 +172,6 @@ class FastBuiltScenario:
         self._built = built
         self.config = built.config
         self.sim = built.sim
-        self._consumed = False
         self._rng = np.random.default_rng([int(built.config.seed), 0xFA57])
 
         self.frames_transmitted = 0
@@ -428,11 +433,6 @@ class FastBuiltScenario:
         return self._offered
 
     @property
-    def capture_ratio(self) -> float:
-        total = self.frames_transmitted
-        return self.frames_captured / total if total else 0.0
-
-    @property
     def delivery_ratio(self) -> float:
         if not self._data_attempts:
             return 0.0
@@ -456,29 +456,12 @@ class FastBuiltScenario:
             "batched_jobs": self._jobs_batched,
         }
 
-    def _consume(self) -> None:
-        if self._consumed:
-            raise RuntimeError(
-                "this FastBuiltScenario has already run; build a fresh one"
-            )
-        self._consumed = True
-
-    def run(self):
-        """Run to completion; return a buffered :class:`ScenarioResult`."""
+    def _result(self, trace: Trace, ground_truth: Trace):
         from .scenarios import ScenarioResult
 
-        self._consume()
-        capture: list[Trace] = []
-        truth_rows: list[dict[str, np.ndarray]] = []
-        for chunk, truth in self._window_loop(keep_truth=True):
-            if len(chunk):
-                capture.append(chunk)
-            truth_rows.extend(truth)
-        trace = Trace.concatenate(capture) if capture else Trace.empty()
-        ground = self._rows_to_trace(truth_rows).sorted_by_time()
         return ScenarioResult(
             trace=trace,
-            ground_truth=ground,
+            ground_truth=ground_truth,
             roster=self.roster,
             stations=self._built.stations,
             aps=self._built.aps,
@@ -488,74 +471,29 @@ class FastBuiltScenario:
             config=self.config,
         )
 
-    def stream(self):
-        """Yield the capture as one globally time-sorted segment per
-        :data:`~repro.sim.builder.DRAIN_WINDOW_US` window — the windows
-        :meth:`run` steps, so the network is the same."""
-        self._consume()
-        for chunk, _ in self._window_loop(keep_truth=False):
-            if len(chunk):
-                yield chunk
-
     # ------------------------------------------------------------------
     # the window loop
     # ------------------------------------------------------------------
 
-    def _window_loop(self, keep_truth: bool):
+    def _windows(self, keep_truth: bool):
+        """Step every channel cell through each window, then drain the
+        cells of the rows stamped before the window's end (everything at
+        the run's end)."""
         duration = self.config.duration_us
+        cells = self._cells.values()
         t0 = 0
         while t0 < duration:
             t1 = min(t0 + DRAIN_WINDOW_US, duration)
-            final = t1 >= duration
-            released: list[dict[str, np.ndarray]] = []
-            truth_released: list[dict[str, np.ndarray]] = []
             for channel in self._channels:
-                cell = self._cells[channel]
-                self._step_cell(cell, channel, t0, t1, keep_truth)
-                released.extend(self._release(cell.row_buffer, t1, final))
-                if keep_truth:
-                    truth_released.extend(
-                        self._release(cell.truth_buffer, t1, final)
-                    )
+                self._step_cell(self._cells[channel], channel, t0, t1, keep_truth)
             self._windows_stepped += 1
-            chunk = self._rows_to_trace(released).sorted_by_time()
-            yield chunk, truth_released
+            until = None if t1 >= duration else t1
+            capture = Trace.concatenate([c.capture.drain(until) for c in cells])
+            truth = None
+            if keep_truth:
+                truth = Trace.concatenate([c.truth.drain(until) for c in cells])
+            yield capture, truth
             t0 = t1
-
-    @staticmethod
-    def _release(
-        buffer: list[dict[str, np.ndarray]], until_us: int, everything: bool
-    ) -> list[dict[str, np.ndarray]]:
-        """Pop rows with ``time_us < until_us`` out of a cell buffer.
-
-        Rows later than the window horizon stay buffered so the merged
-        multi-channel stream is globally time-sorted: a backed-up
-        channel may compute rows seconds ahead of a quiet one.
-        """
-        released: list[dict[str, np.ndarray]] = []
-        kept: list[dict[str, np.ndarray]] = []
-        for rows in buffer:
-            if everything:
-                released.append(rows)
-                continue
-            mask = rows["time_us"] < until_us
-            if mask.all():
-                released.append(rows)
-            elif mask.any():
-                released.append({k: v[mask] for k, v in rows.items()})
-                kept.append({k: v[~mask] for k, v in rows.items()})
-            else:
-                kept.append(rows)
-        buffer[:] = kept
-        return released
-
-    @staticmethod
-    def _rows_to_trace(rows: list[dict[str, np.ndarray]]) -> Trace:
-        if not rows:
-            return Trace.empty()
-        return Trace(
-            {name: np.concatenate([r[name] for r in rows]) for name in rows[0]}
-        )
 
     # -- one channel, one window ----------------------------------------
 
@@ -950,7 +888,6 @@ class FastBuiltScenario:
         retries = np.concatenate(cols["retry"])
         seqs = np.concatenate(cols["seq"])
         n_rows = len(time_us)
-        self.frames_transmitted += n_rows
 
         # -- MAC stats ---------------------------------------------------
         self._data_attempts += int((data_mask & is_data[:, None]).sum())
@@ -977,26 +914,29 @@ class FastBuiltScenario:
         )
         u = self._rng.random(n_rows)
         captured = audible & (u < p_decode * (1.0 - p_drop))
-        self.frames_captured += int(captured.sum())
 
         rows = {
             "time_us": time_us,
-            "ftype": ftype.astype(np.uint8),
-            "rate_code": rcodes.astype(np.uint8),
-            "size": sizes.astype(np.uint32),
-            "src": srcs.astype(np.uint16),
-            "dst": dsts.astype(np.uint16),
-            "retry": retries.astype(bool),
+            "ftype": ftype,
+            "rate_code": rcodes,
+            "size": sizes,
+            "src": srcs,
+            "dst": dsts,
+            "retry": retries,
             "channel": np.full(n_rows, channel, dtype=np.uint8),
-            "snr_db": self._sniff_snr[srcs].astype(np.float32),
-            "seq": (seqs % 4096).astype(np.uint16),
+            "snr_db": self._sniff_snr[srcs],
+            "seq": seqs % 4096,
         }
-        cap_order = np.argsort(time_us[captured], kind="stable")
-        cell.row_buffer.append(
-            {k: v[captured][cap_order] for k, v in rows.items()}
-        )
+        # A job that starts just before the run's end stamps its
+        # retries and ACKs after it.  The run holds no such frame; they
+        # go only now, after every draw, so that no draw moves.
+        in_run = time_us < self.config.duration_us
+        if not in_run.all():
+            rows = {name: column[in_run] for name, column in rows.items()}
+            captured = captured[in_run]
+        self.frames_transmitted += len(rows["time_us"])
+        self.frames_captured += int(captured.sum())
+        cell.capture.append(Trace(rows).select(captured))
         if keep_truth:
-            order = np.argsort(time_us, kind="stable")
-            truth = {k: v[order] for k, v in rows.items()}
-            truth["snr_db"] = np.full(n_rows, 40.0, dtype=np.float32)
-            cell.truth_buffer.append(truth)
+            rows["snr_db"] = np.full(len(captured), 40.0, dtype=np.float32)
+            cell.truth.append(Trace(rows))

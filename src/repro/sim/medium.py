@@ -52,6 +52,11 @@ fallback that re-reads listener channels exactly like the uncached
 loop.  Purely passive listeners (sniffers) declare ``medium_passive``
 and skip carrier-sense bookkeeping entirely: nothing ever queries a
 sniffer's busy state.
+
+Every transmission is appended to ``ground_truth`` as it goes on the
+air.  The list holds the transmissions since a scenario's window loop
+(:mod:`repro.sim.builder`) last drained it, so a run of any length holds
+one window of them.
 """
 
 from __future__ import annotations
@@ -150,18 +155,16 @@ class Medium:
         self._sensed: dict[int, set[int]] = {}  # listener id -> active tx ids
         self._tx_counter = 0
         self.frames_transmitted = 0
-        #: per-channel transmission counts — always maintained (O(channels)
-        #: memory), so infrastructure like the channel manager can measure
-        #: load without the unbounded ground-truth buffer.
+        #: per-channel transmission counts over the whole run, so
+        #: infrastructure like the channel manager can measure load
+        #: without the ground-truth list.
         self.channel_tx_counts: dict[int, int] = {}
-        #: When False, the per-frame ground-truth buffer below stays empty
-        #: (streaming runs flip this off so day-long simulations hold no
-        #: full-run frame list; counters above keep working).
-        self.record_ground_truth = True
-        #: every transmission ever put on the air: (start_us, frame).
-        #: This is the simulator's ground truth, against which the
-        #: sniffer capture model (and the paper's unrecorded-frame
-        #: estimator) can be validated.
+        #: the transmissions put on the air since a scenario's window
+        #: loop last drained this list (or, with no loop, since the
+        #: medium was made): (start_us, frame).  This is the
+        #: simulator's ground truth, against which the sniffer capture
+        #: model (and the paper's unrecorded-frame estimator) can be
+        #: validated.
         self.ground_truth: list[tuple[int, SimFrame]] = []
         # Delivery plans: (id(sender), tx_power, channel) -> (sender,
         # finish_entries, transmit_entries).  Cleared wholesale on any
@@ -334,8 +337,7 @@ class Medium:
         channel = frame.channel
         counts = self.channel_tx_counts
         counts[channel] = counts.get(channel, 0) + 1
-        if self.record_ground_truth:
-            self.ground_truth.append((now, frame))
+        self.ground_truth.append((now, frame))
 
         # Overlap bookkeeping with already-active transmissions.
         tx_overlapped = tx.overlapped

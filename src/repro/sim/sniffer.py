@@ -17,16 +17,14 @@ reasons, all of which this model produces:
 A decoded frame is only queued (decode time, frame, SNR).  A settle step
 applies the drop law to the whole queue at once: one ``rng.random(n)``
 from the sniffer's own generator, in decode order, which is the draw
-sequence the per-frame law made, and the kept rows go into
-geometrically-grown preallocated numpy column buffers as slices.  It
-runs at every ``to_trace``/``drain_trace``, on any read of
-``frames_captured``, ``hardware_drops`` or ``frames_buffered``, and
-when the queue reaches :data:`SETTLE_BOUND` frames, so a buffered run
-holds a bounded queue.  Nothing the simulation does reads the capture or
-the sniffer's generator, so when a frame settles changes no outcome.
-``to_trace``/``drain_trace`` assemble output from array slices, and a
-draining stream compacts the columns in place: buffer capacity tracks
-the *peak undrained* window, not the run length.
+sequence the per-frame law made, and the kept rows go into a
+:class:`~repro.frames.TraceBuffer` as one trace.  It runs at every
+``drain_trace``, on any read of ``frames_captured``, ``hardware_drops``
+or ``frames_buffered``, and when the queue reaches :data:`SETTLE_BOUND`
+frames.  Nothing the simulation does reads the capture or the sniffer's
+generator, so when a frame settles changes no outcome.  A scenario's
+window loop drains every sniffer once per window, so the buffer holds
+about one window of rows however long the run.
 """
 
 from __future__ import annotations
@@ -36,25 +34,45 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..frames import Trace, rate_to_code
+from ..frames import Trace, TraceBuffer, rate_to_code
 from .engine import Simulator
 from .medium import Medium, SimFrame
 from .propagation import Position
 
 __all__ = ["SnifferConfig", "Sniffer", "ground_truth_trace"]
 
-#: Initial per-column buffer capacity; doubles when full.
-_INITIAL_CAPACITY = 1024
-
 #: Decoded frames a sniffer queues before it settles them: the frames
-#: a queue keeps alive between drains, in a buffered ``run()`` and in a
-#: streamed window alike.  A settle costs a few numpy calls.
+#: a queue keeps alive within a drain window.  A settle costs a few
+#: numpy calls.
 SETTLE_BOUND = 128
 
-#: The captured fields a settle reads off each kept frame.
-_FRAME_FIELDS = attrgetter(
-    "duration_us", "ftype", "rate_mbps", "size", "src", "dst", "retry", "seq"
+#: The fields of a frame that a trace row records, read in one call.
+_ROW_FIELDS = attrgetter(
+    "ftype", "rate_mbps", "size", "src", "dst", "retry", "channel", "seq"
 )
+_DURATION = attrgetter("duration_us")
+
+
+def _frame_trace(time_us, frames, snr_db) -> Trace:
+    """One trace row per frame in ``frames``, stamped at ``time_us``."""
+    n = len(frames)
+    ftype, rate, size, src, dst, retry, channel, seq = zip(
+        *map(_ROW_FIELDS, frames)
+    )
+    return Trace(
+        {
+            "time_us": time_us,
+            "ftype": np.fromiter(ftype, np.uint8, n),
+            "rate_code": np.fromiter(map(rate_to_code, rate), np.uint8, n),
+            "size": size,
+            "src": src,
+            "dst": dst,
+            "retry": retry,
+            "channel": channel,
+            "snr_db": snr_db,
+            "seq": seq,
+        }
+    )
 
 
 @dataclass(frozen=True)
@@ -72,22 +90,6 @@ class SnifferConfig:
     drop_per_frame: float = 2e-4
     drop_ceiling: float = 0.35
     load_window_us: int = 100_000
-
-
-#: (attribute, trace column, dtype) for the captured column buffers,
-#: trace-schema order minus ``channel`` (constant per sniffer,
-#: synthesized on output) — see ``repro.frames.TRACE_SCHEMA``.
-_CAPTURE_COLUMNS = (
-    ("_time", "time_us", np.int64),
-    ("_ftype", "ftype", np.uint8),
-    ("_rate", "rate_code", np.uint8),
-    ("_size", "size", np.uint32),
-    ("_src", "src", np.uint16),
-    ("_dst", "dst", np.uint16),
-    ("_retry", "retry", np.bool_),
-    ("_snr", "snr_db", np.float32),
-    ("_seq", "seq", np.uint16),
-)
 
 
 class Sniffer:
@@ -131,12 +133,7 @@ class Sniffer:
         self._drop_ceiling = self.config.drop_ceiling
         self._drops = 0
         self._captured_total = 0
-        # Columnar capture buffers: preallocated, geometrically grown,
-        # compacted in place by a draining stream.
-        self._n = 0
-        self._capacity = _INITIAL_CAPACITY
-        for attr, _, dtype in _CAPTURE_COLUMNS:
-            setattr(self, attr, np.empty(_INITIAL_CAPACITY, dtype=dtype))
+        self._buffer = TraceBuffer()
         medium.attach(self)
 
     # -- medium listener interface (passive) ------------------------------
@@ -188,35 +185,11 @@ class Sniffer:
             frames = [frames[i] for i in rows]
             snrs = [snrs[i] for i in rows]
             decoded = decoded[kept]
-        duration, ftype, rate, size, src, dst, retry, seq = zip(
-            *map(_FRAME_FIELDS, frames)
-        )
-        i, j = self._n, self._n + k
-        if j > self._capacity:
-            self._grow(j)
         # Timestamp a frame at its start of transmission, like a capture
         # card stamping the preamble.
-        self._time[i:j] = decoded - np.array(duration, dtype=np.int64)
-        self._ftype[i:j] = np.fromiter(ftype, np.uint8, k)
-        self._rate[i:j] = list(map(rate_to_code, rate))
-        self._size[i:j] = size
-        self._src[i:j] = src
-        self._dst[i:j] = dst
-        self._retry[i:j] = retry
-        self._snr[i:j] = snrs
-        self._seq[i:j] = seq
-        self._n = j
+        start = decoded - np.fromiter(map(_DURATION, frames), np.int64, k)
+        self._buffer.append(_frame_trace(start, frames, snrs))
         self._captured_total += k
-
-    def _grow(self, rows: int) -> None:
-        """Double the column buffers until ``rows`` rows fit."""
-        while self._capacity < rows:
-            self._capacity *= 2
-        n = self._n
-        for attr, _, dtype in _CAPTURE_COLUMNS:
-            grown = np.empty(self._capacity, dtype=dtype)
-            grown[:n] = getattr(self, attr)[:n]
-            setattr(self, attr, grown)
 
     # -- output --------------------------------------------------------
 
@@ -234,109 +207,36 @@ class Sniffer:
 
     @property
     def frames_buffered(self) -> int:
-        """Rows currently held in the buffer (shrinks as a stream drains)."""
+        """Rows held until a drain (shrinks as a stream drains)."""
         self._settle()
-        return self._n
-
-    def _output_columns(self, mask: np.ndarray | None) -> dict[str, np.ndarray]:
-        """Trace columns for the selected buffered rows.
-
-        Output never aliases the live buffers: full slices are copied
-        explicitly, boolean-mask selection copies by construction.
-        """
-        n = self._n
-        if mask is None:
-            cols = {
-                name: getattr(self, attr)[:n].copy()
-                for attr, name, _ in _CAPTURE_COLUMNS
-            }
-            count = n
-        else:
-            cols = {
-                name: getattr(self, attr)[:n][mask]
-                for attr, name, _ in _CAPTURE_COLUMNS
-            }
-            count = int(mask.sum())
-        cols["channel"] = np.full(count, self.channel, dtype=np.uint8)
-        return cols
-
-    def to_trace(self) -> Trace:
-        """Materialise the current capture buffer as a :class:`Trace`."""
-        self._settle()
-        return Trace(self._output_columns(None)).sorted_by_time()
+        return len(self._buffer)
 
     def drain_trace(self, before_us: int | None = None) -> Trace:
-        """Remove and return buffered rows with ``time_us < before_us``.
+        """Remove and return the captured rows with ``time_us < before_us``.
 
-        The live-capture hook: a streaming scenario run drains each
-        sniffer once per simulated window, so buffers hold one window of
-        rows instead of the whole run.  The watermark is strictly
-        exclusive: a row with ``time_us == before_us`` stays buffered
-        now and is drained by the first later call whose watermark
-        exceeds it — exactly once across consecutive drains, never
-        zero or twice.  (Rows at or after the watermark must stay
-        because a frame's timestamp is its transmission *start*, so
-        rows land slightly out of record order and a too-eager cut
-        would misorder the stream.)  ``None`` drains everything.  The
-        returned trace is stably time-sorted, matching the ordering
-        :meth:`to_trace` would have produced over the full run.  Kept
-        rows are compacted to the front of the column buffers in
-        place; no Python-object row conversion happens either way.
+        A scenario's window loop drains each sniffer once per simulated
+        window, so the sniffer holds one window of rows instead of the
+        whole run.  The watermark is strictly exclusive: a row with
+        ``time_us == before_us`` stays buffered now and is drained by
+        the first later call whose watermark exceeds it, exactly once.
+        (A frame's timestamp is its transmission *start*, so rows land
+        slightly out of record order, and a too-eager cut would
+        misorder the stream.)  ``None`` drains everything.  The returned
+        trace is stably time-sorted, see :class:`~repro.frames.TraceBuffer`.
         """
         self._settle()
-        n = self._n
-        if before_us is None:
-            trace = self.to_trace()
-            self._n = 0
-            return trace
-        keep = self._time[:n] >= before_us
-        drained = Trace(self._output_columns(~keep)).sorted_by_time()
-        kept = int(keep.sum())
-        if kept:
-            for attr, _, _ in _CAPTURE_COLUMNS:
-                col = getattr(self, attr)
-                col[:kept] = col[:n][keep]
-        self._n = kept
-        return drained
+        return self._buffer.drain(before_us)
 
 
 def ground_truth_trace(medium: Medium) -> Trace:
-    """Every frame actually transmitted, as an ideal (lossless) trace.
+    """The frames on ``medium.ground_truth`` as an ideal (lossless) trace.
 
-    SNR is not meaningful for ground truth and is recorded as 40 dB.
+    The medium appends each frame as it goes on the air, so the rows are
+    already in time order.  SNR is not meaningful for ground truth and
+    is recorded as 40 dB.
     """
-    records = medium.ground_truth
-    n = len(records)
-    time = np.empty(n, dtype=np.int64)
-    ftype = np.empty(n, dtype=np.uint8)
-    rate = np.empty(n, dtype=np.uint8)
-    size = np.empty(n, dtype=np.uint32)
-    src = np.empty(n, dtype=np.uint16)
-    dst = np.empty(n, dtype=np.uint16)
-    retry = np.empty(n, dtype=np.bool_)
-    channel = np.empty(n, dtype=np.uint8)
-    seq = np.empty(n, dtype=np.uint16)
-    for i, (start_us, frame) in enumerate(records):
-        time[i] = start_us
-        ftype[i] = int(frame.ftype)
-        rate[i] = rate_to_code(frame.rate_mbps)
-        size[i] = frame.size
-        src[i] = frame.src
-        dst[i] = frame.dst
-        retry[i] = frame.retry
-        channel[i] = frame.channel
-        seq[i] = frame.seq
-    return Trace(
-        {
-            "time_us": time,
-            "ftype": ftype,
-            "rate_code": rate,
-            "size": size,
-            "src": src,
-            "dst": dst,
-            "retry": retry,
-            "channel": channel,
-            "snr_db": np.full(n, 40.0, dtype=np.float32),
-            "seq": seq,
-        }
-    ).sorted_by_time()
+    if not medium.ground_truth:
+        return Trace.empty()
+    start, frames = zip(*medium.ground_truth)
+    snr_db = np.full(len(frames), 40.0, dtype=np.float32)
+    return _frame_trace(start, frames, snr_db)

@@ -9,7 +9,6 @@ from repro.core import (
     utilization_series,
 )
 from repro.pcap import read_trace, write_trace
-from repro.sim import ground_truth_trace
 
 
 class TestSimulateAnalyze:
@@ -53,7 +52,7 @@ class TestSimulateAnalyze:
     def test_utilization_of_capture_tracks_ground_truth(self, small_scenario):
         cap = utilization_series(small_scenario.trace)
         truth = utilization_series(
-            ground_truth_trace(small_scenario.medium),
+            small_scenario.ground_truth,
             start_us=cap.start_us,
             n_seconds=len(cap),
         )

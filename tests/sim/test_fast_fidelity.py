@@ -25,7 +25,12 @@ import pytest
 
 from repro.frames import Trace
 from repro.frames.dot11 import RATE_CODES
-from repro.sim import FIDELITY_MODES, FastBuiltScenario, build_scenario
+from repro.sim import (
+    FIDELITY_MODES,
+    SCENARIO_LIBRARY,
+    FastBuiltScenario,
+    build_scenario,
+)
 
 SEEDS = (7, 21, 42)
 GRID_SIZES = (3, 10)
@@ -194,6 +199,22 @@ class TestFastEngineSurface:
         chunks = list(build().stream())
         assert len(chunks) == 4  # one segment per one-second drain window
         assert Trace.concatenate(chunks) == buffered
+
+    @pytest.mark.parametrize("duration_s, seed", [(3.0, 1), (2.5, 5)])
+    @pytest.mark.parametrize("scenario", sorted(SCENARIO_LIBRARY))
+    def test_no_frame_after_the_run_ends(self, scenario, duration_s, seed):
+        """A job that starts just before the end stamps its retries and
+        ACKs after it; the run keeps none of them, and counts what it
+        keeps."""
+        built = build_scenario(
+            scenario, duration_s=duration_s, seed=seed, fidelity="fast"
+        )
+        result = built.run()
+        end_us = built.config.duration_us
+        assert (result.trace.time_us < end_us).all()
+        assert (result.ground_truth.time_us < end_us).all()
+        assert built.frames_transmitted == len(result.ground_truth)
+        assert built.frames_captured == len(result.trace)
 
     def test_single_consumption_enforced(self):
         built = build_scenario(

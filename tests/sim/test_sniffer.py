@@ -53,7 +53,7 @@ class TestCapture:
         frame.retry = True
         medium.transmit(tx, frame, 15.0)
         sim.run_until(1_000_000)
-        trace = sniffer.to_trace()
+        trace = sniffer.drain_trace()
         assert len(trace) == 1
         row = trace.row(0)
         assert row.size == 800
@@ -71,7 +71,7 @@ class TestCapture:
         frame = _frame(1, 2, size=500, rate=11.0)
         medium.transmit(tx, frame, 15.0)
         sim.run_until(1_000_000)
-        assert sniffer.to_trace().row(0).time_us == 7_777
+        assert sniffer.drain_trace().row(0).time_us == 7_777
 
     def test_distant_transmitter_hidden(self):
         sim, medium, sniffer = _setup()
@@ -142,19 +142,21 @@ class TestGroundTruth:
         sim.run_until(10_000_000)
         assert sniffer.frames_captured < len(ground_truth_trace(medium))
 
-    def test_recording_gate_keeps_counters_only(self):
-        """record_ground_truth=False: no frame list, counters intact."""
-        sim, medium, sniffer = _setup()
-        medium.record_ground_truth = False
-        tx = RecordingListener(1, Position(0, 0))
-        medium.attach(tx)
-        for _ in range(4):
-            medium.transmit(tx, _frame(1, 2, size=100), 15.0)
-            sim.run_until(sim.now_us + 5_000)
-        sim.run_until(1_000_000)
-        assert medium.ground_truth == []
-        assert medium.frames_transmitted == 4
-        assert medium.channel_tx_counts == {1: 4}
+    def test_a_stream_holds_one_window(self):
+        """A streamed run drains the medium's ground truth every window,
+        and its counters still cover the whole run."""
+        streamed = build_scenario("day", duration_s=3.0, seed=2)
+        assert len(streamed.config.channels) == 3
+        for _ in streamed.stream():
+            assert streamed.medium.ground_truth == []
+        assert streamed.medium.ground_truth == []
+        twin = build_scenario("day", duration_s=3.0, seed=2)
+        twin.run()
+        assert streamed.frames_transmitted == twin.frames_transmitted > 0
+        assert (
+            streamed.medium.channel_tx_counts == twin.medium.channel_tx_counts
+        )
+        assert set(streamed.medium.channel_tx_counts) == {1, 6, 11}
 
 
 class TestDrain:
@@ -170,16 +172,16 @@ class TestDrain:
 
     def test_drain_all_empties_buffer_keeps_totals(self):
         sniffer = self._capture_n(5)
-        full = sniffer.to_trace()
+        full = self._capture_n(5).drain_trace()
         drained = sniffer.drain_trace()
         assert drained == full
         assert sniffer.frames_buffered == 0
         assert sniffer.frames_captured == 5      # monotone total
-        assert len(sniffer.to_trace()) == 0
+        assert len(sniffer.drain_trace()) == 0
 
     def test_partial_drain_splits_at_watermark(self):
         sniffer = self._capture_n(5, gap_us=5_000)
-        full = sniffer.to_trace()
+        full = self._capture_n(5, gap_us=5_000).drain_trace()
         cut = int(full.time_us[2])  # strictly-before semantics
         early = sniffer.drain_trace(before_us=cut)
         assert list(early.time_us) == list(full.time_us[:2])
@@ -191,7 +193,7 @@ class TestDrain:
 
     def test_drain_preserves_all_columns(self):
         sniffer = self._capture_n(4)
-        full = sniffer.to_trace()
+        full = self._capture_n(4).drain_trace()
         part1 = sniffer.drain_trace(before_us=int(full.time_us[2]))
         part2 = sniffer.drain_trace()
         from repro.frames import Trace
@@ -208,7 +210,7 @@ class TestDrain:
         drain and returned by the next one — once, never twice or zero
         times across consecutive drains."""
         sniffer = self._capture_n(3, gap_us=5_000)
-        full = sniffer.to_trace()
+        full = self._capture_n(3, gap_us=5_000).drain_trace()
         boundary = int(full.time_us[1])
 
         first = sniffer.drain_trace(before_us=boundary)
@@ -354,8 +356,8 @@ class TestBulkDropLaw:
         assert sniffer.frames_captured == len(reference.kept)
 
     def test_buffered_day_run_queues_at_most_the_bound(self, monkeypatch):
-        """A buffered ``run()`` drains nothing until it ends, so only the
-        bound keeps each sniffer's queue from holding the whole run."""
+        """A ``run()`` drains once per one-second window, so only the
+        bound keeps each sniffer's queue from holding the whole window."""
         queued: list[int] = []
         settle = Sniffer._settle
 
