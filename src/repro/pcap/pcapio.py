@@ -225,7 +225,8 @@ class _RecordLayout:
         length_word = "rec_len" if self.stores_length else "incl_len"
         self.length_at = 4 * words.index(length_word)
         self.length_bias = 0 if self.stores_length else self.size
-        self.endian = "little" if byte_order == "<" else "big"
+        #: Reads the length word at a record's offset plus length_at.
+        self.length = struct.Struct(byte_order + "L")
         self.pad = pad
         self.error = error
         self.file_header_size = len(file_header(0))
@@ -757,11 +758,10 @@ def _scan_records(buf: bytes, layout: _RecordLayout) -> tuple[list[int], int]:
     pos = 0
     limit = len(buf)
     size = layout.size
-    lo, bias, endian = layout.length_at, layout.length_bias, layout.endian
-    hi = lo + 4
-    from_bytes = int.from_bytes
+    at, bias = layout.length_at, layout.length_bias
+    unpack_from = layout.length.unpack_from
     while pos + size <= limit:
-        end = pos + bias + from_bytes(buf[pos + lo : pos + hi], endian)
+        end = pos + bias + unpack_from(buf, pos + at)[0]
         if not pos < end <= limit:
             break
         offs.append(pos)

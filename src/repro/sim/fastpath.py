@@ -27,7 +27,10 @@ What stays exact
   gate (:meth:`~repro.sim.medium.Medium.decode_floor_dbm`).
 * Arrival processes: per-flow Poisson counts per 100 ms sub-slice with
   order-statistics uniform placement — an exact Poisson process for
-  the same rate schedules.
+  the same rate schedules.  Each channel cell draws a window's arrivals
+  in three calls, whatever its number of flows: the counts over its
+  (flow x sub-slice) rate matrix, their placements, and their sizes
+  from a pool (see ``FastBuiltScenario._generate_arrivals``).
 * The capture model: sniffer audibility, SNR-dependent decode and the
   load-proportional hardware-drop law from
   :class:`~repro.sim.sniffer.SnifferConfig`.
@@ -95,6 +98,16 @@ _SIZE_POOL = 4096
 #: ``LinearRamp`` faithful and divides the 1 s ``ModulatedRate`` epoch.
 _SUBSLICE_US = 100_000
 
+#: Sub-slice starts relative to a flow's first edge in a window: enough
+#: 100 ms sub-slices to cover a whole window.
+_SUBSLICE_OFFSETS = np.arange(0, DRAIN_WINDOW_US, _SUBSLICE_US, dtype=np.int64)
+
+#: Beacon times relative to an AP's first beacon in a window: a window
+#: holds at most this many beacons.
+_BEACON_OFFSETS = np.arange(
+    0, DRAIN_WINDOW_US, BEACON_INTERVAL_US, dtype=np.int64
+)
+
 #: EWMA weight for the measured per-source airtime that drives the
 #: next window's hidden-terminal collision probability.
 _BUSY_EWMA = 0.5
@@ -123,11 +136,26 @@ _DATA = int(FrameType.DATA)
 _MGMT = int(FrameType.MGMT)
 _BEACON = int(FrameType.BEACON)
 
+#: The frame types of a window's jobs, in the order they are drawn.
+_JOB_FTYPES = np.array([_MGMT, _DATA, _BEACON], dtype=np.int64)
+
 #: ``CONTROL_FRAME_BYTES`` indexed by frame type (0 for DATA and MGMT,
 #: whose error law counts their body instead).
 _CONTROL_BYTES = np.array(
     [CONTROL_FRAME_BYTES.get(ftype, 0) for ftype in FrameType], dtype=np.int64
 )
+
+
+def _rank_within(keys: np.ndarray) -> np.ndarray:
+    """Each element's rank among the elements with its key, in order."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    pos = np.arange(len(keys))
+    opens = np.ones(len(keys), dtype=bool)
+    opens[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    rank = np.empty(len(keys), dtype=np.int64)
+    rank[order] = pos - np.maximum.accumulate(np.where(opens, pos, 0))
+    return rank
 
 
 @dataclass
@@ -137,12 +165,34 @@ class _FastMediumStats:
     frames_transmitted: int = 0
 
 
+@dataclass(frozen=True)
+class _CellFlows:
+    """What a channel cell's arrivals are drawn from, fixed at build.
+
+    ``traffic`` lists the cell's traffic flows with each one's activity
+    window [``start``, ``end``) and its rate schedule's index in
+    ``FastBuiltScenario._schedules``; ``assoc`` the uplink flows whose
+    station associates at ``assoc_at``; ``beacons`` the cell's AP
+    beacon flows, each beaconing at ``beacon_at`` modulo the interval.
+    """
+
+    traffic: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    sched: np.ndarray
+    assoc: np.ndarray
+    assoc_at: np.ndarray
+    beacons: np.ndarray
+    beacon_at: np.ndarray
+
+
 class _ChannelCell:
     """Mutable per-channel scheduling state carried across windows."""
 
-    __slots__ = ("busy_until", "backlog", "capture", "truth", "src_busy")
+    __slots__ = ("flows", "busy_until", "backlog", "capture", "truth", "src_busy")
 
-    def __init__(self, max_id: int) -> None:
+    def __init__(self, flows: _CellFlows, max_id: int) -> None:
+        self.flows = flows
         self.busy_until = 0
         #: Jobs whose service did not start before the window closed:
         #: dict of flow/arrival/size/seq/ftype arrays, or None.
@@ -279,8 +329,6 @@ class FastBuiltScenario(ScenarioRun):
         flow_p_ack: list[float] = []
         flow_p_hand: list[float] = []
         flow_hidw: list[np.ndarray] = []
-        self._schedules: list[object] = []
-        self._activity: list[tuple[int, int]] = []
 
         def hidden_weights(src, dst, rate, fwd_power):
             """Per-interferer loss probability given a hidden overlap.
@@ -312,7 +360,7 @@ class FastBuiltScenario(ScenarioRun):
                 row[h] = min(1.0, max(0.0, 1.0 - p_eff / max(p_clean, 1e-12)))
             return row
 
-        def add_flow(src, dst, channel, schedule, window, rts, beacon=False):
+        def add_flow(src, dst, channel, rts, beacon=False):
             if beacon:
                 snr, rate = 40.0, BASIC_RATE_MBPS
             else:
@@ -351,34 +399,20 @@ class FastBuiltScenario(ScenarioRun):
                     * phy.control_success_probability(rev, FrameType.CTS)
                 )
                 flow_hidw.append(hidden_weights(src, dst, rate, fwd_power))
-            self._schedules.append(schedule)
-            self._activity.append(window)
 
-        duration_us = config.duration_us
+        # Traffic flows 2j and 2j+1 are station j's uplink and downlink,
+        # in the order of their sources in built.sources.
         for j, station in enumerate(built.stations):
-            up = built.sources[2 * j]
-            down = built.sources[2 * j + 1]
-            start = int(up.start_us)
-            end = duration_us if up.end_us is None else int(up.end_us)
-            window = (start, end)
             add_flow(
                 station.node_id, station.ap_id, station.mac.channel,
-                up.schedule, window, built.roles[j].uses_rtscts,
+                built.roles[j].uses_rtscts,
             )
-            add_flow(
-                station.ap_id, station.node_id, station.mac.channel,
-                down.schedule, window, False,
-            )
-        self._n_traffic_flows = len(flow_src)
-        self._beacon_offsets: list[int] = []
+            add_flow(station.ap_id, station.node_id, station.mac.channel, False)
+        n_traffic = len(flow_src)
+        beacon_at: list[int] = []
         for ap in built.aps:
-            add_flow(
-                ap.node_id, BROADCAST, ap.channel,
-                None, (0, duration_us), False, beacon=True,
-            )
-            self._beacon_offsets.append(
-                int(self._rng.integers(0, BEACON_INTERVAL_US))
-            )
+            add_flow(ap.node_id, BROADCAST, ap.channel, False, beacon=True)
+            beacon_at.append(int(self._rng.integers(0, BEACON_INTERVAL_US)))
 
         self.flow_src = np.array(flow_src, dtype=np.int64)
         self.flow_dst = np.array(flow_dst, dtype=np.int64)
@@ -414,10 +448,35 @@ class FastBuiltScenario(ScenarioRun):
             cw = min((cw + 1) * 2 - 1, mac_cfg.cw_max)
         self._cw_ladder = np.array(ladder, dtype=np.float64)
 
+        # Each traffic flow's activity window, and its rate schedule as
+        # an index into the distinct schedules (by identity).
+        sources = built.sources
+        distinct = {id(source.schedule): source.schedule for source in sources}
+        self._schedules = list(distinct.values())
+        slot = {key: i for i, key in enumerate(distinct)}
+        sched = np.array([slot[id(s.schedule)] for s in sources], dtype=np.int64)
+        start = np.array([s.start_us for s in sources], dtype=np.int64)
+        end = np.array(
+            [config.duration_us if s.end_us is None else s.end_us for s in sources],
+            dtype=np.int64,
+        )
+        beacon_at = np.array(beacon_at, dtype=np.int64)
+
+        def cell_flows(channel: int) -> _CellFlows:
+            on = self.flow_chan == channel
+            traffic = np.flatnonzero(on[:n_traffic])
+            # Uplink flows sit at even indices; a station that is ever
+            # active associates at its activity start.
+            assoc = traffic[(traffic % 2 == 0) & (start[traffic] < end[traffic])]
+            beacons = np.flatnonzero(on[n_traffic:])
+            return _CellFlows(
+                traffic, start[traffic], end[traffic], sched[traffic],
+                assoc, start[assoc], n_traffic + beacons, beacon_at[beacons],
+            )
+
         self._channels = [int(c) for c in config.channels]
-        self._cells = {c: _ChannelCell(self._max_id) for c in self._channels}
-        self._chan_flows = {
-            c: np.flatnonzero(self.flow_chan == c) for c in self._channels
+        self._cells = {
+            c: _ChannelCell(cell_flows(c), self._max_id) for c in self._channels
         }
 
     # ------------------------------------------------------------------
@@ -501,9 +560,7 @@ class FastBuiltScenario(ScenarioRun):
         self, cell: _ChannelCell, channel: int, t0: int, t1: int, keep_truth: bool
     ) -> None:
         rng = self._rng
-        jflow, jarr, jsize, jftype = self._generate_arrivals(
-            self._chan_flows[channel], t0, t1
-        )
+        jflow, jarr, jsize, jftype = self._generate_arrivals(cell.flows, t0, t1)
 
         n_backlog = 0
         jseq_backlog = np.empty(0, dtype=np.int64)
@@ -694,91 +751,78 @@ class FastBuiltScenario(ScenarioRun):
 
     # -- arrivals --------------------------------------------------------
 
-    def _generate_arrivals(self, flows: np.ndarray, t0: int, t1: int):
-        """Poisson data + beacons + activity-start MGMT for [t0, t1)."""
+    def _generate_arrivals(self, flows: _CellFlows, t0: int, t1: int):
+        """Association MGMT, Poisson DATA and beacons for [t0, t1).
+
+        Each traffic flow's active part of the window, from
+        ``max(t0, start)`` to ``min(t1, end)``, is cut into 100 ms
+        sub-slices offered at the flow's rate at their midpoints.  The
+        cell then makes three draws: one ``rng.poisson`` over its
+        (flow x sub-slice) rate matrix, one ``rng.random`` placing every
+        arrival uniformly in its sub-slice, and one ``rng.integers``
+        picking their sizes from the pool.
+        """
         rng = self._rng
-        jf: list[np.ndarray] = []
-        ja: list[np.ndarray] = []
-        js: list[np.ndarray] = []
-        jt: list[np.ndarray] = []
+        lo = np.maximum(flows.start, t0)
+        hi = np.minimum(flows.end, t1)
+        edges = lo[:, None] + _SUBSLICE_OFFSETS
+        widths = np.minimum(edges + _SUBSLICE_US, hi[:, None]) - edges
+        live = widths > 0
+        # One rate_at call per distinct (schedule, sub-slice midpoint).
+        span = self.config.duration_us
+        keys, inverse = np.unique(
+            (flows.sched[:, None] * span + edges + widths // 2)[live],
+            return_inverse=True,
+        )
+        rates = np.array(
+            [self._schedules[k // span].rate_at(k % span) for k in keys.tolist()],
+            dtype=np.float64,
+        )
+        lam = np.zeros(edges.shape)
+        lam[live] = np.maximum(rates[inverse], 0.0) * (widths[live] / 1e6)
+        counts = rng.poisson(lam)
+        per_slice = counts.ravel()
+        total = int(per_slice.sum())
+        self._offered += total
+        arrivals = (
+            np.repeat(edges.ravel(), per_slice)
+            + rng.random(total) * np.repeat(widths.ravel(), per_slice)
+        ).astype(np.int64)
+        sizes = self._size_pool[rng.integers(0, _SIZE_POOL, total)]
 
-        for fi in flows:
-            fi = int(fi)
-            if fi >= self._n_traffic_flows:          # beacon flow
-                offset = self._beacon_offsets[fi - self._n_traffic_flows]
-                if t0 <= offset:
-                    first = offset
-                else:
-                    periods = -(-(t0 - offset) // BEACON_INTERVAL_US)
-                    first = offset + periods * BEACON_INTERVAL_US
-                times = np.arange(first, t1, BEACON_INTERVAL_US, dtype=np.int64)
-                if len(times):
-                    jf.append(np.full(len(times), fi, dtype=np.int64))
-                    ja.append(times)
-                    js.append(
-                        np.full(len(times), BEACON_BODY_BYTES, dtype=np.int64)
-                    )
-                    jt.append(np.full(len(times), _BEACON, dtype=np.int64))
-                continue
+        due = (t0 <= flows.assoc_at) & (flows.assoc_at < t1)
+        assoc, assoc_at = flows.assoc[due], flows.assoc_at[due]
 
-            start, end = self._activity[fi]
-            # Association management frame right at activity start
-            # (uplink flows sit at even indices).
-            if fi % 2 == 0 and t0 <= start < t1 and start < end:
-                jf.append(np.array([fi], dtype=np.int64))
-                ja.append(np.array([start], dtype=np.int64))
-                js.append(np.array([ASSOC_FRAME_BYTES], dtype=np.int64))
-                jt.append(np.array([_MGMT], dtype=np.int64))
+        at = flows.beacon_at
+        first = at - (at - t0) // BEACON_INTERVAL_US * BEACON_INTERVAL_US
+        beacon_times = first[:, None] + _BEACON_OFFSETS
+        sent = beacon_times < t1
+        beacons = np.broadcast_to(flows.beacons[:, None], sent.shape)[sent]
+        beacon_times = beacon_times[sent]
 
-            lo, hi = max(t0, start), min(t1, end)
-            if hi <= lo:
-                continue
-            schedule = self._schedules[fi]
-            edges = np.arange(lo, hi, _SUBSLICE_US, dtype=np.int64)
-            widths = np.minimum(edges + _SUBSLICE_US, hi) - edges
-            rates = np.array(
-                [schedule.rate_at(int(e + w // 2)) for e, w in zip(edges, widths)],
-                dtype=np.float64,
-            )
-            counts = rng.poisson(np.maximum(rates, 0.0) * (widths / 1e6))
-            total = int(counts.sum())
-            if not total:
-                continue
-            base = np.repeat(edges, counts)
-            width = np.repeat(widths, counts)
-            times = (base + rng.random(total) * width).astype(np.int64)
-            jf.append(np.full(total, fi, dtype=np.int64))
-            ja.append(times)
-            js.append(self._size_pool[rng.integers(0, _SIZE_POOL, total)])
-            jt.append(np.full(total, _DATA, dtype=np.int64))
-            self._offered += total
-
-        if not jf:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty, empty
+        n_assoc, n_beacon = len(assoc), len(beacons)
         return (
-            np.concatenate(jf),
-            np.concatenate(ja),
-            np.concatenate(js),
-            np.concatenate(jt),
+            np.concatenate(
+                (assoc, np.repeat(flows.traffic, counts.sum(axis=1)), beacons)
+            ),
+            np.concatenate((assoc_at, arrivals, beacon_times)),
+            np.concatenate(
+                (
+                    np.full(n_assoc, ASSOC_FRAME_BYTES, dtype=np.int64),
+                    sizes,
+                    np.full(n_beacon, BEACON_BODY_BYTES, dtype=np.int64),
+                )
+            ),
+            np.repeat(_JOB_FTYPES, (n_assoc, total, n_beacon)),
         )
 
     def _assign_seqs(self, src_ids: np.ndarray) -> np.ndarray:
-        """Per-source modulo-4096 MSDU counters, grouped per window."""
-        seqs = np.empty(len(src_ids), dtype=np.int64)
-        order = np.argsort(src_ids, kind="stable")
-        sorted_src = src_ids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_src)) + 1
-        start = 0
-        for end in [*boundaries.tolist(), len(sorted_src)]:
-            if end <= start:
-                continue
-            src = int(sorted_src[start])
-            count = end - start
-            base = int(self._seq_counter[src])
-            seqs[order[start:end]] = (base + 1 + np.arange(count)) % 4096
-            self._seq_counter[src] = (base + count) % 4096
-            start = end
+        """Per-source modulo-4096 MSDU counters, in the order given."""
+        counter = self._seq_counter
+        seqs = (counter[src_ids] + 1 + _rank_within(src_ids)) % 4096
+        self._seq_counter = (
+            counter + np.bincount(src_ids, minlength=len(counter))
+        ) % 4096
         return seqs
 
     def _cap_backlog(self, spill_src: np.ndarray) -> np.ndarray:
@@ -788,17 +832,8 @@ class FastBuiltScenario(ScenarioRun):
         its source and cutting at ``queue_limit`` drops the latest
         arrivals — what a full MAC queue does.
         """
-        keep = np.ones(len(spill_src), dtype=bool)
-        order = np.argsort(spill_src, kind="stable")
-        sorted_src = spill_src[order]
-        boundaries = np.flatnonzero(np.diff(sorted_src)) + 1
-        start = 0
-        for end in [*boundaries.tolist(), len(sorted_src)]:
-            count = end - start
-            if count > self._queue_limit:
-                keep[order[start + self._queue_limit : end]] = False
-                self._queue_overflows += count - self._queue_limit
-            start = end
+        keep = _rank_within(spill_src) < self._queue_limit
+        self._queue_overflows += len(keep) - int(np.count_nonzero(keep))
         return keep
 
     # -- row emission ----------------------------------------------------

@@ -18,13 +18,14 @@ A decoded frame is only queued (decode time, frame, SNR).  A settle step
 applies the drop law to the whole queue at once: one ``rng.random(n)``
 from the sniffer's own generator, in decode order, which is the draw
 sequence the per-frame law made, and the kept rows go into a
-:class:`~repro.frames.TraceBuffer` as one trace.  It runs at every
-``drain_trace``, on any read of ``frames_captured``, ``hardware_drops``
-or ``frames_buffered``, and when the queue reaches :data:`SETTLE_BOUND`
-frames.  Nothing the simulation does reads the capture or the sniffer's
-generator, so when a frame settles changes no outcome.  A scenario's
-window loop drains every sniffer once per window, so the buffer holds
-about one window of rows however long the run.
+:class:`~repro.frames.TraceBuffer` as one trace.  It runs only at
+``drain_trace`` and on a read of ``frames_captured``, ``hardware_drops``
+or ``frames_buffered``.  Nothing the simulation does reads the capture
+or the sniffer's generator, so when a frame settles changes no outcome.
+A scenario's window loop drains every sniffer once per window, so the
+queue and the buffer hold about one window of frames however long the
+run; the medium keeps that window's frames alive for its ground truth
+anyway.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ from .medium import Medium, SimFrame
 from .propagation import Position
 
 __all__ = ["SnifferConfig", "Sniffer", "ground_truth_trace"]
-
-#: Decoded frames a sniffer queues before it settles them: the frames
-#: a queue keeps alive within a drain window.  A settle costs a few
-#: numpy calls.
-SETTLE_BOUND = 128
 
 #: The fields of a frame that a trace row records, read in one call.
 _ROW_FIELDS = attrgetter(
@@ -146,10 +142,7 @@ class Sniffer:
 
     def on_frame_received(self, frame: SimFrame, snr_db: float) -> None:
         """A frame decoded at the sniffer: queue it for the drop law."""
-        queue = self._queue
-        queue.append((self.sim.now_us, frame, snr_db))
-        if len(queue) >= SETTLE_BOUND:
-            self._settle()
+        self._queue.append((self.sim.now_us, frame, snr_db))
 
     def _settle(self) -> None:
         """Apply the hardware-drop law to the queue and record the kept rows.

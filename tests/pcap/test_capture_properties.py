@@ -231,12 +231,12 @@ def test_cut_capture_reads_clean_prefix(tmp_path, trace, suffix, data):
             assert error.compressed == compressed
 
 
-#: A 1,098-frame fast ``uniform`` capture (2 s, seed 3), gzipped at
+#: A 1,077-frame fast ``uniform`` capture (2 s, seed 3), gzipped at
 #: level 6, cut at 50, 75, 90 and 99 % of its gzipped bytes: the whole
 #: records in what an incremental zlib decompress yields from each cut.
 CUT_GZIP_FRAMES = {
-    ".pcap.gz": (559, 825, 988, 1086),
-    ".snoop.gz": (535, 815, 984, 1086),
+    ".pcap.gz": (553, 817, 973, 1066),
+    ".snoop.gz": (529, 800, 966, 1066),
 }
 
 
@@ -244,7 +244,7 @@ CUT_GZIP_FRAMES = {
 def test_cut_gzip_capture_reads_its_clean_prefix(tmp_path, suffix):
     built = build_scenario("uniform", fidelity="fast", duration_s=2.0, seed=3)
     trace = Trace.concatenate(list(built.stream()))
-    assert len(trace) == 1098
+    assert len(trace) == 1077
     path = tmp_path / f"capture{suffix}"
     write_trace(trace, path)
     raw = path.read_bytes()

@@ -20,8 +20,9 @@ all.  ``--identity`` prints one JSON document (and writes nothing)
 describing every library scenario on both engines.  ``--against REV``
 extracts ``REV`` with ``git archive`` into a temporary directory, runs
 that dump with this module on this tree's ``src/`` and on ``REV``'s,
-and prints ``identical`` (exit 0) or the first key path where the two
-differ (exit 1)::
+and prints ``identical`` (exit 0) or a summary (exit 1): for each
+engine's runs, then for the cell keys and the scenario parameter lists,
+``identical`` or how many key paths differ and the first of them::
 
     PYTHONPATH=src:. python -m tests.sim.golden_lib --identity --against HEAD~1
 
@@ -202,29 +203,63 @@ def identity() -> dict[str, object]:
     return doc
 
 
-def first_difference(old: object, new: object, path: str = "") -> str | None:
-    """The first key path (``/``-joined, keys in sorted order, list
-    indices as numbers) where two JSON documents differ, or ``None``."""
+def differences(old: object, new: object, path: str = ""):
+    """Every key path (``/``-joined, keys in sorted order, list indices
+    as numbers) where two JSON documents differ, in that order."""
     if isinstance(old, dict) and isinstance(new, dict):
         for key in sorted(old.keys() | new.keys()):
             where = f"{path}/{key}"
             if key not in old or key not in new:
-                return where
-            found = first_difference(old[key], new[key], where)
-            if found is not None:
-                return found
-        return None
-    if isinstance(old, list) and isinstance(new, list):
+                yield where
+            else:
+                yield from differences(old[key], new[key], where)
+    elif isinstance(old, list) and isinstance(new, list):
         for index, (a, b) in enumerate(zip(old, new)):
-            found = first_difference(a, b, f"{path}/{index}")
-            if found is not None:
-                return found
+            yield from differences(a, b, f"{path}/{index}")
         if len(old) != len(new):
-            return f"{path}/{min(len(old), len(new))}"
+            yield f"{path}/{min(len(old), len(new))}"
+    elif type(old) is not type(new) or old != new:
+        yield path or "/"
+
+
+def first_difference(old: object, new: object) -> str | None:
+    """The first of :func:`differences`, or ``None``."""
+    return next(differences(old, new), None)
+
+
+#: The groups ``--identity --against`` counts differing paths in: each
+#: engine's runs, then the cell keys and scenario parameter lists.
+IDENTITY_GROUPS = ("default", "fast", "cell keys", "scenario parameters")
+
+
+def identity_group(path: str) -> str:
+    """The :data:`IDENTITY_GROUPS` entry an identity key path falls in
+    (``scenarios`` for a scenario present on one side only)."""
+    parts = path.split("/")
+    if parts[-1] == "cell_key":
+        return "cell keys"
+    if len(parts) > 2 and parts[2] == "parameters":
+        return "scenario parameters"
+    if len(parts) > 3 and parts[2] == "cases":
+        return parts[3]
+    return "scenarios"
+
+
+def identity_summary(old: object, new: object) -> str | None:
+    """One line per group: ``identical``, or how many key paths differ
+    between two identity dumps and the first; ``None`` when none do."""
+    groups: dict[str, list[str]] = {group: [] for group in IDENTITY_GROUPS}
+    for path in differences(old, new):
+        groups.setdefault(identity_group(path), []).append(path)
+    if not any(groups.values()):
         return None
-    if type(old) is not type(new) or old != new:
-        return path or "/"
-    return None
+    return "\n".join(
+        f"{group}: {len(paths)} differing "
+        f"{'path' if len(paths) == 1 else 'paths'}, first {paths[0]}"
+        if paths
+        else f"{group}: identical"
+        for group, paths in groups.items()
+    )
 
 
 def _identity_on(src: Path) -> object:
@@ -238,7 +273,7 @@ def _identity_on(src: Path) -> object:
 
 
 def identity_against(rev: str) -> str | None:
-    """:func:`first_difference` from ``rev``'s identity dump to this tree's."""
+    """:func:`identity_summary` from ``rev``'s identity dump to this tree's."""
     archive = subprocess.run(
         ["git", "-C", str(REPO_ROOT), "archive", "--format=tar", rev],
         capture_output=True, check=True,
@@ -247,7 +282,7 @@ def identity_against(rev: str) -> str | None:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         old = _identity_on(Path(tmp) / "src")
-    return first_difference(old, _identity_on(REPO_ROOT / "src"))
+    return identity_summary(old, _identity_on(REPO_ROOT / "src"))
 
 
 def load_fixture() -> dict[str, dict[str, object]]:
@@ -276,15 +311,16 @@ if __name__ == "__main__":
         "--against",
         metavar="REV",
         help="with --identity: compare this tree's dump with REV's and "
-        "print 'identical' (exit 0) or the first differing key path (exit 1)",
+        "print 'identical' (exit 0) or, per engine and for cell keys and "
+        "scenario parameters, how many key paths differ and the first (exit 1)",
     )
     args = parser.parse_args()
     if args.against is not None:
         if not args.identity:
             parser.error("--against needs --identity")
-        difference = identity_against(args.against)
-        print("identical" if difference is None else difference)
-        sys.exit(0 if difference is None else 1)
+        summary = identity_against(args.against)
+        print("identical" if summary is None else summary)
+        sys.exit(0 if summary is None else 1)
     if args.identity:
         print(json.dumps(identity(), indent=1, sort_keys=True))
     else:

@@ -21,6 +21,7 @@ from .golden_lib import (
     GOLDEN_CASES,
     case_fingerprint,
     first_difference,
+    identity_summary,
     load_fixture,
     trace_digest,
 )
@@ -45,6 +46,40 @@ def test_fixture_covers_every_case():
 def test_identity_diff_names_the_first_differing_key_path(new, path):
     """``golden_lib --identity --against REV`` prints this path."""
     assert first_difference({"a": {"b": [1, 2]}, "c": 3}, new) == path
+
+
+def test_identity_summary_counts_each_engine_apart():
+    """``golden_lib --identity --against REV`` prints this summary: a
+    line per engine, then cell keys and scenario parameters, each
+    ``identical`` or its count of differing paths and the first."""
+    def dump(fast_sha, fast_key, params):
+        return {
+            "uniform": {
+                "parameters": params,
+                "cases": {
+                    "default/3.0s/seed=1": {
+                        "cell_key": "k0",
+                        "run": {"trace_sha256": "a", "offered_packets": 9},
+                    },
+                    "fast/3.0s/seed=1": {
+                        "cell_key": fast_key,
+                        "run": {"trace_sha256": fast_sha, "offered_packets": 9},
+                        "stream": {"segment_lengths": [fast_sha]},
+                    },
+                },
+            }
+        }
+
+    old = dump("b", "k1", ["n_stations"])
+    assert identity_summary(old, dump("b", "k1", ["n_stations"])) is None
+    assert identity_summary(old, dump("c", "k2", ["n_stations", "seed"])) == (
+        "default: identical\n"
+        "fast: 2 differing paths, first "
+        "/uniform/cases/fast/3.0s/seed=1/run/trace_sha256\n"
+        "cell keys: 1 differing path, first "
+        "/uniform/cases/fast/3.0s/seed=1/cell_key\n"
+        "scenario parameters: 1 differing path, first /uniform/parameters/1"
+    )
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

@@ -20,12 +20,17 @@ Everything is seeded, so the suite is deterministic: a calibration
 regression in the fast engine fails it reproducibly.
 """
 
+from collections import Counter, defaultdict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.frames import Trace
+from repro.frames import FrameType, Trace
 from repro.frames.dot11 import RATE_CODES
 from repro.sim import (
+    BEACON_INTERVAL_US,
     FIDELITY_MODES,
     SCENARIO_LIBRARY,
     FastBuiltScenario,
@@ -46,6 +51,13 @@ DELIVERY_MEAN_TOL = 0.10
 
 #: Mean channel busy-time (offered airtime / duration) gap per grid size.
 CBT_MEAN_TOL = 0.20
+
+#: A flow's DATA arrivals over a run are Poisson with mean Λ, its
+#: schedule's integral over its activity window: the count must lie
+#: within ARRIVAL_SIGMAS standard deviations (√Λ) of Λ, plus
+#: ARRIVAL_SLACK packets for flows whose mean is a few packets.
+ARRIVAL_SIGMAS = 5.0
+ARRIVAL_SLACK = 2.0
 
 _CODE_TO_RATE = {code: rate for rate, code in RATE_CODES.items()}
 
@@ -145,6 +157,127 @@ class TestStatisticalEquivalence:
                 [grid_metrics[(fidelity, 10, s)][1] for s in SEEDS]
             )
             assert large_cbt > small_cbt
+
+
+def _drawn_jobs(built):
+    """Run ``built``; return each window step's ``(t0, t1, jobs)``, the
+    fresh jobs its arrival draw handed the step (backlog excluded)."""
+    drawn = []
+    generate = built._generate_arrivals
+
+    def recording(*args):
+        jobs = generate(*args)
+        drawn.append((args[-2], args[-1], jobs))
+        return jobs
+
+    built._generate_arrivals = recording
+    built.run()
+    return drawn
+
+
+def _schedule_integral(schedule, start_us, end_us, step_us=10_000):
+    """Packets ``schedule`` offers over [start_us, end_us), by the
+    midpoint rule on a 10 ms grid."""
+    edges = np.arange(start_us, end_us, step_us)
+    widths = np.minimum(edges + step_us, end_us) - edges
+    rates = [
+        max(schedule.rate_at(int(e + w // 2)), 0.0)
+        for e, w in zip(edges.tolist(), widths.tolist())
+    ]
+    return float(np.dot(rates, widths)) / 1e6
+
+
+class TestArrivalLaw:
+    """The jobs each window step draws: per-flow Poisson DATA inside the
+    window and the flow's activity window, one association MGMT per
+    station at its activity start, and a beacon per AP every 100 ms at
+    its offset."""
+
+    @pytest.mark.parametrize("scenario", ["uniform", "ramp", "day"])
+    def test_window_arrivals_follow_the_law(self, scenario):
+        built = build_scenario(scenario, duration_s=6.0, seed=3, fidelity="fast")
+        network = built._built
+        duration_us = built.config.duration_us
+        # (src, dst) -> the flow's activity window and rate schedule.
+        flows = {}
+        for j, station in enumerate(network.stations):
+            up, down = network.sources[2 * j], network.sources[2 * j + 1]
+            end = duration_us if up.end_us is None else min(up.end_us, duration_us)
+            flows[(station.node_id, station.ap_id)] = (up.start_us, end, up.schedule)
+            flows[(station.ap_id, station.node_id)] = (up.start_us, end, down.schedule)
+
+        data_count = Counter()
+        assoc = defaultdict(list)
+        beacons = defaultdict(list)
+        for t0, t1, (jflow, jarr, _jsize, jftype) in _drawn_jobs(built):
+            src = built.flow_src[jflow].tolist()
+            dst = built.flow_dst[jflow].tolist()
+            for s, d, t, kind in zip(src, dst, jarr.tolist(), jftype.tolist()):
+                if kind == FrameType.DATA:
+                    start, end, _ = flows[(s, d)]
+                    assert t0 <= t < t1 and start <= t < end, (s, d, t)
+                    data_count[(s, d)] += 1
+                elif kind == FrameType.MGMT:
+                    assoc[s].append(t)
+                else:
+                    assert kind == FrameType.BEACON
+                    beacons[s].append(t)
+
+        assert assoc == {
+            station.node_id: [flows[(station.node_id, station.ap_id)][0]]
+            for station in network.stations
+            if flows[(station.node_id, station.ap_id)][0]
+            < flows[(station.node_id, station.ap_id)][1]
+        }
+        assert sorted(beacons) == sorted(ap.node_id for ap in network.aps)
+        for times in beacons.values():
+            offset = min(times)
+            assert 0 <= offset < BEACON_INTERVAL_US
+            assert sorted(times) == list(
+                range(offset, duration_us, BEACON_INTERVAL_US)
+            )
+        assert sum(data_count.values()) == built.offered_packets
+        for (s, d), (start, end, schedule) in flows.items():
+            mean = _schedule_integral(schedule, start, end)
+            bound = ARRIVAL_SIGMAS * mean**0.5 + ARRIVAL_SLACK
+            assert abs(data_count[(s, d)] - mean) <= bound, (s, d, mean)
+
+
+@pytest.fixture(scope="module")
+def small_fast():
+    return build_scenario(
+        "uniform", n_stations=3, duration_s=1.0, seed=7, fidelity="fast"
+    )
+
+
+class TestSourceRanks:
+    """Sequence numbers and the backlog's drop-tail cap rank each job
+    within its source; the per-source loops they replace are the
+    reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), limit=st.integers(1, 12))
+    def test_ranks_match_the_per_source_loops(self, small_fast, data, limit):
+        n_ids = len(small_fast._seq_counter)
+        src = data.draw(st.lists(st.integers(0, n_ids - 1), max_size=200))
+        counter = data.draw(
+            st.lists(st.integers(0, 4095), min_size=n_ids, max_size=n_ids)
+        )
+        expected_seqs, expected_counter = [], list(counter)
+        kept, expected_keep = Counter(), []
+        for s in src:
+            expected_counter[s] = (expected_counter[s] + 1) % 4096
+            expected_seqs.append(expected_counter[s])
+            kept[s] += 1
+            expected_keep.append(kept[s] <= limit)
+
+        src = np.array(src, dtype=np.int64)
+        small_fast._seq_counter = np.array(counter, dtype=np.int64)
+        assert small_fast._assign_seqs(src).tolist() == expected_seqs
+        assert small_fast._seq_counter.tolist() == expected_counter
+        small_fast._queue_limit, small_fast._queue_overflows = limit, 0
+        assert small_fast._cap_backlog(src).tolist() == expected_keep
+        assert small_fast._queue_overflows == expected_keep.count(False)
 
 
 class TestFastEngineSurface:

@@ -19,7 +19,6 @@ from repro.sim import (
     build_scenario,
     ground_truth_trace,
 )
-from repro.sim.sniffer import SETTLE_BOUND
 
 from .test_medium import RecordingListener, _frame
 
@@ -354,17 +353,3 @@ class TestBulkDropLaw:
         assert rows.snr_db[order].tolist() == [float(i % 40) for i in reference.kept]
         assert sniffer.hardware_drops == reference.drops
         assert sniffer.frames_captured == len(reference.kept)
-
-    def test_buffered_day_run_queues_at_most_the_bound(self, monkeypatch):
-        """A ``run()`` drains once per one-second window, so only the
-        bound keeps each sniffer's queue from holding the whole window."""
-        queued: list[int] = []
-        settle = Sniffer._settle
-
-        def recording_settle(sniffer):
-            queued.append(len(sniffer._queue))
-            settle(sniffer)
-
-        monkeypatch.setattr(Sniffer, "_settle", recording_settle)
-        build_scenario("day", duration_s=3.0, seed=1).run()
-        assert max(queued) == SETTLE_BOUND
