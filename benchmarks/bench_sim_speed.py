@@ -19,13 +19,18 @@ each scenario.
 
 Usage::
 
-    python benchmarks/bench_sim_speed.py                  # full, writes BENCH_sim.json
+    python benchmarks/bench_sim_speed.py                  # full run
     python benchmarks/bench_sim_speed.py --quick          # short durations
     python benchmarks/bench_sim_speed.py --fidelity fast  # one engine only
     python benchmarks/bench_sim_speed.py --quick --check BENCH_sim.json
                                                           # fail on >20% fps regression
+    python benchmarks/bench_sim_speed.py --out BENCH_sim.json
+                                                          # new committed baseline
 
-CI runs the ``--quick --check`` form (the ``bench-smoke`` job).
+Results go to ``--out`` (default ``benchmarks/output/BENCH_sim.json``).
+``--check`` reads its baseline before the run, and an ``--out`` that
+names the baseline itself is refused (exit 2).  CI runs the
+``--quick --check`` form (the ``bench-smoke`` job).
 """
 
 from __future__ import annotations
@@ -180,7 +185,7 @@ def _per_fidelity_modes(payload: dict) -> dict:
     }
 
 
-def check_regression(current: dict, baseline_path: Path) -> int:
+def check_regression(current: dict, baseline: dict) -> int:
     """Exit code 1 if any scenario regressed >20% vs. the scaled baseline.
 
     Strictly like-for-like: only (mode, fidelity, scenario) triples
@@ -189,7 +194,6 @@ def check_regression(current: dict, baseline_path: Path) -> int:
     scaled by the machines' calibration ratio so a baseline committed
     from a fast workstation remains meaningful on a slower CI runner.
     """
-    baseline = json.loads(baseline_path.read_text())
     scale = current["calibration_score"] / baseline["calibration_score"]
     current_modes = _per_fidelity_modes(current)
     failed = False
@@ -233,8 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--quick", action="store_true", help="short durations")
     parser.add_argument(
         "--out",
-        default=str(REPO_ROOT / "BENCH_sim.json"),
-        help="where to write the results JSON",
+        default=str(REPO_ROOT / "benchmarks" / "output" / "BENCH_sim.json"),
+        help="where to write the results JSON (never the --check baseline)",
     )
     parser.add_argument(
         "--check",
@@ -256,13 +260,24 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(measure_scenario(name, float(duration), fidelity)))
         return 0
 
+    out_path = Path(args.out)
+    baseline = None
+    if args.check:
+        if out_path.resolve() == Path(args.check).resolve():
+            print(
+                f"--out and --check both name {args.check}: the run would "
+                "overwrite the baseline it is checked against",
+                file=sys.stderr,
+            )
+            return 2
+        baseline = json.loads(Path(args.check).read_text())
     fidelities = FIDELITIES if args.fidelity == "all" else (args.fidelity,)
     current = run_benchmark(quick=args.quick, fidelities=fidelities)
-    out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(current, indent=2) + "\n")
     print(f"wrote {out_path}")
-    if args.check:
-        return check_regression(current, Path(args.check))
+    if baseline is not None:
+        return check_regression(current, baseline)
     return 0
 
 

@@ -32,8 +32,12 @@ Both containers run through one columnar codec.  A
 :class:`_RecordLayout` describes what differs between them — the
 record header's fields, byte order and padding, the file header and
 the error class — and everything else is shared: the block encoder,
-the slab reader, the vectorized decoder with its eligibility mask, and
-the per-record scalar fallback.
+which places each record's bytes through a strided window over its
+output; the slab reader, whose scan finds records by the radiotap
+lead word and walks record by record only where that chain breaks;
+the vectorized decoder, which reads each record as one structured row
+of a byte window over the slab, with its eligibility mask; and the
+per-record scalar fallback.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ..core.timing import DOT11B_TIMING
 from ..frames import (
@@ -218,15 +223,28 @@ class _RecordLayout:
         self.record = struct.Struct(byte_order + "L" * len(words))
         self.size = self.record.size
         header_fields = [(word, byte_order + "u4") for word in words]
-        self.header_dtype = np.dtype(header_fields)
         #: One encoder scratch row: record header, then the packet prefix.
         self.prefix_dtype = np.dtype(header_fields + _PACKET_PREFIX)
+        #: The same row as the decoder reads it: the header words and
+        #: the prefix fields it tests (see _PREFIX_READ).
+        fields = self.prefix_dtype.fields
+        self.read_dtype = np.dtype(
+            {
+                "names": [*words, *(name for name, *_ in _PREFIX_READ)],
+                "formats": [fmt for _, fmt in header_fields]
+                + [fmt for _, fmt, _, _ in _PREFIX_READ],
+                "offsets": [4 * i for i in range(len(words))]
+                + [fields[field][1] + at for _, _, field, at in _PREFIX_READ],
+                "itemsize": self.prefix_dtype.itemsize,
+            }
+        )
         self.stores_length = "rec_len" in words
         length_word = "rec_len" if self.stores_length else "incl_len"
         self.length_at = 4 * words.index(length_word)
         self.length_bias = 0 if self.stores_length else self.size
         #: Reads the length word at a record's offset plus length_at.
         self.length = struct.Struct(byte_order + "L")
+        self.length_dtype = np.dtype(byte_order + "u4")
         self.pad = pad
         self.error = error
         self.file_header_size = len(file_header(0))
@@ -268,10 +286,33 @@ _PACKET_PREFIX = [
     ("seq_ctrl", "<u2"),
 ]
 
+#: The prefix fields the decoder tests, each read where the encoder
+#: writes it: (name, dtype, prefix field, byte offset inside it).  An
+#: address is its 4-byte prefix (``02 00 00 00`` ours, ``ff ff ff ff``
+#: broadcast) and its 2-byte node id.
+_PREFIX_READ = [
+    ("rt_version", "u1", "rt_head", 0),
+    ("rt_len", "<u2", "rt_head", 2),
+    ("rt_present", "<u4", "rt_head", 4),
+    ("rate", "u1", "rate", 0),
+    ("freq", "<u2", "freq", 0),
+    ("signal", "i1", "signal", 0),
+    ("noise", "i1", "noise", 0),
+    ("fc", "<u2", "fc", 0),
+    ("addr1_prefix", ">u4", "addr1", 0),
+    ("addr1_node", ">u2", "addr1", 4),
+    ("addr2_prefix", ">u4", "addr2", 0),
+    ("addr2_node", ">u2", "addr2", 4),
+    ("seq_ctrl", "<u2", "seq_ctrl", 0),
+]
+
 _RT_FIXED_LEN = 24  # radiotap header write_trace emits: 8 + QBBHHbb body
 _RT_HEAD = np.frombuffer(
     struct.pack("<BBHI", 0, 0, _RT_FIXED_LEN, _RT_PRESENT), dtype=np.uint8
 )
+#: The first word of every packet :func:`write_trace` emits, read
+#: little-endian: radiotap version 0, pad 0, length 24 (``00 00 18 00``).
+_LEAD_WORD = int(_RT_HEAD[:4].view("<u4")[0])
 
 
 _PCAP_FILE_HEADER = struct.Struct("<IHHiIII")
@@ -401,32 +442,6 @@ _TS_LIMIT = (_U32_MAX + 1) * 1_000_000
 # --- writing ----------------------------------------------------------------
 
 
-def _encode_packet(row, duration_fill: bool) -> bytes:
-    """One trace row as radiotap + 802.11 bytes: the per-record oracle
-    the block encoder is tested against."""
-    radiotap = RadiotapHeader(
-        tsft_us=row.time_us,
-        rate_mbps=row.rate_mbps,
-        channel=row.channel,
-        signal_dbm=int(round(_NOISE_FLOOR_DBM + row.snr_db)),
-        noise_dbm=_NOISE_FLOOR_DBM,
-    ).encode()
-    body_size = 0
-    if row.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
-        body_size = max(0, row.size - 24)
-    duration = _DURATION_FILL_US if duration_fill else 0
-    dot11 = encode_frame(
-        ftype=row.ftype,
-        src=row.src,
-        dst=row.dst,
-        seq=row.seq,
-        retry=row.retry,
-        body_size=body_size,
-        duration_us=duration,
-    )
-    return radiotap + dot11
-
-
 def _first_fault(cols: dict[str, np.ndarray], max_size: int):
     """``(row, column, reason)`` of the first row in ``cols`` that a
     container cannot hold, or None: the trace schema's column check,
@@ -504,8 +519,9 @@ def _encode_block(
 
     Returns the records' bytes and how many rows they hold (at least
     one, whatever its size).  Each record's header and packet prefix
-    are built as one structured row, then scattered into a zeroed
-    buffer; body and padding bytes are the zeros left around them.
+    are built as one structured row, then copied into a zeroed buffer
+    through a window that starts a row at every byte; body and padding
+    bytes are the zeros left around them.
     """
     ftype = cols["ftype"]
     body = np.maximum(cols["size"].astype(np.int64) - 24, 0)
@@ -553,13 +569,16 @@ def _encode_block(
     rec["seq_ctrl"] = (cols["seq"] & 0x0FFF) << 4
 
     prefix = rec.view(np.uint8).reshape(n, -1)
-    at = np.arange(prefix.shape[1])
-    # Write only the header and the captured part of the prefix; every
-    # other slot lands on one spare byte past the block's end.
-    written = layout.size + np.minimum(incl, prefix.shape[1] - layout.size)
-    dest = np.where(at < written[:, None], starts[:, None] + at, total)
-    out = np.zeros(total + 1, dtype=np.uint8)
-    out[dest] = prefix
+    width = prefix.shape[1]
+    # Write only the header and the captured part of the prefix, one
+    # assignment per distinct length (ACK/CTS, RTS, DATA-class).  Each
+    # written row lies inside its own record, so no two overlap.
+    written = layout.size + np.minimum(incl, width - layout.size)
+    out = np.zeros(total + width, dtype=np.uint8)
+    rows = as_strided(out, shape=(total, width), strides=(1, 1))
+    for length in np.flatnonzero(np.bincount(written)):
+        group = written == length
+        rows[starts[group], :length] = prefix[group, :length]
     return out[:total], n
 
 
@@ -602,8 +621,7 @@ def write_trace(
         raise ValueError(f"snaplen {snaplen} outside [0, 2**32)")
     _check_writable(trace, path, snaplen, layout)
     duration = _DURATION_FILL_US if duration_fill else 0
-    # Row cap per block: the encoder's index and scratch arrays take
-    # about this many bytes per row, so they stay near _CHUNK_BYTES too.
+    # Row cap per block, so its scratch rows and masks stay small too.
     max_rows = max(1, _CHUNK_BYTES // 1024)
     cols = {name: trace.column(name) for name in TRACE_COLUMNS}
     # filename="" and mtime=0 keep the gzip member header free of the
@@ -709,9 +727,13 @@ class _RowBuffer:
 # Captures written by :func:`write_trace` have one fixed shape: a
 # 24-byte radiotap header (version 0, the exact present-word
 # ``radiotap._PRESENT``) followed by an 802.11 header from our codec.
-# Records matching that shape are decoded wholesale — the byte stream is
-# viewed as a numpy array, per-record field offsets become integer
-# gathers, and one pass materialises every trace column for thousands of
+# Records of that shape are found and decoded wholesale.  The scan
+# finds each packet's lead word with four aligned 32-bit compares and
+# keeps the chain of records that starts at offset 0, each ending where
+# the next begins; only from the chain's first break does it walk
+# record by record.  The decoder takes each record's prefix as one row
+# of a byte window over the slab and reads it through one structured
+# dtype, so one pass materialises every trace column for thousands of
 # records.  Any record that does not match (foreign radiotap geometry,
 # unknown type/subtype, alien MAC prefix, non-11b rate...) drops to the
 # scalar codec path, which reproduces the legacy per-record behaviour —
@@ -746,16 +768,72 @@ _CTRL_SIZE[int(FrameType.ACK)] = ACK_FRAME_BYTES
 _CTRL_SIZE[int(FrameType.CTS)] = CTS_FRAME_BYTES
 _CTRL_SIZE[int(FrameType.RTS)] = RTS_FRAME_BYTES
 
+#: An address's first four bytes, big-endian: ours, and broadcast.
+_OUR_MAC_PREFIX = 0x02000000
+_BROADCAST_PREFIX = 0xFFFFFFFF
 
-def _scan_records(buf: bytes, layout: _RecordLayout) -> tuple[list[int], int]:
+
+def _lead_chain(buf: bytes, layout: _RecordLayout) -> tuple[np.ndarray, int]:
+    """The records the lead word finds: ``(offsets, end)`` of the run
+    of records that starts at offset 0, each ending where the next
+    begins, as the per-record walk would take them.  The walk from
+    ``end`` finds the rest.
+    """
+    limit, size = len(buf), layout.size
+    if limit < size + 4:
+        return np.zeros(0, dtype=np.int64), 0
+    hits = []
+    for a in range(4):
+        words = np.frombuffer(buf, "<u4", (limit - a) // 4, a)
+        hits.append(np.flatnonzero(words == _LEAD_WORD) * 4 + a)
+    starts = np.sort(np.concatenate(hits)) - size
+    starts = starts[starts >= 0]
+    if not len(starts) or starts[0]:
+        return starts[:0], 0
+    # The layout's length word at every byte offset.
+    lengths = np.ndarray(
+        (limit - 3,), dtype=layout.length_dtype, buffer=buf, strides=(1,)
+    )
+    ends = starts + layout.length_bias + lengths[starts + layout.length_at]
+    run, broken = _chain_run(starts, ends, limit)
+    if broken:
+        # Lead bytes inside a record are a stray candidate, which no
+        # sound candidate ends at: drop those and take the run again.
+        sound = ends[(starts < ends) & (ends <= limit)]
+        at = np.minimum(np.searchsorted(starts, sound), len(starts) - 1)
+        keep = np.zeros(len(starts), dtype=bool)
+        keep[at[starts[at] == sound]] = True
+        keep[0] = True
+        starts, ends = starts[keep], ends[keep]
+        run, _ = _chain_run(starts, ends, limit)
+    return starts[:run], int(ends[run - 1]) if run else 0
+
+
+def _chain_run(
+    starts: np.ndarray, ends: np.ndarray, limit: int
+) -> tuple[int, bool]:
+    """How many leading candidates the walk from offset 0 takes, and
+    whether it left the last of them for an offset that is no candidate
+    (rather than stopping at an unsound record or taking them all)."""
+    sound = (starts < ends) & (ends <= limit)
+    good = sound.copy()
+    good[:-1] &= ends[:-1] == starts[1:]
+    stop = len(good) if good.all() else int(good.argmin())
+    broken = stop < len(good) and bool(sound[stop])
+    return stop + broken, broken
+
+
+def _scan_records(buf: bytes, layout: _RecordLayout) -> tuple[np.ndarray, int]:
     """Offsets of complete records in ``buf`` and the bytes consumed.
 
-    Stored lengths are not checked here, only kept from stalling the
-    walk (a zero length stops it); :func:`_first_bad_length` finds the
-    first one too short for its record.
+    Equal, for any bytes, to a walk from record to record: the walk
+    starts where :func:`_lead_chain`'s run ends.  Stored lengths are
+    not checked here, only kept from stalling the walk (a zero length
+    stops it); :func:`_first_bad_length` finds the first one too short
+    for its record.
     """
-    offs: list[int] = []
-    pos = 0
+    offs, pos = _lead_chain(buf, layout)
+    walked: list[int] = []
     limit = len(buf)
     size = layout.size
     at, bias = layout.length_at, layout.length_bias
@@ -764,111 +842,81 @@ def _scan_records(buf: bytes, layout: _RecordLayout) -> tuple[list[int], int]:
         end = pos + bias + unpack_from(buf, pos + at)[0]
         if not pos < end <= limit:
             break
-        offs.append(pos)
+        walked.append(pos)
         pos = end
+    if walked:
+        offs = np.concatenate((offs, np.array(walked, dtype=np.int64)))
     return offs, pos
 
 
-def _headers(u8: np.ndarray, offs, layout: _RecordLayout) -> np.ndarray:
-    """The record headers at ``offs`` as a structured array of words."""
-    at = np.asarray(offs, dtype=np.int64)[:, None] + np.arange(layout.size)
-    return u8[at].view(layout.header_dtype)[:, 0]
+def _prefix_rows(buf: bytes, offs: np.ndarray, layout: _RecordLayout) -> np.ndarray:
+    """The records at ``offs`` as rows of ``layout.read_dtype``: one
+    window of the slab, zero-padded by one row, per record."""
+    width = layout.read_dtype.itemsize
+    u8 = np.concatenate(
+        (np.frombuffer(buf, dtype=np.uint8), np.zeros(width, dtype=np.uint8))
+    )
+    return sliding_window_view(u8, width)[offs].view(layout.read_dtype)[:, 0]
 
 
-def _first_bad_length(
-    buf: bytes, offs: list[int], consumed: int, layout: _RecordLayout
-) -> int | None:
-    """Index of the first record whose stored length cannot hold its
-    header plus included bytes, among ``offs`` and the record the scan
-    stopped at (index ``len(offs)``); None when all are sound, as
-    implied lengths always are."""
-    if not layout.stores_length:
+def _first_bad_length(rows: np.ndarray, layout: _RecordLayout) -> int | None:
+    """Index of the first of ``rows`` whose stored length cannot hold
+    its header plus included bytes; None when all are sound, as implied
+    lengths always are."""
+    if not layout.stores_length or not len(rows):
         return None
-    heads = offs + [consumed] if consumed + layout.size <= len(buf) else offs
-    if not heads:
-        return None
-    hdr = _headers(np.frombuffer(buf, dtype=np.uint8), heads, layout)
-    bad = hdr["rec_len"] < layout.size + hdr["incl_len"].astype(np.int64)
+    bad = rows["rec_len"] < layout.size + rows["incl_len"].astype(np.int64)
     return int(bad.argmax()) if bad.any() else None
 
 
-def _decode_block(
-    u8: np.ndarray, offs: np.ndarray, layout: _RecordLayout
-) -> tuple[dict, np.ndarray]:
-    """Vector-decode the records at ``offs``; returns (columns, ok mask).
+def _known_mac(prefix: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """Which addresses are ours or broadcast (whose node id reads as
+    ``BROADCAST``)."""
+    bcast = (prefix == _BROADCAST_PREFIX) & (node == BROADCAST)
+    return bcast | (prefix == _OUR_MAC_PREFIX)
+
+
+def _decode_block(rows: np.ndarray) -> tuple[dict, np.ndarray]:
+    """Vector-decode records read as ``rows``; returns (columns, ok mask).
 
     Columns are full-length; positions where ``ok`` is False hold
     garbage and must be re-decoded by the scalar path.
     """
-    last = len(u8) - 1
-    hdr = _headers(u8, offs, layout)
-    ts_sec = hdr["ts_sec"].astype(np.int64)
-    ts_usec = hdr["ts_usec"].astype(np.int64)
-    incl = hdr["incl_len"].astype(np.int64)
-    orig = hdr["orig_len"].astype(np.int64)
-
-    packet = offs[:, None] + layout.size
-    rt = u8[np.minimum(packet + np.arange(24), last)]
-    rt_len = rt[:, 2].astype(np.uint16) | (rt[:, 3].astype(np.uint16) << 8)
-    present = (
-        rt[:, 4].astype(np.uint32)
-        | (rt[:, 5].astype(np.uint32) << 8)
-        | (rt[:, 6].astype(np.uint32) << 16)
-        | (rt[:, 7].astype(np.uint32) << 24)
-    )
+    incl = rows["incl_len"].astype(np.int64)
+    orig = rows["orig_len"].astype(np.int64)
     ok = (
         (incl >= 34)
-        & (rt[:, 0] == 0)
-        & (rt_len == _RT_FIXED_LEN)
-        & (present == np.uint32(_RT_PRESENT))
+        & (rows["rt_version"] == 0)
+        & (rows["rt_len"] == _RT_FIXED_LEN)
+        & (rows["rt_present"] == np.uint32(_RT_PRESENT))
     )
 
-    rate_code = _RATE_TABLE[rt[:, 17]]
+    rate_code = _RATE_TABLE[rows["rate"]]
     ok &= rate_code != 255
-    freq = rt[:, 18].astype(np.uint16) | (rt[:, 19].astype(np.uint16) << 8)
-    fidx = np.searchsorted(_FREQ_SORTED, freq)
-    fidx_c = np.minimum(fidx, len(_FREQ_SORTED) - 1)
-    ok &= _FREQ_SORTED[fidx_c] == freq
-    channel = _FREQ_CHANNEL[fidx_c]
-    snr = (
-        rt[:, 22].astype(np.int8).astype(np.int16)
-        - rt[:, 23].astype(np.int8).astype(np.int16)
-    ).astype(np.float32)
+    freq = rows["freq"]
+    fidx = np.minimum(
+        np.searchsorted(_FREQ_SORTED, freq), len(_FREQ_SORTED) - 1
+    )
+    ok &= _FREQ_SORTED[fidx] == freq
+    channel = _FREQ_CHANNEL[fidx]
+    snr = (rows["signal"].astype(np.int16) - rows["noise"]).astype(np.float32)
 
-    d11 = u8[np.minimum(packet + _RT_FIXED_LEN + np.arange(24), last)]
-    fc = d11[:, 0].astype(np.uint16) | (d11[:, 1].astype(np.uint16) << 8)
+    fc = rows["fc"]
     ftype = _FT_TABLE[((fc >> 2) & 0b11) * 16 + ((fc >> 4) & 0b1111)]
     ok &= ftype != 255
     retry = (fc & _RETRY_BIT) != 0
 
     is_data_cls = _DATA_CLASS[ftype]
-    is_rts = ftype == int(FrameType.RTS)
-    need = np.where(is_data_cls, 48, np.where(is_rts, 40, 34))
+    has_src = _WRITES_SRC[ftype]
+    need = np.where(is_data_cls, 48, np.where(has_src, 40, 34))
     ok &= incl >= need
 
-    def mac_field(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        bcast = (block == 0xFF).all(axis=1)
-        ours = (
-            (block[:, 0] == 0x02)
-            & (block[:, 1] == 0)
-            & (block[:, 2] == 0)
-            & (block[:, 3] == 0)
-        )
-        node = np.where(
-            bcast,
-            np.uint16(BROADCAST),
-            (block[:, 4].astype(np.uint16) << 8) | block[:, 5].astype(np.uint16),
-        )
-        return node, bcast | ours
-
-    dst, dst_ok = mac_field(d11[:, 4:10])
-    ok &= dst_ok
-    src2, src_ok = mac_field(d11[:, 10:16])
-    ok &= src_ok | ~(is_data_cls | is_rts)
-    src = np.where(is_data_cls | is_rts, src2, np.uint16(NO_NODE))
-
-    seq_ctrl = d11[:, 22].astype(np.uint16) | (d11[:, 23].astype(np.uint16) << 8)
-    seq = np.where(is_data_cls, seq_ctrl >> 4, np.uint16(0))
+    dst = rows["addr1_node"]
+    ok &= _known_mac(rows["addr1_prefix"], dst)
+    src = rows["addr2_node"]
+    ok &= _known_mac(rows["addr2_prefix"], src) | ~has_src
+    src = np.where(has_src, src, np.uint16(NO_NODE))
+    seq = np.where(is_data_cls, rows["seq_ctrl"] >> 4, np.uint16(0))
 
     # orig_len preserves the pre-snap size: radiotap + 24 + body.
     size = np.where(
@@ -878,7 +926,8 @@ def _decode_block(
     ).astype(np.uint32)
 
     cols = {
-        "time_us": ts_sec * 1_000_000 + ts_usec,
+        "time_us": rows["ts_sec"].astype(np.int64) * 1_000_000
+        + rows["ts_usec"],
         "ftype": ftype,
         "rate_code": rate_code,
         "size": size,
@@ -1084,12 +1133,13 @@ def read_trace_batches(
     The file is consumed in multi-megabyte slabs, so memory stays
     bounded no matter how large the capture is — the streaming
     pipeline's pcap source.  Records in the shape :func:`write_trace`
-    emits are decoded in bulk via numpy gathers over the raw byte
-    stream; anything else falls back, record by record, to the scalar
-    codecs, which also own the error behaviour: damaged tails, and
-    corrupt gzip streams, raise the container's damage error
-    (:class:`TruncatedPcapError`, or its subclass
-    :class:`TruncatedSnoopError`) *after* the clean prefix is flushed.
+    emits are found by their radiotap lead word and decoded in bulk, as
+    rows of one byte window over the slab; anything else falls back,
+    record by record, to the scalar codecs, which also own the error
+    behaviour: damaged tails, and corrupt gzip streams, raise the
+    container's damage error (:class:`TruncatedPcapError`, or its
+    subclass :class:`TruncatedSnoopError`) *after* the clean prefix is
+    flushed.
     Frames are yielded in file order; captures written by
     :func:`write_trace` are time-ordered.
     """
@@ -1129,25 +1179,29 @@ def read_trace_batches(
                 eof = True
             else:
                 buf = buf + data if buf else data
-            rel_offs, consumed = _scan_records(buf, layout)
-            bad = _first_bad_length(buf, rel_offs, consumed, layout)
+            offs, consumed = _scan_records(buf, layout)
+            # The record the scan stopped at, if its header is whole,
+            # has its stored length checked too.
+            heads = (
+                np.append(offs, consumed)
+                if consumed + layout.size <= len(buf)
+                else offs
+            )
+            prefixes = _prefix_rows(buf, heads, layout)
+            bad = _first_bad_length(prefixes, layout)
             if bad is not None:
-                bad_at = (rel_offs + [consumed])[bad]
-                rel_offs = rel_offs[:bad]
-            elif not eof and not rel_offs:
+                bad_at = int(heads[bad])
+                offs = offs[:bad]
+            elif not eof and not len(offs):
                 continue  # record longer than the slab: keep reading
-            if rel_offs:
-                offs = np.asarray(rel_offs, dtype=np.int64)
-                u8 = np.frombuffer(buf, dtype=np.uint8)
-                cols, ok = _decode_block(u8, offs, layout)
-                run_start = 0
-                n_rec = len(offs)
-                while run_start < n_rec:
-                    run_ok = bool(ok[run_start])
-                    run_end = run_start + 1
-                    while run_end < n_rec and bool(ok[run_end]) == run_ok:
-                        run_end += 1
-                    if run_ok:
+            if len(offs):
+                cols, ok = _decode_block(prefixes[: len(offs)])
+                # Runs of records the block decode kept or left over.
+                bounds = np.flatnonzero(ok[1:] != ok[:-1]) + 1
+                for run_start, run_end in zip(
+                    [0, *bounds.tolist()], [*bounds.tolist(), len(offs)]
+                ):
+                    if ok[run_start]:
                         rows.append_chunk(
                             {
                                 name: col[run_start:run_end]
@@ -1177,7 +1231,6 @@ def read_trace_batches(
                             frames_read += 1
                             if len(rows) >= batch_frames:
                                 yield rows.take(batch_frames)
-                    run_start = run_end
             if bad is not None:
                 header = layout.unpack(buf, bad_at)
                 if len(rows):

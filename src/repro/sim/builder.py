@@ -154,17 +154,22 @@ def _attach_traffic(built: "BuiltScenario") -> list[object]:
     """
     config, sim = built.config, built.sim
     sources: list[object] = []
+    # One (uplink, downlink) schedule pair per load factor, shared by
+    # every station with that factor.
+    schedules = {1.0: (config.uplink, config.downlink)}
     for j, station in enumerate(built.stations):
         sta_rng = np.random.default_rng(config.seed + 1000 + j)
         if config.activity is not None:
             start_us, end_us = config.activity(j, sta_rng)
         else:
             start_us, end_us = 0, config.duration_us
-        uplink, downlink = config.uplink, config.downlink
-        role = built.roles[j]
-        if role.load_factor != 1.0:
-            uplink = ScaledRate(uplink, role.load_factor)
-            downlink = ScaledRate(downlink, role.load_factor)
+        factor = built.roles[j].load_factor
+        if factor not in schedules:
+            schedules[factor] = (
+                ScaledRate(config.uplink, factor),
+                ScaledRate(config.downlink, factor),
+            )
+        uplink, downlink = schedules[factor]
         # Association management frame at activity start.
         sim.schedule_at(
             max(start_us, 0),

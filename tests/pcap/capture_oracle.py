@@ -2,8 +2,8 @@
 
 The container writers and the slab reader work on blocks of records.
 These loops do the same work one record at a time through the
-per-record codecs — :func:`repro.pcap.pcapio._encode_packet`
-(``RadiotapHeader.encode`` + ``encode_frame``) on the way out,
+per-record codecs — :func:`encode_packet` (``RadiotapHeader.encode`` +
+``encode_frame``) on the way out,
 :func:`repro.pcap.pcapio._decode_record_scalar` on the way in — with
 the record framing spelled out here from the pcap format and RFC 1761
 rather than taken from the codec under test.  The tests and
@@ -16,14 +16,18 @@ import gzip
 import io
 import struct
 
+from repro.frames import FrameType
+from repro.pcap.dot11_codec import encode_frame
 from repro.pcap.pcapio import (
+    _DURATION_FILL_US,
+    _NOISE_FLOOR_DBM,
     _PCAP as PCAP_LAYOUT,
     _SNOOP as SNOOP_LAYOUT,
     TruncatedPcapError,
     _decode_record_scalar,
-    _encode_packet,
     _RowBuffer,
 )
+from repro.pcap.radiotap import RadiotapHeader
 
 SUFFIXES = (".pcap", ".pcap.gz", ".snoop", ".snoop.gz")
 
@@ -60,13 +64,39 @@ def container_of(suffix: str) -> str:
     return "snoop" if ".snoop" in suffix else "pcap"
 
 
+def encode_packet(row, duration_fill: bool) -> bytes:
+    """One trace row as radiotap + 802.11 bytes, through the per-record
+    encoders."""
+    radiotap = RadiotapHeader(
+        tsft_us=row.time_us,
+        rate_mbps=row.rate_mbps,
+        channel=row.channel,
+        signal_dbm=int(round(_NOISE_FLOOR_DBM + row.snr_db)),
+        noise_dbm=_NOISE_FLOOR_DBM,
+    ).encode()
+    body_size = 0
+    if row.ftype in (FrameType.DATA, FrameType.MGMT, FrameType.BEACON):
+        body_size = max(0, row.size - 24)
+    duration = _DURATION_FILL_US if duration_fill else 0
+    dot11 = encode_frame(
+        ftype=row.ftype,
+        src=row.src,
+        dst=row.dst,
+        seq=row.seq,
+        retry=row.retry,
+        body_size=body_size,
+        duration_us=duration,
+    )
+    return radiotap + dot11
+
+
 def oracle_pieces(trace, container, snaplen, duration_fill=True):
     """The container's bytes in the pieces a per-row writer emits:
     the file header, then each record's header, payload and padding."""
     file_header, record, _ = CONTAINERS[container]
     yield file_header(snaplen)
     for row in trace.iter_rows():
-        packet = _encode_packet(row, duration_fill)
+        packet = encode_packet(row, duration_fill)
         ts_sec, ts_usec = divmod(row.time_us, 1_000_000)
         yield from record(packet, packet[:snaplen], ts_sec, ts_usec)
 

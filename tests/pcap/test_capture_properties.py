@@ -1,7 +1,7 @@
 """Properties of the four capture containers: pcap, snoop, and gzipped.
 
 (a) Writing: for any valid trace, snap length and encoder block size,
-    the columnar writer's bytes equal the per-row ``_encode_packet``
+    the columnar writer's bytes equal the per-row ``encode_packet``
     oracle; a trace with one bad value is rejected exactly when the
     oracle rejects it, with a ``ValueError`` and no file left behind.
 (b) Reading a capture cut anywhere yields its longest clean prefix —

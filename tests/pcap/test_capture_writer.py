@@ -1,7 +1,7 @@
 """The columnar capture writer: byte identity and validation first.
 
 Every library scenario, simulated on both engines, must write the same
-bytes in all four containers as the per-row ``_encode_packet`` oracle.
+bytes in all four containers as the per-row ``encode_packet`` oracle.
 A trace the containers cannot hold is rejected with one ``ValueError``
 naming its column and first bad row before the file is opened.  The
 per-value rejections are properties in ``test_capture_properties.py``;
